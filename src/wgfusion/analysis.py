@@ -61,34 +61,43 @@ def _gram_factor(z: complex) -> np.ndarray:
     )
 
 
-def entanglement_report(m: np.ndarray, z: complex) -> EntanglementReport:
-    """Entropy analysis of a relevant-outcome coefficient matrix m = [[a,b],[c,d]].
+def entanglement_stack(ms: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(det_rho, lam, N^2) of a (K, 2, 2) stack of coefficient matrices [[a,b],[c,d]].
 
     det_rho = (1-|z|^2)|ad-bc|^2 / N^4 with the z-corrected normalization
-    N^2 = |a|^2+|b|^2+2Re(z a b*)+|c|^2+|d|^2+2Re(z c d*); cross-checked
-    against the eigenvalues of rho = M' M'+.
+    N^2 = |a|^2+|b|^2+2Re(z a b*)+|c|^2+|d|^2+2Re(z c d*); every entry is
+    cross-checked against the eigenvalues of rho = M' M'+.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1:] != (2, 2):
         raise InputError("m must be 2x2")
     if abs(z) >= 1.0 - 1e-12:
         raise DegenerateGramError(f"|z| = {abs(z)} too close to 1")
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    a, b, c, d = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
     nsq = relevant_norm_sq(a, b, c, d, z)
-    if nsq < 1e-28:
+    if np.any(nsq < 1e-28):
         raise DegenerateArgumentError("vanishing outcome norm")
-    det_rho = (1.0 - abs(z) ** 2) * abs(a * d - b * c) ** 2 / nsq**2
-    lam = (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * det_rho))) / 2.0
-    entropy = binary_entropy(lam)
-    # dense oracle: rho = M' M'+ must have eigenvalues (lam, 1-lam)
-    mp = (m / math.sqrt(nsq)) @ _gram_factor(z)
-    rho = mp @ mp.conj().T
-    ev = np.sort(np.linalg.eigvalsh(rho))
-    if abs(float(ev[0] * ev[1]) - det_rho) > ABORT_TOL or abs(float(ev[1]) - lam) > ABORT_TOL:
+    det_rho = (1.0 - abs(z) ** 2) * np.abs(a * d - b * c) ** 2 / nsq**2
+    lam = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * det_rho))) / 2.0
+    # dense oracle: each rho = M' M'+ must have eigenvalues (lam, 1-lam)
+    mp = (ms / np.sqrt(nsq)[:, None, None]) @ _gram_factor(z)
+    ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
+    oracle = ev[:, 0] * ev[:, 1]
+    bad = (np.abs(oracle - det_rho) > ABORT_TOL) | (np.abs(ev[:, 1] - lam) > ABORT_TOL)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise NumericalAbortError(
-            f"analytic det_rho {det_rho} disagrees with dense oracle {float(ev[0] * ev[1])}"
+            f"analytic det_rho {det_rho[k]} disagrees with dense oracle {oracle[k]}"
         )
-    return EntanglementReport(z, det_rho, lam, entropy, nsq / 4.0)
+    return det_rho, lam, nsq
+
+
+def entanglement_report(m: np.ndarray, z: complex) -> EntanglementReport:
+    """Entropy analysis of one relevant-outcome coefficient matrix m = [[a,b],[c,d]]:
+    entanglement_stack on a stack of one."""
+    det_rho, lam, nsq = entanglement_stack(np.asarray(m, dtype=complex)[None], z)
+    lam0 = float(lam[0])
+    return EntanglementReport(z, float(det_rho[0]), lam0, binary_entropy(lam0), float(nsq[0]) / 4.0)
 
 
 @dataclass
@@ -181,8 +190,10 @@ def tef_unitarity(
     """True iff the effective e-f transfer matrix is proportional to a unitary:
     |A+B| = |A+Be^{-i chi_bf}| = |C+D| = |C+De^{-i chi_bf}|.
 
-    Evaluated both directly and through the argument/magnitude formulation;
-    the two must agree.
+    Evaluated both directly (tolerance tol) and through the argument/magnitude
+    formulation (tolerance sqrt(tol)). They may split only when the relative
+    magnitude spread lies in [tol, sqrt(tol)], and the direct result stands;
+    any other split raises NumericalAbortError.
     """
     if abs(wrap_angle(chi_bf)) < 1e-12:
         raise DegenerateArgumentError("chi_bf must be nonzero")
@@ -192,9 +203,10 @@ def tef_unitarity(
     direct = float(mags.max() - mags.min()) < tol * scale
     viaargs = _tef_arg_form(p, chi_bf, math.sqrt(tol))
     if direct != viaargs:
-        # borderline points may fall between the two formulations' tolerances
+        # borderline points may fall between the two formulations' tolerances,
+        # tol (direct) and sqrt(tol) (argument form); any other split is a fault
         spread = float(mags.max() - mags.min()) / scale
-        if spread < 1e-6 or spread > 1e-12:
+        if not tol <= spread <= math.sqrt(tol):
             raise NumericalAbortError(
                 f"unitarity formulations disagree (magnitude spread {spread})"
             )
@@ -212,6 +224,7 @@ def classify_projection(
     Precedence: fused > new-weight > maximally-entangled > product > other.
     neighbor_count is the fused qubit's neighbor count on the right chain;
     chi_bf2 is its second edge weight (ignored when neighbor_count = 1).
+    A disagreement inside tef_unitarity propagates as NumericalAbortError.
     """
     scale = math.sqrt(p.norm_sq)
     if (
@@ -227,7 +240,7 @@ def classify_projection(
                 return OutcomeClass(
                     "weighted_graph_new_weight", "T_{e,f} unitarity conditions", chi
                 )
-        except (DegenerateArgumentError, NumericalAbortError):
+        except DegenerateArgumentError:
             pass
     z = inner_z(chi_bf, chi_bf2 if neighbor_count == 2 else 0.0)
     if abs(z) < 1.0 - 1e-12:

@@ -10,9 +10,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,13 +37,6 @@ from .protocols import (
 from .verify import run_all
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("WGS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str) -> dict:
@@ -238,13 +229,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
     else:
         raise InputError(f"unknown scan quantity {quantity}")
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(chi) for chi in grid]
-    return header, rows
+    return header, [row(chi) for chi in grid]
 
 
 def cmd_scan(args) -> int:

@@ -9,6 +9,19 @@ and ideal number-resolving detectors read out all N modes.
 
 Closed-form path (enumerate_outcomes) vs. brute-force amplitude path
 (oracle_enumerate): the two must agree to 1e-10 on every pattern.
+
+Both paths are batched over the N(N+1)/2 patterns (i <= j, np.triu_indices
+order): one call is a fixed set of array operations whose size grows with
+the pattern count, never a loop of small per-pattern NumPy calls. Each
+outcome keeps a view of its normalized register row in the call's shared
+(P, 2^nq) array; its register_state PureState is built and validated only
+when first read. reduced_det_rho_stack is the dense det-rho oracle over a
+(K, 2^L, 2^R) stack of such rows.
+
+Oracle independence: oracle_enumerate derives probabilities, states and
+coefficient matrices from its own mode substitution (a symmetrised einsum
+over the per-mode branch vectors). It never calls outcome_coeffs,
+relevant_norm_sq or same_detector_prob.
 """
 
 from __future__ import annotations
@@ -77,8 +90,7 @@ class FusionContext:
 
     f1, f2 live on the left residual register, f3, f4 on the right one.
     Invariants (checked at 1e-10): all four normalized, <f1|f2> = 0.
-    gram.z = <f4|f3> is unconstrained; m_coeffs is the fixed product-input
-    coefficient table (all entries 1/2).
+    gram.z = <f4|f3> is unconstrained.
     """
 
     def __init__(self, f1: PureState, f2: PureState, f3: PureState, f4: PureState):
@@ -90,7 +102,6 @@ class FusionContext:
         if abs(np.vdot(f1.amplitudes, f2.amplitudes)) > UNITARY_TOL:
             raise InvalidContextError("<f1|f2> != 0")
         self.f1, self.f2, self.f3, self.f4 = f1, f2, f3, f4
-        self.m_coeffs = np.full((2, 2), 0.5, dtype=complex)
         # z = <f4|f3> (right-side gram overlap)
         self.z = complex(np.vdot(f4.amplitudes, f3.amplitudes))
 
@@ -103,19 +114,54 @@ class FusionContext:
         return self.f3.num_qubits
 
 
-@dataclass
 class FusionOutcome:
-    """One detection pattern (i, j), i <= j, 0-based detector indices."""
+    """One detection pattern (i, j), i <= j, 0-based detector indices.
 
-    pattern: tuple[int, int]
-    probability: float
-    register_state: PureState | None  # None for (numerically) zero outcomes
-    kind: str  # "relevant" | "non-relevant"
-    m_matrix: np.ndarray | None = None  # normalized [[a,b],[c,d]]/N for relevant
+    register_row holds the normalized register amplitudes (a row of the
+    enumeration's shared array), or None for (numerically) zero outcomes.
+    register_state wraps it in a validated PureState on first access.
+    m_matrix is the normalized [[a,b],[c,d]]/N of a live relevant outcome.
+    """
+
+    __slots__ = ("pattern", "probability", "kind", "m_matrix", "register_row", "_state")
+
+    def __init__(
+        self,
+        pattern: tuple[int, int],
+        probability: float,
+        register_state: PureState | None,
+        kind: str,  # "relevant" | "non-relevant"
+        m_matrix: np.ndarray | None = None,
+        *,
+        register_row: np.ndarray | None = None,
+    ):
+        self.pattern = pattern
+        self.probability = probability
+        self.kind = kind
+        self.m_matrix = m_matrix
+        self._state = register_state
+        self.register_row = (
+            register_row if register_state is None else register_state.amplitudes
+        )
+
+    @property
+    def register_state(self) -> PureState | None:
+        if self._state is None and self.register_row is not None:
+            nq = self.register_row.size.bit_length() - 1
+            self._state = PureState(nq, self.register_row)
+        return self._state
+
+    def __repr__(self) -> str:
+        return (
+            f"FusionOutcome(pattern={self.pattern}, probability={self.probability!r}, "
+            f"kind={self.kind!r})"
+        )
 
 
-def outcome_coeffs(u: np.ndarray, i: int, j: int) -> tuple[complex, complex, complex, complex]:
-    """(a,b,c,d) coefficients of pattern (i,j), i != j: a = U_1i U_3j + U_1j U_3i etc."""
+def outcome_coeffs(u: np.ndarray, i, j):
+    """(a,b,c,d) coefficients of pattern (i,j), i != j: a = U_1i U_3j + U_1j U_3i etc.
+
+    i, j may be index arrays; the coefficients are then arrays too."""
     a = u[0, i] * u[2, j] + u[0, j] * u[2, i]
     b = u[0, i] * u[3, j] + u[0, j] * u[3, i]
     c = u[1, i] * u[2, j] + u[1, j] * u[2, i]
@@ -123,122 +169,133 @@ def outcome_coeffs(u: np.ndarray, i: int, j: int) -> tuple[complex, complex, com
     return a, b, c, d
 
 
-def relevant_norm_sq(a, b, c, d, z: complex) -> float:
-    """N_ij^2 with the gram correction: |a|^2+|b|^2+2Re(z a b*) + |c|^2+|d|^2+2Re(z c d*)."""
-    return float(
-        abs(a) ** 2
-        + abs(b) ** 2
+def relevant_norm_sq(a, b, c, d, z: complex):
+    """N_ij^2 with the gram correction: |a|^2+|b|^2+2Re(z a b*) + |c|^2+|d|^2+2Re(z c d*).
+
+    Elementwise over coefficient arrays; a float for scalar coefficients."""
+    return (
+        np.abs(a) ** 2
+        + np.abs(b) ** 2
         + 2.0 * (z * a * np.conj(b)).real
-        + abs(c) ** 2
-        + abs(d) ** 2
+        + np.abs(c) ** 2
+        + np.abs(d) ** 2
         + 2.0 * (z * c * np.conj(d)).real
     )
 
 
-def same_detector_prob(u: np.ndarray, i: int, z: complex) -> float:
+def same_detector_prob(u: np.ndarray, i, z: complex):
     """p_ii = (1/2)(|U_1i|^2+|U_2i|^2)(|U_3i|^2+|U_4i|^2+2Re(z U_3i U_4i*)).
 
     The 1/2 is the bosonic normalization of the doubly occupied mode; with it
-    the full distribution is complete (sums to 1)."""
-    alpha = abs(u[0, i]) ** 2 + abs(u[1, i]) ** 2
+    the full distribution is complete (sums to 1). i may be an index array."""
+    alpha = np.abs(u[0, i]) ** 2 + np.abs(u[1, i]) ** 2
     beta = (
-        abs(u[2, i]) ** 2
-        + abs(u[3, i]) ** 2
+        np.abs(u[2, i]) ** 2
+        + np.abs(u[3, i]) ** 2
         + 2.0 * (z * u[2, i] * np.conj(u[3, i])).real
     )
     return 0.5 * alpha * beta
 
 
+def _outcome_list(
+    iu: np.ndarray, ju: np.ndarray, probs: np.ndarray, rows: np.ndarray, mms: np.ndarray
+) -> list[FusionOutcome]:
+    """Wrap the (P,) probabilities, (P, D) register rows and (P, 2, 2) relevant
+    matrices of the patterns (iu, ju) = np.triu_indices(N) as outcomes.
+
+    Rows are normalized in place for live patterns."""
+    live = probs > ZERO_PROB
+    rows[live] /= np.linalg.norm(rows[live], axis=1)[:, None]
+    out: list[FusionOutcome] = []
+    for k, (i, j, p, ok) in enumerate(zip(iu.tolist(), ju.tolist(), probs.tolist(), live.tolist())):
+        kind = "non-relevant" if i == j else "relevant"
+        if not ok:
+            out.append(FusionOutcome((i, j), p, None, kind))
+        else:
+            mm = None if i == j else mms[k]
+            out.append(FusionOutcome((i, j), p, None, kind, mm, register_row=rows[k]))
+    return out
+
+
 def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
-    """All N(N+1)/2 detection patterns with closed-form probabilities."""
+    """All N(N+1)/2 detection patterns with closed-form probabilities.
+
+    One (P, 4) coefficient table covers every pattern; on the diagonal it is
+    half the i != j formula, so that each register row is the table times the
+    stacked kron(v_x, v_y) in one matrix product."""
     m = u.matrix
-    n = u.n
-    z = ctx.z
+    iu, ju = np.triu_indices(u.n)
+    diag = iu == ju
+    coef = np.stack(outcome_coeffs(m, iu, ju), axis=1)
+    coef[diag] *= 0.5
+    nsq = relevant_norm_sq(*coef.T, ctx.z)
+    probs = nsq / 4.0
+    probs[diag] = same_detector_prob(m, iu[diag], ctx.z)
     v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
     v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
-    nq = ctx.left_qubits + ctx.right_qubits
-    out: list[FusionOutcome] = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                p = same_detector_prob(m, i, z)
-                reg = None
-                if p > ZERO_PROB:
-                    left = m[0, i] * v1 + m[1, i] * v2
-                    right = m[2, i] * v3 + m[3, i] * v4
-                    vec = np.kron(left, right)
-                    reg = PureState(nq, vec / np.linalg.norm(vec))
-                out.append(FusionOutcome((i, i), p, reg, "non-relevant"))
-            else:
-                a, b, c, d = outcome_coeffs(m, i, j)
-                nsq = relevant_norm_sq(a, b, c, d, z)
-                p = nsq / 4.0
-                reg = None
-                mm = None
-                if p > ZERO_PROB:
-                    vec = (
-                        a * np.kron(v1, v3)
-                        + b * np.kron(v1, v4)
-                        + c * np.kron(v2, v3)
-                        + d * np.kron(v2, v4)
-                    )
-                    reg = PureState(nq, vec / np.linalg.norm(vec))
-                    mm = np.array([[a, b], [c, d]], dtype=complex) / math.sqrt(nsq)
-                out.append(FusionOutcome((i, j), p, reg, "relevant", mm))
-    return out
+    basis = np.stack([np.kron(v1, v3), np.kron(v1, v4), np.kron(v2, v3), np.kron(v2, v4)])
+    rows = coef @ basis
+    live = nsq > 0.0
+    mms = coef.reshape(-1, 2, 2)
+    mms[live] /= np.sqrt(nsq[live])[:, None, None]
+    return _outcome_list(iu, ju, probs, rows, mms)
+
+
+def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """(P, dx, dy) two-photon amplitudes of the patterns (iu, ju) = np.triu_indices(N).
+
+    Row k of x (y) is what a photon from channel a (b) leaving in mode k
+    carries. Distinct modes get (x_i y_j + x_j y_i)/2; a doubly occupied mode
+    gets x_i y_i / sqrt2, from c_i+ c_i+ |vac> = sqrt(2) |2_i>.
+    """
+    pair = np.einsum("ix,jy->ijxy", x, y)
+    amp = 0.5 * (pair + pair.transpose(1, 0, 2, 3))
+    k = np.arange(x.shape[0])
+    amp[k, k] /= math.sqrt(2.0)
+    return amp[iu, ju]
 
 
 def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
-    """Brute-force path: expand the two-photon amplitude per pattern.
+    """Brute-force path: expand the two-photon amplitude of every pattern.
 
-    Uses only mode-operator substitution and dense vectors; no closed-form
-    probability or normalization shortcut. The doubly occupied pattern carries
-    the bosonic sqrt(2): c_i+ c_i+ |vac> = sqrt(2) |2_i>.
+    Uses only mode-operator substitution and dense vectors, never the closed
+    form's coefficients or norms: p = |amplitude|^2 of each pattern's
+    register vector, and m_matrix is the same substitution applied to the
+    (H, V) mode coefficients of each channel.
     """
     m = u.matrix
-    n = u.n
     v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
     v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
-    nq = ctx.left_qubits + ctx.right_qubits
-    # photon from channel a in mode i carries register branch fA_i, etc.
-    f_a = [m[0, i] * v1 + m[1, i] * v2 for i in range(n)]
-    f_b = [m[2, i] * v3 + m[3, i] * v4 for i in range(n)]
-    out: list[FusionOutcome] = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                amp = np.kron(f_a[i], f_b[i]) / math.sqrt(2.0)
-                kind = "non-relevant"
-                mm = None
-            else:
-                amp = 0.5 * (np.kron(f_a[i], f_b[j]) + np.kron(f_a[j], f_b[i]))
-                kind = "relevant"
-            p = float(np.vdot(amp, amp).real)
-            reg = None
-            mm = None
-            if p > ZERO_PROB:
-                reg = PureState(nq, amp / math.sqrt(p))
-                if kind == "relevant":
-                    a, b, c, d = outcome_coeffs(m, i, j)
-                    mm = np.array([[a, b], [c, d]], dtype=complex) / (
-                        2.0 * math.sqrt(p)
-                    )
-            out.append(FusionOutcome((i, j), p, reg, kind, mm))
-    return out
+    # photon from channel a in mode i carries register branch f_a[i], etc.
+    f_a = m[0][:, None] * v1 + m[1][:, None] * v2
+    f_b = m[2][:, None] * v3 + m[3][:, None] * v4
+    iu, ju = np.triu_indices(u.n)
+    amps = _symmetrised_pairs(f_a, f_b, iu, ju)
+    rows = amps.reshape(amps.shape[0], -1)
+    probs = np.einsum("kd,kd->k", rows.conj(), rows).real
+    mms = _symmetrised_pairs(m[:2].T, m[2:4].T, iu, ju)
+    live = probs > 0.0
+    mms[live] /= np.sqrt(probs[live])[:, None, None]
+    return _outcome_list(iu, ju, probs, rows, mms)
+
+
+def reduced_det_rho_stack(mats: np.ndarray) -> np.ndarray:
+    """Dense oracle for det of the effective 2x2 reduced density matrices.
+
+    mats is a (K, 2^L, 2^R) stack of normalized register states reshaped
+    across the left/right cut. Builds each rho by matrix product and returns
+    the products of its two leading eigenvalues (the states have Schmidt
+    rank <= 2 by construction).
+    """
+    rho = mats @ mats.conj().transpose(0, 2, 1)
+    evals = np.linalg.eigvalsh(rho)  # ascending
+    return evals[:, -1] * evals[:, -2]
 
 
 def reduced_det_rho(outcome: FusionOutcome, left_qubits: int) -> float:
-    """Dense oracle for det of the effective 2x2 reduced density matrix.
-
-    Reshapes the register state across the left/right cut, builds rho by
-    matrix product, and returns the product of its two leading eigenvalues
-    (the state has Schmidt rank <= 2 by construction).
-    """
-    reg = outcome.register_state
-    mat = reg.amplitudes.reshape(1 << left_qubits, -1)
-    rho = mat @ mat.conj().T
-    evals = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    return float(evals[0] * evals[1])
+    """reduced_det_rho_stack for one outcome's register state."""
+    mat = outcome.register_state.amplitudes.reshape(1, 1 << left_qubits, -1)
+    return float(reduced_det_rho_stack(mat)[0])
 
 
 def type_i_matrix() -> ModeUnitary:
@@ -302,12 +359,10 @@ def type_i_marginal(outcomes: list[FusionOutcome], ctx: FusionContext) -> dict:
         for c_mode in (0, 1):
             o = by_pattern[(min(c_mode, d_mode), max(c_mode, d_mode))]
             total += o.probability
-            if o.register_state is None:
+            if o.register_row is None:
                 amps.append(np.zeros(1 << nq, dtype=complex))
             else:
-                amps.append(
-                    math.sqrt(o.probability) * o.register_state.amplitudes
-                )
+                amps.append(math.sqrt(o.probability) * o.register_row)
         vec = np.concatenate(amps)  # new qubit = most significant bit
         state = None
         if total > ZERO_PROB:

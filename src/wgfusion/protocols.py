@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InputError,
     InvalidGraphError,
     NoLogicalPairError,
     NotAchievableError,
@@ -42,6 +43,7 @@ from .graphstate import (
 )
 
 WEIGHT_TOL = 1e-9
+PROB_SUM_TOL = 1e-10  # |sum p - 1| allowed for a distribution to be sampled
 
 
 @dataclass
@@ -773,11 +775,21 @@ def ghz_pair_for_target(
 
 
 def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
-    """Monte Carlo mode: draw n outcome labels with the injected seed."""
+    """Monte Carlo mode: draw n outcome labels with the injected seed.
+
+    The distribution must be complete: InputError unless every probability
+    is >= -PROB_SUM_TOL and they sum to 1 within PROB_SUM_TOL. Only that
+    round-off is clipped away before sampling.
+    """
     rng = np.random.default_rng(seed)
     probs = np.array(
         [getattr(o, "probability") for o in outcomes], dtype=float
     )
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise InputError(f"not a complete distribution: probabilities sum to {total!r}")
+    if np.any(probs < -PROB_SUM_TOL):
+        raise InputError(f"negative probability {float(probs.min())!r}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     labels = [

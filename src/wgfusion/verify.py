@@ -16,6 +16,7 @@ from scipy.stats import unitary_group
 
 from .analysis import (
     entanglement_report,
+    entanglement_stack,
     hyperbola_projection,
     solve_xi_for_weight,
     check_no_good_failure,
@@ -23,7 +24,13 @@ from .analysis import (
     ylike_impossibility_scan,
 )
 from .errors import NotAchievableError
-from .fock import ModeUnitary, oracle_enumerate, outcome_coeffs, relevant_norm_sq, reduced_det_rho
+from .fock import (
+    ModeUnitary,
+    oracle_enumerate,
+    outcome_coeffs,
+    reduced_det_rho_stack,
+    relevant_norm_sq,
+)
 from .graphstate import (
     PureState,
     apply_local,
@@ -209,15 +216,20 @@ def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = Fa
         ctx, outs = fuse_generalized(left, pair, right, b, u, consume="D")
         oracle = {o.pattern: o for o in oracle_enumerate(ctx, u)}
         total = 0.0
+        live = []
         for o in outs:
             total += o.probability
             worst = max(worst, abs(o.probability - oracle[o.pattern].probability))
             if o.kind == "relevant" and o.probability > 1e-10:
-                rep = entanglement_report(
-                    np.array(outcome_coeffs(u.matrix, *o.pattern)).reshape(2, 2), ctx.z
-                )
-                oracle_det = reduced_det_rho(oracle[o.pattern], ctx.left_qubits)
-                worst = max(worst, abs(rep.det_rho - oracle_det))
+                live.append(o.pattern)
+        if live:
+            # one stacked closed form and one stacked dense oracle per draw
+            i, j = np.array(live).T
+            ms = np.stack(outcome_coeffs(u.matrix, i, j), axis=1).reshape(-1, 2, 2)
+            det_rho, _, _ = entanglement_stack(ms, ctx.z)
+            rows = np.stack([oracle[pat].register_row for pat in live])
+            oracle_det = reduced_det_rho_stack(rows.reshape(len(live), 1 << ctx.left_qubits, -1))
+            worst = max(worst, float(np.max(np.abs(det_rho - oracle_det))))
         worst = max(worst, abs(total - 1.0))
     return CheckResult("generalized_oracle", worst < 1e-10, worst, f"{draws} draws")
 

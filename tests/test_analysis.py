@@ -28,6 +28,7 @@ from wgfusion.errors import (
     DegenerateArgumentError,
     DegenerateGramError,
     InputError,
+    NumericalAbortError,
 )
 from wgfusion.fock import type_i_matrix, type_ii_matrix
 from wgfusion.graphstate import build_state, chain_graph, wrap_angle
@@ -154,6 +155,26 @@ def test_tef_unitarity_on_solution_family():
         xi = rng.choice([-1, 1]) * math.exp(rng.uniform(-2, 2))
         p = hyperbola_projection(chi, xi, rng.uniform(0.2, 0.9))
         assert tef_unitarity(p.a, p.b, p.c, p.d, chi)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7])
+def test_tef_near_solution_band_does_not_raise(eps):
+    # a perturbed xi-family point falls between the two formulations'
+    # tolerances: the direct verdict stands, classification goes on
+    p = hyperbola_projection(1.0, 0.7)
+    q = TwoQubitProjection(p.a, p.b, p.c, p.d * (1.0 + eps))
+    assert not tef_unitarity(q.a, q.b, q.c, q.d, 1.0)
+    assert classify_projection(q, 1.0).tag != "weighted_graph_new_weight"
+
+
+def test_tef_disagreement_surfaces_through_classify(monkeypatch):
+    import wgfusion.analysis as analysis
+
+    p = hyperbola_projection(1.0, 0.7)  # exact solution: direct test passes
+    assert classify_projection(p, 1.0).tag == "weighted_graph_new_weight"
+    monkeypatch.setattr(analysis, "_tef_arg_form", lambda *args: False)
+    with pytest.raises(NumericalAbortError):
+        classify_projection(p, 1.0)
 
 
 # ------------------------------------------------------ classification

@@ -1,0 +1,150 @@
+"""Property tests for the batched Fock layer.
+
+The batched closed form is compared with the independent oracle and with a
+per-pattern loop over the scalar closed-form helpers; the stacked det-rho
+cores are compared with their one-outcome calls.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import unitary_group
+
+from wgfusion.analysis import entanglement_report, entanglement_stack
+from wgfusion.fock import (
+    ZERO_PROB,
+    FusionContext,
+    ModeUnitary,
+    enumerate_outcomes,
+    oracle_enumerate,
+    outcome_coeffs,
+    reduced_det_rho,
+    reduced_det_rho_stack,
+    relevant_norm_sq,
+    same_detector_prob,
+)
+from wgfusion.graphstate import PureState
+
+# (seed, N, left qubits, right qubits, sparse): sparse draws a phased
+# permutation matrix, whose patterns are mostly exactly zero
+SETUPS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 8),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+)
+
+
+def _unit(n: int, rng) -> np.ndarray:
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _setup(seed, n, left, right, sparse) -> tuple[FusionContext, ModeUnitary]:
+    rng = np.random.default_rng(seed)
+    f1 = _unit(1 << left, rng)
+    raw = _unit(1 << left, rng)
+    f2 = raw - np.vdot(f1, raw) * f1
+    f2 /= np.linalg.norm(f2)
+    ctx = FusionContext(
+        PureState(left, f1),
+        PureState(left, f2),
+        PureState(right, _unit(1 << right, rng)),
+        PureState(right, _unit(1 << right, rng)),
+    )
+    if sparse:
+        m = np.eye(n)[:, rng.permutation(n)] * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+    else:
+        m = unitary_group.rvs(n, random_state=rng)
+    return ctx, ModeUnitary(m)
+
+
+def _loop_reference(ctx: FusionContext, u: ModeUnitary) -> dict:
+    """Pattern -> (p, normalized register vector, m_matrix), one pattern at a time."""
+    m, z = u.matrix, ctx.z
+    v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
+    v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
+    out = {}
+    for i in range(u.n):
+        for j in range(i, u.n):
+            mm = None
+            if i == j:
+                p = same_detector_prob(m, i, z)
+                vec = np.kron(m[0, i] * v1 + m[1, i] * v2, m[2, i] * v3 + m[3, i] * v4)
+            else:
+                a, b, c, d = outcome_coeffs(m, i, j)
+                nsq = relevant_norm_sq(a, b, c, d, z)
+                p = nsq / 4.0
+                vec = a * np.kron(v1, v3) + b * np.kron(v1, v4) + c * np.kron(v2, v3) + d * np.kron(v2, v4)
+                if p > ZERO_PROB:
+                    mm = np.array([[a, b], [c, d]]) / math.sqrt(nsq)
+            live = p > ZERO_PROB
+            out[(i, j)] = (p, vec / np.linalg.norm(vec) if live else None, mm)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(SETUPS)
+def test_closed_form_oracle_and_loop_agree(setup):
+    ctx, u = _setup(*setup)
+    ana = enumerate_outcomes(ctx, u)
+    orc = oracle_enumerate(ctx, u)
+    ref = _loop_reference(ctx, u)
+    assert [o.pattern for o in ana] == [o.pattern for o in orc] == list(ref)
+    assert sum(o.probability for o in ana) == pytest.approx(1.0, abs=1e-12)
+    assert sum(o.probability for o in orc) == pytest.approx(1.0, abs=1e-12)
+    for a, o in zip(ana, orc):
+        p_ref, vec_ref, mm_ref = ref[a.pattern]
+        assert a.kind == o.kind == ("non-relevant" if a.pattern[0] == a.pattern[1] else "relevant")
+        assert a.probability == pytest.approx(o.probability, abs=1e-12)
+        assert a.probability == pytest.approx(p_ref, abs=1e-12)
+        assert (a.register_state is None) == (o.register_state is None) == (vec_ref is None)
+        if vec_ref is not None:
+            assert abs(np.vdot(a.register_state.amplitudes, o.register_state.amplitudes)) >= 1.0 - 1e-10
+            assert abs(np.vdot(a.register_state.amplitudes, vec_ref)) >= 1.0 - 1e-10
+        assert (a.m_matrix is None) == (o.m_matrix is None) == (mm_ref is None)
+        if mm_ref is not None:
+            np.testing.assert_allclose(a.m_matrix, o.m_matrix, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.m_matrix, mm_ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SETUPS)
+def test_lazy_register_state_is_the_normalized_row(setup):
+    ctx, u = _setup(*setup)
+    nq = ctx.left_qubits + ctx.right_qubits
+    for outs in (enumerate_outcomes(ctx, u), oracle_enumerate(ctx, u)):
+        for o in outs:
+            if o.register_row is None:
+                assert o.register_state is None
+                continue
+            assert np.linalg.norm(o.register_row) == pytest.approx(1.0, abs=1e-12)
+            st1 = o.register_state
+            assert st1.num_qubits == nq
+            assert np.array_equal(st1.amplitudes, o.register_row)
+            assert o.register_state is st1  # built once
+
+
+@settings(max_examples=30, deadline=None)
+@given(SETUPS)
+def test_stacked_det_rho_cores_match_scalar_calls(setup):
+    ctx, u = _setup(*setup)
+    live = [o for o in oracle_enumerate(ctx, u) if o.kind == "relevant" and o.probability > 1e-10]
+    if not live:
+        return
+    det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), ctx.z)
+    rows = np.stack([o.register_row for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
+    dets = reduced_det_rho_stack(rows)
+    for k, o in enumerate(live):
+        rep = entanglement_report(o.m_matrix, ctx.z)
+        assert rep.det_rho == pytest.approx(det[k], abs=1e-15)
+        assert rep.lam == pytest.approx(lam[k], abs=1e-15)
+        assert rep.probability == pytest.approx(nsq[k] / 4.0, abs=1e-15)
+        assert reduced_det_rho(o, ctx.left_qubits) == pytest.approx(dets[k], abs=1e-15)
+    # and the closed form agrees with the dense oracle, as the verify check requires
+    assert np.max(np.abs(det - dets)) < 1e-10

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from wgfusion.errors import (
+    InputError,
     NoLogicalPairError,
     NotAchievableError,
     NotEndpointError,
@@ -21,6 +22,7 @@ from wgfusion.graphstate import (
     wrap_angle,
 )
 from wgfusion.protocols import (
+    ProtocolOutcome,
     create_logical_qubit,
     fuse_generalized,
     fuse_type_i,
@@ -284,3 +286,15 @@ def test_sampling_is_deterministic():
     assert s1 == s2
     freq = {lab: s1.count(lab) / 200 for lab in set(s1)}
     assert all(abs(f - 0.25) < 0.12 for f in freq.values())
+
+
+def test_sampling_refuses_incomplete_distributions():
+    outs = fuse_type_i(make_chain(["a", "b"], [0.9]), "b", make_chain(["c", "d"], [-1.7]), "c")
+    with pytest.raises(InputError):
+        sample_outcomes(outs[:1], 10, seed=1)  # sums to 0.25
+    bad = [ProtocolOutcome("x", 1.1, []), ProtocolOutcome("y", -0.1, [])]
+    with pytest.raises(InputError):
+        sample_outcomes(bad, 10, seed=1)  # sums to 1 with a negative entry
+    # round-off below 1e-10 is tolerated and clipped
+    ok = [ProtocolOutcome("x", 1.0 + 5e-11, []), ProtocolOutcome("y", -5e-11, [])]
+    assert sample_outcomes(ok, 10, seed=1) == ["x"] * 10
