@@ -407,19 +407,36 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
     bmag = np.sqrt(1.0 - mag_as**2)[None, None, :]
     bph = np.exp(1j * deltas)[None, :, None]
     b = bmag * bph  # (1, delta, r)
+    # chi1-independent terms, hoisted out of the row loop
+    m11 = r + b  # A + B
+    abs_m11 = np.abs(m11)
+    m21 = r + b * e1[:, None, None]  # A + B e^{-i chi2}, axis 0 = chi2
+    abs_m21 = np.abs(m21)
+    cross = m11 * np.conj(m21)
+    # per-row (chi2, delta, |A|) buffers, reused by every row
+    m22 = np.empty_like(m21)
+    res = np.empty(m21.shape)
+    tmp = np.empty(m21.shape)
     for i1, chi1 in enumerate(chis):
         p1 = e1[i1]
-        m11 = r + b  # A + B
         m12 = r + b * p1  # A + B e^{-i chi1}
-        m21 = r + b * e1[:, None, None]  # A + B e^{-i chi2}, axis 0 = chi2
-        m22 = r + b * (p1 * e1)[:, None, None]
-        res = np.maximum(
-            np.abs(np.abs(m11) - np.abs(m22)),
-            np.abs(np.abs(m12) - np.abs(m21)),
-        )
-        res = np.maximum(res, np.abs(m11 * np.conj(m21) + m12 * np.conj(m22)))
-        hits = np.argwhere(res < tol)
-        for i2, idd, ir in hits:
+        np.multiply(b, (p1 * e1)[:, None, None], out=m22)
+        np.add(r, m22, out=m22)  # A + B e^{-i(chi1+chi2)}
+        np.abs(m22, out=res)
+        np.subtract(abs_m11, res, out=res)
+        np.abs(res, out=res)
+        np.subtract(np.abs(m12), abs_m21, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.maximum(res, tmp, out=res)
+        np.conjugate(m22, out=m22)
+        np.multiply(m12, m22, out=m22)
+        np.add(cross, m22, out=m22)
+        np.abs(m22, out=tmp)
+        np.maximum(res, tmp, out=res)
+        found = res < tol
+        if not found.any():
+            continue
+        for i2, idd, ir in np.argwhere(found):
             n_solutions += 1
             chi2, delta, mag = chis[i2], deltas[idd], mag_as[ir]
             near_half = abs(mag - INV_SQRT2) < 1e-3
@@ -463,15 +480,15 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
     chis = _angle_grid(resolution)
     deltas = _angle_grid(resolution)
     nz = np.abs(chis) > 1e-9  # zero weight means "no edge": excluded
-    c1 = chis[:, None, None]
-    c2 = chis[None, :, None]
-    dl = deltas[None, None, :]
-    base = np.cos(dl)
-    res = np.abs(base - np.cos(dl - c1))
-    res = np.maximum(res, np.abs(base - np.cos(dl - c2)))
-    res = np.maximum(res, np.abs(base - np.cos(dl - c1 - c2)))
-    res = np.where(nz[:, None, None] & nz[None, :, None], res, np.inf)
-    hits = np.argwhere(res < tol)
+    base = np.cos(deltas)
+    r2 = np.abs(base - np.cos(deltas[None, :] - chis[:, None]))  # (chi2, delta)
+    hits = []
+    for i1 in np.flatnonzero(nz):
+        d1 = deltas - chis[i1]
+        res = np.maximum(np.abs(base - np.cos(d1)), r2)
+        res = np.maximum(res, np.abs(base - np.cos(d1[None, :] - chis[:, None])))
+        res[~nz] = np.inf
+        hits.extend((i1, i2, idd) for i2, idd in np.argwhere(res < tol))
     outliers = []
     at_pi = 0
     for i1, i2, idd in hits:

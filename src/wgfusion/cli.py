@@ -31,6 +31,7 @@ from .protocols import (
     fuse_type_ii,
     ghz_pair_projection,
     ghz_pair_range,
+    logical_pair_chain,
     rez_formula,
     sample_outcomes,
 )
@@ -94,11 +95,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _logical_left(graph: WeightedGraph, vertex: str) -> ChainState:
-    chain = ChainState(graph, build_state(graph))
-    outs = create_logical_qubit(chain, vertex)
-    succ = [o for o in outs if o.label.startswith("success")]
-    return succ[0].post_states[0]
+def _chain(graph: WeightedGraph) -> ChainState:
+    return ChainState(graph, build_state(graph))
 
 
 def cmd_fuse(args) -> int:
@@ -106,18 +104,16 @@ def cmd_fuse(args) -> int:
         for name in ("graph2", "end_a", "end_b"):
             if getattr(args, name) is None:
                 raise InputError(f"fuse --type i requires --{name.replace('_', '-')}")
-        left = ChainState(_load_graph(args.graph), build_state(_load_graph(args.graph)))
-        right = ChainState(_load_graph(args.graph2), build_state(_load_graph(args.graph2)))
+        left, right = _chain(_load_graph(args.graph)), _chain(_load_graph(args.graph2))
         outcomes = fuse_type_i(left, args.end_a, right, args.end_b)
         payload = {"type": "i", "outcomes": [o.as_dict() for o in outcomes]}
     elif args.fusion_type in ("ii", "gen"):
         for name in ("graph2", "logical", "b"):
             if getattr(args, name) is None:
                 raise InputError(f"fuse --type {args.fusion_type} requires --{name}")
-        left = _logical_left(_load_graph(args.graph), args.logical)
+        left = logical_pair_chain(_chain(_load_graph(args.graph)), args.logical)
         pair = next(iter(left.logical_pairs))
-        rg = _load_graph(args.graph2)
-        right = ChainState(rg, build_state(rg))
+        right = _chain(_load_graph(args.graph2))
         if args.fusion_type == "ii":
             outcomes = fuse_type_ii(left, tuple(pair), right, args.b, consume=args.consume)
             payload = {"type": "ii", "outcomes": [o.as_dict() for o in outcomes]}
@@ -173,8 +169,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
         from .protocols import make_chain
 
-        lout = create_logical_qubit(make_chain(list("ABCD"), [math.pi] * 3), "C")
-        left = [o for o in lout if o.label.startswith("success")][0].post_states[0]
+        left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
 
         def row(chi: float) -> list:
             right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])

@@ -297,12 +297,11 @@ def _xlike_case(chi1: float, chi2: float) -> str | None:
     return None
 
 
-def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
-    """Project an interior vertex to turn its two neighbors into a logical pair.
+def _xlike_plan(chain: ChainState, a) -> tuple[str, str, str, str, float, tuple[complex, complex]]:
+    """Eligibility of interior vertex a for an X-like projection and its primary bra.
 
-    Success probability (1 - cos chi)/4; at chi = pi the complementary
-    projection also succeeds (total probability 1). Otherwise the complement
-    is a failure carrying the Z-measurement recovery split.
+    Returns (a, b1, b2, case, chi, bra), b1 before b2 in vertex order. The
+    primary bra (A, B) is B = -A e^{i chi} for case 1 and B = -A for case 2.
     """
     a = _resolve_vertex(chain, a)
     nbs = chain.graph.neighbors(a)
@@ -317,20 +316,34 @@ def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
             f"weights ({chi1:.6g}, {chi2:.6g}) satisfy neither eligibility case"
         )
     chi = chi1 if case == "case1" else chi2  # case 2: chi1 = -chi mod 2pi
-    at_pi = abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL
+    bra = (1.0, -cmath.exp(1j * chi)) if case == "case1" else (1.0, -1.0)
+    return a, b1, b2, case, chi, bra
 
-    # primary bra (A, B): case 1 B = -A e^{i chi}; case 2 B = -A.
-    bra = (
-        (1.0, -cmath.exp(1j * chi)) if case == "case1" else (1.0, -1.0)
-    )
-    out = [
-        _xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}")
-    ]
+
+def logical_pair_chain(chain: ChainState, a) -> ChainState:
+    """Post-state of create_logical_qubit's primary success branch only.
+
+    Same eligibility rules and errors as create_logical_qubit; no failure
+    branch is computed.
+    """
+    a, b1, b2, case, _, bra = _xlike_plan(chain, a)
+    return _xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}").post_states[0]
+
+
+def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
+    """Project an interior vertex to turn its two neighbors into a logical pair.
+
+    Success probability (1 - cos chi)/4; at chi = pi the complementary
+    projection also succeeds (total probability 1). Otherwise the complement
+    is a failure carrying the Z-measurement recovery split.
+    """
+    a, b1, b2, case, chi, bra = _xlike_plan(chain, a)
+    out = [_xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}")]
     # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
     comp = (
         (1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0)
     )
-    if at_pi:
+    if abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL:
         comp_case = "case2" if case == "case1" else "case1"
         out.append(_xlike_branch(chain, a, b1, b2, comp, comp_case, f"success_{comp_case}"))
     else:

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from .analysis import (
-    entanglement_report,
     entanglement_stack,
     hyperbola_projection,
     solve_xi_for_weight,
@@ -49,6 +48,7 @@ from .protocols import (
     fuse_type_ii,
     ghz_pair_for_target,
     local_equivalent_2q,
+    logical_pair_chain,
     make_chain,
     rez_formula,
     weighted_pair_state,
@@ -151,8 +151,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
     worst = 0.0
     detail = []
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
-    lout = create_logical_qubit(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
-    left = [o for o in lout if o.label.startswith("success")][0].post_states[0]
+    left = logical_pair_chain(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
     chis = rng.uniform(0.05, math.pi - 0.05, n)
     for chi in np.concatenate([chis, [math.pi]]):
         chi = float(chi)
@@ -191,8 +190,7 @@ def _random_fusion_setup(rng: np.random.Generator):
         lw = [w1, chi, chi]  # Case 1
     else:
         lw = [w1, chi, wrap_angle(-chi)]  # Case 2
-    lout = create_logical_qubit(make_chain(["A", "B", "C", "D"], lw), "C")
-    left = [o for o in lout if o.label.startswith("success")][0].post_states[0]
+    left = logical_pair_chain(make_chain(["A", "B", "C", "D"], lw), "C")
     if rng.uniform() < 0.5:
         right = make_chain(["v", "b"], _rand_weights(rng, 1))
         b = "b"
@@ -254,6 +252,12 @@ def _random_gram_z(rng: np.random.Generator) -> complex:
     return rng.uniform(0.0, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
+def _relevant_coeffs(u: np.ndarray):
+    """(a, b, c, d) arrays and (6, 2, 2) matrices of the 4-mode relevant patterns i < j."""
+    coeffs = outcome_coeffs(u, *np.triu_indices(4, 1))
+    return coeffs, np.stack(coeffs, axis=1).reshape(-1, 2, 2)
+
+
 @_timed
 def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False) -> CheckResult:
     """p_ij of (1/sqrt2)-unitary relevant projections is independent of z."""
@@ -264,18 +268,16 @@ def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False) 
     for _ in range(draws):
         u = balanced_unitary(rng).matrix
         z = _random_gram_z(rng)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                a, b, c, d = outcome_coeffs(u, i, j)
-                m = np.array([[a, b], [c, d]])
-                mm = m @ m.conj().T
-                t = np.trace(mm) / 2.0
-                if abs(t) > 1e-12:
-                    # premise: M_ij proportional to a unitary
-                    worst = max(worst, float(np.max(np.abs(mm - t * np.eye(2)))))
-                p0 = relevant_norm_sq(a, b, c, d, 0.0) / 4.0
-                pz = relevant_norm_sq(a, b, c, d, z) / 4.0
-                worst = max(worst, abs(p0 - pz))
+        coeffs, ms = _relevant_coeffs(u)
+        mm = ms @ ms.conj().transpose(0, 2, 1)
+        t = np.trace(mm, axis1=1, axis2=2) / 2.0
+        live = np.abs(t) > 1e-12
+        # premise: every nonzero M_ij proportional to a unitary
+        dev = np.abs(mm[live] - t[live, None, None] * np.eye(2))
+        worst = max(worst, float(np.max(dev, initial=0.0)))
+        p0 = relevant_norm_sq(*coeffs, 0.0) / 4.0
+        pz = relevant_norm_sq(*coeffs, z) / 4.0
+        worst = max(worst, float(np.max(np.abs(p0 - pz))))
     return CheckResult("bell_retention", worst < 1e-12, worst, f"{draws} unitaries")
 
 
@@ -289,16 +291,13 @@ def check_balanced_entropy(seed: int = 23, draws: int = 200, quick: bool = False
     for _ in range(draws):
         u = balanced_unitary(rng).matrix
         z = _random_gram_z(rng)
-        total = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                a, b, c, d = outcome_coeffs(u, i, j)
-                nsq = relevant_norm_sq(a, b, c, d, z)
-                total += nsq / 4.0
-                if nsq > 1e-12:
-                    rep = entanglement_report(np.array([[a, b], [c, d]]), z)
-                    worst = max(worst, abs(rep.det_rho - (1.0 - abs(z) ** 2) / 4.0))
-        worst = max(worst, abs(total - 0.5))
+        coeffs, ms = _relevant_coeffs(u)
+        nsq = relevant_norm_sq(*coeffs, z)
+        live = nsq > 1e-12
+        if live.any():
+            det_rho, _, _ = entanglement_stack(ms[live], z)
+            worst = max(worst, float(np.max(np.abs(det_rho - (1.0 - abs(z) ** 2) / 4.0))))
+        worst = max(worst, abs(float(np.sum(nsq / 4.0)) - 0.5))
     return CheckResult("balanced_entropy", worst < 1e-10, worst, f"{draws} unitaries")
 
 

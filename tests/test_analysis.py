@@ -340,3 +340,115 @@ def test_ylike_scan_small_resolution():
     r = ylike_impossibility_scan(resolution=40)
     assert r["outliers"] == []
     assert r["at_pi"] == r["solutions"] > 0
+
+
+# Reference formulations the row-by-row scans replaced: the full (chi1, chi2,
+# delta) cube for the Y-like scan and the unhoisted per-row terms for the
+# X-like scan. The scans must return equal dicts, outlier order included.
+
+
+def _ref_xlike_scan(resolution, tol):
+    chis = -math.pi + 2.0 * math.pi * (np.arange(resolution) + 1) / resolution
+    deltas = chis.copy()
+    mag_as = np.array([0.3, ISQ2, 0.9])
+    e1 = np.exp(-1j * chis)
+    counts = {"case1": 0, "case2": 0, "pi_degenerate": 0}
+    outliers, n_solutions = [], 0
+    r = mag_as[None, None, :]
+    b = np.sqrt(1.0 - mag_as**2)[None, None, :] * np.exp(1j * deltas)[None, :, None]
+    for i1, chi1 in enumerate(chis):
+        p1 = e1[i1]
+        m11 = r + b
+        m12 = r + b * p1
+        m21 = r + b * e1[:, None, None]
+        m22 = r + b * (p1 * e1)[:, None, None]
+        res = np.maximum(
+            np.abs(np.abs(m11) - np.abs(m22)), np.abs(np.abs(m12) - np.abs(m21))
+        )
+        res = np.maximum(res, np.abs(m11 * np.conj(m21) + m12 * np.conj(m22)))
+        for i2, idd, ir in np.argwhere(res < tol):
+            n_solutions += 1
+            chi2, delta, mag = chis[i2], deltas[idd], mag_as[ir]
+            near_half = abs(mag - ISQ2) < 1e-3
+            if (
+                abs(wrap_angle(chi1 - chi2)) < 1e-3
+                and abs(wrap_angle(delta - chi1 - math.pi)) < 1e-3
+                and near_half
+            ):
+                counts["case1"] += 1
+            elif (
+                abs(wrap_angle(chi1 + chi2)) < 1e-3
+                and abs(wrap_angle(delta - math.pi)) < 1e-3
+                and near_half
+            ):
+                counts["case2"] += 1
+            elif (
+                abs(wrap_angle(chi1 - math.pi)) < 1e-3
+                and abs(wrap_angle(chi2 - math.pi)) < 1e-3
+            ):
+                counts["pi_degenerate"] += 1
+            else:
+                outliers.append((float(chi1), float(chi2), float(delta), float(mag)))
+    return {
+        "resolution": resolution,
+        "tolerance": tol,
+        "solutions": n_solutions,
+        "counts": counts,
+        "outliers": outliers,
+    }
+
+
+def _ref_ylike_scan(resolution, tol):
+    chis = -math.pi + 2.0 * math.pi * (np.arange(resolution) + 1) / resolution
+    deltas = chis.copy()
+    nz = np.abs(chis) > 1e-9
+    c1, c2, dl = chis[:, None, None], chis[None, :, None], deltas[None, None, :]
+    base = np.cos(dl)
+    res = np.abs(base - np.cos(dl - c1))
+    res = np.maximum(res, np.abs(base - np.cos(dl - c2)))
+    res = np.maximum(res, np.abs(base - np.cos(dl - c1 - c2)))
+    res = np.where(nz[:, None, None] & nz[None, :, None], res, np.inf)
+    hits = np.argwhere(res < tol)
+    outliers, at_pi = [], 0
+    for i1, i2, idd in hits:
+        if (
+            abs(wrap_angle(chis[i1] - math.pi)) < 1e-3
+            and abs(wrap_angle(chis[i2] - math.pi)) < 1e-3
+        ):
+            at_pi += 1
+        else:
+            outliers.append((float(chis[i1]), float(chis[i2]), float(deltas[idd])))
+    return {
+        "resolution": resolution,
+        "tolerance": tol,
+        "solutions": int(len(hits)),
+        "at_pi": at_pi,
+        "outliers": outliers,
+    }
+
+
+@pytest.mark.parametrize("resolution", [24, 60, 96])
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_scans_match_reference_formulations(resolution, tol):
+    x = xlike_uniqueness_scan(resolution, tol)
+    y = ylike_impossibility_scan(resolution, tol)
+    assert x == _ref_xlike_scan(resolution, tol)
+    assert y == _ref_ylike_scan(resolution, tol)
+    if tol == 1e-2 and resolution >= 60:
+        # the loose tolerance is there so that outlier order is compared
+        assert x["outliers"] and y["outliers"]
+
+
+@pytest.mark.parametrize("scan", [xlike_uniqueness_scan, ylike_impossibility_scan])
+def test_scan_traced_peak_stays_quadratic_in_resolution(scan):
+    # NumPy reports its buffers to tracemalloc; a (res, res, res) float cube
+    # at resolution 200 alone is 61 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        scan(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20

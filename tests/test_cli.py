@@ -86,6 +86,19 @@ def test_fuse_type_i_missing_args(chain2, capsys):
     assert main(["fuse", "--type", "i", "--graph", chain2]) == 2
 
 
+def test_fuse_type_i_reads_each_graph_once(tmp_path, chain2b, capsys):
+    wide = _write_graph(tmp_path / "wide.json", ["a", "b"], [("a", "b", 7.0)])
+    rc = main(
+        [
+            "fuse", "--type", "i",
+            "--graph", wide, "--graph2", chain2b,
+            "--end-a", "b", "--end-b", "c",
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err.count("warning") == 1
+
+
 def test_fuse_type_ii_with_sampling(left4, chain2b, capsys):
     rc = main(
         [

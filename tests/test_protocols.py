@@ -15,6 +15,8 @@ from wgfusion.errors import (
 )
 from wgfusion.fock import ModeUnitary, oracle_enumerate, type_ii_matrix
 from wgfusion.graphstate import (
+    PureState,
+    WeightedGraph,
     build_state,
     chain_graph,
     fidelity_up_to_global_phase,
@@ -22,6 +24,7 @@ from wgfusion.graphstate import (
     wrap_angle,
 )
 from wgfusion.protocols import (
+    ChainState,
     ProtocolOutcome,
     create_logical_qubit,
     fuse_generalized,
@@ -31,6 +34,7 @@ from wgfusion.protocols import (
     ghz_pair_projection,
     ghz_pair_range,
     local_equivalent_2q,
+    logical_pair_chain,
     make_chain,
     match_weighted_pair,
     rez_formula,
@@ -144,6 +148,45 @@ def test_logical_qubit_failure_split_recovers_chains():
             assert fidelity_up_to_global_phase(post.state, target) == pytest.approx(
                 1.0, abs=1e-10
             )
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, 0.7, 0.7, 1.3], [0.9, -0.8, 0.8, 1.3], [1.0, math.pi, math.pi, -0.4]],
+    ids=["case1", "case2", "pi"],
+)
+def test_logical_pair_chain_is_the_primary_success_post_state(weights):
+    chain = make_chain(list("abcde"), weights)
+    want = _success(create_logical_qubit(chain, "c"))[0].post_states[0]
+    got = logical_pair_chain(chain, "c")
+    assert got.graph == want.graph
+    assert got.logical_pairs == want.logical_pairs == {frozenset({"b", "d"})}
+    assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+
+
+def _pair_member_of_degree_two() -> ChainState:
+    # x - p - y with p copied onto q: logical pair {p, q}, p interior
+    amps = build_state(chain_graph(["x", "p", "y"], [0.6, 0.6])).amplitudes.reshape(2, 2, 2)
+    enc = np.zeros((2, 2, 2, 2), dtype=complex)
+    for bit in (0, 1):
+        enc[:, bit, bit, :] = amps[:, bit, :]
+    g = WeightedGraph(("x", "p", "q", "y"), (("x", "p", 0.6), ("p", "y", 0.6)))
+    return ChainState(g, PureState(4, enc.reshape(-1)), {frozenset({"p", "q"})})
+
+
+@pytest.mark.parametrize(
+    "chain, vertex, error",
+    [
+        (make_chain(list("abcd"), [1.0, 0.7, 0.7]), "a", WeightsNotEligibleError),
+        (make_chain(list("abcd"), [1.0, 0.4, 1.1]), "c", WeightsNotEligibleError),
+        (_pair_member_of_degree_two(), "p", NoLogicalPairError),
+    ],
+    ids=["endpoint", "ineligible", "in-pair"],
+)
+def test_logical_pair_chain_raises_like_create_logical_qubit(chain, vertex, error):
+    for fn in (create_logical_qubit, logical_pair_chain):
+        with pytest.raises(error):
+            fn(chain, vertex)
 
 
 # ------------------------------------------------------------- type II
