@@ -53,7 +53,7 @@ def binary_entropy(lam: float) -> float:
     return out
 
 
-def _gram_factor(z: complex) -> np.ndarray:
+def gram_factor(z: complex) -> np.ndarray:
     """Right factor turning M into M': [[1, 0], [z*, sqrt(1-|z|^2)]]."""
     return np.array(
         [[1.0, 0.0], [np.conj(z), math.sqrt(max(0.0, 1.0 - abs(z) ** 2))]],
@@ -80,7 +80,7 @@ def entanglement_stack(ms: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarr
     det_rho = (1.0 - abs(z) ** 2) * np.abs(a * d - b * c) ** 2 / nsq**2
     lam = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * det_rho))) / 2.0
     # dense oracle: each rho = M' M'+ must have eigenvalues (lam, 1-lam)
-    mp = (ms / np.sqrt(nsq)[:, None, None]) @ _gram_factor(z)
+    mp = (ms / np.sqrt(nsq)[:, None, None]) @ gram_factor(z)
     ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
     oracle = ev[:, 0] * ev[:, 1]
     bad = (np.abs(oracle - det_rho) > ABORT_TOL) | (np.abs(ev[:, 1] - lam) > ABORT_TOL)
@@ -247,7 +247,7 @@ def classify_projection(
         m = p.matrix
         nsq = relevant_norm_sq(p.a, p.b, p.c, p.d, z)
         if nsq > 1e-20 * p.norm_sq:
-            mp = (m / math.sqrt(nsq)) @ _gram_factor(z)
+            mp = (m / math.sqrt(nsq)) @ gram_factor(z)
             if np.max(np.abs(mp @ mp.conj().T - 0.5 * np.eye(2))) < 1e-9:
                 return OutcomeClass("maximally_entangled", "M' proportional to unitary")
     if abs(p.a * p.d - p.b * p.c) < 1e-12 * p.norm_sq:
@@ -375,7 +375,7 @@ def check_no_good_failure(u: ModeUnitary, tol: float = 1e-12) -> dict:
     return {
         "premise_holds": premise,
         "conclusion_holds": conclusion if premise else None,
-        "max_relevant_det": max_det,
+        "max_relevant_det": float(max_det),
         "live_detectors": live,
     }
 

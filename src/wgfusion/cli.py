@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analysis import entanglement_report, inner_z, solve_xi_for_weight
+from .analysis import entanglement_report, gram_factor, inner_z, solve_xi_for_weight
 from .errors import (
     ConvergenceFailureError,
     InputError,
@@ -49,25 +49,16 @@ def _load_json(path: str) -> dict:
 
 
 def _load_graph(path: str) -> WeightedGraph:
-    data = _load_json(path)
-    try:
-        vertices = tuple(str(v) for v in data["vertices"])
-        edges = []
-        for e in data["edges"]:
-            chi = float(e["chi"])
-            if not (-math.pi < chi <= math.pi):
-                print(
-                    f"warning: weight {chi} outside (-pi, pi], normalized to {wrap_angle(chi)}",
-                    file=sys.stderr,
-                )
-            edges.append((str(e["a"]), str(e["b"]), wrap_angle(chi)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed graph file {path}: {exc}") from exc
-    return WeightedGraph(vertices, tuple(edges))
-
-
-def _load_unitary(path: str) -> ModeUnitary:
-    return ModeUnitary.from_json(json.dumps(_load_json(path)))
+    doc = _load_json(path)
+    graph = WeightedGraph.from_dict(doc)
+    for e in doc["edges"]:
+        chi = float(e["chi"])
+        if not (-math.pi < chi <= math.pi):
+            print(
+                f"warning: weight {chi} outside (-pi, pi], normalized to {wrap_angle(chi)}",
+                file=sys.stderr,
+            )
+    return graph
 
 
 def _emit(payload, out: str | None):
@@ -83,8 +74,7 @@ def cmd_build(args) -> int:
     graph = _load_graph(args.graph)
     state = build_state(graph)
     payload = {
-        "vertices": list(graph.vertices),
-        "edges": [{"a": a, "b": b, "chi": chi} for a, b, chi in graph.edges],
+        **graph.as_dict(),
         "num_qubits": graph.n,
         "norm": float(np.linalg.norm(state.amplitudes)),
     }
@@ -106,7 +96,7 @@ def cmd_fuse(args) -> int:
                 raise InputError(f"fuse --type i requires --{name.replace('_', '-')}")
         left, right = _chain(_load_graph(args.graph)), _chain(_load_graph(args.graph2))
         outcomes = fuse_type_i(left, args.end_a, right, args.end_b)
-        payload = {"type": "i", "outcomes": [o.as_dict() for o in outcomes]}
+        payload = {"type": "i"}
     elif args.fusion_type in ("ii", "gen"):
         for name in ("graph2", "logical", "b"):
             if getattr(args, name) is None:
@@ -116,27 +106,16 @@ def cmd_fuse(args) -> int:
         right = _chain(_load_graph(args.graph2))
         if args.fusion_type == "ii":
             outcomes = fuse_type_ii(left, tuple(pair), right, args.b, consume=args.consume)
-            payload = {"type": "ii", "outcomes": [o.as_dict() for o in outcomes]}
+            payload = {"type": "ii"}
         else:
             if args.unitary is None:
                 raise InputError("fuse --type gen requires --unitary")
-            u = _load_unitary(args.unitary)
-            ctx, fouts = fuse_generalized(left, tuple(pair), right, args.b, u, consume=args.consume)
-            payload = {
-                "type": "gen",
-                "z": {"re": ctx.z.real, "im": ctx.z.imag},
-                "outcomes": [
-                    {
-                        "pattern": list(o.pattern),
-                        "probability": o.probability,
-                        "kind": o.kind,
-                    }
-                    for o in fouts
-                ],
-            }
-            outcomes = fouts
+            u = ModeUnitary.from_dict(_load_json(args.unitary))
+            ctx, outcomes = fuse_generalized(left, tuple(pair), right, args.b, u, consume=args.consume)
+            payload = {"type": "gen", "z": {"re": ctx.z.real, "im": ctx.z.imag}}
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown fusion type {args.fusion_type}")
+    payload["outcomes"] = [o.as_dict() for o in outcomes]
     if args.sample:
         if args.seed is None:
             raise InputError("--sample requires --seed")
@@ -183,16 +162,14 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
     elif quantity == "det-entropy":
         header = ["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"]
         rng = np.random.default_rng(seed)
-        mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in grid]
 
         def row(chi: float) -> list:
-            m = mats[grid.index(chi)]
+            # rows run in grid order, so row k takes the k-th seeded matrix
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             z = inner_z(chi)
             rep = entanglement_report(m, z)
             nsq = rep.probability * 4.0
-            mp = (m / math.sqrt(nsq)) @ np.array(
-                [[1.0, 0.0], [np.conj(z), math.sqrt(1.0 - abs(z) ** 2)]]
-            )
+            mp = (m / math.sqrt(nsq)) @ gram_factor(z)
             ev = np.linalg.eigvalsh(mp @ mp.conj().T)
             oracle = float(ev[0] * ev[1])
             return [chi, rep.det_rho, oracle, abs(rep.det_rho - oracle)]

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidContextError, InvalidUnitaryError
-from .graphstate import PureState
+from .graphstate import ZERO_PROB_CUTOFF, PureState
 
 UNITARY_TOL = 1e-10
-ZERO_PROB = 1e-14
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,26 @@ class ModeUnitary:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ModeUnitary":
+    def from_dict(cls, doc: dict) -> "ModeUnitary":
+        """Parse the document {"n": N, "re": [[...]], "im": [[...]]} that to_json writes."""
         try:
-            doc = json.loads(text)
             n = int(doc["n"])
             m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
                 doc["im"], dtype=float
             )
-            if m.shape != (n, n):
-                raise InvalidUnitaryError("matrix shape does not match n")
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidUnitaryError(f"malformed unitary JSON: {exc}") from exc
+        if m.shape != (n, n):
+            raise InvalidUnitaryError("matrix shape does not match n")
         return cls(m)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ModeUnitary":
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidUnitaryError(f"malformed unitary JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
     @classmethod
     def identity(cls, n: int = 4) -> "ModeUnitary":
@@ -151,6 +158,14 @@ class FusionOutcome:
             self._state = PureState(nq, self.register_row)
         return self._state
 
+    @property
+    def label(self) -> str:
+        """The pattern as text, e.g. "(0, 2)": the name sample_outcomes draws."""
+        return str(self.pattern)
+
+    def as_dict(self) -> dict:
+        return {"pattern": list(self.pattern), "probability": self.probability, "kind": self.kind}
+
     def __repr__(self) -> str:
         return (
             f"FusionOutcome(pattern={self.pattern}, probability={self.probability!r}, "
@@ -204,7 +219,7 @@ def _outcome_list(
     matrices of the patterns (iu, ju) = np.triu_indices(N) as outcomes.
 
     Rows are normalized in place for live patterns."""
-    live = probs > ZERO_PROB
+    live = probs > ZERO_PROB_CUTOFF
     rows[live] /= np.linalg.norm(rows[live], axis=1)[:, None]
     out: list[FusionOutcome] = []
     for k, (i, j, p, ok) in enumerate(zip(iu.tolist(), ju.tolist(), probs.tolist(), live.tolist())):
@@ -365,7 +380,7 @@ def type_i_marginal(outcomes: list[FusionOutcome], ctx: FusionContext) -> dict:
                 amps.append(math.sqrt(o.probability) * o.register_row)
         vec = np.concatenate(amps)  # new qubit = most significant bit
         state = None
-        if total > ZERO_PROB:
+        if total > ZERO_PROB_CUTOFF:
             state = PureState(nq + 1, vec / math.sqrt(total))
         return total, state
 

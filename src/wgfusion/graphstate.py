@@ -67,7 +67,10 @@ class WeightedGraph:
             if key in seen:
                 raise InvalidGraphError(f"duplicate edge ({a},{b})")
             seen.add(key)
-            w = wrap_angle(float(chi))
+            chi = float(chi)
+            if not math.isfinite(chi):
+                raise InvalidGraphError(f"non-finite weight {chi} on ({a},{b})")
+            w = wrap_angle(chi)
             if abs(w) < 1e-12:
                 continue  # zero weight == no edge
             if index[a] > index[b]:
@@ -109,24 +112,35 @@ class WeightedGraph:
         edges = tuple(e for e in self.edges if v not in (e[0], e[1]))
         return WeightedGraph(verts, edges)
 
-    def to_json(self) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        """The graph-JSON document {"vertices": [...], "edges": [{"a", "b", "chi"}, ...]}."""
+        return {
             "vertices": list(self.vertices),
             "edges": [{"a": a, "b": b, "chi": chi} for a, b, chi in self.edges],
         }
-        return json.dumps(doc, indent=2)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "WeightedGraph":
+        """Inverse of as_dict; keys other than "vertices" and "edges" are ignored."""
+        try:
+            verts = tuple(str(v) for v in doc["vertices"])
+            edges = tuple(
+                (str(e["a"]), str(e["b"]), float(e["chi"])) for e in doc["edges"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
+        return cls(verts, edges)
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
         try:
             doc = json.loads(text)
-            verts = tuple(str(v) for v in doc["vertices"])
-            edges = tuple(
-                (str(e["a"]), str(e["b"]), float(e["chi"])) for e in doc["edges"]
-            )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
-        return cls(verts, edges)
+        return cls.from_dict(doc)
 
 
 def chain_graph(labels: list[str], weights: list[float]) -> WeightedGraph:
@@ -141,11 +155,10 @@ def chain_graph(labels: list[str], weights: list[float]) -> WeightedGraph:
 
 @dataclass
 class PureState:
-    """Dense amplitude table over an n-qubit register."""
+    """Dense amplitude table over an n-qubit register, normalized to 1e-10."""
 
     num_qubits: int
     amplitudes: np.ndarray
-    norm_tag: str = "normalized"
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -153,22 +166,9 @@ class PureState:
             raise ShapeMismatchError(
                 f"{self.amplitudes.size} amplitudes for {self.num_qubits} qubits"
             )
-        if self.norm_tag == "normalized":
-            nrm = float(np.linalg.norm(self.amplitudes))
-            if abs(nrm - 1.0) > 1e-10:
-                raise ShapeMismatchError(f"state not normalized: |psi| = {nrm}")
-
-    def copy(self) -> "PureState":
-        return PureState(self.num_qubits, self.amplitudes.copy(), self.norm_tag)
-
-    def tensor(self, other: "PureState") -> "PureState":
-        amps = np.kron(self.amplitudes, other.amplitudes)
-        tag = (
-            "normalized"
-            if self.norm_tag == other.norm_tag == "normalized"
-            else "unnormalized-with-weight"
-        )
-        return PureState(self.num_qubits + other.num_qubits, amps, tag)
+        nrm = float(np.linalg.norm(self.amplitudes))
+        if abs(nrm - 1.0) > 1e-10:
+            raise ShapeMismatchError(f"state not normalized: |psi| = {nrm}")
 
     def reshaped(self) -> np.ndarray:
         return self.amplitudes.reshape([2] * self.num_qubits)
@@ -240,7 +240,7 @@ def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
     both = (idx & mask_a).astype(bool) & (idx & mask_b).astype(bool)
     amps = state.amplitudes.copy()
     amps[both] *= np.exp(-1j * chi)
-    return PureState(n, amps, state.norm_tag)
+    return PureState(n, amps)
 
 
 def build_state(graph: WeightedGraph, max_qubits: int = DEFAULT_QUBIT_CAP) -> PureState:
@@ -269,20 +269,14 @@ def attach_vertex(
         raise IndexClashError(f"insertion position {new_qubit} out of range")
     phi = state.amplitudes
     branch = phi.copy()
-    tmp = PureState(n, branch, state.norm_tag)
+    idx = np.arange(1 << n)
     for b, chi in neighbor_weights:
         if not (0 <= b < n):
             raise IndexClashError(f"neighbor index {b} out of range")
         # single-qubit phase e^{-i chi |1><1|} on b
-        idx = np.arange(1 << n)
-        mask = 1 << (n - 1 - b)
-        sel = (idx & mask).astype(bool)
-        amps = tmp.amplitudes.copy()
-        amps[sel] *= np.exp(-1j * chi)
-        tmp = PureState(n, amps, tmp.norm_tag)
+        branch[(idx & (1 << (n - 1 - b))).astype(bool)] *= np.exp(-1j * chi)
     # stack: new qubit as most significant of a front register, then move it
-    stacked = np.concatenate([phi, tmp.amplitudes]) / math.sqrt(2.0)
-    out = PureState(n + 1, stacked, state.norm_tag)
+    out = PureState(n + 1, np.concatenate([phi, branch]) / math.sqrt(2.0))
     if new_qubit != 0:
         out = move_qubit(out, 0, new_qubit)
     return out
@@ -295,7 +289,7 @@ def move_qubit(state: PureState, src: int, dst: int) -> PureState:
     order.remove(src)
     order.insert(dst, src)
     arr = state.reshaped().transpose(order).reshape(-1)
-    return PureState(n, arr, state.norm_tag)
+    return PureState(n, arr)
 
 
 def apply_local(state: PureState, gate: LocalGate) -> PureState:
@@ -306,7 +300,7 @@ def apply_local(state: PureState, gate: LocalGate) -> PureState:
     arr = state.reshaped()
     arr = np.tensordot(gate.matrix, arr, axes=([1], [t]))
     arr = np.moveaxis(arr, 0, t)
-    return PureState(n, arr.reshape(-1), state.norm_tag)
+    return PureState(n, arr.reshape(-1))
 
 
 def project_qubit(

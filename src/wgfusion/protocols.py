@@ -33,13 +33,13 @@ from .graphstate import (
     apply_local,
     build_state,
     chain_graph,
-    fidelity_up_to_global_phase,
     phase_gate,
     project_qubit,
     wrap_angle,
     z_rotation,
     PAULI_X,
     PAULI_Z,
+    ZERO_PROB_CUTOFF,
 )
 
 WEIGHT_TOL = 1e-9
@@ -88,6 +88,24 @@ class ChainState:
         return float(np.max(np.abs(self.state.amplitudes[mixed]), initial=0.0)) < tol
 
 
+def _components(adj: dict[str, set[str]]) -> list[set[str]]:
+    """Connected components of an adjacency mapping, in order of first vertex."""
+    comps: list[set[str]] = []
+    seen: set[str] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def _check_path_after_contraction(graph: WeightedGraph, pairs) -> None:
     rep = {v: v for v in graph.vertices}
     for pair in pairs:
@@ -95,36 +113,20 @@ def _check_path_after_contraction(graph: WeightedGraph, pairs) -> None:
         if a not in rep or e not in rep:
             raise InvalidGraphError("logical pair member not in graph")
         rep[e] = a
-    adj: dict[str, set[str]] = {}
+    adj: dict[str, set[str]] = {rep[v]: set() for v in graph.vertices}
     for a, b, _ in graph.edges:
         ra, rb = rep[a], rep[b]
         if ra == rb:
             raise InvalidGraphError("edge inside a contracted logical pair")
-        adj.setdefault(ra, set()).add(rb)
-        adj.setdefault(rb, set()).add(ra)
+        adj[ra].add(rb)
+        adj[rb].add(ra)
     for v, nb in adj.items():
         if len(nb) > 2:
             raise InvalidGraphError(f"vertex {v} has contracted degree {len(nb)} > 2")
     # acyclic: a path on k vertices has k-1 edges per connected component
-    nodes = set(rep[v] for v in graph.vertices)
-    seen: set[str] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp, edges2 = set(), 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            for w in adj.get(v, ()):
-                edges2 += 1
-                if w not in comp:
-                    stack.append(w)
-        if edges2 // 2 != len(comp) - 1:
+    for comp in _components(adj):
+        if sum(len(adj[v]) for v in comp) // 2 != len(comp) - 1:
             raise InvalidGraphError("contracted graph contains a cycle")
-        seen |= comp
 
 
 def make_chain(labels: list[str], weights: list[float]) -> ChainState:
@@ -157,13 +159,7 @@ class ProtocolOutcome:
             "label": self.label,
             "probability": self.probability,
             "post_graphs": [
-                {
-                    "vertices": list(s.graph.vertices),
-                    "edges": [
-                        {"a": a, "b": b, "chi": chi} for a, b, chi in s.graph.edges
-                    ],
-                    "logical_pairs": [sorted(p) for p in s.logical_pairs],
-                }
+                {**s.graph.as_dict(), "logical_pairs": [sorted(p) for p in s.logical_pairs]}
                 for s in self.post_states
             ],
             "corrections": [c.as_dict() for c in self.corrections_applied],
@@ -171,21 +167,16 @@ class ProtocolOutcome:
         }
 
 
-def _branch_states(state: PureState, qubit: int) -> tuple[PureState, PureState]:
-    """sqrt(2)-scaled slices of one qubit: the f-branch states of the recursion."""
+def _branch_states(state: PureState, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(2)-scaled slices of one qubit: the f-branch vectors of the recursion."""
     arr = state.reshaped()
     f0 = np.take(arr, 0, axis=qubit).reshape(-1) * math.sqrt(2.0)
     f1 = np.take(arr, 1, axis=qubit).reshape(-1) * math.sqrt(2.0)
-    n = state.num_qubits - 1
-    return (
-        PureState(n, f0, "unnormalized-with-weight"),
-        PureState(n, f1, "unnormalized-with-weight"),
-    )
+    return f0, f1
 
 
-def _as_normalized(f: PureState) -> PureState:
-    nrm = float(np.linalg.norm(f.amplitudes))
-    return PureState(f.num_qubits, f.amplitudes / nrm)
+def _as_normalized(f: np.ndarray) -> PureState:
+    return PureState(f.size.bit_length() - 1, f / float(np.linalg.norm(f)))
 
 
 def _resolve_vertex(chain: ChainState, v) -> str:
@@ -236,9 +227,7 @@ def fuse_type_i(
 
     def _succ(sign: float, label: str, corr: list[Correction]):
         # branch states are unit vectors: divide by sqrt2 for a unit vector
-        v13 = np.kron(f1.amplitudes, f3.amplitudes)
-        v24 = np.kron(f2.amplitudes, f4.amplitudes)
-        vec = np.concatenate([v13, sign * v24]) / math.sqrt(2.0)
+        vec = np.concatenate([np.kron(f1, f3), sign * np.kron(f2, f4)]) / math.sqrt(2.0)
         st = PureState(merged.n, vec)
         for g in corr:
             st = apply_local(st, LocalGate(merged.vertex_index(g.vertex), g.matrix))
@@ -250,7 +239,7 @@ def fuse_type_i(
         _succ(-1.0, "success_minus", [Correction(c, "Z", PAULI_Z)]),
     ]
 
-    def _fail(label: str, fl: PureState, fr: PureState, corr: list[Correction]):
+    def _fail(label: str, fl: np.ndarray, fr: np.ndarray, corr: list[Correction]):
         sl, sr = _as_normalized(fl), _as_normalized(fr)
         for g in corr:
             if g.vertex in lg.vertices:
@@ -441,53 +430,34 @@ def _xlike_failure_split(
 def _split_components(
     graph: WeightedGraph, state: PureState, pairs
 ) -> list[ChainState]:
-    """Split a (possibly disconnected) chain state into per-component ChainStates."""
-    comps: list[set[str]] = []
-    seen: set[str] = set()
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y, _ in graph.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        # keep logical pair partners in one component
-        for p in pairs:
-            if comp & set(p):
-                comp |= set(p)
-        seen |= comp
-        comps.append(comp)
-    if len(comps) <= 1:
-        return [ChainState(graph, state, frozenset(p for p in pairs if set(p) <= set(graph.vertices)))]
+    """Split a (possibly disconnected) chain state into per-component ChainStates.
+
+    A logical pair whose members both remain links them like an edge, so the
+    pair and both members' edges end up in one component.
+    """
+    pairs = [p for p in pairs if p <= set(graph.vertices)]
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for a, b in [(a, b) for a, b, _ in graph.edges] + [tuple(p) for p in pairs]:
+        adj[a].add(b)
+        adj[b].add(a)
     out = []
-    remaining = state
-    rem_vertices = list(graph.vertices)
-    for comp in comps[:-1]:
-        # move component qubits to the front, then factor
-        order = sorted(comp, key=rem_vertices.index)
-        rest = [v for v in rem_vertices if v not in comp]
-        perm = [rem_vertices.index(v) for v in order + rest]
-        arr = remaining.reshaped().transpose(perm).reshape(-1)
-        remaining = PureState(len(rem_vertices), arr)
-        sl, remaining = split_product(remaining, len(order))
+    rest, remaining = list(graph.vertices), state
+    # an empty register still yields one (empty) post-state
+    for comp in _components(adj) or [set()]:
+        order = [v for v in rest if v in comp]
+        if len(order) < len(rest):
+            # move component qubits to the front, then factor
+            others = [v for v in rest if v not in comp]
+            perm = [rest.index(v) for v in order + others]
+            arr = remaining.reshaped().transpose(perm).reshape(-1)
+            sub, remaining = split_product(PureState(len(rest), arr), len(order))
+            rest = others
+        else:
+            sub = remaining
         gsub = WeightedGraph(
-            tuple(order),
-            tuple(e for e in graph.edges if e[0] in comp and e[1] in comp),
+            tuple(order), tuple(e for e in graph.edges if e[0] in comp and e[1] in comp)
         )
-        out.append(
-            ChainState(gsub, sl, frozenset(p for p in pairs if set(p) <= comp))
-        )
-        rem_vertices = rest
-    last = comps[-1]
-    gsub = WeightedGraph(
-        tuple(v for v in rem_vertices),
-        tuple(e for e in graph.edges if e[0] in last and e[1] in last),
-    )
-    out.append(ChainState(gsub, remaining, frozenset(p for p in pairs if set(p) <= last)))
+        out.append(ChainState(gsub, sub, frozenset(p for p in pairs if p <= comp)))
     return out
 
 
@@ -525,7 +495,7 @@ def fuse_type_ii(
 
     f1, f2 = _branch_states(left.state, left.qubit(a))
     f3, f4 = _branch_states(right.state, right.qubit(b))
-    z = complex(np.vdot(f4.amplitudes, f3.amplitudes))  # branch states are unit vectors
+    z = complex(np.vdot(f4, f3))  # branch states are unit vectors
     nbs = right.graph.neighbors(b)
     if len(nbs) <= 2:
         chis = [w for _, w in nbs] + [0.0] * (2 - len(nbs))
@@ -549,10 +519,7 @@ def fuse_type_ii(
 
     out: list[ProtocolOutcome] = []
     for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
-        vec = (
-            np.kron(f1.amplitudes, f3.amplitudes)
-            + sign * np.kron(f2.amplitudes, f4.amplitudes)
-        ) / (2.0 * math.sqrt(2.0))
+        vec = (np.kron(f1, f3) + sign * np.kron(f2, f4)) / (2.0 * math.sqrt(2.0))
         prob = float(np.vdot(vec, vec).real)
         st = PureState(merged.n, vec / math.sqrt(prob))
         corr: list[Correction] = []
@@ -572,10 +539,10 @@ def fuse_type_ii(
     # pair into a plain vertex e carrying the logical vertex's edges.
     left_graph = WeightedGraph(lg.vertices, lg.edges + moved)
     for sa, sb, label in ((+1, -1, "failure_b_minus"), (-1, +1, "failure_b_plus")):
-        vl = (f1.amplitudes + sa * f2.amplitudes) / 2.0
-        vr = (f3.amplitudes + sb * f4.amplitudes) / 2.0
+        vl = (f1 + sa * f2) / 2.0
+        vr = (f3 + sb * f4) / 2.0
         prob = float(np.vdot(vl, vl).real * np.vdot(vr, vr).real)
-        if prob < 1e-14:
+        if prob < ZERO_PROB_CUTOFF:
             out.append(ProtocolOutcome(label, prob, [], [], False))
             continue
         sl = PureState(left_graph.n, vl / np.linalg.norm(vl))
@@ -790,14 +757,13 @@ def ghz_pair_for_target(
 def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
     """Monte Carlo mode: draw n outcome labels with the injected seed.
 
-    The distribution must be complete: InputError unless every probability
+    Each outcome (ProtocolOutcome or FusionOutcome) supplies probability
+    and label. The distribution must be complete: InputError unless every probability
     is >= -PROB_SUM_TOL and they sum to 1 within PROB_SUM_TOL. Only that
     round-off is clipped away before sampling.
     """
     rng = np.random.default_rng(seed)
-    probs = np.array(
-        [getattr(o, "probability") for o in outcomes], dtype=float
-    )
+    probs = np.array([o.probability for o in outcomes], dtype=float)
     total = float(probs.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise InputError(f"not a complete distribution: probabilities sum to {total!r}")
@@ -805,8 +771,6 @@ def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
         raise InputError(f"negative probability {float(probs.min())!r}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    labels = [
-        getattr(o, "label", None) or str(getattr(o, "pattern")) for o in outcomes
-    ]
+    labels = [o.label for o in outcomes]
     idx = rng.choice(len(outcomes), size=n, p=probs)
     return [labels[i] for i in idx]

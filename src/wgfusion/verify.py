@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import unitary_group
@@ -40,8 +40,6 @@ from .graphstate import (
     wrap_angle,
 )
 from .protocols import (
-    ChainState,
-    WeightedGraph,
     create_logical_qubit,
     fuse_generalized,
     fuse_type_i,
@@ -193,11 +191,9 @@ def _random_fusion_setup(rng: np.random.Generator):
     left = logical_pair_chain(make_chain(["A", "B", "C", "D"], lw), "C")
     if rng.uniform() < 0.5:
         right = make_chain(["v", "b"], _rand_weights(rng, 1))
-        b = "b"
     else:
         right = make_chain(["v", "b", "w"], _rand_weights(rng, 2))
-        b = "b"
-    return left, ("B", "D"), right, b
+    return left, ("B", "D"), right, "b"
 
 
 @_timed

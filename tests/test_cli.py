@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgfusion.cli import main
+from wgfusion.graphstate import WeightedGraph
 
 
 def _write_graph(path, vertices, edges):
@@ -157,3 +161,59 @@ def test_verify_quick_passes(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert all(r["passed"] for r in report)
     assert "PASS" in capsys.readouterr().out
+
+
+def test_build_rejects_non_finite_weight(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text('{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "chi": NaN}]}')
+    assert main(["build", "--graph", str(g)]) == 2
+    assert "InvalidGraphError" in capsys.readouterr().err
+
+
+def _parses_back(doc: dict) -> bool:
+    """The graph part of a payload survives from_dict unchanged."""
+    graph_part = {"vertices": doc["vertices"], "edges": doc["edges"]}
+    return WeightedGraph.from_dict(doc).as_dict() == graph_part
+
+
+# chain weights away from zero, some outside (-pi, pi]
+CHAIN_WEIGHT = st.floats(0.1, 3.0) | st.floats(-3.0, -0.1) | st.floats(3.3, 20.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    left=st.lists(CHAIN_WEIGHT, min_size=1, max_size=3),
+    right=st.lists(CHAIN_WEIGHT, min_size=2, max_size=2),
+    chi=st.floats(0.1, math.pi),
+)
+def test_build_and_fuse_payloads_parse_back(left, right, chi):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lv = [f"l{i}" for i in range(len(left) + 1)]
+        g_left = _write_graph(tmp / "left.json", lv, list(zip(lv, lv[1:], left)))
+        g_right = _write_graph(
+            tmp / "right.json", ["v", "b", "w"], [("v", "b", right[0]), ("b", "w", right[1])]
+        )
+        g_logical = _write_graph(
+            tmp / "logical.json", list("ABCD"), [("A", "B", 1.0), ("B", "C", chi), ("C", "D", chi)]
+        )
+        runs = {
+            "build": ["build", "--graph", g_left],
+            "i": [
+                "fuse", "--type", "i", "--graph", g_left, "--graph2", g_right,
+                "--end-a", lv[-1], "--end-b", "v",
+            ],
+            "ii": [
+                "fuse", "--type", "ii", "--graph", g_logical, "--graph2", g_right,
+                "--logical", "C", "--b", "b", "--consume", "D",
+            ],
+        }
+        for name, argv in runs.items():
+            out = tmp / f"{name}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            if name == "build":
+                assert _parses_back(payload)
+            else:
+                posts = [pg for o in payload["outcomes"] for pg in o["post_graphs"]]
+                assert posts and all(_parses_back(pg) for pg in posts)

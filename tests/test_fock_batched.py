@@ -16,7 +16,6 @@ from scipy.stats import unitary_group
 
 from wgfusion.analysis import entanglement_report, entanglement_stack
 from wgfusion.fock import (
-    ZERO_PROB,
     FusionContext,
     ModeUnitary,
     enumerate_outcomes,
@@ -27,7 +26,7 @@ from wgfusion.fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from wgfusion.graphstate import PureState
+from wgfusion.graphstate import ZERO_PROB_CUTOFF, PureState
 
 # (seed, N, left qubits, right qubits, sparse): sparse draws a phased
 # permutation matrix, whose patterns are mostly exactly zero
@@ -81,9 +80,9 @@ def _loop_reference(ctx: FusionContext, u: ModeUnitary) -> dict:
                 nsq = relevant_norm_sq(a, b, c, d, z)
                 p = nsq / 4.0
                 vec = a * np.kron(v1, v3) + b * np.kron(v1, v4) + c * np.kron(v2, v3) + d * np.kron(v2, v4)
-                if p > ZERO_PROB:
+                if p > ZERO_PROB_CUTOFF:
                     mm = np.array([[a, b], [c, d]]) / math.sqrt(nsq)
-            live = p > ZERO_PROB
+            live = p > ZERO_PROB_CUTOFF
             out[(i, j)] = (p, vec / np.linalg.norm(vec) if live else None, mm)
     return out
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wgfusion.errors import (
     CapExceededError,
@@ -60,6 +61,57 @@ def test_graph_json_roundtrip():
     g = chain_graph(["x", "y", "z"], [0.5, -2.0])
     g2 = WeightedGraph.from_json(g.to_json())
     assert g2 == g
+
+
+# weights inside and outside (-pi, pi], near the 1e-12 drop cutoff, and on the branch cut
+WEIGHTS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(-1e-11, 1e-11),
+    st.sampled_from([math.pi, -math.pi, 2 * math.pi, 0.0, 1e-12, -1e-12]),
+)
+
+
+@st.composite
+def weighted_graphs(draw):
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple(
+        (b, a, draw(WEIGHTS)) if draw(st.booleans()) else (a, b, draw(WEIGHTS))
+        for a, b in chosen
+    )
+    return WeightedGraph(tuple(labels), edges)
+
+
+@given(weighted_graphs())
+def test_graph_dict_roundtrip(g):
+    assert WeightedGraph.from_dict(g.as_dict()) == g
+    assert WeightedGraph.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_non_finite_weight(chi):
+    doc = {"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "chi": chi}]}
+    with pytest.raises(InvalidGraphError):
+        WeightedGraph.from_dict(doc)
+
+
+@given(st.floats(-1e6, 1e6))
+def test_wrap_angle_principal_congruent_idempotent(x):
+    w = wrap_angle(x)
+    assert -math.pi < w <= math.pi
+    assert wrap_angle(w) == w
+    assert math.cos(w) == pytest.approx(math.cos(x), abs=1e-9)
+    assert math.sin(w) == pytest.approx(math.sin(x), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, -1, 3, -7, 10**6, -(10**6)])
+def test_wrap_angle_pi_and_multiples_of_two_pi(k):
+    assert wrap_angle(math.pi) == wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(k * 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
+    w = wrap_angle(math.pi + k * 2.0 * math.pi)
+    assert -math.pi < w <= math.pi
+    assert abs(w) == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_build_state_pi_weights_is_graph_state():

@@ -150,6 +150,26 @@ def test_logical_qubit_failure_split_recovers_chains():
             )
 
 
+def test_failure_split_keeps_a_logical_pair_in_one_component():
+    # G's failure branches Z-measure F and H; the pair {B, D} (C measured
+    # out) joins A-B and D-E into one post-state: the logical chain A-B=D-E
+    weights = [0.4, 1.1, 1.1, 0.8, 0.9, 1.3, 1.3]
+    chain = logical_pair_chain(make_chain(list("ABCDEFGH"), weights), "C")
+    outs = create_logical_qubit(chain, "G")
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
+    want = logical_pair_chain(make_chain(list("ABCDE"), weights[:4]), "C")
+    fails = [o for o in outs if o.label.startswith("failure_z")]
+    assert len(fails) == 4
+    for o in fails:
+        (post,) = o.post_states
+        assert post.graph.vertices == ("A", "B", "D", "E")
+        assert post.logical_pairs == {frozenset({"B", "D"})}
+        post.check_invariants()
+        assert fidelity_up_to_global_phase(post.state, want.state) == pytest.approx(
+            1.0, abs=1e-10
+        )
+
+
 @pytest.mark.parametrize(
     "weights",
     [[1.0, 0.7, 0.7, 1.3], [0.9, -0.8, 0.8, 1.3], [1.0, math.pi, math.pi, -0.4]],
