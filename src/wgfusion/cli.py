@@ -18,6 +18,7 @@ from .analysis import entanglement_report, gram_factor, inner_z, solve_xi_for_we
 from .errors import (
     ConvergenceFailureError,
     InputError,
+    InvalidGraphError,
     NumericalAbortError,
     WgfError,
 )
@@ -49,16 +50,18 @@ def _load_json(path: str) -> dict:
 
 
 def _load_graph(path: str) -> WeightedGraph:
-    doc = _load_json(path)
-    graph = WeightedGraph.from_dict(doc)
-    for e in doc["edges"]:
-        chi = float(e["chi"])
-        if not (-math.pi < chi <= math.pi):
-            print(
-                f"warning: weight {chi} outside (-pi, pi], normalized to {wrap_angle(chi)}",
-                file=sys.stderr,
-            )
-    return graph
+    """Read a graph file, warning once per edge whose weight gets wrapped."""
+    try:
+        vertices, edges = WeightedGraph.parse_dict(_load_json(path))
+        for _, _, chi in edges:
+            if math.isfinite(chi) and not (-math.pi < chi <= math.pi):
+                print(
+                    f"warning: weight {chi} outside (-pi, pi], normalized to {wrap_angle(chi)}",
+                    file=sys.stderr,
+                )
+        return WeightedGraph(vertices, edges)
+    except InvalidGraphError as exc:
+        raise InvalidGraphError(f"{path}: {exc}") from exc
 
 
 def _emit(payload, out: str | None):

@@ -119,9 +119,13 @@ class WeightedGraph:
             "edges": [{"a": a, "b": b, "chi": chi} for a, b, chi in self.edges],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "WeightedGraph":
-        """Inverse of as_dict; keys other than "vertices" and "edges" are ignored."""
+    @staticmethod
+    def parse_dict(doc: dict) -> tuple[tuple[str, ...], tuple[tuple[str, str, float], ...]]:
+        """(vertices, edges) of a graph-JSON document, weights as written.
+
+        Keys other than "vertices" and "edges" are ignored; nothing is validated
+        beyond the shape, so the caller sees the raw weights before wrapping.
+        """
         try:
             verts = tuple(str(v) for v in doc["vertices"])
             edges = tuple(
@@ -129,7 +133,12 @@ class WeightedGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
-        return cls(verts, edges)
+        return verts, edges
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "WeightedGraph":
+        """Inverse of as_dict."""
+        return cls(*cls.parse_dict(doc))
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)

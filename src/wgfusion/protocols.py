@@ -109,9 +109,9 @@ def _components(adj: dict[str, set[str]]) -> list[set[str]]:
 def _check_path_after_contraction(graph: WeightedGraph, pairs) -> None:
     rep = {v: v for v in graph.vertices}
     for pair in pairs:
-        a, e = sorted(pair, key=graph.vertices.index)
-        if a not in rep or e not in rep:
+        if not pair.issubset(rep):
             raise InvalidGraphError("logical pair member not in graph")
+        a, e = sorted(pair, key=graph.vertices.index)
         rep[e] = a
     adj: dict[str, set[str]] = {rep[v]: set() for v in graph.vertices}
     for a, b, _ in graph.edges:
@@ -390,7 +390,14 @@ def _xlike_failure_split(
     Each of the four Z sub-outcomes splits the chain into the segment left of
     b1 and the segment right of b2 (either may be empty), with the standard
     Z-rule phase corrections applied on the measured vertices' neighbors.
+    The Z rule does not describe a measured logical-pair member, so b1 and b2
+    must not belong to a pair.
     """
+    for v in (b1, b2):
+        if any(v in p for p in chain.logical_pairs):
+            raise NoLogicalPairError(
+                f"failure branch would Z-measure {v}, which belongs to a logical pair"
+            )
     g = chain.graph
     st_a, p_a = _project_bra(chain.state, chain.qubit(a), bra)
     out: list[ProtocolOutcome] = []
@@ -432,10 +439,9 @@ def _split_components(
 ) -> list[ChainState]:
     """Split a (possibly disconnected) chain state into per-component ChainStates.
 
-    A logical pair whose members both remain links them like an edge, so the
-    pair and both members' edges end up in one component.
+    Each logical pair links its members like an edge, so the pair and both
+    members' edges end up in one component.
     """
-    pairs = [p for p in pairs if p <= set(graph.vertices)]
     adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
     for a, b in [(a, b) for a, b, _ in graph.edges] + [tuple(p) for p in pairs]:
         adj[a].add(b)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgfusion.cli import main
-from wgfusion.graphstate import WeightedGraph
+from wgfusion.graphstate import WeightedGraph, chain_graph
 
 
 def _write_graph(path, vertices, edges):
@@ -168,6 +168,26 @@ def test_build_rejects_non_finite_weight(tmp_path, capsys):
     g.write_text('{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "chi": NaN}]}')
     assert main(["build", "--graph", str(g)]) == 2
     assert "InvalidGraphError" in capsys.readouterr().err
+
+
+def test_fuse_names_the_malformed_graph_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(chain_graph(["v", "w"], [0.9]).as_dict()))
+    bad.write_text('{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b"}]}')
+    args = ["fuse", "--type", "i", "--end-a", "w", "--end-b", "a"]
+    assert main(args + ["--graph", str(good), "--graph2", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and str(good) not in err
+
+
+def test_weight_warning_precedes_graph_rejection(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    edges = [{"a": "a", "b": "b", "chi": 4.0}, {"a": "b", "b": "a", "chi": 0.5}]
+    g.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+    assert main(["build", "--graph", str(g)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("warning: weight 4.0") == 1
+    assert f"InvalidGraphError: {g}: duplicate edge" in err
 
 
 def _parses_back(doc: dict) -> bool:
