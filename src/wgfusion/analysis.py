@@ -28,12 +28,12 @@ ABORT_TOL = 1e-10
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def inner_z(chi_bf: float, chi_bf2: float = 0.0) -> complex:
-    """Gram overlap z = <f4|f3> = (1+e^{i chi_bf})(1+e^{i chi_bf'})/4.
+def inner_z(*chis: float) -> complex:
+    """Gram overlap z = <f4|f3> = prod_k (1+e^{i chi_k})/2 over b's edge weights.
 
-    A single neighbor is encoded by chi_bf2 = 0.
+    A zero weight (no edge) contributes a factor 1.
     """
-    return (1.0 + cmath.exp(1j * chi_bf)) * (1.0 + cmath.exp(1j * chi_bf2)) / 4.0
+    return complex(math.prod((1.0 + cmath.exp(1j * chi)) / 2.0 for chi in chis))
 
 
 @dataclass
@@ -357,26 +357,18 @@ def check_no_good_failure(u: ModeUnitary, tol: float = 1e-12) -> dict:
     relevant outcome's coefficient matrix has zero determinant.
     """
     m = u.matrix
-    n = u.n
-    live = [i for i in range(n) if same_detector_prob(m, i, 0.0) > 1e-12]
-    premise = True
-    for idx in range(1, len(live)):
-        i, j = live[0], live[idx]
-        cross = m[2, i] * m[3, j] - m[2, j] * m[3, i]
-        if abs(cross) > 1e-10:
-            premise = False
-            break
-    max_det = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b, c, d = outcome_coeffs(m, i, j)
-            max_det = max(max_det, abs(a * d - b * c))
+    live = np.flatnonzero(same_detector_prob(m, np.arange(u.n), 0.0) > 1e-12)
+    first = live[:1]
+    cross = m[2, first] * m[3, live] - m[2, live] * m[3, first]
+    premise = bool(np.all(np.abs(cross) <= 1e-10))
+    a, b, c, d = outcome_coeffs(m, *np.triu_indices(u.n, 1))
+    max_det = float(np.max(np.abs(a * d - b * c), initial=0.0))
     conclusion = max_det < tol
     return {
         "premise_holds": premise,
         "conclusion_holds": conclusion if premise else None,
-        "max_relevant_det": float(max_det),
-        "live_detectors": live,
+        "max_relevant_det": max_det,
+        "live_detectors": live.tolist(),
     }
 
 

@@ -23,7 +23,7 @@ from .errors import (
     WgfError,
 )
 from .fock import ModeUnitary
-from .graphstate import WeightedGraph, build_state, project_qubit, wrap_angle
+from .graphstate import WeightedGraph, build_state, chain_graph, project_qubit, wrap_angle
 from .protocols import (
     ChainState,
     create_logical_qubit,
@@ -33,6 +33,7 @@ from .protocols import (
     ghz_pair_projection,
     ghz_pair_range,
     logical_pair_chain,
+    make_chain,
     rez_formula,
     sample_outcomes,
 )
@@ -138,8 +139,6 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         header = ["chi", "analytic", "simulated", "residual"]
 
         def row(chi: float) -> list:
-            from .protocols import make_chain
-
             outs = create_logical_qubit(
                 make_chain(["a", "b", "c", "d"], [1.0, chi, chi]), "c"
             )
@@ -149,8 +148,6 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
     elif quantity == "failure-split":
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
-        from .protocols import make_chain
-
         left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
 
         def row(chi: float) -> list:
@@ -182,8 +179,6 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
         def row(chi: float) -> list:
             ana = ghz_pair_range(chi, chi)
-            from .graphstate import chain_graph
-
             (proj, _), _phi = ghz_pair_projection(chi, chi, INV_SQRT2)
             ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
             st, _p = project_qubit(ghz, proj)

@@ -1,4 +1,4 @@
-"""Fusion protocol drivers on weighted chains.
+"""Fusion protocol drivers on weighted chains and the trees fusion builds.
 
 Each driver returns the exhaustive outcome distribution (analysis mode);
 sample_outcomes provides the seeded Monte Carlo mode on top of it.
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import inner_z
 from .errors import (
     InputError,
     InvalidGraphError,
@@ -48,29 +49,29 @@ PROB_SUM_TOL = 1e-10  # |sum p - 1| allowed for a distribution to be sampled
 
 @dataclass
 class ChainState:
-    """A weighted chain (path) with its dense state and logical pairs.
+    """A weighted forest with its dense state and logical pairs.
 
-    Path topology is checked after contracting each logical pair to a single
-    vertex; logical pairs must have |00>/|11> support only.
+    Invariant, checked on construction: contracting each logical pair to a
+    single vertex leaves a forest (no cycle, no doubled edge, no edge inside a
+    pair), and every logical pair has |00>/|11> support only. Chains are the
+    common case; Type-I and Type-II fusion glue two trees at one vertex.
     """
 
     graph: WeightedGraph
     state: PureState
     logical_pairs: frozenset[frozenset[str]] = frozenset()
-    validate: bool = True
 
     def __post_init__(self):
         self.logical_pairs = frozenset(frozenset(p) for p in self.logical_pairs)
         if self.state.num_qubits != self.graph.n:
             raise InvalidGraphError("state size does not match graph")
-        if self.validate:
-            self.check_invariants()
+        self.check_invariants()
 
     def qubit(self, v: str) -> int:
         return self.graph.vertex_index(v)
 
     def check_invariants(self):
-        _check_path_after_contraction(self.graph, self.logical_pairs)
+        _check_forest_after_contraction(self.graph, self.logical_pairs)
         for pair in self.logical_pairs:
             if not self.pair_support_ok(pair):
                 raise InvalidGraphError(
@@ -106,27 +107,33 @@ def _components(adj: dict[str, set[str]]) -> list[set[str]]:
     return comps
 
 
-def _check_path_after_contraction(graph: WeightedGraph, pairs) -> None:
+def _check_forest_after_contraction(graph: WeightedGraph, pairs) -> None:
+    # pairs sharing a member contract to one vertex, so merge them union-find style
     rep = {v: v for v in graph.vertices}
+
+    def find(v: str) -> str:
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
     for pair in pairs:
         if not pair.issubset(rep):
             raise InvalidGraphError("logical pair member not in graph")
-        a, e = sorted(pair, key=graph.vertices.index)
-        rep[e] = a
-    adj: dict[str, set[str]] = {rep[v]: set() for v in graph.vertices}
+        if len(pair) != 2:
+            raise InvalidGraphError(f"logical pair {set(pair)} does not have two members")
+        a, e = pair
+        rep[find(e)] = find(a)
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices if find(v) == v}
     for a, b, _ in graph.edges:
-        ra, rb = rep[a], rep[b]
+        ra, rb = find(a), find(b)
         if ra == rb:
             raise InvalidGraphError("edge inside a contracted logical pair")
         adj[ra].add(rb)
         adj[rb].add(ra)
-    for v, nb in adj.items():
-        if len(nb) > 2:
-            raise InvalidGraphError(f"vertex {v} has contracted degree {len(nb)} > 2")
-    # acyclic: a path on k vertices has k-1 edges per connected component
-    for comp in _components(adj):
-        if sum(len(adj[v]) for v in comp) // 2 != len(comp) - 1:
-            raise InvalidGraphError("contracted graph contains a cycle")
+    # a forest on k vertices in c components has k - c edges; a contracted
+    # edge doubled by two pair members counts as a cycle
+    if len(graph.edges) != len(adj) - len(_components(adj)):
+        raise InvalidGraphError("contracted graph contains a cycle")
 
 
 def make_chain(labels: list[str], weights: list[float]) -> ChainState:
@@ -365,16 +372,17 @@ def _xlike_branch(
     ng = g.without_vertex(a)
     corr: list[Correction] = []
     if case == "case2":
+        # X on b1 flips the sign of each remaining b1 edge; phase(+phi) on
+        # that neighbour absorbs the single-qubit phase the flip leaves
         corr.append(Correction(b1, "X", PAULI_X))
-        # c1 = b1's remaining neighbor, if any; its edge weight sign flips
-        others = [(v, w) for v, w in g.neighbors(b1) if v != a]
-        if others:
-            (c1, phi1), = others
-            corr.append(Correction(c1, "phase(+phi1)", phase_gate(phi1)))
-            edges = tuple(
-                (x, y, -w if {x, y} == {b1, c1} else w) for x, y, w in ng.edges
-            )
-            ng = WeightedGraph(ng.vertices, edges)
+        corr += [
+            Correction(c, "phase(+phi1)", phase_gate(phi))
+            for c, phi in g.neighbors(b1)
+            if c != a
+        ]
+        ng = WeightedGraph(
+            ng.vertices, tuple((x, y, -w if b1 in (x, y) else w) for x, y, w in ng.edges)
+        )
     corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
     for gate in corr:
         st = apply_local(st, LocalGate(ng.vertex_index(gate.vertex), gate.matrix))
@@ -490,7 +498,9 @@ def fuse_type_ii(
     Success outcomes (<00| +/- <11|, total probability 1/2) merge the chains:
     the kept pair member e inherits the logical vertex's and b's neighbors.
     Failure outcomes are X-type with probabilities (1 -/+ Re z)/4; the
-    b-side <0|-<1| branch is a good failure under Case-2 weights on b.
+    b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
+    failure that is not good destroys the right graph's structure, so it
+    lists only the left post-state.
     """
     a, e = _pair_members(left, pair)
     if consume is not None and _resolve_vertex(left, consume) != a:
@@ -502,14 +512,9 @@ def fuse_type_ii(
     f1, f2 = _branch_states(left.state, left.qubit(a))
     f3, f4 = _branch_states(right.state, right.qubit(b))
     z = complex(np.vdot(f4, f3))  # branch states are unit vectors
-    nbs = right.graph.neighbors(b)
-    if len(nbs) <= 2:
-        chis = [w for _, w in nbs] + [0.0] * (2 - len(nbs))
-        expect = rez_formula(chis[0], chis[1])
-        if abs(z.real - expect) > 1e-10:
-            raise NumericalAbortError(
-                f"Re z mismatch: numeric {z.real}, formula {expect}"
-            )
+    expect = inner_z(*(w for _, w in right.graph.neighbors(b)))
+    if abs(z - expect) > 1e-10:
+        raise NumericalAbortError(f"z mismatch: numeric {z}, formula {expect}")
 
     lg = left.graph.without_vertex(a)
     rg = right.graph.without_vertex(b)
@@ -532,13 +537,7 @@ def fuse_type_ii(
         if sign < 0:
             corr.append(Correction(e, "Z", PAULI_Z))
             st = apply_local(st, LocalGate(merged.vertex_index(e), PAULI_Z))
-        # geometries with extra surviving edges merge into a non-path graph
-        try:
-            post = ChainState(merged, st, pairs_left | right.logical_pairs)
-        except InvalidGraphError:
-            post = ChainState(
-                merged, st, pairs_left | right.logical_pairs, validate=False
-            )
+        post = ChainState(merged, st, pairs_left | right.logical_pairs)
         out.append(ProtocolOutcome(label, prob, [post], corr))
 
     # failures: X-type product projections; left side always collapses the
@@ -556,53 +555,37 @@ def fuse_type_ii(
         if sa < 0:
             corr.append(Correction(e, "Z", PAULI_Z))
             sl = apply_local(sl, LocalGate(left_graph.vertex_index(e), PAULI_Z))
-        post_l = ChainState(left_graph, sl, pairs_left)
-        post_r, good, corr_r = _classify_right_failure(right, b, sb)
-        out.append(
-            ProtocolOutcome(label, prob, [post_l, post_r], corr + corr_r, good)
-        )
+        posts = [ChainState(left_graph, sl, pairs_left)]
+        good = _good_right_failure(right, b, sb)
+        if good is not None:
+            posts += good.post_states
+            corr += good.corrections_applied
+        out.append(ProtocolOutcome(label, prob, posts, corr, good is not None))
     return out
 
 
-def _classify_right_failure(
-    right: ChainState, b: str, sb: int
-) -> tuple[ChainState, bool, list[Correction]]:
-    """Project b onto (<0| + sb <1|)/sqrt2 and decide if the residual is good.
+def _good_right_failure(right: ChainState, b: str, sb: int) -> ProtocolOutcome | None:
+    """The X-like branch of b's projection onto (<0| + sb <1|)/sqrt2, if it is good.
 
-    Good means: after the prescribed X-like corrections the residual is a
-    valid weighted chain with a new logical pair (requires b interior and the
-    matching eligibility case). Verified numerically, not just by weights.
+    Good means b is interior and its weights match the bra's eligibility case;
+    the branch's ChainState then checks the new logical pair numerically.
+    Otherwise the residual is not a weighted graph state and None is returned.
     """
     nbs = sorted(right.graph.neighbors(b), key=lambda t: right.graph.vertices.index(t[0]))
-    bra = (1.0, float(sb))
-    if len(nbs) == 2:
-        (b1, chi1), (b2, chi2) = nbs
-        case = _xlike_case(chi1, chi2)
-        want = None
-        if sb < 0:
-            # <0| - <1| is the Case-2 bra (B = -A)
-            want = "case2" if case in ("case1", "case2") and abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL else None
-        else:
-            # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi} = A)
-            want = (
-                "case1"
-                if abs(wrap_angle(chi1 - math.pi)) < WEIGHT_TOL
-                and abs(wrap_angle(chi2 - math.pi)) < WEIGHT_TOL
-                else None
-            )
-        if want is not None:
-            outcome = _xlike_branch(right, b, b1, b2, bra, want, "good")
-            post = outcome.post_states[0]
-            try:
-                post.check_invariants()
-                return post, True, outcome.corrections_applied
-            except InvalidGraphError:
-                pass
-    # not good: return the raw residual over the b-deleted register
-    st, _ = _project_bra(right.state, right.qubit(b), bra)
-    gg = right.graph.without_vertex(b)
-    post = ChainState(gg, st, frozenset(), validate=False)
-    return post, False, []
+    if len(nbs) != 2:
+        return None
+    (b1, chi1), (b2, chi2) = nbs
+    if sb < 0 and abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL:
+        case = "case2"  # <0| - <1| is the Case-2 bra (B = -A)
+    elif (
+        sb > 0
+        and abs(wrap_angle(chi1 - math.pi)) < WEIGHT_TOL
+        and abs(wrap_angle(chi2 - math.pi)) < WEIGHT_TOL
+    ):
+        case = "case1"  # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi})
+    else:
+        return None
+    return _xlike_branch(right, b, b1, b2, (1.0, float(sb)), case, "good")
 
 
 def fuse_generalized(

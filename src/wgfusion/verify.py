@@ -37,6 +37,7 @@ from .graphstate import (
     chain_graph,
     fidelity_up_to_global_phase,
     LocalGate,
+    project_qubit,
     wrap_angle,
 )
 from .protocols import (
@@ -300,8 +301,6 @@ def check_balanced_entropy(seed: int = 23, draws: int = 200, quick: bool = False
 @_timed
 def check_ghz_generation(quick: bool = False) -> CheckResult:
     """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation."""
-    from .graphstate import project_qubit
-
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
     worst = 0.0

@@ -30,8 +30,15 @@ from wgfusion.errors import (
     InputError,
     NumericalAbortError,
 )
-from wgfusion.fock import type_i_matrix, type_ii_matrix
-from wgfusion.graphstate import build_state, chain_graph, wrap_angle
+from wgfusion.fock import (
+    ModeUnitary,
+    outcome_coeffs,
+    same_detector_prob,
+    type_i_matrix,
+    type_ii_matrix,
+)
+from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, wrap_angle
+from wgfusion.verify import constrained_unitary
 
 RNG = np.random.default_rng(17)
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -50,6 +57,25 @@ def test_inner_z_examples():
     assert inner_z(math.pi) == pytest.approx(0.0, abs=1e-15)
     assert inner_z(0.0) == pytest.approx(1.0, abs=1e-15)
     assert inner_z(math.pi / 2, math.pi / 2) == pytest.approx(0.5j, abs=1e-15)
+
+
+def test_inner_z_keeps_the_two_neighbour_closed_form():
+    rng = np.random.default_rng(3)
+    for c1, c2 in rng.uniform(-math.pi, math.pi, (2000, 2)):
+        two = (1.0 + cmath.exp(1j * c1)) * (1.0 + cmath.exp(1j * c2)) / 4.0
+        assert inner_z(c1, c2) == two
+        assert inner_z(c1) == inner_z(c1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "chis", [(), (0.7,), (0.7, -1.9), (0.7, -1.9, math.pi), (0.3, 1.2, -2.2, 2.9)]
+)
+def test_inner_z_is_the_dense_branch_overlap_for_any_degree(chis):
+    # b joined to one leaf per weight: z = <f4|f3> of b's two branches
+    labels = ["b"] + [f"n{k}" for k in range(len(chis))]
+    g = WeightedGraph(tuple(labels), tuple(("b", v, c) for v, c in zip(labels[1:], chis)))
+    branches = build_state(g).reshaped().reshape(2, -1) * math.sqrt(2.0)
+    assert abs(inner_z(*chis) - np.vdot(branches[1], branches[0])) < 1e-14
 
 
 # ------------------------------------------------- entanglement report
@@ -283,6 +309,34 @@ def test_family_rejects_bad_seed():
 
 
 # ----------------------------------------------------- no good failure
+
+
+def _no_good_failure_loop(u):
+    """Scalar reference: (live detectors, premise, max relevant |det|)."""
+    m = u.matrix
+    live = [i for i in range(u.n) if same_detector_prob(m, i, 0.0) > 1e-12]
+    premise = all(
+        abs(m[2, live[0]] * m[3, j] - m[2, j] * m[3, live[0]]) <= 1e-10 for j in live[1:]
+    )
+    max_det = 0.0
+    for i in range(u.n):
+        for j in range(i + 1, u.n):
+            a, b, c, d = outcome_coeffs(m, i, j)
+            max_det = max(max_det, abs(a * d - b * c))
+    return live, premise, max_det
+
+
+def test_no_good_failure_batch_matches_the_scalar_loop():
+    rng = np.random.default_rng(11)
+    unitaries = [constrained_unitary(rng) for _ in range(40)]
+    unitaries += [ModeUnitary(unitary_group.rvs(n, random_state=rng)) for n in (4, 5, 6, 8)]
+    unitaries += [type_i_matrix(), type_ii_matrix()]
+    for u in unitaries:
+        live, premise, max_det = _no_good_failure_loop(u)
+        report = check_no_good_failure(u)
+        assert report["live_detectors"] == live
+        assert report["premise_holds"] == premise
+        assert report["max_relevant_det"] == pytest.approx(max_det, rel=1e-12, abs=1e-15)
 
 
 def test_no_good_failure_on_fusion_networks():

@@ -1,0 +1,241 @@
+"""Every protocol post-state is the state its graph and logical pairs describe.
+
+The oracle is independent of the protocol code: contract the logical pairs
+(union-find, so pairs sharing a member form one logical qubit), build the
+weighted graph state over the contracted vertices, and copy each
+representative's bit onto its partners.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wgfusion.errors import (
+    InvalidGraphError,
+    NoLogicalPairError,
+    NotEndpointError,
+    WeightsNotEligibleError,
+)
+from wgfusion.graphstate import PureState, WeightedGraph, wrap_angle
+from wgfusion.protocols import (
+    ChainState,
+    create_logical_qubit,
+    fuse_type_i,
+    fuse_type_ii,
+    logical_pair_chain,
+    make_chain,
+)
+
+TOL = 1e-10
+
+
+def encoding_oracle(graph, pairs) -> np.ndarray:
+    """Amplitudes of the weighted graph state with each pair's bits tied."""
+    rep = {v: v for v in graph.vertices}
+
+    def find(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    for a, e in (tuple(p) for p in pairs):
+        rep[find(e)] = find(a)
+    roots = sorted({find(v) for v in graph.vertices}, key=graph.vertices.index)
+    k, n = len(roots), graph.n
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    full = bits[:, [roots.index(find(v)) for v in graph.vertices]]
+    phase = np.zeros(1 << k)
+    for a, b, chi in graph.edges:
+        phase += chi * full[:, graph.vertex_index(a)] * full[:, graph.vertex_index(b)]
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[full @ (1 << np.arange(n - 1, -1, -1))] = np.exp(-1j * phase) / math.sqrt(1 << k)
+    return amps
+
+
+def oracle_distance(post: ChainState) -> float:
+    """Max amplitude deviation from the encoding oracle, global phase aligned."""
+    want = encoding_oracle(post.graph, post.logical_pairs)
+    got = post.state.amplitudes
+    overlap = np.vdot(want, got)
+    if abs(overlap) < 0.5:
+        return float("inf")
+    return float(np.max(np.abs(got - want * overlap / abs(overlap))))
+
+
+def test_oracle_reproduces_a_logical_pair_chain():
+    # A-B=D-E: the logical pair {B, D} carries C's two neighbours as one qubit
+    chain = logical_pair_chain(make_chain(list("ABCDE"), [0.4, 1.1, 1.1, 0.8]), "C")
+    assert chain.logical_pairs == {frozenset({"B", "D"})}
+    assert oracle_distance(chain) < TOL
+    # without the pair, the same amplitudes are not the graph's state
+    untied = ChainState(chain.graph, chain.state, frozenset())
+    assert oracle_distance(untied) > 0.1
+
+
+def test_pairs_sharing_a_member_form_one_logical_qubit():
+    chain = logical_pair_chain(make_chain(list("ABCDEF"), [0.4, 0.4, 1.1, 1.1, 0.8]), "B")
+    chain = logical_pair_chain(chain, "D")
+    assert chain.logical_pairs == {frozenset("AC"), frozenset("CE")}
+    assert oracle_distance(chain) < TOL
+
+
+@pytest.mark.parametrize(
+    "edges, pairs",
+    [
+        ((("x", "p", 0.5), ("x", "q", 0.7)), [("p", "q")]),
+        # {p, q} and {q, r} are one logical qubit, which x meets twice
+        ((("x", "p", 0.5), ("x", "r", 0.7)), [("p", "q"), ("q", "r")]),
+    ],
+    ids=["one-pair", "shared-member"],
+)
+def test_a_contracted_double_edge_is_a_cycle(edges, pairs):
+    g = WeightedGraph(("x", "p", "q", "r"), edges)
+    pairs = {frozenset(p) for p in pairs}
+    state = PureState(4, encoding_oracle(g, pairs))
+    with pytest.raises(InvalidGraphError, match="cycle"):
+        ChainState(g, state, pairs)
+
+
+# ------------------------------------------------------ Type-II trees
+
+
+def _type_ii_tree() -> ChainState:
+    # D inherits B's edge A-B and b's edges v-b, b-w: deg(D) = 3
+    left = logical_pair_chain(make_chain(list("ABCD"), [1.0, 0.7, 0.7]), "C")
+    right = make_chain(["v", "b", "w", "x"], [0.9, 1.4, -1.4])
+    outs = fuse_type_ii(left, ("B", "D"), right, "b")
+    return next(o for o in outs if o.label == "success_plus").post_states[0]
+
+
+def test_type_ii_success_at_an_interior_b_is_a_tree():
+    tree = _type_ii_tree()
+    assert sorted(v for v, _ in tree.graph.neighbors("D")) == ["A", "v", "w"]
+    assert oracle_distance(tree) < TOL
+
+
+def test_logical_qubit_on_a_type_ii_tree():
+    # w's Case-2 weights (1.4, -1.4) X-correct its first neighbour D, which
+    # has two more neighbours (A, v): both edges flip sign
+    tree = _type_ii_tree()
+    outs = create_logical_qubit(tree, "w")
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=TOL)
+    for o in outs:
+        for post in o.post_states:
+            assert oracle_distance(post) < TOL
+    got = logical_pair_chain(tree, "w")
+    assert got.logical_pairs == {frozenset({"D", "x"})}
+    assert got.graph.weight("A", "D") == pytest.approx(-1.0)
+    assert got.graph.weight("D", "v") == pytest.approx(-0.9)
+    assert oracle_distance(got) < TOL
+
+
+def test_type_i_on_a_leaf_of_a_type_ii_tree():
+    outs = fuse_type_i(_type_ii_tree(), "x", make_chain(["p", "q"], [0.5]), "p", new_label="c")
+    assert [o.probability for o in outs] == pytest.approx([0.25] * 4, abs=TOL)
+    merged = outs[0].post_states[0]
+    assert merged.graph.degree("D") == 3 and merged.graph.degree("c") == 2
+    for o in outs:
+        for post in o.post_states:
+            assert oracle_distance(post) < TOL
+
+
+# -------------------------------------------- Type-II failures that are not good
+
+
+def test_type_ii_failures_list_only_states_their_graphs_describe():
+    rng = np.random.default_rng(5)
+    not_good = 0
+    for _ in range(60):
+        chi = float(rng.uniform(0.2, 3.0)) * rng.choice([-1.0, 1.0])
+        left = logical_pair_chain(make_chain(list("ABCDE"), [0.6, chi, chi, 1.2]), "C")
+        n = int(rng.integers(2, 6))
+        weights = list(rng.uniform(-math.pi, math.pi, n - 1))
+        right = make_chain([f"r{i}" for i in range(n)], weights)
+        b = f"r{int(rng.integers(n))}"
+        for o in fuse_type_ii(left, ("B", "D"), right, b):
+            for post in o.post_states:
+                assert oracle_distance(post) < TOL
+            if o.label.startswith("failure") and o.post_states:
+                # the left post-state always; the right one only when good
+                assert len(o.post_states) == (2 if o.is_good_failure else 1)
+                not_good += not o.is_good_failure
+    assert not_good == 120
+
+
+# ----------------------------------------------------------- property
+
+ANGLES = st.one_of(
+    st.floats(0.05, math.pi).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([math.pi, math.pi / 2, -math.pi / 2]),
+)
+# a protocol may refuse an input with one of these; it never returns a wrong state
+REFUSALS = (WeightsNotEligibleError, NoLogicalPairError, NotEndpointError)
+
+
+@st.composite
+def eligible_chains(draw, prefix: str) -> tuple[ChainState, str]:
+    """A chain with an interior vertex whose weights are Case 1 or Case 2."""
+    n = draw(st.integers(3, 6))
+    weights = draw(st.lists(ANGLES, min_size=n - 1, max_size=n - 1))
+    k = draw(st.integers(1, n - 2))
+    weights[k] = weights[k - 1] if draw(st.booleans()) else wrap_angle(-weights[k - 1])
+    labels = [f"{prefix}{i}" for i in range(n)]
+    return make_chain(labels, weights), labels[k]
+
+
+@st.composite
+def forests(draw) -> ChainState:
+    """A plain chain, a logical-pair chain, a Type-II tree, or a tree with a pair."""
+    chain, v = draw(eligible_chains("r"))
+    kind = draw(st.sampled_from(["chain", "pair", "tree", "tree+pair"]))
+    if kind == "chain":
+        return chain
+    if kind == "pair":
+        return logical_pair_chain(chain, v)
+    left = logical_pair_chain(*draw(eligible_chains("l")))
+    pair = tuple(next(iter(left.logical_pairs)))
+    b = draw(st.sampled_from(chain.graph.vertices))
+    outs = fuse_type_ii(left, pair, chain, b, consume=draw(st.sampled_from(pair)))
+    tree = draw(st.sampled_from([o for o in outs if o.label.startswith("success")])).post_states[0]
+    if kind == "tree+pair" and v in tree.graph.vertices:
+        try:
+            return logical_pair_chain(tree, v)
+        except REFUSALS:
+            pass
+    return tree
+
+
+def _post_states(fn, *args) -> list[ChainState]:
+    try:
+        outs = fn(*args)
+    except REFUSALS:
+        return []
+    except InvalidGraphError as exc:
+        # not modelled yet (ROADMAP item 4): a Case-2 X correction on a
+        # logical-pair member breaks its pair, and the ChainState refuses it
+        assert "mixed-bit amplitude support" in str(exc)
+        return []
+    if isinstance(outs, ChainState):
+        return [outs]
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=TOL)
+    return [post for o in outs for post in o.post_states]
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests(), eligible_chains("x"), st.data())
+def test_every_post_state_matches_the_encoding_oracle(base, other, data):
+    posts = [base]
+    for v in base.graph.vertices:
+        posts += _post_states(create_logical_qubit, base, v)
+        posts += _post_states(logical_pair_chain, base, v)
+        posts += _post_states(fuse_type_i, base, v, make_chain(["p", "q"], [0.8]), "p")
+    left = logical_pair_chain(*other)
+    pair = tuple(next(iter(left.logical_pairs)))
+    b = data.draw(st.sampled_from(base.graph.vertices))
+    posts += _post_states(fuse_type_ii, left, pair, base, b)
+    for post in posts:
+        assert oracle_distance(post) < TOL

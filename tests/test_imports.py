@@ -1,6 +1,8 @@
-"""Offline lint gate: every name a wgfusion module imports is read in it.
+"""Offline lint gates on the wgfusion sources.
 
-__init__.py is exempt because it imports names to re-export them.
+Every name a module imports is read in it (__init__.py is exempt because it
+imports names to re-export them), and no function imports from the package:
+package-internal imports sit at module top.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wgfusion"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +36,27 @@ def test_gate_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_relative_imports(source: str) -> list[str]:
+    """Names of the functions whose body imports relatively (from the package)."""
+    tree = ast.parse(source)
+    return sorted(
+        {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+        }
+    )
+
+
+def test_gate_flags_a_function_local_relative_import():
+    src = "def f():\n    from .x import y\n    from scipy import z\n\ndef g():\n    import os\n"
+    assert local_relative_imports(src) == ["f"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    assert local_relative_imports(path.read_text()) == []

@@ -185,6 +185,12 @@ def test_chain_with_unknown_pair_member_is_an_invalid_graph():
         ChainState(g, build_state(g), {frozenset({"a", "z"})})
 
 
+def test_chain_with_a_one_member_pair_is_an_invalid_graph():
+    g = chain_graph(["a", "b"], [0.5])
+    with pytest.raises(InvalidGraphError, match="two members"):
+        ChainState(g, build_state(g), {frozenset({"a"})})
+
+
 @pytest.mark.parametrize(
     "weights",
     [[1.0, 0.7, 0.7, 1.3], [0.9, -0.8, 0.8, 1.3], [1.0, math.pi, math.pi, -0.4]],
