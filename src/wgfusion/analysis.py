@@ -21,7 +21,13 @@ from .errors import (
     InputError,
     NumericalAbortError,
 )
-from .fock import ModeUnitary, outcome_coeffs, relevant_norm_sq, same_detector_prob
+from .fock import (
+    ModeUnitary,
+    outcome_coeffs,
+    pattern_indices,
+    relevant_norm_sq,
+    same_detector_prob,
+)
 from .graphstate import wrap_angle
 
 ABORT_TOL = 1e-10
@@ -260,15 +266,33 @@ def _hyperbola_arg(xi: float, chi_bf: float) -> float:
     return cmath.phase(2.0 + w + 1.0 / w)
 
 
-def solve_xi_for_weight(chi_bf: float, chi_target: float, tol: float = 1e-12) -> float:
+def _bisect(f, lo: float, hi: float, flo: float) -> float:
+    """Root of f in [lo, hi], given flo = f(lo) of the opposite sign to f(hi).
+
+    Halves the bracket with one evaluation of f per step until the half-width
+    is within brentq's tolerance xtol + rtol |s| (xtol = 1e-15, rtol = 8.9e-16,
+    four ulps): a fixed absolute rule would need ~1000 steps for a root at 0.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * (1e-15 + 8.9e-16 * abs(mid)):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
+def solve_xi_for_weight(chi_bf: float, chi_target: float) -> float:
     """Real xi != 0 with 2 arg(2 + w + 1/w) = chi_target, w = xi e^{i chi_bf/2}.
 
     The left branch (xi < 0) sweeps arg monotonically over
     (chi_bf/2 - pi, pi - chi_bf/2); the right branch (xi > 0) covers
     (-|chi_bf|/2, |chi_bf|/2). Bisection on log|xi|.
     """
-    from scipy.optimize import brentq
-
     if abs(wrap_angle(chi_bf)) < 1e-12:
         raise DegenerateArgumentError("chi_bf must be nonzero")
     half = wrap_angle(chi_target) / 2.0
@@ -285,8 +309,7 @@ def solve_xi_for_weight(chi_bf: float, chi_target: float, tol: float = 1e-12) ->
                 return branch_sign * math.exp(s_lo)
             if flo * fhi > 0.0:
                 continue
-            s = brentq(f, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
-            xi = branch_sign * math.exp(s)
+            xi = branch_sign * math.exp(_bisect(f, s_lo, s_hi, flo))
             res = abs(wrap_angle(2.0 * _hyperbola_arg(xi, chi_bf) - chi_target))
             if res < 1e-9:
                 return xi
@@ -361,7 +384,7 @@ def check_no_good_failure(u: ModeUnitary, tol: float = 1e-12) -> dict:
     first = live[:1]
     cross = m[2, first] * m[3, live] - m[2, live] * m[3, first]
     premise = bool(np.all(np.abs(cross) <= 1e-10))
-    a, b, c, d = outcome_coeffs(m, *np.triu_indices(u.n, 1))
+    a, b, c, d = outcome_coeffs(m, *pattern_indices(u.n, 1))
     max_det = float(np.max(np.abs(a * d - b * c), initial=0.0))
     conclusion = max_det < tol
     return {

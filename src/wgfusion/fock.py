@@ -10,7 +10,7 @@ and ideal number-resolving detectors read out all N modes.
 Closed-form path (enumerate_outcomes) vs. brute-force amplitude path
 (oracle_enumerate): the two must agree to 1e-10 on every pattern.
 
-Both paths are batched over the N(N+1)/2 patterns (i <= j, np.triu_indices
+Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
 order): one call is a fixed set of array operations whose size grows with
 the pattern count, never a loop of small per-pattern NumPy calls. Each
 outcome keeps a view of its normalized register row in the call's shared
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,32 @@ from .errors import InvalidContextError, InvalidUnitaryError
 from .graphstate import ZERO_PROB_CUTOFF, PureState
 
 UNITARY_TOL = 1e-10
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x n unitary drawn from rng.
+
+    QR of a complex Ginibre matrix (real part drawn first), with each column
+    of Q multiplied by the phase of R's diagonal entry so the law is exactly
+    Haar. This is scipy.stats.unitary_group.rvs's algorithm and draw order,
+    so a seeded rng yields the same matrices.
+    """
+    z = 1.0 / math.sqrt(2.0) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / np.abs(d))[None, :]
+    return q
+
+
+@lru_cache(maxsize=None)
+def pattern_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only np.triu_indices(n, k): the detection patterns (i, j), i <= j - k.
+
+    k = 0 gives every pattern of an N-mode network, k = 1 the i < j ones."""
+    iu, ju = np.triu_indices(n, k)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 @dataclass(frozen=True)
@@ -216,7 +243,7 @@ def _outcome_list(
     iu: np.ndarray, ju: np.ndarray, probs: np.ndarray, rows: np.ndarray, mms: np.ndarray
 ) -> list[FusionOutcome]:
     """Wrap the (P,) probabilities, (P, D) register rows and (P, 2, 2) relevant
-    matrices of the patterns (iu, ju) = np.triu_indices(N) as outcomes.
+    matrices of the patterns (iu, ju) = pattern_indices(N) as outcomes.
 
     Rows are normalized in place for live patterns."""
     live = probs > ZERO_PROB_CUTOFF
@@ -239,7 +266,7 @@ def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome
     half the i != j formula, so that each register row is the table times the
     stacked kron(v_x, v_y) in one matrix product."""
     m = u.matrix
-    iu, ju = np.triu_indices(u.n)
+    iu, ju = pattern_indices(u.n)
     diag = iu == ju
     coef = np.stack(outcome_coeffs(m, iu, ju), axis=1)
     coef[diag] *= 0.5
@@ -257,7 +284,7 @@ def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome
 
 
 def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """(P, dx, dy) two-photon amplitudes of the patterns (iu, ju) = np.triu_indices(N).
+    """(P, dx, dy) two-photon amplitudes of the patterns (iu, ju) = pattern_indices(N).
 
     Row k of x (y) is what a photon from channel a (b) leaving in mode k
     carries. Distinct modes get (x_i y_j + x_j y_i)/2; a doubly occupied mode
@@ -284,7 +311,7 @@ def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     # photon from channel a in mode i carries register branch f_a[i], etc.
     f_a = m[0][:, None] * v1 + m[1][:, None] * v2
     f_b = m[2][:, None] * v3 + m[3][:, None] * v4
-    iu, ju = np.triu_indices(u.n)
+    iu, ju = pattern_indices(u.n)
     amps = _symmetrised_pairs(f_a, f_b, iu, ju)
     rows = amps.reshape(amps.shape[0], -1)
     probs = np.einsum("kd,kd->k", rows.conj(), rows).real

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .analysis import (
     entanglement_stack,
@@ -25,8 +24,10 @@ from .analysis import (
 from .errors import NotAchievableError
 from .fock import (
     ModeUnitary,
+    haar_unitary,
     oracle_enumerate,
     outcome_coeffs,
+    pattern_indices,
     reduced_det_rho_stack,
     relevant_norm_sq,
 )
@@ -206,7 +207,7 @@ def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = Fa
     worst = 0.0
     for _ in range(draws):
         n = int(rng.integers(4, 9))
-        u = ModeUnitary(unitary_group.rvs(n, random_state=rng))
+        u = ModeUnitary(haar_unitary(n, rng))
         left, pair, right, b = _random_fusion_setup(rng)
         ctx, outs = fuse_generalized(left, pair, right, b, u, consume="D")
         oracle = {o.pattern: o for o in oracle_enumerate(ctx, u)}
@@ -236,9 +237,9 @@ def balanced_unitary(rng: np.random.Generator) -> ModeUnitary:
     then random column phases and a column permutation. Every relevant M_ij of
     such a matrix is proportional to a unitary.
     """
-    v1 = unitary_group.rvs(2, random_state=rng)
-    v2 = unitary_group.rvs(2, random_state=rng)
-    w = unitary_group.rvs(2, random_state=rng)
+    v1 = haar_unitary(2, rng)
+    v2 = haar_unitary(2, rng)
+    w = haar_unitary(2, rng)
     u = np.block([[v1, v2], [v1, -v2]]) / math.sqrt(2.0)
     u[2:, :] = w @ u[2:, :]
     u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))[None, :]
@@ -251,7 +252,7 @@ def _random_gram_z(rng: np.random.Generator) -> complex:
 
 def _relevant_coeffs(u: np.ndarray):
     """(a, b, c, d) arrays and (6, 2, 2) matrices of the 4-mode relevant patterns i < j."""
-    coeffs = outcome_coeffs(u, *np.triu_indices(4, 1))
+    coeffs = outcome_coeffs(u, *pattern_indices(4, 1))
     return coeffs, np.stack(coeffs, axis=1).reshape(-1, 2, 2)
 
 

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import unitary_group
 
+from wgfusion import analysis
 from wgfusion.analysis import (
     TwoQubitProjection,
     check_no_good_failure,
@@ -259,6 +261,34 @@ def test_solve_xi_random_targets():
         assert resulting_weight(p, chi) == pytest.approx(
             wrap_angle(target), abs=1e-9
         )
+
+
+def _xi_pairs(n: int, seed: int) -> list[tuple[float, float]]:
+    """Seeded (chi_bf, chi_target) pairs plus targets near 0, whose root is |xi| ~ 1."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (float(rng.uniform(0.05, math.pi - 0.05)) * float(rng.choice([-1.0, 1.0])),
+         float(rng.uniform(-math.pi, math.pi)))
+        for _ in range(n)
+    ]
+    for chi in (0.3, 1.1, -2.3, 3.0):
+        pairs += [(chi, t) for t in (0.0, 1e-14, -1e-12, 1e-9, -1e-6, 1e-3)]
+    return pairs
+
+
+def test_solve_xi_bisection_matches_brentq(monkeypatch):
+    # SciPy's brentq is the reference root finder on the same f and bracket
+    pairs = _xi_pairs(3000, seed=41)
+    ours = np.array([solve_xi_for_weight(c, t) for c, t in pairs])
+    monkeypatch.setattr(
+        analysis, "_bisect", lambda f, lo, hi, flo: brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    )
+    ref = np.array([solve_xi_for_weight(c, t) for c, t in pairs])
+    assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-12
+    assert np.min(np.abs(np.log(np.abs(ours)))) < 1e-9  # some roots sit at s = log|xi| ~ 0
+    for xi, (chi, target) in zip(ours, pairs):
+        w = xi * cmath.exp(1j * chi / 2.0)
+        assert abs(wrap_angle(2.0 * cmath.phase(2.0 + w + 1.0 / w) - target)) < 1e-9
 
 
 def test_solve_xi_rejects_zero_weight():

@@ -12,8 +12,10 @@ from wgfusion.fock import (
     FusionContext,
     ModeUnitary,
     enumerate_outcomes,
+    haar_unitary,
     oracle_enumerate,
     outcome_coeffs,
+    pattern_indices,
     reduced_det_rho,
     relevant_norm_sq,
     same_detector_prob,
@@ -52,6 +54,26 @@ def test_mode_unitary_validation():
         ModeUnitary(np.ones((4, 4)))
     with pytest.raises(InvalidUnitaryError):
         ModeUnitary(np.eye(3))  # at least 4 modes
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+def test_haar_unitary_is_scipy_unitary_group_bit_for_bit(n):
+    # SciPy is the reference: the same seeded draw gives the same matrix, so
+    # every seeded ensemble of the verify checks is SciPy's ensemble
+    for seed in range(300):
+        ours = haar_unitary(n, np.random.default_rng(seed))
+        ref = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
+        assert np.array_equal(ours, ref), (n, seed)
+
+
+def test_pattern_indices_are_shared_read_only_triu_indices():
+    for n, k in ((4, 0), (4, 1), (8, 0), (8, 1)):
+        iu, ju = pattern_indices(n, k)
+        ref_i, ref_j = np.triu_indices(n, k)
+        assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+        assert pattern_indices(n, k)[0] is iu
+        with pytest.raises(ValueError):
+            iu[0] = 1
 
 
 def test_mode_unitary_json_roundtrip():

@@ -1,13 +1,17 @@
 """Offline lint gates on the wgfusion sources.
 
 Every name a module imports is read in it (__init__.py is exempt because it
-imports names to re-export them), and no function imports from the package:
-package-internal imports sit at module top.
+imports names to re-export them), no function imports from the package:
+package-internal imports sit at module top, and the runtime loads only NumPy
+(SciPy is a test-only reference).
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,18 @@ def test_gate_flags_a_function_local_relative_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_function_local_package_imports(path):
     assert local_relative_imports(path.read_text()) == []
+
+
+def test_runtime_loads_no_scipy():
+    code = (
+        "import sys, wgfusion, wgfusion.cli, wgfusion.verify as v\n"
+        "v.check_hyperbola(quick=True)\n"
+        "v.check_generalized_oracle(quick=True)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
