@@ -59,17 +59,22 @@ def binary_entropy(lam: float) -> float:
     return out
 
 
-def gram_factor(z: complex) -> np.ndarray:
-    """Right factor turning M into M': [[1, 0], [z*, sqrt(1-|z|^2)]]."""
-    return np.array(
-        [[1.0, 0.0], [np.conj(z), math.sqrt(max(0.0, 1.0 - abs(z) ** 2))]],
-        dtype=complex,
-    )
+def gram_factor(z) -> np.ndarray:
+    """Right factor turning M into M': [[1, 0], [z*, sqrt(1-|z|^2)]].
+
+    A (K,) array of z gives the (K, 2, 2) stack of factors."""
+    z = np.asarray(z, dtype=complex)
+    g = np.zeros(z.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = 1.0
+    g[..., 1, 0] = np.conj(z)
+    g[..., 1, 1] = np.sqrt(np.maximum(0.0, 1.0 - np.abs(z) ** 2))
+    return g
 
 
-def entanglement_stack(ms: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def entanglement_stack(ms: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(det_rho, lam, N^2) of a (K, 2, 2) stack of coefficient matrices [[a,b],[c,d]].
 
+    z is one gram overlap for the whole stack or a (K,) array, one per matrix.
     det_rho = (1-|z|^2)|ad-bc|^2 / N^4 with the z-corrected normalization
     N^2 = |a|^2+|b|^2+2Re(z a b*)+|c|^2+|d|^2+2Re(z c d*); every entry is
     cross-checked against the eigenvalues of rho = M' M'+.
@@ -77,13 +82,17 @@ def entanglement_stack(ms: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarr
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1:] != (2, 2):
         raise InputError("m must be 2x2")
-    if abs(z) >= 1.0 - 1e-12:
-        raise DegenerateGramError(f"|z| = {abs(z)} too close to 1")
+    z = np.asarray(z, dtype=complex)
+    if z.ndim and z.shape != ms.shape[:1]:
+        raise InputError("z must be a scalar or one value per matrix")
+    zabs = np.abs(z)
+    if (zabs >= 1.0 - 1e-12).any():
+        raise DegenerateGramError(f"|z| = {np.max(zabs)} too close to 1")
     a, b, c, d = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
     nsq = relevant_norm_sq(a, b, c, d, z)
     if np.any(nsq < 1e-28):
         raise DegenerateArgumentError("vanishing outcome norm")
-    det_rho = (1.0 - abs(z) ** 2) * np.abs(a * d - b * c) ** 2 / nsq**2
+    det_rho = (1.0 - zabs**2) * np.abs(a * d - b * c) ** 2 / nsq**2
     lam = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * det_rho))) / 2.0
     # dense oracle: each rho = M' M'+ must have eigenvalues (lam, 1-lam)
     mp = (ms / np.sqrt(nsq)[:, None, None]) @ gram_factor(z)

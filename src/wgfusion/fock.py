@@ -7,21 +7,24 @@ modes (plus vacuum ancillas on rows 5..N) to detector modes,
     a_H+ = sum_k U[0,k] c_k+,   etc.
 and ideal number-resolving detectors read out all N modes.
 
-Closed-form path (enumerate_outcomes) vs. brute-force amplitude path
-(oracle_enumerate): the two must agree to 1e-10 on every pattern.
+Closed-form path (enumerate_table) vs. brute-force amplitude path
+(oracle_table): the two must agree to 1e-10 on every pattern.
 
 Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
-order): one call is a fixed set of array operations whose size grows with
-the pattern count, never a loop of small per-pattern NumPy calls. Each
-outcome keeps a view of its normalized register row in the call's shared
-(P, 2^nq) array; its register_state PureState is built and validated only
-when first read. reduced_det_rho_stack is the dense det-rho oracle over a
-(K, 2^L, 2^R) stack of such rows.
+order) and over a stack of K fusions that share N and the register sizes:
+one call is a fixed set of array operations on (K, P, ...) arrays, never a
+loop of small per-pattern or per-fusion NumPy calls. enumerate_outcomes and
+oracle_enumerate are their K = 1 wrappers. Each outcome keeps a view of its
+normalized register row in the call's shared (P, 2^nq) array; its
+register_state PureState is built and validated only when first read.
+reduced_det_rho_stack is the dense det-rho oracle over a (K, 2^L, 2^R) stack
+of such rows.
 
-Oracle independence: oracle_enumerate derives probabilities, states and
-coefficient matrices from its own mode substitution (a symmetrised einsum
-over the per-mode branch vectors). It never calls outcome_coeffs,
-relevant_norm_sq or same_detector_prob.
+Oracle independence: oracle_table derives probabilities, states and
+coefficient tables from its own mode substitution (a symmetrised einsum over
+the per-mode branch vectors). Neither it, oracle_enumerate nor
+reduced_det_rho_stack reaches enumerate_table, outcome_coeffs,
+relevant_norm_sq or same_detector_prob (tests/test_imports.py checks this).
 """
 
 from __future__ import annotations
@@ -123,16 +126,13 @@ class FusionContext:
     """The four register branch states riding on the two photons.
 
     f1, f2 live on the left residual register, f3, f4 on the right one.
-    Invariants (checked at 1e-10): all four normalized, <f1|f2> = 0.
-    gram.z = <f4|f3> is unconstrained.
+    Invariants (checked at 1e-10): all four normalized (each PureState's
+    own invariant), <f1|f2> = 0. gram.z = <f4|f3> is unconstrained.
     """
 
     def __init__(self, f1: PureState, f2: PureState, f3: PureState, f4: PureState):
         if f1.num_qubits != f2.num_qubits or f3.num_qubits != f4.num_qubits:
             raise InvalidContextError("branch-state register sizes mismatch")
-        for k, f in enumerate((f1, f2, f3, f4), start=1):
-            if abs(np.linalg.norm(f.amplitudes) - 1.0) > UNITARY_TOL:
-                raise InvalidContextError(f"f{k} not normalized")
         if abs(np.vdot(f1.amplitudes, f2.amplitudes)) > UNITARY_TOL:
             raise InvalidContextError("<f1|f2> != 0")
         self.f1, self.f2, self.f3, self.f4 = f1, f2, f3, f4
@@ -203,18 +203,20 @@ class FusionOutcome:
 def outcome_coeffs(u: np.ndarray, i, j):
     """(a,b,c,d) coefficients of pattern (i,j), i != j: a = U_1i U_3j + U_1j U_3i etc.
 
-    i, j may be index arrays; the coefficients are then arrays too."""
-    a = u[0, i] * u[2, j] + u[0, j] * u[2, i]
-    b = u[0, i] * u[3, j] + u[0, j] * u[3, i]
-    c = u[1, i] * u[2, j] + u[1, j] * u[2, i]
-    d = u[1, i] * u[3, j] + u[1, j] * u[3, i]
+    i, j may be index arrays and u a (..., N, N) stack of unitaries; the
+    coefficients then have shape (..., len(i))."""
+    a = u[..., 0, i] * u[..., 2, j] + u[..., 0, j] * u[..., 2, i]
+    b = u[..., 0, i] * u[..., 3, j] + u[..., 0, j] * u[..., 3, i]
+    c = u[..., 1, i] * u[..., 2, j] + u[..., 1, j] * u[..., 2, i]
+    d = u[..., 1, i] * u[..., 3, j] + u[..., 1, j] * u[..., 3, i]
     return a, b, c, d
 
 
 def relevant_norm_sq(a, b, c, d, z: complex):
     """N_ij^2 with the gram correction: |a|^2+|b|^2+2Re(z a b*) + |c|^2+|d|^2+2Re(z c d*).
 
-    Elementwise over coefficient arrays; a float for scalar coefficients."""
+    Elementwise over coefficient arrays, z broadcasting against them; a float
+    for scalar coefficients."""
     return (
         np.abs(a) ** 2
         + np.abs(b) ** 2
@@ -229,25 +231,112 @@ def same_detector_prob(u: np.ndarray, i, z: complex):
     """p_ii = (1/2)(|U_1i|^2+|U_2i|^2)(|U_3i|^2+|U_4i|^2+2Re(z U_3i U_4i*)).
 
     The 1/2 is the bosonic normalization of the doubly occupied mode; with it
-    the full distribution is complete (sums to 1). i may be an index array."""
-    alpha = np.abs(u[0, i]) ** 2 + np.abs(u[1, i]) ** 2
+    the full distribution is complete (sums to 1). i may be an index array and
+    u a (..., N, N) stack, as in outcome_coeffs."""
+    alpha = np.abs(u[..., 0, i]) ** 2 + np.abs(u[..., 1, i]) ** 2
     beta = (
-        np.abs(u[2, i]) ** 2
-        + np.abs(u[3, i]) ** 2
-        + 2.0 * (z * u[2, i] * np.conj(u[3, i])).real
+        np.abs(u[..., 2, i]) ** 2
+        + np.abs(u[..., 3, i]) ** 2
+        + 2.0 * (z * u[..., 2, i] * np.conj(u[..., 3, i])).real
     )
     return 0.5 * alpha * beta
 
 
-def _outcome_list(
-    iu: np.ndarray, ju: np.ndarray, probs: np.ndarray, rows: np.ndarray, mms: np.ndarray
-) -> list[FusionOutcome]:
-    """Wrap the (P,) probabilities, (P, D) register rows and (P, 2, 2) relevant
-    matrices of the patterns (iu, ju) = pattern_indices(N) as outcomes.
-
-    Rows are normalized in place for live patterns."""
+def _normalize_live(probs: np.ndarray, rows: np.ndarray) -> None:
+    """Normalize, in place, the (..., D) rows of the patterns with p > ZERO_PROB_CUTOFF."""
     live = probs > ZERO_PROB_CUTOFF
-    rows[live] /= np.linalg.norm(rows[live], axis=1)[:, None]
+    rows[live] /= np.linalg.norm(rows[live], axis=-1)[:, None]
+
+
+def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise kron of (K, dx) and (K, dy) arrays: (K, dx * dy)."""
+    return (x[:, :, None] * y[:, None, :]).reshape(x.shape[0], -1)
+
+
+def enumerate_table(
+    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form table of every detection pattern of K fusions at once.
+
+    us is a (K, N, N) stack of mode unitaries, v1, v2 the (K, D_L) and v3, v4
+    the (K, D_R) branch vectors f1..f4, and z the (K,) overlaps <f4|f3>.
+    Returns, over the P = N(N+1)/2 patterns in pattern_indices order:
+
+    - probs (K, P): relevant_norm_sq for i != j, same_detector_prob for i = j;
+    - rows (K, P, D_L D_R): the normalized register amplitudes where
+      p > ZERO_PROB_CUTOFF; the other rows are unnormalized and unread;
+    - coef (K, P, 4): the pattern's two-photon amplitude on (f1 f3, f1 f4,
+      f2 f3, f2 f4), so that coef @ basis is the unnormalized row and its
+      squared norm is p. Off the diagonal that is (a, b, c, d)/2; on it the
+      doubly occupied mode adds a bosonic 1/sqrt2.
+    """
+    iu, ju = pattern_indices(us.shape[-1])
+    diag = iu == ju
+    coef = 0.5 * np.stack(outcome_coeffs(us, iu, ju), axis=-1)
+    zc = np.asarray(z, dtype=complex)[:, None]
+    probs = relevant_norm_sq(*np.moveaxis(coef, -1, 0), zc)
+    probs[:, diag] = same_detector_prob(us, iu[diag], zc)
+    basis = np.stack(
+        [_kron_rows(v1, v3), _kron_rows(v1, v4), _kron_rows(v2, v3), _kron_rows(v2, v4)], axis=1
+    )
+    rows = coef @ basis  # diagonal rows sqrt2 too long until normalized
+    _normalize_live(probs, rows)
+    coef[:, diag] /= math.sqrt(2.0)
+    return probs, rows, coef
+
+
+def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """(K, P, dx, dy) two-photon amplitudes of the patterns (iu, ju) = pattern_indices(N).
+
+    Row k, i of x (y) is what a photon from channel a (b) of fusion k leaving
+    in mode i carries. Distinct modes get (x_i y_j + x_j y_i)/2; a doubly
+    occupied mode gets x_i y_i / sqrt2, from c_i+ c_i+ |vac> = sqrt(2) |2_i>.
+    """
+    pair = np.einsum("kix,kjy->kijxy", x, y)
+    amp = pair + pair.transpose(0, 2, 1, 3, 4)
+    amp *= 0.5
+    k = np.arange(x.shape[1])
+    amp[:, k, k] /= math.sqrt(2.0)
+    return amp[:, iu, ju]
+
+
+def oracle_table(
+    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brute-force path: expand the two-photon amplitude of every pattern of K fusions.
+
+    Same arguments (without z) and the same (probs, rows, coef) layout as
+    enumerate_table, from mode-operator substitution and dense vectors alone:
+    p = |amplitude|^2 of each pattern's register vector, and coef is the same
+    substitution applied to the (H, V) mode coefficients of each channel.
+    """
+    # photon from channel a in mode i carries register branch f_a[k, i], etc.
+    f_a = us[:, 0, :, None] * v1[:, None, :] + us[:, 1, :, None] * v2[:, None, :]
+    f_b = us[:, 2, :, None] * v3[:, None, :] + us[:, 3, :, None] * v4[:, None, :]
+    iu, ju = pattern_indices(us.shape[-1])
+    amps = _symmetrised_pairs(f_a, f_b, iu, ju)
+    rows = amps.reshape(amps.shape[0], amps.shape[1], -1)
+    probs = np.einsum("kpd,kpd->kp", rows.conj(), rows).real
+    modes = us.transpose(0, 2, 1)
+    coef = _symmetrised_pairs(modes[:, :, :2], modes[:, :, 2:4], iu, ju)
+    _normalize_live(probs, rows)
+    return probs, rows, coef.reshape(coef.shape[0], coef.shape[1], 4)
+
+
+def _branch_rows(ctx: FusionContext) -> tuple[np.ndarray, ...]:
+    """ctx's branch vectors f1..f4 as (1, D) stacks: the table arguments of one fusion."""
+    return tuple(f.amplitudes[None] for f in (ctx.f1, ctx.f2, ctx.f3, ctx.f4))
+
+
+def _outcome_list(n: int, probs: np.ndarray, rows: np.ndarray, coef: np.ndarray) -> list[FusionOutcome]:
+    """Wrap one fusion's (P,) probabilities, (P, D) register rows and (P, 4)
+    amplitude coefficients, as a table returns them, as outcomes.
+
+    The coefficients of live patterns are normalized in place into m_matrix."""
+    live = probs > ZERO_PROB_CUTOFF
+    mms = coef.reshape(-1, 2, 2)
+    mms[live] /= np.sqrt(probs[live])[:, None, None]
+    iu, ju = pattern_indices(n)
     out: list[FusionOutcome] = []
     for k, (i, j, p, ok) in enumerate(zip(iu.tolist(), ju.tolist(), probs.tolist(), live.tolist())):
         kind = "non-relevant" if i == j else "relevant"
@@ -260,65 +349,17 @@ def _outcome_list(
 
 
 def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
-    """All N(N+1)/2 detection patterns with closed-form probabilities.
-
-    One (P, 4) coefficient table covers every pattern; on the diagonal it is
-    half the i != j formula, so that each register row is the table times the
-    stacked kron(v_x, v_y) in one matrix product."""
-    m = u.matrix
-    iu, ju = pattern_indices(u.n)
-    diag = iu == ju
-    coef = np.stack(outcome_coeffs(m, iu, ju), axis=1)
-    coef[diag] *= 0.5
-    nsq = relevant_norm_sq(*coef.T, ctx.z)
-    probs = nsq / 4.0
-    probs[diag] = same_detector_prob(m, iu[diag], ctx.z)
-    v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
-    v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
-    basis = np.stack([np.kron(v1, v3), np.kron(v1, v4), np.kron(v2, v3), np.kron(v2, v4)])
-    rows = coef @ basis
-    live = nsq > 0.0
-    mms = coef.reshape(-1, 2, 2)
-    mms[live] /= np.sqrt(nsq[live])[:, None, None]
-    return _outcome_list(iu, ju, probs, rows, mms)
-
-
-def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """(P, dx, dy) two-photon amplitudes of the patterns (iu, ju) = pattern_indices(N).
-
-    Row k of x (y) is what a photon from channel a (b) leaving in mode k
-    carries. Distinct modes get (x_i y_j + x_j y_i)/2; a doubly occupied mode
-    gets x_i y_i / sqrt2, from c_i+ c_i+ |vac> = sqrt(2) |2_i>.
-    """
-    pair = np.einsum("ix,jy->ijxy", x, y)
-    amp = 0.5 * (pair + pair.transpose(1, 0, 2, 3))
-    k = np.arange(x.shape[0])
-    amp[k, k] /= math.sqrt(2.0)
-    return amp[iu, ju]
+    """All N(N+1)/2 detection patterns with closed-form probabilities:
+    enumerate_table on a stack of one fusion."""
+    probs, rows, coef = enumerate_table(u.matrix[None], *_branch_rows(ctx), np.array([ctx.z]))
+    return _outcome_list(u.n, probs[0], rows[0], coef[0])
 
 
 def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
-    """Brute-force path: expand the two-photon amplitude of every pattern.
-
-    Uses only mode-operator substitution and dense vectors, never the closed
-    form's coefficients or norms: p = |amplitude|^2 of each pattern's
-    register vector, and m_matrix is the same substitution applied to the
-    (H, V) mode coefficients of each channel.
-    """
-    m = u.matrix
-    v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
-    v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
-    # photon from channel a in mode i carries register branch f_a[i], etc.
-    f_a = m[0][:, None] * v1 + m[1][:, None] * v2
-    f_b = m[2][:, None] * v3 + m[3][:, None] * v4
-    iu, ju = pattern_indices(u.n)
-    amps = _symmetrised_pairs(f_a, f_b, iu, ju)
-    rows = amps.reshape(amps.shape[0], -1)
-    probs = np.einsum("kd,kd->k", rows.conj(), rows).real
-    mms = _symmetrised_pairs(m[:2].T, m[2:4].T, iu, ju)
-    live = probs > 0.0
-    mms[live] /= np.sqrt(probs[live])[:, None, None]
-    return _outcome_list(iu, ju, probs, rows, mms)
+    """All N(N+1)/2 detection patterns from the brute-force amplitudes:
+    oracle_table on a stack of one fusion."""
+    probs, rows, coef = oracle_table(u.matrix[None], *_branch_rows(ctx))
+    return _outcome_list(u.n, probs[0], rows[0], coef[0])
 
 
 def reduced_det_rho_stack(mats: np.ndarray) -> np.ndarray:

@@ -588,14 +588,14 @@ def _good_right_failure(right: ChainState, b: str, sb: int) -> ProtocolOutcome |
     return _xlike_branch(right, b, b1, b2, (1.0, float(sb)), case, "good")
 
 
-def fuse_generalized(
-    left: ChainState, pair, right: ChainState, b, u: ModeUnitary, consume: str | None = None
-) -> tuple[FusionContext, list[FusionOutcome]]:
-    """Generalized fusion through an arbitrary mode unitary.
+def fusion_context(
+    left: ChainState, pair, right: ChainState, b, consume: str | None = None
+) -> FusionContext:
+    """The FusionContext of fusing a member of left's logical pair with b of right.
 
-    Builds the FusionContext from the chains (f1 = |0>_e phi_L etc.) and
-    delegates to the fock layer; returns the context (for analysis hooks)
-    plus the full outcome list.
+    The consumed member a (consume, else the member first in vertex order)
+    gives f1, f2 = the |0>_a, |1>_a slices of the left state (e stays), and
+    b gives f3, f4 on the right; each is normalized.
     """
     a, e = _pair_members(left, pair)
     if consume is not None and _resolve_vertex(left, consume) != a:
@@ -603,9 +603,20 @@ def fuse_generalized(
     b = _resolve_vertex(right, b)
     f1, f2 = _branch_states(left.state, left.qubit(a))
     f3, f4 = _branch_states(right.state, right.qubit(b))
-    ctx = FusionContext(
+    return FusionContext(
         _as_normalized(f1), _as_normalized(f2), _as_normalized(f3), _as_normalized(f4)
     )
+
+
+def fuse_generalized(
+    left: ChainState, pair, right: ChainState, b, u: ModeUnitary, consume: str | None = None
+) -> tuple[FusionContext, list[FusionOutcome]]:
+    """Generalized fusion through an arbitrary mode unitary.
+
+    fusion_context, then the fock layer's enumerate_outcomes; returns the
+    context (for analysis hooks) plus the full outcome list.
+    """
+    ctx = fusion_context(left, pair, right, b, consume)
     return ctx, enumerate_outcomes(ctx, u)
 
 

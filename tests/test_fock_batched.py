@@ -2,7 +2,8 @@
 
 The batched closed form is compared with the independent oracle and with a
 per-pattern loop over the scalar closed-form helpers; the stacked det-rho
-cores are compared with their one-outcome calls.
+cores are compared with their one-outcome calls, and each slice of the
+stacked tables (K fusions per call) with the one-fusion wrappers.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from wgfusion.analysis import entanglement_report, entanglement_stack
+from wgfusion.errors import DegenerateGramError, InputError
 from wgfusion.fock import (
     FusionContext,
     ModeUnitary,
     enumerate_outcomes,
+    enumerate_table,
     oracle_enumerate,
+    oracle_table,
     outcome_coeffs,
     reduced_det_rho,
     reduced_det_rho_stack,
@@ -44,23 +48,33 @@ def _unit(n: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _setup(seed, n, left, right, sparse) -> tuple[FusionContext, ModeUnitary]:
-    rng = np.random.default_rng(seed)
+def _context(rng, left: int, right: int, zero_z: bool = False) -> FusionContext:
     f1 = _unit(1 << left, rng)
     raw = _unit(1 << left, rng)
     f2 = raw - np.vdot(f1, raw) * f1
     f2 /= np.linalg.norm(f2)
-    ctx = FusionContext(
-        PureState(left, f1),
-        PureState(left, f2),
-        PureState(right, _unit(1 << right, rng)),
-        PureState(right, _unit(1 << right, rng)),
+    f3 = _unit(1 << right, rng)
+    f4 = _unit(1 << right, rng)
+    if zero_z:
+        f4 = f4 - np.vdot(f3, f4) * f3
+        f4 /= np.linalg.norm(f4)
+    return FusionContext(
+        PureState(left, f1), PureState(left, f2), PureState(right, f3), PureState(right, f4)
     )
+
+
+def _unitary(rng, n: int, sparse: bool) -> ModeUnitary:
     if sparse:
         m = np.eye(n)[:, rng.permutation(n)] * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
     else:
         m = unitary_group.rvs(n, random_state=rng)
-    return ctx, ModeUnitary(m)
+    return ModeUnitary(m)
+
+
+def _setup(seed, n, left, right, sparse) -> tuple[FusionContext, ModeUnitary]:
+    rng = np.random.default_rng(seed)
+    ctx = _context(rng, left, right)
+    return ctx, _unitary(rng, n, sparse)
 
 
 def _loop_reference(ctx: FusionContext, u: ModeUnitary) -> dict:
@@ -147,3 +161,60 @@ def test_stacked_det_rho_cores_match_scalar_calls(setup):
         assert reduced_det_rho(o, ctx.left_qubits) == pytest.approx(dets[k], abs=1e-15)
     # and the closed form agrees with the dense oracle, as the verify check requires
     assert np.max(np.abs(det - dets)) < 1e-10
+
+
+# (seed, K, N, left qubits, right qubits): K fusions sharing N and register
+# sizes, each with its own unitary (dense or sparse) and z (random or zero)
+STACKS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(4, 8),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+
+
+def _stack(seed, k, n, left, right):
+    rng = np.random.default_rng(seed)
+    ctxs = [_context(rng, left, right, zero_z=bool(rng.integers(2))) for _ in range(k)]
+    us = [_unitary(rng, n, sparse=bool(rng.integers(2))) for _ in range(k)]
+    args = [np.stack([getattr(c, f).amplitudes for c in ctxs]) for f in ("f1", "f2", "f3", "f4")]
+    return ctxs, us, np.stack([u.matrix for u in us]), args, np.array([c.z for c in ctxs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(STACKS)
+def test_table_slices_equal_the_one_fusion_wrappers(stack):
+    ctxs, us, ms, args, z = _stack(*stack)
+    closed = enumerate_table(ms, *args, z)
+    oracle = oracle_table(ms, *args)
+    # both tables hold the same amplitude coefficients
+    np.testing.assert_allclose(closed[2], oracle[2], rtol=0, atol=1e-12)
+    for k, (ctx, u) in enumerate(zip(ctxs, us)):
+        for (probs, rows, _), outs in ((closed, enumerate_outcomes(ctx, u)), (oracle, oracle_enumerate(ctx, u))):
+            assert np.max(np.abs(probs[k] - [o.probability for o in outs])) <= 1e-15
+            for p, o in enumerate(outs):
+                if o.register_row is not None:
+                    assert np.max(np.abs(rows[k, p] - o.register_row)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_entanglement_stack_per_row_z_equals_scalar_calls(seed, k):
+    rng = np.random.default_rng(seed)
+    ms = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    z = rng.uniform(0.0, 0.95, k) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k))
+    z[rng.random(k) < 0.3] = 0.0
+    stacked = entanglement_stack(ms, z)
+    for i in range(k):
+        single = entanglement_stack(ms[i : i + 1], z[i])
+        for got, want in zip(stacked, single):
+            assert abs(got[i] - want[0]) <= 1e-15
+
+
+def test_entanglement_stack_refuses_one_degenerate_row():
+    ms = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    with pytest.raises(DegenerateGramError):
+        entanglement_stack(ms, np.array([0.2, (1.0 - 1e-13) * 1j, 0.0]))
+    with pytest.raises(InputError):
+        entanglement_stack(ms, np.zeros(2))

@@ -2,8 +2,9 @@
 
 Every name a module imports is read in it (__init__.py is exempt because it
 imports names to re-export them), no function imports from the package:
-package-internal imports sit at module top, and the runtime loads only NumPy
-(SciPy is a test-only reference).
+package-internal imports sit at module top, the runtime loads only NumPy
+(SciPy is a test-only reference), and the Fock oracle never reaches the
+closed form it checks.
 """
 
 from __future__ import annotations
@@ -79,3 +80,45 @@ def test_runtime_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+ORACLE_FUNCS = ("oracle_table", "oracle_enumerate", "reduced_det_rho_stack")
+CLOSED_FORM = {"enumerate_table", "outcome_coeffs", "relevant_norm_sq", "same_detector_prob"}
+
+
+def reachable_names(source: str, roots) -> set[str]:
+    """Every name or attribute read by the module-level functions roots, following
+    the module's own functions and classes that they read, transitively."""
+    tree = ast.parse(source)
+    defs = {
+        n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    names: set[str] = set()
+    todo = list(roots)
+    seen: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += [n for n in names if n in defs]
+    return names
+
+
+def test_gate_flags_an_oracle_that_reaches_the_closed_form():
+    src = (
+        "def oracle_table(u):\n    return _helper(u)\n\n"
+        "def _helper(u):\n    return fock.relevant_norm_sq(u)\n\n"
+        "def enumerate_table(u):\n    return same_detector_prob(u)\n"
+    )
+    assert reachable_names(src, ["oracle_table"]) & CLOSED_FORM == {"relevant_norm_sq"}
+
+
+def test_fock_oracle_never_reaches_the_closed_form():
+    found = reachable_names((SRC / "fock.py").read_text(), ORACLE_FUNCS)
+    assert found & CLOSED_FORM == set()

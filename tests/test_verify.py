@@ -1,8 +1,54 @@
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from wgfusion import verify
+from wgfusion.fock import pattern_indices
 from wgfusion.verify import run_all
 
 
 def test_every_residual_is_a_python_float():
     for r in run_all(quick=True):
         assert type(r.max_residual) is float, f"{r.name}: {type(r.max_residual)}"
+
+
+@pytest.mark.parametrize(
+    "table_index, error",
+    [(0, 1e-9), (2, 1e-9), (0, float("nan"))],
+    ids=["probability", "det_rho_coefficient", "nan_probability"],
+)
+def test_generalized_oracle_catches_one_perturbed_pattern(monkeypatch, table_index, error):
+    """A 1e-9 error, or a NaN, in one pattern of one draw of one stacked batch fails the check."""
+    real = verify.enumerate_table
+    batches = []
+
+    def perturbed(us, *args):
+        out = real(us, *args)
+        batches.append(len(us))
+        if len(batches) == 3:
+            # the batch's last draw, at its most entangled live relevant pattern
+            # (det rho is flat to first order in a coefficient near det rho = 0)
+            probs, coef = out[0], out[2]
+            k = len(us) - 1
+            iu, ju = pattern_indices(us.shape[-1])
+            a, b, c, d = np.moveaxis(coef[k], -1, 0)
+            live = (iu != ju) & (probs[k] > 1e-10)
+            p = int(np.argmax(np.where(live, np.abs(a * d - b * c) / probs[k], 0.0)))
+            if table_index == 0:
+                probs[k, p] += error
+            else:
+                coef[k, p, 0] += error
+        return out
+
+    monkeypatch.setattr(verify, "enumerate_table", perturbed)
+    res = verify.check_generalized_oracle(quick=True)
+    assert len(batches) > 3 and sum(batches) == 100
+    assert not res.passed
+    assert not res.max_residual <= 1e-10
+
+
+def test_worst_keeps_a_nan():
+    assert verify._worst(np.array([0.0, 1e-12]), np.array([])) == 1e-12
+    assert np.isnan(verify._worst(np.array([1e-12, np.nan]), np.array([0.5])))
+    assert np.isnan(verify._worst([0.5, np.nan]))
