@@ -98,7 +98,8 @@ def entanglement_stack(ms: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.nd
     mp = (ms / np.sqrt(nsq)[:, None, None]) @ gram_factor(z)
     ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
     oracle = ev[:, 0] * ev[:, 1]
-    bad = (np.abs(oracle - det_rho) > ABORT_TOL) | (np.abs(ev[:, 1] - lam) > ABORT_TOL)
+    # written as not (x <= tol), so that a NaN entry aborts too
+    bad = ~((np.abs(oracle - det_rho) <= ABORT_TOL) & (np.abs(ev[:, 1] - lam) <= ABORT_TOL))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NumericalAbortError(
@@ -344,9 +345,9 @@ def max_entangled_family(seed: np.ndarray, z: complex) -> TwoQubitProjection:
     A = A' - z* B'/sqrt(1-|z|^2), B = B'/sqrt(1-|z|^2), and likewise (C, D).
     """
     seed = np.asarray(seed, dtype=complex)
-    if seed.shape != (2, 2) or np.max(
+    if seed.shape != (2, 2) or not np.max(
         np.abs(seed @ seed.conj().T - 0.5 * np.eye(2))
-    ) > 1e-10:
+    ) <= 1e-10:
         raise BadSeedError("seed must be (1/sqrt2)-unitary")
     if abs(z) >= 1.0 - 1e-12:
         raise DegenerateGramError(f"|z| = {abs(z)} too close to 1")
@@ -359,7 +360,7 @@ def max_entangled_family(seed: np.ndarray, z: complex) -> TwoQubitProjection:
         dp / root,
     )
     resid = max_entangled_conditions_residual(out, z)
-    if resid > ABORT_TOL:
+    if not resid <= ABORT_TOL:
         raise NumericalAbortError(f"family conditions violated, residual {resid}")
     return out
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analysis import entanglement_report, gram_factor, inner_z, solve_xi_for_weight
+from .analysis import INV_SQRT2, entanglement_report, gram_factor, inner_z, solve_xi_for_weight
 from .errors import (
     ConvergenceFailureError,
     InputError,
@@ -38,8 +38,6 @@ from .protocols import (
     sample_outcomes,
 )
 from .verify import run_all
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _load_json(path: str) -> dict:

@@ -78,7 +78,7 @@ class ModeUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 4:
             raise InvalidUnitaryError("ModeUnitary must be square with N >= 4")
-        if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > UNITARY_TOL:
+        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARY_TOL:
             raise InvalidUnitaryError("ModeUnitary fails U U+ = I")
         object.__setattr__(self, "matrix", m)
 

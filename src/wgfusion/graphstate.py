@@ -175,8 +175,8 @@ class PureState:
             raise ShapeMismatchError(
                 f"{self.amplitudes.size} amplitudes for {self.num_qubits} qubits"
             )
-        nrm = float(np.linalg.norm(self.amplitudes))
-        if abs(nrm - 1.0) > 1e-10:
+        nrm = math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ShapeMismatchError(f"state not normalized: |psi| = {nrm}")
 
     def reshaped(self) -> np.ndarray:
@@ -194,7 +194,7 @@ class LocalGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise NonUnitaryGateError("LocalGate matrix must be 2x2")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > NORM_TOL:
+        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= NORM_TOL:
             raise NonUnitaryGateError("LocalGate matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
@@ -211,7 +211,7 @@ class QubitProjection:
 
     def __post_init__(self):
         a, b = complex(self.coefficients[0]), complex(self.coefficients[1])
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > NORM_TOL:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL:
             raise ShapeMismatchError("projection coefficients not normalized")
         object.__setattr__(self, "coefficients", (a, b))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import inner_z
+from .analysis import inner_z, pair_weight_from_projection
 from .errors import (
     InputError,
     InvalidGraphError,
@@ -107,25 +107,33 @@ def _components(adj: dict[str, set[str]]) -> list[set[str]]:
     return comps
 
 
+def _logical_class(pairs, v: str) -> set[str]:
+    """v and every vertex tied to it by a chain of logical pairs: one logical qubit."""
+    members, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        for pair in pairs:
+            if x in pair:
+                new = pair - members
+                members |= new
+                todo += new
+    return members
+
+
 def _check_forest_after_contraction(graph: WeightedGraph, pairs) -> None:
-    # pairs sharing a member contract to one vertex, so merge them union-find style
-    rep = {v: v for v in graph.vertices}
-
-    def find(v: str) -> str:
-        while rep[v] != v:
-            v = rep[v]
-        return v
-
     for pair in pairs:
-        if not pair.issubset(rep):
+        if not pair.issubset(graph.vertices):
             raise InvalidGraphError("logical pair member not in graph")
         if len(pair) != 2:
             raise InvalidGraphError(f"logical pair {set(pair)} does not have two members")
-        a, e = pair
-        rep[find(e)] = find(a)
-    adj: dict[str, set[str]] = {v: set() for v in graph.vertices if find(v) == v}
+    # each logical qubit contracts to its first member
+    rep: dict[str, str] = {}
+    for v in graph.vertices:
+        if v not in rep:
+            rep.update(dict.fromkeys(_logical_class(pairs, v), v))
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices if rep[v] == v}
     for a, b, _ in graph.edges:
-        ra, rb = find(a), find(b)
+        ra, rb = rep[a], rep[b]
         if ra == rb:
             raise InvalidGraphError("edge inside a contracted logical pair")
         adj[ra].add(rb)
@@ -186,6 +194,44 @@ def _as_normalized(f: np.ndarray) -> PureState:
     return PureState(f.size.bit_length() - 1, f / float(np.linalg.norm(f)))
 
 
+def _corrected(graph: WeightedGraph, state: PureState, corrections: list[Correction]) -> PureState:
+    """state with each correction's gate applied at its vertex's register position."""
+    for c in corrections:
+        state = apply_local(state, LocalGate(graph.vertex_index(c.vertex), c.matrix))
+    return state
+
+
+def _z_measure(graph: WeightedGraph, state: PureState, pairs, v: str, s: int):
+    """Z-measure the logical qubit of v (v and the vertices tied to it by
+    logical pairs) with outcome s.
+
+    Every member is projected onto |s> and removed. For s = 1 each member's
+    neighbour, which the forest invariant puts outside the logical qubit,
+    gets phase(+chi) of their edge to undo the phase the cut edge leaves.
+    Returns (graph, state or None below the zero cutoff, probability,
+    corrections, the pairs that remain).
+    """
+    members = sorted(_logical_class(pairs, v), key=graph.vertex_index)
+    prob = 1.0
+    for m in reversed(members):  # back to front, so the earlier positions stay put
+        proj = QubitProjection(graph.vertex_index(m), (1.0 - s, float(s)))
+        state, p = project_qubit(state, proj, allow_zero=True)
+        prob *= p
+        if state is None:
+            break
+    corr = [
+        Correction(w, "phase(+chi)", phase_gate(chi))
+        for m in members
+        for w, chi in graph.neighbors(m)
+        if s == 1
+    ]
+    for m in members:
+        graph = graph.without_vertex(m)
+    if state is not None:
+        state = _corrected(graph, state, corr)
+    return graph, state, prob, corr, frozenset(q for q in pairs if q.isdisjoint(members))
+
+
 def _resolve_vertex(chain: ChainState, v) -> str:
     if isinstance(v, str):
         chain.graph.vertex_index(v)  # raises if unknown
@@ -235,9 +281,7 @@ def fuse_type_i(
     def _succ(sign: float, label: str, corr: list[Correction]):
         # branch states are unit vectors: divide by sqrt2 for a unit vector
         vec = np.concatenate([np.kron(f1, f3), sign * np.kron(f2, f4)]) / math.sqrt(2.0)
-        st = PureState(merged.n, vec)
-        for g in corr:
-            st = apply_local(st, LocalGate(merged.vertex_index(g.vertex), g.matrix))
+        st = _corrected(merged, PureState(merged.n, vec), corr)
         post = ChainState(merged, st, left.logical_pairs | right.logical_pairs)
         return ProtocolOutcome(label, 0.25, [post], corr)
 
@@ -246,37 +290,17 @@ def fuse_type_i(
         _succ(-1.0, "success_minus", [Correction(c, "Z", PAULI_Z)]),
     ]
 
-    def _fail(label: str, fl: np.ndarray, fr: np.ndarray, corr: list[Correction]):
-        sl, sr = _as_normalized(fl), _as_normalized(fr)
-        for g in corr:
-            if g.vertex in lg.vertices:
-                sl = apply_local(sl, LocalGate(lg.vertex_index(g.vertex), g.matrix))
-            else:
-                sr = apply_local(sr, LocalGate(rg.vertex_index(g.vertex), g.matrix))
-        posts = [
-            ChainState(lg, sl, left.logical_pairs),
-            ChainState(rg, sr, right.logical_pairs),
-        ]
+    def _fail(label: str, sa: int, sb: int):
+        # a failure Z-measures the endpoints: a -> sa on the left, b -> sb on the right
+        posts, corr = [], []
+        for chain, v, s in ((left, a, sa), (right, b, sb)):
+            g, st, _, c, pairs = _z_measure(chain.graph, chain.state, chain.logical_pairs, v, s)
+            posts.append(ChainState(g, st, pairs))
+            corr += c
         return ProtocolOutcome(label, 0.25, posts, corr)
 
-    # two photons in d: endpoints were effectively Z-measured (a -> 1, b -> 0)
-    out.append(
-        _fail(
-            "failure_two_photon",
-            f2,
-            f3,
-            [Correction(na, "phase(+chi)", phase_gate(chi_a))],
-        )
-    )
-    # zero photons in d: a -> 0, b -> 1
-    out.append(
-        _fail(
-            "failure_zero_photon",
-            f1,
-            f4,
-            [Correction(nb, "phase(+chi)", phase_gate(chi_b))],
-        )
-    )
+    out.append(_fail("failure_two_photon", 1, 0))  # two photons in d
+    out.append(_fail("failure_zero_photon", 0, 1))
     return out
 
 
@@ -366,26 +390,28 @@ def _xlike_branch(
 ) -> ProtocolOutcome:
     """One successful X-like projection branch with its prescribed corrections."""
     g = chain.graph
-    chi1, chi2 = g.weight(a, b1), g.weight(a, b2)
-    chi = chi1 if case == "case1" else chi2
+    chi = g.weight(a, b1) if case == "case1" else g.weight(a, b2)
     st, prob = _project_bra(chain.state, chain.qubit(a), bra)
     ng = g.without_vertex(a)
     corr: list[Correction] = []
     if case == "case2":
-        # X on b1 flips the sign of each remaining b1 edge; phase(+phi) on
-        # that neighbour absorbs the single-qubit phase the flip leaves
-        corr.append(Correction(b1, "X", PAULI_X))
+        # logical X on b1's logical qubit: X on every member flips the sign of
+        # each member edge; phase(+phi) on the neighbour absorbs the
+        # single-qubit phase the flip leaves
+        members = sorted(_logical_class(chain.logical_pairs, b1), key=ng.vertex_index)
+        corr += [Correction(m, "X", PAULI_X) for m in members]
         corr += [
             Correction(c, "phase(+phi1)", phase_gate(phi))
-            for c, phi in g.neighbors(b1)
-            if c != a
+            for m in members
+            for c, phi in ng.neighbors(m)
         ]
         ng = WeightedGraph(
-            ng.vertices, tuple((x, y, -w if b1 in (x, y) else w) for x, y, w in ng.edges)
+            ng.vertices,
+            tuple((x, y, -w if x in members or y in members else w) for x, y, w in ng.edges),
         )
+    # diagonal, so it acts on the logical qubit from b1 alone
     corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
-    for gate in corr:
-        st = apply_local(st, LocalGate(ng.vertex_index(gate.vertex), gate.matrix))
+    st = _corrected(ng, st, corr)
     pairs = chain.logical_pairs | {frozenset({b1, b2})}
     return ProtocolOutcome(label, prob, [ChainState(ng, st, pairs)], corr)
 
@@ -395,49 +421,28 @@ def _xlike_failure_split(
 ) -> list[ProtocolOutcome]:
     """Failure branch: project a onto the complement, then Z-measure b1, b2.
 
-    Each of the four Z sub-outcomes splits the chain into the segment left of
-    b1 and the segment right of b2 (either may be empty), with the standard
-    Z-rule phase corrections applied on the measured vertices' neighbors.
-    The Z rule does not describe a measured logical-pair member, so b1 and b2
-    must not belong to a pair.
+    Each Z measurement takes the whole logical qubit of b1 (then of b2): every
+    member is projected onto the outcome and removed, with phase(+chi) on the
+    members' neighbours for outcome 1. b1 and b2 are never in one logical
+    qubit, since a would close a cycle with it. Each of the four sub-outcomes
+    splits the rest into its components (either side of a may be empty).
     """
-    for v in (b1, b2):
-        if any(v in p for p in chain.logical_pairs):
-            raise NoLogicalPairError(
-                f"failure branch would Z-measure {v}, which belongs to a logical pair"
-            )
-    g = chain.graph
     st_a, p_a = _project_bra(chain.state, chain.qubit(a), bra)
+    if st_a is None:
+        return []
+    g_a = chain.graph.without_vertex(a)
     out: list[ProtocolOutcome] = []
-    ng = g.without_vertex(a)
     for s1 in (0, 1):
+        g1, st1, p1, corr1, pairs1 = _z_measure(g_a, st_a, chain.logical_pairs, b1, s1)
+        if st1 is None:
+            continue
         for s2 in (0, 1):
-            if st_a is None:
+            g2, st2, p2, corr2, pairs2 = _z_measure(g1, st1, pairs1, b2, s2)
+            if st2 is None:
                 continue
-            st = st_a
-            gg = ng
-            prob = p_a
-            corr: list[Correction] = []
-            for v, s in ((b1, s1), (b2, s2)):
-                bra_z = (1.0, 0.0) if s == 0 else (0.0, 1.0)
-                st2, p = _project_bra(st, gg.vertex_index(v), bra_z)
-                prob *= p
-                if st2 is None:
-                    st = None
-                    break
-                st = st2
-                nb = [(w, chi) for w, chi in gg.neighbors(v)]
-                gg = gg.without_vertex(v)
-                if s == 1:
-                    for w, chi in nb:
-                        gate = phase_gate(chi)
-                        corr.append(Correction(w, "phase(+chi)", gate))
-                        st = apply_local(st, LocalGate(gg.vertex_index(w), gate))
-            if st is None:
-                continue
-            posts = _split_components(gg, st, chain.logical_pairs)
+            posts = _split_components(g2, st2, pairs2)
             out.append(
-                ProtocolOutcome(f"failure_z{s1}{s2}", prob, posts, corr, False)
+                ProtocolOutcome(f"failure_z{s1}{s2}", p_a * p1 * p2, posts, corr1 + corr2, False)
             )
     return out
 
@@ -482,11 +487,17 @@ def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
     ) / 4.0
 
 
-def _pair_members(left: ChainState, pair) -> tuple[str, str]:
+def _pair_members(left: ChainState, pair, consume) -> tuple[str, str]:
+    """(consumed member a, kept member e) of a registered logical pair.
+
+    a is consume if given, else the member first in vertex order.
+    """
     p = frozenset(_resolve_vertex(left, v) for v in pair)
     if p not in left.logical_pairs:
         raise NoLogicalPairError(f"{set(p)} is not a registered logical pair")
     a, e = sorted(p, key=left.graph.vertices.index)
+    if consume is not None and _resolve_vertex(left, consume) != a:
+        a, e = e, a
     return a, e
 
 
@@ -502,9 +513,7 @@ def fuse_type_ii(
     failure that is not good destroys the right graph's structure, so it
     lists only the left post-state.
     """
-    a, e = _pair_members(left, pair)
-    if consume is not None and _resolve_vertex(left, consume) != a:
-        a, e = e, a
+    a, e = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
     if any(b in p for p in right.logical_pairs):
         raise NoLogicalPairError(f"{b} belongs to a logical pair on the right chain")
@@ -532,11 +541,8 @@ def fuse_type_ii(
     for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
         vec = (np.kron(f1, f3) + sign * np.kron(f2, f4)) / (2.0 * math.sqrt(2.0))
         prob = float(np.vdot(vec, vec).real)
-        st = PureState(merged.n, vec / math.sqrt(prob))
-        corr: list[Correction] = []
-        if sign < 0:
-            corr.append(Correction(e, "Z", PAULI_Z))
-            st = apply_local(st, LocalGate(merged.vertex_index(e), PAULI_Z))
+        corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
+        st = _corrected(merged, PureState(merged.n, vec / math.sqrt(prob)), corr)
         post = ChainState(merged, st, pairs_left | right.logical_pairs)
         out.append(ProtocolOutcome(label, prob, [post], corr))
 
@@ -550,11 +556,8 @@ def fuse_type_ii(
         if prob < ZERO_PROB_CUTOFF:
             out.append(ProtocolOutcome(label, prob, [], [], False))
             continue
-        sl = PureState(left_graph.n, vl / np.linalg.norm(vl))
-        corr: list[Correction] = []
-        if sa < 0:
-            corr.append(Correction(e, "Z", PAULI_Z))
-            sl = apply_local(sl, LocalGate(left_graph.vertex_index(e), PAULI_Z))
+        corr = [Correction(e, "Z", PAULI_Z)] if sa < 0 else []
+        sl = _corrected(left_graph, PureState(left_graph.n, vl / np.linalg.norm(vl)), corr)
         posts = [ChainState(left_graph, sl, pairs_left)]
         good = _good_right_failure(right, b, sb)
         if good is not None:
@@ -597,9 +600,7 @@ def fusion_context(
     gives f1, f2 = the |0>_a, |1>_a slices of the left state (e stays), and
     b gives f3, f4 on the right; each is normalized.
     """
-    a, e = _pair_members(left, pair)
-    if consume is not None and _resolve_vertex(left, consume) != a:
-        a, e = e, a
+    a, e = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
     f1, f2 = _branch_states(left.state, left.qubit(a))
     f3, f4 = _branch_states(right.state, right.qubit(b))
@@ -694,20 +695,7 @@ def ghz_pair_projection(
     # QubitProjection applies conj(alpha)<0| + conj(beta)<1|: pass conjugates
     proj = QubitProjection(1, (np.conj(bra_a), np.conj(bra_b)))
     comp = QubitProjection(1, (bra_b, -bra_a))  # bra (B*, -A*)
-    phi_mag = math.acos(
-        max(
-            -1.0,
-            min(
-                1.0,
-                1.0
-                - 2.0
-                * mag_a**2
-                * mag_b**2
-                * (1.0 - math.cos(chi1))
-                * (1.0 - math.cos(chi2)),
-            ),
-        )
-    )
+    phi_mag, _ = pair_weight_from_projection(bra_a, bra_b, chi1, chi2)
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi
     ghz = _ghz_state(chi1, chi2)

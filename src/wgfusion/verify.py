@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    INV_SQRT2,
     entanglement_stack,
     hyperbola_projection,
     solve_xi_for_weight,
@@ -55,8 +56,6 @@ from .protocols import (
     rez_formula,
     weighted_pair_state,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -107,22 +106,21 @@ def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False) -> CheckR
     rng = np.random.default_rng(seed)
     if quick:
         draws = 5
-    worst = 0.0
+    residuals = []
     for _ in range(draws):
         left = make_chain(["a1", "a2", "a3"], _rand_weights(rng, 2))
         right = make_chain(["b1", "b2", "b3"], _rand_weights(rng, 2))
         outs = fuse_type_i(left, "a3", right, "b1", new_label="c")
         if len(outs) != 4:
             return CheckResult("type_i_distribution", False, 1.0, "wrong outcome count")
-        for o in outs:
-            worst = max(worst, abs(o.probability - 0.25))
+        residuals += [abs(o.probability - 0.25) for o in outs]
         for o in outs:
             if not o.label.startswith("success"):
                 continue
             post = o.post_states[0]
             target = build_state(post.graph)
-            fid = fidelity_up_to_global_phase(post.state, target)
-            worst = max(worst, 1.0 - fid)
+            residuals.append(1.0 - fidelity_up_to_global_phase(post.state, target))
+    worst = _worst(residuals)
     return CheckResult("type_i_distribution", worst < 1e-10, worst, f"{draws} draws")
 
 
@@ -131,23 +129,24 @@ def check_logical_qubit(quick: bool = False) -> CheckResult:
     """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds."""
     n = 24 if quick else 100
     chis = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
-    worst = 0.0
+    residuals = []
     for chi in chis:
         chain = make_chain(["a", "b", "c", "d"], [1.0, float(chi), float(chi)])
         outs = create_logical_qubit(chain, "c")
         succ = [o for o in outs if o.label.startswith("success")]
         if len(succ) != 1:
             return CheckResult("logical_qubit", False, 1.0, f"chi={chi}: {len(succ)} successes")
-        worst = max(worst, abs(succ[0].probability - (1.0 - math.cos(chi)) / 4.0))
+        residuals.append(abs(succ[0].probability - (1.0 - math.cos(chi)) / 4.0))
         post = succ[0].post_states[0]
         if not post.pair_support_ok(frozenset({"b", "d"})):
             return CheckResult("logical_qubit", False, 1.0, f"pair support broken at chi={chi}")
-        worst = max(worst, abs(sum(o.probability for o in outs) - 1.0))
+        residuals.append(abs(sum(o.probability for o in outs) - 1.0))
     # chi = pi: both X-basis outcomes succeed, total probability 1
     outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, math.pi, math.pi]), "c")
     succ = [o for o in outs if o.label.startswith("success")]
     ptot = sum(o.probability for o in succ)
-    worst = max(worst, abs(ptot - 1.0) if len(succ) == 2 else 1.0)
+    residuals.append(abs(ptot - 1.0) if len(succ) == 2 else 1.0)
+    worst = _worst(residuals)
     return CheckResult("logical_qubit", worst < 1e-10, worst, f"{n}-point grid + pi")
 
 
@@ -156,7 +155,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
     """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law."""
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
-    worst = 0.0
+    residuals = []
     detail = []
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
     left = logical_pair_chain(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
@@ -168,24 +167,27 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
         outs = fuse_type_ii(left, ("B", "D"), right, "b", consume="D")
         rez = rez_formula(chi, wrap_angle(-chi))
         by = {o.label: o for o in outs}
-        worst = max(worst, abs(by["failure_b_minus"].probability - (1.0 - rez) / 4.0))
-        worst = max(worst, abs(by["failure_b_plus"].probability - (1.0 + rez) / 4.0))
         good = by["failure_b_minus"]
-        worst = max(worst, abs(good.probability - (1.0 - math.cos(chi)) / 8.0))
+        residuals += [
+            abs(good.probability - (1.0 - rez) / 4.0),
+            abs(by["failure_b_plus"].probability - (1.0 + rez) / 4.0),
+            abs(good.probability - (1.0 - math.cos(chi)) / 8.0),
+        ]
         if not good.is_good_failure:
             return CheckResult("type_ii_failure_split", False, 1.0, f"chi={chi} not flagged good")
         if good.probability > 0.25 + 1e-12:
             return CheckResult("type_ii_failure_split", False, 1.0, "good failure above 1/4")
         if abs(good.probability - 0.25) < 1e-10 and abs(wrap_angle(chi - math.pi)) > 1e-9:
             return CheckResult("type_ii_failure_split", False, 1.0, "1/4 away from pi")
-        worst = max(worst, abs(sum(o.probability for o in outs) - 1.0))
+        residuals.append(abs(sum(o.probability for o in outs) - 1.0))
     # all weights pi: split (1/4, 1/4), both failures good
     outs = fuse_type_ii(left, ("B", "D"), make_chain(["v", "b", "w"], [math.pi] * 2), "b", consume="D")
     for o in outs:
         if o.label.startswith("failure"):
-            worst = max(worst, abs(o.probability - 0.25))
+            residuals.append(abs(o.probability - 0.25))
             if not o.is_good_failure:
                 detail.append(f"{o.label} not good at pi")
+    worst = _worst(residuals)
     passed = worst < 1e-10 and not detail
     return CheckResult("type_ii_failure_split", passed, worst, "; ".join(detail) or f"{n + 2} chains")
 
@@ -341,7 +343,7 @@ def check_ghz_generation(quick: bool = False) -> CheckResult:
     """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation."""
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
-    worst = 0.0
+    residuals = []
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi, math.pi]))
     for t in targets:
         t = float(t)
@@ -355,21 +357,19 @@ def check_ghz_generation(quick: bool = False) -> CheckResult:
             if rot is None:
                 return CheckResult("ghz_generation", False, 1.0, f"target {t}: no pair match")
             fixed = apply_local(apply_local(st, LocalGate(0, rot[0])), LocalGate(1, rot[1]))
-            worst = max(worst, 1.0 - fidelity_up_to_global_phase(fixed, pair))
+            residuals.append(1.0 - fidelity_up_to_global_phase(fixed, pair))
             # weight recovered from the Schmidt-invariant determinant
             det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
             phis.append(det)
         # same pair weight for both outcomes, compared on the stable invariant
-        worst = max(worst, abs(phis[0] - phis[1]))
-        worst = max(
-            worst, abs(phis[0] - abs(1.0 - np.exp(-1j * t)) / 4.0)
-        )
+        residuals += [abs(phis[0] - phis[1]), abs(phis[0] - abs(1.0 - np.exp(-1j * t)) / 4.0)]
     # range rejection away from pi
     try:
         ghz_pair_for_target(math.pi / 2.0, math.pi / 2.0, math.pi)
         return CheckResult("ghz_generation", False, 1.0, "out-of-range target accepted")
     except NotAchievableError:
         pass
+    worst = _worst(residuals)
     return CheckResult("ghz_generation", worst < 1e-10, worst, f"{n} targets")
 
 
@@ -379,16 +379,13 @@ def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False) -> Che
     rng = np.random.default_rng(seed)
     if quick:
         draws = 12
-    worst_xi = 0.0
-    worst_fid = 0.0
+    xi_res, fid_res = [], []
     for _ in range(draws):
         chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(rng.choice([-1.0, 1.0]))
         chi_target = float(rng.uniform(-math.pi, math.pi))
         xi = solve_xi_for_weight(chi_bf, chi_target)
         w = xi * np.exp(1j * chi_bf / 2.0)
-        worst_xi = max(
-            worst_xi, abs(wrap_angle(2.0 * np.angle(2.0 + w + 1.0 / w) - chi_target))
-        )
+        xi_res.append(abs(wrap_angle(2.0 * np.angle(2.0 + w + 1.0 / w) - chi_target)))
         p = hyperbola_projection(chi_bf, xi)
         # end to end: bare logical pair (e, a) Bell state, right 2-chain (b, f)
         pair = np.zeros(4, complex)
@@ -403,10 +400,11 @@ def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False) -> Che
             return CheckResult("hyperbola", False, 1.0, "no local correction found")
         ga, gb = found
         fixed = apply_local(apply_local(res, LocalGate(0, ga)), LocalGate(1, gb))
-        worst_fid = max(worst_fid, 1.0 - fidelity_up_to_global_phase(fixed, target))
+        fid_res.append(1.0 - fidelity_up_to_global_phase(fixed, target))
+    worst_xi, worst_fid = _worst(xi_res), _worst(fid_res)
     passed = worst_xi < 1e-9 and worst_fid < 1e-8
     return CheckResult(
-        "hyperbola", passed, max(worst_xi, worst_fid), f"{draws} pairs; xi residual {worst_xi:.2e}"
+        "hyperbola", passed, _worst(xi_res, fid_res), f"{draws} pairs; xi residual {worst_xi:.2e}"
     )
 
 
@@ -445,7 +443,7 @@ def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool 
     rng = np.random.default_rng(seed)
     if quick:
         draws = 50
-    worst = 0.0
+    residuals = []
     for _ in range(draws):
         u = constrained_unitary(rng)
         report = check_no_good_failure(u)
@@ -455,7 +453,8 @@ def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool 
             return CheckResult(
                 "no_good_failure", False, report["max_relevant_det"], "nonzero relevant det"
             )
-        worst = max(worst, report["max_relevant_det"])
+        residuals.append(report["max_relevant_det"])
+    worst = _worst(residuals)
     return CheckResult("no_good_failure", worst < 1e-12, worst, f"{draws} draws")
 
 

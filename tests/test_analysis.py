@@ -195,6 +195,12 @@ def test_tef_near_solution_band_does_not_raise(eps):
     assert classify_projection(q, 1.0).tag != "weighted_graph_new_weight"
 
 
+def test_entanglement_stack_aborts_on_nan():
+    ms = np.array([[[math.nan, 1.0], [1.0, 1.0]]], dtype=complex)
+    with pytest.raises(NumericalAbortError), np.errstate(invalid="ignore"):
+        analysis.entanglement_stack(ms, 0.3)
+
+
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):
     import wgfusion.analysis as analysis
 

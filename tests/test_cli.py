@@ -118,6 +118,22 @@ def test_fuse_type_ii_with_sampling(left4, chain2b, capsys):
     assert sum(data["samples"].values()) == 100
 
 
+def test_fuse_gen_rejects_a_nan_unitary(left4, chain2b, tmp_path, capsys):
+    u = tmp_path / "u.json"
+    re = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    re[0][0] = math.nan
+    u.write_text(json.dumps({"n": 4, "re": re, "im": [[0.0] * 4] * 4}))
+    rc = main(
+        [
+            "fuse", "--type", "gen",
+            "--graph", left4, "--graph2", chain2b,
+            "--logical", "C", "--b", "c", "--unitary", str(u),
+        ]
+    )
+    assert rc == 2
+    assert "InvalidUnitaryError" in capsys.readouterr().err
+
+
 def test_fuse_sample_requires_seed(chain2, chain2b, capsys):
     rc = main(
         [

@@ -100,6 +100,41 @@ def test_a_contracted_double_edge_is_a_cycle(edges, pairs):
         ChainState(g, state, pairs)
 
 
+# ------------------------------------- logical X and Z on a whole logical qubit
+
+
+def _distribution_matches_the_oracle(outs) -> None:
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=TOL)
+    for o in outs:
+        for post in o.post_states:
+            assert oracle_distance(post) < TOL
+
+
+def test_failure_split_z_measures_a_pair_member_as_one_logical_qubit():
+    # E's failure branch on A-B=D-E-F-G-H Z-measures D, so B goes with it
+    weights = [0.4, 1.1, 1.1, 0.8, 0.8, 1.3, 1.3]
+    chain = logical_pair_chain(make_chain(list("ABCDEFGH"), weights), "C")
+    outs = create_logical_qubit(chain, "E")
+    _distribution_matches_the_oracle(outs)
+    fails = [o for o in outs if o.label.startswith("failure_z")]
+    assert len(fails) == 4
+    for o in fails:
+        assert [p.graph.vertices for p in o.post_states] == [("A",), ("G", "H")]
+        assert all(not p.logical_pairs for p in o.post_states)
+    # outcome 1 on D's logical qubit corrects B's neighbour A
+    assert [c.vertex for c in fails[3].corrections_applied] == ["A", "G"]
+
+
+def test_case_2_correction_on_a_pair_member_is_a_logical_x():
+    # E's Case-2 weights X-correct D, a member of {B, D}: B flips with it
+    chain = logical_pair_chain(make_chain(list("ABCDEF"), [0.4, 1.1, 1.1, 0.8, -0.8]), "C")
+    got = logical_pair_chain(chain, "E")
+    assert got.logical_pairs == {frozenset("BD"), frozenset("DF")}
+    assert got.graph.weight("A", "B") == pytest.approx(-0.4)
+    assert oracle_distance(got) < TOL
+    _distribution_matches_the_oracle(create_logical_qubit(chain, "E"))
+
+
 # ------------------------------------------------------ Type-II trees
 
 
@@ -213,11 +248,6 @@ def _post_states(fn, *args) -> list[ChainState]:
     try:
         outs = fn(*args)
     except REFUSALS:
-        return []
-    except InvalidGraphError as exc:
-        # not modelled yet (ROADMAP item 4): a Case-2 X correction on a
-        # logical-pair member breaks its pair, and the ChainState refuses it
-        assert "mixed-bit amplitude support" in str(exc)
         return []
     if isinstance(outs, ChainState):
         return [outs]

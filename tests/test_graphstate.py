@@ -11,6 +11,7 @@ from wgfusion.errors import (
     IndexClashError,
     InvalidGraphError,
     NonUnitaryGateError,
+    ShapeMismatchError,
     ZeroOutcomeError,
 )
 from wgfusion.graphstate import (
@@ -205,3 +206,17 @@ def test_phase_gate_matches_edge_phase():
     cond = via_edge.reshaped()[1].reshape(-1) * math.sqrt(2.0)
     direct = apply_local(plus_state(1), LocalGate(0, phase_gate(-1.7)))
     assert np.allclose(cond, direct.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: PureState(1, [math.nan, 1.0]), ShapeMismatchError),
+        (lambda: LocalGate(0, [[math.nan, 0.0], [0.0, 1.0]]), NonUnitaryGateError),
+        (lambda: QubitProjection(0, (math.nan, 1.0)), ShapeMismatchError),
+    ],
+    ids=["state", "gate", "projection"],
+)
+def test_validators_reject_nan(build, error):
+    with pytest.raises(error):
+        build()

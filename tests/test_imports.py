@@ -3,8 +3,9 @@
 Every name a module imports is read in it (__init__.py is exempt because it
 imports names to re-export them), no function imports from the package:
 package-internal imports sit at module top, the runtime loads only NumPy
-(SciPy is a test-only reference), and the Fock oracle never reaches the
-closed form it checks.
+(SciPy is a test-only reference), the Fock oracle never reaches the
+closed form it checks, and protocols applies gates through one correction
+path.
 """
 
 from __future__ import annotations
@@ -122,3 +123,31 @@ def test_gate_flags_an_oracle_that_reaches_the_closed_form():
 def test_fock_oracle_never_reaches_the_closed_form():
     found = reachable_names((SRC / "fock.py").read_text(), ORACLE_FUNCS)
     assert found & CLOSED_FORM == set()
+
+
+def readers(source: str, name: str) -> set[str]:
+    """Top-level definitions that read name, as a name or an attribute;
+    "<module>" for a read outside any function or class."""
+    tree = ast.parse(source)
+    return {
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    }
+
+
+def test_gate_flags_a_second_correction_path():
+    src = (
+        "from .graphstate import apply_local\n\n"
+        "def _corrected(s, g):\n    return apply_local(s, g)\n\n"
+        "def fuse(s, g):\n    def inner():\n        return graphstate.apply_local(s, g)\n"
+        "    return inner()\n\n"
+        "apply = apply_local\n"
+    )
+    assert readers(src, "apply_local") == {"_corrected", "fuse", "<module>"}
+
+
+def test_protocols_apply_gates_only_in_corrected():
+    assert readers((SRC / "protocols.py").read_text(), "apply_local") == {"_corrected"}

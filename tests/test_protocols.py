@@ -171,14 +171,6 @@ def test_failure_split_keeps_a_logical_pair_in_one_component():
         )
 
 
-def test_failure_split_rejects_z_measuring_a_pair_member():
-    # E's failure branch on A-B=D-E-F-G-H would Z-measure the pair member D
-    weights = [0.4, 1.1, 1.1, 0.8, 0.8, 1.3, 1.3]
-    chain = logical_pair_chain(make_chain(list("ABCDEFGH"), weights), "C")
-    with pytest.raises(NoLogicalPairError, match="Z-measure D"):
-        create_logical_qubit(chain, "E")
-
-
 def test_chain_with_unknown_pair_member_is_an_invalid_graph():
     g = chain_graph(["a", "b"], [0.5])
     with pytest.raises(InvalidGraphError, match="logical pair member not in graph"):

@@ -52,3 +52,17 @@ def test_worst_keeps_a_nan():
     assert verify._worst(np.array([0.0, 1e-12]), np.array([])) == 1e-12
     assert np.isnan(verify._worst(np.array([1e-12, np.nan]), np.array([0.5])))
     assert np.isnan(verify._worst([0.5, np.nan]))
+
+
+def test_type_i_check_fails_on_a_nan_probability(monkeypatch):
+    real = verify.fuse_type_i
+
+    def nan_first(*args, **kwargs):
+        outs = real(*args, **kwargs)
+        outs[0].probability = float("nan")
+        return outs
+
+    monkeypatch.setattr(verify, "fuse_type_i", nan_first)
+    res = verify.check_type_i(quick=True)
+    assert not res.passed
+    assert np.isnan(res.max_residual)
