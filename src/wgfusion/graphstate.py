@@ -236,6 +236,17 @@ def plus_state(n: int) -> PureState:
     return PureState(n, amps)
 
 
+def _bit_view(table: np.ndarray, bits: dict[int, int]) -> np.ndarray:
+    """Writable view of a (2,)*n table with each qubit q in bits fixed to bits[q].
+
+    The trailing Ellipsis keeps the result a view even when every axis is fixed.
+    """
+    index = [slice(None)] * table.ndim
+    for q, bit in bits.items():
+        index[q] = bit
+    return table[(*index, ...)]
+
+
 def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
     """Multiply amplitudes with both bits a, b set by e^{-i chi}."""
     n = state.num_qubits
@@ -243,24 +254,27 @@ def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
         raise IndexClashError("phase edge endpoints must differ")
     if not (0 <= a < n and 0 <= b < n):
         raise IndexClashError("phase edge index out of range")
-    idx = np.arange(1 << n)
-    mask_a = 1 << (n - 1 - a)
-    mask_b = 1 << (n - 1 - b)
-    both = (idx & mask_a).astype(bool) & (idx & mask_b).astype(bool)
-    amps = state.amplitudes.copy()
-    amps[both] *= np.exp(-1j * chi)
-    return PureState(n, amps)
+    table = state.reshaped().copy()
+    both = _bit_view(table, {a: 1, b: 1})
+    both *= np.exp(-1j * chi)
+    return PureState(n, table)
 
 
 def build_state(graph: WeightedGraph, max_qubits: int = DEFAULT_QUBIT_CAP) -> PureState:
-    """Dense state of a weighted graph: phase edges applied to |+>^n."""
+    """Dense state of a weighted graph: phase edges applied to |+>^n.
+
+    The controlled phases commute and are diagonal, so each one multiplies,
+    in place, the slice of one amplitude table where both endpoint bits are 1.
+    """
     n = graph.n
     if n > max_qubits:
         raise CapExceededError(f"{n} qubits exceeds cap {max_qubits}")
-    state = plus_state(n)
+    table = np.full((2,) * n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    position = {v: q for q, v in enumerate(graph.vertices)}
     for a, b, chi in graph.edges:
-        state = apply_phase_edge(state, graph.vertex_index(a), graph.vertex_index(b), chi)
-    return state
+        both = _bit_view(table, {position[a]: 1, position[b]: 1})
+        both *= np.exp(-1j * chi)
+    return PureState(n, table)
 
 
 def attach_vertex(
@@ -274,18 +288,20 @@ def attach_vertex(
     shifted automatically when they land at or after the insertion point.
     """
     n = state.num_qubits
+    if n + 1 > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"{n + 1} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     if not (0 <= new_qubit <= n):
         raise IndexClashError(f"insertion position {new_qubit} out of range")
     phi = state.amplitudes
-    branch = phi.copy()
-    idx = np.arange(1 << n)
+    branch = state.reshaped().copy()
     for b, chi in neighbor_weights:
         if not (0 <= b < n):
             raise IndexClashError(f"neighbor index {b} out of range")
         # single-qubit phase e^{-i chi |1><1|} on b
-        branch[(idx & (1 << (n - 1 - b))).astype(bool)] *= np.exp(-1j * chi)
+        one = _bit_view(branch, {b: 1})
+        one *= np.exp(-1j * chi)
     # stack: new qubit as most significant of a front register, then move it
-    out = PureState(n + 1, np.concatenate([phi, branch]) / math.sqrt(2.0))
+    out = PureState(n + 1, np.concatenate([phi, branch.reshape(-1)]) / math.sqrt(2.0))
     if new_qubit != 0:
         out = move_qubit(out, 0, new_qubit)
     return out

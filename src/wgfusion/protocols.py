@@ -31,6 +31,7 @@ from .graphstate import (
     PureState,
     QubitProjection,
     WeightedGraph,
+    _bit_view,
     apply_local,
     build_state,
     chain_graph,
@@ -80,13 +81,11 @@ class ChainState:
 
     def pair_support_ok(self, pair: frozenset[str], tol: float = 1e-12) -> bool:
         """Amplitudes where the pair's bits differ must vanish."""
-        a, e = sorted(pair, key=self.graph.vertices.index)
-        n = self.graph.n
-        idx = np.arange(1 << n)
-        ba = (idx >> (n - 1 - self.qubit(a))) & 1
-        be = (idx >> (n - 1 - self.qubit(e))) & 1
-        mixed = ba != be
-        return float(np.max(np.abs(self.state.amplitudes[mixed]), initial=0.0)) < tol
+        qa, qe = (self.qubit(v) for v in pair)
+        table = self.state.reshaped()
+        return all(
+            np.abs(_bit_view(table, {qa: bit, qe: 1 - bit})).max() < tol for bit in (0, 1)
+        )
 
 
 def _components(adj: dict[str, set[str]]) -> list[set[str]]:
@@ -490,14 +489,19 @@ def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
 def _pair_members(left: ChainState, pair, consume) -> tuple[str, str]:
     """(consumed member a, kept member e) of a registered logical pair.
 
-    a is consume if given, else the member first in vertex order.
+    a is consume if given, which must be a member, else the member first in
+    vertex order.
     """
     p = frozenset(_resolve_vertex(left, v) for v in pair)
     if p not in left.logical_pairs:
         raise NoLogicalPairError(f"{set(p)} is not a registered logical pair")
-    a, e = sorted(p, key=left.graph.vertices.index)
-    if consume is not None and _resolve_vertex(left, consume) != a:
-        a, e = e, a
+    if consume is None:
+        a, e = sorted(p, key=left.graph.vertices.index)
+        return a, e
+    a = _resolve_vertex(left, consume)
+    if a not in p:
+        raise NoLogicalPairError(f"consume vertex {a} is not a member of {set(p)}")
+    (e,) = p - {a}
     return a, e
 
 

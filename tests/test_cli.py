@@ -118,6 +118,22 @@ def test_fuse_type_ii_with_sampling(left4, chain2b, capsys):
     assert sum(data["samples"].values()) == 100
 
 
+@pytest.mark.parametrize("fusion_type", ["ii", "gen"])
+def test_fuse_consume_outside_the_pair_exits_2(left4, chain2b, tmp_path, fusion_type, capsys):
+    u = tmp_path / "u.json"
+    eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    u.write_text(json.dumps({"n": 4, "re": eye, "im": [[0.0] * 4] * 4}))
+    rc = main(
+        [
+            "fuse", "--type", fusion_type,
+            "--graph", left4, "--graph2", chain2b,
+            "--logical", "C", "--b", "c", "--consume", "A", "--unitary", str(u),
+        ]
+    )
+    assert rc == 2
+    assert "consume vertex A" in capsys.readouterr().err
+
+
 def test_fuse_gen_rejects_a_nan_unitary(left4, chain2b, tmp_path, capsys):
     u = tmp_path / "u.json"
     re = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]

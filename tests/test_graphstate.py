@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wgfusion.errors import (
     CapExceededError,
@@ -15,6 +15,7 @@ from wgfusion.errors import (
     ZeroOutcomeError,
 )
 from wgfusion.graphstate import (
+    DEFAULT_QUBIT_CAP,
     LocalGate,
     PAULI_Z,
     PureState,
@@ -33,6 +34,7 @@ from wgfusion.graphstate import (
     project_qubit,
     wrap_angle,
 )
+from wgfusion.protocols import ChainState
 
 RNG = np.random.default_rng(7)
 
@@ -142,6 +144,8 @@ def test_build_state_qubit_cap():
     g = WeightedGraph(tuple(f"v{i}" for i in range(25)), ())
     with pytest.raises(CapExceededError):
         build_state(g)
+    with pytest.raises(CapExceededError):
+        attach_vertex(plus_state(DEFAULT_QUBIT_CAP), 0, [(0, 1.0)])
 
 
 def test_apply_phase_edge_is_symmetric_diag():
@@ -220,3 +224,87 @@ def test_phase_gate_matches_edge_phase():
 def test_validators_reject_nan(build, error):
     with pytest.raises(error):
         build()
+
+
+# ---- bit-view layer against the per-index mask loops it replaced ----------
+
+
+def _bit_of(n: int, q: int) -> np.ndarray:
+    return (np.arange(1 << n) & (1 << (n - 1 - q))).astype(bool)
+
+
+def ref_apply_phase_edge(amps, n, a, b, chi):
+    out = amps.copy()
+    out[_bit_of(n, a) & _bit_of(n, b)] *= np.exp(-1j * chi)
+    return out
+
+
+def ref_build_state(graph):
+    amps = np.full(1 << graph.n, 1.0 / math.sqrt(1 << graph.n), dtype=complex)
+    for a, b, chi in graph.edges:
+        amps = ref_apply_phase_edge(
+            amps, graph.n, graph.vertex_index(a), graph.vertex_index(b), chi
+        )
+    return amps
+
+
+def ref_attach_vertex(amps, n, new_qubit, neighbor_weights):
+    branch = amps.copy()
+    for b, chi in neighbor_weights:
+        branch[_bit_of(n, b)] *= np.exp(-1j * chi)
+    out = (np.concatenate([amps, branch]) / math.sqrt(2.0)).reshape([2] * (n + 1))
+    order = list(range(1, n + 1))
+    order.insert(new_qubit, 0)
+    return out.transpose(order).reshape(-1)
+
+
+def ref_pair_support_ok(amps, n, qa, qe, tol=1e-12):
+    mixed = _bit_of(n, qa) != _bit_of(n, qe)
+    return float(np.max(np.abs(amps[mixed]), initial=0.0)) < tol
+
+
+@st.composite
+def dense_graphs(draw, max_qubits=12):
+    n = draw(st.integers(0, max_qubits))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    # WEIGHTS holds pi, weights that wrap and weights that drop to zero
+    edges = tuple((f"q{a}", f"q{b}", draw(WEIGHTS)) for a, b in chosen)
+    return WeightedGraph(tuple(f"q{i}" for i in range(n)), edges)
+
+
+# mixed-bit amplitudes below, at and above the 1e-12 pair-support tolerance;
+# None keeps the graph state as built
+MIXED = st.sampled_from([None, 0.0, 1e-13, 9.999e-13, 1e-12, 1.0001e-12, 1e-9])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_graphs(), st.data())
+def test_bit_views_match_the_mask_loops_bit_for_bit(graph, data):
+    n = graph.n
+    built = build_state(graph)
+    assert np.array_equal(built.amplitudes, ref_build_state(graph))
+    amps = built.amplitudes
+    for new_qubit in range(n + 1):
+        nbrs = [(b, data.draw(WEIGHTS)) for b in range(n) if data.draw(st.booleans())]
+        got = attach_vertex(built, new_qubit, nbrs).amplitudes
+        assert np.array_equal(got, ref_attach_vertex(amps, n, new_qubit, nbrs))
+    if n < 2:
+        return
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    chi = data.draw(WEIGHTS)
+    got = apply_phase_edge(built, a, b, chi).amplitudes
+    assert np.array_equal(got, ref_apply_phase_edge(amps, n, a, b, chi))
+
+    # a pair-free ChainState on the edgeless graph carries any state
+    eps = data.draw(MIXED)
+    table = amps.copy()
+    mixed = _bit_of(n, a) != _bit_of(n, b)
+    if eps is not None:
+        table[mixed] = 0.0
+        table /= math.sqrt(np.vdot(table, table).real)
+        k = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+        table[np.flatnonzero(mixed)[k]] = eps * np.exp(1j * chi)
+    chain = ChainState(WeightedGraph(graph.vertices, ()), PureState(n, table))
+    got = chain.pair_support_ok(frozenset({graph.vertices[a], graph.vertices[b]}))
+    assert got == ref_pair_support_ok(table, n, a, b)

@@ -4,8 +4,9 @@ Every name a module imports is read in it (__init__.py is exempt because it
 imports names to re-export them), no function imports from the package:
 package-internal imports sit at module top, the runtime loads only NumPy
 (SciPy is a test-only reference), the Fock oracle never reaches the
-closed form it checks, and protocols applies gates through one correction
-path.
+closed form it checks, protocols applies gates through one correction
+path, and no module builds a 2^n index mask with np.arange (the dense layer
+selects bits through graphstate's strided views).
 """
 
 from __future__ import annotations
@@ -151,3 +152,34 @@ def test_gate_flags_a_second_correction_path():
 
 def test_protocols_apply_gates_only_in_corrected():
     assert readers((SRC / "protocols.py").read_text(), "apply_local") == {"_corrected"}
+
+
+def arange_over_shifts(source: str) -> list[int]:
+    """Lines of the arange calls with a left shift anywhere in their arguments."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "arange"
+        and any(
+            isinstance(x, ast.BinOp) and isinstance(x.op, ast.LShift)
+            for arg in node.args
+            for x in ast.walk(arg)
+        )
+    )
+
+
+def test_gate_flags_an_arange_bit_mask():
+    src = (
+        "idx = np.arange(1 << n)\n"
+        "k = np.arange(n)\n"
+        "m = 1 << n\n"
+        "both = arange(0, 2 * (1 << n))\n"
+    )
+    assert arange_over_shifts(src) == [1, 4]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_arange_bit_masks(path):
+    assert arange_over_shifts(path.read_text()) == []

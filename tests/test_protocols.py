@@ -31,6 +31,7 @@ from wgfusion.protocols import (
     fuse_generalized,
     fuse_type_i,
     fuse_type_ii,
+    fusion_context,
     ghz_pair_for_target,
     ghz_pair_projection,
     ghz_pair_range,
@@ -270,6 +271,25 @@ def test_type_ii_requires_registered_pair():
     right = make_chain(["v", "w"], [0.9])
     with pytest.raises(NoLogicalPairError):
         fuse_type_ii(left, ("A", "B"), right, "v")
+
+
+def test_consume_outside_the_pair_is_refused():
+    left = _logical_left([1.0, 0.7, 0.7])  # vertices A, B, D; pair {B, D}
+    right = make_chain(["v", "b", "w"], [1.0, 1.0])
+    calls = (
+        lambda c: fuse_type_ii(left, ("B", "D"), right, "b", consume=c),
+        lambda c: fusion_context(left, ("B", "D"), right, "b", consume=c),
+        lambda c: fuse_generalized(left, ("B", "D"), right, "b", type_ii_matrix(), consume=c),
+    )
+    for call in calls:
+        for outside in ("A", 0):
+            with pytest.raises(NoLogicalPairError):
+                call(outside)
+    probs = [
+        [o.probability for o in fuse_type_ii(left, ("B", "D"), right, "b", consume=c)]
+        for c in ("D", 2, "B", 1, None)
+    ]
+    assert probs[0] == probs[1] and probs[2] == probs[3] == probs[4]
 
 
 # ---------------------------------------------------------- generalized
