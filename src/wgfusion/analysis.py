@@ -1,7 +1,7 @@
 """Closed-form analysis of two-qubit projections on weighted fusions.
 
 Every closed-form quantity is computed twice: analytic formula and a dense
-linear-algebra oracle; disagreement beyond 1e-10 raises NumericalAbortError.
+linear-algebra oracle; disagreement beyond ABORT_TOL raises NumericalAbortError.
 Argument comparisons are modulo 2pi with principal value in (-pi, pi].
 """
 
@@ -29,8 +29,32 @@ from .fock import (
     same_detector_prob,
 )
 from .graphstate import wrap_angle
+from .tolerances import (
+    ABORT_TOL,
+    BISECT_RTOL,
+    BISECT_XTOL,
+    CLASS_NORM_FLOOR,
+    CLASS_TOL,
+    DEGENERATE_ARG_TOL,
+    ENTROPY_FLOOR,
+    EQUAL_OUTCOMES_TOL,
+    GRAM_TOL,
+    INVERSION_TOL,
+    LIVE_TOL,
+    NO_GOOD_DET_TOL,
+    NO_GOOD_PREMISE_TOL,
+    PI_SHIFT_TOL,
+    PRODUCT_TOL,
+    SCAN_SNAP,
+    SCAN_TOL,
+    STATE_NORM_TOL,
+    TEF_TOL,
+    TEF_ZERO_PRODUCT,
+    UNITARY_TOL,
+    VANISHING_NORM_SQ,
+    ZERO_WEIGHT,
+)
 
-ABORT_TOL = 1e-10
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -54,7 +78,7 @@ class EntanglementReport:
 def binary_entropy(lam: float) -> float:
     out = 0.0
     for p in (lam, 1.0 - lam):
-        if p > 1e-300:
+        if p > ENTROPY_FLOOR:
             out -= p * math.log2(p)
     return out
 
@@ -86,11 +110,11 @@ def entanglement_stack(ms: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.nd
     if z.ndim and z.shape != ms.shape[:1]:
         raise InputError("z must be a scalar or one value per matrix")
     zabs = np.abs(z)
-    if (zabs >= 1.0 - 1e-12).any():
+    if (zabs >= 1.0 - GRAM_TOL).any():
         raise DegenerateGramError(f"|z| = {np.max(zabs)} too close to 1")
     a, b, c, d = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
     nsq = relevant_norm_sq(a, b, c, d, z)
-    if np.any(nsq < 1e-28):
+    if np.any(nsq < VANISHING_NORM_SQ):
         raise DegenerateArgumentError("vanishing outcome norm")
     det_rho = (1.0 - zabs**2) * np.abs(a * d - b * c) ** 2 / nsq**2
     lam = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * det_rho))) / 2.0
@@ -126,7 +150,7 @@ class TwoQubitProjection:
     d: complex
 
     def __post_init__(self):
-        if self.norm_sq < 1e-28:
+        if self.norm_sq < VANISHING_NORM_SQ:
             raise InputError("projection coefficients are all zero")
 
     @property
@@ -155,7 +179,7 @@ def resulting_weight(p: TwoQubitProjection, chi_bf: float) -> float:
     terms = (p.a + p.b, p.c + p.d * ph, p.a + p.b * ph, p.c + p.d)
     scale = math.sqrt(p.norm_sq)
     for t in terms:
-        if abs(t) < 1e-12 * scale:
+        if abs(t) < DEGENERATE_ARG_TOL * scale:
             raise DegenerateArgumentError("vanishing argument in the weight formula")
     return wrap_angle(
         cmath.phase(terms[0])
@@ -182,11 +206,11 @@ def _tef_arg_form(p: TwoQubitProjection, chi_bf: float, tol: float) -> bool:
     scale = p.norm_sq
 
     def side(x: complex, y: complex) -> tuple[float, float]:
-        if abs(x) * abs(y) < 1e-14 * scale:
+        if abs(x) * abs(y) < TEF_ZERO_PRODUCT * scale:
             return 0.0, abs(x) ** 2 + abs(y) ** 2
         d = wrap_angle(cmath.phase(y) - cmath.phase(x) - chi_bf / 2.0)
         dd = math.remainder(d, math.pi)
-        shifted = abs(wrap_angle(d - dd)) > 1e-6  # a pi shift was removed
+        shifted = abs(wrap_angle(d - dd)) > PI_SHIFT_TOL  # a pi shift was removed
         sign = -1.0 if shifted else 1.0
         val = (
             abs(x) ** 2
@@ -200,29 +224,27 @@ def _tef_arg_form(p: TwoQubitProjection, chi_bf: float, tol: float) -> bool:
     return max(r1, r2, abs(v1 - v2) / scale) < tol
 
 
-def tef_unitarity(
-    a: complex, b: complex, c: complex, d: complex, chi_bf: float, tol: float = 1e-10
-) -> bool:
+def tef_unitarity(a: complex, b: complex, c: complex, d: complex, chi_bf: float) -> bool:
     """True iff the effective e-f transfer matrix is proportional to a unitary:
     |A+B| = |A+Be^{-i chi_bf}| = |C+D| = |C+De^{-i chi_bf}|.
 
-    Evaluated both directly (tolerance tol) and through the argument/magnitude
-    formulation (tolerance sqrt(tol)). They may split only when the relative
-    magnitude spread lies in [tol, sqrt(tol)], and the direct result stands;
-    any other split raises NumericalAbortError.
+    Evaluated both directly (tolerance TEF_TOL) and through the argument/magnitude
+    formulation (tolerance sqrt(TEF_TOL)). They may split only when the relative
+    magnitude spread lies in [TEF_TOL, sqrt(TEF_TOL)], and the direct result
+    stands; any other split raises NumericalAbortError.
     """
-    if abs(wrap_angle(chi_bf)) < 1e-12:
+    if abs(wrap_angle(chi_bf)) < ZERO_WEIGHT:
         raise DegenerateArgumentError("chi_bf must be nonzero")
     p = TwoQubitProjection(a, b, c, d)
     mags = _tef_magnitudes(p, chi_bf)
     scale = math.sqrt(p.norm_sq)
-    direct = float(mags.max() - mags.min()) < tol * scale
-    viaargs = _tef_arg_form(p, chi_bf, math.sqrt(tol))
+    direct = float(mags.max() - mags.min()) < TEF_TOL * scale
+    viaargs = _tef_arg_form(p, chi_bf, math.sqrt(TEF_TOL))
     if direct != viaargs:
         # borderline points may fall between the two formulations' tolerances,
-        # tol (direct) and sqrt(tol) (argument form); any other split is a fault
+        # TEF_TOL (direct) and its root (argument form); any other split is a fault
         spread = float(mags.max() - mags.min()) / scale
-        if not tol <= spread <= math.sqrt(tol):
+        if not TEF_TOL <= spread <= math.sqrt(TEF_TOL):
             raise NumericalAbortError(
                 f"unitarity formulations disagree (magnitude spread {spread})"
             )
@@ -244,12 +266,12 @@ def classify_projection(
     """
     scale = math.sqrt(p.norm_sq)
     if (
-        abs(p.b) < 1e-9 * scale
-        and abs(p.c) < 1e-9 * scale
-        and abs(abs(p.a) - abs(p.d)) < 1e-9 * scale
+        abs(p.b) < CLASS_TOL * scale
+        and abs(p.c) < CLASS_TOL * scale
+        and abs(abs(p.a) - abs(p.d)) < CLASS_TOL * scale
     ):
         return OutcomeClass("fused_weighted_graph", "B=C=0 and |A|=|D|")
-    if neighbor_count == 1 and abs(wrap_angle(chi_bf)) > 1e-12:
+    if neighbor_count == 1 and abs(wrap_angle(chi_bf)) > ZERO_WEIGHT:
         try:
             if tef_unitarity(p.a, p.b, p.c, p.d, chi_bf):
                 chi = resulting_weight(p, chi_bf)
@@ -259,14 +281,14 @@ def classify_projection(
         except DegenerateArgumentError:
             pass
     z = inner_z(chi_bf, chi_bf2 if neighbor_count == 2 else 0.0)
-    if abs(z) < 1.0 - 1e-12:
+    if abs(z) < 1.0 - GRAM_TOL:
         m = p.matrix
         nsq = relevant_norm_sq(p.a, p.b, p.c, p.d, z)
-        if nsq > 1e-20 * p.norm_sq:
+        if nsq > CLASS_NORM_FLOOR * p.norm_sq:
             mp = (m / math.sqrt(nsq)) @ gram_factor(z)
-            if np.max(np.abs(mp @ mp.conj().T - 0.5 * np.eye(2))) < 1e-9:
+            if np.max(np.abs(mp @ mp.conj().T - 0.5 * np.eye(2))) < CLASS_TOL:
                 return OutcomeClass("maximally_entangled", "M' proportional to unitary")
-    if abs(p.a * p.d - p.b * p.c) < 1e-12 * p.norm_sq:
+    if abs(p.a * p.d - p.b * p.c) < PRODUCT_TOL * p.norm_sq:
         return OutcomeClass("product", "det = 0")
     return OutcomeClass("other", "no condition set fired")
 
@@ -280,12 +302,12 @@ def _bisect(f, lo: float, hi: float, flo: float) -> float:
     """Root of f in [lo, hi], given flo = f(lo) of the opposite sign to f(hi).
 
     Halves the bracket with one evaluation of f per step until the half-width
-    is within brentq's tolerance xtol + rtol |s| (xtol = 1e-15, rtol = 8.9e-16,
-    four ulps): a fixed absolute rule would need ~1000 steps for a root at 0.
+    is within brentq's tolerance BISECT_XTOL + BISECT_RTOL |s| (rtol is four
+    ulps): a fixed absolute rule would need ~1000 steps for a root at 0.
     """
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * (1e-15 + 8.9e-16 * abs(mid)):
+        if hi - lo <= 2.0 * (BISECT_XTOL + BISECT_RTOL * abs(mid)):
             return mid
         fmid = f(mid)
         if fmid == 0.0:
@@ -303,7 +325,7 @@ def solve_xi_for_weight(chi_bf: float, chi_target: float) -> float:
     (chi_bf/2 - pi, pi - chi_bf/2); the right branch (xi > 0) covers
     (-|chi_bf|/2, |chi_bf|/2). Bisection on log|xi|.
     """
-    if abs(wrap_angle(chi_bf)) < 1e-12:
+    if abs(wrap_angle(chi_bf)) < ZERO_WEIGHT:
         raise DegenerateArgumentError("chi_bf must be nonzero")
     half = wrap_angle(chi_target) / 2.0
     s_lo, s_hi = -36.0, 36.0
@@ -321,7 +343,7 @@ def solve_xi_for_weight(chi_bf: float, chi_target: float) -> float:
                 continue
             xi = branch_sign * math.exp(_bisect(f, s_lo, s_hi, flo))
             res = abs(wrap_angle(2.0 * _hyperbola_arg(xi, chi_bf) - chi_target))
-            if res < 1e-9:
+            if res < INVERSION_TOL:
                 return xi
     raise ConvergenceFailureError(
         f"no xi on either branch (log|xi| bracket [{s_lo}, {s_hi}]) reaches "
@@ -347,9 +369,9 @@ def max_entangled_family(seed: np.ndarray, z: complex) -> TwoQubitProjection:
     seed = np.asarray(seed, dtype=complex)
     if seed.shape != (2, 2) or not np.max(
         np.abs(seed @ seed.conj().T - 0.5 * np.eye(2))
-    ) <= 1e-10:
+    ) <= UNITARY_TOL:
         raise BadSeedError("seed must be (1/sqrt2)-unitary")
-    if abs(z) >= 1.0 - 1e-12:
+    if abs(z) >= 1.0 - GRAM_TOL:
         raise DegenerateGramError(f"|z| = {abs(z)} too close to 1")
     root = math.sqrt(1.0 - abs(z) ** 2)
     ap, bp, cp, dp = seed[0, 0], seed[0, 1], seed[1, 0], seed[1, 1]
@@ -382,21 +404,22 @@ def max_entangled_conditions_residual(p: TwoQubitProjection, z: complex) -> floa
     return float(max(r1, r2, r3)) / p.norm_sq
 
 
-def check_no_good_failure(u: ModeUnitary, tol: float = 1e-12) -> dict:
+def check_no_good_failure(u: ModeUnitary) -> dict:
     """Verify the no-good-failure theorem on one unitary.
 
     Premise: all same-detector outcomes with nonzero probability (z = 0
     baseline) share (U_3i, U_4i) up to a global phase. Conclusion: every
-    relevant outcome's coefficient matrix has zero determinant.
+    relevant outcome's coefficient matrix has zero determinant (|det| below
+    NO_GOOD_DET_TOL).
     """
     m = u.matrix
-    live = np.flatnonzero(same_detector_prob(m, np.arange(u.n), 0.0) > 1e-12)
+    live = np.flatnonzero(same_detector_prob(m, np.arange(u.n), 0.0) > LIVE_TOL)
     first = live[:1]
     cross = m[2, first] * m[3, live] - m[2, live] * m[3, first]
-    premise = bool(np.all(np.abs(cross) <= 1e-10))
+    premise = bool(np.all(np.abs(cross) <= NO_GOOD_PREMISE_TOL))
     a, b, c, d = outcome_coeffs(m, *pattern_indices(u.n, 1))
     max_det = float(np.max(np.abs(a * d - b * c), initial=0.0))
-    conclusion = max_det < tol
+    conclusion = max_det < NO_GOOD_DET_TOL
     return {
         "premise_holds": premise,
         "conclusion_holds": conclusion if premise else None,
@@ -411,7 +434,7 @@ def _angle_grid(n: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * (np.arange(n) + 1) / n
 
 
-def xlike_uniqueness_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
+def xlike_uniqueness_scan(resolution: int = 200, tol: float = SCAN_TOL) -> dict:
     """Grid scan of the 3-qubit unitarity conditions for an X-like projection.
 
     The post-projection coefficient matrix
@@ -464,22 +487,22 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
         for i2, idd, ir in np.argwhere(found):
             n_solutions += 1
             chi2, delta, mag = chis[i2], deltas[idd], mag_as[ir]
-            near_half = abs(mag - INV_SQRT2) < 1e-3
+            near_half = abs(mag - INV_SQRT2) < SCAN_SNAP
             if (
-                abs(wrap_angle(chi1 - chi2)) < 1e-3
-                and abs(wrap_angle(delta - chi1 - math.pi)) < 1e-3
+                abs(wrap_angle(chi1 - chi2)) < SCAN_SNAP
+                and abs(wrap_angle(delta - chi1 - math.pi)) < SCAN_SNAP
                 and near_half
             ):
                 counts["case1"] += 1
             elif (
-                abs(wrap_angle(chi1 + chi2)) < 1e-3
-                and abs(wrap_angle(delta - math.pi)) < 1e-3
+                abs(wrap_angle(chi1 + chi2)) < SCAN_SNAP
+                and abs(wrap_angle(delta - math.pi)) < SCAN_SNAP
                 and near_half
             ):
                 counts["case2"] += 1
             elif (
-                abs(wrap_angle(chi1 - math.pi)) < 1e-3
-                and abs(wrap_angle(chi2 - math.pi)) < 1e-3
+                abs(wrap_angle(chi1 - math.pi)) < SCAN_SNAP
+                and abs(wrap_angle(chi2 - math.pi)) < SCAN_SNAP
             ):
                 counts["pi_degenerate"] += 1
             else:
@@ -493,7 +516,7 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
     }
 
 
-def ylike_impossibility_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
+def ylike_impossibility_scan(resolution: int = 200, tol: float = SCAN_TOL) -> dict:
     """Grid scan of the Y-like four-magnitude condition
     |A+B| = |A+Be^{-i chi1}| = |A+Be^{-i chi2}| = |A+Be^{-i(chi1+chi2)}|.
 
@@ -504,7 +527,7 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
     """
     chis = _angle_grid(resolution)
     deltas = _angle_grid(resolution)
-    nz = np.abs(chis) > 1e-9  # zero weight means "no edge": excluded
+    nz = np.abs(chis) > ZERO_WEIGHT  # zero weight means "no edge": excluded
     base = np.cos(deltas)
     r2 = np.abs(base - np.cos(deltas[None, :] - chis[:, None]))  # (chi2, delta)
     hits = []
@@ -518,8 +541,8 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = 1e-6) -> dict:
     at_pi = 0
     for i1, i2, idd in hits:
         if (
-            abs(wrap_angle(chis[i1] - math.pi)) < 1e-3
-            and abs(wrap_angle(chis[i2] - math.pi)) < 1e-3
+            abs(wrap_angle(chis[i1] - math.pi)) < SCAN_SNAP
+            and abs(wrap_angle(chis[i2] - math.pi)) < SCAN_SNAP
         ):
             at_pi += 1
         else:
@@ -544,7 +567,7 @@ def pair_weight_from_projection(
     |det M2| = |1-e^{-i phi}|/4 = |det M1|. both_outcomes_equal iff
     Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0.
     """
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= STATE_NORM_TOL:  # a NaN fails too
         raise InputError("|A|^2 + |B|^2 must be 1")
     cross = (a * np.conj(b) * (1.0 + cmath.exp(1j * chi1)) * (1.0 + cmath.exp(1j * chi2))).real
     nsq = 4.0 * (1.0 + 0.5 * cross)
@@ -556,4 +579,4 @@ def pair_weight_from_projection(
         / nsq
     )
     phi = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det1 * det1)))
-    return phi, abs(cross) < 1e-10
+    return phi, bool(abs(cross) < EQUAL_OUTCOMES_TOL)

@@ -275,9 +275,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "points", 1) is not None and getattr(args, "points", 1) <= 0:
-        print("error: --points must be positive", file=sys.stderr)
-        return 2
+    for flag, least, rule in (
+        ("points", 1, "positive"),
+        ("sample", 1, "positive"),
+        ("seed", 0, "non-negative"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            print(f"error: --{flag} must be {rule}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (NumericalAbortError, ConvergenceFailureError) as exc:

@@ -8,7 +8,7 @@ modes (plus vacuum ancillas on rows 5..N) to detector modes,
 and ideal number-resolving detectors read out all N modes.
 
 Closed-form path (enumerate_table) vs. brute-force amplitude path
-(oracle_table): the two must agree to 1e-10 on every pattern.
+(oracle_table): the two must agree within ABORT_TOL on every pattern.
 
 Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
 order) and over a stack of K fusions that share N and the register sizes:
@@ -37,9 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidContextError, InvalidUnitaryError
-from .graphstate import ZERO_PROB_CUTOFF, PureState
-
-UNITARY_TOL = 1e-10
+from .graphstate import PureState
+from .tolerances import ORTHOGONAL_TOL, UNITARY_TOL, ZERO_PROB_CUTOFF
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,14 +125,14 @@ class FusionContext:
     """The four register branch states riding on the two photons.
 
     f1, f2 live on the left residual register, f3, f4 on the right one.
-    Invariants (checked at 1e-10): all four normalized (each PureState's
-    own invariant), <f1|f2> = 0. gram.z = <f4|f3> is unconstrained.
+    Invariants: all four normalized (each PureState's own invariant),
+    <f1|f2> = 0 within ORTHOGONAL_TOL. gram.z = <f4|f3> is unconstrained.
     """
 
     def __init__(self, f1: PureState, f2: PureState, f3: PureState, f4: PureState):
         if f1.num_qubits != f2.num_qubits or f3.num_qubits != f4.num_qubits:
             raise InvalidContextError("branch-state register sizes mismatch")
-        if abs(np.vdot(f1.amplitudes, f2.amplitudes)) > UNITARY_TOL:
+        if not abs(np.vdot(f1.amplitudes, f2.amplitudes)) <= ORTHOGONAL_TOL:
             raise InvalidContextError("<f1|f2> != 0")
         self.f1, self.f2, self.f3, self.f4 = f1, f2, f3, f4
         # z = <f4|f3> (right-side gram overlap)

@@ -26,10 +26,14 @@ from .errors import (
     ShapeMismatchError,
     ZeroOutcomeError,
 )
-
-DEFAULT_QUBIT_CAP = 20
-ZERO_PROB_CUTOFF = 1e-14
-NORM_TOL = 1e-12
+from .tolerances import (
+    DEFAULT_QUBIT_CAP,
+    NORM_TOL,
+    STATE_MATCH_TOL,
+    STATE_NORM_TOL,
+    ZERO_PROB_CUTOFF,
+    ZERO_WEIGHT,
+)
 
 
 def wrap_angle(chi: float) -> float:
@@ -71,7 +75,7 @@ class WeightedGraph:
             if not math.isfinite(chi):
                 raise InvalidGraphError(f"non-finite weight {chi} on ({a},{b})")
             w = wrap_angle(chi)
-            if abs(w) < 1e-12:
+            if abs(w) < ZERO_WEIGHT:
                 continue  # zero weight == no edge
             if index[a] > index[b]:
                 a, b = b, a
@@ -164,7 +168,7 @@ def chain_graph(labels: list[str], weights: list[float]) -> WeightedGraph:
 
 @dataclass
 class PureState:
-    """Dense amplitude table over an n-qubit register, normalized to 1e-10."""
+    """Dense amplitude table over an n-qubit register, normalized to STATE_NORM_TOL."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -176,7 +180,7 @@ class PureState:
                 f"{self.amplitudes.size} amplitudes for {self.num_qubits} qubits"
             )
         nrm = math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
+        if not abs(nrm - 1.0) <= STATE_NORM_TOL:  # a NaN norm fails too
             raise ShapeMismatchError(f"state not normalized: |psi| = {nrm}")
 
     def reshaped(self) -> np.ndarray:
@@ -260,15 +264,15 @@ def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
     return PureState(n, table)
 
 
-def build_state(graph: WeightedGraph, max_qubits: int = DEFAULT_QUBIT_CAP) -> PureState:
+def build_state(graph: WeightedGraph) -> PureState:
     """Dense state of a weighted graph: phase edges applied to |+>^n.
 
     The controlled phases commute and are diagonal, so each one multiplies,
     in place, the slice of one amplitude table where both endpoint bits are 1.
     """
     n = graph.n
-    if n > max_qubits:
-        raise CapExceededError(f"{n} qubits exceeds cap {max_qubits}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     table = np.full((2,) * n, 1.0 / math.sqrt(1 << n), dtype=complex)
     position = {v: q for q, v in enumerate(graph.vertices)}
     for a, b, chi in graph.edges:
@@ -368,4 +372,4 @@ def equal_up_to_prescribed_corrections(
     cur = candidate
     for gate in corrections:
         cur = apply_local(cur, gate)
-    return fidelity_up_to_global_phase(cur, target) >= 1.0 - 1e-10
+    return fidelity_up_to_global_phase(cur, target) >= 1.0 - STATE_MATCH_TOL

@@ -41,11 +41,20 @@ from .graphstate import (
     z_rotation,
     PAULI_X,
     PAULI_Z,
-    ZERO_PROB_CUTOFF,
 )
-
-WEIGHT_TOL = 1e-9
-PROB_SUM_TOL = 1e-10  # |sum p - 1| allowed for a distribution to be sampled
+from .tolerances import (
+    ABORT_TOL,
+    BOUND_SLACK,
+    INVERSION_TOL,
+    LU_MATCH_TOL,
+    PAIR_SUPPORT_TOL,
+    PROB_SUM_TOL,
+    SCHMIDT_TOL,
+    WEIGHT_TOL,
+    ZERO_PROB_CUTOFF,
+    ZERO_RANGE,
+    ZERO_WEIGHT,
+)
 
 
 @dataclass
@@ -79,12 +88,13 @@ class ChainState:
                     f"logical pair {set(pair)} has mixed-bit amplitude support"
                 )
 
-    def pair_support_ok(self, pair: frozenset[str], tol: float = 1e-12) -> bool:
-        """Amplitudes where the pair's bits differ must vanish."""
+    def pair_support_ok(self, pair: frozenset[str]) -> bool:
+        """Amplitudes where the pair's bits differ must vanish (below PAIR_SUPPORT_TOL)."""
         qa, qe = (self.qubit(v) for v in pair)
         table = self.state.reshaped()
         return all(
-            np.abs(_bit_view(table, {qa: bit, qe: 1 - bit})).max() < tol for bit in (0, 1)
+            np.abs(_bit_view(table, {qa: bit, qe: 1 - bit})).max() < PAIR_SUPPORT_TOL
+            for bit in (0, 1)
         )
 
 
@@ -242,7 +252,7 @@ def split_product(state: PureState, n_left: int) -> tuple[PureState, PureState]:
     """Factor an exactly-product state across the left/right register cut."""
     mat = state.amplitudes.reshape(1 << n_left, -1)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size > 1 and s[1] > 1e-10:
+    if s.size > 1 and not s[1] <= SCHMIDT_TOL:  # a NaN fails too
         raise NumericalAbortError("state is not a product across the requested cut")
     return (
         PureState(n_left, u[:, 0]),
@@ -526,7 +536,7 @@ def fuse_type_ii(
     f3, f4 = _branch_states(right.state, right.qubit(b))
     z = complex(np.vdot(f4, f3))  # branch states are unit vectors
     expect = inner_z(*(w for _, w in right.graph.neighbors(b)))
-    if abs(z - expect) > 1e-10:
+    if not abs(z - expect) <= ABORT_TOL:
         raise NumericalAbortError(f"z mismatch: numeric {z}, formula {expect}")
 
     lg = left.graph.without_vertex(a)
@@ -625,13 +635,9 @@ def fuse_generalized(
     return ctx, enumerate_outcomes(ctx, u)
 
 
-def _ghz_state(chi1: float, chi2: float) -> PureState:
-    return build_state(chain_graph(["b1", "a", "b2"], [chi1, chi2]))
-
-
 def weighted_pair_state(phi: float) -> PureState:
     """2-vertex weighted graph state; phi = 0 means no edge (|++>)."""
-    if abs(wrap_angle(phi)) < 1e-12:
+    if abs(wrap_angle(phi)) < ZERO_WEIGHT:
         return build_state(WeightedGraph(("b1", "b2"), ()))
     return build_state(chain_graph(["b1", "b2"], [phi]))
 
@@ -648,37 +654,15 @@ def local_equivalent_2q(
     mt = target.amplitudes.reshape(2, 2)
     uc, sc, vhc = np.linalg.svd(mc)
     ut, st, vht = np.linalg.svd(mt)
-    if np.max(np.abs(sc - st)) > 1e-9:
+    if not np.max(np.abs(sc - st)) <= LU_MATCH_TOL:
         return None
     a = ut @ uc.conj().T
     b = (vhc.conj().T @ vht).T
     # verify exactly; degenerate Schmidt spectra may need no more than this
     out = (a @ mc @ b.T).reshape(-1)
-    if np.max(np.abs(out - mt.reshape(-1))) > 1e-9:
+    if not np.max(np.abs(out - mt.reshape(-1))) <= LU_MATCH_TOL:
         return None
     return a, b
-
-
-def match_weighted_pair(state: PureState) -> tuple[float, list[Correction]] | None:
-    """Restricted correction search: match a 2-qubit state to a weighted pair.
-
-    The Schmidt spectrum fixes |det M| = |1 - e^{-i phi}|/4, hence |phi|; the
-    matching single-qubit rotations are built constructively. Returns
-    (phi >= 0, corrections) or None.
-    """
-    if state.num_qubits != 2:
-        return None
-    det = abs(np.linalg.det(state.amplitudes.reshape(2, 2)))
-    phi = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
-    target = weighted_pair_state(phi)
-    rot = local_equivalent_2q(state, target)
-    if rot is None:
-        return None
-    corr = [
-        Correction("pair0", "local-unitary", rot[0]),
-        Correction("pair1", "local-unitary", rot[1]),
-    ]
-    return phi, corr
 
 
 def ghz_pair_projection(
@@ -702,7 +686,7 @@ def ghz_pair_projection(
     phi_mag, _ = pair_weight_from_projection(bra_a, bra_b, chi1, chi2)
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi
-    ghz = _ghz_state(chi1, chi2)
+    ghz = build_state(chain_graph(["b1", "a", "b2"], [chi1, chi2]))
     target = weighted_pair_state(phi_mag)
     checked = 0
     for p in (proj, comp):
@@ -730,18 +714,18 @@ def ghz_pair_for_target(
 ) -> tuple[QubitProjection, QubitProjection]:
     """Invert the phi formula for |A| (closed form); errors outside range."""
     denom = (1.0 - math.cos(chi1)) * (1.0 - math.cos(chi2))
-    if denom < 1e-14:
-        if abs(wrap_angle(phi_target)) < 1e-12:
+    if denom < ZERO_RANGE:
+        if abs(wrap_angle(phi_target)) < ZERO_WEIGHT:
             return ghz_pair_projection(chi1, chi2, 0.0)[0]
         raise NotAchievableError("a zero-weight edge forces phi = 0")
     t = (1.0 - math.cos(phi_target)) / (2.0 * denom)
-    if t > 0.25 + 1e-12:
+    if not t <= 0.25 + BOUND_SLACK:
         raise NotAchievableError(
             f"|phi_target| exceeds the range cap {ghz_pair_range(chi1, chi2):.6f}"
         )
     mag_a = math.sqrt((1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * t))) / 2.0)
     projs, phi = ghz_pair_projection(chi1, chi2, mag_a)
-    if abs(abs(wrap_angle(phi)) - abs(wrap_angle(phi_target))) > 1e-9:
+    if not abs(abs(wrap_angle(phi)) - abs(wrap_angle(phi_target))) <= INVERSION_TOL:
         raise NotAchievableError("inversion check failed")
     return projs
 
@@ -757,7 +741,7 @@ def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     probs = np.array([o.probability for o in outcomes], dtype=float)
     total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN fails too
         raise InputError(f"not a complete distribution: probabilities sum to {total!r}")
     if np.any(probs < -PROB_SUM_TOL):
         raise InputError(f"negative probability {float(probs.min())!r}")

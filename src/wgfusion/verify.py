@@ -2,11 +2,13 @@
 
 Each check returns a CheckResult; the CLI `verify` command and the acceptance
 tests share these functions. Quick mode shrinks ensemble sizes, never
-tolerances.
+tolerances. Every check is written as a body under _check, which names the
+check and its tolerances from the package's table once and builds the result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -56,6 +58,17 @@ from .protocols import (
     rez_formula,
     weighted_pair_state,
 )
+from .tolerances import (
+    ABORT_TOL,
+    BOUND_SLACK,
+    DET_LIVE_PROB,
+    HYPERBOLA_FIDELITY_TOL,
+    INVERSION_TOL,
+    LIVE_TOL,
+    NO_GOOD_DET_TOL,
+    RETENTION_TOL,
+    WEIGHT_TOL,
+)
 
 
 @dataclass
@@ -76,22 +89,43 @@ class CheckResult:
         }
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        res = fn(*args, **kwargs)
-        res.seconds = time.perf_counter() - t0
-        return res
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 def _worst(*residuals) -> float:
     """Largest entry over arrays of residuals, NaN if any entry is NaN, so that
     a NaN fails the check (a plain max() keeps the first of two when one is NaN)."""
     return float(np.max([np.max(r, initial=0.0) for r in residuals]))
+
+
+class _Refuted(Exception):
+    """A check body found a law or a premise false outright; the message is the detail."""
+
+
+def _check(name: str, *tolerances: float):
+    """Decorator making a check body into a verify check named name.
+
+    The body returns (detail, *groups): one group of residual arrays (or
+    floats) per tolerance, in order. The check times the body, folds each
+    group with _worst and passes when every group's worst residual is below
+    its tolerance; its residual is the worst over all groups. A body that
+    raises _Refuted fails with residual 1.0 and the refutation as detail.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                detail, *groups = body(*args, **kwargs)
+            except _Refuted as exc:
+                passed, residual, detail = False, 1.0, str(exc)
+            else:
+                worst = [_worst(*group) for group in groups]
+                passed = all(w < tol for w, tol in zip(worst, tolerances, strict=True))
+                residual = _worst(worst)
+            return CheckResult(name, passed, residual, detail, time.perf_counter() - t0)
+
+        return check
+
+    return decorate
 
 
 def _rand_weights(rng: np.random.Generator, k: int) -> list[float]:
@@ -100,8 +134,8 @@ def _rand_weights(rng: np.random.Generator, k: int) -> list[float]:
     return [float(x) for x in w]
 
 
-@_timed
-def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False) -> CheckResult:
+@_check("type_i_distribution", ABORT_TOL)
+def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False):
     """Endpoint fusion: 4 outcomes at 1/4; success states rebuild the merged chain."""
     rng = np.random.default_rng(seed)
     if quick:
@@ -112,7 +146,7 @@ def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False) -> CheckR
         right = make_chain(["b1", "b2", "b3"], _rand_weights(rng, 2))
         outs = fuse_type_i(left, "a3", right, "b1", new_label="c")
         if len(outs) != 4:
-            return CheckResult("type_i_distribution", False, 1.0, "wrong outcome count")
+            raise _Refuted("wrong outcome count")
         residuals += [abs(o.probability - 0.25) for o in outs]
         for o in outs:
             if not o.label.startswith("success"):
@@ -120,12 +154,11 @@ def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False) -> CheckR
             post = o.post_states[0]
             target = build_state(post.graph)
             residuals.append(1.0 - fidelity_up_to_global_phase(post.state, target))
-    worst = _worst(residuals)
-    return CheckResult("type_i_distribution", worst < 1e-10, worst, f"{draws} draws")
+    return f"{draws} draws", [residuals]
 
 
-@_timed
-def check_logical_qubit(quick: bool = False) -> CheckResult:
+@_check("logical_qubit", ABORT_TOL)
+def check_logical_qubit(quick: bool = False):
     """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds."""
     n = 24 if quick else 100
     chis = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
@@ -135,28 +168,27 @@ def check_logical_qubit(quick: bool = False) -> CheckResult:
         outs = create_logical_qubit(chain, "c")
         succ = [o for o in outs if o.label.startswith("success")]
         if len(succ) != 1:
-            return CheckResult("logical_qubit", False, 1.0, f"chi={chi}: {len(succ)} successes")
+            raise _Refuted(f"chi={chi}: {len(succ)} successes")
         residuals.append(abs(succ[0].probability - (1.0 - math.cos(chi)) / 4.0))
         post = succ[0].post_states[0]
         if not post.pair_support_ok(frozenset({"b", "d"})):
-            return CheckResult("logical_qubit", False, 1.0, f"pair support broken at chi={chi}")
+            raise _Refuted(f"pair support broken at chi={chi}")
         residuals.append(abs(sum(o.probability for o in outs) - 1.0))
     # chi = pi: both X-basis outcomes succeed, total probability 1
     outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, math.pi, math.pi]), "c")
     succ = [o for o in outs if o.label.startswith("success")]
-    ptot = sum(o.probability for o in succ)
-    residuals.append(abs(ptot - 1.0) if len(succ) == 2 else 1.0)
-    worst = _worst(residuals)
-    return CheckResult("logical_qubit", worst < 1e-10, worst, f"{n}-point grid + pi")
+    if len(succ) != 2:
+        raise _Refuted(f"chi=pi: {len(succ)} successes")
+    residuals.append(abs(sum(o.probability for o in succ) - 1.0))
+    return f"{n}-point grid + pi", [residuals]
 
 
-@_timed
-def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
+@_check("type_ii_failure_split", ABORT_TOL)
+def check_type_ii_failures(seed: int = 13, quick: bool = False):
     """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law."""
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
     residuals = []
-    detail = []
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
     left = logical_pair_chain(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
     chis = rng.uniform(0.05, math.pi - 0.05, n)
@@ -174,11 +206,11 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
             abs(good.probability - (1.0 - math.cos(chi)) / 8.0),
         ]
         if not good.is_good_failure:
-            return CheckResult("type_ii_failure_split", False, 1.0, f"chi={chi} not flagged good")
-        if good.probability > 0.25 + 1e-12:
-            return CheckResult("type_ii_failure_split", False, 1.0, "good failure above 1/4")
-        if abs(good.probability - 0.25) < 1e-10 and abs(wrap_angle(chi - math.pi)) > 1e-9:
-            return CheckResult("type_ii_failure_split", False, 1.0, "1/4 away from pi")
+            raise _Refuted(f"chi={chi} not flagged good")
+        if not good.probability <= 0.25 + BOUND_SLACK:
+            raise _Refuted("good failure above 1/4")
+        if abs(good.probability - 0.25) < ABORT_TOL and abs(wrap_angle(chi - math.pi)) > WEIGHT_TOL:
+            raise _Refuted("1/4 away from pi")
         residuals.append(abs(sum(o.probability for o in outs) - 1.0))
     # all weights pi: split (1/4, 1/4), both failures good
     outs = fuse_type_ii(left, ("B", "D"), make_chain(["v", "b", "w"], [math.pi] * 2), "b", consume="D")
@@ -186,10 +218,8 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False) -> CheckResult:
         if o.label.startswith("failure"):
             residuals.append(abs(o.probability - 0.25))
             if not o.is_good_failure:
-                detail.append(f"{o.label} not good at pi")
-    worst = _worst(residuals)
-    passed = worst < 1e-10 and not detail
-    return CheckResult("type_ii_failure_split", passed, worst, "; ".join(detail) or f"{n + 2} chains")
+                raise _Refuted(f"{o.label} not good at pi")
+    return f"{n + 2} chains", [residuals]
 
 
 def _random_fusion_setup(rng: np.random.Generator):
@@ -232,7 +262,7 @@ def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
     oracle_probs, oracle_rows, _ = oracle_table(us, v1, v2, v3, v4)
     residuals = [np.abs(probs - oracle_probs), np.abs(probs.sum(axis=1) - 1.0)]
     iu, ju = pattern_indices(n)
-    live = (iu != ju) & (probs > 1e-10)
+    live = (iu != ju) & (probs > DET_LIVE_PROB)
     if live.any():
         det_rho, _, _ = entanglement_stack(
             coef[live].reshape(-1, 2, 2), np.broadcast_to(z[:, None], live.shape)[live]
@@ -243,8 +273,8 @@ def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
     return _worst(*residuals)
 
 
-@_timed
-def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = False) -> CheckResult:
+@_check("generalized_oracle", ABORT_TOL)
+def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = False):
     """Analytic p_ii/p_ij and det rho vs brute-force enumeration, N in 4..8.
 
     The draws come in one fixed rng order and are grouped by (N, left qubits,
@@ -266,8 +296,7 @@ def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = Fa
             residuals.append(_oracle_residual(batch))
             batch.clear()
     residuals += [_oracle_residual(batch) for batch in groups.values() if batch]
-    worst = _worst(residuals)
-    return CheckResult("generalized_oracle", worst < 1e-10, worst, f"{draws} draws")
+    return f"{draws} draws", [residuals]
 
 
 def balanced_unitary(rng: np.random.Generator) -> ModeUnitary:
@@ -302,8 +331,8 @@ def _balanced_draws(rng: np.random.Generator, draws: int):
     return coeffs, np.stack(coeffs, axis=-1).reshape(draws, -1, 2, 2), np.array(zs)
 
 
-@_timed
-def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False) -> CheckResult:
+@_check("bell_retention", RETENTION_TOL)
+def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False):
     """p_ij of (1/sqrt2)-unitary relevant projections is independent of z."""
     rng = np.random.default_rng(seed)
     if quick:
@@ -311,35 +340,33 @@ def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False) 
     coeffs, ms, z = _balanced_draws(rng, draws)
     mm = ms @ ms.conj().transpose(0, 1, 3, 2)
     t = np.trace(mm, axis1=2, axis2=3) / 2.0
-    live = np.abs(t) > 1e-12
+    live = np.abs(t) > LIVE_TOL
     # premise: every nonzero M_ij proportional to a unitary
     dev = np.abs(mm[live] - t[live, None, None] * np.eye(2))
     p0 = relevant_norm_sq(*coeffs, 0.0) / 4.0
     pz = relevant_norm_sq(*coeffs, z[:, None]) / 4.0
-    worst = _worst(dev, np.abs(p0 - pz))
-    return CheckResult("bell_retention", worst < 1e-12, worst, f"{draws} unitaries")
+    return f"{draws} unitaries", [dev, np.abs(p0 - pz)]
 
 
-@_timed
-def check_balanced_entropy(seed: int = 23, draws: int = 200, quick: bool = False) -> CheckResult:
+@_check("balanced_entropy", ABORT_TOL)
+def check_balanced_entropy(seed: int = 23, draws: int = 200, quick: bool = False):
     """Balanced U: relevant total probability 1/2 and det rho = (1-|z|^2)/4 each."""
     rng = np.random.default_rng(seed)
     if quick:
         draws = 50
     coeffs, ms, z = _balanced_draws(rng, draws)
     nsq = relevant_norm_sq(*coeffs, z[:, None])
-    live = nsq > 1e-12
+    live = nsq > LIVE_TOL
     residuals = [np.abs(np.sum(nsq / 4.0, axis=1) - 0.5)]
     if live.any():
         zl = np.broadcast_to(z[:, None], live.shape)[live]
         det_rho, _, _ = entanglement_stack(ms[live], zl)
         residuals.append(np.abs(det_rho - (1.0 - np.abs(zl) ** 2) / 4.0))
-    worst = _worst(*residuals)
-    return CheckResult("balanced_entropy", worst < 1e-10, worst, f"{draws} unitaries")
+    return f"{draws} unitaries", residuals
 
 
-@_timed
-def check_ghz_generation(quick: bool = False) -> CheckResult:
+@_check("ghz_generation", ABORT_TOL)
+def check_ghz_generation(quick: bool = False):
     """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation."""
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
@@ -355,7 +382,7 @@ def check_ghz_generation(quick: bool = False) -> CheckResult:
             pair = weighted_pair_state(abs(wrap_angle(t)))
             rot = local_equivalent_2q(st, pair)
             if rot is None:
-                return CheckResult("ghz_generation", False, 1.0, f"target {t}: no pair match")
+                raise _Refuted(f"target {t}: no pair match")
             fixed = apply_local(apply_local(st, LocalGate(0, rot[0])), LocalGate(1, rot[1]))
             residuals.append(1.0 - fidelity_up_to_global_phase(fixed, pair))
             # weight recovered from the Schmidt-invariant determinant
@@ -366,16 +393,14 @@ def check_ghz_generation(quick: bool = False) -> CheckResult:
     # range rejection away from pi
     try:
         ghz_pair_for_target(math.pi / 2.0, math.pi / 2.0, math.pi)
-        return CheckResult("ghz_generation", False, 1.0, "out-of-range target accepted")
     except NotAchievableError:
-        pass
-    worst = _worst(residuals)
-    return CheckResult("ghz_generation", worst < 1e-10, worst, f"{n} targets")
+        return f"{n} targets", [residuals]
+    raise _Refuted("out-of-range target accepted")
 
 
-@_timed
-def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False) -> CheckResult:
-    """xi-solver residual < 1e-9 and end-to-end projection hits the target pair."""
+@_check("hyperbola", INVERSION_TOL, HYPERBOLA_FIDELITY_TOL)
+def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False):
+    """xi-solver residual and end-to-end projection fidelity against the target pair."""
     rng = np.random.default_rng(seed)
     if quick:
         draws = 12
@@ -397,15 +422,11 @@ def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False) -> Che
         target = weighted_pair_state(chi_target)
         found = local_equivalent_2q(res, target)
         if found is None:
-            return CheckResult("hyperbola", False, 1.0, "no local correction found")
+            raise _Refuted("no local correction found")
         ga, gb = found
         fixed = apply_local(apply_local(res, LocalGate(0, ga)), LocalGate(1, gb))
         fid_res.append(1.0 - fidelity_up_to_global_phase(fixed, target))
-    worst_xi, worst_fid = _worst(xi_res), _worst(fid_res)
-    passed = worst_xi < 1e-9 and worst_fid < 1e-8
-    return CheckResult(
-        "hyperbola", passed, _worst(xi_res, fid_res), f"{draws} pairs; xi residual {worst_xi:.2e}"
-    )
+    return f"{draws} pairs; xi residual {_worst(xi_res):.2e}", [xi_res], [fid_res]
 
 
 def constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
@@ -437,8 +458,8 @@ def constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
     return ModeUnitary(u[:, rng.permutation(n)])
 
 
-@_timed
-def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool = False) -> CheckResult:
+@_check("no_good_failure", NO_GOOD_DET_TOL)
+def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool = False):
     """Shared same-detector direction forces every relevant det to vanish."""
     rng = np.random.default_rng(seed)
     if quick:
@@ -448,33 +469,24 @@ def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool 
         u = constrained_unitary(rng)
         report = check_no_good_failure(u)
         if not report["premise_holds"]:
-            return CheckResult("no_good_failure", False, 1.0, "ensemble premise broken")
-        if not report["conclusion_holds"]:
-            return CheckResult(
-                "no_good_failure", False, report["max_relevant_det"], "nonzero relevant det"
-            )
+            raise _Refuted("ensemble premise broken")
         residuals.append(report["max_relevant_det"])
-    worst = _worst(residuals)
-    return CheckResult("no_good_failure", worst < 1e-12, worst, f"{draws} draws")
+    return f"{draws} draws", [residuals]
 
 
-@_timed
-def check_scans(quick: bool = False) -> CheckResult:
+@_check("appendix_scans")
+def check_scans(quick: bool = False):
     """Appendix grid scans find no solutions outside the known cases."""
     res = 60 if quick else 200
     x = xlike_uniqueness_scan(res)
     y = ylike_impossibility_scan(res)
-    ok = (
-        not x["outliers"]
-        and not y["outliers"]
-        and x["solutions"] > 0
-        and y["solutions"] > 0
-    )
     detail = (
         f"x-like: {x['solutions']} solutions {x['counts']}, {len(x['outliers'])} outliers; "
         f"y-like: {y['solutions']} solutions (all at pi), {len(y['outliers'])} outliers"
     )
-    return CheckResult("appendix_scans", ok, float(len(x["outliers"]) + len(y["outliers"])), detail)
+    if x["outliers"] or y["outliers"] or not x["solutions"] or not y["solutions"]:
+        raise _Refuted(detail)
+    return (detail,)
 
 
 ALL_CHECKS = [

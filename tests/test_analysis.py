@@ -398,6 +398,14 @@ def test_pair_weight_pi_over_2_chain():
 def test_pair_weight_requires_normalized_bra():
     with pytest.raises(InputError):
         pair_weight_from_projection(1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(InputError):
+        pair_weight_from_projection(math.nan, 0.5, 1.0, 1.0)
+
+
+def test_pair_weight_reports_a_python_bool():
+    for chis in ((math.pi / 2, math.pi / 2), (1.0, 1.0)):
+        _, equal = pair_weight_from_projection(ISQ2, ISQ2, *chis)
+        assert type(equal) is bool
 
 
 def test_pair_weight_matches_simulation():

@@ -186,6 +186,31 @@ def test_scan_rejects_bad_points(capsys):
     assert main(["scan", "--quantity", "xi-solve", "--points", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "sample, seed, message",
+    [
+        ("-5", "1", "--sample must be positive"),
+        ("0", "1", "--sample must be positive"),
+        ("5", "-1", "--seed must be non-negative"),
+    ],
+)
+def test_fuse_rejects_bad_sample_and_seed(chain2, chain2b, sample, seed, message, capsys):
+    rc = main(
+        [
+            "fuse", "--type", "i",
+            "--graph", chain2, "--graph2", chain2b,
+            "--end-a", "b", "--end-b", "c", "--sample", sample, "--seed", seed,
+        ]
+    )
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_scan_rejects_a_negative_seed(capsys):
+    assert main(["scan", "--quantity", "det-entropy", "--points", "3", "--seed", "-1"]) == 2
+    assert "error: --seed must be non-negative" in capsys.readouterr().err
+
+
 def test_verify_quick_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["verify", "--quick", "--out", str(out)])

@@ -30,7 +30,8 @@ from wgfusion.fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from wgfusion.graphstate import ZERO_PROB_CUTOFF, PureState
+from wgfusion.graphstate import PureState
+from wgfusion.tolerances import ZERO_PROB_CUTOFF
 
 # (seed, N, left qubits, right qubits, sparse): sparse draws a phased
 # permutation matrix, whose patterns are mostly exactly zero

@@ -6,7 +6,8 @@ package-internal imports sit at module top, the runtime loads only NumPy
 (SciPy is a test-only reference), the Fock oracle never reaches the
 closed form it checks, protocols applies gates through one correction
 path, and no module builds a 2^n index mask with np.arange (the dense layer
-selects bits through graphstate's strided views).
+selects bits through graphstate's strided views), and no module but the
+tolerance table writes a float literal below 1e-2.
 """
 
 from __future__ import annotations
@@ -183,3 +184,33 @@ def test_gate_flags_an_arange_bit_mask():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_arange_bit_masks(path):
     assert arange_over_shifts(path.read_text()) == []
+
+
+def small_float_literals(source: str) -> list[int]:
+    """Lines of the float literals x with 0 < |x| < 1e-2: thresholds that
+    belong in wgfusion.tolerances."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-2
+    )
+
+
+def test_gate_flags_a_small_float_literal():
+    src = (
+        "if abs(x) < 1e-12:\n"
+        "    y = -1e-300\n"
+        "z = 0.0 + 0.5 + 1e-2 + 10 ** -12\n"
+        "w = f(tol=8.9e-16)\n"
+    )
+    assert small_float_literals(src) == [1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "tolerances.py"], ids=lambda p: p.name
+)
+def test_thresholds_live_in_the_tolerance_table(path):
+    assert small_float_literals(path.read_text()) == []

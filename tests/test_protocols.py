@@ -38,7 +38,6 @@ from wgfusion.protocols import (
     local_equivalent_2q,
     logical_pair_chain,
     make_chain,
-    match_weighted_pair,
     rez_formula,
     sample_outcomes,
     weighted_pair_state,
@@ -364,12 +363,6 @@ def test_ghz_for_target_inversion_and_range():
     assert abs(proj.coefficients[0]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_match_weighted_pair_recovers_weight():
-    st = weighted_pair_state(1.3)
-    phi, corr = match_weighted_pair(st)
-    assert phi == pytest.approx(1.3, abs=1e-9)
-
-
 # ------------------------------------------------------------ sampling
 
 
@@ -394,3 +387,9 @@ def test_sampling_refuses_incomplete_distributions():
     # round-off below 1e-10 is tolerated and clipped
     ok = [ProtocolOutcome("x", 1.0 + 5e-11, []), ProtocolOutcome("y", -5e-11, [])]
     assert sample_outcomes(ok, 10, seed=1) == ["x"] * 10
+
+
+def test_sampling_refuses_a_nan_probability():
+    outs = [ProtocolOutcome("x", math.nan, []), ProtocolOutcome("y", 1.0, [])]
+    with pytest.raises(InputError, match="not a complete distribution"):
+        sample_outcomes(outs, 10, seed=1)

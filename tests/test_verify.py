@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,37 @@ def test_type_i_check_fails_on_a_nan_probability(monkeypatch):
     res = verify.check_type_i(quick=True)
     assert not res.passed
     assert np.isnan(res.max_residual)
+
+
+def test_logical_qubit_check_fails_on_two_successes(monkeypatch):
+    real = verify.create_logical_qubit
+
+    def two_successes(*args, **kwargs):
+        outs = real(*args, **kwargs)
+        return outs + outs[:1]
+
+    monkeypatch.setattr(verify, "create_logical_qubit", two_successes)
+    res = verify.check_logical_qubit(quick=True)
+    assert not res.passed
+    assert res.detail.endswith(": 2 successes")
+    assert res.name == "logical_qubit" and res.seconds > 0.0
+
+
+def test_scans_check_fails_on_one_outlier(monkeypatch):
+    real = verify.xlike_uniqueness_scan
+
+    def one_outlier(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out["outliers"].append((0.1, 0.2, 0.3, 0.5))
+        return out
+
+    monkeypatch.setattr(verify, "xlike_uniqueness_scan", one_outlier)
+    res = verify.check_scans(quick=True)
+    assert not res.passed
+    assert "1 outliers" in res.detail
+
+
+def test_check_wrapper_keeps_the_body_signature():
+    assert verify.check_type_i.__name__ == "check_type_i"
+    assert "seed" in inspect.signature(verify.check_type_i.__wrapped__).parameters
+    assert "seed" not in inspect.signature(verify.check_scans.__wrapped__).parameters
