@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import unitary_group
 
@@ -196,9 +197,26 @@ def test_tef_near_solution_band_does_not_raise(eps):
 
 
 def test_entanglement_stack_aborts_on_nan():
+    # a NaN entry makes N^2 NaN, which fails the vanishing-norm guard itself
+    # instead of reaching the dense oracle's NumericalAbortError
     ms = np.array([[[math.nan, 1.0], [1.0, 1.0]]], dtype=complex)
-    with pytest.raises(NumericalAbortError), np.errstate(invalid="ignore"):
+    with pytest.raises(DegenerateArgumentError), np.errstate(invalid="ignore"):
         analysis.entanglement_stack(ms, 0.3)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.2, math.nan)])
+def test_gram_guards_reject_a_nan_overlap(z):
+    with pytest.raises(DegenerateGramError):
+        analysis.entanglement_stack(np.eye(2, dtype=complex)[None] / math.sqrt(2.0), z)
+    with pytest.raises(DegenerateGramError):
+        max_entangled_family(np.eye(2) / math.sqrt(2.0), z)
+
+
+def test_projection_rejects_a_nan_coefficient():
+    with pytest.raises(InputError):
+        TwoQubitProjection(math.nan, 0.3, 0.2, 0.5)
+    with pytest.raises(InputError):
+        TwoQubitProjection(0.5, complex(0.3, math.nan), 0.2, 0.5)
 
 
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):
@@ -535,6 +553,33 @@ def test_scans_match_reference_formulations(resolution, tol):
     if tol == 1e-2 and resolution >= 60:
         # the loose tolerance is there so that outlier order is compared
         assert x["outliers"] and y["outliers"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    half=st.integers(1, 64),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-2]),
+)
+def test_scans_match_reference_formulations_on_any_even_grid(half, tol):
+    resolution = 2 * half
+    assert xlike_uniqueness_scan(resolution, tol) == _ref_xlike_scan(resolution, tol)
+    assert ylike_impossibility_scan(resolution, tol) == _ref_ylike_scan(resolution, tol)
+
+
+@pytest.mark.parametrize("scan", [xlike_uniqueness_scan, ylike_impossibility_scan])
+@pytest.mark.parametrize(
+    "resolution, tol",
+    [(0, 1e-6), (-4, 1e-6), (2.0, 1e-6), (True, 1e-6), ("8", 1e-6),
+     (8, math.nan), (8, 0.0), (8, -1e-6), (8, math.inf)],
+)
+def test_scans_reject_bad_arguments(scan, resolution, tol):
+    with pytest.raises(InputError):
+        scan(resolution, tol)
+
+
+def test_scans_accept_a_numpy_integer_resolution():
+    assert xlike_uniqueness_scan(np.int64(24)) == xlike_uniqueness_scan(24)
+    assert ylike_impossibility_scan(np.int64(24)) == ylike_impossibility_scan(24)
 
 
 @pytest.mark.parametrize("scan", [xlike_uniqueness_scan, ylike_impossibility_scan])
