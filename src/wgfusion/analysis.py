@@ -150,8 +150,9 @@ class TwoQubitProjection:
     d: complex
 
     def __post_init__(self):
-        if not self.norm_sq >= VANISHING_NORM_SQ:  # a NaN fails too
-            raise InputError("projection coefficients are all zero or NaN")
+        nsq = self.norm_sq
+        if not (math.isfinite(nsq) and nsq >= VANISHING_NORM_SQ):
+            raise InputError("projection coefficients are all zero or not finite")
 
     @property
     def norm_sq(self) -> float:

@@ -14,9 +14,8 @@ Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
 order) and over a stack of K fusions that share N and the register sizes:
 one call is a fixed set of array operations on (K, P, ...) arrays, never a
 loop of small per-pattern or per-fusion NumPy calls. enumerate_outcomes and
-oracle_enumerate are their K = 1 wrappers. Each outcome keeps a view of its
-normalized register row in the call's shared (P, 2^nq) array; its
-register_state PureState is built and validated only when first read.
+oracle_enumerate are their K = 1 wrappers; each live outcome's register_state
+is a PureState over its normalized row of the call's shared (P, 2^nq) array.
 reduced_det_rho_stack is the dense det-rho oracle over a (K, 2^L, 2^R) stack
 of such rows.
 
@@ -29,9 +28,8 @@ relevant_norm_sq or same_detector_prob (tests/test_imports.py checks this).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -85,18 +83,13 @@ class ModeUnitary:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "re": self.matrix.real.tolist(),
-                "im": self.matrix.imag.tolist(),
-            }
-        )
+    def as_dict(self) -> dict:
+        """The unitary-JSON document {"n": N, "re": [[...]], "im": [[...]]}."""
+        return {"n": self.n, "re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModeUnitary":
-        """Parse the document {"n": N, "re": [[...]], "im": [[...]]} that to_json writes."""
+        """Inverse of as_dict."""
         try:
             n = int(doc["n"])
             m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
@@ -107,18 +100,6 @@ class ModeUnitary:
         if m.shape != (n, n):
             raise InvalidUnitaryError("matrix shape does not match n")
         return cls(m)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModeUnitary":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidUnitaryError(f"malformed unitary JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
-    @classmethod
-    def identity(cls, n: int = 4) -> "ModeUnitary":
-        return cls(np.eye(n, dtype=complex))
 
 
 class FusionContext:
@@ -147,42 +128,20 @@ class FusionContext:
         return self.f3.num_qubits
 
 
+@dataclass(frozen=True)
 class FusionOutcome:
     """One detection pattern (i, j), i <= j, 0-based detector indices.
 
-    register_row holds the normalized register amplitudes (a row of the
-    enumeration's shared array), or None for (numerically) zero outcomes.
-    register_state wraps it in a validated PureState on first access.
-    m_matrix is the normalized [[a,b],[c,d]]/N of a live relevant outcome.
+    register_state is the normalized register state, or None for
+    (numerically) zero outcomes. m_matrix is the normalized [[a,b],[c,d]]/N
+    of a live relevant outcome.
     """
 
-    __slots__ = ("pattern", "probability", "kind", "m_matrix", "register_row", "_state")
-
-    def __init__(
-        self,
-        pattern: tuple[int, int],
-        probability: float,
-        register_state: PureState | None,
-        kind: str,  # "relevant" | "non-relevant"
-        m_matrix: np.ndarray | None = None,
-        *,
-        register_row: np.ndarray | None = None,
-    ):
-        self.pattern = pattern
-        self.probability = probability
-        self.kind = kind
-        self.m_matrix = m_matrix
-        self._state = register_state
-        self.register_row = (
-            register_row if register_state is None else register_state.amplitudes
-        )
-
-    @property
-    def register_state(self) -> PureState | None:
-        if self._state is None and self.register_row is not None:
-            nq = self.register_row.size.bit_length() - 1
-            self._state = PureState(nq, self.register_row)
-        return self._state
+    pattern: tuple[int, int]
+    probability: float
+    register_state: PureState | None = field(repr=False)
+    kind: str  # "relevant" | "non-relevant"
+    m_matrix: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -191,12 +150,6 @@ class FusionOutcome:
 
     def as_dict(self) -> dict:
         return {"pattern": list(self.pattern), "probability": self.probability, "kind": self.kind}
-
-    def __repr__(self) -> str:
-        return (
-            f"FusionOutcome(pattern={self.pattern}, probability={self.probability!r}, "
-            f"kind={self.kind!r})"
-        )
 
 
 def outcome_coeffs(u: np.ndarray, i, j):
@@ -253,13 +206,14 @@ def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def enumerate_table(
-    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray, z: np.ndarray
+    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form table of every detection pattern of K fusions at once.
 
     us is a (K, N, N) stack of mode unitaries, v1, v2 the (K, D_L) and v3, v4
-    the (K, D_R) branch vectors f1..f4, and z the (K,) overlaps <f4|f3>.
-    Returns, over the P = N(N+1)/2 patterns in pattern_indices order:
+    the (K, D_R) branch vectors f1..f4. The overlaps z = <f4|f3> come from
+    np.vecdot, which rounds as FusionContext's np.vdot does. Returns, over
+    the P = N(N+1)/2 patterns in pattern_indices order:
 
     - probs (K, P): relevant_norm_sq for i != j, same_detector_prob for i = j;
     - rows (K, P, D_L D_R): the normalized register amplitudes where
@@ -272,7 +226,7 @@ def enumerate_table(
     iu, ju = pattern_indices(us.shape[-1])
     diag = iu == ju
     coef = 0.5 * np.stack(outcome_coeffs(us, iu, ju), axis=-1)
-    zc = np.asarray(z, dtype=complex)[:, None]
+    zc = np.vecdot(v4, v3)[:, None]
     probs = relevant_norm_sq(*np.moveaxis(coef, -1, 0), zc)
     probs[:, diag] = same_detector_prob(us, iu[diag], zc)
     basis = np.stack(
@@ -304,7 +258,7 @@ def oracle_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force path: expand the two-photon amplitude of every pattern of K fusions.
 
-    Same arguments (without z) and the same (probs, rows, coef) layout as
+    Same arguments and the same (probs, rows, coef) layout as
     enumerate_table, from mode-operator substitution and dense vectors alone:
     p = |amplitude|^2 of each pattern's register vector, and coef is the same
     substitution applied to the (H, V) mode coefficients of each channel.
@@ -337,20 +291,21 @@ def _outcome_list(n: int, probs: np.ndarray, rows: np.ndarray, coef: np.ndarray)
     mms[live] /= np.sqrt(probs[live])[:, None, None]
     iu, ju = pattern_indices(n)
     out: list[FusionOutcome] = []
+    nq = rows.shape[-1].bit_length() - 1
     for k, (i, j, p, ok) in enumerate(zip(iu.tolist(), ju.tolist(), probs.tolist(), live.tolist())):
         kind = "non-relevant" if i == j else "relevant"
         if not ok:
             out.append(FusionOutcome((i, j), p, None, kind))
         else:
             mm = None if i == j else mms[k]
-            out.append(FusionOutcome((i, j), p, None, kind, mm, register_row=rows[k]))
+            out.append(FusionOutcome((i, j), p, PureState(nq, rows[k]), kind, mm))
     return out
 
 
 def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     """All N(N+1)/2 detection patterns with closed-form probabilities:
     enumerate_table on a stack of one fusion."""
-    probs, rows, coef = enumerate_table(u.matrix[None], *_branch_rows(ctx), np.array([ctx.z]))
+    probs, rows, coef = enumerate_table(u.matrix[None], *_branch_rows(ctx))
     return _outcome_list(u.n, probs[0], rows[0], coef[0])
 
 
@@ -441,10 +396,10 @@ def type_i_marginal(outcomes: list[FusionOutcome], ctx: FusionContext) -> dict:
         for c_mode in (0, 1):
             o = by_pattern[(min(c_mode, d_mode), max(c_mode, d_mode))]
             total += o.probability
-            if o.register_row is None:
+            if o.register_state is None:
                 amps.append(np.zeros(1 << nq, dtype=complex))
             else:
-                amps.append(math.sqrt(o.probability) * o.register_row)
+                amps.append(math.sqrt(o.probability) * o.register_state.amplitudes)
         vec = np.concatenate(amps)  # new qubit = most significant bit
         state = None
         if total > ZERO_PROB_CUTOFF:

@@ -12,7 +12,6 @@ Global phase is ignored in all equality checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +28,6 @@ from .errors import (
 from .tolerances import (
     DEFAULT_QUBIT_CAP,
     NORM_TOL,
-    STATE_MATCH_TOL,
     STATE_NORM_TOL,
     ZERO_PROB_CUTOFF,
     ZERO_WEIGHT,
@@ -144,17 +142,6 @@ class WeightedGraph:
         """Inverse of as_dict."""
         return cls(*cls.parse_dict(doc))
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedGraph":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
 
 def chain_graph(labels: list[str], weights: list[float]) -> WeightedGraph:
     """Path graph over labels with consecutive edge weights."""
@@ -235,11 +222,6 @@ def z_rotation(theta: float) -> np.ndarray:
     return np.diag([np.exp(1j * theta), np.exp(-1j * theta)]).astype(complex)
 
 
-def plus_state(n: int) -> PureState:
-    amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
-    return PureState(n, amps)
-
-
 def _bit_view(table: np.ndarray, bits: dict[int, int]) -> np.ndarray:
     """Writable view of a (2,)*n table with each qubit q in bits fixed to bits[q].
 
@@ -305,20 +287,10 @@ def attach_vertex(
         one = _bit_view(branch, {b: 1})
         one *= np.exp(-1j * chi)
     # stack: new qubit as most significant of a front register, then move it
-    out = PureState(n + 1, np.concatenate([phi, branch.reshape(-1)]) / math.sqrt(2.0))
+    out = np.concatenate([phi, branch.reshape(-1)]) / math.sqrt(2.0)
     if new_qubit != 0:
-        out = move_qubit(out, 0, new_qubit)
-    return out
-
-
-def move_qubit(state: PureState, src: int, dst: int) -> PureState:
-    """Reorder the register so the qubit at position src sits at dst."""
-    n = state.num_qubits
-    order = list(range(n))
-    order.remove(src)
-    order.insert(dst, src)
-    arr = state.reshaped().transpose(order).reshape(-1)
-    return PureState(n, arr)
+        out = np.moveaxis(out.reshape((2,) * (n + 1)), 0, new_qubit).reshape(-1)
+    return PureState(n + 1, out)
 
 
 def apply_local(state: PureState, gate: LocalGate) -> PureState:
@@ -363,13 +335,3 @@ def fidelity_up_to_global_phase(s1: PureState, s2: PureState) -> float:
     if s1.num_qubits != s2.num_qubits:
         raise ShapeMismatchError("qubit counts differ")
     return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)))
-
-
-def equal_up_to_prescribed_corrections(
-    candidate: PureState, target: PureState, corrections: list[LocalGate]
-) -> bool:
-    """True iff the corrected candidate matches target up to global phase."""
-    cur = candidate
-    for gate in corrections:
-        cur = apply_local(cur, gate)
-    return fidelity_up_to_global_phase(cur, target) >= 1.0 - STATE_MATCH_TOL

@@ -164,7 +164,7 @@ class Correction:
 
     vertex: str
     name: str
-    matrix: np.ndarray = field(default=None, repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def as_dict(self) -> dict:
         return {"vertex": self.vertex, "gate": self.name}
@@ -352,8 +352,8 @@ def _xlike_plan(chain: ChainState, a) -> tuple[str, str, str, str, float, tuple[
 def logical_pair_chain(chain: ChainState, a) -> ChainState:
     """Post-state of create_logical_qubit's primary success branch only.
 
-    Same eligibility rules and errors as create_logical_qubit; no failure
-    branch is computed.
+    Same eligibility rules and errors as create_logical_qubit, the refusal
+    of a logical-pair member included; no failure branch is computed.
     """
     a, b1, b2, case, _, bra = _xlike_plan(chain, a)
     return _xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}").post_states[0]
@@ -365,6 +365,10 @@ def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
     Success probability (1 - cos chi)/4; at chi = pi the complementary
     projection also succeeds (total probability 1). Otherwise the complement
     is a failure carrying the Z-measurement recovery split.
+
+    a must be a plain interior vertex, as in the paper, which forms a logical
+    qubit from one. A vertex that already belongs to a logical pair is outside
+    that scope: it raises NoLogicalPairError rather than extending the pair.
     """
     a, b1, b2, case, chi, bra = _xlike_plan(chain, a)
     out = [_xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}")]
@@ -637,8 +641,6 @@ def fuse_generalized(
 
 def weighted_pair_state(phi: float) -> PureState:
     """2-vertex weighted graph state; phi = 0 means no edge (|++>)."""
-    if abs(wrap_angle(phi)) < ZERO_WEIGHT:
-        return build_state(WeightedGraph(("b1", "b2"), ()))
     return build_state(chain_graph(["b1", "b2"], [phi]))
 
 

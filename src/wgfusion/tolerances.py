@@ -21,8 +21,6 @@ ZERO_PROB_CUTOFF = 1e-14
 STATE_NORM_TOL = 1e-10
 # Largest entry of U U+ - I for a LocalGate, and | |a|^2 + |b|^2 - 1 | for a QubitProjection.
 NORM_TOL = 1e-12
-# 1 - |<s1|s2>| up to which equal_up_to_prescribed_corrections calls two states equal.
-STATE_MATCH_TOL = 1e-10
 
 # -- photonic layer (fock) -------------------------------------------------
 

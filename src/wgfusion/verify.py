@@ -135,11 +135,10 @@ def _rand_weights(rng: np.random.Generator, k: int) -> list[float]:
 
 
 @_check("type_i_distribution", ABORT_TOL)
-def check_type_i(seed: int = 11, draws: int = 20, quick: bool = False):
+def check_type_i(seed: int = 11, quick: bool = False):
     """Endpoint fusion: 4 outcomes at 1/4; success states rebuild the merged chain."""
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 5
+    draws = 5 if quick else 20
     residuals = []
     for _ in range(draws):
         left = make_chain(["a1", "a2", "a3"], _rand_weights(rng, 2))
@@ -258,7 +257,7 @@ def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
     cols = zip(*((c.f1.amplitudes, c.f2.amplitudes, c.f3.amplitudes, c.f4.amplitudes) for _, c in batch))
     v1, v2, v3, v4 = (np.stack(col) for col in cols)
     z = np.array([c.z for _, c in batch])
-    probs, _, coef = enumerate_table(us, v1, v2, v3, v4, z)
+    probs, _, coef = enumerate_table(us, v1, v2, v3, v4)
     oracle_probs, oracle_rows, _ = oracle_table(us, v1, v2, v3, v4)
     residuals = [np.abs(probs - oracle_probs), np.abs(probs.sum(axis=1) - 1.0)]
     iu, ju = pattern_indices(n)
@@ -274,7 +273,7 @@ def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
 
 
 @_check("generalized_oracle", ABORT_TOL)
-def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = False):
+def check_generalized_oracle(seed: int = 17, quick: bool = False):
     """Analytic p_ii/p_ij and det rho vs brute-force enumeration, N in 4..8.
 
     The draws come in one fixed rng order and are grouped by (N, left qubits,
@@ -282,8 +281,7 @@ def check_generalized_oracle(seed: int = 17, draws: int = 1000, quick: bool = Fa
     each group's remainder at the end, is compared in one stacked pass.
     """
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 100
+    draws = 100 if quick else 1000
     residuals = []
     groups: dict[tuple[int, int, int], list[tuple[ModeUnitary, FusionContext]]] = {}
     for _ in range(draws):
@@ -332,11 +330,10 @@ def _balanced_draws(rng: np.random.Generator, draws: int):
 
 
 @_check("bell_retention", RETENTION_TOL)
-def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False):
+def check_bell_retention(seed: int = 19, quick: bool = False):
     """p_ij of (1/sqrt2)-unitary relevant projections is independent of z."""
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 50
+    draws = 50 if quick else 200
     coeffs, ms, z = _balanced_draws(rng, draws)
     mm = ms @ ms.conj().transpose(0, 1, 3, 2)
     t = np.trace(mm, axis1=2, axis2=3) / 2.0
@@ -349,11 +346,10 @@ def check_bell_retention(seed: int = 19, draws: int = 200, quick: bool = False):
 
 
 @_check("balanced_entropy", ABORT_TOL)
-def check_balanced_entropy(seed: int = 23, draws: int = 200, quick: bool = False):
+def check_balanced_entropy(seed: int = 23, quick: bool = False):
     """Balanced U: relevant total probability 1/2 and det rho = (1-|z|^2)/4 each."""
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 50
+    draws = 50 if quick else 200
     coeffs, ms, z = _balanced_draws(rng, draws)
     nsq = relevant_norm_sq(*coeffs, z[:, None])
     live = nsq > LIVE_TOL
@@ -399,11 +395,10 @@ def check_ghz_generation(quick: bool = False):
 
 
 @_check("hyperbola", INVERSION_TOL, HYPERBOLA_FIDELITY_TOL)
-def check_hyperbola(seed: int = 29, draws: int = 50, quick: bool = False):
+def check_hyperbola(seed: int = 29, quick: bool = False):
     """xi-solver residual and end-to-end projection fidelity against the target pair."""
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 12
+    draws = 12 if quick else 50
     xi_res, fid_res = [], []
     for _ in range(draws):
         chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(rng.choice([-1.0, 1.0]))
@@ -459,11 +454,10 @@ def constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
 
 
 @_check("no_good_failure", NO_GOOD_DET_TOL)
-def check_no_good_failure_theorem(seed: int = 31, draws: int = 200, quick: bool = False):
+def check_no_good_failure_theorem(seed: int = 31, quick: bool = False):
     """Shared same-detector direction forces every relevant det to vanish."""
     rng = np.random.default_rng(seed)
-    if quick:
-        draws = 50
+    draws = 50 if quick else 200
     residuals = []
     for _ in range(draws):
         u = constrained_unitary(rng)

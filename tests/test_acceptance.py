@@ -22,9 +22,9 @@ from wgfusion.verify import (
 )
 
 
-def _run(fn, tol, budget=None, **kw):
+def _run(fn, tol, budget=None):
     t0 = time.perf_counter()
-    r = fn(**kw)
+    r = fn()
     elapsed = time.perf_counter() - t0
     assert r.passed, f"{r.name}: {r.detail} (residual {r.max_residual})"
     assert r.max_residual < tol, f"{r.name} residual {r.max_residual} >= {tol}"
@@ -35,7 +35,7 @@ def _run(fn, tol, budget=None, **kw):
 
 def test_01_type_i_distribution():
     # 4 outcomes at 1/4 each; success fidelity vs the merged 5-chain
-    _run(check_type_i, 1e-10, budget=1.0)
+    assert _run(check_type_i, 1e-10, budget=1.0).detail == "20 draws"
 
 
 def test_02_logical_qubit_probability():
@@ -50,17 +50,17 @@ def test_03_type_ii_failure_split():
 
 def test_04_generalized_fusion_oracle():
     # 1000 draws, N in 4..8: analytic probabilities and det rho vs enumeration
-    _run(check_generalized_oracle, 1e-10, budget=60.0, draws=1000)
+    assert _run(check_generalized_oracle, 1e-10, budget=60.0).detail == "1000 draws"
 
 
 def test_05_bell_projection_retention():
     # 200 unitaries with (1/sqrt2)-unitary relevant blocks: p independent of z
-    _run(check_bell_retention, 1e-12, draws=200)
+    assert _run(check_bell_retention, 1e-12).detail == "200 unitaries"
 
 
 def test_06_balanced_unitary_entropy():
     # balanced columns: relevant total 1/2 and det rho = (1-|z|^2)/4
-    _run(check_balanced_entropy, 1e-10, draws=200)
+    assert _run(check_balanced_entropy, 1e-10).detail == "200 unitaries"
 
 
 def test_07_ghz_pair_generation():
@@ -70,12 +70,12 @@ def test_07_ghz_pair_generation():
 
 def test_08_hyperbola_construction():
     # xi residual < 1e-9; corrected end-to-end fidelity >= 1 - 1e-8
-    _run(check_hyperbola, 1e-8, draws=50)
+    assert _run(check_hyperbola, 1e-8).detail.startswith("50 pairs;")
 
 
 def test_09_no_good_failure_theorem():
     # 200 constrained unitaries: every relevant outcome det < 1e-12
-    _run(check_no_good_failure_theorem, 1e-12, draws=200)
+    assert _run(check_no_good_failure_theorem, 1e-12).detail == "200 draws"
 
 
 def test_10_appendix_scans():

@@ -213,10 +213,13 @@ def test_gram_guards_reject_a_nan_overlap(z):
 
 
 def test_projection_rejects_a_nan_coefficient():
-    with pytest.raises(InputError):
-        TwoQubitProjection(math.nan, 0.3, 0.2, 0.5)
-    with pytest.raises(InputError):
-        TwoQubitProjection(0.5, complex(0.3, math.nan), 0.2, 0.5)
+    # and an infinite one, which classify_projection would otherwise tag "other"
+    bad = (math.nan, complex(0.3, math.nan), math.inf, -math.inf, complex(0.3, math.inf))
+    for coef in bad:
+        with pytest.raises(InputError):
+            TwoQubitProjection(coef, 0.3, 0.2, 0.5)
+        with pytest.raises(InputError):
+            TwoQubitProjection(0.5, 0.3, 0.2, coef)
 
 
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):

@@ -207,7 +207,10 @@ ANGLES = st.one_of(
     st.floats(0.05, math.pi).flatmap(lambda x: st.sampled_from([x, -x])),
     st.sampled_from([math.pi, math.pi / 2, -math.pi / 2]),
 )
-# a protocol may refuse an input with one of these; it never returns a wrong state
+# a protocol may refuse an input with one of these; it never returns a wrong state.
+# NoLogicalPairError includes an X-like projection of a logical-pair member: the
+# paper forms a logical qubit only from a plain interior vertex, so create_logical_qubit
+# and logical_pair_chain refuse a member instead of extending its pair.
 REFUSALS = (WeightsNotEligibleError, NoLogicalPairError, NotEndpointError)
 
 

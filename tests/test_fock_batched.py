@@ -25,6 +25,7 @@ from wgfusion.fock import (
     oracle_enumerate,
     oracle_table,
     outcome_coeffs,
+    pattern_indices,
     reduced_det_rho,
     reduced_det_rho_stack,
     relevant_norm_sq,
@@ -129,19 +130,19 @@ def test_closed_form_oracle_and_loop_agree(setup):
 
 @settings(max_examples=30, deadline=None)
 @given(SETUPS)
-def test_lazy_register_state_is_the_normalized_row(setup):
+def test_each_live_register_state_is_the_normalized_table_row(setup):
     ctx, u = _setup(*setup)
     nq = ctx.left_qubits + ctx.right_qubits
-    for outs in (enumerate_outcomes(ctx, u), oracle_enumerate(ctx, u)):
-        for o in outs:
-            if o.register_row is None:
+    args = [getattr(ctx, f).amplitudes[None] for f in ("f1", "f2", "f3", "f4")]
+    tables = (enumerate_table(u.matrix[None], *args), oracle_table(u.matrix[None], *args))
+    for (probs, rows, _), outs in zip(tables, (enumerate_outcomes(ctx, u), oracle_enumerate(ctx, u))):
+        for p, o in enumerate(outs):
+            if not probs[0, p] > ZERO_PROB_CUTOFF:
                 assert o.register_state is None
                 continue
-            assert np.linalg.norm(o.register_row) == pytest.approx(1.0, abs=1e-12)
-            st1 = o.register_state
-            assert st1.num_qubits == nq
-            assert np.array_equal(st1.amplitudes, o.register_row)
-            assert o.register_state is st1  # built once
+            assert o.register_state.num_qubits == nq
+            assert np.linalg.norm(o.register_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(o.register_state.amplitudes, rows[0, p])
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,7 +153,7 @@ def test_stacked_det_rho_cores_match_scalar_calls(setup):
     if not live:
         return
     det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), ctx.z)
-    rows = np.stack([o.register_row for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
+    rows = np.stack([o.register_state.amplitudes for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
     dets = reduced_det_rho_stack(rows)
     for k, o in enumerate(live):
         rep = entanglement_report(o.m_matrix, ctx.z)
@@ -180,14 +181,14 @@ def _stack(seed, k, n, left, right):
     ctxs = [_context(rng, left, right, zero_z=bool(rng.integers(2))) for _ in range(k)]
     us = [_unitary(rng, n, sparse=bool(rng.integers(2))) for _ in range(k)]
     args = [np.stack([getattr(c, f).amplitudes for c in ctxs]) for f in ("f1", "f2", "f3", "f4")]
-    return ctxs, us, np.stack([u.matrix for u in us]), args, np.array([c.z for c in ctxs])
+    return ctxs, us, np.stack([u.matrix for u in us]), args
 
 
 @settings(max_examples=40, deadline=None)
 @given(STACKS)
 def test_table_slices_equal_the_one_fusion_wrappers(stack):
-    ctxs, us, ms, args, z = _stack(*stack)
-    closed = enumerate_table(ms, *args, z)
+    ctxs, us, ms, args = _stack(*stack)
+    closed = enumerate_table(ms, *args)
     oracle = oracle_table(ms, *args)
     # both tables hold the same amplitude coefficients
     np.testing.assert_allclose(closed[2], oracle[2], rtol=0, atol=1e-12)
@@ -195,8 +196,22 @@ def test_table_slices_equal_the_one_fusion_wrappers(stack):
         for (probs, rows, _), outs in ((closed, enumerate_outcomes(ctx, u)), (oracle, oracle_enumerate(ctx, u))):
             assert np.max(np.abs(probs[k] - [o.probability for o in outs])) <= 1e-15
             for p, o in enumerate(outs):
-                if o.register_row is not None:
-                    assert np.max(np.abs(rows[k, p] - o.register_row)) <= 1e-14
+                if o.register_state is not None:
+                    assert np.max(np.abs(rows[k, p] - o.register_state.amplitudes)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(STACKS)
+def test_table_z_is_bit_identical_to_the_context_overlap(stack):
+    """enumerate_table derives z = <f4|f3> itself; on every off-diagonal
+    pattern its probabilities are exactly relevant_norm_sq at each context's z."""
+    ctxs, _, ms, args = _stack(*stack)
+    probs, _, coef = enumerate_table(ms, *args)
+    z = np.array([ctx.z for ctx in ctxs])
+    iu, ju = pattern_indices(ms.shape[-1])
+    off = iu != ju
+    want = relevant_norm_sq(*np.moveaxis(coef[:, off], -1, 0), z[:, None])
+    assert np.array_equal(probs[:, off], want)
 
 
 @settings(max_examples=40, deadline=None)

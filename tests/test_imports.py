@@ -6,8 +6,9 @@ package-internal imports sit at module top, the runtime loads only NumPy
 (SciPy is a test-only reference), the Fock oracle never reaches the
 closed form it checks, protocols applies gates through one correction
 path, and no module builds a 2^n index mask with np.arange (the dense layer
-selects bits through graphstate's strided views), and no module but the
-tolerance table writes a float literal below 1e-2.
+selects bits through graphstate's strided views), no module but the
+tolerance table writes a float literal below 1e-2, every constant of that
+table has a reader, and every name __init__.py exports is bound there.
 """
 
 from __future__ import annotations
@@ -214,3 +215,67 @@ def test_gate_flags_a_small_float_literal():
 )
 def test_thresholds_live_in_the_tolerance_table(path):
     assert small_float_literals(path.read_text()) == []
+
+
+def unread_constants(table: str, sources: list[str]) -> list[str]:
+    """Module-level constants of the table that none of the sources reads."""
+    defined = {
+        target.id
+        for node in ast.parse(table).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_gate_flags_an_unread_tolerance():
+    table = "USED = 1e-9\nATTR = 1e-6\nSTALE = 1e-10\nSHADOWED = 1e-3\n"
+    sources = [
+        "from .tolerances import USED\nok = x <= USED\n",
+        "import tolerances\nSHADOWED = 2\nok = y <= tolerances.ATTR\n",
+    ]
+    assert unread_constants(table, sources) == ["SHADOWED", "STALE"]
+
+
+def test_every_tolerance_has_a_reader():
+    others = [p.read_text() for p in ALL_MODULES if p.name != "tolerances.py"]
+    assert unread_constants((SRC / "tolerances.py").read_text(), others) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in the module's __all__ that no top-level import, def, class or assignment binds."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        exported = list(ast.literal_eval(node.value))
+    return sorted(set(exported) - bound)
+
+
+def test_gate_flags_an_unbound_export():
+    src = (
+        "from .a import x, y as z\n"
+        "def f():\n    gone = 1\n"
+        "__all__ = ['x', 'z', 'f', 'y', 'gone']\n"
+    )
+    assert unbound_exports(src) == ["gone", "y"]
+
+
+def test_every_export_is_bound():
+    assert unbound_exports((SRC / "__init__.py").read_text()) == []

@@ -322,7 +322,7 @@ def test_generalized_matches_oracle():
 def test_generalized_identity_keeps_photons_in_channels():
     left = _logical_left([1.0, 0.7, 0.7])
     right = make_chain(["v", "b"], [0.4])
-    ctx, fouts = fuse_generalized(left, ("B", "D"), right, "v", ModeUnitary.identity(4), consume="D")
+    ctx, fouts = fuse_generalized(left, ("B", "D"), right, "v", ModeUnitary(np.eye(4)), consume="D")
     live = [o for o in fouts if o.probability > 1e-12]
     assert all(o.pattern[0] in (0, 1) and o.pattern[1] in (2, 3) for o in live)
     assert sum(o.probability for o in live) == pytest.approx(1.0, abs=1e-12)
