@@ -156,9 +156,12 @@ class TwoQubitProjection:
 
     @property
     def norm_sq(self) -> float:
-        return float(
-            abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
-        )
+        try:
+            return float(
+                abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
+            )
+        except OverflowError:  # a finite coefficient above about 1e154: the guard refuses inf
+            return math.inf
 
     @property
     def matrix(self) -> np.ndarray:

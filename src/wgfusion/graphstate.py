@@ -3,6 +3,10 @@
 A weighted graph assigns a phase weight chi in (-pi, pi] to each edge; the
 associated n-qubit state is built from |+>^n by applying e^{-i chi |11><11|}
 along every edge. chi = pi recovers the ordinary graph-state CZ edge.
+build_state computes it by the one-vertex recursion
+    (|0>|phi> + |1> prod_b e^{-i chi |1><1|_b} |phi>)/sqrt2,
+all vertices at once in one table; attach_vertex is the same recursion applied
+to one vertex.
 
 Bit-ordering convention (shared by all modules): qubit 0 is the MOST
 significant bit of the amplitude index, i.e. basis index
@@ -247,19 +251,32 @@ def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
 
 
 def build_state(graph: WeightedGraph) -> PureState:
-    """Dense state of a weighted graph: phase edges applied to |+>^n.
+    """Dense state of a weighted graph by the vertex recursion, in one table.
 
-    The controlled phases commute and are diagonal, so each one multiplies,
-    in place, the slice of one amplitude table where both endpoint bits are 1.
+    The prefix table[:2^k] holds the state of the last k vertices. Vertex
+    v = n-1-k joins as the new most significant bit: the prefix is copied into
+    table[2^k:2^(k+1)], its v = 1 half, and every edge (v, q) with q > v
+    multiplies that half's q = 1 slice by e^{-i chi}. This is attach_vertex's
+    recursion run in place, so peak memory is one state vector. The result is
+    bit for bit the gate-by-gate product with the edges taken grouped by their
+    earlier endpoint, last vertex first, in graph.edges order within a group.
     """
     n = graph.n
     if n > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    table = np.full((2,) * n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    table = np.empty(1 << n, dtype=complex)
+    table[0] = 1.0 / math.sqrt(1 << n)
     position = {v: q for q, v in enumerate(graph.vertices)}
-    for a, b, chi in graph.edges:
-        both = _bit_view(table, {position[a]: 1, position[b]: 1})
-        both *= np.exp(-1j * chi)
+    later: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for a, b, chi in graph.edges:  # canonical: position[a] < position[b]
+        later[position[a]].append((position[b], chi))
+    size = 1
+    for v in range(n - 1, -1, -1):
+        half = table[size : 2 * size]
+        half[...] = table[:size]
+        for q, chi in later[v]:
+            half.reshape(1 << (q - v - 1), 2, -1)[:, 1] *= np.exp(-1j * chi)
+        size *= 2
     return PureState(n, table)
 
 
@@ -267,7 +284,8 @@ def attach_vertex(
     state: PureState, new_qubit: int, neighbor_weights: list[tuple[int, float]]
 ) -> PureState:
     """Attach a fresh qubit via the recursion
-    (|0>|phi> + |1> prod_b e^{-i chi |1><1|_b} |phi>)/sqrt2.
+    (|0>|phi> + |1> prod_b e^{-i chi |1><1|_b} |phi>)/sqrt2,
+    the recursion build_state runs over every vertex.
 
     new_qubit is the insertion position in the enlarged register (0..n);
     neighbor indices refer to positions in the EXISTING register and are
@@ -318,8 +336,8 @@ def project_qubit(
         raise IndexClashError(f"projection target {t} out of range")
     a, b = proj.coefficients
     arr = state.reshaped()
-    sl0 = np.take(arr, 0, axis=t)
-    sl1 = np.take(arr, 1, axis=t)
+    sl0 = _bit_view(arr, {t: 0})
+    sl1 = _bit_view(arr, {t: 1})
     red = np.conj(a) * sl0 + np.conj(b) * sl1
     red = red.reshape(-1)
     prob = float(np.vdot(red, red).real)

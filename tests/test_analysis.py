@@ -222,6 +222,17 @@ def test_projection_rejects_a_nan_coefficient():
             TwoQubitProjection(0.5, 0.3, 0.2, coef)
 
 
+@pytest.mark.parametrize("big", [1e200, 1e300, 1e308])
+def test_projection_rejects_a_coefficient_whose_square_overflows(big):
+    # finite coefficients whose squares (at 1e308 also |x| of the complex one)
+    # overflow: InputError, not OverflowError
+    for coef in (big, -big, complex(big, big), complex(0.3, -big)):
+        with pytest.raises(InputError):
+            TwoQubitProjection(coef, 0.3, 0.2, 0.5)
+        with pytest.raises(InputError):
+            TwoQubitProjection(0.5, 0.3, 0.2, coef)
+
+
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):
     import wgfusion.analysis as analysis
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +155,45 @@ def test_build_state_qubit_cap():
         attach_vertex(plus_state(DEFAULT_QUBIT_CAP), 0, [(0, 1.0)])
 
 
+def test_build_state_cap_is_checked_before_the_table_is_allocated():
+    g = WeightedGraph(tuple(f"v{i}" for i in range(DEFAULT_QUBIT_CAP + 1)), ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            build_state(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 21-qubit table would be 32 MiB
+
+
+@pytest.mark.parametrize(
+    "graph, amps",
+    [
+        (WeightedGraph((), ()), [1.0]),
+        (WeightedGraph(("a",), ()), [1.0 / math.sqrt(2.0)] * 2),
+    ],
+    ids=["n0", "n1"],
+)
+def test_build_state_of_zero_and_one_vertex(graph, amps):
+    built = build_state(graph)
+    assert built.num_qubits == graph.n
+    assert np.array_equal(built.amplitudes, np.array(amps, dtype=complex))
+    assert np.array_equal(built.amplitudes, ref_build_state(graph))
+
+
+def test_build_state_twenty_qubit_chain_matches_the_closed_form():
+    n = DEFAULT_QUBIT_CAP
+    rng = np.random.default_rng(2026)
+    weights = rng.uniform(-math.pi, math.pi, n - 1)
+    built = build_state(chain_graph([f"q{i}" for i in range(n)], list(weights)))
+    for idx in rng.integers(0, 1 << n, 64):
+        bits = [(int(idx) >> (n - 1 - q)) & 1 for q in range(n)]
+        phase = sum(w * bits[q] * bits[q + 1] for q, w in enumerate(weights))
+        expect = 2.0 ** (-n / 2) * cmath.exp(-1j * phase)
+        assert abs(built.amplitudes[idx] - expect) <= 1e-15
+
+
 def test_apply_phase_edge_is_symmetric_diag():
     st = plus_state(2)
     out = apply_phase_edge(st, 0, 1, 0.9)
@@ -186,6 +227,25 @@ def test_project_qubit_zero_outcome():
         project_qubit(st, QubitProjection(0, (0.0, 1.0)))
     out, p = project_qubit(st, QubitProjection(0, (0.0, 1.0)), allow_zero=True)
     assert out is None and p < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_project_qubit_matches_the_take_formula_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = PureState(n, amps / np.linalg.norm(amps))
+    arr = state.reshaped()
+    for t in range(n):
+        ab = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = ab / np.linalg.norm(ab)
+        got, prob = project_qubit(state, QubitProjection(t, (a, b)), allow_zero=True)
+        # asarray: at n = 1 np.take returns NumPy scalars, whose multiply rounds
+        # apart from the array loop the views go through
+        sl0, sl1 = (np.asarray(np.take(arr, bit, axis=t)) for bit in (0, 1))
+        red = (np.conj(a) * sl0 + np.conj(b) * sl1).reshape(-1)
+        assert prob == float(np.vdot(red, red).real)
+        assert np.array_equal(got.amplitudes, red / math.sqrt(prob))
 
 
 def test_project_qubit_index_check():
@@ -238,13 +298,20 @@ def ref_apply_phase_edge(amps, n, a, b, chi):
     return out
 
 
-def ref_build_state(graph):
+def ref_build_state(graph, edges=None):
+    """The gate-by-gate product over edges (default graph.edges) applied to |+>^n."""
     amps = np.full(1 << graph.n, 1.0 / math.sqrt(1 << graph.n), dtype=complex)
-    for a, b, chi in graph.edges:
+    for a, b, chi in graph.edges if edges is None else edges:
         amps = ref_apply_phase_edge(
             amps, graph.n, graph.vertex_index(a), graph.vertex_index(b), chi
         )
     return amps
+
+
+def recursion_order(graph):
+    """graph.edges grouped by earlier endpoint, last vertex first, stable within
+    a group: the order in which the vertex recursion multiplies the phases."""
+    return sorted(graph.edges, key=lambda e: -graph.vertex_index(e[0]))
 
 
 def ref_attach_vertex(amps, n, new_qubit, neighbor_weights):
@@ -282,7 +349,11 @@ MIXED = st.sampled_from([None, 0.0, 1e-13, 9.999e-13, 1e-12, 1.0001e-12, 1e-9])
 def test_bit_views_match_the_mask_loops_bit_for_bit(graph, data):
     n = graph.n
     built = build_state(graph)
-    assert np.array_equal(built.amplitudes, ref_build_state(graph))
+    assert np.array_equal(built.amplitudes, ref_build_state(graph, recursion_order(graph)))
+    # in graph.edges order the products round differently: at most about one
+    # ulp of an amplitude per edge
+    bound = (len(graph.edges) + 1) * 2.0**-52 * 2.0 ** (-n / 2)
+    assert np.max(np.abs(built.amplitudes - ref_build_state(graph)), initial=0.0) <= bound
     amps = built.amplitudes
     for new_qubit in range(n + 1):
         nbrs = [(b, data.draw(WEIGHTS)) for b in range(n) if data.draw(st.booleans())]
