@@ -28,7 +28,7 @@ from .fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from .graphstate import wrap_angle
+from .graphstate import _sum_abs_sq, wrap_angle
 from .tolerances import (
     ABORT_TOL,
     BISECT_RTOL,
@@ -156,12 +156,7 @@ class TwoQubitProjection:
 
     @property
     def norm_sq(self) -> float:
-        try:
-            return float(
-                abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
-            )
-        except OverflowError:  # a finite coefficient above about 1e154: the guard refuses inf
-            return math.inf
+        return _sum_abs_sq(self.a, self.b, self.c, self.d)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -594,7 +589,7 @@ def pair_weight_from_projection(
     |det M2| = |1-e^{-i phi}|/4 = |det M1|. both_outcomes_equal iff
     Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0.
     """
-    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= STATE_NORM_TOL:  # a NaN fails too
+    if not abs(_sum_abs_sq(a, b) - 1.0) <= STATE_NORM_TOL:  # a NaN or inf fails too
         raise InputError("|A|^2 + |B|^2 must be 1")
     cross = (a * np.conj(b) * (1.0 + cmath.exp(1j * chi1)) * (1.0 + cmath.exp(1j * chi2))).real
     nsq = 4.0 * (1.0 + 0.5 * cross)

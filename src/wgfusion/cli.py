@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analysis import INV_SQRT2, entanglement_report, gram_factor, inner_z, solve_xi_for_weight
+from .analysis import INV_SQRT2, entanglement_stack, gram_factor, inner_z, solve_xi_for_weight
 from .errors import (
     ConvergenceFailureError,
     InputError,
@@ -26,7 +26,6 @@ from .fock import ModeUnitary
 from .graphstate import WeightedGraph, build_state, chain_graph, project_qubit, wrap_angle
 from .protocols import (
     ChainState,
-    create_logical_qubit,
     fuse_generalized,
     fuse_type_i,
     fuse_type_ii,
@@ -36,6 +35,8 @@ from .protocols import (
     make_chain,
     rez_formula,
     sample_outcomes,
+    type_ii_probabilities,
+    xlike_probability,
 )
 from .verify import run_all
 
@@ -137,10 +138,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         header = ["chi", "analytic", "simulated", "residual"]
 
         def row(chi: float) -> list:
-            outs = create_logical_qubit(
-                make_chain(["a", "b", "c", "d"], [1.0, chi, chi]), "c"
-            )
-            sim = sum(o.probability for o in outs if o.label.startswith("success"))
+            sim = xlike_probability(make_chain(["a", "b", "c", "d"], [1.0, chi, chi]), "c")
             ana = (1.0 - math.cos(chi)) / 4.0
             return [chi, ana, sim, abs(ana - sim)]
 
@@ -150,27 +148,24 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
         def row(chi: float) -> list:
             right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])
-            outs = {o.label: o for o in fuse_type_ii(left, ("B", "D"), right, "b", consume="D")}
+            probs = type_ii_probabilities(left, ("B", "D"), right, "b", consume="D")
             rez = rez_formula(chi, wrap_angle(-chi))
             am, ap = (1.0 - rez) / 4.0, (1.0 + rez) / 4.0
-            sm = outs["failure_b_minus"].probability
-            sp = outs["failure_b_plus"].probability
+            sm, sp = probs["failure_b_minus"], probs["failure_b_plus"]
             return [chi, am, sm, ap, sp, max(abs(am - sm), abs(ap - sp))]
 
     elif quantity == "det-entropy":
         header = ["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"]
+        # row k takes the k-th seeded matrix; one stacked call covers every row
         rng = np.random.default_rng(seed)
-
-        def row(chi: float) -> list:
-            # rows run in grid order, so row k takes the k-th seeded matrix
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            z = inner_z(chi)
-            rep = entanglement_report(m, z)
-            nsq = rep.probability * 4.0
-            mp = (m / math.sqrt(nsq)) @ gram_factor(z)
-            ev = np.linalg.eigvalsh(mp @ mp.conj().T)
-            oracle = float(ev[0] * ev[1])
-            return [chi, rep.det_rho, oracle, abs(rep.det_rho - oracle)]
+        ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in grid])
+        zs = np.array([inner_z(chi) for chi in grid])
+        det_rho, _, nsq = entanglement_stack(ms, zs)
+        mp = (ms / np.sqrt(nsq)[:, None, None]) @ gram_factor(zs)
+        ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
+        oracle = ev[:, 0] * ev[:, 1]
+        cols = (grid, det_rho.tolist(), oracle.tolist(), np.abs(det_rho - oracle).tolist())
+        return header, [list(r) for r in zip(*cols)]
 
     elif quantity == "ghz-range":
         header = ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"]

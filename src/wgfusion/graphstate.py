@@ -194,6 +194,21 @@ class LocalGate:
         object.__setattr__(self, "matrix", m)
 
 
+def _sum_abs_sq(*coefficients: complex) -> float:
+    """sum |c|^2 over the coefficients, summed left to right.
+
+    abs(c) ** 2 raises OverflowError for a finite |c| above about 1e154;
+    that sum is returned as inf instead, so a norm guard refuses it.
+    """
+    total = 0.0
+    try:
+        for c in coefficients:
+            total += abs(c) ** 2
+    except OverflowError:
+        return math.inf
+    return float(total)
+
+
 @dataclass(frozen=True)
 class QubitProjection:
     """Projection of one qubit onto the ket alpha|0> + beta|1>.
@@ -206,7 +221,7 @@ class QubitProjection:
 
     def __post_init__(self):
         a, b = complex(self.coefficients[0]), complex(self.coefficients[1])
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL:
+        if not abs(_sum_abs_sq(a, b) - 1.0) <= NORM_TOL:  # a NaN or inf fails too
             raise ShapeMismatchError("projection coefficients not normalized")
         object.__setattr__(self, "coefficients", (a, b))
 

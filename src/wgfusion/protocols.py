@@ -359,12 +359,24 @@ def logical_pair_chain(chain: ChainState, a) -> ChainState:
     return _xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}").post_states[0]
 
 
+def xlike_probability(chain: ChainState, a) -> float:
+    """Probability of create_logical_qubit's primary success outcome, and nothing else.
+
+    Same eligibility rules and errors as create_logical_qubit. The float is
+    the one that outcome carries, (1 - cos chi)/4 on a plain chain; no
+    correction, failure branch or ChainState is built.
+    """
+    a, _, _, _, _, bra = _xlike_plan(chain, a)
+    return _project_bra(chain.state, chain.qubit(a), bra)[1]
+
+
 def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
     """Project an interior vertex to turn its two neighbors into a logical pair.
 
     Success probability (1 - cos chi)/4; at chi = pi the complementary
     projection also succeeds (total probability 1). Otherwise the complement
-    is a failure carrying the Z-measurement recovery split.
+    is a failure carrying the Z-measurement recovery split. xlike_probability
+    gives the primary success probability alone.
 
     a must be a plain interior vertex, as in the paper, which forms a logical
     qubit from one. A vertex that already belongs to a logical pair is outside
@@ -519,17 +531,13 @@ def _pair_members(left: ChainState, pair, consume) -> tuple[str, str]:
     return a, e
 
 
-def fuse_type_ii(
-    left: ChainState, pair, right: ChainState, b, consume: str | None = None
-) -> list[ProtocolOutcome]:
-    """Bell-measure one logical pair member against a qubit of another chain.
+def _type_ii_branches(left: ChainState, pair, right: ChainState, b, consume):
+    """Everything fuse_type_ii computes before its first post-state.
 
-    Success outcomes (<00| +/- <11|, total probability 1/2) merge the chains:
-    the kept pair member e inherits the logical vertex's and b's neighbors.
-    Failure outcomes are X-type with probabilities (1 -/+ Re z)/4; the
-    b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
-    failure that is not good destroys the right graph's structure, so it
-    lists only the left post-state.
+    Returns (a, e, b, successes, failures): successes holds (label, sign,
+    vec, prob) for the two Bell outcomes, vec the unnormalized merged state;
+    failures holds (label, sa, sb, vl, prob) for the two X-type product
+    outcomes, vl the unnormalized left state.
     """
     a, e = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
@@ -543,6 +551,45 @@ def fuse_type_ii(
     if not abs(z - expect) <= ABORT_TOL:
         raise NumericalAbortError(f"z mismatch: numeric {z}, formula {expect}")
 
+    successes = []
+    for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
+        vec = (np.kron(f1, f3) + sign * np.kron(f2, f4)) / (2.0 * math.sqrt(2.0))
+        successes.append((label, sign, vec, float(np.vdot(vec, vec).real)))
+    failures = []
+    for sa, sb, label in ((+1, -1, "failure_b_minus"), (-1, +1, "failure_b_plus")):
+        vl = (f1 + sa * f2) / 2.0
+        vr = (f3 + sb * f4) / 2.0
+        failures.append((label, sa, sb, vl, float(np.vdot(vl, vl).real * np.vdot(vr, vr).real)))
+    return a, e, b, successes, failures
+
+
+def type_ii_probabilities(
+    left: ChainState, pair, right: ChainState, b, consume: str | None = None
+) -> dict[str, float]:
+    """The four outcome probabilities of fuse_type_ii, by label, and nothing else.
+
+    Same checks and errors as fuse_type_ii, the numeric-vs-formula check of
+    z included; the floats are the ones its outcomes carry. No post-state
+    is built.
+    """
+    *_, successes, failures = _type_ii_branches(left, pair, right, b, consume)
+    return {label: prob for label, *_, prob in successes + failures}
+
+
+def fuse_type_ii(
+    left: ChainState, pair, right: ChainState, b, consume: str | None = None
+) -> list[ProtocolOutcome]:
+    """Bell-measure one logical pair member against a qubit of another chain.
+
+    Success outcomes (<00| +/- <11|, total probability 1/2) merge the chains:
+    the kept pair member e inherits the logical vertex's and b's neighbors.
+    Failure outcomes are X-type with probabilities (1 -/+ Re z)/4; the
+    b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
+    failure that is not good destroys the right graph's structure, so it
+    lists only the left post-state. type_ii_probabilities gives the four
+    probabilities alone.
+    """
+    a, e, b, successes, failures = _type_ii_branches(left, pair, right, b, consume)
     lg = left.graph.without_vertex(a)
     rg = right.graph.without_vertex(b)
     # e inherits the logical vertex's edges (already on a and e) plus b's edges
@@ -556,9 +603,7 @@ def fuse_type_ii(
     pairs_left = frozenset(p for p in left.logical_pairs if a not in p)
 
     out: list[ProtocolOutcome] = []
-    for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
-        vec = (np.kron(f1, f3) + sign * np.kron(f2, f4)) / (2.0 * math.sqrt(2.0))
-        prob = float(np.vdot(vec, vec).real)
+    for label, sign, vec, prob in successes:
         corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
         st = _corrected(merged, PureState(merged.n, vec / math.sqrt(prob)), corr)
         post = ChainState(merged, st, pairs_left | right.logical_pairs)
@@ -567,10 +612,7 @@ def fuse_type_ii(
     # failures: X-type product projections; left side always collapses the
     # pair into a plain vertex e carrying the logical vertex's edges.
     left_graph = WeightedGraph(lg.vertices, lg.edges + moved)
-    for sa, sb, label in ((+1, -1, "failure_b_minus"), (-1, +1, "failure_b_plus")):
-        vl = (f1 + sa * f2) / 2.0
-        vr = (f3 + sb * f4) / 2.0
-        prob = float(np.vdot(vl, vl).real * np.vdot(vr, vr).real)
+    for label, sa, sb, vl, prob in failures:
         if prob < ZERO_PROB_CUTOFF:
             out.append(ProtocolOutcome(label, prob, [], [], False))
             continue

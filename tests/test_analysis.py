@@ -231,6 +231,11 @@ def test_projection_rejects_a_coefficient_whose_square_overflows(big):
             TwoQubitProjection(coef, 0.3, 0.2, 0.5)
         with pytest.raises(InputError):
             TwoQubitProjection(0.5, 0.3, 0.2, coef)
+        # the one-qubit bra of the GHZ pair weight goes through the same sum
+        with pytest.raises(InputError, match="must be 1"):
+            pair_weight_from_projection(coef, 0.5, 1.0, 1.0)
+        with pytest.raises(InputError, match="must be 1"):
+            pair_weight_from_projection(0.5, coef, 1.0, 1.0)
 
 
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):

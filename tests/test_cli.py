@@ -1,15 +1,26 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wgfusion.analysis import entanglement_report, gram_factor, inner_z
 from wgfusion.cli import main
-from wgfusion.graphstate import WeightedGraph, chain_graph
+from wgfusion.graphstate import WeightedGraph, chain_graph, wrap_angle
+from wgfusion.protocols import (
+    create_logical_qubit,
+    fuse_type_ii,
+    logical_pair_chain,
+    make_chain,
+    rez_formula,
+)
 
 
 def _write_graph(path, vertices, edges):
@@ -180,6 +191,75 @@ def test_scan_deterministic_with_seed(tmp_path):
         )
         assert rc == 0
     assert a.read_text() == b.read_text()
+
+
+# Reference rows: each runs the whole protocol function (or one entanglement
+# report per row) and reads its probabilities off the outcomes. The scans
+# compute the same floats without building post-states.
+
+
+def _ref_logical_prob(chi: float, _rng) -> list:
+    outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, chi, chi]), "c")
+    sim = sum(o.probability for o in outs if o.label.startswith("success"))
+    ana = (1.0 - math.cos(chi)) / 4.0
+    return [chi, ana, sim, abs(ana - sim)]
+
+
+def _ref_failure_split(chi: float, _rng) -> list:
+    left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
+    right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])
+    outs = {o.label: o for o in fuse_type_ii(left, ("B", "D"), right, "b", consume="D")}
+    rez = rez_formula(chi, wrap_angle(-chi))
+    am, ap = (1.0 - rez) / 4.0, (1.0 + rez) / 4.0
+    sm = outs["failure_b_minus"].probability
+    sp = outs["failure_b_plus"].probability
+    return [chi, am, sm, ap, sp, max(abs(am - sm), abs(ap - sp))]
+
+
+def _ref_det_entropy(chi: float, rng) -> list:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    z = inner_z(chi)
+    rep = entanglement_report(m, z)
+    nsq = rep.probability * 4.0
+    mp = (m / math.sqrt(nsq)) @ gram_factor(z)
+    ev = np.linalg.eigvalsh(mp @ mp.conj().T)
+    oracle = float(ev[0] * ev[1])
+    return [chi, rep.det_rho, oracle, abs(rep.det_rho - oracle)]
+
+
+REFERENCE_ROWS = {
+    "logical-prob": (["chi", "analytic", "simulated", "residual"], _ref_logical_prob),
+    "failure-split": (
+        ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"],
+        _ref_failure_split,
+    ),
+    "det-entropy": (["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"], _ref_det_entropy),
+}
+
+
+def _reference_csv(quantity: str, points: int, seed: int) -> str:
+    header, row = REFERENCE_ROWS[quantity]
+    rng = np.random.default_rng(seed)  # rows run in grid order, one matrix each
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k in range(points):
+        r = row((k + 0.5) * math.pi / points, rng)
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in r])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("points", [1, 7, 64])
+@pytest.mark.parametrize(
+    "quantity, seed",
+    [("logical-prob", 0), ("failure-split", 0), ("det-entropy", 0), ("det-entropy", 5)],
+)
+def test_scan_csv_equals_the_reference_rows(quantity, seed, points, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--quantity", quantity, "--points", str(points), "--out", str(out)]
+    assert main(argv + ["--seed", str(seed)]) == 0
+    with open(out, newline="") as fh:
+        assert fh.read() == _reference_csv(quantity, points, seed)
 
 
 def test_scan_rejects_bad_points(capsys):

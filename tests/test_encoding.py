@@ -19,6 +19,7 @@ from wgfusion.errors import (
     NoLogicalPairError,
     NotEndpointError,
     WeightsNotEligibleError,
+    WgfError,
 )
 from wgfusion.graphstate import PureState, WeightedGraph, wrap_angle
 from wgfusion.protocols import (
@@ -28,6 +29,8 @@ from wgfusion.protocols import (
     fuse_type_ii,
     logical_pair_chain,
     make_chain,
+    type_ii_probabilities,
+    xlike_probability,
 )
 
 TOL = 1e-10
@@ -272,3 +275,87 @@ def test_every_post_state_matches_the_encoding_oracle(base, other, data):
     posts += _post_states(fuse_type_ii, left, pair, base, b)
     for post in posts:
         assert oracle_distance(post) < TOL
+
+
+# ------------------------------------------------ probability-only paths
+
+
+def _result(fn, *args):
+    """fn's value, or the type and message of the WgfError it raises."""
+    try:
+        return fn(*args)
+    except WgfError as exc:
+        return type(exc), str(exc)
+
+
+def _primary_probability(chain, a) -> float:
+    return create_logical_qubit(chain, a)[0].probability
+
+
+def _type_ii_table(*args) -> dict[str, float]:
+    return {o.label: o.probability for o in fuse_type_ii(*args)}
+
+
+def _assert_probabilities_match_the_protocols(base, left, pair, b, consume) -> None:
+    for v in base.graph.vertices:
+        assert _result(xlike_probability, base, v) == _result(_primary_probability, base, v)
+    args = (left, pair, base, b, consume)
+    assert _result(type_ii_probabilities, *args) == _result(_type_ii_table, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests(), eligible_chains("x"), st.data())
+def test_probability_paths_equal_the_protocol_outcomes(base, other, data):
+    # exact equality: the protocols take their probabilities from the same helpers
+    left = logical_pair_chain(*other)
+    pair = tuple(next(iter(left.logical_pairs)))
+    b = data.draw(st.sampled_from(base.graph.vertices))
+    consume = data.draw(st.sampled_from(pair + (None,)))
+    _assert_probabilities_match_the_protocols(base, left, pair, b, consume)
+
+
+def test_probability_paths_equal_the_protocol_outcomes_on_seeded_chains():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        weights = list(rng.uniform(-math.pi, math.pi, n - 1))
+        k = int(rng.integers(1, n - 1))
+        # two in three draws are eligible at k, as Case 1 or Case 2
+        flip = rng.integers(3)
+        if flip < 2:
+            weights[k] = weights[k - 1] if flip == 0 else wrap_angle(-weights[k - 1])
+        chain = make_chain([f"r{i}" for i in range(n)], weights)
+        base = logical_pair_chain(chain, f"r{k}") if flip < 2 and rng.integers(2) else chain
+        chi = float(rng.uniform(0.2, 3.0))
+        left = logical_pair_chain(make_chain(list("ABCDE"), [0.6, chi, -chi, 1.2]), "C")
+        b = base.graph.vertices[int(rng.integers(base.graph.n))]
+        consume = ["B", "D", None][int(rng.integers(3))]
+        _assert_probabilities_match_the_protocols(base, left, ("B", "D"), b, consume)
+
+
+def test_probability_paths_refuse_like_the_protocols():
+    chain = make_chain(list("abcde"), [1.0, 0.7, 0.7, 0.4])
+    paired = logical_pair_chain(chain, "c")  # pair {b, d}
+    left = logical_pair_chain(make_chain(list("ABCD"), [1.0, 0.7, 0.7]), "C")
+    # x - p - y with p's bit copied onto q: p is an interior pair member
+    g = WeightedGraph(("x", "p", "q", "y"), (("x", "p", 0.6), ("p", "y", 0.6)))
+    pq = {frozenset({"p", "q"})}
+    member = ChainState(g, PureState(4, encoding_oracle(g, pq)), pq)
+    xlike = [
+        (chain, "a", WeightsNotEligibleError),  # degree 1
+        (chain, "b", WeightsNotEligibleError),  # weights (1.0, 0.7): neither case
+        (member, "p", NoLogicalPairError),  # a pair member
+    ]
+    for base, a, error in xlike:
+        want = _result(_primary_probability, base, a)
+        assert want[0] is error
+        assert _result(xlike_probability, base, a) == want
+    type_ii = [
+        (left, ("B", "D"), chain, "c", "A"),  # consume outside the pair
+        (left, ("B", "D"), paired, "b", None),  # b in a right-hand logical pair
+        (left, ("A", "B"), chain, "c", None),  # not a registered pair
+    ]
+    for args in type_ii:
+        want = _result(_type_ii_table, *args)
+        assert want[0] is NoLogicalPairError
+        assert _result(type_ii_probabilities, *args) == want

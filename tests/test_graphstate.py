@@ -285,6 +285,16 @@ def test_validators_reject_nan(build, error):
         build()
 
 
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_projection_rejects_a_coefficient_whose_square_overflows(big):
+    # |x|^2 overflows for a finite |x| above about 1e154: ShapeMismatchError,
+    # not Python's OverflowError
+    for coef in (big, -big, complex(big, big), complex(0.3, -big)):
+        for coefficients in ((coef, 0.0), (0.6, coef)):
+            with pytest.raises(ShapeMismatchError, match="not normalized"):
+                QubitProjection(0, coefficients)
+
+
 # ---- bit-view layer against the per-index mask loops it replaced ----------
 
 
