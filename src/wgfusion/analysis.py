@@ -427,6 +427,12 @@ def check_no_good_failure(u: ModeUnitary) -> dict:
     }
 
 
+# Outlier tuples an appendix scan returns at most, in hit order; its
+# "outlier_count" counts every outlier. A loose tol on a large grid makes
+# every grid point a hit, up to 3 resolution^3 of them.
+SCAN_OUTLIER_CAP = 1000
+
+
 def _angle_grid(n: int) -> np.ndarray:
     """Uniform grid on (-pi, pi] including pi exactly (n even keeps the
     Case-1/Case-2 manifold points on-grid)."""
@@ -461,8 +467,9 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = SCAN_TOL) -> dict:
     sorted back into (chi2, delta, |A|) order, so the outliers come in the
     order of a full-grid argwhere. At resolution 200 this takes 0.06-0.09 s
     in process, down from 0.53-0.59 s for the full-grid evaluation (a
-    shared 2-core Xeon, Python 3.11, NumPy 2.4). Raises InputError unless
-    resolution is a positive int and tol is finite and > 0.
+    shared 2-core Xeon, Python 3.11, NumPy 2.4). "outliers" holds the first
+    SCAN_OUTLIER_CAP outliers and "outlier_count" counts them all. Raises
+    InputError unless resolution is a positive int and tol is finite and > 0.
     """
     _check_scan_args(resolution, tol)
     chis = _angle_grid(resolution)
@@ -471,7 +478,7 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = SCAN_TOL) -> dict:
     e1 = np.exp(-1j * chis)  # e^{-i chi}
     counts = {"case1": 0, "case2": 0, "pi_degenerate": 0}
     outliers: list[tuple] = []
-    n_solutions = 0
+    n_solutions = n_outliers = 0
     r = mag_as[:, None, None]
     bmag = np.sqrt(1.0 - mag_as**2)[:, None, None]
     bph = np.exp(1j * deltas)[None, None, :]
@@ -516,13 +523,16 @@ def xlike_uniqueness_scan(resolution: int = 200, tol: float = SCAN_TOL) -> dict:
             ):
                 counts["pi_degenerate"] += 1
             else:
-                outliers.append((float(chi1), float(chi2), float(delta), float(mag)))
+                n_outliers += 1
+                if len(outliers) < SCAN_OUTLIER_CAP:
+                    outliers.append((float(chi1), float(chi2), float(delta), float(mag)))
     return {
         "resolution": resolution,
         "tolerance": tol,
         "solutions": n_solutions,
         "counts": counts,
         "outliers": outliers,
+        "outlier_count": n_outliers,
     }
 
 
@@ -541,8 +551,10 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = SCAN_TOL) -> di
     those columns; a point failing the chi1 term fails the maximum of all
     three, so the hit set and its order are those of the full grid. At
     resolution 200 this takes 0.006-0.009 s, down from 0.14-0.19 s (same
-    machine as xlike_uniqueness_scan). Raises InputError unless resolution
-    is a positive int and tol is finite and > 0.
+    machine as xlike_uniqueness_scan). Each row's hits are classified as
+    they are found; "outliers" holds the first SCAN_OUTLIER_CAP outliers and
+    "outlier_count" counts them all. Raises InputError unless resolution is
+    a positive int and tol is finite and > 0.
     """
     _check_scan_args(resolution, tol)
     chis = _angle_grid(resolution)
@@ -550,7 +562,8 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = SCAN_TOL) -> di
     nz = np.abs(chis) > ZERO_WEIGHT  # zero weight means "no edge": excluded
     base = np.cos(deltas)
     r2 = np.abs(base - np.cos(deltas[None, :] - chis[:, None]))  # (chi2, delta)
-    hits = []
+    outliers = []
+    n_hits = n_outliers = at_pi = 0
     for i1 in np.flatnonzero(nz):
         d1 = deltas - chis[i1]
         r1 = np.abs(base - np.cos(d1))
@@ -558,23 +571,24 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = SCAN_TOL) -> di
         res = np.maximum(r1[cols], r2[:, cols])
         res = np.maximum(res, np.abs(base[cols] - np.cos(d1[cols][None, :] - chis[:, None])))
         res[~nz] = np.inf
-        hits.extend((i1, i2, cols[j]) for i2, j in np.argwhere(res < tol))
-    outliers = []
-    at_pi = 0
-    for i1, i2, idd in hits:
-        if (
-            abs(wrap_angle(chis[i1] - math.pi)) < SCAN_SNAP
-            and abs(wrap_angle(chis[i2] - math.pi)) < SCAN_SNAP
-        ):
-            at_pi += 1
-        else:
-            outliers.append((float(chis[i1]), float(chis[i2]), float(deltas[idd])))
+        for i2, j in np.argwhere(res < tol):
+            n_hits += 1
+            if (
+                abs(wrap_angle(chis[i1] - math.pi)) < SCAN_SNAP
+                and abs(wrap_angle(chis[i2] - math.pi)) < SCAN_SNAP
+            ):
+                at_pi += 1
+            else:
+                n_outliers += 1
+                if len(outliers) < SCAN_OUTLIER_CAP:
+                    outliers.append((float(chis[i1]), float(chis[i2]), float(deltas[cols[j]])))
     return {
         "resolution": resolution,
         "tolerance": tol,
-        "solutions": int(len(hits)),
+        "solutions": n_hits,
         "at_pi": at_pi,
         "outliers": outliers,
+        "outlier_count": n_outliers,
     }
 
 

@@ -102,22 +102,35 @@ class ModeUnitary:
         return cls(m)
 
 
+def context_overlaps(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, f4: np.ndarray) -> np.ndarray:
+    """The (K,) right-side gram overlaps z = <f4|f3> of K stacked contexts.
+
+    f1..f4 are (K, 2^m) stacks of normalized branch vectors, f1, f2 on the
+    left register and f3, f4 on the right one. Checks FusionContext's
+    invariants on every row first: matching register sizes and
+    |<f1|f2>| <= ORTHOGONAL_TOL (InvalidContextError; a NaN fails too).
+    np.vecdot rounds as np.vdot, so row k is FusionContext(row k).z.
+    """
+    if f1.shape != f2.shape or f3.shape != f4.shape or len(f1) != len(f3):
+        raise InvalidContextError("branch-state register sizes or row counts mismatch")
+    if not (np.abs(np.vecdot(f1, f2)) <= ORTHOGONAL_TOL).all():
+        raise InvalidContextError("<f1|f2> != 0")
+    return np.vecdot(f4, f3)
+
+
 class FusionContext:
     """The four register branch states riding on the two photons.
 
     f1, f2 live on the left residual register, f3, f4 on the right one.
     Invariants: all four normalized (each PureState's own invariant),
-    <f1|f2> = 0 within ORTHOGONAL_TOL. gram.z = <f4|f3> is unconstrained.
+    <f1|f2> = 0 within ORTHOGONAL_TOL (context_overlaps checks it). z =
+    <f4|f3> is unconstrained.
     """
 
     def __init__(self, f1: PureState, f2: PureState, f3: PureState, f4: PureState):
-        if f1.num_qubits != f2.num_qubits or f3.num_qubits != f4.num_qubits:
-            raise InvalidContextError("branch-state register sizes mismatch")
-        if not abs(np.vdot(f1.amplitudes, f2.amplitudes)) <= ORTHOGONAL_TOL:
-            raise InvalidContextError("<f1|f2> != 0")
+        rows = (f.amplitudes[None] for f in (f1, f2, f3, f4))
+        self.z = complex(context_overlaps(*rows)[0])
         self.f1, self.f2, self.f3, self.f4 = f1, f2, f3, f4
-        # z = <f4|f3> (right-side gram overlap)
-        self.z = complex(np.vdot(f4.amplitudes, f3.amplitudes))
 
     @property
     def left_qubits(self) -> int:

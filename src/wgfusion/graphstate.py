@@ -8,6 +8,14 @@ build_state computes it by the one-vertex recursion
 all vertices at once in one table; attach_vertex is the same recursion applied
 to one vertex.
 
+Batch axis: the dense kernels act on a (K, 2^n) stack of K states that share
+one register, one row per state. build_state takes a graph shape plus a
+(K, E) weight array, project_rows projects one qubit of every row onto that
+row's ket and apply_rows applies one 2x2 gate (or one per row) to one qubit.
+The single-state functions are their K = 1 rows: build_state(graph),
+project_qubit and apply_local return row 0 of the same kernels as a
+PureState, so a stacked row is bit for bit the single-state result.
+
 Bit-ordering convention (shared by all modules): qubit 0 is the MOST
 significant bit of the amplitude index, i.e. basis index
     idx = sum_q bit_q << (n - 1 - q).
@@ -24,6 +32,7 @@ import numpy as np
 from .errors import (
     CapExceededError,
     IndexClashError,
+    InputError,
     InvalidGraphError,
     NonUnitaryGateError,
     ShapeMismatchError,
@@ -39,8 +48,11 @@ from .tolerances import (
 
 
 def wrap_angle(chi: float) -> float:
-    """Normalize an angle into (-pi, pi]."""
-    out = math.remainder(chi, 2.0 * math.pi)
+    """Normalize an angle into (-pi, pi]; InputError for an infinite angle."""
+    try:
+        out = math.remainder(chi, 2.0 * math.pi)
+    except ValueError:  # math.remainder refuses an infinite dividend
+        raise InputError(f"angle must be finite, got {chi!r}") from None
     if out <= -math.pi:
         out += 2.0 * math.pi
     return out
@@ -231,14 +243,22 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi}) == e^{i phi |1><1|} up to nothing."""
-    return np.diag([1.0, np.exp(1j * phi)]).astype(complex)
+def _diagonal_gates(d0, d1) -> np.ndarray:
+    """diag(d0, d1): one 2x2 gate, or a (K, 2, 2) stack for (K,) arrays of entries."""
+    gates = np.zeros(np.shape(d1) + (2, 2), dtype=complex)
+    gates[..., 0, 0] = d0
+    gates[..., 1, 1] = d1
+    return gates
 
 
-def z_rotation(theta: float) -> np.ndarray:
-    """e^{i theta Z} = diag(e^{i theta}, e^{-i theta})."""
-    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)]).astype(complex)
+def phase_gate(phi) -> np.ndarray:
+    """diag(1, e^{i phi}) == e^{i phi |1><1|}; a (K,) array of angles gives K gates."""
+    return _diagonal_gates(1.0, np.exp(1j * phi))
+
+
+def z_rotation(theta) -> np.ndarray:
+    """e^{i theta Z} = diag(e^{i theta}, e^{-i theta}); a (K,) array of angles gives K gates."""
+    return _diagonal_gates(np.exp(1j * theta), np.exp(-1j * theta))
 
 
 def _bit_view(table: np.ndarray, bits: dict[int, int]) -> np.ndarray:
@@ -265,34 +285,82 @@ def apply_phase_edge(state: PureState, a: int, b: int, chi: float) -> PureState:
     return PureState(n, table)
 
 
-def build_state(graph: WeightedGraph) -> PureState:
+def weight_rows(graph: WeightedGraph, weights) -> np.ndarray:
+    """(K, E) float rows over graph.edges, K >= 1, each weight wrapped as
+    WeightedGraph wraps it.
+
+    A non-finite weight, or one that wraps below ZERO_WEIGHT (no edge, so
+    another graph than the shape), raises InvalidGraphError.
+    """
+    try:
+        rows = np.array(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGraphError(f"malformed weight rows: {exc}") from exc
+    if rows.ndim != 2 or rows.shape[1] != len(graph.edges) or not len(rows):
+        raise InvalidGraphError(
+            f"weights of shape {rows.shape}: need (K >= 1, {len(graph.edges)}) for this graph"
+        )
+    if not np.isfinite(rows).all():
+        raise InvalidGraphError("non-finite weight in a weight row")
+    # math.remainder leaves |w| < pi as it is; only the rest goes through wrap_angle
+    for k, e in zip(*np.nonzero(~(np.abs(rows) < math.pi))):
+        rows[k, e] = wrap_angle(rows[k, e])
+    if not (np.abs(rows) >= ZERO_WEIGHT).all():
+        k, e = np.argwhere(np.abs(rows) < ZERO_WEIGHT)[0]
+        a, b, _ = graph.edges[e]
+        raise InvalidGraphError(
+            f"weight row {k} drops edge ({a},{b}): {float(rows[k, e])!r} is below ZERO_WEIGHT"
+        )
+    return rows
+
+
+def build_state(graph: WeightedGraph, weights=None):
     """Dense state of a weighted graph by the vertex recursion, in one table.
 
     The prefix table[:2^k] holds the state of the last k vertices. Vertex
     v = n-1-k joins as the new most significant bit: the prefix is copied into
     table[2^k:2^(k+1)], its v = 1 half, and every edge (v, q) with q > v
     multiplies that half's q = 1 slice by e^{-i chi}. This is attach_vertex's
-    recursion run in place, so peak memory is one state vector. The result is
-    bit for bit the gate-by-gate product with the edges taken grouped by their
-    earlier endpoint, last vertex first, in graph.edges order within a group.
+    recursion run in place, so peak memory is one state vector per row. The
+    result is bit for bit the gate-by-gate product with the edges taken
+    grouped by their earlier endpoint, last vertex first, in graph.edges order
+    within a group.
+
+    build_state(graph) returns the graph's PureState. build_state(graph,
+    weights) reads graph as a shape (vertices and edge endpoints, not its
+    weights) and weights as a (K, E) array whose row k weighs graph.edges;
+    it returns the (K, 2^n) stack whose row k is build_state of the graph
+    with row k's weights, bit for bit. The recursion is the same: the table
+    carries the K rows on a trailing axis and each edge multiplies by the
+    phases of its (K,) weight column. A weight that is not finite or wraps
+    below ZERO_WEIGHT (no edge: another shape) raises InvalidGraphError.
     """
     n = graph.n
     if n > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    table = np.empty(1 << n, dtype=complex)
+    if weights is None:
+        rows: tuple[int, ...] = ()
+        edges = graph.edges
+    else:
+        chis = weight_rows(graph, weights)
+        rows = (len(chis),)
+        edges = [(a, b, col) for (a, b, _), col in zip(graph.edges, chis.T)]  # (K,) columns
+    table = np.empty((1 << n,) + rows, dtype=complex)
     table[0] = 1.0 / math.sqrt(1 << n)
     position = {v: q for q, v in enumerate(graph.vertices)}
-    later: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, chi in graph.edges:  # canonical: position[a] < position[b]
+    later: list[list[tuple[int, float | np.ndarray]]] = [[] for _ in range(n)]
+    for a, b, chi in edges:  # canonical: position[a] < position[b]
         later[position[a]].append((position[b], chi))
     size = 1
     for v in range(n - 1, -1, -1):
         half = table[size : 2 * size]
         half[...] = table[:size]
         for q, chi in later[v]:
-            half.reshape(1 << (q - v - 1), 2, -1)[:, 1] *= np.exp(-1j * chi)
+            half.reshape((1 << (q - v - 1), 2, -1) + rows)[:, 1] *= np.exp(-1j * chi)
         size *= 2
-    return PureState(n, table)
+    if weights is None:
+        return PureState(n, table)
+    return np.ascontiguousarray(table.T)
 
 
 def attach_vertex(
@@ -326,15 +394,58 @@ def attach_vertex(
     return PureState(n + 1, out)
 
 
+def check_unit_rows(rows: np.ndarray) -> None:
+    """PureState's unit-norm invariant on every row of a (K, 2^n) stack.
+
+    Raises ShapeMismatchError naming the first row whose norm is off by more
+    than STATE_NORM_TOL (a NaN norm fails too).
+    """
+    norms = np.sqrt(np.vecdot(rows, rows).real)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_NORM_TOL))
+    if bad.size:
+        raise ShapeMismatchError(f"row {bad[0]} not normalized: |psi| = {norms[bad[0]]}")
+
+
+def apply_rows(rows: np.ndarray, target: int, matrix: np.ndarray) -> np.ndarray:
+    """(K, 2^n) stack with a 2x2 gate applied to qubit target of every row.
+
+    matrix is one (2, 2) gate for all rows or a (K, 2, 2) stack of one gate
+    per row. One stacked matmul; each row is bit for bit apply_local's
+    tensordot product with its gate.
+    """
+    k = len(rows)
+    split = rows.reshape(k, 1 << target, 2, -1).transpose(0, 2, 1, 3)
+    out = matrix @ split.reshape(k, 2, -1)
+    return out.reshape(k, 2, 1 << target, -1).transpose(0, 2, 1, 3).reshape(k, -1)
+
+
 def apply_local(state: PureState, gate: LocalGate) -> PureState:
+    """The gate applied to one state: apply_rows on its K = 1 stack."""
     n = state.num_qubits
     t = gate.target
     if not (0 <= t < n):
         raise IndexClashError(f"gate target {t} out of range")
-    arr = state.reshaped()
-    arr = np.tensordot(gate.matrix, arr, axes=([1], [t]))
-    arr = np.moveaxis(arr, 0, t)
-    return PureState(n, arr.reshape(-1))
+    return PureState(n, apply_rows(state.amplitudes[None], t, gate.matrix)[0])
+
+
+def project_rows(
+    rows: np.ndarray, target: int, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project qubit target of every row of a (K, 2^n) stack onto its own ket.
+
+    Row k applies the bra conj(c0)<0| + conj(c1)<1| of coefficients[k] =
+    (c0, c1). Returns the (K, 2^(n-1)) reduced rows and their (K,)
+    probabilities. Each row is divided by the square root of its
+    probability; a probability below ZERO_PROB_CUTOFF is floored at the
+    cutoff first, so such a row stays finite but is no state, and the
+    caller refuses or drops it.
+    """
+    k = len(rows)
+    split = rows.reshape(k, 1 << target, 2, -1)
+    bra = np.conj(coefficients)[:, :, None, None]
+    red = (bra[:, 0] * split[:, :, 0] + bra[:, 1] * split[:, :, 1]).reshape(k, -1)
+    probs = np.vecdot(red, red).real
+    return red / np.sqrt(np.maximum(probs, ZERO_PROB_CUTOFF))[:, None], probs
 
 
 def project_qubit(
@@ -342,25 +453,21 @@ def project_qubit(
 ) -> tuple[PureState | None, float]:
     """Project one qubit out; returns (renormalized n-1 qubit state, probability).
 
-    Below the zero-probability cutoff the branch is reported impossible:
-    raises ZeroOutcomeError unless allow_zero, in which case (None, prob).
+    project_rows on the state's K = 1 stack. Below the zero-probability
+    cutoff the branch is reported impossible: raises ZeroOutcomeError unless
+    allow_zero, in which case (None, prob).
     """
     n = state.num_qubits
     t = proj.target
     if not (0 <= t < n):
         raise IndexClashError(f"projection target {t} out of range")
-    a, b = proj.coefficients
-    arr = state.reshaped()
-    sl0 = _bit_view(arr, {t: 0})
-    sl1 = _bit_view(arr, {t: 1})
-    red = np.conj(a) * sl0 + np.conj(b) * sl1
-    red = red.reshape(-1)
-    prob = float(np.vdot(red, red).real)
+    red, probs = project_rows(state.amplitudes[None], t, np.array([proj.coefficients]))
+    prob = float(probs[0])
     if prob < ZERO_PROB_CUTOFF:
         if allow_zero:
             return None, prob
         raise ZeroOutcomeError(f"projection probability {prob} below cutoff")
-    return PureState(n - 1, red / math.sqrt(prob)), prob
+    return PureState(n - 1, red[0]), prob
 
 
 def fidelity_up_to_global_phase(s1: PureState, s2: PureState) -> float:

@@ -5,6 +5,11 @@ sample_outcomes provides the seeded Monte Carlo mode on top of it.
 
 Register convention: a ChainState's qubits are ordered by its graph's vertex
 list; projecting a vertex out removes its register position.
+
+A ChainStack holds K chains of one shape as (K, 2^n) rows. The X-like
+branch and its corrections run on such rows; logical_pair_chain and
+create_logical_qubit run it on a one-row stack, so each row of a stack is
+bit for bit its single-chain result.
 """
 
 from __future__ import annotations
@@ -24,19 +29,21 @@ from .errors import (
     NotEndpointError,
     NumericalAbortError,
     WeightsNotEligibleError,
+    ZeroOutcomeError,
 )
-from .fock import FusionContext, FusionOutcome, ModeUnitary, enumerate_outcomes
+from .fock import FusionContext, FusionOutcome, ModeUnitary, context_overlaps, enumerate_outcomes
 from .graphstate import (
-    LocalGate,
     PureState,
     QubitProjection,
     WeightedGraph,
-    _bit_view,
-    apply_local,
+    apply_rows,
     build_state,
     chain_graph,
+    check_unit_rows,
     phase_gate,
     project_qubit,
+    project_rows,
+    weight_rows,
     wrap_angle,
     z_rotation,
     PAULI_X,
@@ -82,20 +89,80 @@ class ChainState:
 
     def check_invariants(self):
         _check_forest_after_contraction(self.graph, self.logical_pairs)
-        for pair in self.logical_pairs:
-            if not self.pair_support_ok(pair):
-                raise InvalidGraphError(
-                    f"logical pair {set(pair)} has mixed-bit amplitude support"
-                )
+        _check_pair_support(self.graph, self.logical_pairs, self.state.amplitudes[None])
 
     def pair_support_ok(self, pair: frozenset[str]) -> bool:
         """Amplitudes where the pair's bits differ must vanish (below PAIR_SUPPORT_TOL)."""
-        qa, qe = (self.qubit(v) for v in pair)
-        table = self.state.reshaped()
-        return all(
-            np.abs(_bit_view(table, {qa: bit, qe: 1 - bit})).max() < PAIR_SUPPORT_TOL
-            for bit in (0, 1)
-        )
+        return bool(_pair_support_rows(self.graph, pair, self.state.amplitudes[None])[0])
+
+
+def _pair_support_rows(graph: WeightedGraph, pair, rows: np.ndarray) -> np.ndarray:
+    """Per row of a (K, 2^n) stack: do the pair's mixed-bit amplitudes all vanish?
+
+    A NaN amplitude fails its row (ndarray.max keeps a NaN).
+    """
+    qa, qe = sorted(graph.vertex_index(v) for v in pair)
+    split = rows.reshape(len(rows), 1 << qa, 2, 1 << (qe - qa - 1), 2, -1)
+    worst = np.maximum(
+        np.abs(split[:, :, 0, :, 1]).max(axis=(1, 2, 3)),
+        np.abs(split[:, :, 1, :, 0]).max(axis=(1, 2, 3)),
+    )
+    return worst < PAIR_SUPPORT_TOL
+
+
+def _check_pair_support(graph: WeightedGraph, pairs, rows: np.ndarray) -> None:
+    for pair in pairs:
+        ok = _pair_support_rows(graph, pair, rows)
+        if not ok.all():
+            row = f" in row {np.flatnonzero(~ok)[0]}" if len(rows) > 1 else ""
+            raise InvalidGraphError(
+                f"logical pair {set(pair)} has mixed-bit amplitude support{row}"
+            )
+
+
+@dataclass(eq=False)
+class ChainStack:
+    """K weighted forests of one shape with their dense states: ChainState with a batch axis.
+
+    graph gives the shape: vertices and edge endpoints, in weight-column
+    order (its own weights are not read). weights[k] holds the weights of
+    graph.edges in row k and rows[k] that row's 2^n amplitudes; the logical
+    pairs are shared. ChainState's invariants are checked on construction:
+    the contracted forest once, since it depends on the shape alone, and
+    the pair support and unit norm on every row.
+    """
+
+    graph: WeightedGraph
+    weights: np.ndarray
+    rows: np.ndarray
+    logical_pairs: frozenset[frozenset[str]] = frozenset()
+
+    def __post_init__(self):
+        self.logical_pairs = frozenset(frozenset(p) for p in self.logical_pairs)
+        if self.weights.shape[1:] != (len(self.graph.edges),) or self.rows.shape != (
+            len(self.weights),
+            1 << self.graph.n,
+        ):
+            raise InvalidGraphError("state stack does not match graph and weight rows")
+        _check_forest_after_contraction(self.graph, self.logical_pairs)
+        _check_pair_support(self.graph, self.logical_pairs, self.rows)
+        check_unit_rows(self.rows)
+
+    def take(self, idx) -> ChainStack:
+        """The stack of rows idx, in that order."""
+        return ChainStack(self.graph, self.weights[idx], self.rows[idx], self.logical_pairs)
+
+
+def _edge_weights(graph: WeightedGraph) -> np.ndarray:
+    """The (1, E) weight row of a single graph."""
+    return np.array([[chi for _, _, chi in graph.edges]])
+
+
+def _reweighted(shape: WeightedGraph, weights) -> WeightedGraph:
+    """The graph of one weight row over shape.edges."""
+    return WeightedGraph(
+        shape.vertices, tuple((a, b, w) for (a, b, _), w in zip(shape.edges, weights.tolist()))
+    )
 
 
 def _components(adj: dict[str, set[str]]) -> list[set[str]]:
@@ -158,9 +225,21 @@ def make_chain(labels: list[str], weights: list[float]) -> ChainState:
     return ChainState(g, build_state(g))
 
 
+def make_chain_stack(labels: list[str], weights) -> ChainStack:
+    """make_chain for K weight rows in one build: row k has the consecutive
+    edge weights weights[k], wrapped; build_state's refusals apply."""
+    shape = chain_graph(labels, [math.pi] * (len(labels) - 1))
+    weights = weight_rows(shape, weights)
+    return ChainStack(_reweighted(shape, weights[0]), weights, build_state(shape, weights))
+
+
 @dataclass
 class Correction:
-    """A prescribed local correction, recorded after being applied."""
+    """A prescribed local correction, recorded after being applied.
+
+    matrix is the 2x2 gate, or a (K, 2, 2) stack of one gate per row when
+    the correction was applied to a stack.
+    """
 
     vertex: str
     name: str
@@ -191,23 +270,37 @@ class ProtocolOutcome:
         }
 
 
+def _branch_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(2)-scaled slices of one qubit of every row: the f-branch vectors of the recursion."""
+    k = len(rows)
+    split = rows.reshape(k, 1 << qubit, 2, -1)
+    return (
+        split[:, :, 0].reshape(k, -1) * math.sqrt(2.0),
+        split[:, :, 1].reshape(k, -1) * math.sqrt(2.0),
+    )
+
+
 def _branch_states(state: PureState, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(2)-scaled slices of one qubit: the f-branch vectors of the recursion."""
-    arr = state.reshaped()
-    f0 = np.take(arr, 0, axis=qubit).reshape(-1) * math.sqrt(2.0)
-    f1 = np.take(arr, 1, axis=qubit).reshape(-1) * math.sqrt(2.0)
-    return f0, f1
+    """_branch_rows of one state."""
+    f0, f1 = _branch_rows(state.amplitudes[None], qubit)
+    return f0[0], f1[0]
 
 
-def _as_normalized(f: np.ndarray) -> PureState:
-    return PureState(f.size.bit_length() - 1, f / float(np.linalg.norm(f)))
+def _normalized_rows(f: np.ndarray) -> np.ndarray:
+    """Each row of f divided by its norm, the norm summed as np.linalg.norm sums it."""
+    return f / np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))[:, None]
 
 
-def _corrected(graph: WeightedGraph, state: PureState, corrections: list[Correction]) -> PureState:
-    """state with each correction's gate applied at its vertex's register position."""
+def _corrected(graph: WeightedGraph, rows: np.ndarray, corrections: list[Correction]) -> np.ndarray:
+    """(K, 2^n) rows with each correction's gate applied at its vertex's register position."""
     for c in corrections:
-        state = apply_local(state, LocalGate(graph.vertex_index(c.vertex), c.matrix))
-    return state
+        rows = apply_rows(rows, graph.vertex_index(c.vertex), c.matrix)
+    return rows
+
+
+def _corrected_state(graph: WeightedGraph, vec: np.ndarray, corrections: list[Correction]) -> PureState:
+    """_corrected on one state vector."""
+    return PureState(graph.n, _corrected(graph, vec[None], corrections)[0])
 
 
 def _z_measure(graph: WeightedGraph, state: PureState, pairs, v: str, s: int):
@@ -237,11 +330,11 @@ def _z_measure(graph: WeightedGraph, state: PureState, pairs, v: str, s: int):
     for m in members:
         graph = graph.without_vertex(m)
     if state is not None:
-        state = _corrected(graph, state, corr)
+        state = _corrected_state(graph, state.amplitudes, corr)
     return graph, state, prob, corr, frozenset(q for q in pairs if q.isdisjoint(members))
 
 
-def _resolve_vertex(chain: ChainState, v) -> str:
+def _resolve_vertex(chain: ChainState | ChainStack, v) -> str:
     if isinstance(v, str):
         chain.graph.vertex_index(v)  # raises if unknown
         return v
@@ -290,7 +383,7 @@ def fuse_type_i(
     def _succ(sign: float, label: str, corr: list[Correction]):
         # branch states are unit vectors: divide by sqrt2 for a unit vector
         vec = np.concatenate([np.kron(f1, f3), sign * np.kron(f2, f4)]) / math.sqrt(2.0)
-        st = _corrected(merged, PureState(merged.n, vec), corr)
+        st = _corrected_state(merged, vec, corr)
         post = ChainState(merged, st, left.logical_pairs | right.logical_pairs)
         return ProtocolOutcome(label, 0.25, [post], corr)
 
@@ -326,37 +419,75 @@ def _xlike_case(chi1: float, chi2: float) -> str | None:
     return None
 
 
-def _xlike_plan(chain: ChainState, a) -> tuple[str, str, str, str, float, tuple[complex, complex]]:
-    """Eligibility of interior vertex a for an X-like projection and its primary bra.
+def _edge_columns(graph: WeightedGraph) -> dict[frozenset[str], int]:
+    """Column of each edge, keyed by its endpoints, in a weight row over graph.edges."""
+    return {frozenset((x, y)): i for i, (x, y, _) in enumerate(graph.edges)}
 
-    Returns (a, b1, b2, case, chi, bra), b1 before b2 in vertex order. The
-    primary bra (A, B) is B = -A e^{i chi} for case 1 and B = -A for case 2.
+
+def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
+    """Eligibility of interior vertex a for an X-like projection in every weight row,
+    and each row's primary bra.
+
+    graph is the shape and weights its (K, E) weight rows. Returns (b1, b2,
+    case, chis, bras), b1 before b2 in vertex order; all rows must meet one
+    eligibility case. Row k's primary bra (A, B) is B = -A e^{i chi_k} for
+    case 1 and B = -A for case 2.
     """
-    a = _resolve_vertex(chain, a)
-    nbs = chain.graph.neighbors(a)
+    nbs = graph.neighbors(a)
     if len(nbs) != 2:
         raise WeightsNotEligibleError(f"{a} is not interior (degree {len(nbs)})")
-    if any(a in p for p in chain.logical_pairs):
+    if any(a in p for p in pairs):
         raise NoLogicalPairError(f"{a} already belongs to a logical pair")
-    (b1, chi1), (b2, chi2) = sorted(nbs, key=lambda t: chain.graph.vertices.index(t[0]))
-    case = _xlike_case(chi1, chi2)
-    if case is None:
-        raise WeightsNotEligibleError(
-            f"weights ({chi1:.6g}, {chi2:.6g}) satisfy neither eligibility case"
-        )
-    chi = chi1 if case == "case1" else chi2  # case 2: chi1 = -chi mod 2pi
-    bra = (1.0, -cmath.exp(1j * chi)) if case == "case1" else (1.0, -1.0)
-    return a, b1, b2, case, chi, bra
+    (b1, _), (b2, _) = sorted(nbs, key=lambda t: graph.vertices.index(t[0]))
+    column = _edge_columns(graph)
+    cases, chis = set(), []
+    for chi1, chi2 in zip(
+        weights[:, column[frozenset((a, b1))]].tolist(),
+        weights[:, column[frozenset((a, b2))]].tolist(),
+    ):
+        case = _xlike_case(chi1, chi2)
+        if case is None:
+            raise WeightsNotEligibleError(
+                f"weights ({chi1:.6g}, {chi2:.6g}) satisfy neither eligibility case"
+            )
+        cases.add(case)
+        chis.append(chi1 if case == "case1" else chi2)  # case 2: chi1 = -chi mod 2pi
+    if len(cases) != 1:
+        raise WeightsNotEligibleError(f"weight rows meet different eligibility cases {sorted(cases)}")
+    (case,) = cases
+    if case == "case1":
+        bras = [(1.0, -cmath.exp(1j * chi)) for chi in chis]
+    else:
+        bras = [(1.0, -1.0)] * len(chis)
+    return b1, b2, case, chis, bras
 
 
 def logical_pair_chain(chain: ChainState, a) -> ChainState:
     """Post-state of create_logical_qubit's primary success branch only.
 
     Same eligibility rules and errors as create_logical_qubit, the refusal
-    of a logical-pair member included; no failure branch is computed.
+    of a logical-pair member and the ZeroOutcomeError of a vanishing branch
+    included; no failure branch is computed.
     """
-    a, b1, b2, case, _, bra = _xlike_plan(chain, a)
-    return _xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}").post_states[0]
+    a = _resolve_vertex(chain, a)
+    weights = _edge_weights(chain.graph)
+    b1, b2, case, _, (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
+    return _xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}").post_states[0]
+
+
+def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
+    """logical_pair_chain on every row of a stack, as one X-like branch over its rows.
+
+    Same rules and errors; every row must meet one eligibility case. Row k
+    of the result is bit for bit logical_pair_chain of row k's chain.
+    """
+    a = _resolve_vertex(stack, a)
+    b1, b2, case, _, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
+    graph, weights, rows, _, _, pairs = _xlike_rows(
+        stack.graph, weights=stack.weights, rows=stack.rows, pairs=stack.logical_pairs,
+        a=a, b1=b1, b2=b2, bras=bras, case=case,
+    )
+    return ChainStack(graph, weights, rows, pairs)
 
 
 def xlike_probability(chain: ChainState, a) -> float:
@@ -366,8 +497,9 @@ def xlike_probability(chain: ChainState, a) -> float:
     the one that outcome carries, (1 - cos chi)/4 on a plain chain; no
     correction, failure branch or ChainState is built.
     """
-    a, _, _, _, _, bra = _xlike_plan(chain, a)
-    return _project_bra(chain.state, chain.qubit(a), bra)[1]
+    a = _resolve_vertex(chain, a)
+    *_, (bra,) = _xlike_plan(chain.graph, _edge_weights(chain.graph), chain.logical_pairs, a)
+    return float(_project_bra(chain.state.amplitudes[None], chain.qubit(a), [bra])[1][0])
 
 
 def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
@@ -381,31 +513,85 @@ def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
     a must be a plain interior vertex, as in the paper, which forms a logical
     qubit from one. A vertex that already belongs to a logical pair is outside
     that scope: it raises NoLogicalPairError rather than extending the pair.
+    Eligible weights so small that the success branch's probability falls
+    below ZERO_PROB_CUTOFF raise ZeroOutcomeError, naming a and the
+    probability: the branch has no state to return.
     """
-    a, b1, b2, case, chi, bra = _xlike_plan(chain, a)
-    out = [_xlike_branch(chain, a, b1, b2, bra, case, f"success_{case}")]
+    a = _resolve_vertex(chain, a)
+    weights = _edge_weights(chain.graph)
+    b1, b2, case, (chi,), (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
+    out = [_xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}")]
     # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
     comp = (
         (1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0)
     )
     if abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL:
         comp_case = "case2" if case == "case1" else "case1"
-        out.append(_xlike_branch(chain, a, b1, b2, comp, comp_case, f"success_{comp_case}"))
+        out.append(
+            _xlike_branch(chain, weights, a, b1, b2, comp, comp_case, f"success_{comp_case}")
+        )
     else:
         out.extend(_xlike_failure_split(chain, a, b1, b2, comp))
     return out
 
 
-def _project_bra(state: PureState, qubit: int, bra: tuple[complex, complex]):
-    """Apply the unnormalized-direction bra (A<0| + B<1|)/norm on one qubit."""
-    a, b = bra
-    nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    proj = QubitProjection(qubit, (np.conj(a) / nrm, np.conj(b) / nrm))
-    return project_qubit(state, proj, allow_zero=True)
+def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.ndarray]:
+    """project_rows with row k's unnormalized-direction bra (A<0| + B<1|)/norm on one qubit."""
+    kets = []
+    for a, b in bras:
+        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        kets.append(QubitProjection(qubit, (np.conj(a) / nrm, np.conj(b) / nrm)).coefficients)
+    return project_rows(rows, qubit, np.array(kets))
+
+
+def _xlike_rows(graph: WeightedGraph, *, weights, rows, pairs, a, b1, b2, bras, case):
+    """The X-like branch of a, with its prescribed corrections, on every row of a stack.
+
+    graph is the shape, weights its (K, E) weight rows, rows the (K, 2^n)
+    states and bras[k] row k's (A, B) bra direction. Returns (graph after
+    the branch, its (K, E') weight rows, the corrected (K, 2^(n-1)) rows,
+    the (K,) probabilities, the corrections, the logical pairs); the graph
+    carries row 0's weights. No invariant is checked here: ChainState checks
+    a K = 1 result and ChainStack a stack. A row whose probability falls
+    below ZERO_PROB_CUTOFF raises ZeroOutcomeError naming a and the
+    probability.
+    """
+    red, probs = _project_bra(rows, graph.vertex_index(a), bras)
+    low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
+    if low.size:
+        raise ZeroOutcomeError(
+            f"X-like projection of {a} has probability {float(probs[low[0]])!r}, "
+            f"below the zero cutoff {ZERO_PROB_CUTOFF}"
+        )
+    column = _edge_columns(graph)
+    chi = weights[:, column[frozenset((a, b1 if case == "case1" else b2))]]
+    ng = graph.without_vertex(a)
+    weights = weights[:, [column[frozenset((x, y))] for x, y, _ in ng.edges]]
+    corr: list[Correction] = []
+    if case == "case2":
+        # logical X on b1's logical qubit: X on every member flips the sign of
+        # each member edge; phase(+phi) on the neighbour absorbs the
+        # single-qubit phase the flip leaves
+        members = sorted(_logical_class(pairs, b1), key=ng.vertex_index)
+        column = _edge_columns(ng)
+        corr += [Correction(m, "X", PAULI_X) for m in members]
+        corr += [
+            Correction(c, "phase(+phi1)", phase_gate(weights[:, column[frozenset((m, c))]]))
+            for m in members
+            for c, _ in ng.neighbors(m)
+        ]
+        flip = [i for i, (x, y, _) in enumerate(ng.edges) if x in members or y in members]
+        w = weights[:, flip]
+        weights[:, flip] = np.where(w == math.pi, w, -w)  # wrap_angle(-w) for w in (-pi, pi]
+        ng = _reweighted(ng, weights[0])
+    # diagonal, so it acts on the logical qubit from b1 alone
+    corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
+    return ng, weights, _corrected(ng, red, corr), probs, corr, pairs | {frozenset({b1, b2})}
 
 
 def _xlike_branch(
     chain: ChainState,
+    weights: np.ndarray,
     a: str,
     b1: str,
     b2: str,
@@ -413,32 +599,14 @@ def _xlike_branch(
     case: str,
     label: str,
 ) -> ProtocolOutcome:
-    """One successful X-like projection branch with its prescribed corrections."""
-    g = chain.graph
-    chi = g.weight(a, b1) if case == "case1" else g.weight(a, b2)
-    st, prob = _project_bra(chain.state, chain.qubit(a), bra)
-    ng = g.without_vertex(a)
-    corr: list[Correction] = []
-    if case == "case2":
-        # logical X on b1's logical qubit: X on every member flips the sign of
-        # each member edge; phase(+phi) on the neighbour absorbs the
-        # single-qubit phase the flip leaves
-        members = sorted(_logical_class(chain.logical_pairs, b1), key=ng.vertex_index)
-        corr += [Correction(m, "X", PAULI_X) for m in members]
-        corr += [
-            Correction(c, "phase(+phi1)", phase_gate(phi))
-            for m in members
-            for c, phi in ng.neighbors(m)
-        ]
-        ng = WeightedGraph(
-            ng.vertices,
-            tuple((x, y, -w if x in members or y in members else w) for x, y, w in ng.edges),
-        )
-    # diagonal, so it acts on the logical qubit from b1 alone
-    corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
-    st = _corrected(ng, st, corr)
-    pairs = chain.logical_pairs | {frozenset({b1, b2})}
-    return ProtocolOutcome(label, prob, [ChainState(ng, st, pairs)], corr)
+    """One successful X-like projection branch of one chain: _xlike_rows on its
+    K = 1 stack, weights its (1, E) weight row."""
+    graph, _, rows, probs, corr, pairs = _xlike_rows(
+        chain.graph, weights=weights, rows=chain.state.amplitudes[None],
+        pairs=chain.logical_pairs, a=a, b1=b1, b2=b2, bras=[bra], case=case,
+    )
+    post = ChainState(graph, PureState(graph.n, rows[0]), pairs)
+    return ProtocolOutcome(label, float(probs[0]), [post], corr)
 
 
 def _xlike_failure_split(
@@ -452,10 +620,11 @@ def _xlike_failure_split(
     qubit, since a would close a cycle with it. Each of the four sub-outcomes
     splits the rest into its components (either side of a may be empty).
     """
-    st_a, p_a = _project_bra(chain.state, chain.qubit(a), bra)
-    if st_a is None:
+    red, (p_a,) = _project_bra(chain.state.amplitudes[None], chain.qubit(a), [bra])
+    if p_a < ZERO_PROB_CUTOFF:
         return []
     g_a = chain.graph.without_vertex(a)
+    st_a, p_a = PureState(g_a.n, red[0]), float(p_a)
     out: list[ProtocolOutcome] = []
     for s1 in (0, 1):
         g1, st1, p1, corr1, pairs1 = _z_measure(g_a, st_a, chain.logical_pairs, b1, s1)
@@ -605,7 +774,7 @@ def fuse_type_ii(
     out: list[ProtocolOutcome] = []
     for label, sign, vec, prob in successes:
         corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
-        st = _corrected(merged, PureState(merged.n, vec / math.sqrt(prob)), corr)
+        st = _corrected_state(merged, vec / math.sqrt(prob), corr)
         post = ChainState(merged, st, pairs_left | right.logical_pairs)
         out.append(ProtocolOutcome(label, prob, [post], corr))
 
@@ -617,7 +786,7 @@ def fuse_type_ii(
             out.append(ProtocolOutcome(label, prob, [], [], False))
             continue
         corr = [Correction(e, "Z", PAULI_Z)] if sa < 0 else []
-        sl = _corrected(left_graph, PureState(left_graph.n, vl / np.linalg.norm(vl)), corr)
+        sl = _corrected_state(left_graph, vl / np.linalg.norm(vl), corr)
         posts = [ChainState(left_graph, sl, pairs_left)]
         good = _good_right_failure(right, b, sb)
         if good is not None:
@@ -648,7 +817,7 @@ def _good_right_failure(right: ChainState, b: str, sb: int) -> ProtocolOutcome |
         case = "case1"  # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi})
     else:
         return None
-    return _xlike_branch(right, b, b1, b2, (1.0, float(sb)), case, "good")
+    return _xlike_branch(right, _edge_weights(right.graph), b, b1, b2, (1.0, float(sb)), case, "good")
 
 
 def fusion_context(
@@ -658,15 +827,34 @@ def fusion_context(
 
     The consumed member a (consume, else the member first in vertex order)
     gives f1, f2 = the |0>_a, |1>_a slices of the left state (e stays), and
-    b gives f3, f4 on the right; each is normalized.
+    b gives f3, f4 on the right; each is normalized. The K = 1 row of
+    fusion_context_rows.
     """
-    a, e = _pair_members(left, pair, consume)
+    a, _ = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
-    f1, f2 = _branch_states(left.state, left.qubit(a))
-    f3, f4 = _branch_states(right.state, right.qubit(b))
-    return FusionContext(
-        _as_normalized(f1), _as_normalized(f2), _as_normalized(f3), _as_normalized(f4)
-    )
+    fs = _branch_rows(left.state.amplitudes[None], left.qubit(a))
+    fs += _branch_rows(right.state.amplitudes[None], right.qubit(b))
+    return FusionContext(*(PureState(f.shape[1].bit_length() - 1, _normalized_rows(f)[0]) for f in fs))
+
+
+def fusion_context_rows(
+    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
+) -> tuple[np.ndarray, ...]:
+    """fusion_context for every row k, left row k fused with right row k.
+
+    Returns the four normalized (K, 2^m) branch stacks f1..f4 and the (K,)
+    overlaps z = <f4|f3>, each row bit for bit the FusionContext of its row
+    pair. FusionContext's invariants are checked on every row: unit norms
+    and <f1|f2> = 0.
+    """
+    a, _ = _pair_members(left, pair, consume)
+    b = _resolve_vertex(right, b)
+    fs = _branch_rows(left.rows, left.graph.vertex_index(a))
+    fs += _branch_rows(right.rows, right.graph.vertex_index(b))
+    fs = tuple(_normalized_rows(f) for f in fs)
+    for f in fs:
+        check_unit_rows(f)
+    return (*fs, context_overlaps(*fs))
 
 
 def fuse_generalized(
@@ -747,8 +935,18 @@ def ghz_pair_projection(
     return (proj, comp), phi_mag
 
 
+def _finite_angles(*angles: float) -> None:
+    """InputError unless every angle is finite (a NaN or inf weight names no edge)."""
+    if not all(math.isfinite(x) for x in angles):
+        raise InputError(f"angles must be finite, got {angles!r}")
+
+
 def ghz_pair_range(chi1: float, chi2: float) -> float:
-    """Maximum |phi| reachable: arccos(1 - (1-cos chi1)(1-cos chi2)/2)."""
+    """Maximum |phi| reachable: arccos(1 - (1-cos chi1)(1-cos chi2)/2).
+
+    InputError for a non-finite weight.
+    """
+    _finite_angles(chi1, chi2)
     val = 1.0 - 0.5 * (1.0 - math.cos(chi1)) * (1.0 - math.cos(chi2))
     return math.acos(max(-1.0, min(1.0, val)))
 
@@ -756,7 +954,12 @@ def ghz_pair_range(chi1: float, chi2: float) -> float:
 def ghz_pair_for_target(
     chi1: float, chi2: float, phi_target: float
 ) -> tuple[QubitProjection, QubitProjection]:
-    """Invert the phi formula for |A| (closed form); errors outside range."""
+    """Invert the phi formula for |A| (closed form); errors outside range.
+
+    InputError for a non-finite angle, NotAchievableError for a target out
+    of range.
+    """
+    _finite_angles(chi1, chi2, phi_target)
     denom = (1.0 - math.cos(chi1)) * (1.0 - math.cos(chi2))
     if denom < ZERO_RANGE:
         if abs(wrap_angle(phi_target)) < ZERO_WEIGHT:

@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .errors import NotAchievableError
 from .fock import (
-    FusionContext,
     ModeUnitary,
     enumerate_table,
     haar_unitary,
@@ -50,11 +49,13 @@ from .protocols import (
     create_logical_qubit,
     fuse_type_i,
     fuse_type_ii,
-    fusion_context,
+    fusion_context_rows,
     ghz_pair_for_target,
     local_equivalent_2q,
     logical_pair_chain,
+    logical_pair_stack,
     make_chain,
+    make_chain_stack,
     rez_formula,
     weighted_pair_state,
 )
@@ -221,20 +222,63 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     return f"{n + 2} chains", [residuals]
 
 
-def _random_fusion_setup(rng: np.random.Generator):
-    """Left logical chain + right chain with random weights; returns fuse args."""
-    w1 = float(rng.uniform(0.1, math.pi)) * float(rng.choice([-1.0, 1.0]))
-    chi = float(rng.uniform(0.1, math.pi - 0.1))
-    if rng.uniform() < 0.5:
-        lw = [w1, chi, chi]  # Case 1
-    else:
-        lw = [w1, chi, wrap_angle(-chi)]  # Case 2
-    left = logical_pair_chain(make_chain(["A", "B", "C", "D"], lw), "C")
-    if rng.uniform() < 0.5:
-        right = make_chain(["v", "b"], _rand_weights(rng, 1))
-    else:
-        right = make_chain(["v", "b", "w"], _rand_weights(rng, 2))
-    return left, ("B", "D"), right, "b"
+def _random_fusion_setup(rng: np.random.Generator, draws: int):
+    """draws random Type-II setups: their mode unitaries and fusion contexts.
+
+    Each draw takes, in this rng order, N in 4..8 and its Haar unitary, the
+    left weights (w1, chi, then the Case-1/Case-2 coin) and the right chain
+    (the 2-/3-chain coin, then its weights). The left chain A-B-C-D has
+    weights (w1, chi, chi) (Case 1) or (w1, chi, -chi) (Case 2); its X-like
+    branch at C makes the logical pair {B, D}, whose member D is fused with
+    b of the right chain v-b or v-b-w. The chains are built afterwards as
+    stacks, one build per shape: every left chain in one stack, whose rows
+    take the X-like branch once per case, and the right chains in one stack
+    per length.
+
+    Returns (us, lengths, rows, contexts): the (N, N) unitary matrices in
+    draw order, each draw's right-chain length and its row in contexts[length],
+    the (f1, f2, f3, f4, z) stacks of fusion_context_rows over the draws
+    with that length, in draw order.
+    """
+    us, cases, lengths = [], [], []
+    lefts, rights = np.empty((draws, 3)), np.empty((draws, 2))
+    for i in range(draws):
+        n = int(rng.integers(4, 9))
+        us.append(ModeUnitary(haar_unitary(n, rng)).matrix)
+        w1 = float(rng.uniform(0.1, math.pi)) * float(rng.choice([-1.0, 1.0]))
+        chi = float(rng.uniform(0.1, math.pi - 0.1))
+        cases.append("case1" if rng.uniform() < 0.5 else "case2")
+        lefts[i] = w1, chi, (chi if cases[-1] == "case1" else wrap_angle(-chi))
+        lengths.append(1 if rng.uniform() < 0.5 else 2)
+        rights[i, : lengths[-1]] = _rand_weights(rng, lengths[-1])
+    left = make_chain_stack(["A", "B", "C", "D"], lefts)
+    by_case, by_length = _positions(cases), _positions(lengths)
+    paired = {c: logical_pair_stack(left.take(idx), "C") for c, idx in by_case.items()}
+    # the row of each draw in its case stack and in its right-chain stack
+    left_row, rows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
+    for row, groups in ((left_row, by_case), (rows, by_length)):
+        for idx in groups.values():
+            row[idx] = np.arange(len(idx))
+    contexts = {}
+    for r, idx in by_length.items():
+        right = make_chain_stack(["v", "b", "w"][: r + 1], rights[idx, :r])
+        for c, pos in _positions([cases[i] for i in idx]).items():
+            part = fusion_context_rows(
+                paired[c].take(left_row[idx[pos]]), ("B", "D"), right.take(pos), "b", consume="D"
+            )
+            if r not in contexts:
+                contexts[r] = tuple(np.empty((len(idx), *x.shape[1:]), x.dtype) for x in part)
+            for whole, x in zip(contexts[r], part):
+                whole[pos] = x
+    return us, lengths, rows, contexts
+
+
+def _positions(keys: list) -> dict:
+    """Indices of each key in keys, in order, keys in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return {key: np.array(idx) for key, idx in out.items()}
 
 
 # Draws per stacked call of check_generalized_oracle. A group is compared as
@@ -244,19 +288,16 @@ def _random_fusion_setup(rng: np.random.Generator):
 ORACLE_BATCH = 16
 
 
-def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
-    """Worst closed-form vs Fock-oracle disagreement over draws sharing N and
-    register sizes: one stacked closed form, one stacked oracle.
+def _oracle_residual(us, v1, v2, v3, v4, z) -> float:
+    """Worst closed-form vs Fock-oracle disagreement over a stack of draws sharing
+    N and register sizes: (K, N, N) unitaries, (K, 2^m) branch vectors and
+    (K,) overlaps z, one stacked closed form, one stacked oracle.
 
     Compares every pattern's probability, |sum p - 1| per draw, and the
     closed-form det rho of every live relevant pattern with the dense det rho
     of the oracle's register row."""
-    n = batch[0][0].n
-    left_qubits = batch[0][1].left_qubits
-    us = np.stack([u.matrix for u, _ in batch])
-    cols = zip(*((c.f1.amplitudes, c.f2.amplitudes, c.f3.amplitudes, c.f4.amplitudes) for _, c in batch))
-    v1, v2, v3, v4 = (np.stack(col) for col in cols)
-    z = np.array([c.z for _, c in batch])
+    n = us.shape[-1]
+    left_qubits = v1.shape[1].bit_length() - 1
     probs, _, coef = enumerate_table(us, v1, v2, v3, v4)
     oracle_probs, oracle_rows, _ = oracle_table(us, v1, v2, v3, v4)
     residuals = [np.abs(probs - oracle_probs), np.abs(probs.sum(axis=1) - 1.0)]
@@ -276,24 +317,29 @@ def _oracle_residual(batch: list[tuple[ModeUnitary, FusionContext]]) -> float:
 def check_generalized_oracle(seed: int = 17, quick: bool = False):
     """Analytic p_ii/p_ij and det rho vs brute-force enumeration, N in 4..8.
 
-    The draws come in one fixed rng order and are grouped by (N, left qubits,
-    right qubits); each full batch of ORACLE_BATCH draws of a group, and
-    each group's remainder at the end, is compared in one stacked pass.
+    The draws come in one fixed rng order (_random_fusion_setup) and are
+    grouped by (N, left qubits, right qubits), i.e. by N and the right
+    chain's length, the left register being two qubits; each full batch of
+    ORACLE_BATCH draws of a group, and each group's remainder at the end,
+    is compared in one stacked pass.
     """
     rng = np.random.default_rng(seed)
     draws = 100 if quick else 1000
+    us, lengths, rows, contexts = _random_fusion_setup(rng, draws)
+
+    def compare(batch: list[int]) -> float:
+        fields = (x[rows[batch]] for x in contexts[lengths[batch[0]]])
+        return _oracle_residual(np.stack([us[i] for i in batch]), *fields)
+
     residuals = []
-    groups: dict[tuple[int, int, int], list[tuple[ModeUnitary, FusionContext]]] = {}
-    for _ in range(draws):
-        n = int(rng.integers(4, 9))
-        u = ModeUnitary(haar_unitary(n, rng))
-        ctx = fusion_context(*_random_fusion_setup(rng), consume="D")
-        batch = groups.setdefault((n, ctx.left_qubits, ctx.right_qubits), [])
-        batch.append((u, ctx))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, u in enumerate(us):
+        batch = groups.setdefault((len(u), lengths[i]), [])
+        batch.append(i)
         if len(batch) == ORACLE_BATCH:
-            residuals.append(_oracle_residual(batch))
+            residuals.append(compare(batch))
             batch.clear()
-    residuals += [_oracle_residual(batch) for batch in groups.values() if batch]
+    residuals += [compare(batch) for batch in groups.values() if batch]
     return f"{draws} draws", [residuals]
 
 
@@ -475,10 +521,10 @@ def check_scans(quick: bool = False):
     x = xlike_uniqueness_scan(res)
     y = ylike_impossibility_scan(res)
     detail = (
-        f"x-like: {x['solutions']} solutions {x['counts']}, {len(x['outliers'])} outliers; "
-        f"y-like: {y['solutions']} solutions (all at pi), {len(y['outliers'])} outliers"
+        f"x-like: {x['solutions']} solutions {x['counts']}, {x['outlier_count']} outliers; "
+        f"y-like: {y['solutions']} solutions (all at pi), {y['outlier_count']} outliers"
     )
-    if x["outliers"] or y["outliers"] or not x["solutions"] or not y["solutions"]:
+    if x["outlier_count"] or y["outlier_count"] or not x["solutions"] or not y["solutions"]:
         raise _Refuted(detail)
     return (detail,)
 

@@ -11,6 +11,7 @@ from scipy.stats import unitary_group
 
 from wgfusion import analysis
 from wgfusion.analysis import (
+    SCAN_OUTLIER_CAP,
     TwoQubitProjection,
     check_no_good_failure,
     classify_projection,
@@ -339,6 +340,12 @@ def test_solve_xi_rejects_zero_weight():
         solve_xi_for_weight(0.0, 1.0)
 
 
+@pytest.mark.parametrize("args", [(1.0, math.inf), (-math.inf, 1.0)])
+def test_solve_xi_refuses_an_infinite_angle(args):
+    with pytest.raises(InputError, match="finite"):
+        solve_xi_for_weight(*args)
+
+
 def test_hyperbola_projection_end_to_end():
     # apply the bra to (Bell pair) x (2-chain) and confirm the residual pair
     chi, target = 1.3, -0.9
@@ -479,7 +486,9 @@ def test_ylike_scan_small_resolution():
 
 # Reference formulations the row-by-row scans replaced: the full (chi1, chi2,
 # delta) cube for the Y-like scan and the unhoisted per-row terms for the
-# X-like scan. The scans must return equal dicts, outlier order included.
+# X-like scan. The scans must return equal dicts, outlier order included;
+# the references list every outlier and the scans keep the first
+# SCAN_OUTLIER_CAP of them besides the count.
 
 
 def _ref_xlike_scan(resolution, tol):
@@ -529,7 +538,8 @@ def _ref_xlike_scan(resolution, tol):
         "tolerance": tol,
         "solutions": n_solutions,
         "counts": counts,
-        "outliers": outliers,
+        "outliers": outliers[:SCAN_OUTLIER_CAP],
+        "outlier_count": len(outliers),
     }
 
 
@@ -558,7 +568,8 @@ def _ref_ylike_scan(resolution, tol):
         "tolerance": tol,
         "solutions": int(len(hits)),
         "at_pi": at_pi,
-        "outliers": outliers,
+        "outliers": outliers[:SCAN_OUTLIER_CAP],
+        "outlier_count": len(outliers),
     }
 
 
@@ -599,6 +610,30 @@ def test_scans_reject_bad_arguments(scan, resolution, tol):
 def test_scans_accept_a_numpy_integer_resolution():
     assert xlike_uniqueness_scan(np.int64(24)) == xlike_uniqueness_scan(24)
     assert ylike_impossibility_scan(np.int64(24)) == ylike_impossibility_scan(24)
+
+
+@pytest.mark.parametrize(
+    "scan, resolution, hits",
+    [(xlike_uniqueness_scan, 14, 3 * 14**3), (ylike_impossibility_scan, 24, 23**2 * 24)],
+    ids=["xlike", "ylike"],
+)
+def test_scan_outlier_list_is_capped_but_counted(scan, resolution, hits):
+    # tol = 5 makes every grid point a hit: |A| x chi1 x chi2 x delta for
+    # the x-like scan, chi1 x chi2 x delta without the zero weight for the
+    # y-like one; kept as tuples, the outliers took 1.4 and 3.2 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        r = scan(resolution, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r["solutions"] == hits
+    known = sum(r["counts"].values()) if "counts" in r else r["at_pi"]
+    assert r["outlier_count"] == hits - known > SCAN_OUTLIER_CAP
+    assert len(r["outliers"]) == SCAN_OUTLIER_CAP
+    assert peak <= 2**19
 
 
 @pytest.mark.parametrize("scan", [xlike_uniqueness_scan, ylike_impossibility_scan])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from wgfusion.errors import (
     CapExceededError,
     IndexClashError,
+    InputError,
     InvalidGraphError,
     NonUnitaryGateError,
     ShapeMismatchError,
@@ -388,3 +389,10 @@ def test_bit_views_match_the_mask_loops_bit_for_bit(graph, data):
     chain = ChainState(WeightedGraph(graph.vertices, ()), PureState(n, table))
     got = chain.pair_support_ok(frozenset({graph.vertices[a], graph.vertices[b]}))
     assert got == ref_pair_support_ok(table, n, a, b)
+
+
+@pytest.mark.parametrize("chi", [math.inf, -math.inf])
+def test_wrap_angle_refuses_an_infinite_angle(chi):
+    with pytest.raises(InputError, match="finite"):
+        wrap_angle(chi)
+

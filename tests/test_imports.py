@@ -153,7 +153,10 @@ def test_gate_flags_a_second_correction_path():
 
 
 def test_protocols_apply_gates_only_in_corrected():
-    assert readers((SRC / "protocols.py").read_text(), "apply_local") == {"_corrected"}
+    # _corrected applies every gate, one state or a stack, through the stacked kernel
+    source = (SRC / "protocols.py").read_text()
+    assert readers(source, "apply_rows") == {"_corrected"}
+    assert readers(source, "apply_local") == set()
 
 
 def arange_over_shifts(source: str) -> list[int]:

@@ -393,3 +393,18 @@ def test_sampling_refuses_a_nan_probability():
     outs = [ProtocolOutcome("x", math.nan, []), ProtocolOutcome("y", 1.0, [])]
     with pytest.raises(InputError, match="not a complete distribution"):
         sample_outcomes(outs, 10, seed=1)
+
+
+@pytest.mark.parametrize("args", [(math.inf, 0.5), (0.5, math.nan)])
+def test_ghz_pair_range_refuses_a_non_finite_weight(args):
+    with pytest.raises(InputError, match="finite"):
+        ghz_pair_range(*args)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 0.5, 0.3), (0.5, 0.5, math.inf)])
+def test_ghz_pair_for_target_refuses_a_non_finite_angle(args):
+    # an input error, not NotAchievableError's out-of-range verdict
+    with pytest.raises(InputError, match="finite") as exc:
+        ghz_pair_for_target(*args)
+    assert not isinstance(exc.value, NotAchievableError)
+

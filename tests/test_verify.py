@@ -90,6 +90,7 @@ def test_scans_check_fails_on_one_outlier(monkeypatch):
     def one_outlier(*args, **kwargs):
         out = real(*args, **kwargs)
         out["outliers"].append((0.1, 0.2, 0.3, 0.5))
+        out["outlier_count"] += 1
         return out
 
     monkeypatch.setattr(verify, "xlike_uniqueness_scan", one_outlier)
@@ -102,3 +103,56 @@ def test_check_wrapper_keeps_the_body_signature():
     assert verify.check_type_i.__name__ == "check_type_i"
     assert "seed" in inspect.signature(verify.check_type_i.__wrapped__).parameters
     assert "seed" not in inspect.signature(verify.check_scans.__wrapped__).parameters
+
+
+# float.hex of every check's max_residual under run_all(quick=True), as
+# NumPy 2.4 and its bundled OpenBLAS round them on x86-64. A change that
+# moves one must re-pin it here and name the stage and the size of the move.
+QUICK_RESIDUALS = {
+    "type_i_distribution": "0x1.8000000000000p-52",
+    "logical_qubit": "0x1.4000000000000p-51",
+    "type_ii_failure_split": "0x1.0000000000000p-52",
+    "generalized_oracle": "0x1.2000000000000p-50",
+    "bell_retention": "0x1.19eb71b0bb8e1p-52",
+    "balanced_entropy": "0x1.8000000000000p-51",
+    "ghz_generation": "0x1.0000000000000p-50",
+    "hyperbola": "0x1.0400000000000p-45",
+    "no_good_failure": "0x1.6a09e667f3bcdp-54",
+    "appendix_scans": "0x0.0p+0",
+}
+
+
+def test_quick_residuals_are_pinned_bit_for_bit():
+    got = {r.name: float.hex(r.max_residual) for r in run_all(quick=True)}
+    assert got == QUICK_RESIDUALS
+
+
+def test_generalized_oracle_builds_one_stack_per_shape_and_side(monkeypatch):
+    """The setup builds each chain shape once, as a stack, and makes no
+    ChainState: no per-draw make_chain / logical_pair_chain / fusion_context."""
+    import wgfusion
+    from wgfusion import protocols
+
+    builds = []
+    real_build = protocols.build_state
+
+    def counting_build(graph, weights=None):
+        builds.append((graph.vertices, weights is None))
+        return real_build(graph, weights)
+
+    for module in vars(wgfusion).values():
+        if getattr(module, "build_state", None) is real_build:
+            monkeypatch.setattr(module, "build_state", counting_build)
+    chains = []
+    real_init = protocols.ChainState.__post_init__
+
+    def counting_init(self):
+        chains.append(self.graph.vertices)
+        real_init(self)
+
+    monkeypatch.setattr(protocols.ChainState, "__post_init__", counting_init)
+    res = verify.check_generalized_oracle(quick=True)
+    assert res.passed
+    assert sorted(builds) == [(("A", "B", "C", "D"), False), (("v", "b"), False), (("v", "b", "w"), False)]
+    assert chains == []
+
