@@ -21,23 +21,33 @@ from .errors import (
     InvalidGraphError,
     NumericalAbortError,
     WgfError,
+    ZeroOutcomeError,
 )
 from .fock import ModeUnitary
-from .graphstate import WeightedGraph, build_state, chain_graph, project_qubit, wrap_angle
+from .graphstate import (
+    WeightedGraph,
+    build_state,
+    chain_graph,
+    check_unit_rows,
+    project_rows,
+    wrap_angle,
+)
 from .protocols import (
     ChainState,
     fuse_generalized,
     fuse_type_i,
     fuse_type_ii,
-    ghz_pair_projection,
+    ghz_pair_projection_stack,
     ghz_pair_range,
     logical_pair_chain,
     make_chain,
+    make_chain_stack,
     rez_formula,
     sample_outcomes,
-    type_ii_probabilities,
-    xlike_probability,
+    type_ii_probabilities_stack,
+    xlike_probability_stack,
 )
+from .tolerances import ZERO_PROB_CUTOFF
 from .verify import run_all
 
 
@@ -132,29 +142,41 @@ def cmd_fuse(args) -> int:
 
 
 def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[list]]:
+    """Header and rows of one scan over the grid chi_k = (k + 1/2) pi / points.
+
+    Every simulated column but xi-solve's comes from one stacked call over
+    the whole grid, row k bit for bit the single-chain call on chi_k:
+    logical-prob from xlike_probability_stack, failure-split from
+    type_ii_probabilities_stack, det-entropy from entanglement_stack, and
+    ghz-range from ghz_pair_projection_stack, one GHZ build_state stack and
+    one project_rows. xi-solve runs its bisection row by row.
+    """
     grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
 
     if quantity == "logical-prob":
         header = ["chi", "analytic", "simulated", "residual"]
-
-        def row(chi: float) -> list:
-            sim = xlike_probability(make_chain(["a", "b", "c", "d"], [1.0, chi, chi]), "c")
+        stack = make_chain_stack(["a", "b", "c", "d"], [[1.0, chi, chi] for chi in grid])
+        rows = []
+        for chi, sim in zip(grid, xlike_probability_stack(stack, "c").tolist()):
             ana = (1.0 - math.cos(chi)) / 4.0
-            return [chi, ana, sim, abs(ana - sim)]
+            rows.append([chi, ana, sim, abs(ana - sim)])
+        return header, rows
 
-    elif quantity == "failure-split":
+    if quantity == "failure-split":
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
         left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
-
-        def row(chi: float) -> list:
-            right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])
-            probs = type_ii_probabilities(left, ("B", "D"), right, "b", consume="D")
+        right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in grid])
+        probs = type_ii_probabilities_stack(left, ("B", "D"), right, "b", consume="D")
+        rows = []
+        for chi, sm, sp in zip(
+            grid, probs["failure_b_minus"].tolist(), probs["failure_b_plus"].tolist()
+        ):
             rez = rez_formula(chi, wrap_angle(-chi))
             am, ap = (1.0 - rez) / 4.0, (1.0 + rez) / 4.0
-            sm, sp = probs["failure_b_minus"], probs["failure_b_plus"]
-            return [chi, am, sm, ap, sp, max(abs(am - sm), abs(ap - sp))]
+            rows.append([chi, am, sm, ap, sp, max(abs(am - sm), abs(ap - sp))])
+        return header, rows
 
-    elif quantity == "det-entropy":
+    if quantity == "det-entropy":
         header = ["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"]
         # row k takes the k-th seeded matrix; one stacked call covers every row
         rng = np.random.default_rng(seed)
@@ -167,32 +189,34 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         cols = (grid, det_rho.tolist(), oracle.tolist(), np.abs(det_rho - oracle).tolist())
         return header, [list(r) for r in zip(*cols)]
 
-    elif quantity == "ghz-range":
+    if quantity == "ghz-range":
         header = ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"]
-
-        def row(chi: float) -> list:
+        projs, _phis = ghz_pair_projection_stack(grid, grid, [INV_SQRT2] * points)
+        ghz = build_state(chain_graph(["a", "b", "c"], [math.pi] * 2), [[chi, chi] for chi in grid])
+        red, probs = project_rows(ghz, 1, np.array([proj.coefficients for proj, _ in projs]))
+        if not (probs >= ZERO_PROB_CUTOFF).all():  # project_qubit's refusal, on every row
+            raise ZeroOutcomeError(f"projection probability {float(probs.min())} below cutoff")
+        check_unit_rows(red)
+        dets = np.abs(np.linalg.det(red.reshape(-1, 2, 2)))
+        rows = []
+        for chi, det in zip(grid, dets.tolist()):
             ana = ghz_pair_range(chi, chi)
-            (proj, _), _phi = ghz_pair_projection(chi, chi, INV_SQRT2)
-            ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
-            st, _p = project_qubit(ghz, proj)
-            det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
             sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
-            return [chi, ana, sim, abs(ana - sim)]
+            rows.append([chi, ana, sim, abs(ana - sim)])
+        return header, rows
 
-    elif quantity == "xi-solve":
+    if quantity == "xi-solve":
         header = ["chi_bf", "chi_target", "xi", "residual"]
-
-        def row(chi: float) -> list:
+        rows = []
+        for chi in grid:
             chi_target = wrap_angle(2.0 * chi - math.pi / 3.0)
             xi = solve_xi_for_weight(chi, chi_target)
             w = xi * np.exp(1j * chi / 2.0)
             res = abs(wrap_angle(2.0 * float(np.angle(2.0 + w + 1.0 / w)) - chi_target))
-            return [chi, chi_target, xi, res]
+            rows.append([chi, chi_target, xi, res])
+        return header, rows
 
-    else:
-        raise InputError(f"unknown scan quantity {quantity}")
-
-    return header, [row(chi) for chi in grid]
+    raise InputError(f"unknown scan quantity {quantity}")
 
 
 def cmd_scan(args) -> int:

@@ -48,13 +48,15 @@ from .tolerances import (
 
 
 def wrap_angle(chi: float) -> float:
-    """Normalize an angle into (-pi, pi]; InputError for an infinite angle."""
+    """Normalize an angle into (-pi, pi]; InputError for an infinite or NaN angle."""
     try:
         out = math.remainder(chi, 2.0 * math.pi)
     except ValueError:  # math.remainder refuses an infinite dividend
         raise InputError(f"angle must be finite, got {chi!r}") from None
     if out <= -math.pi:
         out += 2.0 * math.pi
+    elif out != out:  # math.remainder passes a NaN through; only a NaN differs from itself
+        raise InputError(f"angle must be finite, got {chi!r}")
     return out
 
 
@@ -300,10 +302,14 @@ def weight_rows(graph: WeightedGraph, weights) -> np.ndarray:
         raise InvalidGraphError(
             f"weights of shape {rows.shape}: need (K >= 1, {len(graph.edges)}) for this graph"
         )
+    mags = np.abs(rows)
+    # every |w| in [ZERO_WEIGHT, pi): nothing to wrap or refuse (a NaN or inf fails this test)
+    if not rows.size or ZERO_WEIGHT <= mags.min() and mags.max() < math.pi:
+        return rows
     if not np.isfinite(rows).all():
         raise InvalidGraphError("non-finite weight in a weight row")
     # math.remainder leaves |w| < pi as it is; only the rest goes through wrap_angle
-    for k, e in zip(*np.nonzero(~(np.abs(rows) < math.pi))):
+    for k, e in zip(*np.nonzero(~(mags < math.pi))):
         rows[k, e] = wrap_angle(rows[k, e])
     if not (np.abs(rows) >= ZERO_WEIGHT).all():
         k, e = np.argwhere(np.abs(rows) < ZERO_WEIGHT)[0]
@@ -340,23 +346,23 @@ def build_state(graph: WeightedGraph, weights=None):
         raise CapExceededError(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     if weights is None:
         rows: tuple[int, ...] = ()
-        edges = graph.edges
+        phases = [np.exp(-1j * chi) for _, _, chi in graph.edges]
     else:
         chis = weight_rows(graph, weights)
         rows = (len(chis),)
-        edges = [(a, b, col) for (a, b, _), col in zip(graph.edges, chis.T)]  # (K,) columns
+        phases = np.exp(-1j * chis).T  # one (K,) column per edge
     table = np.empty((1 << n,) + rows, dtype=complex)
     table[0] = 1.0 / math.sqrt(1 << n)
     position = {v: q for q, v in enumerate(graph.vertices)}
-    later: list[list[tuple[int, float | np.ndarray]]] = [[] for _ in range(n)]
-    for a, b, chi in edges:  # canonical: position[a] < position[b]
-        later[position[a]].append((position[b], chi))
+    later: list[list[tuple[int, complex | np.ndarray]]] = [[] for _ in range(n)]
+    for (a, b, _), phase in zip(graph.edges, phases):  # canonical: position[a] < position[b]
+        later[position[a]].append((position[b], phase))
     size = 1
     for v in range(n - 1, -1, -1):
         half = table[size : 2 * size]
         half[...] = table[:size]
-        for q, chi in later[v]:
-            half.reshape((1 << (q - v - 1), 2, -1) + rows)[:, 1] *= np.exp(-1j * chi)
+        for q, phase in later[v]:
+            half.reshape((1 << (q - v - 1), 2, -1) + rows)[:, 1] *= phase
         size *= 2
     if weights is None:
         return PureState(n, table)

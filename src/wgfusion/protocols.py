@@ -6,10 +6,22 @@ sample_outcomes provides the seeded Monte Carlo mode on top of it.
 Register convention: a ChainState's qubits are ordered by its graph's vertex
 list; projecting a vertex out removes its register position.
 
-A ChainStack holds K chains of one shape as (K, 2^n) rows. The X-like
-branch and its corrections run on such rows; logical_pair_chain and
-create_logical_qubit run it on a one-row stack, so each row of a stack is
-bit for bit its single-chain result.
+A ChainStack holds K chains of one shape as (K, 2^n) rows. Each stacked
+form runs one pass over such rows, and its single-chain function runs the
+same code on a one-row stack, so each row of a stack is bit for bit its
+single-chain result:
+
+- logical_pair_stack: the X-like branch with its corrections
+  (logical_pair_chain, create_logical_qubit);
+- xlike_probability_stack: the X-like success probability alone
+  (xlike_probability);
+- type_ii_probabilities_stack: one left chain fused with every row of a
+  right stack (type_ii_probabilities, fuse_type_ii);
+- fusion_context_rows: the branch states of row-paired stacks
+  (fusion_context);
+- ghz_pair_projection_stack: the GHZ-to-pair basis over (K,) angle
+  arrays, with its 3-qubit simulation check (ghz_pair_projection, and
+  local_equivalent_2q as the K = 1 row of its stacked check).
 """
 
 from __future__ import annotations
@@ -156,6 +168,13 @@ class ChainStack:
 def _edge_weights(graph: WeightedGraph) -> np.ndarray:
     """The (1, E) weight row of a single graph."""
     return np.array([[chi for _, _, chi in graph.edges]])
+
+
+def _stack_rows(chains: ChainState | ChainStack) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, rows) of a stack, or of one chain as its K = 1 stack."""
+    if isinstance(chains, ChainStack):
+        return chains.weights, chains.rows
+    return _edge_weights(chains.graph), chains.state.amplitudes[None]
 
 
 def _reweighted(shape: WeightedGraph, weights) -> WeightedGraph:
@@ -429,9 +448,10 @@ def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
     and each row's primary bra.
 
     graph is the shape and weights its (K, E) weight rows. Returns (b1, b2,
-    case, chis, bras), b1 before b2 in vertex order; all rows must meet one
-    eligibility case. Row k's primary bra (A, B) is B = -A e^{i chi_k} for
-    case 1 and B = -A for case 2.
+    cases, chis, bras), b1 before b2 in vertex order, and per row k its
+    eligibility case, its chi and its primary bra (A, B): B = -A e^{i chi_k}
+    for case 1 and B = -A for case 2. A row that meets neither case raises
+    WeightsNotEligibleError.
     """
     nbs = graph.neighbors(a)
     if len(nbs) != 2:
@@ -440,7 +460,7 @@ def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
         raise NoLogicalPairError(f"{a} already belongs to a logical pair")
     (b1, _), (b2, _) = sorted(nbs, key=lambda t: graph.vertices.index(t[0]))
     column = _edge_columns(graph)
-    cases, chis = set(), []
+    cases, chis, bras = [], [], []
     for chi1, chi2 in zip(
         weights[:, column[frozenset((a, b1))]].tolist(),
         weights[:, column[frozenset((a, b2))]].tolist(),
@@ -450,16 +470,14 @@ def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
             raise WeightsNotEligibleError(
                 f"weights ({chi1:.6g}, {chi2:.6g}) satisfy neither eligibility case"
             )
-        cases.add(case)
-        chis.append(chi1 if case == "case1" else chi2)  # case 2: chi1 = -chi mod 2pi
-    if len(cases) != 1:
-        raise WeightsNotEligibleError(f"weight rows meet different eligibility cases {sorted(cases)}")
-    (case,) = cases
-    if case == "case1":
-        bras = [(1.0, -cmath.exp(1j * chi)) for chi in chis]
-    else:
-        bras = [(1.0, -1.0)] * len(chis)
-    return b1, b2, case, chis, bras
+        cases.append(case)
+        if case == "case1":
+            chis.append(chi1)
+            bras.append((1.0, -cmath.exp(1j * chi1)))
+        else:  # case 2: chi1 = -chi mod 2pi
+            chis.append(chi2)
+            bras.append((1.0, -1.0))
+    return b1, b2, cases, chis, bras
 
 
 def logical_pair_chain(chain: ChainState, a) -> ChainState:
@@ -471,18 +489,24 @@ def logical_pair_chain(chain: ChainState, a) -> ChainState:
     """
     a = _resolve_vertex(chain, a)
     weights = _edge_weights(chain.graph)
-    b1, b2, case, _, (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
+    b1, b2, (case,), _, (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
     return _xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}").post_states[0]
 
 
 def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
     """logical_pair_chain on every row of a stack, as one X-like branch over its rows.
 
-    Same rules and errors; every row must meet one eligibility case. Row k
-    of the result is bit for bit logical_pair_chain of row k's chain.
+    Same rules and errors; every row must meet one eligibility case, since
+    the corrections depend on it. Row k of the result is bit for bit
+    logical_pair_chain of row k's chain.
     """
     a = _resolve_vertex(stack, a)
-    b1, b2, case, _, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
+    b1, b2, cases, _, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
+    if len(set(cases)) != 1:
+        raise WeightsNotEligibleError(
+            f"weight rows meet different eligibility cases {sorted(set(cases))}"
+        )
+    case = cases[0]
     graph, weights, rows, _, _, pairs = _xlike_rows(
         stack.graph, weights=stack.weights, rows=stack.rows, pairs=stack.logical_pairs,
         a=a, b1=b1, b2=b2, bras=bras, case=case,
@@ -495,11 +519,24 @@ def xlike_probability(chain: ChainState, a) -> float:
 
     Same eligibility rules and errors as create_logical_qubit. The float is
     the one that outcome carries, (1 - cos chi)/4 on a plain chain; no
-    correction, failure branch or ChainState is built.
+    correction, failure branch or ChainState is built. The K = 1 row of
+    xlike_probability_stack.
     """
-    a = _resolve_vertex(chain, a)
-    *_, (bra,) = _xlike_plan(chain.graph, _edge_weights(chain.graph), chain.logical_pairs, a)
-    return float(_project_bra(chain.state.amplitudes[None], chain.qubit(a), [bra])[1][0])
+    return float(xlike_probability_stack(chain, a)[0])
+
+
+def xlike_probability_stack(stack: ChainStack | ChainState, a) -> np.ndarray:
+    """xlike_probability of every row of a stack, as one projection over its rows.
+
+    Returns (K,) floats, row k bit for bit xlike_probability of row k's
+    chain (a ChainState counts as its K = 1 stack). Rows may meet different
+    eligibility cases, since each row's bra is its own; a row that meets
+    neither raises WeightsNotEligibleError.
+    """
+    a = _resolve_vertex(stack, a)
+    weights, rows = _stack_rows(stack)
+    *_, bras = _xlike_plan(stack.graph, weights, stack.logical_pairs, a)
+    return _project_bra(rows, stack.graph.vertex_index(a), bras)[1]
 
 
 def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
@@ -519,7 +556,7 @@ def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
     """
     a = _resolve_vertex(chain, a)
     weights = _edge_weights(chain.graph)
-    b1, b2, case, (chi,), (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
+    b1, b2, (case,), (chi,), (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
     out = [_xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}")]
     # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
     comp = (
@@ -700,35 +737,49 @@ def _pair_members(left: ChainState, pair, consume) -> tuple[str, str]:
     return a, e
 
 
-def _type_ii_branches(left: ChainState, pair, right: ChainState, b, consume):
-    """Everything fuse_type_ii computes before its first post-state.
+def _kron_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.kron(v, rows[k]) for every row k of a (K, m) stack, as one broadcast product."""
+    return (v[None, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+
+
+def _type_ii_branches(left: ChainState, pair, right: ChainState | ChainStack, b, consume):
+    """Everything fuse_type_ii computes before its first post-state, for one
+    left chain fused with every row of a right stack (a chain is its K = 1 stack).
 
     Returns (a, e, b, successes, failures): successes holds (label, sign,
-    vec, prob) for the two Bell outcomes, vec the unnormalized merged state;
-    failures holds (label, sa, sb, vl, prob) for the two X-type product
-    outcomes, vl the unnormalized left state.
+    vecs, probs) for the two Bell outcomes, vecs the (K, 2^(n_l + n_r - 2))
+    unnormalized merged states; failures holds (label, sa, sb, vl, probs)
+    for the two X-type product outcomes, vl the unnormalized left state;
+    probs are (K,) arrays. The numeric z of every row must match the formula
+    within ABORT_TOL, else NumericalAbortError names the first row that does not.
     """
     a, e = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
     if any(b in p for p in right.logical_pairs):
         raise NoLogicalPairError(f"{b} belongs to a logical pair on the right chain")
 
+    weights, rows = _stack_rows(right)
     f1, f2 = _branch_states(left.state, left.qubit(a))
-    f3, f4 = _branch_states(right.state, right.qubit(b))
-    z = complex(np.vdot(f4, f3))  # branch states are unit vectors
-    expect = inner_z(*(w for _, w in right.graph.neighbors(b)))
-    if not abs(z - expect) <= ABORT_TOL:
-        raise NumericalAbortError(f"z mismatch: numeric {z}, formula {expect}")
+    f3, f4 = _branch_rows(rows, right.graph.vertex_index(b))
+    zs = np.vecdot(f4, f3)  # branch states are unit vectors
+    column = _edge_columns(right.graph)
+    chis = weights[:, [column[frozenset((b, v))] for v, _ in right.graph.neighbors(b)]]
+    for k, (z, row) in enumerate(zip(zs.tolist(), chis.tolist())):
+        expect = inner_z(*row)
+        if not abs(z - expect) <= ABORT_TOL:
+            where = f" in row {k}" if len(zs) > 1 else ""
+            raise NumericalAbortError(f"z mismatch{where}: numeric {z}, formula {expect}")
 
+    kron1, kron2 = _kron_rows(f1, f3), _kron_rows(f2, f4)
     successes = []
     for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
-        vec = (np.kron(f1, f3) + sign * np.kron(f2, f4)) / (2.0 * math.sqrt(2.0))
-        successes.append((label, sign, vec, float(np.vdot(vec, vec).real)))
+        vecs = (kron1 + sign * kron2) / (2.0 * math.sqrt(2.0))
+        successes.append((label, sign, vecs, np.vecdot(vecs, vecs).real))
     failures = []
     for sa, sb, label in ((+1, -1, "failure_b_minus"), (-1, +1, "failure_b_plus")):
         vl = (f1 + sa * f2) / 2.0
         vr = (f3 + sb * f4) / 2.0
-        failures.append((label, sa, sb, vl, float(np.vdot(vl, vl).real * np.vdot(vr, vr).real)))
+        failures.append((label, sa, sb, vl, np.vecdot(vl, vl).real * np.vecdot(vr, vr).real))
     return a, e, b, successes, failures
 
 
@@ -739,10 +790,24 @@ def type_ii_probabilities(
 
     Same checks and errors as fuse_type_ii, the numeric-vs-formula check of
     z included; the floats are the ones its outcomes carry. No post-state
-    is built.
+    is built. The K = 1 row of type_ii_probabilities_stack.
+    """
+    probs = type_ii_probabilities_stack(left, pair, right, b, consume)
+    return {label: float(p[0]) for label, p in probs.items()}
+
+
+def type_ii_probabilities_stack(
+    left: ChainState, pair, right: ChainStack | ChainState, b, consume: str | None = None
+) -> dict[str, np.ndarray]:
+    """type_ii_probabilities of one left chain against every row of a right stack.
+
+    Returns the (K,) probabilities by label, row k bit for bit
+    type_ii_probabilities(left, pair, right row k's chain, b, consume) (a
+    ChainState counts as its K = 1 stack). The z check runs on every row;
+    the first row that fails it raises.
     """
     *_, successes, failures = _type_ii_branches(left, pair, right, b, consume)
-    return {label: prob for label, *_, prob in successes + failures}
+    return {label: probs for label, *_, probs in successes + failures}
 
 
 def fuse_type_ii(
@@ -772,7 +837,8 @@ def fuse_type_ii(
     pairs_left = frozenset(p for p in left.logical_pairs if a not in p)
 
     out: list[ProtocolOutcome] = []
-    for label, sign, vec, prob in successes:
+    for label, sign, vecs, probs in successes:
+        vec, prob = vecs[0], float(probs[0])
         corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
         st = _corrected_state(merged, vec / math.sqrt(prob), corr)
         post = ChainState(merged, st, pairs_left | right.logical_pairs)
@@ -781,7 +847,8 @@ def fuse_type_ii(
     # failures: X-type product projections; left side always collapses the
     # pair into a plain vertex e carrying the logical vertex's edges.
     left_graph = WeightedGraph(lg.vertices, lg.edges + moved)
-    for label, sa, sb, vl, prob in failures:
+    for label, sa, sb, vl, probs in failures:
+        prob = float(probs[0])
         if prob < ZERO_PROB_CUTOFF:
             out.append(ProtocolOutcome(label, prob, [], [], False))
             continue
@@ -874,27 +941,62 @@ def weighted_pair_state(phi: float) -> PureState:
     return build_state(chain_graph(["b1", "b2"], [phi]))
 
 
+def _chain_rows(labels: list[str], weights: list[list[float]]) -> np.ndarray:
+    """build_state(chain_graph(labels, weights[k])).amplitudes for every row k
+    of K finite weight rows, as a (K, 2^n) stack.
+
+    As in chain_graph, a weight that wraps below ZERO_WEIGHT drops its
+    edge; the rows that keep the same edges share one stacked build_state.
+    """
+
+    def shape(kept) -> WeightedGraph:
+        edges = tuple((x, y, math.pi) for x, y, k in zip(labels, labels[1:], kept) if k)
+        return WeightedGraph(tuple(labels), edges)
+
+    keep = [tuple(abs(wrap_angle(w)) >= ZERO_WEIGHT for w in row) for row in weights]
+    if all(map(all, keep)):  # every row keeps every edge: one build of the rows as given
+        return build_state(shape(keep[0]), weights)
+    out = np.empty((len(keep), 1 << len(labels)), dtype=complex)
+    for kept in set(keep):
+        rows = [k for k, x in enumerate(keep) if x == kept]
+        kept_weights = [[w for w, k in zip(weights[r], kept) if k] for r in rows]
+        out[rows] = build_state(shape(kept), kept_weights)
+    return out
+
+
+def _local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
+    """local_equivalent_2q on stacks of candidate and target amplitude
+    matrices, one stacked SVD each: mc and mt are (..., 2, 2) arrays whose
+    leading axes broadcast against each other.
+
+    Returns the rotations A and B and the verdicts, one per broadcast row:
+    a row holds iff its Schmidt spectra agree and (A x B) maps its candidate
+    onto its target, both within LU_MATCH_TOL (a NaN fails).
+    """
+    uc, sc, vhc = np.linalg.svd(mc)
+    ut, st, vht = np.linalg.svd(mt)
+    a = ut @ uc.conj().mT
+    b = (vhc.conj().mT @ vht).mT
+    # verify exactly; degenerate Schmidt spectra may need no more than this
+    out = a @ mc @ b.mT
+    ok = np.abs(sc - st).max(axis=-1) <= LU_MATCH_TOL
+    ok &= np.abs(out - mt).max(axis=(-2, -1)) <= LU_MATCH_TOL
+    return a, b, ok
+
+
 def local_equivalent_2q(
     candidate: PureState, target: PureState
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Single-qubit unitaries (A, B) with (A x B)|candidate> = |target>, or None.
 
     Two 2-qubit pure states are local-unitary equivalent iff their Schmidt
-    spectra agree; the rotations come straight out of the two SVDs.
+    spectra agree; the rotations come straight out of the two SVDs. The
+    K = 1 row of the stacked check ghz_pair_projection_stack runs.
     """
-    mc = candidate.amplitudes.reshape(2, 2)
-    mt = target.amplitudes.reshape(2, 2)
-    uc, sc, vhc = np.linalg.svd(mc)
-    ut, st, vht = np.linalg.svd(mt)
-    if not np.max(np.abs(sc - st)) <= LU_MATCH_TOL:
-        return None
-    a = ut @ uc.conj().T
-    b = (vhc.conj().T @ vht).T
-    # verify exactly; degenerate Schmidt spectra may need no more than this
-    out = (a @ mc @ b.T).reshape(-1)
-    if not np.max(np.abs(out - mt.reshape(-1))) <= LU_MATCH_TOL:
-        return None
-    return a, b
+    a, b, ok = _local_equivalent_rows(
+        candidate.amplitudes.reshape(1, 2, 2), target.amplitudes.reshape(1, 2, 2)
+    )
+    return (a[0], b[0]) if ok[0] else None
 
 
 def ghz_pair_projection(
@@ -906,33 +1008,66 @@ def ghz_pair_projection(
     2-qubit weighted graph state with the same weight phi (up to diagonal
     local corrections), with arg B = arg A + (chi1 + chi2 + pi)/2 and
     phi = +/- arccos(1 - 2|A|^2|B|^2 (1-cos chi1)(1-cos chi2)).
+
+    InputError for a non-finite angle or a NaN |A|, NotAchievableError for
+    |A| outside [0, 1] or an outcome the simulation does not confirm. The
+    K = 1 row of ghz_pair_projection_stack.
     """
-    if not (0.0 <= mag_a <= 1.0):
-        raise NotAchievableError("|A| must lie in [0, 1]")
-    mag_b = math.sqrt(max(0.0, 1.0 - mag_a * mag_a))
-    arg_b = (chi1 + chi2 + math.pi) / 2.0
-    bra_a, bra_b = complex(mag_a), mag_b * cmath.exp(1j * arg_b)
-    # QubitProjection applies conj(alpha)<0| + conj(beta)<1|: pass conjugates
-    proj = QubitProjection(1, (np.conj(bra_a), np.conj(bra_b)))
-    comp = QubitProjection(1, (bra_b, -bra_a))  # bra (B*, -A*)
-    phi_mag, _ = pair_weight_from_projection(bra_a, bra_b, chi1, chi2)
+    projs, phis = ghz_pair_projection_stack([chi1], [chi2], [mag_a])
+    return projs[0], float(phis[0])
+
+
+def ghz_pair_projection_stack(
+    chi1, chi2, mag_a
+) -> tuple[list[tuple[QubitProjection, QubitProjection]], np.ndarray]:
+    """ghz_pair_projection for every row k of the (K,) arrays chi1, chi2, mag_a.
+
+    Returns the K (projection, complement) pairs and the (K,) weights phi,
+    row k bit for bit ghz_pair_projection(chi1[k], chi2[k], mag_a[k]). The
+    bases come row by row; the simulation that checks them is stacked: one
+    GHZ build and one target build (a build per edge pattern, should a weight
+    drop its edge), one project_rows over both outcomes of every row and one
+    stacked local-unitary check. The first row that fails a check raises
+    its error.
+    """
+    chi1, chi2, mag_a = (np.asarray(x, dtype=float) for x in (chi1, chi2, mag_a))
+    if chi1.ndim != 1 or not len(chi1) or not chi1.shape == chi2.shape == mag_a.shape:
+        shapes = ", ".join(str(x.shape) for x in (chi1, chi2, mag_a))
+        raise InputError(f"need three (K >= 1,) arrays, got shapes {shapes}")
+    projs, chis, phis = [], [], []
+    for c1, c2, mag in zip(chi1.tolist(), chi2.tolist(), mag_a.tolist()):
+        _finite_angles(c1, c2)
+        if math.isnan(mag):
+            raise InputError("|A| must be a number, got nan")
+        if not (0.0 <= mag <= 1.0):
+            raise NotAchievableError("|A| must lie in [0, 1]")
+        mag_b = math.sqrt(max(0.0, 1.0 - mag * mag))
+        arg_b = (c1 + c2 + math.pi) / 2.0
+        bra_a, bra_b = complex(mag), mag_b * cmath.exp(1j * arg_b)
+        # QubitProjection applies conj(alpha)<0| + conj(beta)<1|: pass conjugates
+        proj = QubitProjection(1, (np.conj(bra_a), np.conj(bra_b)))
+        comp = QubitProjection(1, (bra_b, -bra_a))  # bra (B*, -A*)
+        projs.append((proj, comp))
+        chis.append([c1, c2])
+        phis.append(pair_weight_from_projection(bra_a, bra_b, c1, c2)[0])
     # verify both outcomes by direct 3-qubit simulation: each must be
-    # local-unitary matchable to the weighted pair with the SAME phi
-    ghz = build_state(chain_graph(["b1", "a", "b2"], [chi1, chi2]))
-    target = weighted_pair_state(phi_mag)
-    checked = 0
-    for p in (proj, comp):
-        st, prob = project_qubit(ghz, p, allow_zero=True)
-        if st is None:
-            continue  # zero-probability outcome (poles |A| in {0,1})
-        if local_equivalent_2q(st, target) is None:
+    # local-unitary matchable to the weighted pair with the SAME phi;
+    # rows 2k and 2k + 1 are row k's projection and complement
+    ghz = _chain_rows(["b1", "a", "b2"], chis)
+    target = _chain_rows(["b1", "b2"], [[phi] for phi in phis])
+    kets = np.array([p.coefficients for pair in projs for p in pair])
+    red, probs = project_rows(np.repeat(ghz, 2, axis=0), 1, kets)
+    live = ~(probs < ZERO_PROB_CUTOFF)  # zero-probability outcomes (poles |A| in {0,1}) drop out
+    check_unit_rows(red[live])
+    _, _, match = _local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))
+    for matched, realized in zip(match.tolist(), live.reshape(-1, 2).tolist()):
+        if not all(m or not r for m, r in zip(matched, realized)):
             raise NotAchievableError(
                 "simulated outcome is not the weighted pair the formula predicts"
             )
-        checked += 1
-    if checked == 0:
-        raise NotAchievableError("no realizable outcome")
-    return (proj, comp), phi_mag
+        if not any(realized):
+            raise NotAchievableError("no realizable outcome")
+    return projs, np.array(phis)
 
 
 def _finite_angles(*angles: float) -> None:

@@ -346,6 +346,17 @@ def test_solve_xi_refuses_an_infinite_angle(args):
         solve_xi_for_weight(*args)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan)])
+def test_solve_xi_refuses_a_nan_angle_at_entry(args, monkeypatch):
+    # refused before the first bisection step, not as a ConvergenceFailureError
+    steps = []
+    real = analysis._hyperbola_arg
+    monkeypatch.setattr(analysis, "_hyperbola_arg", lambda *a: steps.append(a) or real(*a))
+    with pytest.raises(InputError, match="finite"):
+        solve_xi_for_weight(*args)
+    assert steps == []
+
+
 def test_hyperbola_projection_end_to_end():
     # apply the bra to (Bell pair) x (2-chain) and confirm the residual pair
     chi, target = 1.3, -0.9

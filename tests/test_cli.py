@@ -11,12 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wgfusion.analysis import entanglement_report, gram_factor, inner_z
+from wgfusion.analysis import (
+    INV_SQRT2,
+    entanglement_report,
+    gram_factor,
+    inner_z,
+    solve_xi_for_weight,
+)
 from wgfusion.cli import main
-from wgfusion.graphstate import WeightedGraph, chain_graph, wrap_angle
+from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, project_qubit, wrap_angle
 from wgfusion.protocols import (
     create_logical_qubit,
     fuse_type_ii,
+    ghz_pair_projection,
+    ghz_pair_range,
     logical_pair_chain,
     make_chain,
     rez_formula,
@@ -193,9 +201,12 @@ def test_scan_deterministic_with_seed(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-# Reference rows: each runs the whole protocol function (or one entanglement
-# report per row) and reads its probabilities off the outcomes. The scans
-# compute the same floats without building post-states.
+# Reference rows, one call chain per grid point: the probability rows run the
+# whole protocol function (or one entanglement report per row) and read their
+# probabilities off the outcomes, the ghz-range row builds, projects and takes
+# the determinant of one GHZ state, and the xi-solve row runs one bisection.
+# The scans compute the same floats in one stacked pass per grid (xi-solve
+# still row by row) without building post-states.
 
 
 def _ref_logical_prob(chi: float, _rng) -> list:
@@ -227,6 +238,24 @@ def _ref_det_entropy(chi: float, rng) -> list:
     return [chi, rep.det_rho, oracle, abs(rep.det_rho - oracle)]
 
 
+def _ref_ghz_range(chi: float, _rng) -> list:
+    ana = ghz_pair_range(chi, chi)
+    (proj, _), _phi = ghz_pair_projection(chi, chi, INV_SQRT2)
+    ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
+    st, _p = project_qubit(ghz, proj)
+    det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
+    sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
+    return [chi, ana, sim, abs(ana - sim)]
+
+
+def _ref_xi_solve(chi: float, _rng) -> list:
+    chi_target = wrap_angle(2.0 * chi - math.pi / 3.0)
+    xi = solve_xi_for_weight(chi, chi_target)
+    w = xi * np.exp(1j * chi / 2.0)
+    res = abs(wrap_angle(2.0 * float(np.angle(2.0 + w + 1.0 / w)) - chi_target))
+    return [chi, chi_target, xi, res]
+
+
 REFERENCE_ROWS = {
     "logical-prob": (["chi", "analytic", "simulated", "residual"], _ref_logical_prob),
     "failure-split": (
@@ -234,6 +263,11 @@ REFERENCE_ROWS = {
         _ref_failure_split,
     ),
     "det-entropy": (["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"], _ref_det_entropy),
+    "ghz-range": (
+        ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"],
+        _ref_ghz_range,
+    ),
+    "xi-solve": (["chi_bf", "chi_target", "xi", "residual"], _ref_xi_solve),
 }
 
 
@@ -252,7 +286,14 @@ def _reference_csv(quantity: str, points: int, seed: int) -> str:
 @pytest.mark.parametrize("points", [1, 7, 64])
 @pytest.mark.parametrize(
     "quantity, seed",
-    [("logical-prob", 0), ("failure-split", 0), ("det-entropy", 0), ("det-entropy", 5)],
+    [
+        ("logical-prob", 0),
+        ("failure-split", 0),
+        ("det-entropy", 0),
+        ("det-entropy", 5),
+        ("ghz-range", 0),
+        ("xi-solve", 0),
+    ],
 )
 def test_scan_csv_equals_the_reference_rows(quantity, seed, points, tmp_path):
     out = tmp_path / "scan.csv"
@@ -260,6 +301,40 @@ def test_scan_csv_equals_the_reference_rows(quantity, seed, points, tmp_path):
     assert main(argv + ["--seed", str(seed)]) == 0
     with open(out, newline="") as fh:
         assert fh.read() == _reference_csv(quantity, points, seed)
+
+
+@pytest.mark.parametrize("quantity", ["logical-prob", "failure-split", "ghz-range"])
+def test_probability_scans_run_one_stacked_pass(quantity, monkeypatch):
+    """The scan makes as many build_state and project_rows calls at 64 points as
+    at 8, and constructs no ChainState per row: one stacked pass over the grid."""
+    from wgfusion import analysis, cli, graphstate, protocols, verify
+
+    calls: dict[str, int] = {}
+    for name in ("build_state", "project_rows"):
+        real = getattr(graphstate, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        for module in (analysis, cli, graphstate, protocols, verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    real_init = protocols.ChainState.__post_init__
+
+    def counting_init(self):
+        calls["ChainState"] = calls.get("ChainState", 0) + 1
+        real_init(self)
+
+    monkeypatch.setattr(protocols.ChainState, "__post_init__", counting_init)
+    counts = []
+    for points in (8, 64):
+        calls.clear()
+        _, rows = cli._scan_rows(quantity, points, 0)
+        assert len(rows) == points
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["build_state"] >= 1 and counts[0]["project_rows"] >= 1
 
 
 def test_scan_rejects_bad_points(capsys):

@@ -396,3 +396,9 @@ def test_wrap_angle_refuses_an_infinite_angle(chi):
     with pytest.raises(InputError, match="finite"):
         wrap_angle(chi)
 
+
+def test_wrap_angle_refuses_a_nan_angle():
+    # math.remainder passes a NaN through; wrap_angle must not
+    with pytest.raises(InputError, match="finite"):
+        wrap_angle(math.nan)
+

@@ -401,6 +401,17 @@ def test_ghz_pair_range_refuses_a_non_finite_weight(args):
         ghz_pair_range(*args)
 
 
+@pytest.mark.parametrize(
+    "args", [(math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, 1.0, math.nan)]
+)
+def test_ghz_pair_projection_refuses_non_finite_input(args):
+    # a plain InputError at entry: not the ShapeMismatchError of the projection's
+    # norm check, nor NotAchievableError's verdict on the range of |A|
+    with pytest.raises(InputError) as exc:
+        ghz_pair_projection(*args)
+    assert type(exc.value) is InputError
+
+
 @pytest.mark.parametrize("args", [(math.nan, 0.5, 0.3), (0.5, 0.5, math.inf)])
 def test_ghz_pair_for_target_refuses_a_non_finite_angle(args):
     # an input error, not NotAchievableError's out-of-range verdict

@@ -1,9 +1,10 @@
 """The batch axis: a stacked call is row for row the single-state call.
 
-build_state over a (K, E) weight array, the X-like branch over a ChainStack
-and the stacked fusion contexts of the generalized-oracle ensemble each
-run one code path; these properties hold row k of a stack to the K = 1 call
-on row k's inputs.
+build_state over a (K, E) weight array, the X-like branch over a ChainStack,
+the stacked fusion contexts of the generalized-oracle ensemble and the
+stacked forms behind the probability scans (X-like probability, Type-II
+probabilities, GHZ-to-pair projection) each run one code path; these
+properties hold row k of a stack to the K = 1 call on row k's inputs.
 """
 
 from __future__ import annotations
@@ -12,20 +13,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wgfusion import verify
-from wgfusion.errors import InvalidGraphError, WeightsNotEligibleError, ZeroOutcomeError
+from wgfusion.analysis import INV_SQRT2
+from wgfusion.errors import InvalidGraphError, WeightsNotEligibleError, WgfError, ZeroOutcomeError
 from wgfusion.fock import ModeUnitary, haar_unitary
-from wgfusion.graphstate import WeightedGraph, build_state, wrap_angle
+from wgfusion.graphstate import PureState, WeightedGraph, build_state, chain_graph, wrap_angle
 from wgfusion.protocols import (
+    ChainStack,
+    ChainState,
     create_logical_qubit,
     fusion_context,
+    ghz_pair_projection,
+    ghz_pair_projection_stack,
     logical_pair_chain,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
+    type_ii_probabilities,
+    type_ii_probabilities_stack,
     xlike_probability,
+    xlike_probability_stack,
 )
 
 # nonzero weights, some outside (-pi, pi] so that the rows are wrapped
@@ -148,3 +157,128 @@ def test_vanishing_xlike_branch_is_a_typed_refusal():
     stack = make_chain_stack(list("abc"), [[0.9, 0.9], [1e-7, 1e-7]])
     with pytest.raises(ZeroOutcomeError):
         logical_pair_stack(stack, "b")
+
+
+# The probability scans' stacked forms: row k of each is float.hex-equal to the
+# K = 1 call on row k's inputs, and a stack holding a bad row raises the error
+# type that the K = 1 call on the first bad row raises.
+
+
+def _single_outcomes(calls) -> list:
+    """Each K = 1 call's result, or the type of the error it raises."""
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except WgfError as exc:
+            out.append(type(exc))
+    return out
+
+
+def _first_error(outcomes) -> type | None:
+    return next((o for o in outcomes if isinstance(o, type)), None)
+
+
+def _hex(x) -> tuple[str, ...]:
+    x = complex(x)
+    return float.hex(x.real), float.hex(x.imag)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), k=st.integers(1, 5), data=st.data())
+def test_xlike_probability_stack_rows_equal_single_calls(n, k, data):
+    """Case-1 and Case-2 rows mixed in one stack, maybe one ineligible row."""
+    labels = [f"v{i}" for i in range(n)]
+    i = data.draw(st.integers(1, n - 2))
+    weights = weight_stack(data, k, n - 1)
+    for row in range(k):  # vertex i's edges are weights[:, i - 1] and weights[:, i]
+        case1 = data.draw(st.booleans())
+        weights[row, i] = weights[row, i - 1] if case1 else -weights[row, i - 1]
+    bad = data.draw(st.none() | st.integers(0, k - 1))
+    if bad is not None:
+        weights[bad, i] += data.draw(st.floats(0.1, 1.0))
+        assume(abs(wrap_angle(weights[bad, i])) > 0.01)
+    singles = _single_outcomes(
+        [lambda w=w: xlike_probability(make_chain(labels, list(w)), labels[i]) for w in weights]
+    )
+    stack = make_chain_stack(labels, weights)
+    error = _first_error(singles)
+    assert bad is not None or error is None  # eligible rows of either case never raise
+    if error is not None:
+        with pytest.raises(error) as exc:
+            xlike_probability_stack(stack, labels[i])
+        assert type(exc.value) is error
+        return
+    got = xlike_probability_stack(stack, labels[i])
+    assert [float.hex(p) for p in got.tolist()] == [float.hex(p) for p in singles]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nr=st.integers(3, 5), k=st.integers(1, 5), data=st.data())
+def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
+    """A logical-pair left chain against a stack of 3-5-vertex right chains; one
+    row's state may come from other weights than the row claims (a z mismatch)."""
+    chi = data.draw(ANGLES)
+    left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
+    left = logical_pair_chain(make_chain(list("ABCD"), left_weights), "C")
+    labels = [f"r{j}" for j in range(nr)]
+    b = labels[data.draw(st.integers(0, nr - 1))]
+    claimed = weight_stack(data, k, nr - 1)
+    built = claimed.copy()
+    bad = data.draw(st.none() | st.integers(0, k - 1))
+    if bad is not None:
+        built[bad] = weight_stack(data, 1, nr - 1)[0]
+    stack = make_chain_stack(labels, claimed)
+    stack = ChainStack(stack.graph, stack.weights, make_chain_stack(labels, built).rows)
+    rights = [
+        ChainState(chain_graph(labels, list(c)), PureState(nr, r)) for c, r in zip(claimed, stack.rows)
+    ]
+    singles = _single_outcomes(
+        [lambda r=r: type_ii_probabilities(left, ("B", "D"), r, b, "D") for r in rights]
+    )
+    error = _first_error(singles)
+    assert bad is not None or error is None
+    if error is not None:
+        with pytest.raises(error) as exc:
+            type_ii_probabilities_stack(left, ("B", "D"), stack, b, consume="D")
+        assert type(exc.value) is error
+        return
+    got = type_ii_probabilities_stack(left, ("B", "D"), stack, b, consume="D")
+    for row, one in enumerate(singles):
+        assert {lab: float.hex(p[row]) for lab, p in got.items()} == {
+            lab: float.hex(p) for lab, p in one.items()
+        }
+
+
+GHZ_ANGLES = ANGLES | st.just(0.0)  # a zero weight drops its edge from the chain
+MAGNITUDES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_MAGNITUDES = NON_FINITE | st.floats(1.01, 3.0) | st.floats(-3.0, -0.01)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), data=st.data())
+def test_ghz_pair_projection_stack_rows_equal_single_calls(k, data):
+    """(chi1, chi2, |A|) rows, zero weights and the poles |A| in {0, 1} among them;
+    maybe one row with a non-finite angle or an |A| outside [0, 1]."""
+    rows = [
+        [data.draw(GHZ_ANGLES), data.draw(GHZ_ANGLES), data.draw(MAGNITUDES)] for _ in range(k)
+    ]
+    bad = data.draw(st.none() | st.integers(0, k - 1))
+    if bad is not None:
+        column = data.draw(st.integers(0, 2))
+        rows[bad][column] = data.draw(BAD_MAGNITUDES if column == 2 else NON_FINITE)
+    singles = _single_outcomes([lambda r=r: ghz_pair_projection(*r) for r in rows])
+    error = _first_error(singles)
+    assert (error is None) == (bad is None)
+    if error is not None:
+        with pytest.raises(error) as exc:
+            ghz_pair_projection_stack(*zip(*rows))
+        assert type(exc.value) is error
+        return
+    projs, phis = ghz_pair_projection_stack(*zip(*rows))
+    for (pair, phi), got_pair, got_phi in zip(singles, projs, phis.tolist()):
+        assert float.hex(got_phi) == float.hex(phi)
+        for p, q in zip(got_pair, pair):
+            assert p.target == q.target
+            assert [_hex(c) for c in p.coefficients] == [_hex(c) for c in q.coefficients]
