@@ -28,7 +28,7 @@ from .fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from .graphstate import _sum_abs_sq, wrap_angle
+from .graphstate import _finite_angles, _sum_abs_sq, wrap_angle
 from .tolerances import (
     ABORT_TOL,
     BISECT_RTOL,
@@ -61,8 +61,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def inner_z(*chis: float) -> complex:
     """Gram overlap z = <f4|f3> = prod_k (1+e^{i chi_k})/2 over b's edge weights.
 
-    A zero weight (no edge) contributes a factor 1.
+    A zero weight (no edge) contributes a factor 1. InputError for a
+    non-finite weight.
     """
+    _finite_angles(*chis)
     return complex(math.prod((1.0 + cmath.exp(1j * chi)) / 2.0 for chi in chis))
 
 
@@ -403,27 +405,39 @@ def max_entangled_conditions_residual(p: TwoQubitProjection, z: complex) -> floa
     return float(max(r1, r2, r3)) / p.norm_sq
 
 
-def check_no_good_failure(u: ModeUnitary) -> dict:
-    """Verify the no-good-failure theorem on one unitary.
+def check_no_good_failure_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The no-good-failure theorem on every row of a (K, N, N) stack of mode unitaries.
 
     Premise: all same-detector outcomes with nonzero probability (z = 0
     baseline) share (U_3i, U_4i) up to a global phase. Conclusion: every
-    relevant outcome's coefficient matrix has zero determinant (|det| below
-    NO_GOOD_DET_TOL).
+    relevant outcome's coefficient matrix has zero determinant. Returns
+    (live, premise, max_det): the (K, N) mask of live same-detector
+    columns, whether each row's premise holds and each row's max |ad - bc|
+    over the relevant patterns (0 for none; a NaN stays NaN).
     """
-    m = u.matrix
-    live = np.flatnonzero(same_detector_prob(m, np.arange(u.n), 0.0) > LIVE_TOL)
-    first = live[:1]
-    cross = m[2, first] * m[3, live] - m[2, live] * m[3, first]
-    premise = bool(np.all(np.abs(cross) <= NO_GOOD_PREMISE_TOL))
-    a, b, c, d = outcome_coeffs(m, *pattern_indices(u.n, 1))
-    max_det = float(np.max(np.abs(a * d - b * c), initial=0.0))
+    n = us.shape[-1]
+    live = same_detector_prob(us, np.arange(n), 0.0) > LIVE_TOL
+    first = np.argmax(live, axis=1)[:, None]  # column 0 of a row with none live: unread
+    u3, u4 = us[:, 2], us[:, 3]
+    cross = np.take_along_axis(u3, first, axis=1) * u4 - u3 * np.take_along_axis(u4, first, axis=1)
+    premise = ((np.abs(cross) <= NO_GOOD_PREMISE_TOL) | ~live).all(axis=1)
+    a, b, c, d = outcome_coeffs(us, *pattern_indices(n, 1))
+    max_det = np.max(np.abs(a * d - b * c), axis=1, initial=0.0)
+    return live, premise, max_det
+
+
+def check_no_good_failure(u: ModeUnitary) -> dict:
+    """Verify the no-good-failure theorem on one unitary: the K = 1 row of
+    check_no_good_failure_stack, with the conclusion |det| < NO_GOOD_DET_TOL
+    claimed only where the premise holds."""
+    live, premise, max_det = check_no_good_failure_stack(u.matrix[None])
+    premise, max_det = bool(premise[0]), float(max_det[0])
     conclusion = max_det < NO_GOOD_DET_TOL
     return {
         "premise_holds": premise,
         "conclusion_holds": conclusion if premise else None,
         "max_relevant_det": max_det,
-        "live_detectors": live.tolist(),
+        "live_detectors": np.flatnonzero(live[0]).tolist(),
     }
 
 
@@ -601,8 +615,10 @@ def pair_weight_from_projection(
     |det M1| = |A||B||1-e^{-i chi1}||1-e^{-i chi2}| / N^2 with
     N^2 = 4(1 + Re(AB*(1+e^{i chi1})(1+e^{i chi2}))/2); phi solves
     |det M2| = |1-e^{-i phi}|/4 = |det M1|. both_outcomes_equal iff
-    Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0.
+    Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0. InputError for a non-finite
+    chi or an (A, B) off the unit sphere.
     """
+    _finite_angles(chi1, chi2)
     if not abs(_sum_abs_sq(a, b) - 1.0) <= STATE_NORM_TOL:  # a NaN or inf fails too
         raise InputError("|A|^2 + |B|^2 must be 1")
     cross = (a * np.conj(b) * (1.0 + cmath.exp(1j * chi1)) * (1.0 + cmath.exp(1j * chi2))).real

@@ -19,6 +19,13 @@ is a PureState over its normalized row of the call's shared (P, 2^nq) array.
 reduced_det_rho_stack is the dense det-rho oracle over a (K, 2^L, 2^R) stack
 of such rows.
 
+Random mode unitaries are drawn, then stacked: a caller draws each
+unitary's random numbers one draw at a time, in the seeded rng order
+(ginibre: the raw normals, one rng call and no arithmetic), stacks the
+draws of one size, and haar_stack turns the stack into Haar unitaries with
+one QR; check_unitary_rows then checks U U+ = I on every row at once.
+haar_unitary and ModeUnitary's own check are their K = 1 rows.
+
 Oracle independence: oracle_table derives probabilities, states and
 coefficient tables from its own mode substitution (a symmetrised einsum over
 the per-mode branch vectors). Neither it, oracle_enumerate nor
@@ -39,19 +46,50 @@ from .graphstate import PureState
 from .tolerances import ORTHOGONAL_TOL, UNITARY_TOL, ZERO_PROB_CUTOFF
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary drawn from rng.
+def ginibre(n: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:
+    """k successive n x n complex Ginibre draws from rng, as a (k, 2, n, n)
+    stack of their real and imaginary standard normals, real part drawn
+    first: one rng call, the stream of k pairs of (n, n) normal draws.
+    haar_stack makes the complex matrices."""
+    return rng.normal(size=(k, 2, n, n))
 
-    QR of a complex Ginibre matrix (real part drawn first), with each column
-    of Q multiplied by the phase of R's diagonal entry so the law is exactly
-    Haar. This is scipy.stats.unitary_group.rvs's algorithm and draw order,
-    so a seeded rng yields the same matrices.
+
+def haar_stack(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a (K, 2, n, n) stack of ginibre draws.
+
+    Each draw's complex Ginibre matrix (real + i imag)/sqrt2, one stacked
+    QR, then each column of every Q multiplied by the phase of R's diagonal
+    entry so the law is exactly Haar. This is
+    scipy.stats.unitary_group.rvs's algorithm; row k is bit for bit the QR
+    of draw k alone.
     """
-    z = 1.0 / math.sqrt(2.0) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    z = 1.0 / math.sqrt(2.0) * (g[:, 0] + 1j * g[:, 1])
     q, r = np.linalg.qr(z)
-    d = r.diagonal()
-    q *= (d / np.abs(d))[None, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
     return q
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x n unitary drawn from rng: haar_stack of one ginibre draw.
+
+    scipy.stats.unitary_group.rvs's draw order, so a seeded rng yields the
+    same matrices. Ensembles draw ginibre per draw and call haar_stack once
+    per size instead.
+    """
+    return haar_stack(ginibre(n, rng))[0]
+
+
+def check_unitary_rows(us: np.ndarray) -> None:
+    """ModeUnitary's U U+ = I invariant on every row of a (K, N, N) stack.
+
+    Raises InvalidUnitaryError naming the first row with an entry of
+    |U U+ - I| above UNITARY_TOL (a NaN fails too).
+    """
+    dev = np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(us.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(dev <= UNITARY_TOL))
+    if bad.size:
+        raise InvalidUnitaryError(f"row {bad[0]} fails U U+ = I: max |U U+ - I| = {dev[bad[0]]}")
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +113,10 @@ class ModeUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 4:
             raise InvalidUnitaryError("ModeUnitary must be square with N >= 4")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARY_TOL:
-            raise InvalidUnitaryError("ModeUnitary fails U U+ = I")
+        try:
+            check_unitary_rows(m[None])
+        except InvalidUnitaryError:
+            raise InvalidUnitaryError("ModeUnitary fails U U+ = I") from None
         object.__setattr__(self, "matrix", m)
 
     @property

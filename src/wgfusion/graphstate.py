@@ -47,6 +47,12 @@ from .tolerances import (
 )
 
 
+def _finite_angles(*angles: float) -> None:
+    """InputError unless every angle is finite (a NaN or inf weight names no edge)."""
+    if not all(math.isfinite(x) for x in angles):
+        raise InputError(f"angles must be finite, got {angles!r}")
+
+
 def wrap_angle(chi: float) -> float:
     """Normalize an angle into (-pi, pi]; InputError for an infinite or NaN angle."""
     try:

@@ -48,6 +48,7 @@ from .graphstate import (
     PureState,
     QubitProjection,
     WeightedGraph,
+    _finite_angles,
     apply_rows,
     build_state,
     chain_graph,
@@ -712,7 +713,10 @@ def _split_components(
 
 
 def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
-    """Re z = [1 + cos chi_bf + cos chi_bf' + cos(chi_bf + chi_bf')]/4."""
+    """Re z = [1 + cos chi_bf + cos chi_bf' + cos(chi_bf + chi_bf')]/4.
+
+    InputError for a non-finite weight."""
+    _finite_angles(chi_bf, chi_bf2)
     return (
         1.0 + math.cos(chi_bf) + math.cos(chi_bf2) + math.cos(chi_bf + chi_bf2)
     ) / 4.0
@@ -1068,12 +1072,6 @@ def ghz_pair_projection_stack(
         if not any(realized):
             raise NotAchievableError("no realizable outcome")
     return projs, np.array(phis)
-
-
-def _finite_angles(*angles: float) -> None:
-    """InputError unless every angle is finite (a NaN or inf weight names no edge)."""
-    if not all(math.isfinite(x) for x in angles):
-        raise InputError(f"angles must be finite, got {angles!r}")
 
 
 def ghz_pair_range(chi1: float, chi2: float) -> float:

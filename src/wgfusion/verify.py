@@ -17,18 +17,20 @@ import numpy as np
 
 from .analysis import (
     INV_SQRT2,
+    check_no_good_failure_stack,
     entanglement_stack,
     hyperbola_projection,
     solve_xi_for_weight,
-    check_no_good_failure,
     xlike_uniqueness_scan,
     ylike_impossibility_scan,
 )
 from .errors import NotAchievableError
 from .fock import (
     ModeUnitary,
+    check_unitary_rows,
     enumerate_table,
-    haar_unitary,
+    ginibre,
+    haar_stack,
     oracle_table,
     outcome_coeffs,
     pattern_indices,
@@ -129,9 +131,14 @@ def _check(name: str, *tolerances: float):
     return decorate
 
 
+# Random signs are drawn as SIGNS[rng.integers(0, 2, k)]: the same stream and
+# values as rng.choice([-1.0, 1.0], k), without choice's per-call overhead.
+SIGNS = np.array([-1.0, 1.0])
+
+
 def _rand_weights(rng: np.random.Generator, k: int) -> list[float]:
     """Nonzero weights away from the dropped-edge cutoff."""
-    w = rng.uniform(0.05, math.pi, k) * rng.choice([-1.0, 1.0], k)
+    w = rng.uniform(0.05, math.pi, k) * SIGNS[rng.integers(0, 2, k)]
     return [float(x) for x in w]
 
 
@@ -225,32 +232,45 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
 def _random_fusion_setup(rng: np.random.Generator, draws: int):
     """draws random Type-II setups: their mode unitaries and fusion contexts.
 
-    Each draw takes, in this rng order, N in 4..8 and its Haar unitary, the
+    Each draw takes, in this rng order, N in 4..8 and its Ginibre draw, the
     left weights (w1, chi, then the Case-1/Case-2 coin) and the right chain
     (the 2-/3-chain coin, then its weights). The left chain A-B-C-D has
     weights (w1, chi, chi) (Case 1) or (w1, chi, -chi) (Case 2); its X-like
     branch at C makes the logical pair {B, D}, whose member D is fused with
-    b of the right chain v-b or v-b-w. The chains are built afterwards as
+    b of the right chain v-b or v-b-w. The random numbers are drawn one
+    draw at a time; the linear algebra runs afterwards on stacks. The
+    Ginibre draws of each N become Haar unitaries in one haar_stack call and
+    are checked in one check_unitary_rows call. The chains are built as
     stacks, one build per shape: every left chain in one stack, whose rows
     take the X-like branch once per case, and the right chains in one stack
     per length.
 
-    Returns (us, lengths, rows, contexts): the (N, N) unitary matrices in
-    draw order, each draw's right-chain length and its row in contexts[length],
-    the (f1, f2, f3, f4, z) stacks of fusion_context_rows over the draws
-    with that length, in draw order.
+    Returns (us, sizes, urows, lengths, rows, contexts): us[N] is the
+    (K_N, N, N) stack of the draws with that N, in draw order; draw i has
+    N = sizes[i] and is row urows[i] of us[N]. lengths[i] is its right-chain
+    length and rows[i] its row in contexts[length], the (f1, f2, f3, f4, z)
+    stacks of fusion_context_rows over the draws with that length, in draw
+    order.
     """
-    us, cases, lengths = [], [], []
+    ginibres: dict[int, list[np.ndarray]] = {}
+    sizes, urows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
+    cases, lengths = [], []
     lefts, rights = np.empty((draws, 3)), np.empty((draws, 2))
     for i in range(draws):
         n = int(rng.integers(4, 9))
-        us.append(ModeUnitary(haar_unitary(n, rng)).matrix)
-        w1 = float(rng.uniform(0.1, math.pi)) * float(rng.choice([-1.0, 1.0]))
+        same_n = ginibres.setdefault(n, [])
+        sizes[i], urows[i] = n, len(same_n)
+        same_n.append(ginibre(n, rng))
+        w1 = float(rng.uniform(0.1, math.pi)) * float(SIGNS[rng.integers(0, 2)])
         chi = float(rng.uniform(0.1, math.pi - 0.1))
-        cases.append("case1" if rng.uniform() < 0.5 else "case2")
+        cases.append("case1" if rng.random() < 0.5 else "case2")
         lefts[i] = w1, chi, (chi if cases[-1] == "case1" else wrap_angle(-chi))
-        lengths.append(1 if rng.uniform() < 0.5 else 2)
+        lengths.append(1 if rng.random() < 0.5 else 2)
         rights[i, : lengths[-1]] = _rand_weights(rng, lengths[-1])
+    us = {}
+    for n in list(ginibres):  # popped, so a size's draws and its stack are not both kept
+        us[n] = haar_stack(np.concatenate(ginibres.pop(n)))
+        check_unitary_rows(us[n])
     left = make_chain_stack(["A", "B", "C", "D"], lefts)
     by_case, by_length = _positions(cases), _positions(lengths)
     paired = {c: logical_pair_stack(left.take(idx), "C") for c, idx in by_case.items()}
@@ -270,7 +290,7 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
                 contexts[r] = tuple(np.empty((len(idx), *x.shape[1:]), x.dtype) for x in part)
             for whole, x in zip(contexts[r], part):
                 whole[pos] = x
-    return us, lengths, rows, contexts
+    return us, sizes, urows, lengths, rows, contexts
 
 
 def _positions(keys: list) -> dict:
@@ -325,16 +345,16 @@ def check_generalized_oracle(seed: int = 17, quick: bool = False):
     """
     rng = np.random.default_rng(seed)
     draws = 100 if quick else 1000
-    us, lengths, rows, contexts = _random_fusion_setup(rng, draws)
+    us, sizes, urows, lengths, rows, contexts = _random_fusion_setup(rng, draws)
 
     def compare(batch: list[int]) -> float:
         fields = (x[rows[batch]] for x in contexts[lengths[batch[0]]])
-        return _oracle_residual(np.stack([us[i] for i in batch]), *fields)
+        return _oracle_residual(us[sizes[batch[0]]][urows[batch]], *fields)
 
     residuals = []
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, u in enumerate(us):
-        batch = groups.setdefault((len(u), lengths[i]), [])
+    for i, n in enumerate(sizes.tolist()):
+        batch = groups.setdefault((n, lengths[i]), [])
         batch.append(i)
         if len(batch) == ORACLE_BATCH:
             residuals.append(compare(batch))
@@ -343,36 +363,59 @@ def check_generalized_oracle(seed: int = 17, quick: bool = False):
     return f"{draws} draws", [residuals]
 
 
+def _balanced_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One balanced unitary's random numbers, in balanced_unitary's rng order:
+    the (3, 2, 2, 2) Ginibre draws of V1, V2 and W, 4 column phases and a
+    column permutation."""
+    return ginibre(2, rng, 3), rng.uniform(0.0, 2.0 * math.pi, 4), rng.permutation(4)
+
+
+def _balanced_stack(g: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """(K, 4, 4) balanced unitaries from K stacked _balanced_draw fields, unchecked.
+
+    One haar_stack over all 3K blocks, then array operations on the stack;
+    row k is bit for bit the matrix built from draw k alone.
+    """
+    v1, v2, w = haar_stack(g.reshape(-1, 2, 2, 2)).reshape(-1, 3, 2, 2).transpose(1, 0, 2, 3)
+    u = np.empty((len(g), 4, 4), dtype=complex)
+    u[:, :2, :2], u[:, :2, 2:], u[:, 2:, :2], u[:, 2:, 2:] = v1, v2, v1, -v2
+    u /= math.sqrt(2.0)
+    u[:, 2:, :] = w @ u[:, 2:, :]
+    u *= np.exp(1j * phases)[:, None, :]
+    return np.take_along_axis(u, perms[:, None, :], axis=2)
+
+
 def balanced_unitary(rng: np.random.Generator) -> ModeUnitary:
     """4x4 unitary with |U_1i|^2 + |U_2i|^2 = 1/2 for every column i.
 
     Built as diag(I, W) . (1/sqrt2)[[V1, V2], [V1, -V2]] with Haar 2x2 blocks,
     then random column phases and a column permutation. Every relevant M_ij of
-    such a matrix is proportional to a unitary.
+    such a matrix is proportional to a unitary. The K = 1 row of
+    _balanced_stack.
     """
-    v1 = haar_unitary(2, rng)
-    v2 = haar_unitary(2, rng)
-    w = haar_unitary(2, rng)
-    u = np.block([[v1, v2], [v1, -v2]]) / math.sqrt(2.0)
-    u[2:, :] = w @ u[2:, :]
-    u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))[None, :]
-    return ModeUnitary(u[:, rng.permutation(4)])
-
-
-def _random_gram_z(rng: np.random.Generator) -> complex:
-    return rng.uniform(0.0, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return ModeUnitary(_balanced_stack(*(x[None] for x in _balanced_draw(rng)))[0])
 
 
 def _balanced_draws(rng: np.random.Generator, draws: int):
-    """draws (balanced_unitary, _random_gram_z) pairs, in that rng order, stacked:
-    the (K, 6) relevant-pattern coefficients (a, b, c, d) of the 4-mode patterns
-    i < j, their (K, 6, 2, 2) matrices and the (K,) z."""
-    us, zs = [], []
-    for _ in range(draws):
-        us.append(balanced_unitary(rng).matrix)
-        zs.append(_random_gram_z(rng))
-    coeffs = outcome_coeffs(np.stack(us), *pattern_indices(4, 1))
-    return coeffs, np.stack(coeffs, axis=-1).reshape(draws, -1, 2, 2), np.array(zs)
+    """draws (balanced_unitary, z) pairs, in that rng order, stacked: the (K, 6)
+    relevant-pattern coefficients (a, b, c, d) of the 4-mode patterns i < j,
+    their (K, 6, 2, 2) matrices and the (K,) z.
+
+    Each z is |z| e^{i arg z}, |z| uniform on [0, 0.95) and arg z on
+    [0, 2 pi). The random numbers are drawn one pair at a time; the
+    unitaries are built by one _balanced_stack call and checked by one
+    check_unitary_rows call."""
+    g = np.empty((draws, 3, 2, 2, 2))
+    phases, perms = np.empty((draws, 4)), np.empty((draws, 4), dtype=int)
+    gram = np.empty((draws, 2))
+    for i in range(draws):
+        g[i], phases[i], perms[i] = _balanced_draw(rng)
+        gram[i] = rng.uniform(0.0, 0.95), rng.uniform(0.0, 2.0 * math.pi)
+    us = _balanced_stack(g, phases, perms)
+    check_unitary_rows(us)
+    coeffs = outcome_coeffs(us, *pattern_indices(4, 1))
+    zs = gram[:, 0] * np.exp(1j * gram[:, 1])
+    return coeffs, np.stack(coeffs, axis=-1).reshape(draws, -1, 2, 2), zs
 
 
 @_check("bell_retention", RETENTION_TOL)
@@ -447,7 +490,7 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
     draws = 12 if quick else 50
     xi_res, fid_res = [], []
     for _ in range(draws):
-        chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(rng.choice([-1.0, 1.0]))
+        chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(SIGNS[rng.integers(0, 2)])
         chi_target = float(rng.uniform(-math.pi, math.pi))
         xi = solve_xi_for_weight(chi_bf, chi_target)
         w = xi * np.exp(1j * chi_bf / 2.0)
@@ -470,48 +513,74 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
     return f"{draws} pairs; xi residual {_worst(xi_res):.2e}", [xi_res], [fid_res]
 
 
+def _constrained_draw(rng: np.random.Generator) -> tuple:
+    """One constrained unitary's random numbers, in constrained_unitary's rng
+    order: N in 4..8, the (2, 2, 2) normals of the unnormalized p and q (p
+    first, each its real then its imaginary part), (cos t, sin t), N column
+    phases and a column permutation."""
+    n = int(rng.integers(4, 9))
+    pq = rng.normal(size=(2, 2, 2))
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    return n, pq, (math.cos(t), math.sin(t)), rng.uniform(0.0, 2.0 * math.pi, n), rng.permutation(n)
+
+
+def _constrained_stack(pq: np.ndarray, cs: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """(K, N, N) constrained unitaries from K stacked _constrained_draw fields
+    of one N, unchecked; row k is bit for bit the matrix built from draw k alone."""
+    k, n = phases.shape
+    re, im = pq[:, :, 0], pq[:, :, 1]
+    # |v| as np.linalg.norm takes it of one complex vector: sqrt(re.re + im.im)
+    pq = (re + 1j * im) / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+    p, q = pq[:, 0], pq[:, 1]
+    c, s = cs[:, :1], cs[:, 1:]
+    u = np.zeros((k, n, n), dtype=complex)
+    u[:, np.arange(4, n), np.arange(4, n)] = 1.0
+    u[:, :2, 0], u[:, 2:4, 0] = c * p, s * q
+    u[:, :2, 1] = np.stack([-np.conj(p[:, 1]), np.conj(p[:, 0])], axis=-1)  # p_perp
+    u[:, 2:4, 2] = np.stack([-np.conj(q[:, 1]), np.conj(q[:, 0])], axis=-1)  # q_perp
+    u[:, :2, 3], u[:, 2:4, 3] = -s * p, c * q
+    u *= np.exp(1j * phases)[:, None, :]
+    return np.take_along_axis(u, perms[:, None, :], axis=2)
+
+
+def _stack_fields(fields: list[tuple]) -> list[np.ndarray]:
+    """Per-draw field tuples as one array per field, draws along axis 0."""
+    return [np.array(x) for x in zip(*fields)]
+
+
 def constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
     """Random unitary whose live same-detector columns share rows (3,4) direction.
 
     4x4 columns: (cos t . p, sin t . q), (p_perp, 0), (0, q_perp),
     (-sin t . p, cos t . q) with unit p, q in C^2; embedded in N in 4..8
-    with random column phases and a permutation.
+    with random column phases and a permutation. The K = 1 row of
+    _constrained_stack.
     """
-    n = int(rng.integers(4, 9))
-
-    def unit2() -> np.ndarray:
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        return v / np.linalg.norm(v)
-
-    def perp(v: np.ndarray) -> np.ndarray:
-        return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-    p, q = unit2(), unit2()
-    t = rng.uniform(0.0, 2.0 * math.pi)
-    g = np.zeros((4, 4), dtype=complex)
-    g[:2, 0], g[2:, 0] = math.cos(t) * p, math.sin(t) * q
-    g[:2, 1] = perp(p)
-    g[2:, 2] = perp(q)
-    g[:2, 3], g[2:, 3] = -math.sin(t) * p, math.cos(t) * q
-    u = np.eye(n, dtype=complex)
-    u[:4, :4] = g
-    u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))[None, :]
-    return ModeUnitary(u[:, rng.permutation(n)])
+    _, *fields = _constrained_draw(rng)
+    return ModeUnitary(_constrained_stack(*_stack_fields([fields]))[0])
 
 
 @_check("no_good_failure", NO_GOOD_DET_TOL)
 def check_no_good_failure_theorem(seed: int = 31, quick: bool = False):
-    """Shared same-detector direction forces every relevant det to vanish."""
+    """Shared same-detector direction forces every relevant det to vanish.
+
+    The draws are made one at a time and grouped by N; each N's unitaries
+    are built, checked and tested as one stack."""
     rng = np.random.default_rng(seed)
     draws = 50 if quick else 200
-    residuals = []
+    by_n: dict[int, list[tuple]] = {}
     for _ in range(draws):
-        u = constrained_unitary(rng)
-        report = check_no_good_failure(u)
-        if not report["premise_holds"]:
+        n, *fields = _constrained_draw(rng)
+        by_n.setdefault(n, []).append(fields)
+    residuals = []
+    for n in list(by_n):  # popped, so a size's draws and its stack are not both kept
+        us = _constrained_stack(*_stack_fields(by_n.pop(n)))
+        check_unitary_rows(us)
+        _, premise, max_det = check_no_good_failure_stack(us)
+        if not premise.all():
             raise _Refuted("ensemble premise broken")
-        residuals.append(report["max_relevant_det"])
-    return f"{draws} draws", [residuals]
+        residuals.append(max_det)
+    return f"{draws} draws", residuals
 
 
 @_check("appendix_scans")

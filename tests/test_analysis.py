@@ -14,6 +14,7 @@ from wgfusion.analysis import (
     SCAN_OUTLIER_CAP,
     TwoQubitProjection,
     check_no_good_failure,
+    check_no_good_failure_stack,
     classify_projection,
     entanglement_report,
     hyperbola_projection,
@@ -42,6 +43,7 @@ from wgfusion.fock import (
     type_ii_matrix,
 )
 from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, wrap_angle
+from wgfusion.protocols import rez_formula
 from wgfusion.verify import constrained_unitary
 
 RNG = np.random.default_rng(17)
@@ -439,6 +441,67 @@ def test_no_good_failure_on_fusion_networks():
     r2 = check_no_good_failure(type_ii_matrix())
     assert not r2["premise_holds"]
     assert r2["conclusion_holds"] is None
+
+
+def test_no_good_failure_report_is_the_stacked_row():
+    # check_no_good_failure is the K = 1 row of check_no_good_failure_stack:
+    # every field equals the row of a stack that mixes premise-true and
+    # premise-false unitaries of one N
+    rng = np.random.default_rng(11)
+    unitaries = [constrained_unitary(rng) for _ in range(40)]
+    unitaries += [ModeUnitary(unitary_group.rvs(n, random_state=rng)) for n in (4, 5, 6, 8)]
+    unitaries += [type_i_matrix(), type_ii_matrix()]
+    by_n: dict[int, list[ModeUnitary]] = {}
+    for u in unitaries:
+        by_n.setdefault(u.n, []).append(u)
+    assert any(len(us) > 1 for us in by_n.values())
+    for us in by_n.values():
+        live, premise, max_det = check_no_good_failure_stack(np.stack([u.matrix for u in us]))
+        for k, u in enumerate(us):
+            report = check_no_good_failure(u)
+            assert report["live_detectors"] == np.flatnonzero(live[k]).tolist()
+            assert report["premise_holds"] is bool(premise[k])
+            assert float.hex(report["max_relevant_det"]) == float.hex(float(max_det[k]))
+            expect = bool(max_det[k] < 1e-10) if premise[k] else None
+            assert report["conclusion_holds"] == expect
+
+
+def test_no_good_failure_stack_keeps_a_nan():
+    us = np.stack([type_i_matrix().matrix] * 3)
+    us[1, 0, 2] = np.nan
+    live, premise, max_det = check_no_good_failure_stack(us)
+    assert np.isnan(max_det[1]) and max_det[0] == max_det[2] < 1e-12
+    assert premise[0] and premise[2]
+
+
+# ------------------------------------------------------ non-finite angles
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pair_weight_from_projection(0.6, 0.8, math.nan, 1.0),
+        lambda: pair_weight_from_projection(0.6, 0.8, 1.0, -math.inf),
+        lambda: inner_z(math.inf),
+        lambda: inner_z(0.3, math.nan),
+        lambda: rez_formula(math.nan),
+        lambda: rez_formula(0.2, math.inf),
+    ],
+    ids=["pair_weight_nan", "pair_weight_inf", "inner_z_inf", "inner_z_nan", "rez_nan", "rez_inf"],
+)
+def test_non_finite_angles_are_refused(call):
+    # before the refusal: phi = 0, NaN and NaN+NaNj came back as answers
+    with pytest.raises(InputError, match="finite"):
+        call()
+
+
+def test_finite_angles_keep_their_floats():
+    # float.hex pins of finite calls, unchanged by the non-finite refusal
+    phi, equal = pair_weight_from_projection(0.6, 0.8, 0.7, -2.1)
+    assert (float.hex(phi), equal) == ("0x1.b6b7e4e3726d3p-2", False)
+    z = inner_z(0.7, -2.1)
+    assert (float.hex(z.real), float.hex(z.imag)) == ("0x1.6e1211e85ea45p-2", "-0x1.345645af51d23p-2")
+    assert float.hex(rez_formula(0.7, -2.1)) == "0x1.6e1211e85ea45p-2"
 
 
 # ----------------------------------------------------------- pair weight

@@ -11,7 +11,10 @@ from wgfusion.errors import InvalidContextError, InvalidUnitaryError
 from wgfusion.fock import (
     FusionContext,
     ModeUnitary,
+    check_unitary_rows,
     enumerate_outcomes,
+    ginibre,
+    haar_stack,
     haar_unitary,
     oracle_enumerate,
     outcome_coeffs,
@@ -50,10 +53,20 @@ def _random_context(rng, left_qubits=2, right_qubits=2) -> FusionContext:
 
 
 def test_mode_unitary_validation():
-    with pytest.raises(InvalidUnitaryError):
-        ModeUnitary(np.ones((4, 4)))
-    with pytest.raises(InvalidUnitaryError):
-        ModeUnitary(np.eye(3))  # at least 4 modes
+    # ModeUnitary runs the stacked check on a stack of one; its errors keep
+    # their own messages and chain no stacked error
+    cases = [
+        (np.ones((4, 4)), "ModeUnitary fails U U+ = I"),
+        (np.full((4, 4), np.nan), "ModeUnitary fails U U+ = I"),
+        ((1.0 + 1e-9) * np.eye(5), "ModeUnitary fails U U+ = I"),
+        (np.eye(3), "ModeUnitary must be square with N >= 4"),  # at least 4 modes
+        (np.eye(4)[:, :3], "ModeUnitary must be square with N >= 4"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(InvalidUnitaryError) as exc:
+            ModeUnitary(matrix)
+        assert str(exc.value) == message
+        assert exc.value.__cause__ is None
 
 
 @pytest.mark.parametrize("n", [2, 4, 5, 8])
@@ -64,6 +77,34 @@ def test_haar_unitary_is_scipy_unitary_group_bit_for_bit(n):
         ours = haar_unitary(n, np.random.default_rng(seed))
         ref = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
         assert np.array_equal(ours, ref), (n, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_haar_stack_rows_are_haar_unitary_bit_for_bit(n):
+    # an ensemble draws ginibre per draw and maps the stack with one QR; each
+    # row must be the matrix the per-draw haar_unitary makes from the same rng,
+    # and k draws in one ginibre call must be k successive draws
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        stack = haar_stack(np.concatenate([ginibre(n, rng) for _ in range(20)] + [ginibre(n, rng, 20)]))
+        rng = np.random.default_rng(seed)
+        for k, row in enumerate(stack):
+            assert np.array_equal(row, haar_unitary(n, rng)), (n, seed, k)
+
+
+def test_unitarity_check_names_the_first_bad_row():
+    rng = np.random.default_rng(1)
+    us = haar_stack(ginibre(5, rng, 6))
+    check_unitary_rows(us)
+    bad = us.copy()
+    bad[3, 0, 0] += 1e-9  # |U U+ - I| about 2e-9, above UNITARY_TOL
+    bad[5] *= 2.0
+    with pytest.raises(InvalidUnitaryError, match=r"^row 3 fails U U\+ = I"):
+        check_unitary_rows(bad)
+    bad = us.copy()
+    bad[2, 1, 3] = np.nan  # a NaN row fails too
+    with pytest.raises(InvalidUnitaryError, match=r"^row 2 fails"):
+        check_unitary_rows(bad)
 
 
 def test_pattern_indices_are_shared_read_only_triu_indices():

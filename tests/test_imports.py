@@ -6,7 +6,8 @@ package-internal imports sit at module top, the runtime loads only NumPy
 (SciPy is a test-only reference), the Fock oracle never reaches the
 closed form it checks, protocols applies gates through one correction
 path, and no module builds a 2^n index mask with np.arange (the dense layer
-selects bits through graphstate's strided views), no module but the
+selects bits through graphstate's strided views), verify builds and checks
+no random unitary once per loop iteration, no module but the
 tolerance table writes a float literal below 1e-2, every constant of that
 table has a reader, and every name __init__.py exports is bound there.
 """
@@ -188,6 +189,60 @@ def test_gate_flags_an_arange_bit_mask():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_arange_bit_masks(path):
     assert arange_over_shifts(path.read_text()) == []
+
+
+# Calls that build or check one random unitary at a time. verify draws its
+# ensembles per draw and builds and checks them per stack, so none of these
+# may run once per loop iteration there.
+PER_DRAW_UNITARY_CALLS = {"haar_unitary", "ModeUnitary", "balanced_unitary", "constrained_unitary", "qr"}
+
+
+def _loop_bodies(tree: ast.AST):
+    """The parts of every loop that run once per iteration: the body of a
+    for or while statement, a while test, a comprehension's element."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            yield from node.body
+            if isinstance(node, ast.While):
+                yield node.test
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            yield node.elt
+        elif isinstance(node, ast.DictComp):
+            yield from (node.key, node.value)
+
+
+def per_draw_unitary_calls(source: str) -> list[int]:
+    """Lines of the PER_DRAW_UNITARY_CALLS (by name or attribute, so
+    np.linalg.qr too) inside a loop body."""
+    return sorted(
+        {
+            node.lineno
+            for body in _loop_bodies(ast.parse(source))
+            for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_DRAW_UNITARY_CALLS
+        }
+    )
+
+
+def test_gate_flags_a_per_draw_unitary():
+    src = (
+        "us = [ModeUnitary(haar_unitary(n, rng)) for _ in range(k)]\n"
+        "for i in range(k):\n"
+        "    q, r = np.linalg.qr(z[i])\n"
+        "    g = ginibre(n, rng)\n"
+        "while not fock.haar_unitary(4, rng).any():\n"
+        "    pass\n"
+        "for u in [ModeUnitary(m)]:\n"
+        "    check_unitary_rows(haar_stack(z))\n"
+        "d = {i: balanced_unitary(rng) for i in range(3)}\n"
+        "u = constrained_unitary(rng)\n"
+    )
+    assert per_draw_unitary_calls(src) == [1, 3, 5, 9]
+
+
+def test_verify_builds_unitaries_per_stack():
+    assert per_draw_unitary_calls((SRC / "verify.py").read_text()) == []
 
 
 def small_float_literals(source: str) -> list[int]:

@@ -138,9 +138,14 @@ def _reference_contexts(seed: int, draws: int):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 40))
 def test_stacked_fusion_setup_equals_the_per_draw_contexts(seed, draws):
-    us, lengths, rows, contexts = verify._random_fusion_setup(np.random.default_rng(seed), draws)
+    us, sizes, urows, lengths, rows, contexts = verify._random_fusion_setup(
+        np.random.default_rng(seed), draws
+    )
+    assert sorted(us) == sorted(set(sizes.tolist()))
+    for n, stack in us.items():
+        assert sorted(urows[sizes == n]) == list(range(len(stack)))
     for i, (u, *ref) in enumerate(_reference_contexts(seed, draws)):
-        assert np.array_equal(us[i], u)
+        assert np.array_equal(us[sizes[i]][urows[i]], u)
         got = [x[rows[i]] for x in contexts[lengths[i]]]
         for a, b in zip(got, ref):
             assert np.shape(a) == np.shape(b)

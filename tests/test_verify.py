@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from wgfusion import verify
-from wgfusion.fock import pattern_indices
+from wgfusion.errors import InvalidUnitaryError
+from wgfusion.fock import haar_unitary, outcome_coeffs, pattern_indices
 from wgfusion.verify import run_all
 
 
@@ -156,3 +158,131 @@ def test_generalized_oracle_builds_one_stack_per_shape_and_side(monkeypatch):
     assert sorted(builds) == [(("A", "B", "C", "D"), False), (("v", "b"), False), (("v", "b", "w"), False)]
     assert chains == []
 
+
+
+# The random unitary ensembles are drawn per draw and built per stack. The
+# references below are the per-draw builders the stacked ones replaced; each
+# stacked unitary must equal its reference bit for bit.
+
+
+def _balanced_reference(rng: np.random.Generator) -> np.ndarray:
+    v1 = haar_unitary(2, rng)
+    v2 = haar_unitary(2, rng)
+    w = haar_unitary(2, rng)
+    u = np.block([[v1, v2], [v1, -v2]]) / math.sqrt(2.0)
+    u[2:, :] = w @ u[2:, :]
+    u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))[None, :]
+    return u[:, rng.permutation(4)]
+
+
+def _constrained_reference(rng: np.random.Generator) -> np.ndarray:
+    n = int(rng.integers(4, 9))
+
+    def unit2() -> np.ndarray:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return v / np.linalg.norm(v)
+
+    def perp(v: np.ndarray) -> np.ndarray:
+        return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+    p, q = unit2(), unit2()
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    g = np.zeros((4, 4), dtype=complex)
+    g[:2, 0], g[2:, 0] = math.cos(t) * p, math.sin(t) * q
+    g[:2, 1] = perp(p)
+    g[2:, 2] = perp(q)
+    g[:2, 3], g[2:, 3] = -math.sin(t) * p, math.cos(t) * q
+    u = np.eye(n, dtype=complex)
+    u[:4, :4] = g
+    u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))[None, :]
+    return u[:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 19, 23, 2024])
+def test_balanced_ensemble_equals_the_per_draw_reference(seed):
+    draws = 80
+    coeffs, ms, z = verify._balanced_draws(np.random.default_rng(seed), draws)
+    rng = np.random.default_rng(seed)
+    refs, ref_z = [], []
+    for _ in range(draws):
+        refs.append(_balanced_reference(rng))
+        ref_z.append(rng.uniform(0.0, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    ref_coeffs = outcome_coeffs(np.stack(refs), *pattern_indices(4, 1))
+    assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
+    assert np.array_equal(ms, np.stack(ref_coeffs, axis=-1).reshape(draws, -1, 2, 2))
+    assert np.array_equal(z, ref_z)
+    # the public per-draw builder is the stack's K = 1 row
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert np.array_equal(verify.balanced_unitary(rng).matrix, _balanced_reference(ref_rng))
+
+
+@pytest.mark.parametrize("seed", [0, 31, 77, 2024])
+def test_constrained_ensemble_equals_the_per_draw_reference(seed, monkeypatch):
+    stacks = []
+    real = verify.check_no_good_failure_stack
+
+    def recording(us):
+        stacks.append(us.copy())
+        return real(us)
+
+    monkeypatch.setattr(verify, "check_no_good_failure_stack", recording)
+    assert verify.check_no_good_failure_theorem(seed=seed).passed
+    rng = np.random.default_rng(seed)
+    refs = [_constrained_reference(rng) for _ in range(200)]
+    assert sorted(len(x) for x in stacks) == sorted(np.unique([len(u) for u in refs], return_counts=True)[1])
+    for stack in stacks:
+        same_n = [u for u in refs if len(u) == stack.shape[-1]]
+        assert len(same_n) == len(stack)
+        assert all(np.array_equal(a, b) for a, b in zip(stack, same_n))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert np.array_equal(verify.constrained_unitary(rng).matrix, _constrained_reference(ref_rng))
+
+
+def test_cheaper_draws_consume_the_stream_as_the_old_ones():
+    # the draw loops take signs as SIGNS[rng.integers(0, 2, k)] and coins as
+    # rng.random(); the seeded ensembles stay the rng.choice([-1.0, 1.0], k)
+    # and rng.uniform() ones only while both read the same numbers from the
+    # stream and leave it at the same place
+    for seed in range(40):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (None, 1, 2, 3, 17):
+            if k is None:
+                assert float(a.choice([-1.0, 1.0])) == float(verify.SIGNS[b.integers(0, 2)])
+            else:
+                assert np.array_equal(a.choice([-1.0, 1.0], k), verify.SIGNS[b.integers(0, 2, k)])
+            assert a.uniform() == b.random()
+        assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize(
+    "check, draws, sizes",
+    [
+        (verify.check_generalized_oracle, 100, 5),
+        (verify.check_bell_retention, 50, 1),
+        (verify.check_balanced_entropy, 50, 1),
+        (verify.check_no_good_failure_theorem, 50, 5),
+    ],
+    ids=["generalized_oracle", "bell_retention", "balanced_entropy", "no_good_failure"],
+)
+def test_every_drawn_unitary_is_checked_once_per_stack(monkeypatch, check, draws, sizes):
+    checked = []
+    real = verify.check_unitary_rows
+
+    def recording(us):
+        checked.append(len(us))
+        real(us)
+
+    monkeypatch.setattr(verify, "check_unitary_rows", recording)
+    assert check(quick=True).passed
+    assert sum(checked) == draws and len(checked) == sizes
+
+    def corrupted(us):
+        us = us.copy()
+        us[-1, 0, 0] += 1e-9
+        real(us)
+
+    monkeypatch.setattr(verify, "check_unitary_rows", corrupted)
+    with pytest.raises(InvalidUnitaryError, match="fails U U"):
+        check(quick=True)
