@@ -13,9 +13,14 @@ Closed-form path (enumerate_table) vs. brute-force amplitude path
 Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
 order) and over a stack of K fusions that share N and the register sizes:
 one call is a fixed set of array operations on (K, P, ...) arrays, never a
-loop of small per-pattern or per-fusion NumPy calls. enumerate_outcomes and
-oracle_enumerate are their K = 1 wrappers; each live outcome's register_state
-is a PureState over its normalized row of the call's shared (P, 2^nq) array.
+loop of small per-pattern or per-fusion NumPy calls. Each table returns
+what its stacked reader (verify) compares: enumerate_table the
+probabilities and amplitude coefficients, oracle_table the probabilities
+and register rows. enumerate_outcomes and oracle_enumerate are their K = 1
+wrappers and build the rest of an outcome themselves: the closed-form
+register rows and the oracle's coefficients. Each live outcome's
+register_state is a PureState over its normalized row of the call's shared
+(P, 2^nq) array.
 reduced_det_rho_stack is the dense det-rho oracle over a (K, 2^L, 2^R) stack
 of such rows.
 
@@ -26,9 +31,9 @@ draws of one size, and haar_stack turns the stack into Haar unitaries with
 one QR; check_unitary_rows then checks U U+ = I on every row at once.
 haar_unitary and ModeUnitary's own check are their K = 1 rows.
 
-Oracle independence: oracle_table derives probabilities, states and
-coefficient tables from its own mode substitution (a symmetrised einsum over
-the per-mode branch vectors). Neither it, oracle_enumerate nor
+Oracle independence: oracle_table and _oracle_coef derive probabilities,
+states and coefficient tables from their own mode substitution (a
+symmetrised einsum over the per-mode branch vectors). Neither it, oracle_enumerate nor
 reduced_det_rho_stack reaches enumerate_table, outcome_coeffs,
 relevant_norm_sq or same_detector_prob (tests/test_imports.py checks this).
 """
@@ -258,9 +263,21 @@ def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(x.shape[0], -1)
 
 
+def _closed_form(us: np.ndarray, v3: np.ndarray, v4: np.ndarray):
+    """enumerate_table's probabilities and amplitude coefficients before the
+    bosonic 1/sqrt2 of the doubly occupied mode: (probs, coef, diag)."""
+    iu, ju = pattern_indices(us.shape[-1])
+    diag = iu == ju
+    coef = 0.5 * np.stack(outcome_coeffs(us, iu, ju), axis=-1)
+    zc = np.vecdot(v4, v3)[:, None]
+    probs = relevant_norm_sq(*np.moveaxis(coef, -1, 0), zc)
+    probs[:, diag] = same_detector_prob(us, iu[diag], zc)
+    return probs, coef, diag
+
+
 def enumerate_table(
     us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form table of every detection pattern of K fusions at once.
 
     us is a (K, N, N) stack of mode unitaries, v1, v2 the (K, D_L) and v3, v4
@@ -269,26 +286,17 @@ def enumerate_table(
     the P = N(N+1)/2 patterns in pattern_indices order:
 
     - probs (K, P): relevant_norm_sq for i != j, same_detector_prob for i = j;
-    - rows (K, P, D_L D_R): the normalized register amplitudes where
-      p > ZERO_PROB_CUTOFF; the other rows are unnormalized and unread;
     - coef (K, P, 4): the pattern's two-photon amplitude on (f1 f3, f1 f4,
-      f2 f3, f2 f4), so that coef @ basis is the unnormalized row and its
-      squared norm is p. Off the diagonal that is (a, b, c, d)/2; on it the
-      doubly occupied mode adds a bosonic 1/sqrt2.
+      f2 f3, f2 f4), so that coef @ basis is the unnormalized register row
+      and its squared norm is p. Off the diagonal that is (a, b, c, d)/2; on
+      it the doubly occupied mode adds a bosonic 1/sqrt2.
+
+    The register rows themselves are built by enumerate_outcomes, their one
+    reader. v1 and v2 are not read: the closed form needs only z.
     """
-    iu, ju = pattern_indices(us.shape[-1])
-    diag = iu == ju
-    coef = 0.5 * np.stack(outcome_coeffs(us, iu, ju), axis=-1)
-    zc = np.vecdot(v4, v3)[:, None]
-    probs = relevant_norm_sq(*np.moveaxis(coef, -1, 0), zc)
-    probs[:, diag] = same_detector_prob(us, iu[diag], zc)
-    basis = np.stack(
-        [_kron_rows(v1, v3), _kron_rows(v1, v4), _kron_rows(v2, v3), _kron_rows(v2, v4)], axis=1
-    )
-    rows = coef @ basis  # diagonal rows sqrt2 too long until normalized
-    _normalize_live(probs, rows)
+    probs, coef, diag = _closed_form(us, v3, v4)
     coef[:, diag] /= math.sqrt(2.0)
-    return probs, rows, coef
+    return probs, coef
 
 
 def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
@@ -308,13 +316,15 @@ def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndar
 
 def oracle_table(
     us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force path: expand the two-photon amplitude of every pattern of K fusions.
 
-    Same arguments and the same (probs, rows, coef) layout as
-    enumerate_table, from mode-operator substitution and dense vectors alone:
-    p = |amplitude|^2 of each pattern's register vector, and coef is the same
-    substitution applied to the (H, V) mode coefficients of each channel.
+    Same arguments as enumerate_table, from mode-operator substitution and
+    dense vectors alone. Returns probs (K, P), p = |amplitude|^2 of each
+    pattern's register vector, and rows (K, P, D_L D_R), those vectors,
+    normalized where p > ZERO_PROB_CUTOFF (the other rows are unnormalized
+    and unread). The amplitude coefficients are built by oracle_enumerate,
+    their one reader (_oracle_coef).
     """
     # photon from channel a in mode i carries register branch f_a[k, i], etc.
     f_a = us[:, 0, :, None] * v1[:, None, :] + us[:, 1, :, None] * v2[:, None, :]
@@ -323,10 +333,17 @@ def oracle_table(
     amps = _symmetrised_pairs(f_a, f_b, iu, ju)
     rows = amps.reshape(amps.shape[0], amps.shape[1], -1)
     probs = np.einsum("kpd,kpd->kp", rows.conj(), rows).real
-    modes = us.transpose(0, 2, 1)
-    coef = _symmetrised_pairs(modes[:, :, :2], modes[:, :, 2:4], iu, ju)
     _normalize_live(probs, rows)
-    return probs, rows, coef.reshape(coef.shape[0], coef.shape[1], 4)
+    return probs, rows
+
+
+def _oracle_coef(us: np.ndarray) -> np.ndarray:
+    """oracle_table's substitution applied to the (H, V) mode coefficients of
+    each channel: the (K, P, 4) amplitude coefficients in enumerate_table's
+    coef layout."""
+    modes = us.transpose(0, 2, 1)
+    coef = _symmetrised_pairs(modes[:, :, :2], modes[:, :, 2:4], *pattern_indices(us.shape[-1]))
+    return coef.reshape(coef.shape[0], coef.shape[1], 4)
 
 
 def _branch_rows(ctx: FusionContext) -> tuple[np.ndarray, ...]:
@@ -357,16 +374,24 @@ def _outcome_list(n: int, probs: np.ndarray, rows: np.ndarray, coef: np.ndarray)
 
 def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     """All N(N+1)/2 detection patterns with closed-form probabilities:
-    enumerate_table on a stack of one fusion."""
-    probs, rows, coef = enumerate_table(u.matrix[None], *_branch_rows(ctx))
+    enumerate_table's closed form on a stack of one fusion, with each
+    pattern's register row built from its coefficients."""
+    v1, v2, v3, v4 = _branch_rows(ctx)
+    probs, coef, diag = _closed_form(u.matrix[None], v3, v4)
+    basis = np.stack(
+        [_kron_rows(v1, v3), _kron_rows(v1, v4), _kron_rows(v2, v3), _kron_rows(v2, v4)], axis=1
+    )
+    rows = coef @ basis  # diagonal rows sqrt2 too long until normalized
+    _normalize_live(probs, rows)
+    coef[:, diag] /= math.sqrt(2.0)
     return _outcome_list(u.n, probs[0], rows[0], coef[0])
 
 
 def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     """All N(N+1)/2 detection patterns from the brute-force amplitudes:
-    oracle_table on a stack of one fusion."""
-    probs, rows, coef = oracle_table(u.matrix[None], *_branch_rows(ctx))
-    return _outcome_list(u.n, probs[0], rows[0], coef[0])
+    oracle_table on a stack of one fusion, with its amplitude coefficients."""
+    probs, rows = oracle_table(u.matrix[None], *_branch_rows(ctx))
+    return _outcome_list(u.n, probs[0], rows[0], _oracle_coef(u.matrix[None])[0])
 
 
 def reduced_det_rho_stack(mats: np.ndarray) -> np.ndarray:

@@ -209,9 +209,25 @@ class LocalGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise NonUnitaryGateError("LocalGate matrix must be 2x2")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= NORM_TOL:
+        if not _gate_deviation(m[None])[0] <= NORM_TOL:
             raise NonUnitaryGateError("LocalGate matrix is not unitary")
         object.__setattr__(self, "matrix", m)
+
+
+def _gate_deviation(gates: np.ndarray) -> np.ndarray:
+    """max |G G^dagger - I| of every gate of a (K, 2, 2) stack (NaN for a NaN gate)."""
+    return np.abs(gates @ gates.conj().mT - np.eye(2)).max(axis=(-2, -1))
+
+
+def check_gate_rows(gates: np.ndarray) -> None:
+    """LocalGate's unitarity invariant on every gate of a (K, 2, 2) stack.
+
+    Raises NonUnitaryGateError naming the first gate whose G G^dagger is off
+    the identity by more than NORM_TOL (a NaN fails too).
+    """
+    bad = np.flatnonzero(~(_gate_deviation(gates) <= NORM_TOL))
+    if bad.size:
+        raise NonUnitaryGateError(f"gate row {bad[0]} is not unitary")
 
 
 def _sum_abs_sq(*coefficients: complex) -> float:
@@ -482,8 +498,22 @@ def project_qubit(
     return PureState(n - 1, red[0]), prob
 
 
+def fidelity_rows(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """|<s1|s2>| of row k of one (K, 2^n) stack of normalized states with row k
+    of another, as a (K,) array.
+
+    np.vecdot sums each row as np.vdot sums one vector, and np.hypot rounds
+    each modulus as abs() does a single complex (np.abs of a complex array
+    may differ from it in the last bit), so row k is bit for bit the K = 1 call.
+    """
+    if rows1.shape != rows2.shape:
+        raise ShapeMismatchError(f"stacks of shapes {rows1.shape} and {rows2.shape}")
+    dots = np.vecdot(rows1, rows2)
+    return np.hypot(dots.real, dots.imag)
+
+
 def fidelity_up_to_global_phase(s1: PureState, s2: PureState) -> float:
-    """|<s1|s2>| for normalized states."""
+    """|<s1|s2>| for normalized states: the K = 1 row of fidelity_rows."""
     if s1.num_qubits != s2.num_qubits:
         raise ShapeMismatchError("qubit counts differ")
-    return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)))
+    return float(fidelity_rows(s1.amplitudes[None], s2.amplitudes[None])[0])

@@ -12,16 +12,29 @@ same code on a one-row stack, so each row of a stack is bit for bit its
 single-chain result:
 
 - logical_pair_stack: the X-like branch with its corrections
-  (logical_pair_chain, create_logical_qubit);
+  (logical_pair_chain);
+- create_logical_qubit_stack: the X-like branch, the complementary
+  success at chi = pi and elsewhere the failure split, whose Z
+  measurements and component split (one stacked SVD per cut) run on the
+  rows too (create_logical_qubit);
 - xlike_probability_stack: the X-like success probability alone
   (xlike_probability);
-- type_ii_probabilities_stack: one left chain fused with every row of a
-  right stack (type_ii_probabilities, fuse_type_ii);
+- fuse_type_i_stack: row-paired left and right stacks (fuse_type_i);
+- fuse_type_ii_stack and type_ii_probabilities_stack: one left chain fused
+  with every row of a right stack, the good-failure branch included
+  (fuse_type_ii, type_ii_probabilities);
 - fusion_context_rows: the branch states of row-paired stacks
   (fusion_context);
-- ghz_pair_projection_stack: the GHZ-to-pair basis over (K,) angle
-  arrays, with its 3-qubit simulation check (ghz_pair_projection, and
-  local_equivalent_2q as the K = 1 row of its stacked check).
+- ghz_pair_projection_stack and ghz_pair_for_target_stack: the
+  GHZ-to-pair basis over (K,) angle arrays, with its 3-qubit simulation
+  check (ghz_pair_projection, ghz_pair_for_target);
+- local_equivalent_rows and weighted_pair_rows: the 2-qubit local-unitary
+  match and the weighted pair states (local_equivalent_2q,
+  weighted_pair_state).
+
+A stacked protocol returns OutcomeStacks: each outcome on the rows that
+have it. An outcome below ZERO_PROB_CUTOFF in some rows is absent from
+exactly those rows, as it is from the single-chain call.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +68,6 @@ from .graphstate import (
     chain_graph,
     check_unit_rows,
     phase_gate,
-    project_qubit,
     project_rows,
     weight_rows,
     wrap_angle,
@@ -165,6 +178,10 @@ class ChainStack:
         """The stack of rows idx, in that order."""
         return ChainStack(self.graph, self.weights[idx], self.rows[idx], self.logical_pairs)
 
+    def pair_support_rows(self, pair: frozenset[str]) -> np.ndarray:
+        """ChainState.pair_support_ok of every row, as a (K,) bool array."""
+        return _pair_support_rows(self.graph, pair, self.rows)
+
 
 def _edge_weights(graph: WeightedGraph) -> np.ndarray:
     """The (1, E) weight row of a single graph."""
@@ -176,6 +193,51 @@ def _stack_rows(chains: ChainState | ChainStack) -> tuple[np.ndarray, np.ndarray
     if isinstance(chains, ChainStack):
         return chains.weights, chains.rows
     return _edge_weights(chains.graph), chains.state.amplitudes[None]
+
+
+class _Rows(NamedTuple):
+    """K forests of one shape as bare arrays, their invariants not yet checked:
+    the fields of a ChainStack, in its order. ChainStack checks them as a
+    stack and _chain_row one row as a ChainState."""
+
+    graph: WeightedGraph
+    weights: np.ndarray
+    rows: np.ndarray
+    pairs: frozenset
+
+    def take(self, idx) -> _Rows:
+        """The rows at positions idx; every row, copying nothing, when idx is None."""
+        if idx is None:
+            return self
+        return _Rows(self.graph, self.weights[idx], self.rows[idx], self.pairs)
+
+
+def _raw(chains: ChainState | ChainStack) -> _Rows:
+    """A stack, or one chain as its K = 1 stack, as _Rows."""
+    return _Rows(chains.graph, *_stack_rows(chains), chains.logical_pairs)
+
+
+def _chain_row(r: _Rows, i: int) -> ChainState:
+    """Row i of r as a ChainState, its invariants checked."""
+    return ChainState(_reweighted(r.graph, r.weights[i]), PureState(r.graph.n, r.rows[i]), r.pairs)
+
+
+def _where(mask: np.ndarray) -> np.ndarray | None:
+    """Positions where mask holds, or None when it holds in every row."""
+    return None if mask.all() else np.flatnonzero(mask)
+
+
+def _pick(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """x at positions idx along its first axis; x itself when idx is None."""
+    return x if idx is None else x[idx]
+
+
+def _drop(graph: WeightedGraph, weights: np.ndarray, vertices) -> tuple[WeightedGraph, np.ndarray]:
+    """The shape without vertices, and the weight columns of the edges it keeps."""
+    column = _edge_columns(graph)
+    for v in vertices:
+        graph = graph.without_vertex(v)
+    return graph, weights[:, [column[frozenset((x, y))] for x, y, _ in graph.edges]]
 
 
 def _reweighted(shape: WeightedGraph, weights) -> WeightedGraph:
@@ -290,6 +352,67 @@ class ProtocolOutcome:
         }
 
 
+@dataclass
+class OutcomeStack:
+    """One outcome of a stacked protocol call, on the stack rows that have it.
+
+    rows holds the positions of those rows in the input stack, ascending;
+    probabilities[i] and row i of every post-state stack belong to input
+    row rows[i], and each correction's matrix is one 2x2 gate or an (R, 2, 2)
+    stack over the same rows. An outcome that a row does not have (below
+    ZERO_PROB_CUTOFF, or of another good-failure kind) leaves that row out,
+    so one label may head two OutcomeStacks with disjoint rows. Row k's
+    outcome list is the OutcomeStacks that hold k, in list order: the
+    single-chain call's list, bit for bit.
+    """
+
+    label: str
+    rows: np.ndarray
+    probabilities: np.ndarray
+    post_states: list[ChainStack]
+    corrections_applied: list[Correction] = field(default_factory=list)
+    is_good_failure: bool = False
+
+
+class _Branch(NamedTuple):
+    """An OutcomeStack before its post-states are checked."""
+
+    label: str
+    rows: np.ndarray
+    probs: np.ndarray
+    posts: list[_Rows]
+    corr: list[Correction]
+    good: bool = False
+
+
+def _stacked(branches: list[_Branch]) -> list[OutcomeStack]:
+    """The branches as OutcomeStacks, every post-state checked as a ChainStack."""
+    return [
+        OutcomeStack(b.label, b.rows, b.probs, [ChainStack(*p) for p in b.posts], b.corr, b.good)
+        for b in branches
+    ]
+
+
+def _single(branches: list[_Branch]) -> list[ProtocolOutcome]:
+    """The outcomes of a K = 1 call: every branch that holds row 0, each
+    post-state checked as a ChainState."""
+    return [
+        ProtocolOutcome(b.label, float(b.probs[0]), [_chain_row(p, 0) for p in b.posts], b.corr, b.good)
+        for b in branches
+        if len(b.rows)
+    ]
+
+
+def _pick_corr(corr: list[Correction], idx: np.ndarray | None) -> list[Correction]:
+    """The corrections with each per-row gate stack cut to the rows idx."""
+    if idx is None:
+        return corr
+    return [
+        Correction(c.vertex, c.name, _pick(c.matrix, idx) if c.matrix.ndim == 3 else c.matrix)
+        for c in corr
+    ]
+
+
 def _branch_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(2)-scaled slices of one qubit of every row: the f-branch vectors of the recursion."""
     k = len(rows)
@@ -298,12 +421,6 @@ def _branch_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         split[:, :, 0].reshape(k, -1) * math.sqrt(2.0),
         split[:, :, 1].reshape(k, -1) * math.sqrt(2.0),
     )
-
-
-def _branch_states(state: PureState, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """_branch_rows of one state."""
-    f0, f1 = _branch_rows(state.amplitudes[None], qubit)
-    return f0[0], f1[0]
 
 
 def _normalized_rows(f: np.ndarray) -> np.ndarray:
@@ -318,40 +435,41 @@ def _corrected(graph: WeightedGraph, rows: np.ndarray, corrections: list[Correct
     return rows
 
 
-def _corrected_state(graph: WeightedGraph, vec: np.ndarray, corrections: list[Correction]) -> PureState:
-    """_corrected on one state vector."""
-    return PureState(graph.n, _corrected(graph, vec[None], corrections)[0])
-
-
-def _z_measure(graph: WeightedGraph, state: PureState, pairs, v: str, s: int):
+def _z_measure(r: _Rows, v: str, s: int):
     """Z-measure the logical qubit of v (v and the vertices tied to it by
-    logical pairs) with outcome s.
+    logical pairs) with outcome s, in every row of r.
 
     Every member is projected onto |s> and removed. For s = 1 each member's
     neighbour, which the forest invariant puts outside the logical qubit,
     gets phase(+chi) of their edge to undo the phase the cut edge leaves.
-    Returns (graph, state or None below the zero cutoff, probability,
-    corrections, the pairs that remain).
+    A row in which a projection falls below ZERO_PROB_CUTOFF has no such
+    outcome. Returns (live, post, probabilities, corrections): live the
+    positions of the rows that have it (None for every row), and the rest
+    on those rows alone.
     """
-    members = sorted(_logical_class(pairs, v), key=graph.vertex_index)
-    prob = 1.0
+    graph = r.graph
+    members = sorted(_logical_class(r.pairs, v), key=graph.vertex_index)
+    ket = np.array([[1.0 - s, s]], dtype=complex)
+    rows, probs, low = r.rows, 1.0, False
     for m in reversed(members):  # back to front, so the earlier positions stay put
-        proj = QubitProjection(graph.vertex_index(m), (1.0 - s, float(s)))
-        state, p = project_qubit(state, proj, allow_zero=True)
-        prob *= p
-        if state is None:
-            break
+        rows, p = project_rows(rows, graph.vertex_index(m), ket)
+        probs = probs * p
+        low = low | (p < ZERO_PROB_CUTOFF)
+    live = _where(~low)
+    if live is not None and not live.size:
+        return live, r.take(live), probs[live], []
+    weights = _pick(r.weights, live)
+    column = _edge_columns(graph)
     corr = [
-        Correction(w, "phase(+chi)", phase_gate(chi))
+        Correction(w, "phase(+chi)", phase_gate(weights[:, column[frozenset((m, w))]]))
         for m in members
-        for w, chi in graph.neighbors(m)
+        for w, _ in graph.neighbors(m)
         if s == 1
     ]
-    for m in members:
-        graph = graph.without_vertex(m)
-    if state is not None:
-        state = _corrected_state(graph, state.amplitudes, corr)
-    return graph, state, prob, corr, frozenset(q for q in pairs if q.isdisjoint(members))
+    graph, weights = _drop(graph, weights, members)
+    pairs = frozenset(q for q in r.pairs if q.isdisjoint(members))
+    post = _Rows(graph, weights, _corrected(graph, _pick(rows, live), corr), pairs)
+    return live, post, _pick(probs, live), corr
 
 
 def _resolve_vertex(chain: ChainState | ChainStack, v) -> str:
@@ -361,16 +479,78 @@ def _resolve_vertex(chain: ChainState | ChainStack, v) -> str:
     return chain.graph.vertices[int(v)]
 
 
-def split_product(state: PureState, n_left: int) -> tuple[PureState, PureState]:
-    """Factor an exactly-product state across the left/right register cut."""
-    mat = state.amplitudes.reshape(1 << n_left, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size > 1 and not s[1] <= SCHMIDT_TOL:  # a NaN fails too
-        raise NumericalAbortError("state is not a product across the requested cut")
-    return (
-        PureState(n_left, u[:, 0]),
-        PureState(state.num_qubits - n_left, vh[0, :]),
+def _split_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor every row of a (K, 2^a, 2^b) stack of exactly-product states
+    across the cut: one stacked SVD. Returns the (K, 2^a) and (K, 2^b) factors."""
+    u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    if s.shape[1] > 1:
+        bad = np.flatnonzero(~(s[:, 1] <= SCHMIDT_TOL))  # a NaN fails too
+        if bad.size:
+            row = f" (row {bad[0]})" if len(mats) > 1 else ""
+            raise NumericalAbortError(f"state is not a product across the requested cut{row}")
+    return u[:, :, 0], vh[:, 0, :]
+
+
+def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_Branch]:
+    """fuse_type_i of left row k with right row k, for every k: a chain is its K = 1 stack."""
+    a = _resolve_vertex(left, end_a)
+    b = _resolve_vertex(right, end_b)
+    for chain, v in ((left, a), (right, b)):
+        if chain.graph.degree(v) != 1:
+            raise NotEndpointError(f"{v} has degree {chain.graph.degree(v)} != 1")
+        if any(v in p for p in chain.logical_pairs):
+            raise NotEndpointError(f"{v} is part of a logical pair")
+    lr, rr = _raw(left), _raw(right)
+    k = len(lr.rows)
+    if len(rr.rows) != k:
+        raise InputError(f"row-paired stacks of {k} and {len(rr.rows)} rows")
+    c = new_label or f"{a}*{b}"
+    (na, chi_a), = lr.graph.neighbors(a)
+    (nb, chi_b), = rr.graph.neighbors(b)
+
+    f1, f2 = _branch_rows(lr.rows, lr.graph.vertex_index(a))
+    f3, f4 = _branch_rows(rr.rows, rr.graph.vertex_index(b))
+    lg, lw = _drop(lr.graph, lr.weights, [a])
+    rg, rw = _drop(rr.graph, rr.weights, [b])
+    merged = WeightedGraph(
+        (c,) + lg.vertices + rg.vertices,
+        ((c, na, chi_a), (c, nb, chi_b)) + lg.edges + rg.edges,
     )
+    ends = [
+        r.weights[:, [_edge_columns(r.graph)[frozenset((v, n))]]]
+        for r, v, n in ((lr, a, na), (rr, b, nb))
+    ]
+    weights = np.hstack(ends + [lw, rw])
+    pairs = lr.pairs | rr.pairs
+
+    out = []
+    for sign, label, corr in (
+        (+1.0, "success_plus", []),
+        (-1.0, "success_minus", [Correction(c, "Z", PAULI_Z)]),
+    ):
+        # (f1 x f3, sign f2 x f4)/sqrt2 filled in place: branch states are unit
+        # vectors, so this is a unit vector
+        vec = np.empty((k, 2 * f1.shape[1] * f3.shape[1]), dtype=complex)
+        halves = vec.reshape(k, 2, f1.shape[1], f3.shape[1])
+        np.multiply(f1[:, :, None], f3[:, None, :], out=halves[:, 0])
+        np.multiply(f2[:, :, None], f4[:, None, :], out=halves[:, 1])
+        np.multiply(halves[:, 1], sign, out=halves[:, 1])
+        vec /= math.sqrt(2.0)
+        post = _Rows(merged, weights, _corrected(merged, vec, corr), pairs)
+        out.append(_Branch(label, np.arange(k), np.full(k, 0.25), [post], corr))
+
+    # a failure Z-measures the endpoints: a -> sa on the left, b -> sb on the
+    # right; two photons in d leave (1, 0)
+    for label, sa, sb in (("failure_two_photon", 1, 0), ("failure_zero_photon", 0, 1)):
+        posts, corr = [], []
+        for r, v, s in ((lr, a, sa), (rr, b, sb)):
+            live, post, _, cz = _z_measure(r, v, s)
+            if live is not None:
+                raise ZeroOutcomeError(f"Z measurement of endpoint {v} has a vanishing outcome")
+            posts.append(post)
+            corr += cz
+        out.append(_Branch(label, np.arange(k), np.full(k, 0.25), posts, corr))
+    return out
 
 
 def fuse_type_i(
@@ -379,51 +559,21 @@ def fuse_type_i(
     """Endpoint-merging fusion: four outcomes at probability 1/4 each.
 
     Success branches create a new vertex c inheriting both endpoints'
-    neighbors and weights; failures Z-measure both endpoints out.
+    neighbors and weights; failures Z-measure both endpoints out. The K = 1
+    row of fuse_type_i_stack.
     """
-    a = _resolve_vertex(left, end_a)
-    b = _resolve_vertex(right, end_b)
-    for chain, v in ((left, a), (right, b)):
-        if chain.graph.degree(v) != 1:
-            raise NotEndpointError(f"{v} has degree {chain.graph.degree(v)} != 1")
-        if any(v in p for p in chain.logical_pairs):
-            raise NotEndpointError(f"{v} is part of a logical pair")
-    c = new_label or f"{a}*{b}"
-    (na, chi_a), = left.graph.neighbors(a)
-    (nb, chi_b), = right.graph.neighbors(b)
+    return _single(_type_i_branches(left, end_a, right, end_b, new_label))
 
-    f1, f2 = _branch_states(left.state, left.qubit(a))
-    f3, f4 = _branch_states(right.state, right.qubit(b))
-    lg, rg = left.graph.without_vertex(a), right.graph.without_vertex(b)
-    merged = WeightedGraph(
-        (c,) + lg.vertices + rg.vertices,
-        ((c, na, chi_a), (c, nb, chi_b)) + lg.edges + rg.edges,
-    )
 
-    def _succ(sign: float, label: str, corr: list[Correction]):
-        # branch states are unit vectors: divide by sqrt2 for a unit vector
-        vec = np.concatenate([np.kron(f1, f3), sign * np.kron(f2, f4)]) / math.sqrt(2.0)
-        st = _corrected_state(merged, vec, corr)
-        post = ChainState(merged, st, left.logical_pairs | right.logical_pairs)
-        return ProtocolOutcome(label, 0.25, [post], corr)
+def fuse_type_i_stack(
+    left: ChainStack, end_a, right: ChainStack, end_b, new_label: str | None = None
+) -> list[OutcomeStack]:
+    """fuse_type_i of left row k with right row k for every k, as one pass over the rows.
 
-    out = [
-        _succ(+1.0, "success_plus", []),
-        _succ(-1.0, "success_minus", [Correction(c, "Z", PAULI_Z)]),
-    ]
-
-    def _fail(label: str, sa: int, sb: int):
-        # a failure Z-measures the endpoints: a -> sa on the left, b -> sb on the right
-        posts, corr = [], []
-        for chain, v, s in ((left, a, sa), (right, b, sb)):
-            g, st, _, c, pairs = _z_measure(chain.graph, chain.state, chain.logical_pairs, v, s)
-            posts.append(ChainState(g, st, pairs))
-            corr += c
-        return ProtocolOutcome(label, 0.25, posts, corr)
-
-    out.append(_fail("failure_two_photon", 1, 0))  # two photons in d
-    out.append(_fail("failure_zero_photon", 0, 1))
-    return out
+    The stacks must hold the same number of rows. Row k of every outcome is
+    bit for bit fuse_type_i of row k's two chains.
+    """
+    return _stacked(_type_i_branches(left, end_a, right, end_b, new_label))
 
 
 def _xlike_case(chi1: float, chi2: float) -> str | None:
@@ -481,17 +631,24 @@ def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
     return b1, b2, cases, chis, bras
 
 
+def _one_case(cases: list[str]) -> str:
+    """The eligibility case every row meets; the corrections depend on it."""
+    if len(set(cases)) != 1:
+        raise WeightsNotEligibleError(
+            f"weight rows meet different eligibility cases {sorted(set(cases))}"
+        )
+    return cases[0]
+
+
 def logical_pair_chain(chain: ChainState, a) -> ChainState:
     """Post-state of create_logical_qubit's primary success branch only.
 
     Same eligibility rules and errors as create_logical_qubit, the refusal
     of a logical-pair member and the ZeroOutcomeError of a vanishing branch
-    included; no failure branch is computed.
+    included; no failure branch is computed. The K = 1 row of
+    logical_pair_stack.
     """
-    a = _resolve_vertex(chain, a)
-    weights = _edge_weights(chain.graph)
-    b1, b2, (case,), _, (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
-    return _xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}").post_states[0]
+    return _chain_row(_logical_pair_rows(chain, a), 0)
 
 
 def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
@@ -501,18 +658,14 @@ def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
     the corrections depend on it. Row k of the result is bit for bit
     logical_pair_chain of row k's chain.
     """
-    a = _resolve_vertex(stack, a)
-    b1, b2, cases, _, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
-    if len(set(cases)) != 1:
-        raise WeightsNotEligibleError(
-            f"weight rows meet different eligibility cases {sorted(set(cases))}"
-        )
-    case = cases[0]
-    graph, weights, rows, _, _, pairs = _xlike_rows(
-        stack.graph, weights=stack.weights, rows=stack.rows, pairs=stack.logical_pairs,
-        a=a, b1=b1, b2=b2, bras=bras, case=case,
-    )
-    return ChainStack(graph, weights, rows, pairs)
+    return ChainStack(*_logical_pair_rows(stack, a))
+
+
+def _logical_pair_rows(chains: ChainState | ChainStack, a) -> _Rows:
+    r = _raw(chains)
+    a = _resolve_vertex(chains, a)
+    b1, b2, cases, _, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
+    return _xlike_rows(r, a, b1, b2, bras, _one_case(cases))[0]
 
 
 def xlike_probability(chain: ChainState, a) -> float:
@@ -553,24 +706,53 @@ def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
     that scope: it raises NoLogicalPairError rather than extending the pair.
     Eligible weights so small that the success branch's probability falls
     below ZERO_PROB_CUTOFF raise ZeroOutcomeError, naming a and the
-    probability: the branch has no state to return.
+    probability: the branch has no state to return. The K = 1 row of
+    create_logical_qubit_stack.
     """
-    a = _resolve_vertex(chain, a)
-    weights = _edge_weights(chain.graph)
-    b1, b2, (case,), (chi,), (bra,) = _xlike_plan(chain.graph, weights, chain.logical_pairs, a)
-    out = [_xlike_branch(chain, weights, a, b1, b2, bra, case, f"success_{case}")]
+    return _single(_create_logical_branches(chain, a))
+
+
+def create_logical_qubit_stack(stack: ChainStack, a) -> list[OutcomeStack]:
+    """create_logical_qubit on every row of a stack, as one pass over its rows.
+
+    Same rules and errors, and every row must meet one eligibility case, as
+    in logical_pair_stack. Rows at chi = pi get the complementary success,
+    the others the failure split, whose sub-outcomes below ZERO_PROB_CUTOFF
+    leave out just the rows where they vanish. Row k of every outcome is bit
+    for bit create_logical_qubit of row k's chain.
+    """
+    return _stacked(_create_logical_branches(stack, a))
+
+
+def _create_logical_branches(chains: ChainState | ChainStack, a) -> list[_Branch]:
+    r = _raw(chains)
+    a = _resolve_vertex(chains, a)
+    b1, b2, cases, chis, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
+    case = _one_case(cases)
+    every = np.arange(len(chis))
+    post, probs, corr = _xlike_rows(r, a, b1, b2, bras, case)
+    out = [_Branch(f"success_{case}", every, probs, [post], corr)]
     # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
-    comp = (
-        (1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0)
-    )
-    if abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL:
+    comp = [(1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0) for chi in chis]
+    at_pi = np.array([abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL for chi in chis])
+    if at_pi.any():
         comp_case = "case2" if case == "case1" else "case1"
-        out.append(
-            _xlike_branch(chain, weights, a, b1, b2, comp, comp_case, f"success_{comp_case}")
-        )
-    else:
-        out.extend(_xlike_failure_split(chain, a, b1, b2, comp))
+        idx = _where(at_pi)
+        post, probs, corr = _xlike_rows(r.take(idx), a, b1, b2, _pick_list(comp, idx), comp_case)
+        out.append(_Branch(f"success_{comp_case}", _pick(every, idx), probs, [post], corr))
+    if not at_pi.all():
+        idx = _where(~at_pi)
+        rows = _pick(every, idx)
+        out += [
+            br._replace(rows=rows[br.rows])
+            for br in _xlike_failure_split(r.take(idx), a, b1, b2, _pick_list(comp, idx))
+        ]
     return out
+
+
+def _pick_list(items: list, idx: np.ndarray | None) -> list:
+    """_pick for a list."""
+    return items if idx is None else [items[i] for i in idx.tolist()]
 
 
 def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.ndarray]:
@@ -582,35 +764,31 @@ def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.nda
     return project_rows(rows, qubit, np.array(kets))
 
 
-def _xlike_rows(graph: WeightedGraph, *, weights, rows, pairs, a, b1, b2, bras, case):
-    """The X-like branch of a, with its prescribed corrections, on every row of a stack.
+def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
+    """The X-like branch of a, with its prescribed corrections, on every row of r.
 
-    graph is the shape, weights its (K, E) weight rows, rows the (K, 2^n)
-    states and bras[k] row k's (A, B) bra direction. Returns (graph after
-    the branch, its (K, E') weight rows, the corrected (K, 2^(n-1)) rows,
-    the (K,) probabilities, the corrections, the logical pairs); the graph
-    carries row 0's weights. No invariant is checked here: ChainState checks
-    a K = 1 result and ChainStack a stack. A row whose probability falls
-    below ZERO_PROB_CUTOFF raises ZeroOutcomeError naming a and the
-    probability.
+    bras[k] is row k's (A, B) bra direction. Returns (post, probabilities,
+    corrections): post holds the graph after the branch, its weight rows,
+    the corrected (K, 2^(n-1)) rows and the logical pairs. No invariant is
+    checked here: ChainState checks a row and ChainStack a stack. A row
+    whose probability falls below ZERO_PROB_CUTOFF raises ZeroOutcomeError
+    naming a and the probability.
     """
-    red, probs = _project_bra(rows, graph.vertex_index(a), bras)
+    red, probs = _project_bra(r.rows, r.graph.vertex_index(a), bras)
     low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
     if low.size:
         raise ZeroOutcomeError(
             f"X-like projection of {a} has probability {float(probs[low[0]])!r}, "
             f"below the zero cutoff {ZERO_PROB_CUTOFF}"
         )
-    column = _edge_columns(graph)
-    chi = weights[:, column[frozenset((a, b1 if case == "case1" else b2))]]
-    ng = graph.without_vertex(a)
-    weights = weights[:, [column[frozenset((x, y))] for x, y, _ in ng.edges]]
+    chi = r.weights[:, _edge_columns(r.graph)[frozenset((a, b1 if case == "case1" else b2))]]
+    ng, weights = _drop(r.graph, r.weights, [a])
     corr: list[Correction] = []
     if case == "case2":
         # logical X on b1's logical qubit: X on every member flips the sign of
         # each member edge; phase(+phi) on the neighbour absorbs the
         # single-qubit phase the flip leaves
-        members = sorted(_logical_class(pairs, b1), key=ng.vertex_index)
+        members = sorted(_logical_class(r.pairs, b1), key=ng.vertex_index)
         column = _edge_columns(ng)
         corr += [Correction(m, "X", PAULI_X) for m in members]
         corr += [
@@ -624,91 +802,82 @@ def _xlike_rows(graph: WeightedGraph, *, weights, rows, pairs, a, b1, b2, bras, 
         ng = _reweighted(ng, weights[0])
     # diagonal, so it acts on the logical qubit from b1 alone
     corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
-    return ng, weights, _corrected(ng, red, corr), probs, corr, pairs | {frozenset({b1, b2})}
+    post = _Rows(ng, weights, _corrected(ng, red, corr), r.pairs | {frozenset({b1, b2})})
+    return post, probs, corr
 
 
-def _xlike_branch(
-    chain: ChainState,
-    weights: np.ndarray,
-    a: str,
-    b1: str,
-    b2: str,
-    bra: tuple[complex, complex],
-    case: str,
-    label: str,
-) -> ProtocolOutcome:
-    """One successful X-like projection branch of one chain: _xlike_rows on its
-    K = 1 stack, weights its (1, E) weight row."""
-    graph, _, rows, probs, corr, pairs = _xlike_rows(
-        chain.graph, weights=weights, rows=chain.state.amplitudes[None],
-        pairs=chain.logical_pairs, a=a, b1=b1, b2=b2, bras=[bra], case=case,
-    )
-    post = ChainState(graph, PureState(graph.n, rows[0]), pairs)
-    return ProtocolOutcome(label, float(probs[0]), [post], corr)
-
-
-def _xlike_failure_split(
-    chain: ChainState, a: str, b1: str, b2: str, bra: tuple[complex, complex]
-) -> list[ProtocolOutcome]:
-    """Failure branch: project a onto the complement, then Z-measure b1, b2.
+def _xlike_failure_split(r: _Rows, a: str, b1: str, b2: str, bras) -> list[_Branch]:
+    """Failure branch on every row of r: project a onto row k's complement
+    bra bras[k], then Z-measure b1, b2.
 
     Each Z measurement takes the whole logical qubit of b1 (then of b2): every
     member is projected onto the outcome and removed, with phase(+chi) on the
     members' neighbours for outcome 1. b1 and b2 are never in one logical
     qubit, since a would close a cycle with it. Each of the four sub-outcomes
-    splits the rest into its components (either side of a may be empty).
+    splits the rest into its components (either side of a may be empty). A
+    row whose complement or sub-outcome falls below ZERO_PROB_CUTOFF lacks
+    that outcome; branch rows are positions in r.
     """
-    red, (p_a,) = _project_bra(chain.state.amplitudes[None], chain.qubit(a), [bra])
-    if p_a < ZERO_PROB_CUTOFF:
+    red, p_a = _project_bra(r.rows, r.graph.vertex_index(a), bras)
+    live = _where(~(p_a < ZERO_PROB_CUTOFF))
+    rows = _pick(np.arange(len(red)), live)
+    if not rows.size:
         return []
-    g_a = chain.graph.without_vertex(a)
-    st_a, p_a = PureState(g_a.n, red[0]), float(p_a)
-    out: list[ProtocolOutcome] = []
+    g_a, w_a = _drop(r.graph, _pick(r.weights, live), [a])
+    base, p_a = _Rows(g_a, w_a, _pick(red, live), r.pairs), _pick(p_a, live)
+    out: list[_Branch] = []
     for s1 in (0, 1):
-        g1, st1, p1, corr1, pairs1 = _z_measure(g_a, st_a, chain.logical_pairs, b1, s1)
-        if st1 is None:
+        live1, r1, p1, corr1 = _z_measure(base, b1, s1)
+        if not len(r1.rows):
             continue
+        rows1, p1 = _pick(rows, live1), _pick(p_a, live1) * p1
         for s2 in (0, 1):
-            g2, st2, p2, corr2, pairs2 = _z_measure(g1, st1, pairs1, b2, s2)
-            if st2 is None:
+            live2, r2, p2, corr2 = _z_measure(r1, b2, s2)
+            if not len(r2.rows):
                 continue
-            posts = _split_components(g2, st2, pairs2)
             out.append(
-                ProtocolOutcome(f"failure_z{s1}{s2}", p_a * p1 * p2, posts, corr1 + corr2, False)
+                _Branch(
+                    f"failure_z{s1}{s2}",
+                    _pick(rows1, live2),
+                    _pick(p1, live2) * p2,
+                    _split_components(r2),
+                    _pick_corr(corr1, live2) + corr2,
+                )
             )
     return out
 
 
-def _split_components(
-    graph: WeightedGraph, state: PureState, pairs
-) -> list[ChainState]:
-    """Split a (possibly disconnected) chain state into per-component ChainStates.
+def _split_components(r: _Rows) -> list[_Rows]:
+    """Split (possibly disconnected) forest rows into per-component rows.
 
     Each logical pair links its members like an edge, so the pair and both
-    members' edges end up in one component.
+    members' edges end up in one component. Each component is factored out
+    of every row by one stacked SVD; the rows must be unit vectors, since
+    the factors are.
     """
+    graph = r.graph
     adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for a, b in [(a, b) for a, b, _ in graph.edges] + [tuple(p) for p in pairs]:
+    for a, b in [(a, b) for a, b, _ in graph.edges] + [tuple(p) for p in r.pairs]:
         adj[a].add(b)
         adj[b].add(a)
+    check_unit_rows(r.rows)
     out = []
-    rest, remaining = list(graph.vertices), state
+    k = len(r.rows)
+    rest, remaining = list(graph.vertices), r.rows
     # an empty register still yields one (empty) post-state
     for comp in _components(adj) or [set()]:
         order = [v for v in rest if v in comp]
         if len(order) < len(rest):
             # move component qubits to the front, then factor
             others = [v for v in rest if v not in comp]
-            perm = [rest.index(v) for v in order + others]
-            arr = remaining.reshaped().transpose(perm).reshape(-1)
-            sub, remaining = split_product(PureState(len(rest), arr), len(order))
+            perm = [0] + [rest.index(v) + 1 for v in order + others]
+            arr = remaining.reshape((k,) + (2,) * len(rest)).transpose(perm)
+            sub, remaining = _split_rows(arr.reshape(k, 1 << len(order), -1))
             rest = others
         else:
             sub = remaining
-        gsub = WeightedGraph(
-            tuple(order), tuple(e for e in graph.edges if e[0] in comp and e[1] in comp)
-        )
-        out.append(ChainState(gsub, sub, frozenset(p for p in pairs if p <= comp)))
+        gsub, weights = _drop(graph, r.weights, [v for v in graph.vertices if v not in comp])
+        out.append(_Rows(gsub, weights, sub, frozenset(p for p in r.pairs if p <= comp)))
     return out
 
 
@@ -763,7 +932,7 @@ def _type_ii_branches(left: ChainState, pair, right: ChainState | ChainStack, b,
         raise NoLogicalPairError(f"{b} belongs to a logical pair on the right chain")
 
     weights, rows = _stack_rows(right)
-    f1, f2 = _branch_states(left.state, left.qubit(a))
+    f1, f2 = (f[0] for f in _branch_rows(left.state.amplitudes[None], left.qubit(a)))
     f3, f4 = _branch_rows(rows, right.graph.vertex_index(b))
     zs = np.vecdot(f4, f3)  # branch states are unit vectors
     column = _edge_columns(right.graph)
@@ -825,70 +994,125 @@ def fuse_type_ii(
     b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
     failure that is not good destroys the right graph's structure, so it
     lists only the left post-state. type_ii_probabilities gives the four
-    probabilities alone.
+    probabilities alone. The K = 1 row of fuse_type_ii_stack.
     """
+    return _single(_type_ii_outcomes(left, pair, right, b, consume))
+
+
+def fuse_type_ii_stack(
+    left: ChainState, pair, right: ChainStack, b, consume: str | None = None
+) -> list[OutcomeStack]:
+    """fuse_type_ii of one left chain with every row of a right stack, as one pass.
+
+    Row k of every outcome is bit for bit fuse_type_ii(left, pair, right row
+    k's chain, b, consume). A failure label heads one OutcomeStack per kind
+    of row: those below ZERO_PROB_CUTOFF (no post-state), those whose right
+    branch is not good and those whose right branch is good.
+    """
+    return _stacked(_type_ii_outcomes(left, pair, right, b, consume))
+
+
+def _type_ii_outcomes(left: ChainState, pair, right: ChainState | ChainStack, b, consume):
+    """fuse_type_ii of one left chain with every row of a right stack, as _Branches."""
     a, e, b, successes, failures = _type_ii_branches(left, pair, right, b, consume)
+    rr = _raw(right)
+    every = np.arange(len(rr.rows))
     lg = left.graph.without_vertex(a)
-    rg = right.graph.without_vertex(b)
+    rg, rw = _drop(rr.graph, rr.weights, [b])
     # e inherits the logical vertex's edges (already on a and e) plus b's edges
-    extra = tuple((e, v, w) for v, w in right.graph.neighbors(b))
+    nbs = rr.graph.neighbors(b)
+    extra = tuple((e, v, w) for v, w in nbs)
     moved = tuple(
         (e if x == a else x, e if y == a else y, w)
         for x, y, w in left.graph.edges
         if a in (x, y)
     )
     merged = WeightedGraph(lg.vertices + rg.vertices, lg.edges + moved + rg.edges + extra)
-    pairs_left = frozenset(p for p in left.logical_pairs if a not in p)
-
-    out: list[ProtocolOutcome] = []
-    for label, sign, vecs, probs in successes:
-        vec, prob = vecs[0], float(probs[0])
-        corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
-        st = _corrected_state(merged, vec / math.sqrt(prob), corr)
-        post = ChainState(merged, st, pairs_left | right.logical_pairs)
-        out.append(ProtocolOutcome(label, prob, [post], corr))
-
     # failures: X-type product projections; left side always collapses the
     # pair into a plain vertex e carrying the logical vertex's edges.
     left_graph = WeightedGraph(lg.vertices, lg.edges + moved)
+    left_weights = _edge_weights(left_graph)
+    column = _edge_columns(rr.graph)
+    weights = np.hstack(
+        [
+            np.broadcast_to(left_weights, (len(every), left_weights.shape[1])),
+            rw,
+            rr.weights[:, [column[frozenset((b, v))] for v, _ in nbs]],
+        ]
+    )
+    pairs_left = frozenset(p for p in left.logical_pairs if a not in p)
+
+    out: list[_Branch] = []
+    for label, sign, vecs, probs in successes:
+        corr = [Correction(e, "Z", PAULI_Z)] if sign < 0 else []
+        rows = _corrected(merged, vecs / np.sqrt(probs)[:, None], corr)
+        post = _Rows(merged, weights, rows, pairs_left | rr.pairs)
+        out.append(_Branch(label, every, probs, [post], corr))
+
     for label, sa, sb, vl, probs in failures:
-        prob = float(probs[0])
-        if prob < ZERO_PROB_CUTOFF:
-            out.append(ProtocolOutcome(label, prob, [], [], False))
+        low = probs < ZERO_PROB_CUTOFF
+        if low.any():
+            out.append(_Branch(label, np.flatnonzero(low), probs[low], [], []))
+        if low.all():
             continue
+        live = _where(~low)
+        rows, probs = _pick(every, live), _pick(probs, live)
         corr = [Correction(e, "Z", PAULI_Z)] if sa < 0 else []
-        sl = _corrected_state(left_graph, vl / np.linalg.norm(vl), corr)
-        posts = [ChainState(left_graph, sl, pairs_left)]
-        good = _good_right_failure(right, b, sb)
-        if good is not None:
-            posts += good.post_states
-            corr += good.corrections_applied
-        out.append(ProtocolOutcome(label, prob, posts, corr, good is not None))
+        sl = _corrected(left_graph, (vl / np.linalg.norm(vl))[None], corr)
+        # one left post-state, the same in every row
+        shared = _Rows(
+            left_graph,
+            np.broadcast_to(left_weights, (len(rows), left_weights.shape[1])),
+            np.broadcast_to(sl, (len(rows), sl.shape[1])),
+            pairs_left,
+        )
+        good = _good_right_failure(rr.take(live), b, sb)
+        if good is None:
+            out.append(_Branch(label, rows, probs, [shared], corr))
+            continue
+        ok, post, good_corr = good
+        if not ok.all():
+            rest = np.flatnonzero(~ok)
+            out.append(_Branch(label, rows[rest], probs[rest], [shared.take(rest)], corr))
+        idx = _where(ok)
+        posts = [shared.take(idx), post]
+        out.append(_Branch(label, _pick(rows, idx), _pick(probs, idx), posts, corr + good_corr, True))
     return out
 
 
-def _good_right_failure(right: ChainState, b: str, sb: int) -> ProtocolOutcome | None:
-    """The X-like branch of b's projection onto (<0| + sb <1|)/sqrt2, if it is good.
+def _good_right_failure(r: _Rows, b: str, sb: int):
+    """The X-like branch of b's projection onto (<0| + sb <1|)/sqrt2 in the rows where it is good.
 
-    Good means b is interior and its weights match the bra's eligibility case;
-    the branch's ChainState then checks the new logical pair numerically.
-    Otherwise the residual is not a weighted graph state and None is returned.
+    Good means b is interior and the row's weights match the bra's
+    eligibility case; the branch's ChainState or ChainStack then checks the
+    new logical pair numerically. Returns (ok, post, corrections): ok the
+    (K,) mask of the good rows and the branch on those rows; None when no
+    row is good, since elsewhere the residual is not a weighted graph state.
     """
-    nbs = sorted(right.graph.neighbors(b), key=lambda t: right.graph.vertices.index(t[0]))
+    nbs = sorted(r.graph.neighbors(b), key=lambda t: r.graph.vertices.index(t[0]))
     if len(nbs) != 2:
         return None
-    (b1, chi1), (b2, chi2) = nbs
-    if sb < 0 and abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL:
-        case = "case2"  # <0| - <1| is the Case-2 bra (B = -A)
-    elif (
-        sb > 0
-        and abs(wrap_angle(chi1 - math.pi)) < WEIGHT_TOL
-        and abs(wrap_angle(chi2 - math.pi)) < WEIGHT_TOL
+    (b1, _), (b2, _) = nbs
+    column = _edge_columns(r.graph)
+    ok = []
+    for chi1, chi2 in zip(
+        r.weights[:, column[frozenset((b, b1))]].tolist(),
+        r.weights[:, column[frozenset((b, b2))]].tolist(),
     ):
-        case = "case1"  # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi})
-    else:
+        if sb < 0:  # <0| - <1| is the Case-2 bra (B = -A)
+            ok.append(abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL)
+        else:  # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi})
+            ok.append(
+                abs(wrap_angle(chi1 - math.pi)) < WEIGHT_TOL
+                and abs(wrap_angle(chi2 - math.pi)) < WEIGHT_TOL
+            )
+    ok = np.array(ok)
+    if not ok.any():
         return None
-    return _xlike_branch(right, _edge_weights(right.graph), b, b1, b2, (1.0, float(sb)), case, "good")
+    case = "case2" if sb < 0 else "case1"
+    bras = [(1.0, float(sb))] * int(ok.sum())
+    post, _, corr = _xlike_rows(r.take(_where(ok)), b, b1, b2, bras, case)
+    return ok, post, corr
 
 
 def fusion_context(
@@ -941,34 +1165,49 @@ def fuse_generalized(
 
 
 def weighted_pair_state(phi: float) -> PureState:
-    """2-vertex weighted graph state; phi = 0 means no edge (|++>)."""
-    return build_state(chain_graph(["b1", "b2"], [phi]))
+    """2-vertex weighted graph state; phi = 0 means no edge (|++>). The K = 1
+    row of weighted_pair_rows."""
+    return PureState(2, weighted_pair_rows([phi])[0])
 
 
-def _chain_rows(labels: list[str], weights: list[list[float]]) -> np.ndarray:
+def weighted_pair_rows(phis) -> np.ndarray:
+    """weighted_pair_state(phi).amplitudes for every phi of a (K,) array, as a
+    (K, 4) stack: a phi that wraps below ZERO_WEIGHT has no edge in its row."""
+    return _chain_rows(["b1", "b2"], np.asarray(phis, dtype=float)[:, None])
+
+
+def _chain_rows(labels: list[str], weights) -> np.ndarray:
     """build_state(chain_graph(labels, weights[k])).amplitudes for every row k
-    of K finite weight rows, as a (K, 2^n) stack.
+    of K weight rows, as a (K, 2^n) stack.
 
     As in chain_graph, a weight that wraps below ZERO_WEIGHT drops its
     edge; the rows that keep the same edges share one stacked build_state.
+    A non-finite weight raises InvalidGraphError.
     """
+    weights = np.array(weights, dtype=float).reshape(-1, len(labels) - 1)
+    if not np.isfinite(weights).all():
+        raise InvalidGraphError("non-finite weight in a weight row")
+    # as in weight_rows, only |w| >= pi goes through wrap_angle
+    wrapped = weights.copy()
+    for k, e in zip(*np.nonzero(~(np.abs(weights) < math.pi))):
+        wrapped[k, e] = wrap_angle(weights[k, e])
+    keep = np.abs(wrapped) >= ZERO_WEIGHT
 
     def shape(kept) -> WeightedGraph:
         edges = tuple((x, y, math.pi) for x, y, k in zip(labels, labels[1:], kept) if k)
         return WeightedGraph(tuple(labels), edges)
 
-    keep = [tuple(abs(wrap_angle(w)) >= ZERO_WEIGHT for w in row) for row in weights]
-    if all(map(all, keep)):  # every row keeps every edge: one build of the rows as given
+    if keep.all():  # every row keeps every edge: one build of the rows as given
         return build_state(shape(keep[0]), weights)
     out = np.empty((len(keep), 1 << len(labels)), dtype=complex)
-    for kept in set(keep):
-        rows = [k for k, x in enumerate(keep) if x == kept]
-        kept_weights = [[w for w, k in zip(weights[r], kept) if k] for r in rows]
-        out[rows] = build_state(shape(kept), kept_weights)
+    kinds, kind = np.unique(keep, axis=0, return_inverse=True)
+    for i, kept in enumerate(kinds):
+        rows = np.flatnonzero(kind.reshape(-1) == i)
+        out[rows] = build_state(shape(kept.tolist()), weights[rows][:, kept])
     return out
 
 
-def _local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
+def local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
     """local_equivalent_2q on stacks of candidate and target amplitude
     matrices, one stacked SVD each: mc and mt are (..., 2, 2) arrays whose
     leading axes broadcast against each other.
@@ -995,9 +1234,9 @@ def local_equivalent_2q(
 
     Two 2-qubit pure states are local-unitary equivalent iff their Schmidt
     spectra agree; the rotations come straight out of the two SVDs. The
-    K = 1 row of the stacked check ghz_pair_projection_stack runs.
+    K = 1 row of local_equivalent_rows.
     """
-    a, b, ok = _local_equivalent_rows(
+    a, b, ok = local_equivalent_rows(
         candidate.amplitudes.reshape(1, 2, 2), target.amplitudes.reshape(1, 2, 2)
     )
     return (a[0], b[0]) if ok[0] else None
@@ -1021,6 +1260,15 @@ def ghz_pair_projection(
     return projs[0], float(phis[0])
 
 
+def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
+    """The arguments as float arrays of one shape (K >= 1,), else InputError."""
+    xs = tuple(np.asarray(x, dtype=float) for x in xs)
+    if xs[0].ndim != 1 or not len(xs[0]) or any(x.shape != xs[0].shape for x in xs):
+        shapes = ", ".join(str(x.shape) for x in xs)
+        raise InputError(f"need {len(xs)} (K >= 1,) arrays, got shapes {shapes}")
+    return xs
+
+
 def ghz_pair_projection_stack(
     chi1, chi2, mag_a
 ) -> tuple[list[tuple[QubitProjection, QubitProjection]], np.ndarray]:
@@ -1034,12 +1282,10 @@ def ghz_pair_projection_stack(
     stacked local-unitary check. The first row that fails a check raises
     its error.
     """
-    chi1, chi2, mag_a = (np.asarray(x, dtype=float) for x in (chi1, chi2, mag_a))
-    if chi1.ndim != 1 or not len(chi1) or not chi1.shape == chi2.shape == mag_a.shape:
-        shapes = ", ".join(str(x.shape) for x in (chi1, chi2, mag_a))
-        raise InputError(f"need three (K >= 1,) arrays, got shapes {shapes}")
-    projs, chis, phis = [], [], []
-    for c1, c2, mag in zip(chi1.tolist(), chi2.tolist(), mag_a.tolist()):
+    chi1, chi2, mag_a = _angle_arrays(chi1, chi2, mag_a)
+    projs, phis = [], []
+    bras = np.empty((len(chi1), 2), dtype=complex)
+    for k, (c1, c2, mag) in enumerate(zip(chi1.tolist(), chi2.tolist(), mag_a.tolist())):
         _finite_angles(c1, c2)
         if math.isnan(mag):
             raise InputError("|A| must be a number, got nan")
@@ -1048,22 +1294,24 @@ def ghz_pair_projection_stack(
         mag_b = math.sqrt(max(0.0, 1.0 - mag * mag))
         arg_b = (c1 + c2 + math.pi) / 2.0
         bra_a, bra_b = complex(mag), mag_b * cmath.exp(1j * arg_b)
+        bras[k] = bra_a, bra_b
         # QubitProjection applies conj(alpha)<0| + conj(beta)<1|: pass conjugates
         proj = QubitProjection(1, (np.conj(bra_a), np.conj(bra_b)))
         comp = QubitProjection(1, (bra_b, -bra_a))  # bra (B*, -A*)
         projs.append((proj, comp))
-        chis.append([c1, c2])
         phis.append(pair_weight_from_projection(bra_a, bra_b, c1, c2)[0])
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi;
     # rows 2k and 2k + 1 are row k's projection and complement
-    ghz = _chain_rows(["b1", "a", "b2"], chis)
-    target = _chain_rows(["b1", "b2"], [[phi] for phi in phis])
-    kets = np.array([p.coefficients for pair in projs for p in pair])
+    ghz = _chain_rows(["b1", "a", "b2"], np.stack([chi1, chi2], axis=1))
+    target = weighted_pair_rows(phis)
+    kets = np.empty((2 * len(bras), 2), dtype=complex)
+    kets[0::2] = np.conj(bras)
+    kets[1::2, 0], kets[1::2, 1] = bras[:, 1], -bras[:, 0]
     red, probs = project_rows(np.repeat(ghz, 2, axis=0), 1, kets)
     live = ~(probs < ZERO_PROB_CUTOFF)  # zero-probability outcomes (poles |A| in {0,1}) drop out
     check_unit_rows(red[live])
-    _, _, match = _local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))
+    _, _, match = local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))
     for matched, realized in zip(match.tolist(), live.reshape(-1, 2).tolist()):
         if not all(m or not r for m, r in zip(matched, realized)):
             raise NotAchievableError(
@@ -1090,23 +1338,40 @@ def ghz_pair_for_target(
     """Invert the phi formula for |A| (closed form); errors outside range.
 
     InputError for a non-finite angle, NotAchievableError for a target out
-    of range.
+    of range. The K = 1 row of ghz_pair_for_target_stack.
     """
-    _finite_angles(chi1, chi2, phi_target)
-    denom = (1.0 - math.cos(chi1)) * (1.0 - math.cos(chi2))
-    if denom < ZERO_RANGE:
-        if abs(wrap_angle(phi_target)) < ZERO_WEIGHT:
-            return ghz_pair_projection(chi1, chi2, 0.0)[0]
-        raise NotAchievableError("a zero-weight edge forces phi = 0")
-    t = (1.0 - math.cos(phi_target)) / (2.0 * denom)
-    if not t <= 0.25 + BOUND_SLACK:
-        raise NotAchievableError(
-            f"|phi_target| exceeds the range cap {ghz_pair_range(chi1, chi2):.6f}"
-        )
-    mag_a = math.sqrt((1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * t))) / 2.0)
-    projs, phi = ghz_pair_projection(chi1, chi2, mag_a)
-    if not abs(abs(wrap_angle(phi)) - abs(wrap_angle(phi_target))) <= INVERSION_TOL:
-        raise NotAchievableError("inversion check failed")
+    return ghz_pair_for_target_stack([chi1], [chi2], [phi_target])[0]
+
+
+def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> list[tuple[QubitProjection, QubitProjection]]:
+    """ghz_pair_for_target for every row k of the (K,) arrays chi1, chi2, phi_target.
+
+    The inversion runs row by row; its bases come from one
+    ghz_pair_projection_stack call over every row. Row k is bit for bit
+    ghz_pair_for_target(chi1[k], chi2[k], phi_target[k]); the first row that
+    fails a check raises its error.
+    """
+    chi1, chi2, phi_target = _angle_arrays(chi1, chi2, phi_target)
+    mags, inverted = [], []
+    for c1, c2, phi in zip(chi1.tolist(), chi2.tolist(), phi_target.tolist()):
+        _finite_angles(c1, c2, phi)
+        denom = (1.0 - math.cos(c1)) * (1.0 - math.cos(c2))
+        inverted.append(not denom < ZERO_RANGE)
+        if not inverted[-1]:
+            if not abs(wrap_angle(phi)) < ZERO_WEIGHT:
+                raise NotAchievableError("a zero-weight edge forces phi = 0")
+            mags.append(0.0)
+            continue
+        t = (1.0 - math.cos(phi)) / (2.0 * denom)
+        if not t <= 0.25 + BOUND_SLACK:
+            raise NotAchievableError(
+                f"|phi_target| exceeds the range cap {ghz_pair_range(c1, c2):.6f}"
+            )
+        mags.append(math.sqrt((1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * t))) / 2.0))
+    projs, phis = ghz_pair_projection_stack(chi1, chi2, mags)
+    for phi, target, check in zip(phis.tolist(), phi_target.tolist(), inverted):
+        if check and not abs(abs(wrap_angle(phi)) - abs(wrap_angle(target))) <= INVERSION_TOL:
+            raise NotAchievableError("inversion check failed")
     return projs
 
 

@@ -24,7 +24,7 @@ from .analysis import (
     xlike_uniqueness_scan,
     ylike_impossibility_scan,
 )
-from .errors import NotAchievableError
+from .errors import NotAchievableError, ZeroOutcomeError
 from .fock import (
     ModeUnitary,
     check_unitary_rows,
@@ -38,28 +38,31 @@ from .fock import (
     relevant_norm_sq,
 )
 from .graphstate import (
-    PureState,
-    apply_local,
+    apply_rows,
     build_state,
     chain_graph,
-    fidelity_up_to_global_phase,
-    LocalGate,
-    project_qubit,
+    check_gate_rows,
+    check_unit_rows,
+    fidelity_rows,
+    project_rows,
     wrap_angle,
 )
 from .protocols import (
     create_logical_qubit,
-    fuse_type_i,
+    create_logical_qubit_stack,
+    fuse_type_i_stack,
     fuse_type_ii,
+    fuse_type_ii_stack,
     fusion_context_rows,
     ghz_pair_for_target,
-    local_equivalent_2q,
+    ghz_pair_for_target_stack,
+    local_equivalent_rows,
     logical_pair_chain,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
     rez_formula,
-    weighted_pair_state,
+    weighted_pair_rows,
 )
 from .tolerances import (
     ABORT_TOL,
@@ -71,6 +74,7 @@ from .tolerances import (
     NO_GOOD_DET_TOL,
     RETENTION_TOL,
     WEIGHT_TOL,
+    ZERO_PROB_CUTOFF,
 )
 
 
@@ -142,83 +146,127 @@ def _rand_weights(rng: np.random.Generator, k: int) -> list[float]:
     return [float(x) for x in w]
 
 
+def _refute_first(*checks) -> None:
+    """Refute on the first row that fails a check, as a loop over the rows
+    running the checks in order would. Each check is a (bad, message) pair:
+    bad a (K,) bool array and message(k) the detail for row k."""
+    firsts = [(int(np.flatnonzero(bad)[0]), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    if firsts:
+        k, i = min(firsts)
+        raise _Refuted(checks[i][1](k))
+
+
+def _row_counts(outs, k: int) -> np.ndarray:
+    """How many of the OutcomeStacks outs hold each of k stack rows."""
+    counts = np.zeros(k, dtype=int)
+    for o in outs:
+        counts[o.rows] += 1
+    return counts
+
+
+def _row_totals(outs, k: int) -> np.ndarray:
+    """sum(o.probability for o in row j's outcomes) for every row j, summed in outcome order."""
+    totals = np.zeros(k)
+    for o in outs:
+        totals[o.rows] += o.probabilities
+    return totals
+
+
 @_check("type_i_distribution", ABORT_TOL)
 def check_type_i(seed: int = 11, quick: bool = False):
-    """Endpoint fusion: 4 outcomes at 1/4; success states rebuild the merged chain."""
+    """Endpoint fusion: 4 outcomes at 1/4; success states rebuild the merged chain.
+
+    Each draw takes its left, then its right weights from the rng; the
+    chains are built as one left and one right stack, fused row by row in
+    one fuse_type_i_stack call, and each success stack is compared with
+    build_state of its graphs in one stacked build.
+    """
     rng = np.random.default_rng(seed)
     draws = 5 if quick else 20
-    residuals = []
-    for _ in range(draws):
-        left = make_chain(["a1", "a2", "a3"], _rand_weights(rng, 2))
-        right = make_chain(["b1", "b2", "b3"], _rand_weights(rng, 2))
-        outs = fuse_type_i(left, "a3", right, "b1", new_label="c")
-        if len(outs) != 4:
-            raise _Refuted("wrong outcome count")
-        residuals += [abs(o.probability - 0.25) for o in outs]
-        for o in outs:
-            if not o.label.startswith("success"):
-                continue
+    weights = np.array([_rand_weights(rng, 2) + _rand_weights(rng, 2) for _ in range(draws)])
+    left = make_chain_stack(["a1", "a2", "a3"], weights[:, :2])
+    right = make_chain_stack(["b1", "b2", "b3"], weights[:, 2:])
+    outs = fuse_type_i_stack(left, "a3", right, "b1", new_label="c")
+    if (_row_counts(outs, draws) != 4).any():
+        raise _Refuted("wrong outcome count")
+    residuals = [np.abs(o.probabilities - 0.25) for o in outs]
+    for o in outs:
+        if o.label.startswith("success"):
             post = o.post_states[0]
-            target = build_state(post.graph)
-            residuals.append(1.0 - fidelity_up_to_global_phase(post.state, target))
-    return f"{draws} draws", [residuals]
+            residuals.append(1.0 - fidelity_rows(post.rows, build_state(post.graph, post.weights)))
+    return f"{draws} draws", residuals
 
 
 @_check("logical_qubit", ABORT_TOL)
 def check_logical_qubit(quick: bool = False):
-    """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds."""
+    """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds.
+
+    The grid's chains are one stack and take one create_logical_qubit_stack
+    call; chi = pi, where both X-basis outcomes succeed, is one K = 1 call.
+    """
     n = 24 if quick else 100
     chis = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
-    residuals = []
-    for chi in chis:
-        chain = make_chain(["a", "b", "c", "d"], [1.0, float(chi), float(chi)])
-        outs = create_logical_qubit(chain, "c")
-        succ = [o for o in outs if o.label.startswith("success")]
-        if len(succ) != 1:
-            raise _Refuted(f"chi={chi}: {len(succ)} successes")
-        residuals.append(abs(succ[0].probability - (1.0 - math.cos(chi)) / 4.0))
-        post = succ[0].post_states[0]
-        if not post.pair_support_ok(frozenset({"b", "d"})):
-            raise _Refuted(f"pair support broken at chi={chi}")
-        residuals.append(abs(sum(o.probability for o in outs) - 1.0))
+    stack = make_chain_stack(["a", "b", "c", "d"], np.stack([np.ones(n), chis, chis], axis=1))
+    outs = create_logical_qubit_stack(stack, "c")
+    succ = [o for o in outs if o.label.startswith("success")]
+    count = _row_counts(succ, n)
+    support = np.ones(n, dtype=bool)
+    probs = np.full(n, np.nan)
+    for o in succ:
+        support[o.rows] &= o.post_states[0].pair_support_rows(frozenset({"b", "d"}))
+        probs[o.rows] = o.probabilities
+    _refute_first(
+        (count != 1, lambda k: f"chi={chis[k]}: {count[k]} successes"),
+        (~support, lambda k: f"pair support broken at chi={chis[k]}"),
+    )
+    cos = np.array([math.cos(chi) for chi in chis.tolist()])
+    residuals = [np.abs(probs - (1.0 - cos) / 4.0), np.abs(_row_totals(outs, n) - 1.0)]
     # chi = pi: both X-basis outcomes succeed, total probability 1
     outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, math.pi, math.pi]), "c")
     succ = [o for o in outs if o.label.startswith("success")]
     if len(succ) != 2:
         raise _Refuted(f"chi=pi: {len(succ)} successes")
     residuals.append(abs(sum(o.probability for o in succ) - 1.0))
-    return f"{n}-point grid + pi", [residuals]
+    return f"{n}-point grid + pi", residuals
 
 
 @_check("type_ii_failure_split", ABORT_TOL)
 def check_type_ii_failures(seed: int = 13, quick: bool = False):
-    """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law."""
+    """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law.
+
+    The right chains of the drawn weights and pi are one stack, fused with
+    the left chain in one fuse_type_ii_stack call; the all-pi right chain is
+    one K = 1 call.
+    """
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
-    residuals = []
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
     left = logical_pair_chain(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
-    chis = rng.uniform(0.05, math.pi - 0.05, n)
-    for chi in np.concatenate([chis, [math.pi]]):
-        chi = float(chi)
-        # Case-2 weights (chi, -chi) around the fused interior vertex
-        right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])
-        outs = fuse_type_ii(left, ("B", "D"), right, "b", consume="D")
-        rez = rez_formula(chi, wrap_angle(-chi))
-        by = {o.label: o for o in outs}
-        good = by["failure_b_minus"]
-        residuals += [
-            abs(good.probability - (1.0 - rez) / 4.0),
-            abs(by["failure_b_plus"].probability - (1.0 + rez) / 4.0),
-            abs(good.probability - (1.0 - math.cos(chi)) / 8.0),
-        ]
-        if not good.is_good_failure:
-            raise _Refuted(f"chi={chi} not flagged good")
-        if not good.probability <= 0.25 + BOUND_SLACK:
-            raise _Refuted("good failure above 1/4")
-        if abs(good.probability - 0.25) < ABORT_TOL and abs(wrap_angle(chi - math.pi)) > WEIGHT_TOL:
-            raise _Refuted("1/4 away from pi")
-        residuals.append(abs(sum(o.probability for o in outs) - 1.0))
+    chis = rng.uniform(0.05, math.pi - 0.05, n).tolist() + [math.pi]
+    # Case-2 weights (chi, -chi) around the fused interior vertex
+    right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in chis])
+    outs = fuse_type_ii_stack(left, ("B", "D"), right, "b", consume="D")
+    k = len(chis)
+    p_good, p_plus, good = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
+    for o in outs:
+        if o.label == "failure_b_minus":
+            p_good[o.rows], good[o.rows] = o.probabilities, o.is_good_failure
+        elif o.label == "failure_b_plus":
+            p_plus[o.rows] = o.probabilities
+    rez = np.array([rez_formula(chi, wrap_angle(-chi)) for chi in chis])
+    cos = np.array([math.cos(chi) for chi in chis])
+    away_from_pi = np.array([abs(wrap_angle(chi - math.pi)) > WEIGHT_TOL for chi in chis])
+    _refute_first(
+        (~good, lambda r: f"chi={chis[r]} not flagged good"),
+        (~(p_good <= 0.25 + BOUND_SLACK), lambda r: "good failure above 1/4"),
+        ((np.abs(p_good - 0.25) < ABORT_TOL) & away_from_pi, lambda r: "1/4 away from pi"),
+    )
+    residuals = [
+        np.abs(p_good - (1.0 - rez) / 4.0),
+        np.abs(p_plus - (1.0 + rez) / 4.0),
+        np.abs(p_good - (1.0 - cos) / 8.0),
+        np.abs(_row_totals(outs, k) - 1.0),
+    ]
     # all weights pi: split (1/4, 1/4), both failures good
     outs = fuse_type_ii(left, ("B", "D"), make_chain(["v", "b", "w"], [math.pi] * 2), "b", consume="D")
     for o in outs:
@@ -226,7 +274,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
             residuals.append(abs(o.probability - 0.25))
             if not o.is_good_failure:
                 raise _Refuted(f"{o.label} not good at pi")
-    return f"{n + 2} chains", [residuals]
+    return f"{n + 2} chains", residuals
 
 
 def _random_fusion_setup(rng: np.random.Generator, draws: int):
@@ -318,8 +366,8 @@ def _oracle_residual(us, v1, v2, v3, v4, z) -> float:
     of the oracle's register row."""
     n = us.shape[-1]
     left_qubits = v1.shape[1].bit_length() - 1
-    probs, _, coef = enumerate_table(us, v1, v2, v3, v4)
-    oracle_probs, oracle_rows, _ = oracle_table(us, v1, v2, v3, v4)
+    probs, coef = enumerate_table(us, v1, v2, v3, v4)
+    oracle_probs, oracle_rows = oracle_table(us, v1, v2, v3, v4)
     residuals = [np.abs(probs - oracle_probs), np.abs(probs.sum(axis=1) - 1.0)]
     iu, ju = pattern_indices(n)
     live = (iu != ju) & (probs > DET_LIVE_PROB)
@@ -450,45 +498,72 @@ def check_balanced_entropy(seed: int = 23, quick: bool = False):
     return f"{draws} unitaries", residuals
 
 
+def _fixed_fidelity(states: np.ndarray, targets: np.ndarray, refute) -> np.ndarray:
+    """1 - |<target|(A x B) state>| for every row of two (K, 4) stacks of
+    2-qubit states, (A, B) the local rotations that map the row's state onto
+    its target (local_equivalent_rows). A row with no such rotations is
+    refuted with the detail refute(k). The rotations are checked as
+    LocalGate checks one, and each rotated stack as PureState checks a state.
+    """
+    a, b, ok = local_equivalent_rows(states.reshape(-1, 2, 2), targets.reshape(-1, 2, 2))
+    _refute_first((~ok, refute))
+    fixed = states
+    for qubit, gates in enumerate((a, b)):
+        check_gate_rows(gates)
+        fixed = apply_rows(fixed, qubit, gates)
+        check_unit_rows(fixed)
+    return 1.0 - fidelity_rows(fixed, targets)
+
+
 @_check("ghz_generation", ABORT_TOL)
 def check_ghz_generation(quick: bool = False):
-    """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation."""
+    """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation.
+
+    One ghz_pair_for_target_stack call gives every target's basis; both
+    outcomes of every target are projected out of the GHZ state in one
+    project_rows call and matched to the |t|-weighted pair in one stacked
+    local-unitary check. The range rejection away from pi is one K = 1 call.
+    """
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
-    residuals = []
+    projs = ghz_pair_for_target_stack(np.full(n, math.pi), np.full(n, math.pi), targets)
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi, math.pi]))
-    for t in targets:
-        t = float(t)
-        proj, comp = ghz_pair_for_target(math.pi, math.pi, t)
-        phis = []
-        for q in (proj, comp):
-            st, p = project_qubit(ghz, q)
-            # both outcomes must be the |t|-weighted pair up to local rotations
-            pair = weighted_pair_state(abs(wrap_angle(t)))
-            rot = local_equivalent_2q(st, pair)
-            if rot is None:
-                raise _Refuted(f"target {t}: no pair match")
-            fixed = apply_local(apply_local(st, LocalGate(0, rot[0])), LocalGate(1, rot[1]))
-            residuals.append(1.0 - fidelity_up_to_global_phase(fixed, pair))
-            # weight recovered from the Schmidt-invariant determinant
-            det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
-            phis.append(det)
-        # same pair weight for both outcomes, compared on the stable invariant
-        residuals += [abs(phis[0] - phis[1]), abs(phis[0] - abs(1.0 - np.exp(-1j * t)) / 4.0)]
+    # rows 2k and 2k + 1: target k's projection and complement
+    kets = np.array([q.coefficients for pair in projs for q in pair])
+    states, probs = project_rows(np.broadcast_to(ghz.amplitudes, (2 * n, 8)), 1, kets)
+    low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
+    if low.size:
+        raise ZeroOutcomeError(f"projection probability {float(probs[low[0]])} below cutoff")
+    check_unit_rows(states)
+    # both outcomes must be the |t|-weighted pair up to local rotations
+    pairs = np.repeat(weighted_pair_rows([abs(wrap_angle(t)) for t in targets.tolist()]), 2, axis=0)
+    residuals = [_fixed_fidelity(states, pairs, lambda k: f"target {float(targets[k // 2])}: no pair match")]
+    # weight recovered from the Schmidt-invariant determinant
+    det = np.linalg.det(states.reshape(-1, 2, 2))
+    dets = np.hypot(det.real, det.imag).reshape(n, 2)
+    gap = 1.0 - np.exp(-1j * targets)
+    expect = np.hypot(gap.real, gap.imag) / 4.0  # |1 - e^{-it}|/4, each rounded as abs() rounds one
+    # same pair weight for both outcomes, compared on the stable invariant
+    residuals += [np.abs(dets[:, 0] - dets[:, 1]), np.abs(dets[:, 0] - expect)]
     # range rejection away from pi
     try:
         ghz_pair_for_target(math.pi / 2.0, math.pi / 2.0, math.pi)
     except NotAchievableError:
-        return f"{n} targets", [residuals]
+        return f"{n} targets", residuals
     raise _Refuted("out-of-range target accepted")
 
 
 @_check("hyperbola", INVERSION_TOL, HYPERBOLA_FIDELITY_TOL)
 def check_hyperbola(seed: int = 29, quick: bool = False):
-    """xi-solver residual and end-to-end projection fidelity against the target pair."""
+    """xi-solver residual and end-to-end projection fidelity against the target pair.
+
+    Each draw solves for xi and forms its projection; the dense leg runs on
+    stacks: one 2-chain build, one einsum, one local-unitary check and one
+    row fidelity over every draw.
+    """
     rng = np.random.default_rng(seed)
     draws = 12 if quick else 50
-    xi_res, fid_res = [], []
+    xi_res, chi_bfs, chi_targets, coefs = [], [], [], []
     for _ in range(draws):
         chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(SIGNS[rng.integers(0, 2)])
         chi_target = float(rng.uniform(-math.pi, math.pi))
@@ -496,20 +571,19 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
         w = xi * np.exp(1j * chi_bf / 2.0)
         xi_res.append(abs(wrap_angle(2.0 * np.angle(2.0 + w + 1.0 / w) - chi_target)))
         p = hyperbola_projection(chi_bf, xi)
-        # end to end: bare logical pair (e, a) Bell state, right 2-chain (b, f)
-        pair = np.zeros(4, complex)
-        pair[0] = pair[3] = INV_SQRT2
-        joint = np.kron(pair, build_state(chain_graph(["b", "f"], [chi_bf])).amplitudes)
-        coef = np.array([[p.a, p.b], [p.c, p.d]])
-        res = np.einsum("eabf,ab->ef", joint.reshape(2, 2, 2, 2), coef)
-        res = PureState(2, (res / np.linalg.norm(res)).reshape(-1))
-        target = weighted_pair_state(chi_target)
-        found = local_equivalent_2q(res, target)
-        if found is None:
-            raise _Refuted("no local correction found")
-        ga, gb = found
-        fixed = apply_local(apply_local(res, LocalGate(0, ga)), LocalGate(1, gb))
-        fid_res.append(1.0 - fidelity_up_to_global_phase(fixed, target))
+        chi_bfs.append([chi_bf])
+        chi_targets.append(chi_target)
+        coefs.append([[p.a, p.b], [p.c, p.d]])
+    # end to end: bare logical pair (e, a) Bell state, right 2-chain (b, f)
+    pair = np.zeros(4, complex)
+    pair[0] = pair[3] = INV_SQRT2
+    right = build_state(chain_graph(["b", "f"], [math.pi]), chi_bfs)
+    joint = (pair[None, :, None] * right[:, None, :]).reshape(draws, 2, 2, 2, 2)
+    res = np.einsum("keabf,kab->kef", joint, np.array(coefs)).reshape(draws, 4)
+    # each row over its norm, summed as np.linalg.norm sums one state
+    res = res / np.sqrt(np.vecdot(res.real, res.real) + np.vecdot(res.imag, res.imag))[:, None]
+    check_unit_rows(res)
+    fid_res = _fixed_fidelity(res, weighted_pair_rows(chi_targets), lambda k: "no local correction found")
     return f"{draws} pairs; xi residual {_worst(xi_res):.2e}", [xi_res], [fid_res]
 
 

@@ -245,6 +245,54 @@ def test_verify_builds_unitaries_per_stack():
     assert per_draw_unitary_calls((SRC / "verify.py").read_text()) == []
 
 
+# Single-chain and single-state calls. verify runs each per-point protocol
+# check as one stacked call over its grid or draws, so none of these may run
+# once per loop iteration there.
+PER_ROW_PROTOCOL_CALLS = {
+    "create_logical_qubit",
+    "fuse_type_i",
+    "fuse_type_ii",
+    "ghz_pair_for_target",
+    "project_qubit",
+    "local_equivalent_2q",
+    "apply_local",
+    "fidelity_up_to_global_phase",
+}
+
+
+def per_row_protocol_calls(source: str) -> list[int]:
+    """Lines of the PER_ROW_PROTOCOL_CALLS (by name or attribute) inside a loop body."""
+    return sorted(
+        {
+            node.lineno
+            for body in _loop_bodies(ast.parse(source))
+            for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_ROW_PROTOCOL_CALLS
+        }
+    )
+
+
+def test_gate_flags_a_per_row_protocol_call():
+    src = (
+        "for chi in chis:\n"
+        "    outs = create_logical_qubit(make_chain(labels, [chi]), 'c')\n"
+        "outs = create_logical_qubit_stack(stack, 'c')\n"
+        "fids = [graphstate.fidelity_up_to_global_phase(s, t) for s, t in pairs]\n"
+        "while not protocols.ghz_pair_for_target(1.0, 1.0, t):\n"
+        "    st = apply_local(project_qubit(ghz, q)[0], gate)\n"
+        "outs = fuse_type_ii(left, pair, right, 'b')\n"
+        "for t in targets:\n"
+        "    x = fuse_type_i_stack(left, 'a', right, 'b')\n"
+        "    y = local_equivalent_2q(s, t) or fuse_type_i(left, 'a', right, 'b')\n"
+    )
+    assert per_row_protocol_calls(src) == [2, 4, 5, 6, 10]
+
+
+def test_verify_runs_protocol_checks_per_stack():
+    assert per_row_protocol_calls((SRC / "verify.py").read_text()) == []
+
+
 def small_float_literals(source: str) -> list[int]:
     """Lines of the float literals x with 0 < |x| < 1e-2: thresholds that
     belong in wgfusion.tolerances."""

@@ -17,22 +17,39 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wgfusion import verify
 from wgfusion.analysis import INV_SQRT2
-from wgfusion.errors import InvalidGraphError, WeightsNotEligibleError, WgfError, ZeroOutcomeError
+from wgfusion.errors import InputError, InvalidGraphError, WeightsNotEligibleError, WgfError, ZeroOutcomeError
 from wgfusion.fock import ModeUnitary, haar_unitary
-from wgfusion.graphstate import PureState, WeightedGraph, build_state, chain_graph, wrap_angle
+from wgfusion.graphstate import (
+    PureState,
+    WeightedGraph,
+    build_state,
+    chain_graph,
+    fidelity_rows,
+    fidelity_up_to_global_phase,
+    wrap_angle,
+)
 from wgfusion.protocols import (
     ChainStack,
     ChainState,
     create_logical_qubit,
+    create_logical_qubit_stack,
+    fuse_type_i,
+    fuse_type_i_stack,
+    fuse_type_ii,
+    fuse_type_ii_stack,
     fusion_context,
+    ghz_pair_for_target,
+    ghz_pair_for_target_stack,
     ghz_pair_projection,
     ghz_pair_projection_stack,
+    ghz_pair_range,
     logical_pair_chain,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
     type_ii_probabilities,
     type_ii_probabilities_stack,
+    weighted_pair_rows,
     xlike_probability,
     xlike_probability_stack,
 )
@@ -230,7 +247,7 @@ def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
     b = labels[data.draw(st.integers(0, nr - 1))]
     claimed = weight_stack(data, k, nr - 1)
     built = claimed.copy()
-    bad = data.draw(st.none() | st.integers(0, k - 1))
+    bad = data.draw(st.sampled_from([None, None, None, data.draw(st.integers(0, k - 1))]))
     if bad is not None:
         built[bad] = weight_stack(data, 1, nr - 1)[0]
     stack = make_chain_stack(labels, claimed)
@@ -287,3 +304,217 @@ def test_ghz_pair_projection_stack_rows_equal_single_calls(k, data):
         for p, q in zip(got_pair, pair):
             assert p.target == q.target
             assert [_hex(c) for c in p.coefficients] == [_hex(c) for c in q.coefficients]
+
+
+# The stacked forms behind verify's per-point protocol checks: every outcome
+# that row k of a stacked call holds is, in order, the K = 1 call's outcome on
+# row k's inputs (probabilities float.hex-equal, post-state rows array_equal,
+# the same labels, corrections and good-failure flags), and a stack holding a
+# bad row raises the error type of the K = 1 call on that row.
+
+
+def _assert_row_outcomes(outs, k: int, singles) -> None:
+    held = [(o, int(np.flatnonzero(o.rows == k)[0])) for o in outs if (o.rows == k).any()]
+    assert [o.label for o, _ in held] == [s.label for s in singles]
+    for (o, i), one in zip(held, singles):
+        assert float.hex(float(o.probabilities[i])) == float.hex(one.probability)
+        assert o.is_good_failure == one.is_good_failure
+        assert [(c.vertex, c.name) for c in o.corrections_applied] == [
+            (c.vertex, c.name) for c in one.corrections_applied
+        ]
+        for c, d in zip(o.corrections_applied, one.corrections_applied):
+            assert np.array_equal(c.matrix[i] if c.matrix.ndim == 3 else c.matrix, d.matrix.reshape(2, 2))
+        assert len(o.post_states) == len(one.post_states)
+        for stack, chain in zip(o.post_states, one.post_states):
+            assert np.array_equal(stack.rows[i], chain.state.amplitudes)
+            assert [float.hex(w) for w in stack.weights[i].tolist()] == [
+                float.hex(w) for *_, w in chain.graph.edges
+            ]
+            assert [e[:2] for e in stack.graph.edges] == [e[:2] for e in chain.graph.edges]
+            assert stack.graph.vertices == chain.graph.vertices
+            assert stack.logical_pairs == chain.logical_pairs
+
+
+def _assert_stack_matches(stacked, singles) -> None:
+    """stacked() against the K = 1 results (or error types) singles, one per row."""
+    error = _first_error(singles)
+    if error is not None:
+        with pytest.raises(error) as exc:
+            stacked()
+        assert type(exc.value) is error
+        return
+    outs = stacked()
+    for k, one in enumerate(singles):
+        _assert_row_outcomes(outs, k, one)
+    for o in outs:  # every held row is some row's outcome, each once
+        assert np.array_equal(o.rows, np.unique(o.rows)) and len(o.probabilities) == len(o.rows)
+
+
+def _row_chain(stack: ChainStack, k: int) -> ChainState:
+    """Row k of a stack as the ChainState a single-chain caller holds."""
+    edges = tuple((a, b, w) for (a, b, _), w in zip(stack.graph.edges, stack.weights[k].tolist()))
+    graph = WeightedGraph(stack.graph.vertices, edges)
+    return ChainState(graph, PureState(graph.n, stack.rows[k]), stack.logical_pairs)
+
+
+# angles within reach of pi: pi itself (a second success), and just outside
+# WEIGHT_TOL of it, where a failure sub-outcome falls below ZERO_PROB_CUTOFF
+NEAR_PI = st.sampled_from([math.pi, math.pi - 5e-8, -(math.pi - 5e-8)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), k=st.integers(1, 5), data=st.data())
+def test_create_logical_qubit_stack_rows_equal_single_calls(n, k, data):
+    """One eligibility case per stack, pi and near-pi rows among the rest; maybe
+    a logical pair formed first, and maybe one ineligible row."""
+    labels = [f"v{j}" for j in range(n)]
+    weights = weight_stack(data, k, n - 1)
+    pair_at = None
+    if n >= 5 and data.draw(st.booleans()):
+        pair_at = data.draw(st.integers(1, n - 2))
+        weights[:, pair_at] = weights[:, pair_at - 1]
+    free = [j for j in range(1, n - 1) if pair_at is None or abs(j - pair_at) >= 2]
+    assume(free)
+    i = data.draw(st.sampled_from(free))
+    case1 = data.draw(st.booleans())
+    for row in range(k):  # vertex i's edges are weights[:, i - 1] and weights[:, i]
+        if data.draw(st.integers(0, 2)) == 0:
+            weights[row, i - 1] = data.draw(NEAR_PI)
+        weights[row, i] = weights[row, i - 1] if case1 else -weights[row, i - 1]
+    bad = data.draw(st.sampled_from([None, None, None, data.draw(st.integers(0, k - 1))]))
+    if bad is not None:
+        weights[bad, i] += data.draw(st.floats(0.1, 1.0))
+        assume(abs(wrap_angle(weights[bad, i])) > 0.01)
+    stack = make_chain_stack(labels, weights)
+    if pair_at is not None:
+        stack = logical_pair_stack(stack, labels[pair_at])
+    singles = _single_outcomes(
+        [lambda r=r: create_logical_qubit(_row_chain(stack, r), labels[i]) for r in range(k)]
+    )
+    if _first_error(singles) is None and len({one[0].label for one in singles}) > 1:
+        # (pi, -pi) meets Case 1 in a Case-2 stack: a stack of two cases is refused
+        with pytest.raises(WeightsNotEligibleError):
+            create_logical_qubit_stack(stack, labels[i])
+        return
+    assert bad is not None or _first_error(singles) is None
+    _assert_stack_matches(lambda: create_logical_qubit_stack(stack, labels[i]), singles)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nl=st.integers(2, 5), nr=st.integers(2, 5), k=st.integers(1, 4), data=st.data())
+def test_fuse_type_i_stack_rows_equal_single_calls(nl, nr, k, data):
+    """Row-paired left and right chains, the left maybe carrying a logical pair,
+    fused at endpoints, or refused at an interior vertex."""
+    ll, rl = [f"l{j}" for j in range(nl)], [f"r{j}" for j in range(nr)]
+    lw = weight_stack(data, k, nl - 1)
+    paired = nl >= 4 and data.draw(st.booleans())
+    if paired:
+        lw[:, 1] = lw[:, 0]
+    left = make_chain_stack(ll, lw)
+    if paired:
+        left = logical_pair_stack(left, ll[1])
+    right = make_chain_stack(rl, weight_stack(data, k, nr - 1))
+    end_b = data.draw(st.sampled_from(rl))
+    singles = _single_outcomes(
+        [
+            lambda r=r: fuse_type_i(_row_chain(left, r), ll[-1], _row_chain(right, r), end_b, "c")
+            for r in range(k)
+        ]
+    )
+    assert (_first_error(singles) is None) == (end_b in (rl[0], rl[-1]))
+    _assert_stack_matches(lambda: fuse_type_i_stack(left, ll[-1], right, end_b, new_label="c"), singles)
+
+
+def test_fuse_type_i_stack_refuses_stacks_of_two_lengths():
+    left = make_chain_stack(["a", "b"], [[0.4], [0.5]])
+    right = make_chain_stack(["c", "d"], [[0.4]])
+    with pytest.raises(InputError):
+        fuse_type_i_stack(left, "b", right, "c")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nr=st.integers(3, 5), k=st.integers(1, 5), data=st.data())
+def test_fuse_type_ii_stack_rows_equal_single_calls(nr, k, data):
+    """A logical-pair left chain against right chains whose rows make the
+    b-side failures good (Case 2, or pi for both), vanish (tiny weights, so
+    z is near 1) or neither; one row's state may come from other weights than
+    the row claims (a z mismatch)."""
+    chi = data.draw(ANGLES)
+    left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
+    left = logical_pair_chain(make_chain(list("ABCD"), left_weights), "C")
+    labels = [f"r{j}" for j in range(nr)]
+    j = data.draw(st.integers(1, nr - 2) | st.integers(0, nr - 1))  # mostly interior: good failures
+    claimed = weight_stack(data, k, nr - 1)
+    for row in range(k):
+        kind = data.draw(st.sampled_from(["any", "case2", "case2", "pi", "tiny"]))
+        if kind == "tiny":
+            claimed[row] = 1e-7
+        elif kind != "any" and 0 < j < nr - 1:  # b's edges are claimed[:, j - 1] and claimed[:, j]
+            claimed[row, j] = -claimed[row, j - 1] if kind == "case2" else math.pi
+            claimed[row, j - 1] = claimed[row, j - 1] if kind == "case2" else math.pi
+    built = claimed.copy()
+    bad = data.draw(st.sampled_from([None, None, None, data.draw(st.integers(0, k - 1))]))
+    if bad is not None:
+        built[bad] = weight_stack(data, 1, nr - 1)[0]
+    stack = make_chain_stack(labels, claimed)
+    stack = ChainStack(stack.graph, stack.weights, make_chain_stack(labels, built).rows)
+    singles = _single_outcomes(
+        [lambda r=r: fuse_type_ii(left, ("B", "D"), _row_chain(stack, r), labels[j], "D") for r in range(k)]
+    )
+    assert bad is not None or _first_error(singles) is None
+    _assert_stack_matches(
+        lambda: fuse_type_ii_stack(left, ("B", "D"), stack, labels[j], consume="D"), singles
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), data=st.data())
+def test_ghz_pair_for_target_stack_rows_equal_single_calls(k, data):
+    """(chi1, chi2, target) rows, zero weights (only phi = 0 reachable) and
+    in-range targets among them; maybe one row with a non-finite angle or an
+    out-of-range target."""
+    rows = []
+    for _ in range(k):
+        c1, c2 = data.draw(GHZ_ANGLES), data.draw(GHZ_ANGLES)
+        reach = ghz_pair_range(c1, c2) * data.draw(st.floats(0.0, 1.0) | st.just(1.0))
+        rows.append([c1, c2, reach * data.draw(st.sampled_from([-1.0, 1.0]))])
+    bad = data.draw(st.none() | st.integers(0, k - 1))
+    if bad is not None:
+        column = data.draw(st.integers(0, 2))
+        if column == 2 and data.draw(st.booleans()):
+            rows[bad][2] = ghz_pair_range(*rows[bad][:2]) + data.draw(st.floats(0.01, 0.5))
+        else:
+            rows[bad][column] = data.draw(NON_FINITE)
+    singles = _single_outcomes([lambda r=r: ghz_pair_for_target(*r) for r in rows])
+    error = _first_error(singles)
+    if error is not None:
+        with pytest.raises(error) as exc:
+            ghz_pair_for_target_stack(*zip(*rows))
+        assert type(exc.value) is error
+        return
+    assert bad is None or rows[bad][2] > math.pi  # a target past pi wraps back into range
+    for pair, one in zip(ghz_pair_for_target_stack(*zip(*rows)), singles):
+        for p, q in zip(pair, one):
+            assert p.target == q.target
+            assert [_hex(c) for c in p.coefficients] == [_hex(c) for c in q.coefficients]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_fidelity_rows_equal_single_calls(n, k, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, k, 1 << n)) + 1j * rng.normal(size=(2, k, 1 << n))
+    a, b = (x / np.linalg.norm(x, axis=1)[:, None] for x in (a, b))
+    b[rng.random(k) < 0.3] = a[0]  # some rows compare equal states
+    got = fidelity_rows(a, b)
+    assert [float.hex(f) for f in got.tolist()] == [
+        float.hex(fidelity_up_to_global_phase(PureState(n, x), PureState(n, y))) for x, y in zip(a, b)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(phis=st.lists(GHZ_ANGLES | st.just(1e-13) | st.just(-math.pi), min_size=1, max_size=6))
+def test_weighted_pair_rows_equal_the_chain_builds(phis):
+    """A phi that wraps below ZERO_WEIGHT drops its edge, as chain_graph drops it."""
+    for row, phi in zip(weighted_pair_rows(phis), phis):
+        assert np.array_equal(row, build_state(chain_graph(["b1", "b2"], [phi])).amplitudes)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wgfusion import verify
+from wgfusion.analysis import TwoQubitProjection
 from wgfusion.errors import InvalidUnitaryError
 from wgfusion.fock import haar_unitary, outcome_coeffs, pattern_indices
 from wgfusion.verify import run_all
@@ -19,7 +20,7 @@ def test_every_residual_is_a_python_float():
 
 @pytest.mark.parametrize(
     "table_index, error",
-    [(0, 1e-9), (2, 1e-9), (0, float("nan"))],
+    [(0, 1e-9), (1, 1e-9), (0, float("nan"))],
     ids=["probability", "det_rho_coefficient", "nan_probability"],
 )
 def test_generalized_oracle_catches_one_perturbed_pattern(monkeypatch, table_index, error):
@@ -33,7 +34,7 @@ def test_generalized_oracle_catches_one_perturbed_pattern(monkeypatch, table_ind
         if len(batches) == 3:
             # the batch's last draw, at its most entangled live relevant pattern
             # (det rho is flat to first order in a coefficient near det rho = 0)
-            probs, coef = out[0], out[2]
+            probs, coef = out
             k = len(us) - 1
             iu, ju = pattern_indices(us.shape[-1])
             a, b, c, d = np.moveaxis(coef[k], -1, 0)
@@ -59,31 +60,62 @@ def test_worst_keeps_a_nan():
 
 
 def test_type_i_check_fails_on_a_nan_probability(monkeypatch):
-    real = verify.fuse_type_i
+    real = verify.fuse_type_i_stack
 
     def nan_first(*args, **kwargs):
         outs = real(*args, **kwargs)
-        outs[0].probability = float("nan")
+        outs[0].probabilities[0] = float("nan")
         return outs
 
-    monkeypatch.setattr(verify, "fuse_type_i", nan_first)
+    monkeypatch.setattr(verify, "fuse_type_i_stack", nan_first)
     res = verify.check_type_i(quick=True)
     assert not res.passed
     assert np.isnan(res.max_residual)
 
 
 def test_logical_qubit_check_fails_on_two_successes(monkeypatch):
-    real = verify.create_logical_qubit
+    real = verify.create_logical_qubit_stack
 
     def two_successes(*args, **kwargs):
         outs = real(*args, **kwargs)
         return outs + outs[:1]
 
-    monkeypatch.setattr(verify, "create_logical_qubit", two_successes)
+    monkeypatch.setattr(verify, "create_logical_qubit_stack", two_successes)
     res = verify.check_logical_qubit(quick=True)
     assert not res.passed
     assert res.detail.endswith(": 2 successes")
     assert res.name == "logical_qubit" and res.seconds > 0.0
+
+
+def test_type_ii_check_fails_on_a_shifted_rez_formula(monkeypatch):
+    real = verify.rez_formula
+    monkeypatch.setattr(verify, "rez_formula", lambda *args: real(*args) + 1e-8)
+    res = verify.check_type_ii_failures(quick=True)
+    assert not res.passed
+    assert res.max_residual > 1e-9
+
+
+def test_ghz_check_fails_on_a_shifted_target(monkeypatch):
+    real = verify.ghz_pair_for_target_stack
+
+    def shifted(chi1, chi2, targets):
+        return real(chi1, chi2, np.asarray(targets) + 1e-6)
+
+    monkeypatch.setattr(verify, "ghz_pair_for_target_stack", shifted)
+    res = verify.check_ghz_generation(quick=True)
+    assert not res.passed
+
+
+def test_hyperbola_check_fails_on_a_perturbed_projection(monkeypatch):
+    real = verify.hyperbola_projection
+
+    def perturbed(*args):
+        p = real(*args)
+        return TwoQubitProjection(p.a, p.b + 1e-8, p.c, p.d)
+
+    monkeypatch.setattr(verify, "hyperbola_projection", perturbed)
+    res = verify.check_hyperbola(quick=True)
+    assert not res.passed
 
 
 def test_scans_check_fails_on_one_outlier(monkeypatch):
