@@ -22,7 +22,6 @@ from .errors import (
     NumericalAbortError,
 )
 from .fock import (
-    ModeUnitary,
     outcome_coeffs,
     pattern_indices,
     relevant_norm_sq,
@@ -41,7 +40,6 @@ from .tolerances import (
     GRAM_TOL,
     INVERSION_TOL,
     LIVE_TOL,
-    NO_GOOD_DET_TOL,
     NO_GOOD_PREMISE_TOL,
     PI_SHIFT_TOL,
     PRODUCT_TOL,
@@ -424,21 +422,6 @@ def check_no_good_failure_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     a, b, c, d = outcome_coeffs(us, *pattern_indices(n, 1))
     max_det = np.max(np.abs(a * d - b * c), axis=1, initial=0.0)
     return live, premise, max_det
-
-
-def check_no_good_failure(u: ModeUnitary) -> dict:
-    """Verify the no-good-failure theorem on one unitary: the K = 1 row of
-    check_no_good_failure_stack, with the conclusion |det| < NO_GOOD_DET_TOL
-    claimed only where the premise holds."""
-    live, premise, max_det = check_no_good_failure_stack(u.matrix[None])
-    premise, max_det = bool(premise[0]), float(max_det[0])
-    conclusion = max_det < NO_GOOD_DET_TOL
-    return {
-        "premise_holds": premise,
-        "conclusion_holds": conclusion if premise else None,
-        "max_relevant_det": max_det,
-        "live_detectors": np.flatnonzero(live[0]).tolist(),
-    }
 
 
 # Outlier tuples an appendix scan returns at most, in hit order; its

@@ -39,7 +39,7 @@ from .protocols import (
     fuse_type_ii,
     ghz_pair_projection_stack,
     ghz_pair_range,
-    logical_pair_chain,
+    logical_pair_stack,
     make_chain,
     make_chain_stack,
     rez_formula,
@@ -114,7 +114,7 @@ def cmd_fuse(args) -> int:
         for name in ("graph2", "logical", "b"):
             if getattr(args, name) is None:
                 raise InputError(f"fuse --type {args.fusion_type} requires --{name}")
-        left = logical_pair_chain(_chain(_load_graph(args.graph)), args.logical)
+        left = logical_pair_stack(_chain(_load_graph(args.graph)), args.logical)
         pair = next(iter(left.logical_pairs))
         right = _chain(_load_graph(args.graph2))
         if args.fusion_type == "ii":
@@ -164,7 +164,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
     if quantity == "failure-split":
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
-        left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
+        left = logical_pair_stack(make_chain(list("ABCD"), [math.pi] * 3), "C")
         right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in grid])
         probs = type_ii_probabilities_stack(left, ("B", "D"), right, "b", consume="D")
         rows = []

@@ -3,38 +3,33 @@
 Each driver returns the exhaustive outcome distribution (analysis mode);
 sample_outcomes provides the seeded Monte Carlo mode on top of it.
 
-Register convention: a ChainState's qubits are ordered by its graph's vertex
+Register convention: a chain's qubits are ordered by its graph's vertex
 list; projecting a vertex out removes its register position.
 
-A ChainStack holds K chains of one shape as (K, 2^n) rows. Each stacked
-form runs one pass over such rows, and its single-chain function runs the
-same code on a one-row stack, so each row of a stack is bit for bit its
-single-chain result:
+A ChainStack holds K >= 1 chains of one shape as (K, 2^n) rows, and a
+ChainState is its K = 1 case: one chain, whose graph carries its own
+weights. Each protocol runs one pass over the rows of its stacks, so each
+row of a stacked call is bit for bit the call on that row's chain:
 
-- logical_pair_stack: the X-like branch with its corrections
-  (logical_pair_chain);
-- create_logical_qubit_stack: the X-like branch, the complementary
-  success at chi = pi and elsewhere the failure split, whose Z
-  measurements and component split (one stacked SVD per cut) run on the
-  rows too (create_logical_qubit);
-- xlike_probability_stack: the X-like success probability alone
-  (xlike_probability);
-- fuse_type_i_stack: row-paired left and right stacks (fuse_type_i);
-- fuse_type_ii_stack and type_ii_probabilities_stack: one left chain fused
-  with every row of a right stack, the good-failure branch included
-  (fuse_type_ii, type_ii_probabilities);
+- fuse_type_i_stack, create_logical_qubit_stack and fuse_type_ii_stack
+  return OutcomeStacks; fuse_type_i, create_logical_qubit and fuse_type_ii
+  are their one-chain calls, whose outcomes hold the one row, with
+  ChainState post-states;
+- logical_pair_stack: the X-like branch of create_logical_qubit with its
+  corrections, and no failure branch;
+- xlike_probability_stack and type_ii_probabilities_stack: the outcome
+  probabilities alone, with no post-state built;
 - fusion_context_rows: the branch states of row-paired stacks
-  (fusion_context);
+  (fusion_context is its one-chain call);
 - ghz_pair_projection_stack and ghz_pair_for_target_stack: the
   GHZ-to-pair basis over (K,) angle arrays, with its 3-qubit simulation
-  check (ghz_pair_projection, ghz_pair_for_target);
+  check (ghz_pair_projection is its K = 1 call);
 - local_equivalent_rows and weighted_pair_rows: the 2-qubit local-unitary
-  match and the weighted pair states (local_equivalent_2q,
-  weighted_pair_state).
+  match and the weighted pair states.
 
 A stacked protocol returns OutcomeStacks: each outcome on the rows that
 have it. An outcome below ZERO_PROB_CUTOFF in some rows is absent from
-exactly those rows, as it is from the single-chain call.
+exactly those rows, as it is from the one-chain call.
 """
 
 from __future__ import annotations
@@ -90,38 +85,6 @@ from .tolerances import (
 )
 
 
-@dataclass
-class ChainState:
-    """A weighted forest with its dense state and logical pairs.
-
-    Invariant, checked on construction: contracting each logical pair to a
-    single vertex leaves a forest (no cycle, no doubled edge, no edge inside a
-    pair), and every logical pair has |00>/|11> support only. Chains are the
-    common case; Type-I and Type-II fusion glue two trees at one vertex.
-    """
-
-    graph: WeightedGraph
-    state: PureState
-    logical_pairs: frozenset[frozenset[str]] = frozenset()
-
-    def __post_init__(self):
-        self.logical_pairs = frozenset(frozenset(p) for p in self.logical_pairs)
-        if self.state.num_qubits != self.graph.n:
-            raise InvalidGraphError("state size does not match graph")
-        self.check_invariants()
-
-    def qubit(self, v: str) -> int:
-        return self.graph.vertex_index(v)
-
-    def check_invariants(self):
-        _check_forest_after_contraction(self.graph, self.logical_pairs)
-        _check_pair_support(self.graph, self.logical_pairs, self.state.amplitudes[None])
-
-    def pair_support_ok(self, pair: frozenset[str]) -> bool:
-        """Amplitudes where the pair's bits differ must vanish (below PAIR_SUPPORT_TOL)."""
-        return bool(_pair_support_rows(self.graph, pair, self.state.amplitudes[None])[0])
-
-
 def _pair_support_rows(graph: WeightedGraph, pair, rows: np.ndarray) -> np.ndarray:
     """Per row of a (K, 2^n) stack: do the pair's mixed-bit amplitudes all vanish?
 
@@ -148,14 +111,19 @@ def _check_pair_support(graph: WeightedGraph, pairs, rows: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class ChainStack:
-    """K weighted forests of one shape with their dense states: ChainState with a batch axis.
+    """K >= 1 weighted forests of one shape with their dense states and logical pairs.
 
     graph gives the shape: vertices and edge endpoints, in weight-column
     order (its own weights are not read). weights[k] holds the weights of
     graph.edges in row k and rows[k] that row's 2^n amplitudes; the logical
-    pairs are shared. ChainState's invariants are checked on construction:
-    the contracted forest once, since it depends on the shape alone, and
-    the pair support and unit norm on every row.
+    pairs are shared.
+
+    Invariant, checked on construction in this order: every row is a unit
+    vector; contracting each logical pair to a single vertex leaves a forest
+    (no cycle, no doubled edge, no edge inside a pair), checked once since
+    it depends on the shape alone; every logical pair has |00>/|11> support
+    only, in every row. Chains are the common case; Type-I and Type-II
+    fusion glue two trees at one vertex.
     """
 
     graph: WeightedGraph
@@ -170,17 +138,44 @@ class ChainStack:
             1 << self.graph.n,
         ):
             raise InvalidGraphError("state stack does not match graph and weight rows")
+        check_unit_rows(self.rows)
         _check_forest_after_contraction(self.graph, self.logical_pairs)
         _check_pair_support(self.graph, self.logical_pairs, self.rows)
-        check_unit_rows(self.rows)
 
     def take(self, idx) -> ChainStack:
         """The stack of rows idx, in that order."""
         return ChainStack(self.graph, self.weights[idx], self.rows[idx], self.logical_pairs)
 
     def pair_support_rows(self, pair: frozenset[str]) -> np.ndarray:
-        """ChainState.pair_support_ok of every row, as a (K,) bool array."""
+        """Per row, as a (K,) bool array: are the pair's mixed-bit amplitudes
+        all below PAIR_SUPPORT_TOL?"""
         return _pair_support_rows(self.graph, pair, self.rows)
+
+
+class ChainState(ChainStack):
+    """One weighted forest: the K = 1 ChainStack.
+
+    Its graph carries its own weights, which make its one weight row. state
+    views its one amplitude row as a PureState, without a copy.
+    """
+
+    def __init__(self, graph: WeightedGraph, state: PureState, logical_pairs=frozenset()):
+        super().__init__(graph, _edge_weights(graph), state.amplitudes[None], logical_pairs)
+
+    @classmethod
+    def _of(cls, r: _Rows) -> ChainState:
+        """The one row of r as a ChainState, its graph reweighted by that row."""
+        graph = _reweighted(r.graph, r.weights[0])
+        chain = cls.__new__(cls)
+        ChainStack.__init__(chain, graph, _edge_weights(graph), r.rows, r.pairs)
+        return chain
+
+    @property
+    def state(self) -> PureState:
+        return PureState(self.graph.n, self.rows[0])
+
+    def pair_support_ok(self, pair: frozenset[str]) -> bool:
+        return bool(self.pair_support_rows(pair)[0])
 
 
 def _edge_weights(graph: WeightedGraph) -> np.ndarray:
@@ -188,38 +183,25 @@ def _edge_weights(graph: WeightedGraph) -> np.ndarray:
     return np.array([[chi for _, _, chi in graph.edges]])
 
 
-def _stack_rows(chains: ChainState | ChainStack) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, rows) of a stack, or of one chain as its K = 1 stack."""
-    if isinstance(chains, ChainStack):
-        return chains.weights, chains.rows
-    return _edge_weights(chains.graph), chains.state.amplitudes[None]
-
-
 class _Rows(NamedTuple):
     """K forests of one shape as bare arrays, their invariants not yet checked:
-    the fields of a ChainStack, in its order. ChainStack checks them as a
-    stack and _chain_row one row as a ChainState."""
+    the fields of a ChainStack, in its order, which checks them."""
 
     graph: WeightedGraph
     weights: np.ndarray
     rows: np.ndarray
     pairs: frozenset
 
+    @staticmethod
+    def of(chains: ChainStack) -> _Rows:
+        """The fields of a checked stack."""
+        return _Rows(chains.graph, chains.weights, chains.rows, chains.logical_pairs)
+
     def take(self, idx) -> _Rows:
         """The rows at positions idx; every row, copying nothing, when idx is None."""
         if idx is None:
             return self
         return _Rows(self.graph, self.weights[idx], self.rows[idx], self.pairs)
-
-
-def _raw(chains: ChainState | ChainStack) -> _Rows:
-    """A stack, or one chain as its K = 1 stack, as _Rows."""
-    return _Rows(chains.graph, *_stack_rows(chains), chains.logical_pairs)
-
-
-def _chain_row(r: _Rows, i: int) -> ChainState:
-    """Row i of r as a ChainState, its invariants checked."""
-    return ChainState(_reweighted(r.graph, r.weights[i]), PureState(r.graph.n, r.rows[i]), r.pairs)
 
 
 def _where(mask: np.ndarray) -> np.ndarray | None:
@@ -332,14 +314,36 @@ class Correction:
 
 
 @dataclass
-class ProtocolOutcome:
+class OutcomeStack:
+    """One outcome of a protocol call, on the stack rows that have it.
+
+    rows holds the positions of those rows in the input stack, ascending;
+    probabilities[i] and row i of every post-state stack belong to input
+    row rows[i], and each correction's matrix is one 2x2 gate or an (R, 2, 2)
+    stack over the same rows. An outcome that a row does not have (below
+    ZERO_PROB_CUTOFF, or of another good-failure kind) leaves that row out,
+    so one label may head two OutcomeStacks with disjoint rows. Row k's
+    outcome list is the OutcomeStacks that hold k, in list order: the
+    one-chain call's list, bit for bit. A one-chain call's outcomes hold
+    its one row, with ChainState post-states; probability and as_dict read
+    such an outcome.
+    """
+
     label: str
-    probability: float
-    post_states: list[ChainState]
+    rows: np.ndarray
+    probabilities: np.ndarray
+    post_states: list[ChainStack]
     corrections_applied: list[Correction] = field(default_factory=list)
     is_good_failure: bool = False
 
+    @property
+    def probability(self) -> float:
+        """The probability of a one-row outcome, as a float."""
+        (p,) = self.probabilities.tolist()
+        return p
+
     def as_dict(self) -> dict:
+        """The JSON report of a one-row outcome."""
         return {
             "label": self.label,
             "probability": self.probability,
@@ -350,28 +354,6 @@ class ProtocolOutcome:
             "corrections": [c.as_dict() for c in self.corrections_applied],
             "is_good_failure": self.is_good_failure,
         }
-
-
-@dataclass
-class OutcomeStack:
-    """One outcome of a stacked protocol call, on the stack rows that have it.
-
-    rows holds the positions of those rows in the input stack, ascending;
-    probabilities[i] and row i of every post-state stack belong to input
-    row rows[i], and each correction's matrix is one 2x2 gate or an (R, 2, 2)
-    stack over the same rows. An outcome that a row does not have (below
-    ZERO_PROB_CUTOFF, or of another good-failure kind) leaves that row out,
-    so one label may head two OutcomeStacks with disjoint rows. Row k's
-    outcome list is the OutcomeStacks that hold k, in list order: the
-    single-chain call's list, bit for bit.
-    """
-
-    label: str
-    rows: np.ndarray
-    probabilities: np.ndarray
-    post_states: list[ChainStack]
-    corrections_applied: list[Correction] = field(default_factory=list)
-    is_good_failure: bool = False
 
 
 class _Branch(NamedTuple):
@@ -385,21 +367,13 @@ class _Branch(NamedTuple):
     good: bool = False
 
 
-def _stacked(branches: list[_Branch]) -> list[OutcomeStack]:
-    """The branches as OutcomeStacks, every post-state checked as a ChainStack."""
+def _outcomes(branches: list[_Branch], one_chain: bool = False) -> list[OutcomeStack]:
+    """The branches as OutcomeStacks, each post-state checked once: as a
+    ChainStack, or in a one-chain call as the ChainState of its one row."""
+    check = ChainState._of if one_chain else lambda p: ChainStack(*p)
     return [
-        OutcomeStack(b.label, b.rows, b.probs, [ChainStack(*p) for p in b.posts], b.corr, b.good)
+        OutcomeStack(b.label, b.rows, b.probs, [check(p) for p in b.posts], b.corr, b.good)
         for b in branches
-    ]
-
-
-def _single(branches: list[_Branch]) -> list[ProtocolOutcome]:
-    """The outcomes of a K = 1 call: every branch that holds row 0, each
-    post-state checked as a ChainState."""
-    return [
-        ProtocolOutcome(b.label, float(b.probs[0]), [_chain_row(p, 0) for p in b.posts], b.corr, b.good)
-        for b in branches
-        if len(b.rows)
     ]
 
 
@@ -472,7 +446,7 @@ def _z_measure(r: _Rows, v: str, s: int):
     return live, post, _pick(probs, live), corr
 
 
-def _resolve_vertex(chain: ChainState | ChainStack, v) -> str:
+def _resolve_vertex(chain: ChainStack, v) -> str:
     if isinstance(v, str):
         chain.graph.vertex_index(v)  # raises if unknown
         return v
@@ -492,7 +466,7 @@ def _split_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_Branch]:
-    """fuse_type_i of left row k with right row k, for every k: a chain is its K = 1 stack."""
+    """fuse_type_i of left row k with right row k, for every k."""
     a = _resolve_vertex(left, end_a)
     b = _resolve_vertex(right, end_b)
     for chain, v in ((left, a), (right, b)):
@@ -500,7 +474,7 @@ def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_
             raise NotEndpointError(f"{v} has degree {chain.graph.degree(v)} != 1")
         if any(v in p for p in chain.logical_pairs):
             raise NotEndpointError(f"{v} is part of a logical pair")
-    lr, rr = _raw(left), _raw(right)
+    lr, rr = _Rows.of(left), _Rows.of(right)
     k = len(lr.rows)
     if len(rr.rows) != k:
         raise InputError(f"row-paired stacks of {k} and {len(rr.rows)} rows")
@@ -554,15 +528,15 @@ def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_
 
 
 def fuse_type_i(
-    left: ChainState, end_a, right: ChainState, end_b, new_label: str | None = None
-) -> list[ProtocolOutcome]:
+    left: ChainStack, end_a, right: ChainStack, end_b, new_label: str | None = None
+) -> list[OutcomeStack]:
     """Endpoint-merging fusion: four outcomes at probability 1/4 each.
 
     Success branches create a new vertex c inheriting both endpoints'
-    neighbors and weights; failures Z-measure both endpoints out. The K = 1
-    row of fuse_type_i_stack.
+    neighbors and weights; failures Z-measure both endpoints out. The
+    one-chain call of fuse_type_i_stack: left and right are one chain each.
     """
-    return _single(_type_i_branches(left, end_a, right, end_b, new_label))
+    return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label), one_chain=True)
 
 
 def fuse_type_i_stack(
@@ -573,7 +547,7 @@ def fuse_type_i_stack(
     The stacks must hold the same number of rows. Row k of every outcome is
     bit for bit fuse_type_i of row k's two chains.
     """
-    return _stacked(_type_i_branches(left, end_a, right, end_b, new_label))
+    return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label))
 
 
 def _xlike_case(chi1: float, chi2: float) -> str | None:
@@ -640,76 +614,56 @@ def _one_case(cases: list[str]) -> str:
     return cases[0]
 
 
-def logical_pair_chain(chain: ChainState, a) -> ChainState:
-    """Post-state of create_logical_qubit's primary success branch only.
+def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
+    """Post-state of create_logical_qubit's primary success branch only, on
+    every row of a stack, as one X-like branch over its rows.
 
     Same eligibility rules and errors as create_logical_qubit, the refusal
     of a logical-pair member and the ZeroOutcomeError of a vanishing branch
-    included; no failure branch is computed. The K = 1 row of
-    logical_pair_stack.
+    included; no failure branch is computed. Every row must meet one
+    eligibility case, since the corrections depend on it. Row k of the
+    result is bit for bit the call on row k's chain.
     """
-    return _chain_row(_logical_pair_rows(chain, a), 0)
-
-
-def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
-    """logical_pair_chain on every row of a stack, as one X-like branch over its rows.
-
-    Same rules and errors; every row must meet one eligibility case, since
-    the corrections depend on it. Row k of the result is bit for bit
-    logical_pair_chain of row k's chain.
-    """
-    return ChainStack(*_logical_pair_rows(stack, a))
-
-
-def _logical_pair_rows(chains: ChainState | ChainStack, a) -> _Rows:
-    r = _raw(chains)
-    a = _resolve_vertex(chains, a)
+    r = _Rows.of(stack)
+    a = _resolve_vertex(stack, a)
     b1, b2, cases, _, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
-    return _xlike_rows(r, a, b1, b2, bras, _one_case(cases))[0]
+    return ChainStack(*_xlike_success(r, a, b1, b2, bras, _one_case(cases))[0])
 
 
-def xlike_probability(chain: ChainState, a) -> float:
-    """Probability of create_logical_qubit's primary success outcome, and nothing else.
+def xlike_probability_stack(stack: ChainStack, a) -> np.ndarray:
+    """Probability of create_logical_qubit's primary success outcome in every
+    row of a stack, and nothing else, as one projection over its rows.
 
-    Same eligibility rules and errors as create_logical_qubit. The float is
-    the one that outcome carries, (1 - cos chi)/4 on a plain chain; no
-    correction, failure branch or ChainState is built. The K = 1 row of
-    xlike_probability_stack.
-    """
-    return float(xlike_probability_stack(chain, a)[0])
-
-
-def xlike_probability_stack(stack: ChainStack | ChainState, a) -> np.ndarray:
-    """xlike_probability of every row of a stack, as one projection over its rows.
-
-    Returns (K,) floats, row k bit for bit xlike_probability of row k's
-    chain (a ChainState counts as its K = 1 stack). Rows may meet different
-    eligibility cases, since each row's bra is its own; a row that meets
-    neither raises WeightsNotEligibleError.
+    Returns (K,) floats, row k bit for bit the one that outcome carries in
+    row k, (1 - cos chi)/4 on a plain chain; no correction, failure branch
+    or post-state is built. Rows may meet different eligibility cases,
+    since each row's bra is its own; a row that meets neither raises
+    WeightsNotEligibleError.
     """
     a = _resolve_vertex(stack, a)
-    weights, rows = _stack_rows(stack)
-    *_, bras = _xlike_plan(stack.graph, weights, stack.logical_pairs, a)
-    return _project_bra(rows, stack.graph.vertex_index(a), bras)[1]
+    *_, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
+    return _project_bra(stack.rows, stack.graph.vertex_index(a), bras)[1]
 
 
-def create_logical_qubit(chain: ChainState, a) -> list[ProtocolOutcome]:
+def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
     """Project an interior vertex to turn its two neighbors into a logical pair.
 
     Success probability (1 - cos chi)/4; at chi = pi the complementary
     projection also succeeds (total probability 1). Otherwise the complement
-    is a failure carrying the Z-measurement recovery split. xlike_probability
-    gives the primary success probability alone.
+    is a failure carrying the Z-measurement recovery split.
+    xlike_probability_stack gives the primary success probability alone.
 
     a must be a plain interior vertex, as in the paper, which forms a logical
     qubit from one. A vertex that already belongs to a logical pair is outside
     that scope: it raises NoLogicalPairError rather than extending the pair.
     Eligible weights so small that the success branch's probability falls
     below ZERO_PROB_CUTOFF raise ZeroOutcomeError, naming a and the
-    probability: the branch has no state to return. The K = 1 row of
+    probability: the branch has no state to return. A success branch that
+    leaves a logical pair mixed-bit amplitudes at or above PAIR_SUPPORT_TOL
+    is refused as well (_xlike_success). The one-chain call of
     create_logical_qubit_stack.
     """
-    return _single(_create_logical_branches(chain, a))
+    return _outcomes(_create_logical_branches(chain, a), one_chain=True)
 
 
 def create_logical_qubit_stack(stack: ChainStack, a) -> list[OutcomeStack]:
@@ -721,16 +675,16 @@ def create_logical_qubit_stack(stack: ChainStack, a) -> list[OutcomeStack]:
     leave out just the rows where they vanish. Row k of every outcome is bit
     for bit create_logical_qubit of row k's chain.
     """
-    return _stacked(_create_logical_branches(stack, a))
+    return _outcomes(_create_logical_branches(stack, a))
 
 
-def _create_logical_branches(chains: ChainState | ChainStack, a) -> list[_Branch]:
-    r = _raw(chains)
+def _create_logical_branches(chains: ChainStack, a) -> list[_Branch]:
+    r = _Rows.of(chains)
     a = _resolve_vertex(chains, a)
     b1, b2, cases, chis, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
     case = _one_case(cases)
     every = np.arange(len(chis))
-    post, probs, corr = _xlike_rows(r, a, b1, b2, bras, case)
+    post, probs, corr = _xlike_success(r, a, b1, b2, bras, case)
     out = [_Branch(f"success_{case}", every, probs, [post], corr)]
     # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
     comp = [(1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0) for chi in chis]
@@ -738,7 +692,7 @@ def _create_logical_branches(chains: ChainState | ChainStack, a) -> list[_Branch
     if at_pi.any():
         comp_case = "case2" if case == "case1" else "case1"
         idx = _where(at_pi)
-        post, probs, corr = _xlike_rows(r.take(idx), a, b1, b2, _pick_list(comp, idx), comp_case)
+        post, probs, corr = _xlike_success(r.take(idx), a, b1, b2, _pick_list(comp, idx), comp_case)
         out.append(_Branch(f"success_{comp_case}", _pick(every, idx), probs, [post], corr))
     if not at_pi.all():
         idx = _where(~at_pi)
@@ -768,11 +722,13 @@ def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
     """The X-like branch of a, with its prescribed corrections, on every row of r.
 
     bras[k] is row k's (A, B) bra direction. Returns (post, probabilities,
-    corrections): post holds the graph after the branch, its weight rows,
-    the corrected (K, 2^(n-1)) rows and the logical pairs. No invariant is
-    checked here: ChainState checks a row and ChainStack a stack. A row
-    whose probability falls below ZERO_PROB_CUTOFF raises ZeroOutcomeError
-    naming a and the probability.
+    corrections, resolved): post holds the graph after the branch, its
+    weight rows, the corrected (K, 2^(n-1)) rows and the logical pairs, and
+    resolved is the (K,) mask of the rows in which every logical pair, the
+    new one {b1, b2} included, has mixed-bit amplitudes below
+    PAIR_SUPPORT_TOL. The invariants are checked where post becomes a
+    ChainStack. A row whose probability falls below ZERO_PROB_CUTOFF raises
+    ZeroOutcomeError naming a and the probability.
     """
     red, probs = _project_bra(r.rows, r.graph.vertex_index(a), bras)
     low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
@@ -803,6 +759,37 @@ def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
     # diagonal, so it acts on the logical qubit from b1 alone
     corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
     post = _Rows(ng, weights, _corrected(ng, red, corr), r.pairs | {frozenset({b1, b2})})
+    resolved = np.logical_and.reduce([_pair_support_rows(ng, p, post.rows) for p in post.pairs])
+    return post, probs, corr, resolved
+
+
+def _xlike_success(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
+    """_xlike_rows for a success branch, which must resolve its logical pairs in every row.
+
+    Eligibility admits weights within WEIGHT_TOL of a case, but a row off
+    it by delta keeps mixed-bit amplitudes of order delta on the new pair,
+    and dividing by the branch norm sqrt(p) amplifies them and the
+    round-off of the cancellations that remove them, on every pair. The
+    first row left at or above PAIR_SUPPORT_TOL is refused:
+    WeightsNotEligibleError when its weights are off the case,
+    ZeroOutcomeError when they meet it exactly and only the round-off of a
+    weak branch is left. Returns (post, probabilities, corrections).
+    """
+    post, probs, corr, resolved = _xlike_rows(r, a, b1, b2, bras, case)
+    if not resolved.all():
+        k = int(np.flatnonzero(~resolved)[0])
+        column = _edge_columns(r.graph)
+        chi1, chi2 = (float(r.weights[k, column[frozenset((a, b))]]) for b in (b1, b2))
+        delta = wrap_angle(chi1 - chi2 if case == "case1" else chi1 + chi2)
+        if delta == 0.0:
+            raise ZeroOutcomeError(
+                f"X-like projection of {a} has probability {float(probs[k])!r}, too small "
+                f"to resolve its logical pairs below PAIR_SUPPORT_TOL"
+            )
+        raise WeightsNotEligibleError(
+            f"weights ({chi1!r}, {chi2!r}) lie {delta:.3g} off {case}: the X-like branch "
+            f"of {a} leaves logical-pair mixed-bit amplitudes above PAIR_SUPPORT_TOL"
+        )
     return post, probs, corr
 
 
@@ -891,7 +878,14 @@ def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
     ) / 4.0
 
 
-def _pair_members(left: ChainState, pair, consume) -> tuple[str, str]:
+def _one_row(chain: ChainStack) -> np.ndarray:
+    """The (1, 2^n) amplitude row of a one-chain argument: a ChainState or a one-row stack."""
+    if len(chain.rows) != 1:
+        raise InputError(f"need one chain, got a stack of {len(chain.rows)} rows")
+    return chain.rows
+
+
+def _pair_members(left: ChainStack, pair, consume) -> tuple[str, str]:
     """(consumed member a, kept member e) of a registered logical pair.
 
     a is consume if given, which must be a member, else the member first in
@@ -915,9 +909,9 @@ def _kron_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (v[None, :, None] * rows[:, None, :]).reshape(len(rows), -1)
 
 
-def _type_ii_branches(left: ChainState, pair, right: ChainState | ChainStack, b, consume):
+def _type_ii_branches(left: ChainStack, pair, right: ChainStack, b, consume):
     """Everything fuse_type_ii computes before its first post-state, for one
-    left chain fused with every row of a right stack (a chain is its K = 1 stack).
+    left chain fused with every row of a right stack.
 
     Returns (a, e, b, successes, failures): successes holds (label, sign,
     vecs, probs) for the two Bell outcomes, vecs the (K, 2^(n_l + n_r - 2))
@@ -931,12 +925,11 @@ def _type_ii_branches(left: ChainState, pair, right: ChainState | ChainStack, b,
     if any(b in p for p in right.logical_pairs):
         raise NoLogicalPairError(f"{b} belongs to a logical pair on the right chain")
 
-    weights, rows = _stack_rows(right)
-    f1, f2 = (f[0] for f in _branch_rows(left.state.amplitudes[None], left.qubit(a)))
-    f3, f4 = _branch_rows(rows, right.graph.vertex_index(b))
+    f1, f2 = (f[0] for f in _branch_rows(_one_row(left), left.graph.vertex_index(a)))
+    f3, f4 = _branch_rows(right.rows, right.graph.vertex_index(b))
     zs = np.vecdot(f4, f3)  # branch states are unit vectors
     column = _edge_columns(right.graph)
-    chis = weights[:, [column[frozenset((b, v))] for v, _ in right.graph.neighbors(b)]]
+    chis = right.weights[:, [column[frozenset((b, v))] for v, _ in right.graph.neighbors(b)]]
     for k, (z, row) in enumerate(zip(zs.tolist(), chis.tolist())):
         expect = inner_z(*row)
         if not abs(z - expect) <= ABORT_TOL:
@@ -956,36 +949,25 @@ def _type_ii_branches(left: ChainState, pair, right: ChainState | ChainStack, b,
     return a, e, b, successes, failures
 
 
-def type_ii_probabilities(
-    left: ChainState, pair, right: ChainState, b, consume: str | None = None
-) -> dict[str, float]:
-    """The four outcome probabilities of fuse_type_ii, by label, and nothing else.
+def type_ii_probabilities_stack(
+    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
+) -> dict[str, np.ndarray]:
+    """The four outcome probabilities of fuse_type_ii, by label, and nothing
+    else, for one left chain against every row of a right stack.
 
     Same checks and errors as fuse_type_ii, the numeric-vs-formula check of
-    z included; the floats are the ones its outcomes carry. No post-state
-    is built. The K = 1 row of type_ii_probabilities_stack.
-    """
-    probs = type_ii_probabilities_stack(left, pair, right, b, consume)
-    return {label: float(p[0]) for label, p in probs.items()}
-
-
-def type_ii_probabilities_stack(
-    left: ChainState, pair, right: ChainStack | ChainState, b, consume: str | None = None
-) -> dict[str, np.ndarray]:
-    """type_ii_probabilities of one left chain against every row of a right stack.
-
-    Returns the (K,) probabilities by label, row k bit for bit
-    type_ii_probabilities(left, pair, right row k's chain, b, consume) (a
-    ChainState counts as its K = 1 stack). The z check runs on every row;
-    the first row that fails it raises.
+    z included. Returns the (K,) probabilities by label, row k bit for bit
+    the ones fuse_type_ii(left, pair, right row k's chain, b, consume)
+    carries; no post-state is built. The z check runs on every row; the
+    first row that fails it raises.
     """
     *_, successes, failures = _type_ii_branches(left, pair, right, b, consume)
     return {label: probs for label, *_, probs in successes + failures}
 
 
 def fuse_type_ii(
-    left: ChainState, pair, right: ChainState, b, consume: str | None = None
-) -> list[ProtocolOutcome]:
+    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
+) -> list[OutcomeStack]:
     """Bell-measure one logical pair member against a qubit of another chain.
 
     Success outcomes (<00| +/- <11|, total probability 1/2) merge the chains:
@@ -993,38 +975,40 @@ def fuse_type_ii(
     Failure outcomes are X-type with probabilities (1 -/+ Re z)/4; the
     b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
     failure that is not good destroys the right graph's structure, so it
-    lists only the left post-state. type_ii_probabilities gives the four
-    probabilities alone. The K = 1 row of fuse_type_ii_stack.
+    lists only the left post-state. type_ii_probabilities_stack gives the
+    four probabilities alone. The one-chain call of fuse_type_ii_stack.
     """
-    return _single(_type_ii_outcomes(left, pair, right, b, consume))
+    return _outcomes(_type_ii_outcomes(left, pair, right, b, consume), one_chain=True)
 
 
 def fuse_type_ii_stack(
-    left: ChainState, pair, right: ChainStack, b, consume: str | None = None
+    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
 ) -> list[OutcomeStack]:
     """fuse_type_ii of one left chain with every row of a right stack, as one pass.
 
     Row k of every outcome is bit for bit fuse_type_ii(left, pair, right row
     k's chain, b, consume). A failure label heads one OutcomeStack per kind
     of row: those below ZERO_PROB_CUTOFF (no post-state), those whose right
-    branch is not good and those whose right branch is good.
+    branch is not good and those whose right branch is good. left is one
+    chain: a ChainState or a one-row stack.
     """
-    return _stacked(_type_ii_outcomes(left, pair, right, b, consume))
+    return _outcomes(_type_ii_outcomes(left, pair, right, b, consume))
 
 
-def _type_ii_outcomes(left: ChainState, pair, right: ChainState | ChainStack, b, consume):
+def _type_ii_outcomes(left: ChainStack, pair, right: ChainStack, b, consume):
     """fuse_type_ii of one left chain with every row of a right stack, as _Branches."""
     a, e, b, successes, failures = _type_ii_branches(left, pair, right, b, consume)
-    rr = _raw(right)
+    rr = _Rows.of(right)
     every = np.arange(len(rr.rows))
-    lg = left.graph.without_vertex(a)
+    left_full = _reweighted(left.graph, left.weights[0])  # its one row's weights
+    lg = left_full.without_vertex(a)
     rg, rw = _drop(rr.graph, rr.weights, [b])
     # e inherits the logical vertex's edges (already on a and e) plus b's edges
     nbs = rr.graph.neighbors(b)
     extra = tuple((e, v, w) for v, w in nbs)
     moved = tuple(
         (e if x == a else x, e if y == a else y, w)
-        for x, y, w in left.graph.edges
+        for x, y, w in left_full.edges
         if a in (x, y)
     )
     merged = WeightedGraph(lg.vertices + rg.vertices, lg.edges + moved + rg.edges + extra)
@@ -1083,11 +1067,12 @@ def _type_ii_outcomes(left: ChainState, pair, right: ChainState | ChainStack, b,
 def _good_right_failure(r: _Rows, b: str, sb: int):
     """The X-like branch of b's projection onto (<0| + sb <1|)/sqrt2 in the rows where it is good.
 
-    Good means b is interior and the row's weights match the bra's
-    eligibility case; the branch's ChainState or ChainStack then checks the
-    new logical pair numerically. Returns (ok, post, corrections): ok the
-    (K,) mask of the good rows and the branch on those rows; None when no
-    row is good, since elsewhere the residual is not a weighted graph state.
+    Good means b is interior, the row's weights match the bra's
+    eligibility case and the branch resolves its logical pairs (below
+    PAIR_SUPPORT_TOL; see _xlike_success). Returns (ok, post, corrections):
+    ok the (K,) mask of the good rows and the branch on those rows; None
+    when no row is good, since elsewhere the residual is not a weighted
+    graph state.
     """
     nbs = sorted(r.graph.neighbors(b), key=lambda t: r.graph.vertices.index(t[0]))
     if len(nbs) != 2:
@@ -1111,24 +1096,28 @@ def _good_right_failure(r: _Rows, b: str, sb: int):
         return None
     case = "case2" if sb < 0 else "case1"
     bras = [(1.0, float(sb))] * int(ok.sum())
-    post, _, corr = _xlike_rows(r.take(_where(ok)), b, b1, b2, bras, case)
-    return ok, post, corr
+    post, _, corr, resolved = _xlike_rows(r.take(_where(ok)), b, b1, b2, bras, case)
+    ok[ok] = resolved
+    if not ok.any():
+        return None
+    idx = _where(resolved)
+    return ok, post.take(idx), _pick_corr(corr, idx)
 
 
 def fusion_context(
-    left: ChainState, pair, right: ChainState, b, consume: str | None = None
+    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
 ) -> FusionContext:
     """The FusionContext of fusing a member of left's logical pair with b of right.
 
     The consumed member a (consume, else the member first in vertex order)
     gives f1, f2 = the |0>_a, |1>_a slices of the left state (e stays), and
-    b gives f3, f4 on the right; each is normalized. The K = 1 row of
-    fusion_context_rows.
+    b gives f3, f4 on the right; each is normalized. The one-chain call of
+    fusion_context_rows: left and right are one chain each.
     """
     a, _ = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
-    fs = _branch_rows(left.state.amplitudes[None], left.qubit(a))
-    fs += _branch_rows(right.state.amplitudes[None], right.qubit(b))
+    fs = _branch_rows(_one_row(left), left.graph.vertex_index(a))
+    fs += _branch_rows(_one_row(right), right.graph.vertex_index(b))
     return FusionContext(*(PureState(f.shape[1].bit_length() - 1, _normalized_rows(f)[0]) for f in fs))
 
 
@@ -1153,7 +1142,7 @@ def fusion_context_rows(
 
 
 def fuse_generalized(
-    left: ChainState, pair, right: ChainState, b, u: ModeUnitary, consume: str | None = None
+    left: ChainStack, pair, right: ChainStack, b, u: ModeUnitary, consume: str | None = None
 ) -> tuple[FusionContext, list[FusionOutcome]]:
     """Generalized fusion through an arbitrary mode unitary.
 
@@ -1164,15 +1153,10 @@ def fuse_generalized(
     return ctx, enumerate_outcomes(ctx, u)
 
 
-def weighted_pair_state(phi: float) -> PureState:
-    """2-vertex weighted graph state; phi = 0 means no edge (|++>). The K = 1
-    row of weighted_pair_rows."""
-    return PureState(2, weighted_pair_rows([phi])[0])
-
-
 def weighted_pair_rows(phis) -> np.ndarray:
-    """weighted_pair_state(phi).amplitudes for every phi of a (K,) array, as a
-    (K, 4) stack: a phi that wraps below ZERO_WEIGHT has no edge in its row."""
+    """The 2-vertex weighted graph state of every phi of a (K,) array, as a
+    (K, 4) stack: a phi that wraps below ZERO_WEIGHT has no edge in its row
+    (|++>)."""
     return _chain_rows(["b1", "b2"], np.asarray(phis, dtype=float)[:, None])
 
 
@@ -1208,13 +1192,15 @@ def _chain_rows(labels: list[str], weights) -> np.ndarray:
 
 
 def local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
-    """local_equivalent_2q on stacks of candidate and target amplitude
-    matrices, one stacked SVD each: mc and mt are (..., 2, 2) arrays whose
-    leading axes broadcast against each other.
+    """Single-qubit unitaries (A, B) with (A x B)|candidate> = |target>, for
+    stacks of candidate and target amplitude matrices: mc and mt are
+    (..., 2, 2) arrays whose leading axes broadcast against each other.
 
-    Returns the rotations A and B and the verdicts, one per broadcast row:
-    a row holds iff its Schmidt spectra agree and (A x B) maps its candidate
-    onto its target, both within LU_MATCH_TOL (a NaN fails).
+    Two 2-qubit pure states are local-unitary equivalent iff their Schmidt
+    spectra agree; the rotations come straight out of the two SVDs, one
+    stacked SVD per side. Returns A, B and the verdicts, one per broadcast
+    row: a row holds iff its Schmidt spectra agree and (A x B) maps its
+    candidate onto its target, both within LU_MATCH_TOL (a NaN fails).
     """
     uc, sc, vhc = np.linalg.svd(mc)
     ut, st, vht = np.linalg.svd(mt)
@@ -1225,21 +1211,6 @@ def local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
     ok = np.abs(sc - st).max(axis=-1) <= LU_MATCH_TOL
     ok &= np.abs(out - mt).max(axis=(-2, -1)) <= LU_MATCH_TOL
     return a, b, ok
-
-
-def local_equivalent_2q(
-    candidate: PureState, target: PureState
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Single-qubit unitaries (A, B) with (A x B)|candidate> = |target>, or None.
-
-    Two 2-qubit pure states are local-unitary equivalent iff their Schmidt
-    spectra agree; the rotations come straight out of the two SVDs. The
-    K = 1 row of local_equivalent_rows.
-    """
-    a, b, ok = local_equivalent_rows(
-        candidate.amplitudes.reshape(1, 2, 2), target.amplitudes.reshape(1, 2, 2)
-    )
-    return (a[0], b[0]) if ok[0] else None
 
 
 def ghz_pair_projection(
@@ -1332,24 +1303,15 @@ def ghz_pair_range(chi1: float, chi2: float) -> float:
     return math.acos(max(-1.0, min(1.0, val)))
 
 
-def ghz_pair_for_target(
-    chi1: float, chi2: float, phi_target: float
-) -> tuple[QubitProjection, QubitProjection]:
-    """Invert the phi formula for |A| (closed form); errors outside range.
-
-    InputError for a non-finite angle, NotAchievableError for a target out
-    of range. The K = 1 row of ghz_pair_for_target_stack.
-    """
-    return ghz_pair_for_target_stack([chi1], [chi2], [phi_target])[0]
-
-
 def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> list[tuple[QubitProjection, QubitProjection]]:
-    """ghz_pair_for_target for every row k of the (K,) arrays chi1, chi2, phi_target.
+    """The GHZ-to-pair bases of the (K,) arrays chi1, chi2, phi_target: row
+    k's (projection, complement) yields the pair weight phi_target[k].
 
-    The inversion runs row by row; its bases come from one
-    ghz_pair_projection_stack call over every row. Row k is bit for bit
-    ghz_pair_for_target(chi1[k], chi2[k], phi_target[k]); the first row that
-    fails a check raises its error.
+    Inverts the phi formula for |A| (closed form) row by row; the bases come
+    from one ghz_pair_projection_stack call over every row, so row k is bit
+    for bit the K = 1 call on row k. InputError for a non-finite angle,
+    NotAchievableError for a target out of range; the first row that fails
+    a check raises its error.
     """
     chi1, chi2, phi_target = _angle_arrays(chi1, chi2, phi_target)
     mags, inverted = [], []
@@ -1378,10 +1340,11 @@ def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> list[tuple[QubitProject
 def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
     """Monte Carlo mode: draw n outcome labels with the injected seed.
 
-    Each outcome (ProtocolOutcome or FusionOutcome) supplies probability
-    and label. The distribution must be complete: InputError unless every probability
-    is >= -PROB_SUM_TOL and they sum to 1 within PROB_SUM_TOL. Only that
-    round-off is clipped away before sampling.
+    Each outcome (a one-chain call's OutcomeStack or a FusionOutcome)
+    supplies probability and label. The distribution must be complete:
+    InputError unless every probability is >= -PROB_SUM_TOL and they sum to
+    1 within PROB_SUM_TOL. Only that round-off is clipped away before
+    sampling.
     """
     rng = np.random.default_rng(seed)
     probs = np.array([o.probability for o in outcomes], dtype=float)

@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .errors import NotAchievableError, ZeroOutcomeError
 from .fock import (
-    ModeUnitary,
     check_unitary_rows,
     enumerate_table,
     ginibre,
@@ -54,10 +53,8 @@ from .protocols import (
     fuse_type_ii,
     fuse_type_ii_stack,
     fusion_context_rows,
-    ghz_pair_for_target,
     ghz_pair_for_target_stack,
     local_equivalent_rows,
-    logical_pair_chain,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
@@ -241,7 +238,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
-    left = logical_pair_chain(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
+    left = logical_pair_stack(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
     chis = rng.uniform(0.05, math.pi - 0.05, n).tolist() + [math.pi]
     # Case-2 weights (chi, -chi) around the fused interior vertex
     right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in chis])
@@ -412,7 +409,7 @@ def check_generalized_oracle(seed: int = 17, quick: bool = False):
 
 
 def _balanced_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One balanced unitary's random numbers, in balanced_unitary's rng order:
+    """One balanced unitary's random numbers, in the order it draws them:
     the (3, 2, 2, 2) Ginibre draws of V1, V2 and W, 4 column phases and a
     column permutation."""
     return ginibre(2, rng, 3), rng.uniform(0.0, 2.0 * math.pi, 4), rng.permutation(4)
@@ -421,8 +418,12 @@ def _balanced_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np
 def _balanced_stack(g: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """(K, 4, 4) balanced unitaries from K stacked _balanced_draw fields, unchecked.
 
-    One haar_stack over all 3K blocks, then array operations on the stack;
-    row k is bit for bit the matrix built from draw k alone.
+    A balanced unitary has |U_1i|^2 + |U_2i|^2 = 1/2 for every column i: it
+    is diag(I, W) . (1/sqrt2)[[V1, V2], [V1, -V2]] with Haar 2x2 blocks,
+    then random column phases and a column permutation, so every relevant
+    M_ij of it is proportional to a unitary. One haar_stack over all 3K
+    blocks, then array operations on the stack; row k is bit for bit the
+    matrix built from draw k alone.
     """
     v1, v2, w = haar_stack(g.reshape(-1, 2, 2, 2)).reshape(-1, 3, 2, 2).transpose(1, 0, 2, 3)
     u = np.empty((len(g), 4, 4), dtype=complex)
@@ -433,19 +434,8 @@ def _balanced_stack(g: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.
     return np.take_along_axis(u, perms[:, None, :], axis=2)
 
 
-def balanced_unitary(rng: np.random.Generator) -> ModeUnitary:
-    """4x4 unitary with |U_1i|^2 + |U_2i|^2 = 1/2 for every column i.
-
-    Built as diag(I, W) . (1/sqrt2)[[V1, V2], [V1, -V2]] with Haar 2x2 blocks,
-    then random column phases and a column permutation. Every relevant M_ij of
-    such a matrix is proportional to a unitary. The K = 1 row of
-    _balanced_stack.
-    """
-    return ModeUnitary(_balanced_stack(*(x[None] for x in _balanced_draw(rng)))[0])
-
-
 def _balanced_draws(rng: np.random.Generator, draws: int):
-    """draws (balanced_unitary, z) pairs, in that rng order, stacked: the (K, 6)
+    """draws (balanced unitary, z) pairs, in that rng order, stacked: the (K, 6)
     relevant-pattern coefficients (a, b, c, d) of the 4-mode patterns i < j,
     their (K, 6, 2, 2) matrices and the (K,) z.
 
@@ -547,7 +537,7 @@ def check_ghz_generation(quick: bool = False):
     residuals += [np.abs(dets[:, 0] - dets[:, 1]), np.abs(dets[:, 0] - expect)]
     # range rejection away from pi
     try:
-        ghz_pair_for_target(math.pi / 2.0, math.pi / 2.0, math.pi)
+        ghz_pair_for_target_stack([math.pi / 2.0], [math.pi / 2.0], [math.pi])
     except NotAchievableError:
         return f"{n} targets", residuals
     raise _Refuted("out-of-range target accepted")
@@ -588,8 +578,8 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
 
 
 def _constrained_draw(rng: np.random.Generator) -> tuple:
-    """One constrained unitary's random numbers, in constrained_unitary's rng
-    order: N in 4..8, the (2, 2, 2) normals of the unnormalized p and q (p
+    """One constrained unitary's random numbers, in the order it draws them:
+    N in 4..8, the (2, 2, 2) normals of the unnormalized p and q (p
     first, each its real then its imaginary part), (cos t, sin t), N column
     phases and a column permutation."""
     n = int(rng.integers(4, 9))
@@ -600,7 +590,13 @@ def _constrained_draw(rng: np.random.Generator) -> tuple:
 
 def _constrained_stack(pq: np.ndarray, cs: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """(K, N, N) constrained unitaries from K stacked _constrained_draw fields
-    of one N, unchecked; row k is bit for bit the matrix built from draw k alone."""
+    of one N, unchecked; row k is bit for bit the matrix built from draw k alone.
+
+    A constrained unitary's live same-detector columns share the direction
+    of rows (3, 4): its 4x4 columns are (cos t . p, sin t . q), (p_perp, 0),
+    (0, q_perp), (-sin t . p, cos t . q) with unit p, q in C^2, embedded in
+    N in 4..8 with random column phases and a permutation.
+    """
     k, n = phases.shape
     re, im = pq[:, :, 0], pq[:, :, 1]
     # |v| as np.linalg.norm takes it of one complex vector: sqrt(re.re + im.im)
@@ -620,18 +616,6 @@ def _constrained_stack(pq: np.ndarray, cs: np.ndarray, phases: np.ndarray, perms
 def _stack_fields(fields: list[tuple]) -> list[np.ndarray]:
     """Per-draw field tuples as one array per field, draws along axis 0."""
     return [np.array(x) for x in zip(*fields)]
-
-
-def constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
-    """Random unitary whose live same-detector columns share rows (3,4) direction.
-
-    4x4 columns: (cos t . p, sin t . q), (p_perp, 0), (0, q_perp),
-    (-sin t . p, cos t . q) with unit p, q in C^2; embedded in N in 4..8
-    with random column phases and a permutation. The K = 1 row of
-    _constrained_stack.
-    """
-    _, *fields = _constrained_draw(rng)
-    return ModeUnitary(_constrained_stack(*_stack_fields([fields]))[0])
 
 
 @_check("no_good_failure", NO_GOOD_DET_TOL)

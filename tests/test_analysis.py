@@ -13,7 +13,6 @@ from wgfusion import analysis
 from wgfusion.analysis import (
     SCAN_OUTLIER_CAP,
     TwoQubitProjection,
-    check_no_good_failure,
     check_no_good_failure_stack,
     classify_projection,
     entanglement_report,
@@ -44,7 +43,7 @@ from wgfusion.fock import (
 )
 from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, wrap_angle
 from wgfusion.protocols import rez_formula
-from wgfusion.verify import constrained_unitary
+from wgfusion import verify
 
 RNG = np.random.default_rng(17)
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -419,51 +418,53 @@ def _no_good_failure_loop(u):
     return live, premise, max_det
 
 
-def test_no_good_failure_batch_matches_the_scalar_loop():
+def _constrained_unitary(rng: np.random.Generator) -> ModeUnitary:
+    """One draw of verify's constrained ensemble, built as a one-row stack."""
+    _, *fields = verify._constrained_draw(rng)
+    return ModeUnitary(verify._constrained_stack(*verify._stack_fields([fields]))[0])
+
+
+def _no_good_failure_ensemble() -> list[ModeUnitary]:
+    """Premise-true and premise-false unitaries of several N."""
     rng = np.random.default_rng(11)
-    unitaries = [constrained_unitary(rng) for _ in range(40)]
+    unitaries = [_constrained_unitary(rng) for _ in range(40)]
     unitaries += [ModeUnitary(unitary_group.rvs(n, random_state=rng)) for n in (4, 5, 6, 8)]
-    unitaries += [type_i_matrix(), type_ii_matrix()]
-    for u in unitaries:
+    return unitaries + [type_i_matrix(), type_ii_matrix()]
+
+
+def test_no_good_failure_batch_matches_the_scalar_loop():
+    for u in _no_good_failure_ensemble():
         live, premise, max_det = _no_good_failure_loop(u)
-        report = check_no_good_failure(u)
-        assert report["live_detectors"] == live
-        assert report["premise_holds"] == premise
-        assert report["max_relevant_det"] == pytest.approx(max_det, rel=1e-12, abs=1e-15)
+        got_live, got_premise, got_det = check_no_good_failure_stack(u.matrix[None])
+        assert np.flatnonzero(got_live[0]).tolist() == live
+        assert bool(got_premise[0]) == premise
+        assert float(got_det[0]) == pytest.approx(max_det, rel=1e-12, abs=1e-15)
 
 
 def test_no_good_failure_on_fusion_networks():
-    r1 = check_no_good_failure(type_i_matrix())
-    assert r1["premise_holds"]
-    assert r1["conclusion_holds"]
-    assert r1["max_relevant_det"] < 1e-12
-    # the type-II network violates the premise, so nothing is claimed
-    r2 = check_no_good_failure(type_ii_matrix())
-    assert not r2["premise_holds"]
-    assert r2["conclusion_holds"] is None
+    # the type-I network meets the premise and its relevant dets vanish; the
+    # type-II network violates the premise, so nothing is claimed
+    _, premise, max_det = check_no_good_failure_stack(
+        np.stack([type_i_matrix().matrix, type_ii_matrix().matrix])
+    )
+    assert premise.tolist() == [True, False]
+    assert max_det[0] < 1e-12
 
 
 def test_no_good_failure_report_is_the_stacked_row():
-    # check_no_good_failure is the K = 1 row of check_no_good_failure_stack:
-    # every field equals the row of a stack that mixes premise-true and
-    # premise-false unitaries of one N
-    rng = np.random.default_rng(11)
-    unitaries = [constrained_unitary(rng) for _ in range(40)]
-    unitaries += [ModeUnitary(unitary_group.rvs(n, random_state=rng)) for n in (4, 5, 6, 8)]
-    unitaries += [type_i_matrix(), type_ii_matrix()]
+    # every field of a stack that mixes premise-true and premise-false
+    # unitaries of one N equals the one-row call on that row's unitary
     by_n: dict[int, list[ModeUnitary]] = {}
-    for u in unitaries:
+    for u in _no_good_failure_ensemble():
         by_n.setdefault(u.n, []).append(u)
     assert any(len(us) > 1 for us in by_n.values())
     for us in by_n.values():
         live, premise, max_det = check_no_good_failure_stack(np.stack([u.matrix for u in us]))
         for k, u in enumerate(us):
-            report = check_no_good_failure(u)
-            assert report["live_detectors"] == np.flatnonzero(live[k]).tolist()
-            assert report["premise_holds"] is bool(premise[k])
-            assert float.hex(report["max_relevant_det"]) == float.hex(float(max_det[k]))
-            expect = bool(max_det[k] < 1e-10) if premise[k] else None
-            assert report["conclusion_holds"] == expect
+            one_live, one_premise, one_det = check_no_good_failure_stack(u.matrix[None])
+            assert np.array_equal(live[k], one_live[0])
+            assert premise[k] == one_premise[0]
+            assert float.hex(float(max_det[k])) == float.hex(float(one_det[0]))
 
 
 def test_no_good_failure_stack_keeps_a_nan():

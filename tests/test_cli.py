@@ -25,7 +25,7 @@ from wgfusion.protocols import (
     fuse_type_ii,
     ghz_pair_projection,
     ghz_pair_range,
-    logical_pair_chain,
+    logical_pair_stack,
     make_chain,
     rez_formula,
 )
@@ -217,7 +217,7 @@ def _ref_logical_prob(chi: float, _rng) -> list:
 
 
 def _ref_failure_split(chi: float, _rng) -> list:
-    left = logical_pair_chain(make_chain(list("ABCD"), [math.pi] * 3), "C")
+    left = logical_pair_stack(make_chain(list("ABCD"), [math.pi] * 3), "C")
     right = make_chain(["v", "b", "w"], [chi, wrap_angle(-chi)])
     outs = {o.label: o for o in fuse_type_ii(left, ("B", "D"), right, "b", consume="D")}
     rez = rez_formula(chi, wrap_angle(-chi))

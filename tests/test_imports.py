@@ -9,12 +9,14 @@ path, and no module builds a 2^n index mask with np.arange (the dense layer
 selects bits through graphstate's strided views), verify builds and checks
 no random unitary once per loop iteration, no module but the
 tolerance table writes a float literal below 1e-2, every constant of that
-table has a reader, and every name __init__.py exports is bound there.
+table has a reader, every name __init__.py exports is bound there and has
+a reader, and no module dispatches between the two chain types.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wgfusion"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wgfusion"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -385,3 +388,113 @@ def test_gate_flags_an_unbound_export():
 
 def test_every_export_is_bound():
     assert unbound_exports((SRC / "__init__.py").read_text()) == []
+
+
+def exported_names(source: str) -> list[str]:
+    """The module's __all__."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names the module reads, as a name or an attribute, outside the
+    top-level definition of that very name: a function that calls itself
+    is not its own reader."""
+    read: set[str] = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        read.discard(own)
+    return read
+
+
+def per_layer_pins(benchmark: dict) -> set[str]:
+    """The function and class names that BENCHMARK.json's per-layer metrics
+    ("layer.name.metric") pin."""
+    return {m["name"].split(".")[1] for m in benchmark["per_layer"] if m["name"].count(".") == 2}
+
+
+def attribute_reads(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def unread_exports(exports, package: list[str], pins: set[str], bench: set[str], allowed) -> list[str]:
+    """Exports that no package module reads (outside their own definition),
+    no per-layer pin names, bench does not read and allowed does not list."""
+    read = set().union(*(loaded_names(source) for source in package))
+    return sorted(set(exports) - read - pins - bench - set(allowed))
+
+
+# Exports with no reader in the package, no per-layer pin and no read in
+# bench/workloads.py, each with what keeps it.
+EXPORTS_WITHOUT_READER = {
+    "type_i_matrix": "the planned check of the protocol fusions against the linear-optics "
+    "networks (ROADMAP) is its reader",
+    "type_ii_matrix": "the same planned linear-optics check is its reader",
+    "attach_vertex": "test_build_state_recursion_matches_attach_vertex uses it as the "
+    "reference for build_state",
+}
+
+
+def test_gate_flags_an_unread_export():
+    package = [
+        "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1) if n else 0\n",
+        "from .a import used\n\nVALUE = used()\n\n\ndef pinned():\n    \"\"\"recursive, benched\"\"\"\n",
+    ]
+    exports = ["used", "recursive", "pinned", "benched", "kept"]
+    got = unread_exports(exports, package, {"pinned"}, {"benched"}, {"kept": "a reason"})
+    assert got == ["recursive"]
+    bench = "out = protocols.benched(x).label\nbenched_too = 1\n"
+    assert attribute_reads(bench) == {"benched", "label"}
+    metrics = {"per_layer": [{"name": "protocols.pinned.calls"}, {"name": "fock.self_s"}]}
+    assert per_layer_pins(metrics) == {"pinned"}
+
+
+def test_every_export_has_a_reader():
+    # strict both ways: an allowed name that gains a reader leaves the list
+    exports = exported_names((SRC / "__init__.py").read_text())
+    package = [path.read_text() for path in MODULES]
+    pins = per_layer_pins(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    bench = attribute_reads((ROOT / "bench" / "workloads.py").read_text())
+    assert unread_exports(exports, package, pins, bench, {}) == sorted(EXPORTS_WITHOUT_READER)
+
+
+CHAIN_TYPES = {"ChainState", "ChainStack"}
+
+
+def chain_dispatch(source: str) -> list[int]:
+    """Lines of a ChainState | ChainStack union and of an isinstance test
+    against either chain type: a ChainState is the one-row ChainStack, so
+    nothing may branch on which of the two it holds."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            if CHAIN_TYPES <= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            if CHAIN_TYPES & classes:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_gate_flags_a_chain_dispatch():
+    src = (
+        "def f(c: ChainState | ChainStack, d: ChainStack | None) -> ChainStack:\n"
+        "    if isinstance(c, ChainStack):\n"
+        "        return c\n"
+        "    x: int | None = isinstance(d, int)\n"
+        "    return isinstance(c, (int, ChainState))\n"
+    )
+    assert chain_dispatch(src) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_chain_dispatch(path):
+    assert chain_dispatch(path.read_text()) == []

@@ -4,7 +4,8 @@ build_state over a (K, E) weight array, the X-like branch over a ChainStack,
 the stacked fusion contexts of the generalized-oracle ensemble and the
 stacked forms behind the probability scans (X-like probability, Type-II
 probabilities, GHZ-to-pair projection) each run one code path; these
-properties hold row k of a stack to the K = 1 call on row k's inputs.
+properties hold row k of a stack to the K = 1 call on row k's inputs, a
+one-row chain or one-element arrays, so rows of a stack do not interact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wgfusion import verify
 from wgfusion.analysis import INV_SQRT2
-from wgfusion.errors import InputError, InvalidGraphError, WeightsNotEligibleError, WgfError, ZeroOutcomeError
+from wgfusion.errors import (
+    InputError,
+    InvalidGraphError,
+    ShapeMismatchError,
+    WeightsNotEligibleError,
+    WgfError,
+    ZeroOutcomeError,
+)
 from wgfusion.fock import ModeUnitary, haar_unitary
 from wgfusion.graphstate import (
     PureState,
@@ -38,19 +46,15 @@ from wgfusion.protocols import (
     fuse_type_ii,
     fuse_type_ii_stack,
     fusion_context,
-    ghz_pair_for_target,
     ghz_pair_for_target_stack,
     ghz_pair_projection,
     ghz_pair_projection_stack,
     ghz_pair_range,
-    logical_pair_chain,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
-    type_ii_probabilities,
     type_ii_probabilities_stack,
     weighted_pair_rows,
-    xlike_probability,
     xlike_probability_stack,
 )
 
@@ -114,10 +118,10 @@ def test_stacked_xlike_rows_equal_single_chain_branches(n, k, data):
                 logical_pair_stack(stack, labels[i])
             return
         stack = logical_pair_stack(stack, labels[i])
-        chains = [logical_pair_chain(c, labels[i]) for c in chains]
+        chains = [logical_pair_stack(c, labels[i]) for c in chains]
         for row, w, one in zip(stack.rows, stack.weights, chains):
-            assert np.array_equal(row, one.state.amplitudes)
-            assert w.tolist() == [chi for _, _, chi in one.graph.edges]
+            assert np.array_equal(row, one.rows[0])
+            assert w.tolist() == one.weights[0].tolist()
             assert stack.logical_pairs == one.logical_pairs
 
 
@@ -128,6 +132,42 @@ def test_case2_sign_flip_keeps_a_pi_weight_wrapped():
     assert after.weights[:, 0].tolist() == [math.pi, -0.4]
 
 
+def _off_norm(row: np.ndarray) -> np.ndarray:
+    return row * 1.01
+
+
+def _mixed_bit(row: np.ndarray) -> np.ndarray:
+    # amplitude where the pair {b, d} of (a, b, d) has bits 0, 1
+    row[0b001] += 1e-6
+    return row / np.linalg.norm(row)
+
+
+def _nan(row: np.ndarray) -> np.ndarray:
+    row[0] = math.nan
+    return row
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [(_off_norm, ShapeMismatchError), (_mixed_bit, InvalidGraphError), (_nan, ShapeMismatchError)],
+    ids=["norm", "mixed-bit", "nan"],
+)
+def test_one_row_chains_refuse_as_chain_states_did(spoil, error):
+    """A one-row ChainStack, a ChainState and a row of a two-row stack refuse a
+    spoiled register with the error type a ChainState raised for it: the norm
+    (PureState's check) first, then the forest, then the pair support."""
+    chain = logical_pair_stack(make_chain(list("abcd"), [1.0, 0.7, 0.7]), "c")  # a-b=d
+    row = spoil(chain.rows[0].copy())
+    with pytest.raises(error) as one_row:
+        ChainStack(chain.graph, chain.weights, row[None], chain.logical_pairs)
+    with pytest.raises(error) as as_state:
+        ChainState(chain.graph, PureState(chain.graph.n, row), chain.logical_pairs)
+    with pytest.raises(error) as in_stack:
+        rows = np.stack([chain.rows[0], row])
+        ChainStack(chain.graph, np.repeat(chain.weights, 2, axis=0), rows, chain.logical_pairs)
+    assert type(one_row.value) is type(as_state.value) is type(in_stack.value) is error
+
+
 def test_stacked_xlike_refuses_rows_of_two_cases():
     stack = make_chain_stack(list("abc"), [[0.7, 0.7], [0.7, -0.7]])
     with pytest.raises(WeightsNotEligibleError):
@@ -135,8 +175,8 @@ def test_stacked_xlike_refuses_rows_of_two_cases():
 
 
 def _reference_contexts(seed: int, draws: int):
-    """The per-draw setup the stacked one replaced: make_chain, logical_pair_chain and
-    fusion_context for each draw, in _random_fusion_setup's rng order."""
+    """The per-draw setup the stacked one replaced: make_chain, logical_pair_stack and
+    fusion_context on one-row chains for each draw, in _random_fusion_setup's rng order."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(draws):
@@ -144,7 +184,7 @@ def _reference_contexts(seed: int, draws: int):
         w1 = float(rng.uniform(0.1, math.pi)) * float(rng.choice([-1.0, 1.0]))
         chi = float(rng.uniform(0.1, math.pi - 0.1))
         lw = [w1, chi, chi] if rng.uniform() < 0.5 else [w1, chi, wrap_angle(-chi)]
-        left = logical_pair_chain(make_chain(["A", "B", "C", "D"], lw), "C")
+        left = logical_pair_stack(make_chain(["A", "B", "C", "D"], lw), "C")
         labels = ["v", "b"] if rng.uniform() < 0.5 else ["v", "b", "w"]
         right = make_chain(labels, verify._rand_weights(rng, len(labels) - 1))
         ctx = fusion_context(left, ("B", "D"), right, "b", consume="D")
@@ -171,8 +211,8 @@ def test_stacked_fusion_setup_equals_the_per_draw_contexts(seed, draws):
 
 def test_vanishing_xlike_branch_is_a_typed_refusal():
     chain = make_chain(list("abc"), [1e-7, 1e-7])  # eligible, above ZERO_WEIGHT
-    prob = xlike_probability(chain, "b")
-    for fn in (create_logical_qubit, logical_pair_chain):
+    prob = float(xlike_probability_stack(chain, "b")[0])
+    for fn in (create_logical_qubit, logical_pair_stack):
         with pytest.raises(ZeroOutcomeError) as exc:
             fn(chain, "b")
         assert " b " in str(exc.value) and repr(prob) in str(exc.value)
@@ -221,7 +261,8 @@ def test_xlike_probability_stack_rows_equal_single_calls(n, k, data):
         weights[bad, i] += data.draw(st.floats(0.1, 1.0))
         assume(abs(wrap_angle(weights[bad, i])) > 0.01)
     singles = _single_outcomes(
-        [lambda w=w: xlike_probability(make_chain(labels, list(w)), labels[i]) for w in weights]
+        [lambda w=w: float(xlike_probability_stack(make_chain(labels, list(w)), labels[i])[0])
+         for w in weights]
     )
     stack = make_chain_stack(labels, weights)
     error = _first_error(singles)
@@ -242,7 +283,7 @@ def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
     row's state may come from other weights than the row claims (a z mismatch)."""
     chi = data.draw(ANGLES)
     left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
-    left = logical_pair_chain(make_chain(list("ABCD"), left_weights), "C")
+    left = logical_pair_stack(make_chain(list("ABCD"), left_weights), "C")
     labels = [f"r{j}" for j in range(nr)]
     b = labels[data.draw(st.integers(0, nr - 1))]
     claimed = weight_stack(data, k, nr - 1)
@@ -256,7 +297,7 @@ def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
         ChainState(chain_graph(labels, list(c)), PureState(nr, r)) for c, r in zip(claimed, stack.rows)
     ]
     singles = _single_outcomes(
-        [lambda r=r: type_ii_probabilities(left, ("B", "D"), r, b, "D") for r in rights]
+        [lambda r=r: type_ii_probabilities_stack(left, ("B", "D"), r, b, "D") for r in rights]
     )
     error = _first_error(singles)
     assert bad is not None or error is None
@@ -268,7 +309,7 @@ def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
     got = type_ii_probabilities_stack(left, ("B", "D"), stack, b, consume="D")
     for row, one in enumerate(singles):
         assert {lab: float.hex(p[row]) for lab, p in got.items()} == {
-            lab: float.hex(p) for lab, p in one.items()
+            lab: float.hex(p) for lab, (p,) in one.items()
         }
 
 
@@ -441,7 +482,7 @@ def test_fuse_type_ii_stack_rows_equal_single_calls(nr, k, data):
     the row claims (a z mismatch)."""
     chi = data.draw(ANGLES)
     left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
-    left = logical_pair_chain(make_chain(list("ABCD"), left_weights), "C")
+    left = logical_pair_stack(make_chain(list("ABCD"), left_weights), "C")
     labels = [f"r{j}" for j in range(nr)]
     j = data.draw(st.integers(1, nr - 2) | st.integers(0, nr - 1))  # mostly interior: good failures
     claimed = weight_stack(data, k, nr - 1)
@@ -485,7 +526,7 @@ def test_ghz_pair_for_target_stack_rows_equal_single_calls(k, data):
             rows[bad][2] = ghz_pair_range(*rows[bad][:2]) + data.draw(st.floats(0.01, 0.5))
         else:
             rows[bad][column] = data.draw(NON_FINITE)
-    singles = _single_outcomes([lambda r=r: ghz_pair_for_target(*r) for r in rows])
+    singles = _single_outcomes([lambda r=r: ghz_pair_for_target_stack(*zip(r))[0] for r in rows])
     error = _first_error(singles)
     if error is not None:
         with pytest.raises(error) as exc:

@@ -18,48 +18,55 @@ def test_every_residual_is_a_python_float():
         assert type(r.max_residual) is float, f"{r.name}: {type(r.max_residual)}"
 
 
-@pytest.mark.parametrize(
-    "table_index, error",
-    [(0, 1e-9), (1, 1e-9), (0, float("nan"))],
-    ids=["probability", "det_rho_coefficient", "nan_probability"],
-)
-def test_generalized_oracle_catches_one_perturbed_pattern(monkeypatch, table_index, error):
-    """A 1e-9 error, or a NaN, in one pattern of one draw of one stacked batch fails the check."""
-    real = verify.enumerate_table
-    batches = []
-
-    def perturbed(us, *args):
-        out = real(us, *args)
-        batches.append(len(us))
-        if len(batches) == 3:
-            # the batch's last draw, at its most entangled live relevant pattern
-            # (det rho is flat to first order in a coefficient near det rho = 0)
-            probs, coef = out
-            k = len(us) - 1
-            iu, ju = pattern_indices(us.shape[-1])
-            a, b, c, d = np.moveaxis(coef[k], -1, 0)
-            live = (iu != ju) & (probs[k] > 1e-10)
-            p = int(np.argmax(np.where(live, np.abs(a * d - b * c) / probs[k], 0.0)))
-            if table_index == 0:
-                probs[k, p] += error
-            else:
-                coef[k, p, 0] += error
-        return out
-
-    monkeypatch.setattr(verify, "enumerate_table", perturbed)
-    res = verify.check_generalized_oracle(quick=True)
-    assert len(batches) > 3 and sum(batches) == 100
-    assert not res.passed
-    assert not res.max_residual <= 1e-10
-
-
 def test_worst_keeps_a_nan():
     assert verify._worst(np.array([0.0, 1e-12]), np.array([])) == 1e-12
     assert np.isnan(verify._worst(np.array([1e-12, np.nan]), np.array([0.5])))
     assert np.isnan(verify._worst([0.5, np.nan]))
 
 
-def test_type_i_check_fails_on_a_nan_probability(monkeypatch):
+# One mutant per verify check: a small perturbation above the check's
+# tolerance, patched into the names verify reads. Each mutate(monkeypatch)
+# installs its mutant and may return after(res), more assertions on the
+# failing result.
+
+
+def _perturbed_oracle_pattern(table_index: int, error: float):
+    """A 1e-9 error, or a NaN, in one pattern of one draw of one stacked batch."""
+
+    def mutate(monkeypatch):
+        real = verify.enumerate_table
+        batches = []
+
+        def perturbed(us, *args):
+            out = real(us, *args)
+            batches.append(len(us))
+            if len(batches) == 3:
+                # the batch's last draw, at its most entangled live relevant pattern
+                # (det rho is flat to first order in a coefficient near det rho = 0)
+                probs, coef = out
+                k = len(us) - 1
+                iu, ju = pattern_indices(us.shape[-1])
+                a, b, c, d = np.moveaxis(coef[k], -1, 0)
+                live = (iu != ju) & (probs[k] > 1e-10)
+                p = int(np.argmax(np.where(live, np.abs(a * d - b * c) / probs[k], 0.0)))
+                if table_index == 0:
+                    probs[k, p] += error
+                else:
+                    coef[k, p, 0] += error
+            return out
+
+        monkeypatch.setattr(verify, "enumerate_table", perturbed)
+
+        def after(res):
+            assert len(batches) > 3 and sum(batches) == 100
+            assert not res.max_residual <= 1e-10
+
+        return after
+
+    return mutate
+
+
+def _nan_type_i_probability(monkeypatch):
     real = verify.fuse_type_i_stack
 
     def nan_first(*args, **kwargs):
@@ -68,12 +75,14 @@ def test_type_i_check_fails_on_a_nan_probability(monkeypatch):
         return outs
 
     monkeypatch.setattr(verify, "fuse_type_i_stack", nan_first)
-    res = verify.check_type_i(quick=True)
-    assert not res.passed
-    assert np.isnan(res.max_residual)
+
+    def after(res):
+        assert np.isnan(res.max_residual)
+
+    return after
 
 
-def test_logical_qubit_check_fails_on_two_successes(monkeypatch):
+def _two_successes(monkeypatch):
     real = verify.create_logical_qubit_stack
 
     def two_successes(*args, **kwargs):
@@ -81,32 +90,39 @@ def test_logical_qubit_check_fails_on_two_successes(monkeypatch):
         return outs + outs[:1]
 
     monkeypatch.setattr(verify, "create_logical_qubit_stack", two_successes)
-    res = verify.check_logical_qubit(quick=True)
-    assert not res.passed
-    assert res.detail.endswith(": 2 successes")
-    assert res.name == "logical_qubit" and res.seconds > 0.0
+
+    def after(res):
+        assert res.detail.endswith(": 2 successes")
+        assert res.name == "logical_qubit" and res.seconds > 0.0
+
+    return after
 
 
-def test_type_ii_check_fails_on_a_shifted_rez_formula(monkeypatch):
+def _shifted_rez_formula(monkeypatch):
     real = verify.rez_formula
     monkeypatch.setattr(verify, "rez_formula", lambda *args: real(*args) + 1e-8)
-    res = verify.check_type_ii_failures(quick=True)
-    assert not res.passed
-    assert res.max_residual > 1e-9
+
+    def after(res):
+        assert res.max_residual > 1e-9
+
+    return after
 
 
-def test_ghz_check_fails_on_a_shifted_target(monkeypatch):
+def _scaled_norm_sq(monkeypatch):
+    real = verify.relevant_norm_sq
+    monkeypatch.setattr(verify, "relevant_norm_sq", lambda *args: real(*args) * (1.0 + 1e-8))
+
+
+def _shifted_ghz_target(monkeypatch):
     real = verify.ghz_pair_for_target_stack
 
     def shifted(chi1, chi2, targets):
         return real(chi1, chi2, np.asarray(targets) + 1e-6)
 
     monkeypatch.setattr(verify, "ghz_pair_for_target_stack", shifted)
-    res = verify.check_ghz_generation(quick=True)
-    assert not res.passed
 
 
-def test_hyperbola_check_fails_on_a_perturbed_projection(monkeypatch):
+def _perturbed_hyperbola_projection(monkeypatch):
     real = verify.hyperbola_projection
 
     def perturbed(*args):
@@ -114,11 +130,23 @@ def test_hyperbola_check_fails_on_a_perturbed_projection(monkeypatch):
         return TwoQubitProjection(p.a, p.b + 1e-8, p.c, p.d)
 
     monkeypatch.setattr(verify, "hyperbola_projection", perturbed)
-    res = verify.check_hyperbola(quick=True)
-    assert not res.passed
 
 
-def test_scans_check_fails_on_one_outlier(monkeypatch):
+def _off_constraint_unitaries(monkeypatch):
+    # row 3 of every constrained unitary moved by 1e-11: still unitary and
+    # still meeting the premise within their tolerances (1e-10), but the
+    # relevant dets move by about 1e-11, above NO_GOOD_DET_TOL
+    real = verify._constrained_stack
+
+    def shifted(*args):
+        us = real(*args)
+        us[:, 2] += 1e-11
+        return us
+
+    monkeypatch.setattr(verify, "_constrained_stack", shifted)
+
+
+def _one_scan_outlier(monkeypatch):
     real = verify.xlike_uniqueness_scan
 
     def one_outlier(*args, **kwargs):
@@ -128,9 +156,56 @@ def test_scans_check_fails_on_one_outlier(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "xlike_uniqueness_scan", one_outlier)
-    res = verify.check_scans(quick=True)
+
+    def after(res):
+        assert "1 outliers" in res.detail
+
+    return after
+
+
+MUTANTS = [
+    pytest.param("check_type_i", _nan_type_i_probability, id="type_i_distribution"),
+    pytest.param("check_logical_qubit", _two_successes, id="logical_qubit"),
+    pytest.param("check_type_ii_failures", _shifted_rez_formula, id="type_ii_failure_split"),
+    *(
+        pytest.param(
+            "check_generalized_oracle", _perturbed_oracle_pattern(*args), id=f"generalized_oracle-{name}"
+        )
+        for name, args in (
+            ("probability", (0, 1e-9)),
+            ("det_rho_coefficient", (1, 1e-9)),
+            ("nan_probability", (0, float("nan"))),
+        )
+    ),
+    pytest.param(
+        "check_bell_retention",
+        _scaled_norm_sq,
+        id="bell_retention",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="finding: bell_retention compares the closed form with itself at z = 0, "
+            "so relevant_norm_sq x (1 + 1e-8) leaves its quick-mode residual at 2.4e-16",
+        ),
+    ),
+    pytest.param("check_balanced_entropy", _scaled_norm_sq, id="balanced_entropy"),
+    pytest.param("check_ghz_generation", _shifted_ghz_target, id="ghz_generation"),
+    pytest.param("check_hyperbola", _perturbed_hyperbola_projection, id="hyperbola"),
+    pytest.param("check_no_good_failure_theorem", _off_constraint_unitaries, id="no_good_failure"),
+    pytest.param("check_scans", _one_scan_outlier, id="appendix_scans"),
+]
+
+
+@pytest.mark.parametrize("check, mutate", MUTANTS)
+def test_each_check_fails_on_its_mutant(monkeypatch, check, mutate):
+    after = mutate(monkeypatch)
+    res = getattr(verify, check)(quick=True)
     assert not res.passed
-    assert "1 outliers" in res.detail
+    if after is not None:
+        after(res)
+
+
+def test_every_check_has_a_mutant():
+    assert {p.values[0] for p in MUTANTS} == {fn.__name__ for fn in verify.ALL_CHECKS}
 
 
 def test_check_wrapper_keeps_the_body_signature():
@@ -163,7 +238,7 @@ def test_quick_residuals_are_pinned_bit_for_bit():
 
 def test_generalized_oracle_builds_one_stack_per_shape_and_side(monkeypatch):
     """The setup builds each chain shape once, as a stack, and makes no
-    ChainState: no per-draw make_chain / logical_pair_chain / fusion_context."""
+    ChainState: no per-draw make_chain / logical_pair_stack / fusion_context."""
     import wgfusion
     from wgfusion import protocols
 
@@ -243,10 +318,6 @@ def test_balanced_ensemble_equals_the_per_draw_reference(seed):
     assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
     assert np.array_equal(ms, np.stack(ref_coeffs, axis=-1).reshape(draws, -1, 2, 2))
     assert np.array_equal(z, ref_z)
-    # the public per-draw builder is the stack's K = 1 row
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(20):
-        assert np.array_equal(verify.balanced_unitary(rng).matrix, _balanced_reference(ref_rng))
 
 
 @pytest.mark.parametrize("seed", [0, 31, 77, 2024])
@@ -267,9 +338,6 @@ def test_constrained_ensemble_equals_the_per_draw_reference(seed, monkeypatch):
         same_n = [u for u in refs if len(u) == stack.shape[-1]]
         assert len(same_n) == len(stack)
         assert all(np.array_equal(a, b) for a, b in zip(stack, same_n))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(20):
-        assert np.array_equal(verify.constrained_unitary(rng).matrix, _constrained_reference(ref_rng))
 
 
 def test_cheaper_draws_consume_the_stream_as_the_old_ones():
