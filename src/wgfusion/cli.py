@@ -125,7 +125,8 @@ def cmd_fuse(args) -> int:
                 raise InputError("fuse --type gen requires --unitary")
             u = ModeUnitary.from_dict(_load_json(args.unitary))
             ctx, outcomes = fuse_generalized(left, tuple(pair), right, args.b, u, consume=args.consume)
-            payload = {"type": "gen", "z": {"re": ctx.z.real, "im": ctx.z.imag}}
+            z = complex(ctx.z[0])
+            payload = {"type": "gen", "z": {"re": z.real, "im": z.imag}}
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown fusion type {args.fusion_type}")
     payload["outcomes"] = [o.as_dict() for o in outcomes]

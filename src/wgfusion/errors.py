@@ -34,7 +34,8 @@ class InvalidGraphError(InputError):
 
 
 class InvalidContextError(InputError):
-    """FusionContext invariant violated."""
+    """FusionContext shapes violated, or a context given to the closed form
+    breaks its premise <f1|f2> = 0."""
 
 
 class ShapeMismatchError(InputError):

@@ -2,18 +2,20 @@
 
 Two photons enter modes (a_H, a_V, b_H, b_V) carrying register branch states
 f1..f4: the input is (f1 a_H+ + f2 a_V+)(f3 b_H+ + f4 b_V+)|vac>/2 with
-<f1|f2> = 0 and z = <f4|f3> free. An N x N mode unitary maps the four input
-modes (plus vacuum ancillas on rows 5..N) to detector modes,
+z = <f4|f3> free; a FusionContext holds K such fusions. An N x N mode
+unitary maps the four input modes (plus vacuum ancillas on rows 5..N) to
+detector modes,
     a_H+ = sum_k U[0,k] c_k+,   etc.
 and ideal number-resolving detectors read out all N modes.
 
 Closed-form path (enumerate_table) vs. brute-force amplitude path
 (oracle_table): the two must agree within ABORT_TOL on every pattern.
+Only the closed form needs <f1|f2> = 0, and checks it.
 
 Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
-order) and over a stack of K fusions that share N and the register sizes:
-one call is a fixed set of array operations on (K, P, ...) arrays, never a
-loop of small per-pattern or per-fusion NumPy calls. Each table returns
+order) and over the K fusions of a context, which share N: one call is a
+fixed set of array operations on (K, P, ...) arrays, never a loop of small
+per-pattern or per-fusion NumPy calls. Each table returns
 what its stacked reader (verify) compares: enumerate_table the
 probabilities and amplitude coefficients, oracle_table the probabilities
 and register rows. enumerate_outcomes and oracle_enumerate are their K = 1
@@ -29,7 +31,7 @@ unitary's random numbers one draw at a time, in the seeded rng order
 (ginibre: the raw normals, one rng call and no arithmetic), stacks the
 draws of one size, and haar_stack turns the stack into Haar unitaries with
 one QR; check_unitary_rows then checks U U+ = I on every row at once.
-haar_unitary and ModeUnitary's own check are their K = 1 rows.
+ModeUnitary's own check is its K = 1 row.
 
 Oracle independence: oracle_table and _oracle_coef derive probabilities,
 states and coefficient tables from their own mode substitution (a
@@ -46,8 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidContextError, InvalidUnitaryError
-from .graphstate import PureState
+from .errors import InputError, InvalidContextError, InvalidUnitaryError
+from .graphstate import PureState, check_unit_rows, kron_rows
 from .tolerances import ORTHOGONAL_TOL, UNITARY_TOL, ZERO_PROB_CUTOFF
 
 
@@ -73,16 +75,6 @@ def haar_stack(g: np.ndarray) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
     return q
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary drawn from rng: haar_stack of one ginibre draw.
-
-    scipy.stats.unitary_group.rvs's draw order, so a seeded rng yields the
-    same matrices. Ensembles draw ginibre per draw and call haar_stack once
-    per size instead.
-    """
-    return haar_stack(ginibre(n, rng))[0]
 
 
 def check_unitary_rows(us: np.ndarray) -> None:
@@ -147,43 +139,48 @@ class ModeUnitary:
         return cls(m)
 
 
-def context_overlaps(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, f4: np.ndarray) -> np.ndarray:
-    """The (K,) right-side gram overlaps z = <f4|f3> of K stacked contexts.
-
-    f1..f4 are (K, 2^m) stacks of normalized branch vectors, f1, f2 on the
-    left register and f3, f4 on the right one. Checks FusionContext's
-    invariants on every row first: matching register sizes and
-    |<f1|f2>| <= ORTHOGONAL_TOL (InvalidContextError; a NaN fails too).
-    np.vecdot rounds as np.vdot, so row k is FusionContext(row k).z.
-    """
-    if f1.shape != f2.shape or f3.shape != f4.shape or len(f1) != len(f3):
-        raise InvalidContextError("branch-state register sizes or row counts mismatch")
-    if not (np.abs(np.vecdot(f1, f2)) <= ORTHOGONAL_TOL).all():
-        raise InvalidContextError("<f1|f2> != 0")
-    return np.vecdot(f4, f3)
-
-
+@dataclass(frozen=True, eq=False)
 class FusionContext:
-    """The four register branch states riding on the two photons.
+    """The register branch states riding on the two photons of K fusions.
 
-    f1, f2 live on the left residual register, f3, f4 on the right one.
-    Invariants: all four normalized (each PureState's own invariant),
-    <f1|f2> = 0 within ORTHOGONAL_TOL (context_overlaps checks it). z =
-    <f4|f3> is unconstrained.
+    f1, f2 are (K, D_L) rows on the left residual register, f3, f4 (K, D_R)
+    rows on the right one. Invariants, checked on construction in this
+    order: those shapes, D_L and D_R powers of two (InvalidContextError);
+    every row a unit vector (ShapeMismatchError, as PureState's). z, the
+    (K,) overlaps <f4|f3>, is unconstrained.
     """
 
-    def __init__(self, f1: PureState, f2: PureState, f3: PureState, f4: PureState):
-        rows = (f.amplitudes[None] for f in (f1, f2, f3, f4))
-        self.z = complex(context_overlaps(*rows)[0])
-        self.f1, self.f2, self.f3, self.f4 = f1, f2, f3, f4
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    f4: np.ndarray
+    z: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        f1, f3 = self.f1, self.f3
+        if (
+            f1.ndim != 2
+            or f1.shape != self.f2.shape
+            or f3.shape != self.f4.shape
+            or f3.shape[:-1] != f1.shape[:-1]
+            or any(d & (d - 1) for d in (f1.shape[1], f3.shape[1]))
+        ):
+            raise InvalidContextError("branch-state register sizes or row counts mismatch")
+        for f in (f1, self.f2, f3, self.f4):
+            check_unit_rows(f)
+        object.__setattr__(self, "z", np.vecdot(self.f4, f3))
 
     @property
     def left_qubits(self) -> int:
-        return self.f1.num_qubits
+        return self.f1.shape[1].bit_length() - 1
 
     @property
     def right_qubits(self) -> int:
-        return self.f3.num_qubits
+        return self.f3.shape[1].bit_length() - 1
+
+    def take(self, idx) -> FusionContext:
+        """The context of rows idx, in that order."""
+        return FusionContext(self.f1[idx], self.f2[idx], self.f3[idx], self.f4[idx])
 
 
 @dataclass(frozen=True)
@@ -258,32 +255,28 @@ def _normalize_live(probs: np.ndarray, rows: np.ndarray) -> None:
     rows[live] /= np.linalg.norm(rows[live], axis=-1)[:, None]
 
 
-def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise kron of (K, dx) and (K, dy) arrays: (K, dx * dy)."""
-    return (x[:, :, None] * y[:, None, :]).reshape(x.shape[0], -1)
-
-
-def _closed_form(us: np.ndarray, v3: np.ndarray, v4: np.ndarray):
+def _closed_form(us: np.ndarray, ctx: FusionContext):
     """enumerate_table's probabilities and amplitude coefficients before the
     bosonic 1/sqrt2 of the doubly occupied mode: (probs, coef, diag)."""
+    if not (np.abs(np.vecdot(ctx.f1, ctx.f2)) <= ORTHOGONAL_TOL).all():
+        raise InvalidContextError("<f1|f2> != 0: the closed form needs orthogonal left branches")
     iu, ju = pattern_indices(us.shape[-1])
     diag = iu == ju
     coef = 0.5 * np.stack(outcome_coeffs(us, iu, ju), axis=-1)
-    zc = np.vecdot(v4, v3)[:, None]
+    zc = ctx.z[:, None]
     probs = relevant_norm_sq(*np.moveaxis(coef, -1, 0), zc)
     probs[:, diag] = same_detector_prob(us, iu[diag], zc)
     return probs, coef, diag
 
 
-def enumerate_table(
-    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def enumerate_table(us: np.ndarray, ctx: FusionContext) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form table of every detection pattern of K fusions at once.
 
-    us is a (K, N, N) stack of mode unitaries, v1, v2 the (K, D_L) and v3, v4
-    the (K, D_R) branch vectors f1..f4. The overlaps z = <f4|f3> come from
-    np.vecdot, which rounds as FusionContext's np.vdot does. Returns, over
-    the P = N(N+1)/2 patterns in pattern_indices order:
+    us is a (K, N, N) stack of mode unitaries and ctx their context, of which
+    only z is read. The closed form's premise <f1|f2> = 0 must hold within
+    ORTHOGONAL_TOL on every row (relevant_norm_sq has no left-overlap term),
+    else InvalidContextError; a NaN fails too. Returns, over the
+    P = N(N+1)/2 patterns in pattern_indices order:
 
     - probs (K, P): relevant_norm_sq for i != j, same_detector_prob for i = j;
     - coef (K, P, 4): the pattern's two-photon amplitude on (f1 f3, f1 f4,
@@ -292,9 +285,9 @@ def enumerate_table(
       it the doubly occupied mode adds a bosonic 1/sqrt2.
 
     The register rows themselves are built by enumerate_outcomes, their one
-    reader. v1 and v2 are not read: the closed form needs only z.
+    reader.
     """
-    probs, coef, diag = _closed_form(us, v3, v4)
+    probs, coef, diag = _closed_form(us, ctx)
     coef[:, diag] /= math.sqrt(2.0)
     return probs, coef
 
@@ -314,21 +307,20 @@ def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndar
     return amp[:, iu, ju]
 
 
-def oracle_table(
-    us: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray, v4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def oracle_table(us: np.ndarray, ctx: FusionContext) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force path: expand the two-photon amplitude of every pattern of K fusions.
 
     Same arguments as enumerate_table, from mode-operator substitution and
-    dense vectors alone. Returns probs (K, P), p = |amplitude|^2 of each
+    dense vectors alone, for any unit f1..f4: the photons enter in orthogonal
+    modes, so the input is normalized. Returns probs (K, P), p = |amplitude|^2 of each
     pattern's register vector, and rows (K, P, D_L D_R), those vectors,
     normalized where p > ZERO_PROB_CUTOFF (the other rows are unnormalized
     and unread). The amplitude coefficients are built by oracle_enumerate,
     their one reader (_oracle_coef).
     """
     # photon from channel a in mode i carries register branch f_a[k, i], etc.
-    f_a = us[:, 0, :, None] * v1[:, None, :] + us[:, 1, :, None] * v2[:, None, :]
-    f_b = us[:, 2, :, None] * v3[:, None, :] + us[:, 3, :, None] * v4[:, None, :]
+    f_a = us[:, 0, :, None] * ctx.f1[:, None, :] + us[:, 1, :, None] * ctx.f2[:, None, :]
+    f_b = us[:, 2, :, None] * ctx.f3[:, None, :] + us[:, 3, :, None] * ctx.f4[:, None, :]
     iu, ju = pattern_indices(us.shape[-1])
     amps = _symmetrised_pairs(f_a, f_b, iu, ju)
     rows = amps.reshape(amps.shape[0], amps.shape[1], -1)
@@ -346,9 +338,10 @@ def _oracle_coef(us: np.ndarray) -> np.ndarray:
     return coef.reshape(coef.shape[0], coef.shape[1], 4)
 
 
-def _branch_rows(ctx: FusionContext) -> tuple[np.ndarray, ...]:
-    """ctx's branch vectors f1..f4 as (1, D) stacks: the table arguments of one fusion."""
-    return tuple(f.amplitudes[None] for f in (ctx.f1, ctx.f2, ctx.f3, ctx.f4))
+def _one_fusion(ctx: FusionContext) -> None:
+    """Refuse, with InputError, a context of more than one fusion."""
+    if len(ctx.f1) != 1:
+        raise InputError(f"need one fusion, got a context of {len(ctx.f1)} rows")
 
 
 def _outcome_list(n: int, probs: np.ndarray, rows: np.ndarray, coef: np.ndarray) -> list[FusionOutcome]:
@@ -374,13 +367,11 @@ def _outcome_list(n: int, probs: np.ndarray, rows: np.ndarray, coef: np.ndarray)
 
 def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     """All N(N+1)/2 detection patterns with closed-form probabilities:
-    enumerate_table's closed form on a stack of one fusion, with each
-    pattern's register row built from its coefficients."""
-    v1, v2, v3, v4 = _branch_rows(ctx)
-    probs, coef, diag = _closed_form(u.matrix[None], v3, v4)
-    basis = np.stack(
-        [_kron_rows(v1, v3), _kron_rows(v1, v4), _kron_rows(v2, v3), _kron_rows(v2, v4)], axis=1
-    )
+    enumerate_table's closed form on a one-row context (else InputError),
+    with each pattern's register row built from its coefficients."""
+    _one_fusion(ctx)
+    probs, coef, diag = _closed_form(u.matrix[None], ctx)
+    basis = np.stack([kron_rows(fl, fr) for fl in (ctx.f1, ctx.f2) for fr in (ctx.f3, ctx.f4)], axis=1)
     rows = coef @ basis  # diagonal rows sqrt2 too long until normalized
     _normalize_live(probs, rows)
     coef[:, diag] /= math.sqrt(2.0)
@@ -389,8 +380,10 @@ def enumerate_outcomes(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome
 
 def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     """All N(N+1)/2 detection patterns from the brute-force amplitudes:
-    oracle_table on a stack of one fusion, with its amplitude coefficients."""
-    probs, rows = oracle_table(u.matrix[None], *_branch_rows(ctx))
+    oracle_table on a one-row context (else InputError), with its amplitude
+    coefficients."""
+    _one_fusion(ctx)
+    probs, rows = oracle_table(u.matrix[None], ctx)
     return _outcome_list(u.n, probs[0], rows[0], _oracle_coef(u.matrix[None])[0])
 
 

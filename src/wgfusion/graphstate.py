@@ -434,6 +434,19 @@ def check_unit_rows(rows: np.ndarray) -> None:
         raise ShapeMismatchError(f"row {bad[0]} not normalized: |psi| = {norms[bad[0]]}")
 
 
+def normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """Each (..., D) row over its norm, the norm summed as np.linalg.norm sums
+    one complex vector: sqrt(re.re + im.im)."""
+    return rows / np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[..., None]
+
+
+def kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of matching rows of (..., dx) and (..., dy) stacks, their
+    leading axes broadcast, as one product: (..., dx * dy)."""
+    prod = x[..., :, None] * y[..., None, :]
+    return prod.reshape(*prod.shape[:-2], -1)
+
+
 def apply_rows(rows: np.ndarray, target: int, matrix: np.ndarray) -> np.ndarray:
     """(K, 2^n) stack with a 2x2 gate applied to qubit target of every row.
 

@@ -19,8 +19,8 @@ row of a stacked call is bit for bit the call on that row's chain:
   corrections, and no failure branch;
 - xlike_probability_stack and type_ii_probabilities_stack: the outcome
   probabilities alone, with no post-state built;
-- fusion_context_rows: the branch states of row-paired stacks
-  (fusion_context is its one-chain call);
+- fusion_context_rows: the FusionContext of row-paired stacks, one row
+  per pair (fuse_generalized reads it on one-chain arguments);
 - ghz_pair_projection_stack and ghz_pair_for_target_stack: the
   GHZ-to-pair basis over (K,) angle arrays, with its 3-qubit simulation
   check (ghz_pair_projection is its K = 1 call);
@@ -52,7 +52,7 @@ from .errors import (
     WeightsNotEligibleError,
     ZeroOutcomeError,
 )
-from .fock import FusionContext, FusionOutcome, ModeUnitary, context_overlaps, enumerate_outcomes
+from .fock import FusionContext, FusionOutcome, ModeUnitary, enumerate_outcomes
 from .graphstate import (
     PureState,
     QubitProjection,
@@ -62,6 +62,8 @@ from .graphstate import (
     build_state,
     chain_graph,
     check_unit_rows,
+    kron_rows,
+    normalized_rows,
     phase_gate,
     project_rows,
     weight_rows,
@@ -395,11 +397,6 @@ def _branch_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         split[:, :, 0].reshape(k, -1) * math.sqrt(2.0),
         split[:, :, 1].reshape(k, -1) * math.sqrt(2.0),
     )
-
-
-def _normalized_rows(f: np.ndarray) -> np.ndarray:
-    """Each row of f divided by its norm, the norm summed as np.linalg.norm sums it."""
-    return f / np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))[:, None]
 
 
 def _corrected(graph: WeightedGraph, rows: np.ndarray, corrections: list[Correction]) -> np.ndarray:
@@ -904,11 +901,6 @@ def _pair_members(left: ChainStack, pair, consume) -> tuple[str, str]:
     return a, e
 
 
-def _kron_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """np.kron(v, rows[k]) for every row k of a (K, m) stack, as one broadcast product."""
-    return (v[None, :, None] * rows[:, None, :]).reshape(len(rows), -1)
-
-
 def _type_ii_branches(left: ChainStack, pair, right: ChainStack, b, consume):
     """Everything fuse_type_ii computes before its first post-state, for one
     left chain fused with every row of a right stack.
@@ -936,7 +928,7 @@ def _type_ii_branches(left: ChainStack, pair, right: ChainStack, b, consume):
             where = f" in row {k}" if len(zs) > 1 else ""
             raise NumericalAbortError(f"z mismatch{where}: numeric {z}, formula {expect}")
 
-    kron1, kron2 = _kron_rows(f1, f3), _kron_rows(f2, f4)
+    kron1, kron2 = kron_rows(f1, f3), kron_rows(f2, f4)
     successes = []
     for sign, label in ((+1.0, "success_plus"), (-1.0, "success_minus")):
         vecs = (kron1 + sign * kron2) / (2.0 * math.sqrt(2.0))
@@ -1104,52 +1096,36 @@ def _good_right_failure(r: _Rows, b: str, sb: int):
     return ok, post.take(idx), _pick_corr(corr, idx)
 
 
-def fusion_context(
-    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
-) -> FusionContext:
-    """The FusionContext of fusing a member of left's logical pair with b of right.
-
-    The consumed member a (consume, else the member first in vertex order)
-    gives f1, f2 = the |0>_a, |1>_a slices of the left state (e stays), and
-    b gives f3, f4 on the right; each is normalized. The one-chain call of
-    fusion_context_rows: left and right are one chain each.
-    """
-    a, _ = _pair_members(left, pair, consume)
-    b = _resolve_vertex(right, b)
-    fs = _branch_rows(_one_row(left), left.graph.vertex_index(a))
-    fs += _branch_rows(_one_row(right), right.graph.vertex_index(b))
-    return FusionContext(*(PureState(f.shape[1].bit_length() - 1, _normalized_rows(f)[0]) for f in fs))
-
-
 def fusion_context_rows(
     left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
-) -> tuple[np.ndarray, ...]:
-    """fusion_context for every row k, left row k fused with right row k.
+) -> FusionContext:
+    """The FusionContext of fusing a member of left's logical pair with b of
+    right, left row k with right row k.
 
-    Returns the four normalized (K, 2^m) branch stacks f1..f4 and the (K,)
-    overlaps z = <f4|f3>, each row bit for bit the FusionContext of its row
-    pair. FusionContext's invariants are checked on every row: unit norms
-    and <f1|f2> = 0.
+    The consumed member a (consume, else the member first in vertex order)
+    gives f1, f2 = the |0>_a, |1>_a slices of each left row (e stays), and
+    b gives f3, f4 on the right; each slice is normalized. A registered
+    logical pair has |00>/|11> support only, so f1 is orthogonal to f2.
     """
     a, _ = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
     fs = _branch_rows(left.rows, left.graph.vertex_index(a))
     fs += _branch_rows(right.rows, right.graph.vertex_index(b))
-    fs = tuple(_normalized_rows(f) for f in fs)
-    for f in fs:
-        check_unit_rows(f)
-    return (*fs, context_overlaps(*fs))
+    return FusionContext(*(normalized_rows(f) for f in fs))
 
 
 def fuse_generalized(
     left: ChainStack, pair, right: ChainStack, b, u: ModeUnitary, consume: str | None = None
 ) -> tuple[FusionContext, list[FusionOutcome]]:
-    """Generalized fusion through an arbitrary mode unitary.
+    """Generalized fusion of one left chain with one right chain through an
+    arbitrary mode unitary.
 
-    fusion_context, then the fock layer's enumerate_outcomes; returns the
-    context (for analysis hooks) plus the full outcome list.
+    fusion_context_rows, then the fock layer's enumerate_outcomes; returns
+    the one-row context (for analysis hooks) plus the full outcome list.
     """
-    ctx = fusion_context(left, pair, right, b, consume)
+    for chain in (left, right):
+        _one_row(chain)
+    ctx = fusion_context_rows(left, pair, right, b, consume)
     return ctx, enumerate_outcomes(ctx, u)
 
 

@@ -26,7 +26,8 @@ NORM_TOL = 1e-12
 
 # Largest entry of U U+ - I for a ModeUnitary, and of S S+ - I/2 for a (1/sqrt2)-unitary seed.
 UNITARY_TOL = 1e-10
-# Largest |<f1|f2>| a FusionContext accepts: the left branch states are orthogonal.
+# Largest |<f1|f2>| the closed form (enumerate_table) accepts: its premise is
+# orthogonal left branch states, which the Fock oracle does not need.
 ORTHOGONAL_TOL = 1e-10
 
 # -- closed forms against their oracles ------------------------------------

@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .errors import NotAchievableError, ZeroOutcomeError
 from .fock import (
+    FusionContext,
     check_unitary_rows,
     enumerate_table,
     ginibre,
@@ -43,6 +44,7 @@ from .graphstate import (
     check_gate_rows,
     check_unit_rows,
     fidelity_rows,
+    normalized_rows,
     project_rows,
     wrap_angle,
 )
@@ -293,9 +295,9 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
     Returns (us, sizes, urows, lengths, rows, contexts): us[N] is the
     (K_N, N, N) stack of the draws with that N, in draw order; draw i has
     N = sizes[i] and is row urows[i] of us[N]. lengths[i] is its right-chain
-    length and rows[i] its row in contexts[length], the (f1, f2, f3, f4, z)
-    stacks of fusion_context_rows over the draws with that length, in draw
-    order.
+    length and rows[i] its row in contexts[length], the FusionContext of the
+    draws with that length: the fusion_context_rows of each case's draws, in
+    draw order, one case after the other.
     """
     ginibres: dict[int, list[np.ndarray]] = {}
     sizes, urows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
@@ -319,22 +321,22 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
     left = make_chain_stack(["A", "B", "C", "D"], lefts)
     by_case, by_length = _positions(cases), _positions(lengths)
     paired = {c: logical_pair_stack(left.take(idx), "C") for c, idx in by_case.items()}
-    # the row of each draw in its case stack and in its right-chain stack
+    # the row of each draw in its case stack and in its length's context
     left_row, rows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
-    for row, groups in ((left_row, by_case), (rows, by_length)):
-        for idx in groups.values():
-            row[idx] = np.arange(len(idx))
+    for idx in by_case.values():
+        left_row[idx] = np.arange(len(idx))
     contexts = {}
     for r, idx in by_length.items():
         right = make_chain_stack(["v", "b", "w"][: r + 1], rights[idx, :r])
-        for c, pos in _positions([cases[i] for i in idx]).items():
-            part = fusion_context_rows(
+        by_part = _positions([cases[i] for i in idx])
+        rows[idx[np.concatenate(list(by_part.values()))]] = np.arange(len(idx))
+        parts = [
+            fusion_context_rows(
                 paired[c].take(left_row[idx[pos]]), ("B", "D"), right.take(pos), "b", consume="D"
             )
-            if r not in contexts:
-                contexts[r] = tuple(np.empty((len(idx), *x.shape[1:]), x.dtype) for x in part)
-            for whole, x in zip(contexts[r], part):
-                whole[pos] = x
+            for c, pos in by_part.items()
+        ]
+        contexts[r] = FusionContext(*map(np.concatenate, zip(*((p.f1, p.f2, p.f3, p.f4) for p in parts))))
     return us, sizes, urows, lengths, rows, contexts
 
 
@@ -353,27 +355,25 @@ def _positions(keys: list) -> dict:
 ORACLE_BATCH = 16
 
 
-def _oracle_residual(us, v1, v2, v3, v4, z) -> float:
+def _oracle_residual(us: np.ndarray, ctx: FusionContext) -> float:
     """Worst closed-form vs Fock-oracle disagreement over a stack of draws sharing
-    N and register sizes: (K, N, N) unitaries, (K, 2^m) branch vectors and
-    (K,) overlaps z, one stacked closed form, one stacked oracle.
+    N and register sizes: (K, N, N) unitaries and their K-row context, one
+    stacked closed form, one stacked oracle.
 
     Compares every pattern's probability, |sum p - 1| per draw, and the
     closed-form det rho of every live relevant pattern with the dense det rho
     of the oracle's register row."""
-    n = us.shape[-1]
-    left_qubits = v1.shape[1].bit_length() - 1
-    probs, coef = enumerate_table(us, v1, v2, v3, v4)
-    oracle_probs, oracle_rows = oracle_table(us, v1, v2, v3, v4)
+    probs, coef = enumerate_table(us, ctx)
+    oracle_probs, oracle_rows = oracle_table(us, ctx)
     residuals = [np.abs(probs - oracle_probs), np.abs(probs.sum(axis=1) - 1.0)]
-    iu, ju = pattern_indices(n)
+    iu, ju = pattern_indices(us.shape[-1])
     live = (iu != ju) & (probs > DET_LIVE_PROB)
     if live.any():
         det_rho, _, _ = entanglement_stack(
-            coef[live].reshape(-1, 2, 2), np.broadcast_to(z[:, None], live.shape)[live]
+            coef[live].reshape(-1, 2, 2), np.broadcast_to(ctx.z[:, None], live.shape)[live]
         )
         rows = oracle_rows[live]
-        oracle_det = reduced_det_rho_stack(rows.reshape(len(rows), 1 << left_qubits, -1))
+        oracle_det = reduced_det_rho_stack(rows.reshape(len(rows), 1 << ctx.left_qubits, -1))
         residuals.append(np.abs(det_rho - oracle_det))
     return _worst(*residuals)
 
@@ -393,8 +393,8 @@ def check_generalized_oracle(seed: int = 17, quick: bool = False):
     us, sizes, urows, lengths, rows, contexts = _random_fusion_setup(rng, draws)
 
     def compare(batch: list[int]) -> float:
-        fields = (x[rows[batch]] for x in contexts[lengths[batch[0]]])
-        return _oracle_residual(us[sizes[batch[0]]][urows[batch]], *fields)
+        ctx = contexts[lengths[batch[0]]].take(rows[batch])
+        return _oracle_residual(us[sizes[batch[0]]][urows[batch]], ctx)
 
     residuals = []
     groups: dict[tuple[int, int], list[int]] = {}
@@ -435,9 +435,9 @@ def _balanced_stack(g: np.ndarray, phases: np.ndarray, perms: np.ndarray) -> np.
 
 
 def _balanced_draws(rng: np.random.Generator, draws: int):
-    """draws (balanced unitary, z) pairs, in that rng order, stacked: the (K, 6)
-    relevant-pattern coefficients (a, b, c, d) of the 4-mode patterns i < j,
-    their (K, 6, 2, 2) matrices and the (K,) z.
+    """draws (balanced unitary, z) pairs, in that rng order, stacked: the
+    (K, 4, 4) unitaries, the (K, 6) relevant-pattern coefficients (a, b, c, d)
+    of the 4-mode patterns i < j, their (K, 6, 2, 2) matrices and the (K,) z.
 
     Each z is |z| e^{i arg z}, |z| uniform on [0, 0.95) and arg z on
     [0, 2 pi). The random numbers are drawn one pair at a time; the
@@ -453,15 +453,26 @@ def _balanced_draws(rng: np.random.Generator, draws: int):
     check_unitary_rows(us)
     coeffs = outcome_coeffs(us, *pattern_indices(4, 1))
     zs = gram[:, 0] * np.exp(1j * gram[:, 1])
-    return coeffs, np.stack(coeffs, axis=-1).reshape(draws, -1, 2, 2), zs
+    return us, coeffs, np.stack(coeffs, axis=-1).reshape(draws, -1, 2, 2), zs
 
 
-@_check("bell_retention", RETENTION_TOL)
+def _qubit_context(z: np.ndarray) -> FusionContext:
+    """One-qubit contexts with overlaps z: f1 = |0>, f2 = |1>, f3 = |0> and
+    f4 = conj(z)|0> + sqrt(1 - |z|^2)|1>, so that <f4|f3> = z."""
+    k = len(z)
+    zero, one = np.tile([1.0, 0.0], (k, 1)), np.tile([0.0, 1.0], (k, 1))
+    f4 = np.stack([np.conj(z), np.sqrt(1.0 - np.abs(z) ** 2)], axis=-1)
+    return FusionContext(zero, one, zero, f4)
+
+
+@_check("bell_retention", RETENTION_TOL, ABORT_TOL)
 def check_bell_retention(seed: int = 19, quick: bool = False):
-    """p_ij of (1/sqrt2)-unitary relevant projections is independent of z."""
+    """p_ij of (1/sqrt2)-unitary relevant projections is independent of z:
+    the closed form and the Fock oracle each at z against 0 (RETENTION_TOL),
+    and the closed form against the oracle at z (ABORT_TOL)."""
     rng = np.random.default_rng(seed)
     draws = 50 if quick else 200
-    coeffs, ms, z = _balanced_draws(rng, draws)
+    us, coeffs, ms, z = _balanced_draws(rng, draws)
     mm = ms @ ms.conj().transpose(0, 1, 3, 2)
     t = np.trace(mm, axis1=2, axis2=3) / 2.0
     live = np.abs(t) > LIVE_TOL
@@ -469,7 +480,12 @@ def check_bell_retention(seed: int = 19, quick: bool = False):
     dev = np.abs(mm[live] - t[live, None, None] * np.eye(2))
     p0 = relevant_norm_sq(*coeffs, 0.0) / 4.0
     pz = relevant_norm_sq(*coeffs, z[:, None]) / 4.0
-    return f"{draws} unitaries", [dev, np.abs(p0 - pz)]
+    iu, ju = pattern_indices(4)
+    relevant = iu != ju
+    oracle_p0 = oracle_table(us, _qubit_context(np.zeros(draws)))[0][:, relevant]
+    oracle_pz = oracle_table(us, _qubit_context(z))[0][:, relevant]
+    retained = [dev, np.abs(p0 - pz), np.abs(oracle_p0 - oracle_pz)]
+    return f"{draws} unitaries", retained, [np.abs(pz - oracle_pz)]
 
 
 @_check("balanced_entropy", ABORT_TOL)
@@ -477,7 +493,7 @@ def check_balanced_entropy(seed: int = 23, quick: bool = False):
     """Balanced U: relevant total probability 1/2 and det rho = (1-|z|^2)/4 each."""
     rng = np.random.default_rng(seed)
     draws = 50 if quick else 200
-    coeffs, ms, z = _balanced_draws(rng, draws)
+    _, coeffs, ms, z = _balanced_draws(rng, draws)
     nsq = relevant_norm_sq(*coeffs, z[:, None])
     live = nsq > LIVE_TOL
     residuals = [np.abs(np.sum(nsq / 4.0, axis=1) - 0.5)]
@@ -570,8 +586,7 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
     right = build_state(chain_graph(["b", "f"], [math.pi]), chi_bfs)
     joint = (pair[None, :, None] * right[:, None, :]).reshape(draws, 2, 2, 2, 2)
     res = np.einsum("keabf,kab->kef", joint, np.array(coefs)).reshape(draws, 4)
-    # each row over its norm, summed as np.linalg.norm sums one state
-    res = res / np.sqrt(np.vecdot(res.real, res.real) + np.vecdot(res.imag, res.imag))[:, None]
+    res = normalized_rows(res)
     check_unit_rows(res)
     fid_res = _fixed_fidelity(res, weighted_pair_rows(chi_targets), lambda k: "no local correction found")
     return f"{draws} pairs; xi residual {_worst(xi_res):.2e}", [xi_res], [fid_res]
@@ -598,9 +613,7 @@ def _constrained_stack(pq: np.ndarray, cs: np.ndarray, phases: np.ndarray, perms
     N in 4..8 with random column phases and a permutation.
     """
     k, n = phases.shape
-    re, im = pq[:, :, 0], pq[:, :, 1]
-    # |v| as np.linalg.norm takes it of one complex vector: sqrt(re.re + im.im)
-    pq = (re + 1j * im) / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+    pq = normalized_rows(pq[:, :, 0] + 1j * pq[:, :, 1])
     p, q = pq[:, 0], pq[:, 1]
     c, s = cs[:, :1], cs[:, 1:]
     u = np.zeros((k, n, n), dtype=complex)

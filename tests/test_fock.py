@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from wgfusion.errors import InvalidContextError, InvalidUnitaryError
+from wgfusion.errors import InputError, InvalidContextError, InvalidUnitaryError, ShapeMismatchError
 from wgfusion.fock import (
     FusionContext,
     ModeUnitary,
     check_unitary_rows,
     enumerate_outcomes,
+    enumerate_table,
     ginibre,
     haar_stack,
-    haar_unitary,
     oracle_enumerate,
+    oracle_table,
     outcome_coeffs,
     pattern_indices,
     reduced_det_rho,
@@ -27,6 +28,7 @@ from wgfusion.fock import (
     type_ii_matrix,
 )
 from wgfusion.graphstate import PureState, build_state, chain_graph
+from wgfusion.tolerances import ABORT_TOL
 
 RNG = np.random.default_rng(3)
 
@@ -44,12 +46,7 @@ def _random_context(rng, left_qubits=2, right_qubits=2) -> FusionContext:
     f2 /= np.linalg.norm(f2)
     f3 = _unit(1 << right_qubits, rng)
     f4 = _unit(1 << right_qubits, rng)
-    return FusionContext(
-        PureState(left_qubits, f1),
-        PureState(left_qubits, f2),
-        PureState(right_qubits, f3),
-        PureState(right_qubits, f4),
-    )
+    return FusionContext(f1[None], f2[None], f3[None], f4[None])
 
 
 def test_mode_unitary_validation():
@@ -69,12 +66,17 @@ def test_mode_unitary_validation():
         assert exc.value.__cause__ is None
 
 
+def _haar_unitary(n: int, rng) -> np.ndarray:
+    """One Haar unitary drawn from rng: haar_stack of one ginibre draw."""
+    return haar_stack(ginibre(n, rng))[0]
+
+
 @pytest.mark.parametrize("n", [2, 4, 5, 8])
 def test_haar_unitary_is_scipy_unitary_group_bit_for_bit(n):
     # SciPy is the reference: the same seeded draw gives the same matrix, so
     # every seeded ensemble of the verify checks is SciPy's ensemble
     for seed in range(300):
-        ours = haar_unitary(n, np.random.default_rng(seed))
+        ours = _haar_unitary(n, np.random.default_rng(seed))
         ref = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
         assert np.array_equal(ours, ref), (n, seed)
 
@@ -82,14 +84,14 @@ def test_haar_unitary_is_scipy_unitary_group_bit_for_bit(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_haar_stack_rows_are_haar_unitary_bit_for_bit(n):
     # an ensemble draws ginibre per draw and maps the stack with one QR; each
-    # row must be the matrix the per-draw haar_unitary makes from the same rng,
+    # row must be the matrix one draw's haar_stack makes from the same rng,
     # and k draws in one ginibre call must be k successive draws
     for seed in range(6):
         rng = np.random.default_rng(seed)
         stack = haar_stack(np.concatenate([ginibre(n, rng) for _ in range(20)] + [ginibre(n, rng, 20)]))
         rng = np.random.default_rng(seed)
         for k, row in enumerate(stack):
-            assert np.array_equal(row, haar_unitary(n, rng)), (n, seed, k)
+            assert np.array_equal(row, _haar_unitary(n, rng)), (n, seed, k)
 
 
 def test_unitarity_check_names_the_first_bad_row():
@@ -124,10 +126,47 @@ def test_mode_unitary_json_roundtrip():
     assert np.array_equal(ModeUnitary.from_dict(data).matrix, u.matrix)
 
 
-def test_context_requires_orthogonal_left_branches():
-    f = PureState(1, np.array([1.0, 0.0]))
-    with pytest.raises(InvalidContextError):
-        FusionContext(f, f, f, f)
+def test_context_checks_shapes_then_unit_rows():
+    unit = np.array([[1.0, 0.0]])
+    for f1, f3 in (
+        (unit[0], unit),  # not a row stack
+        (np.ones((1, 3)) / math.sqrt(3.0), unit),  # not a qubit register
+        (unit, np.tile(unit, (2, 1))),  # row counts differ
+    ):
+        with pytest.raises(InvalidContextError):
+            FusionContext(f1, f1, f3, f3)
+    units, nan = np.tile(unit, (2, 1)), np.array([[0.0, 1.0], [0.0, np.nan]])
+    with pytest.raises(ShapeMismatchError, match="^row 1 not normalized"):
+        FusionContext(units, nan, units, units)
+
+
+def test_closed_form_requires_orthogonal_left_branches():
+    # <f1|f2> = 0 is the closed form's premise (relevant_norm_sq has no left
+    # overlap term), so the closed form refuses a context that breaks it; no
+    # registered logical pair gives one, so the branches are drawn at random
+    rng = np.random.default_rng(4)
+    ctx = FusionContext(*(_unit(d, rng)[None] for d in (4, 4, 2, 2)))
+    assert abs(np.vdot(ctx.f1[0], ctx.f2[0])) > 0.1
+    u = ModeUnitary(_haar_unitary(5, rng))
+    with pytest.raises(InvalidContextError, match="<f1|f2>"):
+        enumerate_table(u.matrix[None], ctx)
+    with pytest.raises(InvalidContextError, match="<f1|f2>"):
+        enumerate_outcomes(ctx, u)
+    # the oracle needs unit vectors only: the photons enter in orthogonal
+    # modes, so the distribution is complete for any f1, f2
+    probs, _ = oracle_table(u.matrix[None], ctx)
+    assert abs(probs.sum() - 1.0) <= ABORT_TOL
+    assert len(oracle_enumerate(ctx, u)) == 15
+
+
+def test_one_fusion_wrappers_refuse_a_stack():
+    rng = np.random.default_rng(6)
+    one = _random_context(rng)
+    two = FusionContext(*(np.concatenate([f, f]) for f in (one.f1, one.f2, one.f3, one.f4)))
+    u = ModeUnitary(_haar_unitary(4, rng))
+    for fn in (enumerate_outcomes, oracle_enumerate):
+        with pytest.raises(InputError, match="need one fusion, got a context of 2 rows"):
+            fn(two, u)
 
 
 def test_fusion_matrices_are_unitary():
@@ -169,7 +208,7 @@ def test_same_detector_probability_formula():
     ctx = _random_context(rng)
     u = ModeUnitary(unitary_group.rvs(4, random_state=rng))
     orc = {o.pattern: o.probability for o in oracle_enumerate(ctx, u)}
-    z = ctx.z
+    z = complex(ctx.z[0])
     for i in range(4):
         assert same_detector_prob(u.matrix, i, z) == pytest.approx(
             orc[(i, i)], abs=1e-12
@@ -201,21 +240,21 @@ def _chain_context(wl: float, wr: float) -> FusionContext:
     """f1, f2 = endpoint branches of a 2-chain; perpendicular by construction
     via a logical-pair-like left side (|0>f1, |1>f2 with orthogonal markers)."""
     left = build_state(chain_graph(["x", "a"], [wl])).reshaped()
-    f1 = PureState(1, left[:, 0] * math.sqrt(2))
-    f2 = PureState(1, left[:, 1] * math.sqrt(2))
+    f1 = left[:, 0] * math.sqrt(2)
+    f2 = left[:, 1] * math.sqrt(2)
     # make them orthogonal by tagging with an extra qubit (pair branch picture)
-    v1 = np.kron(np.array([1.0, 0.0]), f1.amplitudes)
-    v2 = np.kron(np.array([0.0, 1.0]), f2.amplitudes)
+    v1 = np.kron(np.array([1.0, 0.0]), f1)
+    v2 = np.kron(np.array([0.0, 1.0]), f2)
     right = build_state(chain_graph(["b", "y"], [wr])).reshaped()
-    g3 = PureState(1, right[0] * math.sqrt(2))
-    g4 = PureState(1, right[1] * math.sqrt(2))
-    return FusionContext(PureState(2, v1), PureState(2, v2), g3, g4)
+    g3 = right[0] * math.sqrt(2)
+    g4 = right[1] * math.sqrt(2)
+    return FusionContext(v1[None], v2[None], g3[None], g4[None])
 
 
 def test_gram_overlap_matches_weight_formula():
     ctx = _chain_context(0.8, 1.1)
     expect = (1 + np.exp(1.1j)) / 4 * 2  # single neighbor: (1+e^{i chi})/2
-    assert ctx.z == pytest.approx(expect, abs=1e-12)
+    assert complex(ctx.z[0]) == pytest.approx(expect, abs=1e-12)
 
 
 def test_type_i_marginal_distribution():

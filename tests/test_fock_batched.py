@@ -32,7 +32,6 @@ from wgfusion.fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from wgfusion.graphstate import PureState
 from wgfusion.tolerances import ZERO_PROB_CUTOFF
 
 # (seed, N, left qubits, right qubits, sparse): sparse draws a phased
@@ -61,9 +60,7 @@ def _context(rng, left: int, right: int, zero_z: bool = False) -> FusionContext:
     if zero_z:
         f4 = f4 - np.vdot(f3, f4) * f3
         f4 /= np.linalg.norm(f4)
-    return FusionContext(
-        PureState(left, f1), PureState(left, f2), PureState(right, f3), PureState(right, f4)
-    )
+    return FusionContext(f1[None], f2[None], f3[None], f4[None])
 
 
 def _unitary(rng, n: int, sparse: bool) -> ModeUnitary:
@@ -82,9 +79,8 @@ def _setup(seed, n, left, right, sparse) -> tuple[FusionContext, ModeUnitary]:
 
 def _loop_reference(ctx: FusionContext, u: ModeUnitary) -> dict:
     """Pattern -> (p, normalized register vector, m_matrix), one pattern at a time."""
-    m, z = u.matrix, ctx.z
-    v1, v2 = ctx.f1.amplitudes, ctx.f2.amplitudes
-    v3, v4 = ctx.f3.amplitudes, ctx.f4.amplitudes
+    m, z = u.matrix, complex(ctx.z[0])
+    v1, v2, v3, v4 = ctx.f1[0], ctx.f2[0], ctx.f3[0], ctx.f4[0]
     out = {}
     for i in range(u.n):
         for j in range(i, u.n):
@@ -136,9 +132,8 @@ def test_each_live_register_state_is_the_normalized_table_row(setup):
     which enumerate_outcomes builds itself, are the same vectors."""
     ctx, u = _setup(*setup)
     nq = ctx.left_qubits + ctx.right_qubits
-    args = [getattr(ctx, f).amplitudes[None] for f in ("f1", "f2", "f3", "f4")]
-    closed_probs, _ = enumerate_table(u.matrix[None], *args)
-    probs, rows = oracle_table(u.matrix[None], *args)
+    closed_probs, _ = enumerate_table(u.matrix[None], ctx)
+    probs, rows = oracle_table(u.matrix[None], ctx)
     for table_probs, outs, exact in (
         (closed_probs, enumerate_outcomes(ctx, u), False),
         (probs, oracle_enumerate(ctx, u), True),
@@ -162,11 +157,12 @@ def test_stacked_det_rho_cores_match_scalar_calls(setup):
     live = [o for o in oracle_enumerate(ctx, u) if o.kind == "relevant" and o.probability > 1e-10]
     if not live:
         return
-    det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), ctx.z)
+    z = complex(ctx.z[0])
+    det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), z)
     rows = np.stack([o.register_state.amplitudes for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
     dets = reduced_det_rho_stack(rows)
     for k, o in enumerate(live):
-        rep = entanglement_report(o.m_matrix, ctx.z)
+        rep = entanglement_report(o.m_matrix, z)
         assert rep.det_rho == pytest.approx(det[k], abs=1e-15)
         assert rep.lam == pytest.approx(lam[k], abs=1e-15)
         assert rep.probability == pytest.approx(nsq[k] / 4.0, abs=1e-15)
@@ -190,16 +186,16 @@ def _stack(seed, k, n, left, right):
     rng = np.random.default_rng(seed)
     ctxs = [_context(rng, left, right, zero_z=bool(rng.integers(2))) for _ in range(k)]
     us = [_unitary(rng, n, sparse=bool(rng.integers(2))) for _ in range(k)]
-    args = [np.stack([getattr(c, f).amplitudes for c in ctxs]) for f in ("f1", "f2", "f3", "f4")]
-    return ctxs, us, np.stack([u.matrix for u in us]), args
+    stacked = FusionContext(*map(np.concatenate, zip(*((c.f1, c.f2, c.f3, c.f4) for c in ctxs))))
+    return ctxs, us, np.stack([u.matrix for u in us]), stacked
 
 
 @settings(max_examples=40, deadline=None)
 @given(STACKS)
 def test_table_slices_equal_the_one_fusion_wrappers(stack):
-    ctxs, us, ms, args = _stack(*stack)
-    closed_probs, closed_coef = enumerate_table(ms, *args)
-    probs, rows = oracle_table(ms, *args)
+    ctxs, us, ms, stacked = _stack(*stack)
+    closed_probs, closed_coef = enumerate_table(ms, stacked)
+    probs, rows = oracle_table(ms, stacked)
     # the closed form holds the oracle's amplitude coefficients
     np.testing.assert_allclose(closed_coef, _oracle_coef(ms), rtol=0, atol=1e-12)
     for k, (ctx, u) in enumerate(zip(ctxs, us)):
@@ -213,11 +209,12 @@ def test_table_slices_equal_the_one_fusion_wrappers(stack):
 @settings(max_examples=60, deadline=None)
 @given(STACKS)
 def test_table_z_is_bit_identical_to_the_context_overlap(stack):
-    """enumerate_table derives z = <f4|f3> itself; on every off-diagonal
-    pattern its probabilities are exactly relevant_norm_sq at each context's z."""
-    ctxs, _, ms, args = _stack(*stack)
-    probs, coef = enumerate_table(ms, *args)
-    z = np.array([ctx.z for ctx in ctxs])
+    """enumerate_table reads the stacked context's z = <f4|f3>; on every
+    off-diagonal pattern its probabilities are exactly relevant_norm_sq at
+    each one-fusion context's z."""
+    ctxs, _, ms, stacked = _stack(*stack)
+    probs, coef = enumerate_table(ms, stacked)
+    z = np.concatenate([ctx.z for ctx in ctxs])
     iu, ju = pattern_indices(ms.shape[-1])
     off = iu != ju
     want = relevant_norm_sq(*np.moveaxis(coef[:, off], -1, 0), z[:, None])

@@ -9,8 +9,9 @@ path, and no module builds a 2^n index mask with np.arange (the dense layer
 selects bits through graphstate's strided views), verify builds and checks
 no random unitary once per loop iteration, no module but the
 tolerance table writes a float literal below 1e-2, every constant of that
-table has a reader, every name __init__.py exports is bound there and has
-a reader, and no module dispatches between the two chain types.
+table has a reader, every name __init__.py exports is bound there, every
+export and every public module-level function and class has a reader, and
+no module dispatches between the two chain types.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def test_no_arange_bit_masks(path):
 
 # Calls that build or check one random unitary at a time. verify draws its
 # ensembles per draw and builds and checks them per stack, so none of these
-# may run once per loop iteration there.
+# may run once per loop iteration there. haar_unitary, the deleted one-draw
+# builder, stays listed so that its return is flagged.
 PER_DRAW_UNITARY_CALLS = {"haar_unitary", "ModeUnitary", "balanced_unitary", "constrained_unitary", "qr"}
 
 
@@ -404,13 +406,14 @@ def loaded_names(source: str) -> set[str]:
     is not its own reader."""
     read: set[str] = set()
     for stmt in ast.parse(source).body:
-        own = getattr(stmt, "name", None)
+        names = set()
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-        read.discard(own)
+                names.add(node.attr)
+        names.discard(getattr(stmt, "name", None))
+        read |= names
     return read
 
 
@@ -424,32 +427,52 @@ def attribute_reads(source: str) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
 
 
+def public_defs(source: str) -> list[str]:
+    """The module-level functions and classes whose names do not start with _."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
 def unread_exports(exports, package: list[str], pins: set[str], bench: set[str], allowed) -> list[str]:
-    """Exports that no package module reads (outside their own definition),
-    no per-layer pin names, bench does not read and allowed does not list."""
+    """Exports, and public functions and classes of the package modules, that
+    no package module reads (outside their own definition), no per-layer pin
+    names, bench does not read and allowed does not list."""
+    public = set(exports).union(*(public_defs(source) for source in package))
     read = set().union(*(loaded_names(source) for source in package))
-    return sorted(set(exports) - read - pins - bench - set(allowed))
+    return sorted(public - read - pins - bench - set(allowed))
 
 
-# Exports with no reader in the package, no per-layer pin and no read in
-# bench/workloads.py, each with what keeps it.
-EXPORTS_WITHOUT_READER = {
+# Public names with no reader in the package, no per-layer pin and no read
+# in bench/workloads.py, each with what keeps it.
+PUBLIC_WITHOUT_READER = {
     "type_i_matrix": "the planned check of the protocol fusions against the linear-optics "
     "networks (ROADMAP) is its reader",
     "type_ii_matrix": "the same planned linear-optics check is its reader",
     "attach_vertex": "test_build_state_recursion_matches_attach_vertex uses it as the "
     "reference for build_state",
+    "type_i_marginal": "the same planned linear-optics check reads it to marginalize the "
+    "Type-I network over its undetected modes",
 }
 
 
 def test_gate_flags_an_unread_export():
     package = [
+        "def _early():\n    return late()\n\n\ndef late():\n    return 1\n\n\n"
         "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1) if n else 0\n",
         "from .a import used\n\nVALUE = used()\n\n\ndef pinned():\n    \"\"\"recursive, benched\"\"\"\n",
     ]
     exports = ["used", "recursive", "pinned", "benched", "kept"]
     got = unread_exports(exports, package, {"pinned"}, {"benched"}, {"kept": "a reason"})
     assert got == ["recursive"]
+    # a public function nobody exports or reads is flagged, a private one is
+    # not, and a read in an earlier definition counts (late)
+    package.append("def orphan():\n    return 2\n\n\nclass _Private:\n    pass\n")
+    assert public_defs(package[-1]) == ["orphan"]
+    assert unread_exports([], package, set(), set(), {}) == ["orphan", "pinned", "recursive"]
     bench = "out = protocols.benched(x).label\nbenched_too = 1\n"
     assert attribute_reads(bench) == {"benched", "label"}
     metrics = {"per_layer": [{"name": "protocols.pinned.calls"}, {"name": "fock.self_s"}]}
@@ -462,7 +485,7 @@ def test_every_export_has_a_reader():
     package = [path.read_text() for path in MODULES]
     pins = per_layer_pins(json.loads((ROOT / "BENCHMARK.json").read_text()))
     bench = attribute_reads((ROOT / "bench" / "workloads.py").read_text())
-    assert unread_exports(exports, package, pins, bench, {}) == sorted(EXPORTS_WITHOUT_READER)
+    assert unread_exports(exports, package, pins, bench, {}) == sorted(PUBLIC_WITHOUT_READER)
 
 
 CHAIN_TYPES = {"ChainState", "ChainStack"}

@@ -32,13 +32,14 @@ from wgfusion.protocols import (
     fuse_generalized,
     fuse_type_i,
     fuse_type_ii,
-    fusion_context,
+    fusion_context_rows,
     ghz_pair_for_target_stack,
     ghz_pair_projection,
     ghz_pair_range,
     local_equivalent_rows,
     logical_pair_stack,
     make_chain,
+    make_chain_stack,
     rez_formula,
     sample_outcomes,
     weighted_pair_rows,
@@ -277,7 +278,7 @@ def test_consume_outside_the_pair_is_refused():
     right = make_chain(["v", "b", "w"], [1.0, 1.0])
     calls = (
         lambda c: fuse_type_ii(left, ("B", "D"), right, "b", consume=c),
-        lambda c: fusion_context(left, ("B", "D"), right, "b", consume=c),
+        lambda c: fusion_context_rows(left, ("B", "D"), right, "b", consume=c),
         lambda c: fuse_generalized(left, ("B", "D"), right, "b", type_ii_matrix(), consume=c),
     )
     for call in calls:
@@ -317,6 +318,13 @@ def test_generalized_matches_oracle():
     for o in fouts:
         assert o.probability == pytest.approx(orc[o.pattern], abs=1e-12)
     assert sum(orc.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_generalized_takes_one_chain_each():
+    left = _logical_left([1.0, 0.9, 0.9])
+    right = make_chain_stack(["v", "b"], [[1.3], [0.4]])
+    with pytest.raises(InputError, match="need one chain, got a stack of 2 rows"):
+        fuse_generalized(left, ("B", "D"), right, "v", type_ii_matrix(), consume="D")
 
 
 def test_generalized_identity_keeps_photons_in_channels():

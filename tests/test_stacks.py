@@ -26,7 +26,7 @@ from wgfusion.errors import (
     WgfError,
     ZeroOutcomeError,
 )
-from wgfusion.fock import ModeUnitary, haar_unitary
+from wgfusion.fock import ModeUnitary, ginibre, haar_stack
 from wgfusion.graphstate import (
     PureState,
     WeightedGraph,
@@ -45,7 +45,7 @@ from wgfusion.protocols import (
     fuse_type_i_stack,
     fuse_type_ii,
     fuse_type_ii_stack,
-    fusion_context,
+    fusion_context_rows,
     ghz_pair_for_target_stack,
     ghz_pair_projection,
     ghz_pair_projection_stack,
@@ -176,19 +176,18 @@ def test_stacked_xlike_refuses_rows_of_two_cases():
 
 def _reference_contexts(seed: int, draws: int):
     """The per-draw setup the stacked one replaced: make_chain, logical_pair_stack and
-    fusion_context on one-row chains for each draw, in _random_fusion_setup's rng order."""
+    fusion_context_rows on one-row chains for each draw, in _random_fusion_setup's rng order."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(draws):
-        u = ModeUnitary(haar_unitary(int(rng.integers(4, 9)), rng)).matrix
+        u = ModeUnitary(haar_stack(ginibre(int(rng.integers(4, 9)), rng))[0]).matrix
         w1 = float(rng.uniform(0.1, math.pi)) * float(rng.choice([-1.0, 1.0]))
         chi = float(rng.uniform(0.1, math.pi - 0.1))
         lw = [w1, chi, chi] if rng.uniform() < 0.5 else [w1, chi, wrap_angle(-chi)]
         left = logical_pair_stack(make_chain(["A", "B", "C", "D"], lw), "C")
         labels = ["v", "b"] if rng.uniform() < 0.5 else ["v", "b", "w"]
         right = make_chain(labels, verify._rand_weights(rng, len(labels) - 1))
-        ctx = fusion_context(left, ("B", "D"), right, "b", consume="D")
-        out.append((u, ctx.f1.amplitudes, ctx.f2.amplitudes, ctx.f3.amplitudes, ctx.f4.amplitudes, ctx.z))
+        out.append((u, fusion_context_rows(left, ("B", "D"), right, "b", consume="D")))
     return out
 
 
@@ -201,10 +200,11 @@ def test_stacked_fusion_setup_equals_the_per_draw_contexts(seed, draws):
     assert sorted(us) == sorted(set(sizes.tolist()))
     for n, stack in us.items():
         assert sorted(urows[sizes == n]) == list(range(len(stack)))
-    for i, (u, *ref) in enumerate(_reference_contexts(seed, draws)):
+    for i, (u, ref) in enumerate(_reference_contexts(seed, draws)):
         assert np.array_equal(us[sizes[i]][urows[i]], u)
-        got = [x[rows[i]] for x in contexts[lengths[i]]]
-        for a, b in zip(got, ref):
+        got = contexts[lengths[i]].take([rows[i]])
+        for f in ("f1", "f2", "f3", "f4", "z"):
+            a, b = getattr(got, f), getattr(ref, f)
             assert np.shape(a) == np.shape(b)
             assert np.max(np.abs(a - b)) <= 1e-15
 

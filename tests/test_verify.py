@@ -9,7 +9,7 @@ import pytest
 from wgfusion import verify
 from wgfusion.analysis import TwoQubitProjection
 from wgfusion.errors import InvalidUnitaryError
-from wgfusion.fock import haar_unitary, outcome_coeffs, pattern_indices
+from wgfusion.fock import ginibre, haar_stack, outcome_coeffs, pattern_indices
 from wgfusion.verify import run_all
 
 
@@ -177,16 +177,7 @@ MUTANTS = [
             ("nan_probability", (0, float("nan"))),
         )
     ),
-    pytest.param(
-        "check_bell_retention",
-        _scaled_norm_sq,
-        id="bell_retention",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="finding: bell_retention compares the closed form with itself at z = 0, "
-            "so relevant_norm_sq x (1 + 1e-8) leaves its quick-mode residual at 2.4e-16",
-        ),
-    ),
+    pytest.param("check_bell_retention", _scaled_norm_sq, id="bell_retention"),
     pytest.param("check_balanced_entropy", _scaled_norm_sq, id="balanced_entropy"),
     pytest.param("check_ghz_generation", _shifted_ghz_target, id="ghz_generation"),
     pytest.param("check_hyperbola", _perturbed_hyperbola_projection, id="hyperbola"),
@@ -238,7 +229,7 @@ def test_quick_residuals_are_pinned_bit_for_bit():
 
 def test_generalized_oracle_builds_one_stack_per_shape_and_side(monkeypatch):
     """The setup builds each chain shape once, as a stack, and makes no
-    ChainState: no per-draw make_chain / logical_pair_stack / fusion_context."""
+    ChainState: no per-draw make_chain / logical_pair_stack / fusion_context_rows."""
     import wgfusion
     from wgfusion import protocols
 
@@ -273,9 +264,7 @@ def test_generalized_oracle_builds_one_stack_per_shape_and_side(monkeypatch):
 
 
 def _balanced_reference(rng: np.random.Generator) -> np.ndarray:
-    v1 = haar_unitary(2, rng)
-    v2 = haar_unitary(2, rng)
-    w = haar_unitary(2, rng)
+    v1, v2, w = (haar_stack(ginibre(2, rng))[0] for _ in range(3))
     u = np.block([[v1, v2], [v1, -v2]]) / math.sqrt(2.0)
     u[2:, :] = w @ u[2:, :]
     u = u * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))[None, :]
@@ -308,12 +297,13 @@ def _constrained_reference(rng: np.random.Generator) -> np.ndarray:
 @pytest.mark.parametrize("seed", [0, 19, 23, 2024])
 def test_balanced_ensemble_equals_the_per_draw_reference(seed):
     draws = 80
-    coeffs, ms, z = verify._balanced_draws(np.random.default_rng(seed), draws)
+    us, coeffs, ms, z = verify._balanced_draws(np.random.default_rng(seed), draws)
     rng = np.random.default_rng(seed)
     refs, ref_z = [], []
     for _ in range(draws):
         refs.append(_balanced_reference(rng))
         ref_z.append(rng.uniform(0.0, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    assert np.array_equal(us, np.stack(refs))
     ref_coeffs = outcome_coeffs(np.stack(refs), *pattern_indices(4, 1))
     assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
     assert np.array_equal(ms, np.stack(ref_coeffs, axis=-1).reshape(draws, -1, 2, 2))
