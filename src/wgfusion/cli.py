@@ -37,7 +37,7 @@ from .protocols import (
     fuse_generalized,
     fuse_type_i,
     fuse_type_ii,
-    ghz_pair_projection_stack,
+    ghz_pair_projection,
     ghz_pair_range,
     logical_pair_stack,
     make_chain,
@@ -149,7 +149,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
     the whole grid, row k bit for bit the single-chain call on chi_k:
     logical-prob from xlike_probability_stack, failure-split from
     type_ii_probabilities_stack, det-entropy from entanglement_stack, and
-    ghz-range from ghz_pair_projection_stack, one GHZ build_state stack and
+    ghz-range from ghz_pair_projection, one GHZ build_state stack and
     one project_rows. xi-solve runs its bisection row by row.
     """
     grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
@@ -192,9 +192,9 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
     if quantity == "ghz-range":
         header = ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"]
-        projs, _phis = ghz_pair_projection_stack(grid, grid, [INV_SQRT2] * points)
+        kets, _phis = ghz_pair_projection(grid, grid, [INV_SQRT2] * points)
         ghz = build_state(chain_graph(["a", "b", "c"], [math.pi] * 2), [[chi, chi] for chi in grid])
-        red, probs = project_rows(ghz, 1, np.array([proj.coefficients for proj, _ in projs]))
+        red, probs = project_rows(ghz, 1, kets[:, 0])
         if not (probs >= ZERO_PROB_CUTOFF).all():  # project_qubit's refusal, on every row
             raise ZeroOutcomeError(f"projection probability {float(probs.min())} below cutoff")
         check_unit_rows(red)

@@ -15,7 +15,8 @@ Only the closed form needs <f1|f2> = 0, and checks it.
 Both paths are batched over the N(N+1)/2 patterns (i <= j, pattern_indices
 order) and over the K fusions of a context, which share N: one call is a
 fixed set of array operations on (K, P, ...) arrays, never a loop of small
-per-pattern or per-fusion NumPy calls. Each table returns
+per-pattern or per-fusion NumPy calls. A table takes one unitary per
+fusion: a (K, N, N) stack against a K-row context. Each table returns
 what its stacked reader (verify) compares: enumerate_table the
 probabilities and amplitude coefficients, oracle_table the probabilities
 and register rows. enumerate_outcomes and oracle_enumerate are their K = 1
@@ -23,8 +24,8 @@ wrappers and build the rest of an outcome themselves: the closed-form
 register rows and the oracle's coefficients. Each live outcome's
 register_state is a PureState over its normalized row of the call's shared
 (P, 2^nq) array.
-reduced_det_rho_stack is the dense det-rho oracle over a (K, 2^L, 2^R) stack
-of such rows.
+reduced_det_rho is the dense det-rho oracle over a (K, 2^L, 2^R) stack of
+such rows.
 
 Random mode unitaries are drawn, then stacked: a caller draws each
 unitary's random numbers one draw at a time, in the seeded rng order
@@ -36,7 +37,7 @@ ModeUnitary's own check is its K = 1 row.
 Oracle independence: oracle_table and _oracle_coef derive probabilities,
 states and coefficient tables from their own mode substitution (a
 symmetrised einsum over the per-mode branch vectors). Neither it, oracle_enumerate nor
-reduced_det_rho_stack reaches enumerate_table, outcome_coeffs,
+reduced_det_rho reaches enumerate_table, outcome_coeffs,
 relevant_norm_sq or same_detector_prob (tests/test_imports.py checks this).
 """
 
@@ -255,9 +256,16 @@ def _normalize_live(probs: np.ndarray, rows: np.ndarray) -> None:
     rows[live] /= np.linalg.norm(rows[live], axis=-1)[:, None]
 
 
+def _paired(us: np.ndarray, ctx: FusionContext) -> None:
+    """Refuse, with InputError, a unitary stack whose row count is not the context's."""
+    if len(us) != len(ctx.f1):
+        raise InputError(f"a stack of {len(us)} unitaries against a context of {len(ctx.f1)} rows")
+
+
 def _closed_form(us: np.ndarray, ctx: FusionContext):
     """enumerate_table's probabilities and amplitude coefficients before the
     bosonic 1/sqrt2 of the doubly occupied mode: (probs, coef, diag)."""
+    _paired(us, ctx)
     if not (np.abs(np.vecdot(ctx.f1, ctx.f2)) <= ORTHOGONAL_TOL).all():
         raise InvalidContextError("<f1|f2> != 0: the closed form needs orthogonal left branches")
     iu, ju = pattern_indices(us.shape[-1])
@@ -272,10 +280,11 @@ def _closed_form(us: np.ndarray, ctx: FusionContext):
 def enumerate_table(us: np.ndarray, ctx: FusionContext) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form table of every detection pattern of K fusions at once.
 
-    us is a (K, N, N) stack of mode unitaries and ctx their context, of which
-    only z is read. The closed form's premise <f1|f2> = 0 must hold within
-    ORTHOGONAL_TOL on every row (relevant_norm_sq has no left-overlap term),
-    else InvalidContextError; a NaN fails too. Returns, over the
+    us is a (K, N, N) stack of mode unitaries and ctx their K-row context
+    (else InputError), of which only z is read. The closed form's premise
+    <f1|f2> = 0 must hold within ORTHOGONAL_TOL on every row
+    (relevant_norm_sq has no left-overlap term), else InvalidContextError;
+    a NaN fails too. Returns, over the
     P = N(N+1)/2 patterns in pattern_indices order:
 
     - probs (K, P): relevant_norm_sq for i != j, same_detector_prob for i = j;
@@ -318,6 +327,7 @@ def oracle_table(us: np.ndarray, ctx: FusionContext) -> tuple[np.ndarray, np.nda
     and unread). The amplitude coefficients are built by oracle_enumerate,
     their one reader (_oracle_coef).
     """
+    _paired(us, ctx)
     # photon from channel a in mode i carries register branch f_a[k, i], etc.
     f_a = us[:, 0, :, None] * ctx.f1[:, None, :] + us[:, 1, :, None] * ctx.f2[:, None, :]
     f_b = us[:, 2, :, None] * ctx.f3[:, None, :] + us[:, 3, :, None] * ctx.f4[:, None, :]
@@ -387,7 +397,7 @@ def oracle_enumerate(ctx: FusionContext, u: ModeUnitary) -> list[FusionOutcome]:
     return _outcome_list(u.n, probs[0], rows[0], _oracle_coef(u.matrix[None])[0])
 
 
-def reduced_det_rho_stack(mats: np.ndarray) -> np.ndarray:
+def reduced_det_rho(mats: np.ndarray) -> np.ndarray:
     """Dense oracle for det of the effective 2x2 reduced density matrices.
 
     mats is a (K, 2^L, 2^R) stack of normalized register states reshaped
@@ -398,12 +408,6 @@ def reduced_det_rho_stack(mats: np.ndarray) -> np.ndarray:
     rho = mats @ mats.conj().transpose(0, 2, 1)
     evals = np.linalg.eigvalsh(rho)  # ascending
     return evals[:, -1] * evals[:, -2]
-
-
-def reduced_det_rho(outcome: FusionOutcome, left_qubits: int) -> float:
-    """reduced_det_rho_stack for one outcome's register state."""
-    mat = outcome.register_state.amplitudes.reshape(1, 1 << left_qubits, -1)
-    return float(reduced_det_rho_stack(mat)[0])
 
 
 def type_i_matrix() -> ModeUnitary:

@@ -257,9 +257,25 @@ class QubitProjection:
 
     def __post_init__(self):
         a, b = complex(self.coefficients[0]), complex(self.coefficients[1])
-        if not abs(_sum_abs_sq(a, b) - 1.0) <= NORM_TOL:  # a NaN or inf fails too
-            raise ShapeMismatchError("projection coefficients not normalized")
+        try:
+            check_ket_rows(np.array([[a, b]]))
+        except ShapeMismatchError:
+            raise ShapeMismatchError("projection coefficients not normalized") from None
         object.__setattr__(self, "coefficients", (a, b))
+
+
+def check_ket_rows(kets: np.ndarray) -> None:
+    """QubitProjection's normalization invariant on every ket of a (K, ..., 2) stack.
+
+    Raises ShapeMismatchError naming the first row k holding a ket whose
+    |c0|^2 + |c1|^2 is off 1 by more than NORM_TOL (a NaN fails too, and a
+    square that overflows counts as inf).
+    """
+    with np.errstate(over="ignore"):
+        dev = np.abs((np.abs(kets) ** 2).sum(axis=-1) - 1.0)
+    bad = np.flatnonzero(~(dev <= NORM_TOL).reshape(len(kets), -1).all(axis=1))
+    if bad.size:
+        raise ShapeMismatchError(f"ket row {bad[0]} not normalized")
 
 
 # Common gates.
@@ -489,14 +505,11 @@ def project_rows(
     return red / np.sqrt(np.maximum(probs, ZERO_PROB_CUTOFF))[:, None], probs
 
 
-def project_qubit(
-    state: PureState, proj: QubitProjection, allow_zero: bool = False
-) -> tuple[PureState | None, float]:
+def project_qubit(state: PureState, proj: QubitProjection) -> tuple[PureState, float]:
     """Project one qubit out; returns (renormalized n-1 qubit state, probability).
 
     project_rows on the state's K = 1 stack. Below the zero-probability
-    cutoff the branch is reported impossible: raises ZeroOutcomeError unless
-    allow_zero, in which case (None, prob).
+    cutoff the branch is impossible: ZeroOutcomeError.
     """
     n = state.num_qubits
     t = proj.target
@@ -505,8 +518,6 @@ def project_qubit(
     red, probs = project_rows(state.amplitudes[None], t, np.array([proj.coefficients]))
     prob = float(probs[0])
     if prob < ZERO_PROB_CUTOFF:
-        if allow_zero:
-            return None, prob
         raise ZeroOutcomeError(f"projection probability {prob} below cutoff")
     return PureState(n - 1, red[0]), prob
 

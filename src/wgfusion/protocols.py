@@ -9,27 +9,26 @@ list; projecting a vertex out removes its register position.
 A ChainStack holds K >= 1 chains of one shape as (K, 2^n) rows, and a
 ChainState is its K = 1 case: one chain, whose graph carries its own
 weights. Each protocol runs one pass over the rows of its stacks, so each
-row of a stacked call is bit for bit the call on that row's chain:
+row of a K-row call is bit for bit the one-row call on that row's chain:
 
-- fuse_type_i_stack, create_logical_qubit_stack and fuse_type_ii_stack
-  return OutcomeStacks; fuse_type_i, create_logical_qubit and fuse_type_ii
-  are their one-chain calls, whose outcomes hold the one row, with
-  ChainState post-states;
+- fuse_type_i, create_logical_qubit and fuse_type_ii return OutcomeStacks;
+  the post-states are ChainStates when the call had one row (K = 1),
+  ChainStacks otherwise;
 - logical_pair_stack: the X-like branch of create_logical_qubit with its
   corrections, and no failure branch;
 - xlike_probability_stack and type_ii_probabilities_stack: the outcome
   probabilities alone, with no post-state built;
 - fusion_context_rows: the FusionContext of row-paired stacks, one row
   per pair (fuse_generalized reads it on one-chain arguments);
-- ghz_pair_projection_stack and ghz_pair_for_target_stack: the
-  GHZ-to-pair basis over (K,) angle arrays, with its 3-qubit simulation
-  check (ghz_pair_projection is its K = 1 call);
+- ghz_pair_projection and ghz_pair_for_target_stack: the GHZ-to-pair
+  basis over (K,) angle arrays, as (K, 2, 2) kets, with its 3-qubit
+  simulation check;
 - local_equivalent_rows and weighted_pair_rows: the 2-qubit local-unitary
   match and the weighted pair states.
 
 A stacked protocol returns OutcomeStacks: each outcome on the rows that
 have it. An outcome below ZERO_PROB_CUTOFF in some rows is absent from
-exactly those rows, as it is from the one-chain call.
+exactly those rows, as it is from the one-row call.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ from .errors import (
 from .fock import FusionContext, FusionOutcome, ModeUnitary, enumerate_outcomes
 from .graphstate import (
     PureState,
-    QubitProjection,
     WeightedGraph,
     _finite_angles,
     apply_rows,
     build_state,
     chain_graph,
+    check_ket_rows,
     check_unit_rows,
     kron_rows,
     normalized_rows,
@@ -326,9 +325,9 @@ class OutcomeStack:
     ZERO_PROB_CUTOFF, or of another good-failure kind) leaves that row out,
     so one label may head two OutcomeStacks with disjoint rows. Row k's
     outcome list is the OutcomeStacks that hold k, in list order: the
-    one-chain call's list, bit for bit. A one-chain call's outcomes hold
-    its one row, with ChainState post-states; probability and as_dict read
-    such an outcome.
+    one-row call's list, bit for bit. A one-row call's outcomes hold its
+    one row, with ChainState post-states; probability and as_dict read such
+    an outcome.
     """
 
     label: str
@@ -340,7 +339,10 @@ class OutcomeStack:
 
     @property
     def probability(self) -> float:
-        """The probability of a one-row outcome, as a float."""
+        """The probability of a one-row outcome, as a float; InputError for
+        an outcome on more rows."""
+        if len(self.probabilities) != 1:
+            raise InputError(f"need a one-row outcome, got one on {len(self.probabilities)} rows")
         (p,) = self.probabilities.tolist()
         return p
 
@@ -369,10 +371,11 @@ class _Branch(NamedTuple):
     good: bool = False
 
 
-def _outcomes(branches: list[_Branch], one_chain: bool = False) -> list[OutcomeStack]:
-    """The branches as OutcomeStacks, each post-state checked once: as a
-    ChainStack, or in a one-chain call as the ChainState of its one row."""
-    check = ChainState._of if one_chain else lambda p: ChainStack(*p)
+def _outcomes(branches: list[_Branch], k: int) -> list[OutcomeStack]:
+    """The branches of a call on k rows as OutcomeStacks, each post-state
+    checked once: as the ChainState of its one row when k = 1, else as a
+    ChainStack."""
+    check = ChainState._of if k == 1 else lambda p: ChainStack(*p)
     return [
         OutcomeStack(b.label, b.rows, b.probs, [check(p) for p in b.posts], b.corr, b.good)
         for b in branches
@@ -527,24 +530,15 @@ def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_
 def fuse_type_i(
     left: ChainStack, end_a, right: ChainStack, end_b, new_label: str | None = None
 ) -> list[OutcomeStack]:
-    """Endpoint-merging fusion: four outcomes at probability 1/4 each.
+    """Endpoint-merging fusion of left row k with right row k, for every k:
+    four outcomes at probability 1/4 each.
 
     Success branches create a new vertex c inheriting both endpoints'
     neighbors and weights; failures Z-measure both endpoints out. The
-    one-chain call of fuse_type_i_stack: left and right are one chain each.
+    stacks must hold the same number of rows (else InputError); row k of
+    every outcome is bit for bit the call on row k's two chains.
     """
-    return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label), one_chain=True)
-
-
-def fuse_type_i_stack(
-    left: ChainStack, end_a, right: ChainStack, end_b, new_label: str | None = None
-) -> list[OutcomeStack]:
-    """fuse_type_i of left row k with right row k for every k, as one pass over the rows.
-
-    The stacks must hold the same number of rows. Row k of every outcome is
-    bit for bit fuse_type_i of row k's two chains.
-    """
-    return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label))
+    return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label), len(left.rows))
 
 
 def _xlike_case(chi1: float, chi2: float) -> str | None:
@@ -643,7 +637,8 @@ def xlike_probability_stack(stack: ChainStack, a) -> np.ndarray:
 
 
 def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
-    """Project an interior vertex to turn its two neighbors into a logical pair.
+    """Project an interior vertex to turn its two neighbors into a logical
+    pair, in every row of a stack.
 
     Success probability (1 - cos chi)/4; at chi = pi the complementary
     projection also succeeds (total probability 1). Otherwise the complement
@@ -657,22 +652,15 @@ def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
     below ZERO_PROB_CUTOFF raise ZeroOutcomeError, naming a and the
     probability: the branch has no state to return. A success branch that
     leaves a logical pair mixed-bit amplitudes at or above PAIR_SUPPORT_TOL
-    is refused as well (_xlike_success). The one-chain call of
-    create_logical_qubit_stack.
+    is refused as well (_xlike_success).
+
+    Every row must meet one eligibility case, as in logical_pair_stack. Rows
+    at chi = pi get the complementary success, the others the failure split,
+    whose sub-outcomes below ZERO_PROB_CUTOFF leave out just the rows where
+    they vanish. Row k of every outcome is bit for bit the call on row k's
+    chain.
     """
-    return _outcomes(_create_logical_branches(chain, a), one_chain=True)
-
-
-def create_logical_qubit_stack(stack: ChainStack, a) -> list[OutcomeStack]:
-    """create_logical_qubit on every row of a stack, as one pass over its rows.
-
-    Same rules and errors, and every row must meet one eligibility case, as
-    in logical_pair_stack. Rows at chi = pi get the complementary success,
-    the others the failure split, whose sub-outcomes below ZERO_PROB_CUTOFF
-    leave out just the rows where they vanish. Row k of every outcome is bit
-    for bit create_logical_qubit of row k's chain.
-    """
-    return _outcomes(_create_logical_branches(stack, a))
+    return _outcomes(_create_logical_branches(chain, a), len(chain.rows))
 
 
 def _create_logical_branches(chains: ChainStack, a) -> list[_Branch]:
@@ -711,8 +699,10 @@ def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.nda
     kets = []
     for a, b in bras:
         nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        kets.append(QubitProjection(qubit, (np.conj(a) / nrm, np.conj(b) / nrm)).coefficients)
-    return project_rows(rows, qubit, np.array(kets))
+        kets.append((np.conj(a) / nrm, np.conj(b) / nrm))
+    kets = np.array(kets, dtype=complex)
+    check_ket_rows(kets)
+    return project_rows(rows, qubit, kets)
 
 
 def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
@@ -960,7 +950,7 @@ def type_ii_probabilities_stack(
 def fuse_type_ii(
     left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
 ) -> list[OutcomeStack]:
-    """Bell-measure one logical pair member against a qubit of another chain.
+    """Bell-measure one logical pair member against a qubit of other chains.
 
     Success outcomes (<00| +/- <11|, total probability 1/2) merge the chains:
     the kept pair member e inherits the logical vertex's and b's neighbors.
@@ -968,23 +958,16 @@ def fuse_type_ii(
     b-side <0|-<1| branch is a good failure under Case-2 weights on b. A
     failure that is not good destroys the right graph's structure, so it
     lists only the left post-state. type_ii_probabilities_stack gives the
-    four probabilities alone. The one-chain call of fuse_type_ii_stack.
+    four probabilities alone.
+
+    left is one chain (a ChainState or a one-row stack), fused with every
+    row of the right stack in one pass; row k of every outcome is bit for
+    bit the call on right row k's chain. A failure label heads one
+    OutcomeStack per kind of row: those below ZERO_PROB_CUTOFF (no
+    post-state), those whose right branch is not good and those whose right
+    branch is good.
     """
-    return _outcomes(_type_ii_outcomes(left, pair, right, b, consume), one_chain=True)
-
-
-def fuse_type_ii_stack(
-    left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
-) -> list[OutcomeStack]:
-    """fuse_type_ii of one left chain with every row of a right stack, as one pass.
-
-    Row k of every outcome is bit for bit fuse_type_ii(left, pair, right row
-    k's chain, b, consume). A failure label heads one OutcomeStack per kind
-    of row: those below ZERO_PROB_CUTOFF (no post-state), those whose right
-    branch is not good and those whose right branch is good. left is one
-    chain: a ChainState or a one-row stack.
-    """
-    return _outcomes(_type_ii_outcomes(left, pair, right, b, consume))
+    return _outcomes(_type_ii_outcomes(left, pair, right, b, consume), len(right.rows))
 
 
 def _type_ii_outcomes(left: ChainStack, pair, right: ChainStack, b, consume):
@@ -1189,24 +1172,6 @@ def local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
     return a, b, ok
 
 
-def ghz_pair_projection(
-    chi1: float, chi2: float, mag_a: float
-) -> tuple[tuple[QubitProjection, QubitProjection], float]:
-    """Measurement basis on the middle GHZ qubit yielding a weighted pair.
-
-    Returns ((projection, complement), phi) where both outcomes produce the
-    2-qubit weighted graph state with the same weight phi (up to diagonal
-    local corrections), with arg B = arg A + (chi1 + chi2 + pi)/2 and
-    phi = +/- arccos(1 - 2|A|^2|B|^2 (1-cos chi1)(1-cos chi2)).
-
-    InputError for a non-finite angle or a NaN |A|, NotAchievableError for
-    |A| outside [0, 1] or an outcome the simulation does not confirm. The
-    K = 1 row of ghz_pair_projection_stack.
-    """
-    projs, phis = ghz_pair_projection_stack([chi1], [chi2], [mag_a])
-    return projs[0], float(phis[0])
-
-
 def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
     """The arguments as float arrays of one shape (K >= 1,), else InputError."""
     xs = tuple(np.asarray(x, dtype=float) for x in xs)
@@ -1216,21 +1181,28 @@ def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
     return xs
 
 
-def ghz_pair_projection_stack(
-    chi1, chi2, mag_a
-) -> tuple[list[tuple[QubitProjection, QubitProjection]], np.ndarray]:
-    """ghz_pair_projection for every row k of the (K,) arrays chi1, chi2, mag_a.
+def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement bases on the middle GHZ qubit yielding a weighted pair, for
+    every row k of the (K,) arrays chi1, chi2, mag_a.
 
-    Returns the K (projection, complement) pairs and the (K,) weights phi,
-    row k bit for bit ghz_pair_projection(chi1[k], chi2[k], mag_a[k]). The
-    bases come row by row; the simulation that checks them is stacked: one
-    GHZ build and one target build (a build per edge pattern, should a weight
-    drop its edge), one project_rows over both outcomes of every row and one
-    stacked local-unitary check. The first row that fails a check raises
-    its error.
+    Returns (kets, phis): kets[k, 0] is row k's projection ket and
+    kets[k, 1] its complement ket, as project_rows takes them (it applies
+    the conjugate bra), and phis[k] the pair weight. Both outcomes of a row
+    produce the 2-qubit weighted graph state with the same weight phi (up to
+    diagonal local corrections), with arg B = arg A + (chi1 + chi2 + pi)/2
+    and phi = +/- arccos(1 - 2|A|^2|B|^2 (1-cos chi1)(1-cos chi2)).
+
+    The bases come row by row; every ket is checked as QubitProjection
+    checks one (check_ket_rows), and the simulation that checks the bases is
+    stacked: one GHZ build and one target build (a build per edge pattern,
+    should a weight drop its edge), one project_rows over both outcomes of
+    every row and one stacked local-unitary check. InputError for a
+    non-finite angle or a NaN |A|, NotAchievableError for |A| outside
+    [0, 1] or an outcome the simulation does not confirm; the first row
+    that fails a check raises its error.
     """
     chi1, chi2, mag_a = _angle_arrays(chi1, chi2, mag_a)
-    projs, phis = [], []
+    phis = []
     bras = np.empty((len(chi1), 2), dtype=complex)
     for k, (c1, c2, mag) in enumerate(zip(chi1.tolist(), chi2.tolist(), mag_a.tolist())):
         _finite_angles(c1, c2)
@@ -1242,20 +1214,19 @@ def ghz_pair_projection_stack(
         arg_b = (c1 + c2 + math.pi) / 2.0
         bra_a, bra_b = complex(mag), mag_b * cmath.exp(1j * arg_b)
         bras[k] = bra_a, bra_b
-        # QubitProjection applies conj(alpha)<0| + conj(beta)<1|: pass conjugates
-        proj = QubitProjection(1, (np.conj(bra_a), np.conj(bra_b)))
-        comp = QubitProjection(1, (bra_b, -bra_a))  # bra (B*, -A*)
-        projs.append((proj, comp))
         phis.append(pair_weight_from_projection(bra_a, bra_b, c1, c2)[0])
+    # the projection ket is the conjugate of the bra (A, B); the complement
+    # applies the bra (B*, -A*)
+    kets = np.empty((len(bras), 2, 2), dtype=complex)
+    kets[:, 0] = np.conj(bras)
+    kets[:, 1, 0], kets[:, 1, 1] = bras[:, 1], -bras[:, 0]
+    check_ket_rows(kets)
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi;
     # rows 2k and 2k + 1 are row k's projection and complement
     ghz = _chain_rows(["b1", "a", "b2"], np.stack([chi1, chi2], axis=1))
     target = weighted_pair_rows(phis)
-    kets = np.empty((2 * len(bras), 2), dtype=complex)
-    kets[0::2] = np.conj(bras)
-    kets[1::2, 0], kets[1::2, 1] = bras[:, 1], -bras[:, 0]
-    red, probs = project_rows(np.repeat(ghz, 2, axis=0), 1, kets)
+    red, probs = project_rows(np.repeat(ghz, 2, axis=0), 1, kets.reshape(-1, 2))
     live = ~(probs < ZERO_PROB_CUTOFF)  # zero-probability outcomes (poles |A| in {0,1}) drop out
     check_unit_rows(red[live])
     _, _, match = local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))
@@ -1266,7 +1237,7 @@ def ghz_pair_projection_stack(
             )
         if not any(realized):
             raise NotAchievableError("no realizable outcome")
-    return projs, np.array(phis)
+    return kets, np.array(phis)
 
 
 def ghz_pair_range(chi1: float, chi2: float) -> float:
@@ -1279,13 +1250,14 @@ def ghz_pair_range(chi1: float, chi2: float) -> float:
     return math.acos(max(-1.0, min(1.0, val)))
 
 
-def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> list[tuple[QubitProjection, QubitProjection]]:
-    """The GHZ-to-pair bases of the (K,) arrays chi1, chi2, phi_target: row
-    k's (projection, complement) yields the pair weight phi_target[k].
+def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> np.ndarray:
+    """The GHZ-to-pair bases of the (K,) arrays chi1, chi2, phi_target, as
+    ghz_pair_projection's (K, 2, 2) kets: row k's projection and complement
+    yield the pair weight phi_target[k].
 
     Inverts the phi formula for |A| (closed form) row by row; the bases come
-    from one ghz_pair_projection_stack call over every row, so row k is bit
-    for bit the K = 1 call on row k. InputError for a non-finite angle,
+    from one ghz_pair_projection call over every row, so row k is bit for
+    bit the K = 1 call on row k. InputError for a non-finite angle,
     NotAchievableError for a target out of range; the first row that fails
     a check raises its error.
     """
@@ -1306,17 +1278,17 @@ def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> list[tuple[QubitProject
                 f"|phi_target| exceeds the range cap {ghz_pair_range(c1, c2):.6f}"
             )
         mags.append(math.sqrt((1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * t))) / 2.0))
-    projs, phis = ghz_pair_projection_stack(chi1, chi2, mags)
+    kets, phis = ghz_pair_projection(chi1, chi2, mags)
     for phi, target, check in zip(phis.tolist(), phi_target.tolist(), inverted):
         if check and not abs(abs(wrap_angle(phi)) - abs(wrap_angle(target))) <= INVERSION_TOL:
             raise NotAchievableError("inversion check failed")
-    return projs
+    return kets
 
 
 def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
     """Monte Carlo mode: draw n outcome labels with the injected seed.
 
-    Each outcome (a one-chain call's OutcomeStack or a FusionOutcome)
+    Each outcome (a one-row call's OutcomeStack or a FusionOutcome)
     supplies probability and label. The distribution must be complete:
     InputError unless every probability is >= -PROB_SUM_TOL and they sum to
     1 within PROB_SUM_TOL. Only that round-off is clipped away before

@@ -34,7 +34,7 @@ from .fock import (
     oracle_table,
     outcome_coeffs,
     pattern_indices,
-    reduced_det_rho_stack,
+    reduced_det_rho,
     relevant_norm_sq,
 )
 from .graphstate import (
@@ -50,10 +50,8 @@ from .graphstate import (
 )
 from .protocols import (
     create_logical_qubit,
-    create_logical_qubit_stack,
-    fuse_type_i_stack,
+    fuse_type_i,
     fuse_type_ii,
-    fuse_type_ii_stack,
     fusion_context_rows,
     ghz_pair_for_target_stack,
     local_equivalent_rows,
@@ -177,7 +175,7 @@ def check_type_i(seed: int = 11, quick: bool = False):
 
     Each draw takes its left, then its right weights from the rng; the
     chains are built as one left and one right stack, fused row by row in
-    one fuse_type_i_stack call, and each success stack is compared with
+    one fuse_type_i call, and each success stack is compared with
     build_state of its graphs in one stacked build.
     """
     rng = np.random.default_rng(seed)
@@ -185,7 +183,7 @@ def check_type_i(seed: int = 11, quick: bool = False):
     weights = np.array([_rand_weights(rng, 2) + _rand_weights(rng, 2) for _ in range(draws)])
     left = make_chain_stack(["a1", "a2", "a3"], weights[:, :2])
     right = make_chain_stack(["b1", "b2", "b3"], weights[:, 2:])
-    outs = fuse_type_i_stack(left, "a3", right, "b1", new_label="c")
+    outs = fuse_type_i(left, "a3", right, "b1", new_label="c")
     if (_row_counts(outs, draws) != 4).any():
         raise _Refuted("wrong outcome count")
     residuals = [np.abs(o.probabilities - 0.25) for o in outs]
@@ -200,13 +198,13 @@ def check_type_i(seed: int = 11, quick: bool = False):
 def check_logical_qubit(quick: bool = False):
     """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds.
 
-    The grid's chains are one stack and take one create_logical_qubit_stack
-    call; chi = pi, where both X-basis outcomes succeed, is one K = 1 call.
+    The grid's chains are one stack and take one create_logical_qubit call;
+    chi = pi, where both X-basis outcomes succeed, is one K = 1 call.
     """
     n = 24 if quick else 100
     chis = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
     stack = make_chain_stack(["a", "b", "c", "d"], np.stack([np.ones(n), chis, chis], axis=1))
-    outs = create_logical_qubit_stack(stack, "c")
+    outs = create_logical_qubit(stack, "c")
     succ = [o for o in outs if o.label.startswith("success")]
     count = _row_counts(succ, n)
     support = np.ones(n, dtype=bool)
@@ -234,7 +232,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law.
 
     The right chains of the drawn weights and pi are one stack, fused with
-    the left chain in one fuse_type_ii_stack call; the all-pi right chain is
+    the left chain in one fuse_type_ii call; the all-pi right chain is
     one K = 1 call.
     """
     rng = np.random.default_rng(seed)
@@ -244,7 +242,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     chis = rng.uniform(0.05, math.pi - 0.05, n).tolist() + [math.pi]
     # Case-2 weights (chi, -chi) around the fused interior vertex
     right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in chis])
-    outs = fuse_type_ii_stack(left, ("B", "D"), right, "b", consume="D")
+    outs = fuse_type_ii(left, ("B", "D"), right, "b", consume="D")
     k = len(chis)
     p_good, p_plus, good = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
     for o in outs:
@@ -373,7 +371,7 @@ def _oracle_residual(us: np.ndarray, ctx: FusionContext) -> float:
             coef[live].reshape(-1, 2, 2), np.broadcast_to(ctx.z[:, None], live.shape)[live]
         )
         rows = oracle_rows[live]
-        oracle_det = reduced_det_rho_stack(rows.reshape(len(rows), 1 << ctx.left_qubits, -1))
+        oracle_det = reduced_det_rho(rows.reshape(len(rows), 1 << ctx.left_qubits, -1))
         residuals.append(np.abs(det_rho - oracle_det))
     return _worst(*residuals)
 
@@ -525,18 +523,17 @@ def _fixed_fidelity(states: np.ndarray, targets: np.ndarray, refute) -> np.ndarr
 def check_ghz_generation(quick: bool = False):
     """50 target weights at chi1 = chi2 = pi, verified by 3-qubit simulation.
 
-    One ghz_pair_for_target_stack call gives every target's basis; both
+    One ghz_pair_for_target_stack call gives every target's kets; both
     outcomes of every target are projected out of the GHZ state in one
     project_rows call and matched to the |t|-weighted pair in one stacked
     local-unitary check. The range rejection away from pi is one K = 1 call.
     """
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
-    projs = ghz_pair_for_target_stack(np.full(n, math.pi), np.full(n, math.pi), targets)
+    kets = ghz_pair_for_target_stack(np.full(n, math.pi), np.full(n, math.pi), targets)
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi, math.pi]))
     # rows 2k and 2k + 1: target k's projection and complement
-    kets = np.array([q.coefficients for pair in projs for q in pair])
-    states, probs = project_rows(np.broadcast_to(ghz.amplitudes, (2 * n, 8)), 1, kets)
+    states, probs = project_rows(np.broadcast_to(ghz.amplitudes, (2 * n, 8)), 1, kets.reshape(-1, 2))
     low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
     if low.size:
         raise ZeroOutcomeError(f"projection probability {float(probs[low[0]])} below cutoff")

@@ -19,7 +19,14 @@ from wgfusion.analysis import (
     solve_xi_for_weight,
 )
 from wgfusion.cli import main
-from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, project_qubit, wrap_angle
+from wgfusion.graphstate import (
+    QubitProjection,
+    WeightedGraph,
+    build_state,
+    chain_graph,
+    project_qubit,
+    wrap_angle,
+)
 from wgfusion.protocols import (
     create_logical_qubit,
     fuse_type_ii,
@@ -240,9 +247,9 @@ def _ref_det_entropy(chi: float, rng) -> list:
 
 def _ref_ghz_range(chi: float, _rng) -> list:
     ana = ghz_pair_range(chi, chi)
-    (proj, _), _phi = ghz_pair_projection(chi, chi, INV_SQRT2)
+    kets, _phi = ghz_pair_projection([chi], [chi], [INV_SQRT2])
     ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
-    st, _p = project_qubit(ghz, proj)
+    st, _p = project_qubit(ghz, QubitProjection(1, kets[0, 0]))
     det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
     sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
     return [chi, ana, sim, abs(ana - sim)]

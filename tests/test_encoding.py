@@ -27,10 +27,8 @@ from wgfusion.protocols import (
     ChainStack,
     ChainState,
     create_logical_qubit,
-    create_logical_qubit_stack,
     fuse_type_i,
     fuse_type_ii,
-    fuse_type_ii_stack,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
@@ -337,7 +335,7 @@ def test_an_eligible_vertex_is_answered_never_refused_as_a_graph(n, k, data):
         _answers(lambda: create_logical_qubit(chain, labels[i]), one_chain=True)
         _answers(lambda: logical_pair_stack(chain, labels[i]), one_chain=True)
     stack = paired(make_chain_stack(labels, rows))
-    _answers(lambda: create_logical_qubit_stack(stack, labels[i]), one_chain=False)
+    _answers(lambda: create_logical_qubit(stack, labels[i]), one_chain=False)
     _answers(lambda: logical_pair_stack(stack, labels[i]), one_chain=False)
 
 
@@ -356,7 +354,7 @@ def test_a_near_eligible_good_failure_is_answered_never_refused_as_a_graph(k, da
         right = make_chain(["v", "b", "w"], w)
         _answers(lambda: fuse_type_ii(left, ("B", "D"), right, "b", "D"), one_chain=True)
     stack = make_chain_stack(["v", "b", "w"], rows)
-    _answers(lambda: fuse_type_ii_stack(left, ("B", "D"), stack, "b", "D"), one_chain=False)
+    _answers(lambda: fuse_type_ii(left, ("B", "D"), stack, "b", "D"), one_chain=False)
 
 
 # ------------------------------------------------ probability-only paths

@@ -230,10 +230,8 @@ def test_reduced_det_rho_oracle_on_bell_register():
     # Bell-shaped register across the cut: det rho = 1/4
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1 / math.sqrt(2)
-    from wgfusion.fock import FusionOutcome
-
-    o = FusionOutcome((0, 1), 0.25, PureState(2, amps), "relevant")
-    assert reduced_det_rho(o, 1) == pytest.approx(0.25, abs=1e-12)
+    (det,) = reduced_det_rho(amps.reshape(1, 2, 2))
+    assert det == pytest.approx(0.25, abs=1e-12)
 
 
 def _chain_context(wl: float, wr: float) -> FusionContext:

@@ -2,7 +2,7 @@
 
 The batched closed form is compared with the independent oracle and with a
 per-pattern loop over the scalar closed-form helpers; the stacked det-rho
-cores are compared with their one-outcome calls, and each slice of the
+cores are compared with their one-row calls, and each slice of the
 stacked tables (K fusions per call) with the one-fusion wrappers.
 """
 
@@ -28,7 +28,6 @@ from wgfusion.fock import (
     outcome_coeffs,
     pattern_indices,
     reduced_det_rho,
-    reduced_det_rho_stack,
     relevant_norm_sq,
     same_detector_prob,
 )
@@ -160,13 +159,14 @@ def test_stacked_det_rho_cores_match_scalar_calls(setup):
     z = complex(ctx.z[0])
     det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), z)
     rows = np.stack([o.register_state.amplitudes for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
-    dets = reduced_det_rho_stack(rows)
+    dets = reduced_det_rho(rows)
     for k, o in enumerate(live):
         rep = entanglement_report(o.m_matrix, z)
         assert rep.det_rho == pytest.approx(det[k], abs=1e-15)
         assert rep.lam == pytest.approx(lam[k], abs=1e-15)
         assert rep.probability == pytest.approx(nsq[k] / 4.0, abs=1e-15)
-        assert reduced_det_rho(o, ctx.left_qubits) == pytest.approx(dets[k], abs=1e-15)
+        (one,) = reduced_det_rho(rows[k : k + 1])
+        assert one == pytest.approx(dets[k], abs=1e-15)
     # and the closed form agrees with the dense oracle, as the verify check requires
     assert np.max(np.abs(det - dets)) < 1e-10
 
@@ -219,6 +219,16 @@ def test_table_z_is_bit_identical_to_the_context_overlap(stack):
     off = iu != ju
     want = relevant_norm_sq(*np.moveaxis(coef[:, off], -1, 0), z[:, None])
     assert np.array_equal(probs[:, off], want)
+
+
+@pytest.mark.parametrize("table", [enumerate_table, oracle_table])
+@pytest.mark.parametrize("k_us, k_ctx", [(3, 1), (1, 3), (2, 3)])
+def test_tables_refuse_a_unitary_stack_of_another_row_count(table, k_us, k_ctx):
+    """One unitary per fusion: a one-row context does not broadcast against
+    a K-row unitary stack, nor a one-unitary stack against a K-row context."""
+    _, _, ms, stacked = _stack(5, 3, 4, 1, 2)
+    with pytest.raises(InputError, match=f"^a stack of {k_us} unitaries against a context of {k_ctx} rows$"):
+        table(ms[:k_us], stacked.take(np.arange(k_ctx)))
 
 
 @settings(max_examples=40, deadline=None)

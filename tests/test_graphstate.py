@@ -30,9 +30,11 @@ from wgfusion.graphstate import (
     attach_vertex,
     build_state,
     chain_graph,
+    check_ket_rows,
     fidelity_up_to_global_phase,
     phase_gate,
     project_qubit,
+    project_rows,
     wrap_angle,
 )
 from wgfusion.protocols import ChainState
@@ -224,10 +226,11 @@ def test_project_qubit_probabilities_sum_to_one():
 
 def test_project_qubit_zero_outcome():
     st = PureState(1, np.array([1.0, 0.0]))
-    with pytest.raises(ZeroOutcomeError):
+    with pytest.raises(ZeroOutcomeError, match="probability 0.0 below cutoff"):
         project_qubit(st, QubitProjection(0, (0.0, 1.0)))
-    out, p = project_qubit(st, QubitProjection(0, (0.0, 1.0)), allow_zero=True)
-    assert out is None and p < 1e-14
+    # the stacked kernel reports the vanishing probability and leaves the row finite
+    red, probs = project_rows(st.amplitudes[None], 0, np.array([[0.0, 1.0]]))
+    assert probs[0] < 1e-14 and np.isfinite(red).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,7 +243,7 @@ def test_project_qubit_matches_the_take_formula_bit_for_bit(n, seed):
     for t in range(n):
         ab = rng.normal(size=2) + 1j * rng.normal(size=2)
         a, b = ab / np.linalg.norm(ab)
-        got, prob = project_qubit(state, QubitProjection(t, (a, b)), allow_zero=True)
+        got, prob = project_qubit(state, QubitProjection(t, (a, b)))
         # asarray: at n = 1 np.take returns NumPy scalars, whose multiply rounds
         # apart from the array loop the views go through
         sl0, sl1 = (np.asarray(np.take(arr, bit, axis=t)) for bit in (0, 1))
@@ -294,6 +297,16 @@ def test_projection_rejects_a_coefficient_whose_square_overflows(big):
         for coefficients in ((coef, 0.0), (0.6, coef)):
             with pytest.raises(ShapeMismatchError, match="not normalized"):
                 QubitProjection(0, coefficients)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, math.nan, 1e200])
+def test_ket_rows_check_names_the_first_bad_row(bad):
+    # QubitProjection's norm check on a (K, 2, 2) stack of (projection, complement) kets
+    kets = np.tile(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), (4, 1, 1))
+    check_ket_rows(kets)
+    kets[2, 1, 1] = kets[3, 0, 0] = bad
+    with pytest.raises(ShapeMismatchError, match="^ket row 2 not normalized"):
+        check_ket_rows(kets)
 
 
 # ---- bit-view layer against the per-index mask loops it replaced ----------

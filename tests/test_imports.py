@@ -10,8 +10,9 @@ selects bits through graphstate's strided views), verify builds and checks
 no random unitary once per loop iteration, no module but the
 tolerance table writes a float literal below 1e-2, every constant of that
 table has a reader, every name __init__.py exports is bound there, every
-export and every public module-level function and class has a reader, and
-no module dispatches between the two chain types.
+export and every public module-level function and class has a reader, no
+per-layer-pinned function has a public "_stack" twin, and no module
+dispatches between the two chain types.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def test_runtime_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-ORACLE_FUNCS = ("oracle_table", "oracle_enumerate", "reduced_det_rho_stack")
+ORACLE_FUNCS = ("oracle_table", "oracle_enumerate", "reduced_det_rho")
 CLOSED_FORM = {"enumerate_table", "outcome_coeffs", "relevant_norm_sq", "same_detector_prob"}
 
 
@@ -257,9 +258,9 @@ PER_ROW_PROTOCOL_CALLS = {
     "create_logical_qubit",
     "fuse_type_i",
     "fuse_type_ii",
-    "ghz_pair_for_target",
+    "ghz_pair_projection",
+    "ghz_pair_for_target_stack",
     "project_qubit",
-    "local_equivalent_2q",
     "apply_local",
     "fidelity_up_to_global_phase",
 }
@@ -282,14 +283,14 @@ def test_gate_flags_a_per_row_protocol_call():
     src = (
         "for chi in chis:\n"
         "    outs = create_logical_qubit(make_chain(labels, [chi]), 'c')\n"
-        "outs = create_logical_qubit_stack(stack, 'c')\n"
+        "outs = create_logical_qubit(stack, 'c')\n"
         "fids = [graphstate.fidelity_up_to_global_phase(s, t) for s, t in pairs]\n"
-        "while not protocols.ghz_pair_for_target(1.0, 1.0, t):\n"
+        "while not protocols.ghz_pair_for_target_stack([1.0], [1.0], [t]).any():\n"
         "    st = apply_local(project_qubit(ghz, q)[0], gate)\n"
         "outs = fuse_type_ii(left, pair, right, 'b')\n"
         "for t in targets:\n"
-        "    x = fuse_type_i_stack(left, 'a', right, 'b')\n"
-        "    y = local_equivalent_2q(s, t) or fuse_type_i(left, 'a', right, 'b')\n"
+        "    x = xlike_probability_stack(stack, 'a')\n"
+        "    y = ghz_pair_projection([t], [t], [0.5]) or fuse_type_i(left, 'a', right, 'b')\n"
     )
     assert per_row_protocol_calls(src) == [2, 4, 5, 6, 10]
 
@@ -486,6 +487,34 @@ def test_every_export_has_a_reader():
     pins = per_layer_pins(json.loads((ROOT / "BENCHMARK.json").read_text()))
     bench = attribute_reads((ROOT / "bench" / "workloads.py").read_text())
     assert unread_exports(exports, package, pins, bench, {}) == sorted(PUBLIC_WITHOUT_READER)
+
+
+def stacked_twins(pins: set[str], public: set[str]) -> list[str]:
+    """The public "<pin>_stack" names of the pins: a second function for a
+    step that the pinned name already computes."""
+    return sorted(f"{pin}_stack" for pin in pins if f"{pin}_stack" in public)
+
+
+# Per-layer pins that keep a public stacked twin, each with its reason.
+PINS_WITH_A_TWIN = {
+    "make_chain": "make_chain drops a zero-weight edge, which make_chain_stack's weight_rows "
+    "refuses, and bench calls make_chain with 1-D weight lists",
+}
+
+
+def test_gate_flags_a_stacked_twin_of_a_pin():
+    public = {"fuse", "fuse_stack", "build_stack", "probe_rows"}
+    assert stacked_twins({"fuse", "build", "probe"}, public) == ["build_stack", "fuse_stack"]
+    assert stacked_twins(set(), public) == []
+
+
+def test_no_per_layer_pin_has_a_stacked_twin():
+    # strict both ways: an exempt pin whose twin is gone leaves the list
+    package = [path.read_text() for path in MODULES]
+    public = set(exported_names((SRC / "__init__.py").read_text())).union(*map(public_defs, package))
+    pins = per_layer_pins(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert stacked_twins(pins - set(PINS_WITH_A_TWIN), public) == []
+    assert stacked_twins(set(PINS_WITH_A_TWIN) & pins, public) == [f"{p}_stack" for p in sorted(PINS_WITH_A_TWIN)]
 
 
 CHAIN_TYPES = {"ChainState", "ChainStack"}

@@ -17,6 +17,7 @@ from wgfusion.errors import (
 from wgfusion.fock import ModeUnitary, oracle_enumerate, type_ii_matrix
 from wgfusion.graphstate import (
     PureState,
+    QubitProjection,
     WeightedGraph,
     build_state,
     chain_graph,
@@ -339,19 +340,26 @@ def test_generalized_identity_keeps_photons_in_channels():
 # ----------------------------------------------------------------- GHZ
 
 
+def _ghz_pair(chi1: float, chi2: float, mag_a: float):
+    """The GHZ-to-pair basis of one row, as (projection, complement) QubitProjections, and phi."""
+    kets, phis = ghz_pair_projection([chi1], [chi2], [mag_a])
+    assert kets.shape == (1, 2, 2) and phis.shape == (1,)
+    return tuple(QubitProjection(1, ket) for ket in kets[0]), float(phis[0])
+
+
 def test_ghz_pi_full_range():
-    (proj, comp), phi = ghz_pair_projection(math.pi, math.pi, 1 / math.sqrt(2))
+    (proj, comp), phi = _ghz_pair(math.pi, math.pi, 1 / math.sqrt(2))
     assert phi == pytest.approx(math.pi, abs=1e-12)
     assert ghz_pair_range(math.pi, math.pi) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_ghz_zero_magnitude_is_z_measurement():
-    (_proj, _comp), phi = ghz_pair_projection(1.0, 0.5, 0.0)
+    (_proj, _comp), phi = _ghz_pair(1.0, 0.5, 0.0)
     assert phi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ghz_pi_over_2_gives_pi_over_3():
-    (proj, comp), phi = ghz_pair_projection(math.pi / 2, math.pi / 2, 1 / math.sqrt(2))
+    (proj, comp), phi = _ghz_pair(math.pi / 2, math.pi / 2, 1 / math.sqrt(2))
     assert phi == pytest.approx(math.pi / 3, abs=1e-12)
     # brute-force 3-qubit oracle: both outcomes are the pi/3 pair up to locals
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi / 2, math.pi / 2]))
@@ -362,7 +370,7 @@ def test_ghz_pi_over_2_gives_pi_over_3():
 
 
 def _for_target(chi1: float, chi2: float, phi: float):
-    """The GHZ-to-pair basis of one target, as a K = 1 stack."""
+    """The GHZ-to-pair basis of one target: its (projection, complement) kets."""
     return ghz_pair_for_target_stack([chi1], [chi2], [phi])[0]
 
 
@@ -373,7 +381,7 @@ def test_ghz_for_target_inversion_and_range():
         _for_target(math.pi / 2, math.pi / 2, math.pi)
     # phi_target = 0 solved by |A| = 0
     proj, comp = _for_target(1.0, 0.7, 0.0)
-    assert abs(proj.coefficients[0]) == pytest.approx(0.0, abs=1e-12)
+    assert abs(proj[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ sampling
@@ -426,7 +434,7 @@ def test_ghz_pair_projection_refuses_non_finite_input(args):
     # a plain InputError at entry: not the ShapeMismatchError of the projection's
     # norm check, nor NotAchievableError's verdict on the range of |A|
     with pytest.raises(InputError) as exc:
-        ghz_pair_projection(*args)
+        ghz_pair_projection(*([x] for x in args))
     assert type(exc.value) is InputError
 
 

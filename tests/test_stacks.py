@@ -40,19 +40,16 @@ from wgfusion.protocols import (
     ChainStack,
     ChainState,
     create_logical_qubit,
-    create_logical_qubit_stack,
     fuse_type_i,
-    fuse_type_i_stack,
     fuse_type_ii,
-    fuse_type_ii_stack,
     fusion_context_rows,
     ghz_pair_for_target_stack,
     ghz_pair_projection,
-    ghz_pair_projection_stack,
     ghz_pair_range,
     logical_pair_stack,
     make_chain,
     make_chain_stack,
+    sample_outcomes,
     type_ii_probabilities_stack,
     weighted_pair_rows,
     xlike_probability_stack,
@@ -321,7 +318,7 @@ BAD_MAGNITUDES = NON_FINITE | st.floats(1.01, 3.0) | st.floats(-3.0, -0.01)
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(k=st.integers(1, 5), data=st.data())
-def test_ghz_pair_projection_stack_rows_equal_single_calls(k, data):
+def test_ghz_pair_projection_rows_equal_single_calls(k, data):
     """(chi1, chi2, |A|) rows, zero weights and the poles |A| in {0, 1} among them;
     maybe one row with a non-finite angle or an |A| outside [0, 1]."""
     rows = [
@@ -331,25 +328,24 @@ def test_ghz_pair_projection_stack_rows_equal_single_calls(k, data):
     if bad is not None:
         column = data.draw(st.integers(0, 2))
         rows[bad][column] = data.draw(BAD_MAGNITUDES if column == 2 else NON_FINITE)
-    singles = _single_outcomes([lambda r=r: ghz_pair_projection(*r) for r in rows])
+    singles = _single_outcomes([lambda r=r: ghz_pair_projection(*zip(r)) for r in rows])
     error = _first_error(singles)
     assert (error is None) == (bad is None)
     if error is not None:
         with pytest.raises(error) as exc:
-            ghz_pair_projection_stack(*zip(*rows))
+            ghz_pair_projection(*zip(*rows))
         assert type(exc.value) is error
         return
-    projs, phis = ghz_pair_projection_stack(*zip(*rows))
-    for (pair, phi), got_pair, got_phi in zip(singles, projs, phis.tolist()):
+    kets, phis = ghz_pair_projection(*zip(*rows))
+    assert kets.shape == (k, 2, 2) and phis.shape == (k,)
+    for (one_kets, (phi,)), got_kets, got_phi in zip(singles, kets, phis.tolist()):
         assert float.hex(got_phi) == float.hex(phi)
-        for p, q in zip(got_pair, pair):
-            assert p.target == q.target
-            assert [_hex(c) for c in p.coefficients] == [_hex(c) for c in q.coefficients]
+        assert [_hex(c) for c in got_kets.ravel()] == [_hex(c) for c in one_kets.ravel()]
 
 
-# The stacked forms behind verify's per-point protocol checks: every outcome
-# that row k of a stacked call holds is, in order, the K = 1 call's outcome on
-# row k's inputs (probabilities float.hex-equal, post-state rows array_equal,
+# The protocols behind verify's per-point protocol checks: every outcome that
+# row k of a K-row call holds is, in order, the K = 1 call's outcome on row
+# k's inputs (probabilities float.hex-equal, post-state rows array_equal,
 # the same labels, corrections and good-failure flags), and a stack holding a
 # bad row raises the error type of the K = 1 call on that row.
 
@@ -405,7 +401,7 @@ NEAR_PI = st.sampled_from([math.pi, math.pi - 5e-8, -(math.pi - 5e-8)])
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 6), k=st.integers(1, 5), data=st.data())
-def test_create_logical_qubit_stack_rows_equal_single_calls(n, k, data):
+def test_create_logical_qubit_rows_equal_single_calls(n, k, data):
     """One eligibility case per stack, pi and near-pi rows among the rest; maybe
     a logical pair formed first, and maybe one ineligible row."""
     labels = [f"v{j}" for j in range(n)]
@@ -435,15 +431,15 @@ def test_create_logical_qubit_stack_rows_equal_single_calls(n, k, data):
     if _first_error(singles) is None and len({one[0].label for one in singles}) > 1:
         # (pi, -pi) meets Case 1 in a Case-2 stack: a stack of two cases is refused
         with pytest.raises(WeightsNotEligibleError):
-            create_logical_qubit_stack(stack, labels[i])
+            create_logical_qubit(stack, labels[i])
         return
     assert bad is not None or _first_error(singles) is None
-    _assert_stack_matches(lambda: create_logical_qubit_stack(stack, labels[i]), singles)
+    _assert_stack_matches(lambda: create_logical_qubit(stack, labels[i]), singles)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(nl=st.integers(2, 5), nr=st.integers(2, 5), k=st.integers(1, 4), data=st.data())
-def test_fuse_type_i_stack_rows_equal_single_calls(nl, nr, k, data):
+def test_fuse_type_i_rows_equal_single_calls(nl, nr, k, data):
     """Row-paired left and right chains, the left maybe carrying a logical pair,
     fused at endpoints, or refused at an interior vertex."""
     ll, rl = [f"l{j}" for j in range(nl)], [f"r{j}" for j in range(nr)]
@@ -463,19 +459,44 @@ def test_fuse_type_i_stack_rows_equal_single_calls(nl, nr, k, data):
         ]
     )
     assert (_first_error(singles) is None) == (end_b in (rl[0], rl[-1]))
-    _assert_stack_matches(lambda: fuse_type_i_stack(left, ll[-1], right, end_b, new_label="c"), singles)
+    _assert_stack_matches(lambda: fuse_type_i(left, ll[-1], right, end_b, new_label="c"), singles)
 
 
-def test_fuse_type_i_stack_refuses_stacks_of_two_lengths():
+def test_fuse_type_i_refuses_stacks_of_two_lengths():
     left = make_chain_stack(["a", "b"], [[0.4], [0.5]])
     right = make_chain_stack(["c", "d"], [[0.4]])
     with pytest.raises(InputError):
-        fuse_type_i_stack(left, "b", right, "c")
+        fuse_type_i(left, "b", right, "c")
+
+
+def test_post_state_type_follows_the_row_count():
+    """A 3-row call returns ChainStack post-states, each outcome's rows in
+    one stack, and refuses to be sampled; a one-row call, on a ChainState or a one-row stack, returns
+    ChainStates whose graphs carry the row's weights."""
+    weights = [[0.4, 1.1], [0.5, -0.9], [2.0, 0.3]]
+    left = make_chain_stack(["a1", "a2", "a3"], weights)
+    right = make_chain_stack(["b1", "b2", "b3"], weights[::-1])
+    outs = fuse_type_i(left, "a3", right, "b1")
+    posts = [p for o in outs for p in o.post_states]
+    assert posts and all(type(p) is ChainStack and len(p.rows) == 3 for p in posts)
+    # a 3-row outcome has no one probability to sample or report
+    with pytest.raises(InputError, match="on 3 rows"):
+        sample_outcomes(outs, 10, seed=1)
+    for one_left, one_right in (
+        (make_chain(["a1", "a2", "a3"], weights[1]), make_chain(["b1", "b2", "b3"], weights[1])),
+        (left.take([1]), right.take([1])),
+    ):
+        outs = fuse_type_i(one_left, "a3", one_right, "b1")
+        posts = [p for o in outs for p in o.post_states]
+        assert posts and all(type(p) is ChainState for p in posts)
+        assert [o.probability for o in outs] == [0.25] * 4
+        merged = outs[0].post_states[0]
+        assert [w for *_, w in merged.graph.edges] == merged.weights[0].tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nr=st.integers(3, 5), k=st.integers(1, 5), data=st.data())
-def test_fuse_type_ii_stack_rows_equal_single_calls(nr, k, data):
+def test_fuse_type_ii_rows_equal_single_calls(nr, k, data):
     """A logical-pair left chain against right chains whose rows make the
     b-side failures good (Case 2, or pi for both), vanish (tiny weights, so
     z is near 1) or neither; one row's state may come from other weights than
@@ -504,7 +525,7 @@ def test_fuse_type_ii_stack_rows_equal_single_calls(nr, k, data):
     )
     assert bad is not None or _first_error(singles) is None
     _assert_stack_matches(
-        lambda: fuse_type_ii_stack(left, ("B", "D"), stack, labels[j], consume="D"), singles
+        lambda: fuse_type_ii(left, ("B", "D"), stack, labels[j], consume="D"), singles
     )
 
 
@@ -534,10 +555,10 @@ def test_ghz_pair_for_target_stack_rows_equal_single_calls(k, data):
         assert type(exc.value) is error
         return
     assert bad is None or rows[bad][2] > math.pi  # a target past pi wraps back into range
-    for pair, one in zip(ghz_pair_for_target_stack(*zip(*rows)), singles):
-        for p, q in zip(pair, one):
-            assert p.target == q.target
-            assert [_hex(c) for c in p.coefficients] == [_hex(c) for c in q.coefficients]
+    kets = ghz_pair_for_target_stack(*zip(*rows))
+    assert kets.shape == (k, 2, 2)
+    for got, one in zip(kets, singles):
+        assert [_hex(c) for c in got.ravel()] == [_hex(c) for c in one.ravel()]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

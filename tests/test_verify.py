@@ -67,14 +67,14 @@ def _perturbed_oracle_pattern(table_index: int, error: float):
 
 
 def _nan_type_i_probability(monkeypatch):
-    real = verify.fuse_type_i_stack
+    real = verify.fuse_type_i
 
     def nan_first(*args, **kwargs):
         outs = real(*args, **kwargs)
         outs[0].probabilities[0] = float("nan")
         return outs
 
-    monkeypatch.setattr(verify, "fuse_type_i_stack", nan_first)
+    monkeypatch.setattr(verify, "fuse_type_i", nan_first)
 
     def after(res):
         assert np.isnan(res.max_residual)
@@ -83,13 +83,13 @@ def _nan_type_i_probability(monkeypatch):
 
 
 def _two_successes(monkeypatch):
-    real = verify.create_logical_qubit_stack
+    real = verify.create_logical_qubit
 
     def two_successes(*args, **kwargs):
         outs = real(*args, **kwargs)
         return outs + outs[:1]
 
-    monkeypatch.setattr(verify, "create_logical_qubit_stack", two_successes)
+    monkeypatch.setattr(verify, "create_logical_qubit", two_successes)
 
     def after(res):
         assert res.detail.endswith(": 2 successes")
