@@ -68,19 +68,14 @@ def inner_z(*chis: float) -> complex:
 
 @dataclass
 class EntanglementReport:
-    z: complex
-    det_rho: float
-    lam: float
-    entropy_bits: float
-    probability: float
+    """The link K relevant outcomes leave, one entry per outcome: det rho,
+    the larger eigenvalue lam of rho, the z-corrected N^2 and the entropy
+    of entanglement in bits."""
 
-
-def binary_entropy(lam: float) -> float:
-    out = 0.0
-    for p in (lam, 1.0 - lam):
-        if p > ENTROPY_FLOOR:
-            out -= p * math.log2(p)
-    return out
+    det_rho: np.ndarray
+    lam: np.ndarray
+    norm_sq: np.ndarray
+    entropy_bits: np.ndarray
 
 
 def gram_factor(z) -> np.ndarray:
@@ -95,13 +90,16 @@ def gram_factor(z) -> np.ndarray:
     return g
 
 
-def entanglement_stack(ms: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(det_rho, lam, N^2) of a (K, 2, 2) stack of coefficient matrices [[a,b],[c,d]].
+def entanglement_report(ms: np.ndarray, z) -> EntanglementReport:
+    """Entanglement of a (K, 2, 2) stack of relevant-outcome coefficient
+    matrices [[a,b],[c,d]].
 
     z is one gram overlap for the whole stack or a (K,) array, one per matrix.
     det_rho = (1-|z|^2)|ad-bc|^2 / N^4 with the z-corrected normalization
     N^2 = |a|^2+|b|^2+2Re(z a b*)+|c|^2+|d|^2+2Re(z c d*); every entry is
-    cross-checked against the eigenvalues of rho = M' M'+.
+    cross-checked against the eigenvalues of rho = M' M'+. entropy_bits is
+    -lam log2 lam - (1-lam) log2(1-lam), a term whose weight is at most
+    ENTROPY_FLOOR counted as 0.
     """
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1:] != (2, 2):
@@ -129,15 +127,11 @@ def entanglement_stack(ms: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.nd
         raise NumericalAbortError(
             f"analytic det_rho {det_rho[k]} disagrees with dense oracle {oracle[k]}"
         )
-    return det_rho, lam, nsq
-
-
-def entanglement_report(m: np.ndarray, z: complex) -> EntanglementReport:
-    """Entropy analysis of one relevant-outcome coefficient matrix m = [[a,b],[c,d]]:
-    entanglement_stack on a stack of one."""
-    det_rho, lam, nsq = entanglement_stack(np.asarray(m, dtype=complex)[None], z)
-    lam0 = float(lam[0])
-    return EntanglementReport(z, float(det_rho[0]), lam0, binary_entropy(lam0), float(nsq[0]) / 4.0)
+    entropy = np.zeros_like(lam)
+    for p in (lam, 1.0 - lam):
+        live = p > ENTROPY_FLOOR
+        entropy[live] -= p[live] * np.log2(p[live])
+    return EntanglementReport(det_rho, lam, nsq, entropy)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .analysis import INV_SQRT2, entanglement_stack, gram_factor, inner_z, solve_xi_for_weight
+from .analysis import INV_SQRT2, entanglement_report, gram_factor, inner_z, solve_xi_for_weight
 from .errors import (
     ConvergenceFailureError,
     InputError,
@@ -29,7 +29,7 @@ from .graphstate import (
     build_state,
     chain_graph,
     check_unit_rows,
-    project_rows,
+    project_qubit,
     wrap_angle,
 )
 from .protocols import (
@@ -148,9 +148,9 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
     Every simulated column but xi-solve's comes from one stacked call over
     the whole grid, row k bit for bit the single-chain call on chi_k:
     logical-prob from xlike_probability_stack, failure-split from
-    type_ii_probabilities_stack, det-entropy from entanglement_stack, and
+    type_ii_probabilities_stack, det-entropy from entanglement_report, and
     ghz-range from ghz_pair_projection, one GHZ build_state stack and
-    one project_rows. xi-solve runs its bisection row by row.
+    one project_qubit. xi-solve runs its bisection row by row.
     """
     grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
 
@@ -183,19 +183,19 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         rng = np.random.default_rng(seed)
         ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in grid])
         zs = np.array([inner_z(chi) for chi in grid])
-        det_rho, _, nsq = entanglement_stack(ms, zs)
-        mp = (ms / np.sqrt(nsq)[:, None, None]) @ gram_factor(zs)
+        rep = entanglement_report(ms, zs)
+        mp = (ms / np.sqrt(rep.norm_sq)[:, None, None]) @ gram_factor(zs)
         ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
         oracle = ev[:, 0] * ev[:, 1]
-        cols = (grid, det_rho.tolist(), oracle.tolist(), np.abs(det_rho - oracle).tolist())
+        cols = (grid, rep.det_rho.tolist(), oracle.tolist(), np.abs(rep.det_rho - oracle).tolist())
         return header, [list(r) for r in zip(*cols)]
 
     if quantity == "ghz-range":
         header = ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"]
         kets, _phis = ghz_pair_projection(grid, grid, [INV_SQRT2] * points)
         ghz = build_state(chain_graph(["a", "b", "c"], [math.pi] * 2), [[chi, chi] for chi in grid])
-        red, probs = project_rows(ghz, 1, kets[:, 0])
-        if not (probs >= ZERO_PROB_CUTOFF).all():  # project_qubit's refusal, on every row
+        red, probs = project_qubit(ghz, 1, kets[:, 0])
+        if not (probs >= ZERO_PROB_CUTOFF).all():  # a vanishing outcome is no pair
             raise ZeroOutcomeError(f"projection probability {float(probs.min())} below cutoff")
         check_unit_rows(red)
         dets = np.abs(np.linalg.det(red.reshape(-1, 2, 2)))

@@ -22,7 +22,7 @@ class IndexClashError(InputError):
 
 
 class NonUnitaryGateError(InputError):
-    """LocalGate matrix fails the unitarity check."""
+    """A gate given to apply_local is not a 2x2 unitary (or a stack of them)."""
 
 
 class InvalidUnitaryError(InputError):

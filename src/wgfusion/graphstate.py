@@ -10,11 +10,12 @@ to one vertex.
 
 Batch axis: the dense kernels act on a (K, 2^n) stack of K states that share
 one register, one row per state. build_state takes a graph shape plus a
-(K, E) weight array, project_rows projects one qubit of every row onto that
-row's ket and apply_rows applies one 2x2 gate (or one per row) to one qubit.
-The single-state functions are their K = 1 rows: build_state(graph),
-project_qubit and apply_local return row 0 of the same kernels as a
-PureState, so a stacked row is bit for bit the single-state result.
+(K, E) weight array, project_qubit projects one qubit of every row onto one
+ket (or that row's ket) and apply_local applies one 2x2 gate (or one per
+row) to one qubit; a single state is their K = 1 stack. Each checks its
+target and its gates or kets itself. build_state(graph) returns row 0 of
+the same kernel as a PureState, so a stacked row is bit for bit the
+single-state result.
 
 Bit-ordering convention (shared by all modules): qubit 0 is the MOST
 significant bit of the amplitude index, i.e. basis index
@@ -25,7 +26,7 @@ Global phase is ignored in all equality checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .errors import (
     InvalidGraphError,
     NonUnitaryGateError,
     ShapeMismatchError,
-    ZeroOutcomeError,
 )
 from .tolerances import (
     DEFAULT_QUBIT_CAP,
@@ -198,38 +198,6 @@ class PureState:
         return self.amplitudes.reshape([2] * self.num_qubits)
 
 
-@dataclass(frozen=True)
-class LocalGate:
-    """Single-qubit unitary on a target register position."""
-
-    target: int
-    matrix: np.ndarray = field(hash=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise NonUnitaryGateError("LocalGate matrix must be 2x2")
-        if not _gate_deviation(m[None])[0] <= NORM_TOL:
-            raise NonUnitaryGateError("LocalGate matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
-
-
-def _gate_deviation(gates: np.ndarray) -> np.ndarray:
-    """max |G G^dagger - I| of every gate of a (K, 2, 2) stack (NaN for a NaN gate)."""
-    return np.abs(gates @ gates.conj().mT - np.eye(2)).max(axis=(-2, -1))
-
-
-def check_gate_rows(gates: np.ndarray) -> None:
-    """LocalGate's unitarity invariant on every gate of a (K, 2, 2) stack.
-
-    Raises NonUnitaryGateError naming the first gate whose G G^dagger is off
-    the identity by more than NORM_TOL (a NaN fails too).
-    """
-    bad = np.flatnonzero(~(_gate_deviation(gates) <= NORM_TOL))
-    if bad.size:
-        raise NonUnitaryGateError(f"gate row {bad[0]} is not unitary")
-
-
 def _sum_abs_sq(*coefficients: complex) -> float:
     """sum |c|^2 over the coefficients, summed left to right.
 
@@ -245,40 +213,22 @@ def _sum_abs_sq(*coefficients: complex) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class QubitProjection:
-    """Projection of one qubit onto the ket alpha|0> + beta|1>.
-
-    Applies the bra conj(alpha)<0| + conj(beta)<1| to the target qubit.
-    """
-
-    target: int
-    coefficients: tuple[complex, complex]
-
-    def __post_init__(self):
-        a, b = complex(self.coefficients[0]), complex(self.coefficients[1])
-        try:
-            check_ket_rows(np.array([[a, b]]))
-        except ShapeMismatchError:
-            raise ShapeMismatchError("projection coefficients not normalized") from None
-        object.__setattr__(self, "coefficients", (a, b))
-
-
 def check_ket_rows(kets: np.ndarray) -> None:
-    """QubitProjection's normalization invariant on every ket of a (K, ..., 2) stack.
+    """project_qubit's normalization check on every ket of a (K, 2) stack.
 
-    Raises ShapeMismatchError naming the first row k holding a ket whose
-    |c0|^2 + |c1|^2 is off 1 by more than NORM_TOL (a NaN fails too, and a
-    square that overflows counts as inf).
+    Raises ShapeMismatchError naming the first row k whose |c0|^2 + |c1|^2
+    is off 1 by more than NORM_TOL (a NaN fails too, and a square that
+    overflows counts as inf).
     """
     with np.errstate(over="ignore"):
         dev = np.abs((np.abs(kets) ** 2).sum(axis=-1) - 1.0)
-    bad = np.flatnonzero(~(dev <= NORM_TOL).reshape(len(kets), -1).all(axis=1))
+    bad = np.flatnonzero(~(dev <= NORM_TOL))
     if bad.size:
         raise ShapeMismatchError(f"ket row {bad[0]} not normalized")
 
 
 # Common gates.
+_IDENTITY = np.eye(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -463,63 +413,74 @@ def kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-2], -1)
 
 
-def apply_rows(rows: np.ndarray, target: int, matrix: np.ndarray) -> np.ndarray:
+def _check_target(rows: np.ndarray, target: int) -> None:
+    """ShapeMismatchError unless rows is a (K, 2^n) stack, IndexClashError
+    unless target is one of its n qubits."""
+    width = rows.shape[1] if rows.ndim == 2 else 0
+    if not width or width & (width - 1):
+        raise ShapeMismatchError(f"rows of shape {rows.shape}: need a (K, 2^n) stack")
+    n = width.bit_length() - 1
+    if not 0 <= target < n:
+        raise IndexClashError(f"target {target} out of range for {n} qubits")
+
+
+def _check_row_count(rows: np.ndarray, count: int, what: str) -> None:
+    """InputError unless count, the length of a stack of what, is 1 or K."""
+    if count not in (1, len(rows)):
+        raise InputError(f"{count} {what} for {len(rows)} rows: need 1 or {len(rows)}")
+
+
+def apply_local(rows: np.ndarray, target: int, matrix) -> np.ndarray:
     """(K, 2^n) stack with a 2x2 gate applied to qubit target of every row.
 
     matrix is one (2, 2) gate for all rows or a (K, 2, 2) stack of one gate
-    per row. One stacked matmul; each row is bit for bit apply_local's
-    tensordot product with its gate.
+    per row; one stacked matmul applies them. IndexClashError for a target
+    outside [0, n), NonUnitaryGateError for a gate stack of another shape or
+    a gate whose G G^dagger is off the identity by more than NORM_TOL (a NaN
+    fails too, and the first such gate is named), InputError for a stack of
+    neither 1 nor K gates.
     """
+    _check_target(rows, target)
+    gates = np.asarray(matrix)
+    if gates.ndim not in (2, 3) or gates.shape[-2:] != (2, 2):
+        raise NonUnitaryGateError(f"gates of shape {gates.shape}: need (2, 2) or (K, 2, 2)")
+    stack = gates.reshape(-1, 2, 2)
+    _check_row_count(rows, len(stack), "gates")
+    dev = np.abs(stack @ stack.conj().mT - _IDENTITY)
+    if not dev.max() <= NORM_TOL:  # a NaN fails too
+        bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= NORM_TOL))
+        raise NonUnitaryGateError(f"gate row {bad[0]} is not unitary")
     k = len(rows)
     split = rows.reshape(k, 1 << target, 2, -1).transpose(0, 2, 1, 3)
-    out = matrix @ split.reshape(k, 2, -1)
+    out = gates @ split.reshape(k, 2, -1)
     return out.reshape(k, 2, 1 << target, -1).transpose(0, 2, 1, 3).reshape(k, -1)
 
 
-def apply_local(state: PureState, gate: LocalGate) -> PureState:
-    """The gate applied to one state: apply_rows on its K = 1 stack."""
-    n = state.num_qubits
-    t = gate.target
-    if not (0 <= t < n):
-        raise IndexClashError(f"gate target {t} out of range")
-    return PureState(n, apply_rows(state.amplitudes[None], t, gate.matrix)[0])
+def project_qubit(rows: np.ndarray, target: int, kets) -> tuple[np.ndarray, np.ndarray]:
+    """Project qubit target of every row of a (K, 2^n) stack onto a ket.
 
-
-def project_rows(
-    rows: np.ndarray, target: int, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project qubit target of every row of a (K, 2^n) stack onto its own ket.
-
-    Row k applies the bra conj(c0)<0| + conj(c1)<1| of coefficients[k] =
-    (c0, c1). Returns the (K, 2^(n-1)) reduced rows and their (K,)
+    kets is a (1, 2) array, one ket (c0, c1) for all rows, or a (K, 2) array
+    of one ket per row; row k applies the bra conj(c0)<0| + conj(c1)<1| of
+    its ket. Returns the (K, 2^(n-1)) reduced rows and their (K,)
     probabilities. Each row is divided by the square root of its
     probability; a probability below ZERO_PROB_CUTOFF is floored at the
     cutoff first, so such a row stays finite but is no state, and the
-    caller refuses or drops it.
+    caller refuses or drops it. IndexClashError for a target outside
+    [0, n), ShapeMismatchError for kets of another shape or a ket off unit
+    norm (check_ket_rows), InputError for a stack of neither 1 nor K kets.
     """
+    _check_target(rows, target)
+    kets = np.asarray(kets)
+    if kets.ndim != 2 or kets.shape[1] != 2:
+        raise ShapeMismatchError(f"kets of shape {kets.shape}: need (1, 2) or (K, 2)")
+    _check_row_count(rows, len(kets), "kets")
+    check_ket_rows(kets)
     k = len(rows)
     split = rows.reshape(k, 1 << target, 2, -1)
-    bra = np.conj(coefficients)[:, :, None, None]
+    bra = np.conj(kets)[:, :, None, None]
     red = (bra[:, 0] * split[:, :, 0] + bra[:, 1] * split[:, :, 1]).reshape(k, -1)
     probs = np.vecdot(red, red).real
     return red / np.sqrt(np.maximum(probs, ZERO_PROB_CUTOFF))[:, None], probs
-
-
-def project_qubit(state: PureState, proj: QubitProjection) -> tuple[PureState, float]:
-    """Project one qubit out; returns (renormalized n-1 qubit state, probability).
-
-    project_rows on the state's K = 1 stack. Below the zero-probability
-    cutoff the branch is impossible: ZeroOutcomeError.
-    """
-    n = state.num_qubits
-    t = proj.target
-    if not (0 <= t < n):
-        raise IndexClashError(f"projection target {t} out of range")
-    red, probs = project_rows(state.amplitudes[None], t, np.array([proj.coefficients]))
-    prob = float(probs[0])
-    if prob < ZERO_PROB_CUTOFF:
-        raise ZeroOutcomeError(f"projection probability {prob} below cutoff")
-    return PureState(n - 1, red[0]), prob
 
 
 def fidelity_rows(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:

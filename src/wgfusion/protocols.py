@@ -56,15 +56,14 @@ from .graphstate import (
     PureState,
     WeightedGraph,
     _finite_angles,
-    apply_rows,
+    apply_local,
     build_state,
     chain_graph,
-    check_ket_rows,
     check_unit_rows,
     kron_rows,
     normalized_rows,
     phase_gate,
-    project_rows,
+    project_qubit,
     weight_rows,
     wrap_angle,
     z_rotation,
@@ -405,7 +404,7 @@ def _branch_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
 def _corrected(graph: WeightedGraph, rows: np.ndarray, corrections: list[Correction]) -> np.ndarray:
     """(K, 2^n) rows with each correction's gate applied at its vertex's register position."""
     for c in corrections:
-        rows = apply_rows(rows, graph.vertex_index(c.vertex), c.matrix)
+        rows = apply_local(rows, graph.vertex_index(c.vertex), c.matrix)
     return rows
 
 
@@ -426,7 +425,7 @@ def _z_measure(r: _Rows, v: str, s: int):
     ket = np.array([[1.0 - s, s]], dtype=complex)
     rows, probs, low = r.rows, 1.0, False
     for m in reversed(members):  # back to front, so the earlier positions stay put
-        rows, p = project_rows(rows, graph.vertex_index(m), ket)
+        rows, p = project_qubit(rows, graph.vertex_index(m), ket)
         probs = probs * p
         low = low | (p < ZERO_PROB_CUTOFF)
     live = _where(~low)
@@ -695,14 +694,12 @@ def _pick_list(items: list, idx: np.ndarray | None) -> list:
 
 
 def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.ndarray]:
-    """project_rows with row k's unnormalized-direction bra (A<0| + B<1|)/norm on one qubit."""
+    """project_qubit with row k's unnormalized-direction bra (A<0| + B<1|)/norm on one qubit."""
     kets = []
     for a, b in bras:
         nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         kets.append((np.conj(a) / nrm, np.conj(b) / nrm))
-    kets = np.array(kets, dtype=complex)
-    check_ket_rows(kets)
-    return project_rows(rows, qubit, kets)
+    return project_qubit(rows, qubit, np.array(kets, dtype=complex))
 
 
 def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
@@ -1186,20 +1183,19 @@ def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
     every row k of the (K,) arrays chi1, chi2, mag_a.
 
     Returns (kets, phis): kets[k, 0] is row k's projection ket and
-    kets[k, 1] its complement ket, as project_rows takes them (it applies
+    kets[k, 1] its complement ket, as project_qubit takes them (it applies
     the conjugate bra), and phis[k] the pair weight. Both outcomes of a row
     produce the 2-qubit weighted graph state with the same weight phi (up to
     diagonal local corrections), with arg B = arg A + (chi1 + chi2 + pi)/2
     and phi = +/- arccos(1 - 2|A|^2|B|^2 (1-cos chi1)(1-cos chi2)).
 
-    The bases come row by row; every ket is checked as QubitProjection
-    checks one (check_ket_rows), and the simulation that checks the bases is
+    The bases come row by row, and the simulation that checks the bases is
     stacked: one GHZ build and one target build (a build per edge pattern,
-    should a weight drop its edge), one project_rows over both outcomes of
-    every row and one stacked local-unitary check. InputError for a
-    non-finite angle or a NaN |A|, NotAchievableError for |A| outside
-    [0, 1] or an outcome the simulation does not confirm; the first row
-    that fails a check raises its error.
+    should a weight drop its edge), one project_qubit over both outcomes of
+    every row, which checks every ket's norm, and one stacked local-unitary
+    check. InputError for a non-finite angle or a NaN |A|,
+    NotAchievableError for |A| outside [0, 1] or an outcome the simulation
+    does not confirm; the first row that fails a check raises its error.
     """
     chi1, chi2, mag_a = _angle_arrays(chi1, chi2, mag_a)
     phis = []
@@ -1220,13 +1216,12 @@ def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
     kets = np.empty((len(bras), 2, 2), dtype=complex)
     kets[:, 0] = np.conj(bras)
     kets[:, 1, 0], kets[:, 1, 1] = bras[:, 1], -bras[:, 0]
-    check_ket_rows(kets)
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi;
     # rows 2k and 2k + 1 are row k's projection and complement
     ghz = _chain_rows(["b1", "a", "b2"], np.stack([chi1, chi2], axis=1))
     target = weighted_pair_rows(phis)
-    red, probs = project_rows(np.repeat(ghz, 2, axis=0), 1, kets.reshape(-1, 2))
+    red, probs = project_qubit(np.repeat(ghz, 2, axis=0), 1, kets.reshape(-1, 2))
     live = ~(probs < ZERO_PROB_CUTOFF)  # zero-probability outcomes (poles |A| in {0,1}) drop out
     check_unit_rows(red[live])
     _, _, match = local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))

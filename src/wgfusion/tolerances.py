@@ -19,7 +19,8 @@ ZERO_PROB_CUTOFF = 1e-14
 # Largest | |psi| - 1 | of a PureState, and | |A|^2 + |B|^2 - 1 | of the bra
 # pair_weight_from_projection takes.
 STATE_NORM_TOL = 1e-10
-# Largest entry of U U+ - I for a LocalGate, and | |a|^2 + |b|^2 - 1 | for a QubitProjection.
+# Largest entry of U U+ - I for an apply_local gate, and | |a|^2 + |b|^2 - 1 |
+# for a project_qubit ket.
 NORM_TOL = 1e-12
 
 # -- photonic layer (fock) -------------------------------------------------

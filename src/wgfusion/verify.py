@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (
     INV_SQRT2,
     check_no_good_failure_stack,
-    entanglement_stack,
+    entanglement_report,
     hyperbola_projection,
     solve_xi_for_weight,
     xlike_uniqueness_scan,
@@ -38,14 +38,13 @@ from .fock import (
     relevant_norm_sq,
 )
 from .graphstate import (
-    apply_rows,
+    apply_local,
     build_state,
     chain_graph,
-    check_gate_rows,
     check_unit_rows,
     fidelity_rows,
     normalized_rows,
-    project_rows,
+    project_qubit,
     wrap_angle,
 )
 from .protocols import (
@@ -367,9 +366,9 @@ def _oracle_residual(us: np.ndarray, ctx: FusionContext) -> float:
     iu, ju = pattern_indices(us.shape[-1])
     live = (iu != ju) & (probs > DET_LIVE_PROB)
     if live.any():
-        det_rho, _, _ = entanglement_stack(
+        det_rho = entanglement_report(
             coef[live].reshape(-1, 2, 2), np.broadcast_to(ctx.z[:, None], live.shape)[live]
-        )
+        ).det_rho
         rows = oracle_rows[live]
         oracle_det = reduced_det_rho(rows.reshape(len(rows), 1 << ctx.left_qubits, -1))
         residuals.append(np.abs(det_rho - oracle_det))
@@ -497,7 +496,7 @@ def check_balanced_entropy(seed: int = 23, quick: bool = False):
     residuals = [np.abs(np.sum(nsq / 4.0, axis=1) - 0.5)]
     if live.any():
         zl = np.broadcast_to(z[:, None], live.shape)[live]
-        det_rho, _, _ = entanglement_stack(ms[live], zl)
+        det_rho = entanglement_report(ms[live], zl).det_rho
         residuals.append(np.abs(det_rho - (1.0 - np.abs(zl) ** 2) / 4.0))
     return f"{draws} unitaries", residuals
 
@@ -506,16 +505,15 @@ def _fixed_fidelity(states: np.ndarray, targets: np.ndarray, refute) -> np.ndarr
     """1 - |<target|(A x B) state>| for every row of two (K, 4) stacks of
     2-qubit states, (A, B) the local rotations that map the row's state onto
     its target (local_equivalent_rows). A row with no such rotations is
-    refuted with the detail refute(k). The rotations are checked as
-    LocalGate checks one, and each rotated stack as PureState checks a state.
+    refuted with the detail refute(k). apply_local checks that the rotations
+    are unitary, and each rotated stack is checked as PureState checks a state.
     """
     a, b, ok = local_equivalent_rows(states.reshape(-1, 2, 2), targets.reshape(-1, 2, 2))
     _refute_first((~ok, refute))
-    fixed = states
-    for qubit, gates in enumerate((a, b)):
-        check_gate_rows(gates)
-        fixed = apply_rows(fixed, qubit, gates)
-        check_unit_rows(fixed)
+    fixed = apply_local(states, 0, a)
+    check_unit_rows(fixed)
+    fixed = apply_local(fixed, 1, b)
+    check_unit_rows(fixed)
     return 1.0 - fidelity_rows(fixed, targets)
 
 
@@ -525,7 +523,7 @@ def check_ghz_generation(quick: bool = False):
 
     One ghz_pair_for_target_stack call gives every target's kets; both
     outcomes of every target are projected out of the GHZ state in one
-    project_rows call and matched to the |t|-weighted pair in one stacked
+    project_qubit call and matched to the |t|-weighted pair in one stacked
     local-unitary check. The range rejection away from pi is one K = 1 call.
     """
     n = 12 if quick else 50
@@ -533,7 +531,7 @@ def check_ghz_generation(quick: bool = False):
     kets = ghz_pair_for_target_stack(np.full(n, math.pi), np.full(n, math.pi), targets)
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi, math.pi]))
     # rows 2k and 2k + 1: target k's projection and complement
-    states, probs = project_rows(np.broadcast_to(ghz.amplitudes, (2 * n, 8)), 1, kets.reshape(-1, 2))
+    states, probs = project_qubit(np.broadcast_to(ghz.amplitudes, (2 * n, 8)), 1, kets.reshape(-1, 2))
     low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
     if low.size:
         raise ZeroOutcomeError(f"projection probability {float(probs[low[0]])} below cutoff")

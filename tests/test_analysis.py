@@ -88,18 +88,40 @@ def test_inner_z_is_the_dense_branch_overlap_for_any_degree(chis):
 
 def test_report_bell_and_rank1():
     bell = np.eye(2) / math.sqrt(2.0)
-    r = entanglement_report(bell, 0.0)
-    assert r.det_rho == pytest.approx(0.25, abs=1e-12)
-    assert r.entropy_bits == pytest.approx(1.0, abs=1e-12)
     flat = np.full((2, 2), 0.5)
-    r0 = entanglement_report(flat, 0.0)
-    assert r0.det_rho == pytest.approx(0.0, abs=1e-12)
-    assert r0.entropy_bits == pytest.approx(0.0, abs=1e-12)
+    r = entanglement_report(np.stack([bell, flat]), 0.0)
+    assert r.det_rho == pytest.approx([0.25, 0.0], abs=1e-12)
+    assert r.entropy_bits == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_report_degenerate_gram_rejected():
     with pytest.raises(DegenerateGramError):
-        entanglement_report(np.eye(2) / math.sqrt(2.0), 1.0)
+        entanglement_report(np.eye(2)[None] / math.sqrt(2.0), 1.0)
+
+
+def ref_entropy_bits(lam: float) -> float:
+    """-lam log2 lam - (1-lam) log2(1-lam), 0 log 0 = 0, one float at a time."""
+    return -sum(p * math.log2(p) for p in (lam, 1.0 - lam) if p > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_report_rows_are_one_row_calls_and_the_scalar_entropy(seed, k):
+    # K random matrices plus a product (lam = 1, 0 bits) and a Bell matrix (1 bit)
+    rng = np.random.default_rng(seed)
+    ms = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    ms = np.concatenate([ms, [np.full((2, 2), 0.5), np.eye(2) / math.sqrt(2.0)]])
+    z = rng.uniform(0.0, 0.95, k + 2) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k + 2))
+    z[rng.random(k + 2) < 0.3] = 0.0
+    z[-2:] = 0.0
+    rep = entanglement_report(ms, z)
+    for i in range(k + 2):
+        one = entanglement_report(ms[i : i + 1], z[i])
+        for field in ("det_rho", "lam", "norm_sq"):
+            assert float.hex(float(getattr(rep, field)[i])) == float.hex(float(getattr(one, field)[0]))
+        assert abs(rep.entropy_bits[i] - ref_entropy_bits(float(rep.lam[i]))) <= 1e-15
+    assert rep.lam[-2] == 1.0 and rep.entropy_bits[-2] == 0.0
+    assert abs(rep.entropy_bits[-1] - 1.0) <= 1e-15
 
 
 def test_report_left_phase_invariance():
@@ -109,18 +131,17 @@ def test_report_left_phase_invariance():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         z = 0.3 * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         ph = np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
-        r1 = entanglement_report(m, z)
-        r2 = entanglement_report(ph @ m, z)
-        assert r2.det_rho == pytest.approx(r1.det_rho, abs=1e-12)
-        assert r2.probability == pytest.approx(r1.probability, abs=1e-12)
+        r = entanglement_report(np.stack([m, ph @ m]), z)
+        assert r.det_rho[1] == pytest.approx(r.det_rho[0], abs=1e-12)
+        assert r.norm_sq[1] == pytest.approx(r.norm_sq[0], abs=1e-12)
 
 
 def test_report_z_zero_reduces_to_plain_norm():
     m = np.array([[0.3, 0.5j], [-0.4, 0.2 + 0.1j]])
-    r = entanglement_report(m, 0.0)
+    r = entanglement_report(m[None], 0.0)
     nsq = float(np.sum(np.abs(m) ** 2))
-    assert r.probability == pytest.approx(nsq / 4.0, abs=1e-14)
-    assert r.det_rho == pytest.approx(
+    assert r.norm_sq[0] == pytest.approx(nsq, abs=1e-14)
+    assert r.det_rho[0] == pytest.approx(
         abs(np.linalg.det(m)) ** 2 / nsq**2, abs=1e-14
     )
 
@@ -203,13 +224,13 @@ def test_entanglement_stack_aborts_on_nan():
     # instead of reaching the dense oracle's NumericalAbortError
     ms = np.array([[[math.nan, 1.0], [1.0, 1.0]]], dtype=complex)
     with pytest.raises(DegenerateArgumentError), np.errstate(invalid="ignore"):
-        analysis.entanglement_stack(ms, 0.3)
+        entanglement_report(ms, 0.3)
 
 
 @pytest.mark.parametrize("z", [math.nan, complex(0.2, math.nan)])
 def test_gram_guards_reject_a_nan_overlap(z):
     with pytest.raises(DegenerateGramError):
-        analysis.entanglement_stack(np.eye(2, dtype=complex)[None] / math.sqrt(2.0), z)
+        entanglement_report(np.eye(2, dtype=complex)[None] / math.sqrt(2.0), z)
     with pytest.raises(DegenerateGramError):
         max_entangled_family(np.eye(2) / math.sqrt(2.0), z)
 
@@ -287,8 +308,8 @@ def test_maximal_entanglement_does_not_imply_fused():
         math.cos(f) * ISQ2, 1j * math.sin(f) * ISQ2,
         1j * math.sin(f) * ISQ2, math.cos(f) * ISQ2,
     )
-    r = entanglement_report(p.matrix, 0.0)
-    assert r.det_rho == pytest.approx(0.25, abs=1e-12)
+    r = entanglement_report(p.matrix[None], 0.0)
+    assert r.det_rho[0] == pytest.approx(0.25, abs=1e-12)
     out = classify_projection(p, math.pi)  # chi_bf = pi gives z = 0
     assert out.tag != "fused_weighted_graph"
 
@@ -388,9 +409,9 @@ def test_family_z_zero_returns_seed():
 def test_family_bell_seed_nonzero_z():
     seed = np.eye(2) / math.sqrt(2.0)
     p = max_entangled_family(seed, 0.5)
-    r = entanglement_report(p.matrix, 0.5)
-    assert r.det_rho == pytest.approx(0.25, abs=1e-12)
-    assert r.entropy_bits == pytest.approx(1.0, abs=1e-12)
+    r = entanglement_report(p.matrix[None], 0.5)
+    assert r.det_rho[0] == pytest.approx(0.25, abs=1e-12)
+    assert r.entropy_bits[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_family_rejects_bad_seed():

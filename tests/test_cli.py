@@ -20,7 +20,6 @@ from wgfusion.analysis import (
 )
 from wgfusion.cli import main
 from wgfusion.graphstate import (
-    QubitProjection,
     WeightedGraph,
     build_state,
     chain_graph,
@@ -237,20 +236,20 @@ def _ref_failure_split(chi: float, _rng) -> list:
 def _ref_det_entropy(chi: float, rng) -> list:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     z = inner_z(chi)
-    rep = entanglement_report(m, z)
-    nsq = rep.probability * 4.0
+    rep = entanglement_report(m[None], z)
+    det_rho, nsq = float(rep.det_rho[0]), float(rep.norm_sq[0])
     mp = (m / math.sqrt(nsq)) @ gram_factor(z)
     ev = np.linalg.eigvalsh(mp @ mp.conj().T)
     oracle = float(ev[0] * ev[1])
-    return [chi, rep.det_rho, oracle, abs(rep.det_rho - oracle)]
+    return [chi, det_rho, oracle, abs(det_rho - oracle)]
 
 
 def _ref_ghz_range(chi: float, _rng) -> list:
     ana = ghz_pair_range(chi, chi)
     kets, _phi = ghz_pair_projection([chi], [chi], [INV_SQRT2])
     ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
-    st, _p = project_qubit(ghz, QubitProjection(1, kets[0, 0]))
-    det = abs(np.linalg.det(st.amplitudes.reshape(2, 2)))
+    red, _p = project_qubit(ghz.amplitudes[None], 1, kets[0, :1])
+    det = abs(np.linalg.det(red.reshape(2, 2)))
     sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
     return [chi, ana, sim, abs(ana - sim)]
 
@@ -312,12 +311,12 @@ def test_scan_csv_equals_the_reference_rows(quantity, seed, points, tmp_path):
 
 @pytest.mark.parametrize("quantity", ["logical-prob", "failure-split", "ghz-range"])
 def test_probability_scans_run_one_stacked_pass(quantity, monkeypatch):
-    """The scan makes as many build_state and project_rows calls at 64 points as
+    """The scan makes as many build_state and project_qubit calls at 64 points as
     at 8, and constructs no ChainState per row: one stacked pass over the grid."""
     from wgfusion import analysis, cli, graphstate, protocols, verify
 
     calls: dict[str, int] = {}
-    for name in ("build_state", "project_rows"):
+    for name in ("build_state", "project_qubit"):
         real = getattr(graphstate, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
@@ -341,7 +340,7 @@ def test_probability_scans_run_one_stacked_pass(quantity, monkeypatch):
         assert len(rows) == points
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["build_state"] >= 1 and counts[0]["project_rows"] >= 1
+    assert counts[0]["build_state"] >= 1 and counts[0]["project_qubit"] >= 1
 
 
 def test_scan_rejects_bad_points(capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
-from wgfusion.analysis import entanglement_report, entanglement_stack
+from wgfusion.analysis import entanglement_report
 from wgfusion.errors import DegenerateGramError, InputError
 from wgfusion.fock import (
     FusionContext,
@@ -157,18 +157,18 @@ def test_stacked_det_rho_cores_match_scalar_calls(setup):
     if not live:
         return
     z = complex(ctx.z[0])
-    det, lam, nsq = entanglement_stack(np.stack([o.m_matrix for o in live]), z)
+    rep = entanglement_report(np.stack([o.m_matrix for o in live]), z)
     rows = np.stack([o.register_state.amplitudes for o in live]).reshape(len(live), 1 << ctx.left_qubits, -1)
     dets = reduced_det_rho(rows)
     for k, o in enumerate(live):
-        rep = entanglement_report(o.m_matrix, z)
-        assert rep.det_rho == pytest.approx(det[k], abs=1e-15)
-        assert rep.lam == pytest.approx(lam[k], abs=1e-15)
-        assert rep.probability == pytest.approx(nsq[k] / 4.0, abs=1e-15)
-        (one,) = reduced_det_rho(rows[k : k + 1])
-        assert one == pytest.approx(dets[k], abs=1e-15)
+        one = entanglement_report(o.m_matrix[None], z)
+        assert one.det_rho[0] == pytest.approx(rep.det_rho[k], abs=1e-15)
+        assert one.lam[0] == pytest.approx(rep.lam[k], abs=1e-15)
+        assert one.norm_sq[0] == pytest.approx(rep.norm_sq[k], abs=1e-15)
+        (single,) = reduced_det_rho(rows[k : k + 1])
+        assert single == pytest.approx(dets[k], abs=1e-15)
     # and the closed form agrees with the dense oracle, as the verify check requires
-    assert np.max(np.abs(det - dets)) < 1e-10
+    assert np.max(np.abs(rep.det_rho - dets)) < 1e-10
 
 
 # (seed, K, N, left qubits, right qubits): K fusions sharing N and register
@@ -238,16 +238,16 @@ def test_entanglement_stack_per_row_z_equals_scalar_calls(seed, k):
     ms = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
     z = rng.uniform(0.0, 0.95, k) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k))
     z[rng.random(k) < 0.3] = 0.0
-    stacked = entanglement_stack(ms, z)
+    stacked = entanglement_report(ms, z)
     for i in range(k):
-        single = entanglement_stack(ms[i : i + 1], z[i])
-        for got, want in zip(stacked, single):
-            assert abs(got[i] - want[0]) <= 1e-15
+        single = entanglement_report(ms[i : i + 1], z[i])
+        for field in ("det_rho", "lam", "norm_sq", "entropy_bits"):
+            assert abs(getattr(stacked, field)[i] - getattr(single, field)[0]) <= 1e-15
 
 
 def test_entanglement_stack_refuses_one_degenerate_row():
     ms = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
     with pytest.raises(DegenerateGramError):
-        entanglement_stack(ms, np.array([0.2, (1.0 - 1e-13) * 1j, 0.0]))
+        entanglement_report(ms, np.array([0.2, (1.0 - 1e-13) * 1j, 0.0]))
     with pytest.raises(InputError):
-        entanglement_stack(ms, np.zeros(2))
+        entanglement_report(ms, np.zeros(2))

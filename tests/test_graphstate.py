@@ -16,25 +16,21 @@ from wgfusion.errors import (
     InvalidGraphError,
     NonUnitaryGateError,
     ShapeMismatchError,
-    ZeroOutcomeError,
 )
 from wgfusion.graphstate import (
     DEFAULT_QUBIT_CAP,
-    LocalGate,
     PAULI_Z,
     PureState,
-    QubitProjection,
     WeightedGraph,
     apply_local,
     apply_phase_edge,
     attach_vertex,
     build_state,
     chain_graph,
-    check_ket_rows,
+    fidelity_rows,
     fidelity_up_to_global_phase,
     phase_gate,
     project_qubit,
-    project_rows,
     wrap_angle,
 )
 from wgfusion.protocols import ChainState
@@ -205,32 +201,29 @@ def test_apply_phase_edge_is_symmetric_diag():
 
 
 def test_local_gate_unitarity_enforced():
-    with pytest.raises(NonUnitaryGateError):
-        LocalGate(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(NonUnitaryGateError, match="^gate row 0 is not unitary$"):
+        apply_local(plus_state(1).amplitudes[None], 0, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_apply_local_z_on_plus():
-    st = plus_state(1)
-    out = apply_local(st, LocalGate(0, PAULI_Z))
-    assert np.allclose(out.amplitudes, np.array([1, -1]) / math.sqrt(2))
+    out = apply_local(plus_state(1).amplitudes[None], 0, PAULI_Z)
+    assert np.allclose(out, np.array([[1, -1]]) / math.sqrt(2))
 
 
 def test_project_qubit_probabilities_sum_to_one():
     g = chain_graph(["a", "b", "c"], [1.1, -0.4])
-    st = build_state(g)
+    rows = build_state(g).amplitudes[None]
     s = 1.0 / math.sqrt(2.0)
-    _, p0 = project_qubit(st, QubitProjection(1, (s, s)))
-    _, p1 = project_qubit(st, QubitProjection(1, (s, -s)))
-    assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+    _, p0 = project_qubit(rows, 1, [[s, s]])
+    _, p1 = project_qubit(rows, 1, [[s, -s]])
+    assert p0[0] + p1[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_qubit_zero_outcome():
-    st = PureState(1, np.array([1.0, 0.0]))
-    with pytest.raises(ZeroOutcomeError, match="probability 0.0 below cutoff"):
-        project_qubit(st, QubitProjection(0, (0.0, 1.0)))
-    # the stacked kernel reports the vanishing probability and leaves the row finite
-    red, probs = project_rows(st.amplitudes[None], 0, np.array([[0.0, 1.0]]))
-    assert probs[0] < 1e-14 and np.isfinite(red).all()
+    # the kernel reports the vanishing probability, refuses nothing and
+    # leaves the row finite; the caller refuses or drops it
+    red, probs = project_qubit(np.array([[1.0, 0.0]], dtype=complex), 0, np.array([[0.0, 1.0]]))
+    assert probs[0] == 0.0 and np.isfinite(red).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,27 +236,28 @@ def test_project_qubit_matches_the_take_formula_bit_for_bit(n, seed):
     for t in range(n):
         ab = rng.normal(size=2) + 1j * rng.normal(size=2)
         a, b = ab / np.linalg.norm(ab)
-        got, prob = project_qubit(state, QubitProjection(t, (a, b)))
+        got, prob = project_qubit(state.amplitudes[None], t, np.array([[a, b]]))
         # asarray: at n = 1 np.take returns NumPy scalars, whose multiply rounds
         # apart from the array loop the views go through
         sl0, sl1 = (np.asarray(np.take(arr, bit, axis=t)) for bit in (0, 1))
         red = (np.conj(a) * sl0 + np.conj(b) * sl1).reshape(-1)
-        assert prob == float(np.vdot(red, red).real)
-        assert np.array_equal(got.amplitudes, red / math.sqrt(prob))
+        assert prob[0] == float(np.vdot(red, red).real)
+        assert np.array_equal(got[0], red / math.sqrt(prob[0]))
 
 
 def test_project_qubit_index_check():
-    with pytest.raises(IndexClashError):
-        project_qubit(plus_state(2), QubitProjection(5, (1.0, 0.0)))
+    for target in (2, 5, -1):
+        with pytest.raises(IndexClashError):
+            project_qubit(plus_state(2).amplitudes[None], target, [[1.0, 0.0]])
 
 
 def test_equal_up_to_prescribed_corrections():
     g = chain_graph(["a", "b"], [math.pi])
-    st = build_state(g)
-    flipped = apply_local(st, LocalGate(0, PAULI_Z))
-    assert fidelity_up_to_global_phase(flipped, st) == pytest.approx(0.0, abs=1e-12)
-    fixed = apply_local(flipped, LocalGate(0, PAULI_Z))
-    assert fidelity_up_to_global_phase(fixed, st) == pytest.approx(1.0, abs=1e-12)
+    rows = build_state(g).amplitudes[None]
+    flipped = apply_local(rows, 0, PAULI_Z)
+    assert fidelity_rows(flipped, rows)[0] == pytest.approx(0.0, abs=1e-12)
+    fixed = apply_local(flipped, 0, PAULI_Z)
+    assert fidelity_rows(fixed, rows)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_gate_matches_edge_phase():
@@ -271,16 +265,19 @@ def test_phase_gate_matches_edge_phase():
     via_edge = apply_phase_edge(st, 0, 1, 1.7)
     # conditioning on qubit 0 = 1 the edge acts as a phase gate on qubit 1
     cond = via_edge.reshaped()[1].reshape(-1) * math.sqrt(2.0)
-    direct = apply_local(plus_state(1), LocalGate(0, phase_gate(-1.7)))
-    assert np.allclose(cond, direct.amplitudes)
+    direct = apply_local(plus_state(1).amplitudes[None], 0, phase_gate(-1.7))
+    assert np.allclose(cond, direct[0])
+
+
+ONE_QUBIT = np.array([[1.0, 0.0]], dtype=complex)
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
         (lambda: PureState(1, [math.nan, 1.0]), ShapeMismatchError),
-        (lambda: LocalGate(0, [[math.nan, 0.0], [0.0, 1.0]]), NonUnitaryGateError),
-        (lambda: QubitProjection(0, (math.nan, 1.0)), ShapeMismatchError),
+        (lambda: apply_local(ONE_QUBIT, 0, [[math.nan, 0.0], [0.0, 1.0]]), NonUnitaryGateError),
+        (lambda: project_qubit(ONE_QUBIT, 0, [[math.nan, 1.0]]), ShapeMismatchError),
     ],
     ids=["state", "gate", "projection"],
 )
@@ -296,17 +293,49 @@ def test_projection_rejects_a_coefficient_whose_square_overflows(big):
     for coef in (big, -big, complex(big, big), complex(0.3, -big)):
         for coefficients in ((coef, 0.0), (0.6, coef)):
             with pytest.raises(ShapeMismatchError, match="not normalized"):
-                QubitProjection(0, coefficients)
+                project_qubit(ONE_QUBIT, 0, [coefficients])
 
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, math.nan, 1e200])
 def test_ket_rows_check_names_the_first_bad_row(bad):
-    # QubitProjection's norm check on a (K, 2, 2) stack of (projection, complement) kets
-    kets = np.tile(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), (4, 1, 1))
-    check_ket_rows(kets)
-    kets[2, 1, 1] = kets[3, 0, 0] = bad
+    # project_qubit checks every ket of a (K, 2) stack and names the first bad row
+    rows = np.tile(plus_state(2).amplitudes, (4, 1))
+    kets = np.tile(np.array([1.0, 0.0], dtype=complex), (4, 1))
+    project_qubit(rows, 1, kets)
+    kets[2, 0] = kets[3, 1] = bad
     with pytest.raises(ShapeMismatchError, match="^ket row 2 not normalized"):
-        check_ket_rows(kets)
+        project_qubit(rows, 1, kets)
+
+
+# Every malformed input to the two kernels, on a (2, 8) stack of 3-qubit
+# rows: (id, call, the typed error it must raise, its message). None may
+# escape as a bare ValueError or pass unchecked.
+STACK = np.tile(build_state(chain_graph(["a", "b", "c"], [0.4, 1.2])).amplitudes, (2, 1))
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+KET = [[1.0, 0.0]]
+REFUSALS = [
+    ("gate-target-3", lambda: apply_local(STACK, 3, HADAMARD), IndexClashError, "^target 3 out of range for 3 qubits$"),
+    ("ket-target-3", lambda: project_qubit(STACK, 3, KET), IndexClashError, "^target 3 out of range for 3 qubits$"),
+    ("gate-target-minus-1", lambda: apply_local(STACK, -1, HADAMARD), IndexClashError, "^target -1 out of range"),
+    ("ket-target-minus-1", lambda: project_qubit(STACK, -1, KET), IndexClashError, "^target -1 out of range"),
+    ("gate-3x3", lambda: apply_local(STACK, 0, np.eye(3)), NonUnitaryGateError, r"^gates of shape \(3, 3\)"),
+    ("gate-4d", lambda: apply_local(STACK, 0, np.ones((2, 2, 2, 2))), NonUnitaryGateError, "^gates of shape"),
+    ("gate-not-unitary", lambda: apply_local(STACK, 0, np.diag([1.0, 2.0])), NonUnitaryGateError, "^gate row 0 is not unitary$"),
+    ("gates-3-for-2-rows", lambda: apply_local(STACK, 0, np.stack([HADAMARD] * 3)), InputError, "^3 gates for 2 rows: need 1 or 2$"),
+    ("kets-3-for-2-rows", lambda: project_qubit(STACK, 0, KET * 3), InputError, "^3 kets for 2 rows: need 1 or 2$"),
+    ("ket-not-normalized", lambda: project_qubit(STACK, 0, [[1.0, 1.0]]), ShapeMismatchError, "^ket row 0 not normalized$"),
+    ("ket-1d", lambda: project_qubit(STACK, 0, [1.0, 0.0]), ShapeMismatchError, r"^kets of shape \(2,\)"),
+    ("ket-of-3", lambda: project_qubit(STACK, 0, [[1.0, 0.0, 0.0]]), ShapeMismatchError, r"^kets of shape \(1, 3\)"),
+    ("rows-of-6", lambda: project_qubit(STACK[:, :6], 0, KET), ShapeMismatchError, r"^rows of shape \(2, 6\)"),
+    ("rows-1d", lambda: apply_local(STACK[0], 0, HADAMARD), ShapeMismatchError, r"^rows of shape \(8,\)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_row_kernels_refuse_malformed_input_with_typed_errors(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
 
 
 # ---- bit-view layer against the per-index mask loops it replaced ----------

@@ -11,8 +11,8 @@ no random unitary once per loop iteration, no module but the
 tolerance table writes a float literal below 1e-2, every constant of that
 table has a reader, every name __init__.py exports is bound there, every
 export and every public module-level function and class has a reader, no
-per-layer-pinned function has a public "_stack" twin, and no module
-dispatches between the two chain types.
+per-layer-pinned function has a public stacked twin ("_stack", "_rows" or
+"_table" by name), and no module dispatches between the two chain types.
 """
 
 from __future__ import annotations
@@ -159,10 +159,9 @@ def test_gate_flags_a_second_correction_path():
 
 
 def test_protocols_apply_gates_only_in_corrected():
-    # _corrected applies every gate, one state or a stack, through the stacked kernel
+    # _corrected applies every gate, one state or a stack, through apply_local
     source = (SRC / "protocols.py").read_text()
-    assert readers(source, "apply_rows") == {"_corrected"}
-    assert readers(source, "apply_local") == set()
+    assert readers(source, "apply_local") == {"_corrected"}
 
 
 def arange_over_shifts(source: str) -> list[int]:
@@ -489,22 +488,40 @@ def test_every_export_has_a_reader():
     assert unread_exports(exports, package, pins, bench, {}) == sorted(PUBLIC_WITHOUT_READER)
 
 
-def stacked_twins(pins: set[str], public: set[str]) -> list[str]:
-    """The public "<pin>_stack" names of the pins: a second function for a
-    step that the pinned name already computes."""
-    return sorted(f"{pin}_stack" for pin in pins if f"{pin}_stack" in public)
+def stacked_twins(pins: set[str], public: set[str]) -> list[tuple[str, str]]:
+    """(pin, twin) for every public twin of a pin: "<pin>_stack", or the
+    pin's first word with "_rows", "_stack" or "_table" (apply_local and
+    apply_rows). Each is a second function for a step that the pinned name
+    already computes."""
+    return sorted(
+        (pin, twin)
+        for pin in pins
+        for twin in {f"{pin}_stack"} | {f"{pin.split('_')[0]}_{s}" for s in ("rows", "stack", "table")}
+        if twin in public and twin != pin
+    )
 
 
 # Per-layer pins that keep a public stacked twin, each with its reason.
 PINS_WITH_A_TWIN = {
     "make_chain": "make_chain drops a zero-weight edge, which make_chain_stack's weight_rows "
     "refuses, and bench calls make_chain with 1-D weight lists",
+    "enumerate_outcomes": "bench's tracer counts detector patterns as the length of the list "
+    "enumerate_outcomes returns (PATTERN_FUNCS), which enumerate_table does not return",
+    "oracle_enumerate": "the same PATTERN_FUNCS count reads the list oracle_enumerate returns, "
+    "which oracle_table does not return",
 }
 
 
 def test_gate_flags_a_stacked_twin_of_a_pin():
-    public = {"fuse", "fuse_stack", "build_stack", "probe_rows"}
-    assert stacked_twins({"fuse", "build", "probe"}, public) == ["build_stack", "fuse_stack"]
+    public = {"fuse_it", "fuse_it_stack", "build_stack", "probe_rows", "scan_table", "scan_x_table"}
+    pins = {"fuse_it", "build_one", "probe_one", "scan_x", "other"}
+    assert stacked_twins(pins, public) == [
+        ("build_one", "build_stack"),  # <first word>_stack
+        ("fuse_it", "fuse_it_stack"),  # <pin>_stack
+        ("probe_one", "probe_rows"),  # <first word>_rows
+        ("scan_x", "scan_table"),  # <first word>_table
+    ]
+    assert stacked_twins({"probe_rows"}, public) == []  # a pin is not its own twin
     assert stacked_twins(set(), public) == []
 
 
@@ -514,7 +531,7 @@ def test_no_per_layer_pin_has_a_stacked_twin():
     public = set(exported_names((SRC / "__init__.py").read_text())).union(*map(public_defs, package))
     pins = per_layer_pins(json.loads((ROOT / "BENCHMARK.json").read_text()))
     assert stacked_twins(pins - set(PINS_WITH_A_TWIN), public) == []
-    assert stacked_twins(set(PINS_WITH_A_TWIN) & pins, public) == [f"{p}_stack" for p in sorted(PINS_WITH_A_TWIN)]
+    assert {pin for pin, _ in stacked_twins(set(PINS_WITH_A_TWIN) & pins, public)} == set(PINS_WITH_A_TWIN)
 
 
 CHAIN_TYPES = {"ChainState", "ChainStack"}

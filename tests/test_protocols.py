@@ -17,7 +17,6 @@ from wgfusion.errors import (
 from wgfusion.fock import ModeUnitary, oracle_enumerate, type_ii_matrix
 from wgfusion.graphstate import (
     PureState,
-    QubitProjection,
     WeightedGraph,
     build_state,
     chain_graph,
@@ -341,10 +340,10 @@ def test_generalized_identity_keeps_photons_in_channels():
 
 
 def _ghz_pair(chi1: float, chi2: float, mag_a: float):
-    """The GHZ-to-pair basis of one row, as (projection, complement) QubitProjections, and phi."""
+    """The GHZ-to-pair basis of one row, as its (projection, complement) kets, and phi."""
     kets, phis = ghz_pair_projection([chi1], [chi2], [mag_a])
     assert kets.shape == (1, 2, 2) and phis.shape == (1,)
-    return tuple(QubitProjection(1, ket) for ket in kets[0]), float(phis[0])
+    return tuple(kets[0]), float(phis[0])
 
 
 def test_ghz_pi_full_range():
@@ -364,9 +363,9 @@ def test_ghz_pi_over_2_gives_pi_over_3():
     # brute-force 3-qubit oracle: both outcomes are the pi/3 pair up to locals
     ghz = build_state(chain_graph(["a", "b", "c"], [math.pi / 2, math.pi / 2]))
     pair = weighted_pair_rows([math.pi / 3]).reshape(2, 2)
-    for q in (proj, comp):
-        st, p = project_qubit(ghz, q)
-        assert local_equivalent_rows(st.amplitudes.reshape(2, 2), pair)[2]
+    red, probs = project_qubit(np.tile(ghz.amplitudes, (2, 1)), 1, np.stack([proj, comp]))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert local_equivalent_rows(red.reshape(2, 2, 2), pair)[2].all()
 
 
 def _for_target(chi1: float, chi2: float, phi: float):
