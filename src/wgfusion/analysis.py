@@ -27,11 +27,9 @@ from .fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from .graphstate import _finite_angles, _sum_abs_sq, wrap_angle
+from .graphstate import _finite_angles, _sum_abs_sq, _wrap_rows, wrap_angle
 from .tolerances import (
     ABORT_TOL,
-    BISECT_RTOL,
-    BISECT_XTOL,
     CLASS_NORM_FLOOR,
     CLASS_TOL,
     DEGENERATE_ARG_TOL,
@@ -286,62 +284,59 @@ def classify_projection(
     return OutcomeClass("other", "no condition set fired")
 
 
-def _hyperbola_arg(xi: float, chi_bf: float) -> float:
-    w = xi * cmath.exp(1j * chi_bf / 2.0)
-    return cmath.phase(2.0 + w + 1.0 / w)
+_ROOT_SHIFTS = np.array([[0.0], [math.pi / 2.0]])
+# rank of the roots b = beta, beta + pi/2 by sign of xi: xi < 0 first, then the root
+# whose arg(2 + w + 1/w) is chi_target/2 itself (b = beta + pi/2 for xi < 0) before -+ pi
+_RANK_NEGATIVE = np.array([[1], [0]])
+_RANK_POSITIVE = np.array([[2], [3]])
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    """Root of f in [lo, hi], given flo = f(lo) of the opposite sign to f(hi).
-
-    Halves the bracket with one evaluation of f per step until the half-width
-    is within brentq's tolerance BISECT_XTOL + BISECT_RTOL |s| (rtol is four
-    ulps): a fixed absolute rule would need ~1000 steps for a root at 0.
-    """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * (BISECT_XTOL + BISECT_RTOL * abs(mid)):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-
-
-def solve_xi_for_weight(chi_bf: float, chi_target: float) -> float:
+def solve_xi_for_weight(chi_bf, chi_target):
     """Real xi != 0 with 2 arg(2 + w + 1/w) = chi_target, w = xi e^{i chi_bf/2}.
 
-    The left branch (xi < 0) sweeps arg monotonically over
-    (chi_bf/2 - pi, pi - chi_bf/2); the right branch (xi > 0) covers
-    (-|chi_bf|/2, |chi_bf|/2). Bisection on log|xi|.
+    2 + w + 1/w = (1 + w)^2 / w, so with theta = chi_bf/2 the condition is
+    arg(1 + xi e^{i theta}) = beta (mod pi/2), beta = (chi_target/2 + theta)/2:
+    xi = sin b / sin(theta - b) for b = beta, beta + pi/2. The first root, xi < 0
+    before xi > 0 and then arg(2 + w + 1/w) = chi_target/2 before
+    chi_target/2 -+ pi, whose residual |4 arg(1 + w) - chi_bf - chi_target|
+    (mod 2 pi) is below INVERSION_TOL is returned, else ConvergenceFailureError.
+    The residual forms 1 + w without cancellation, so near w = -1 (chi_bf ~ 0)
+    round-off neither passes a wrong root nor refuses a right one. Scalars give
+    a float, (K,) arrays the (K,) roots, row k bit for bit the scalar call on row k.
     """
-    if abs(wrap_angle(chi_bf)) < ZERO_WEIGHT:
-        raise DegenerateArgumentError("chi_bf must be nonzero")
-    half = wrap_angle(chi_target) / 2.0
-    s_lo, s_hi = -36.0, 36.0
-    for branch_sign in (-1.0, 1.0):
-        # candidate arg targets equal to chi_target/2 modulo pi
-        for h in (half, half - math.pi, half + math.pi):
-
-            def f(s: float) -> float:
-                return _hyperbola_arg(branch_sign * math.exp(s), chi_bf) - h
-
-            flo, fhi = f(s_lo), f(s_hi)
-            if flo == 0.0:
-                return branch_sign * math.exp(s_lo)
-            if flo * fhi > 0.0:
-                continue
-            xi = branch_sign * math.exp(_bisect(f, s_lo, s_hi, flo))
-            res = abs(wrap_angle(2.0 * _hyperbola_arg(xi, chi_bf) - chi_target))
-            if res < INVERSION_TOL:
-                return xi
-    raise ConvergenceFailureError(
-        f"no xi on either branch (log|xi| bracket [{s_lo}, {s_hi}]) reaches "
-        f"chi_target {chi_target} for chi_bf {chi_bf}"
-    )
+    cb = np.asarray(chi_bf, dtype=float)
+    ct = np.asarray(chi_target, dtype=float)
+    if cb.shape != ct.shape or cb.ndim > 1 or not cb.size:
+        raise InputError(f"chi_bf {cb.shape} and chi_target {ct.shape} must be scalars or (K >= 1,) arrays")
+    scalar = cb.ndim == 0
+    cb, ct = cb.reshape(-1), ct.reshape(-1)
+    theta = cb / 2.0
+    half = _wrap_rows(ct) / 2.0  # wrap_angle refuses an infinite angle; a NaN passes
+    b = (half + theta) / 2.0 + _ROOT_SHIFTS  # (2, K)
+    with np.errstate(divide="ignore", invalid="ignore"):  # xi = inf: a NaN residual
+        xi = np.sin(b) / np.sin(theta - b)
+        s = np.sin(theta / 2.0)
+        # arg(1 + w), Re(1 + w) = (1 + xi) - 2 xi sin^2(theta/2): 1 + xi is exact near xi = -1
+        a = np.arctan2(xi * np.sin(theta), 1.0 + xi - 2.0 * xi * s * s)
+    res = np.abs(_wrap_rows(4.0 * a - cb - ct))  # 2 arg(w) = chi_bf (mod 2 pi)
+    ok = (res < INVERSION_TOL) & (xi != 0.0)  # xi = 0 is the limit w -> 0, no root
+    rank = np.where(ok, np.where(xi > 0.0, _RANK_POSITIVE, _RANK_NEGATIVE), 4)
+    best = rank.min(axis=0)
+    degenerate = ~(np.abs(_wrap_rows(cb)) >= ZERO_WEIGHT)
+    if degenerate.any() or best.max() == 4:
+        nan = np.isnan(cb) | np.isnan(ct)
+        if nan.any():
+            k = int(np.argmax(nan))
+            raise InputError(f"angles must be finite, got ({float(cb[k])!r}, {float(ct[k])!r}) in row {k}")
+        if degenerate.any():
+            raise DegenerateArgumentError("chi_bf must be nonzero")
+        k = int(np.argmax(best))
+        raise ConvergenceFailureError(
+            f"neither closed-form root reaches chi_target {float(ct[k])!r} for chi_bf "
+            f"{float(cb[k])!r} (residuals {float(res[0, k])!r}, {float(res[1, k])!r})"
+        )
+    out = np.where(rank[1] < rank[0], xi[1], xi[0])
+    return float(out[0]) if scalar else out
 
 
 def hyperbola_projection(chi_bf: float, xi: float, mag_a: float = INV_SQRT2) -> TwoQubitProjection:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -145,12 +146,12 @@ def cmd_fuse(args) -> int:
 def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[list]]:
     """Header and rows of one scan over the grid chi_k = (k + 1/2) pi / points.
 
-    Every simulated column but xi-solve's comes from one stacked call over
-    the whole grid, row k bit for bit the single-chain call on chi_k:
-    logical-prob from xlike_probability_stack, failure-split from
-    type_ii_probabilities_stack, det-entropy from entanglement_report, and
-    ghz-range from ghz_pair_projection, one GHZ build_state stack and
-    one project_qubit. xi-solve runs its bisection row by row.
+    Every simulated column comes from one stacked call over the whole grid,
+    row k bit for bit the single-chain call on chi_k: logical-prob from
+    xlike_probability_stack, failure-split from type_ii_probabilities_stack,
+    det-entropy from entanglement_report, ghz-range from ghz_pair_projection,
+    one GHZ build_state stack and one project_qubit, and xi-solve from one
+    solve_xi_for_weight call.
     """
     grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
 
@@ -208,14 +209,11 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
 
     if quantity == "xi-solve":
         header = ["chi_bf", "chi_target", "xi", "residual"]
-        rows = []
-        for chi in grid:
-            chi_target = wrap_angle(2.0 * chi - math.pi / 3.0)
-            xi = solve_xi_for_weight(chi, chi_target)
-            w = xi * np.exp(1j * chi / 2.0)
-            res = abs(wrap_angle(2.0 * float(np.angle(2.0 + w + 1.0 / w)) - chi_target))
-            rows.append([chi, chi_target, xi, res])
-        return header, rows
+        targets = [wrap_angle(2.0 * chi - math.pi / 3.0) for chi in grid]
+        xis = solve_xi_for_weight(grid, targets)
+        w = xis * np.exp(1j * np.array(grid) / 2.0)
+        res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(np.angle(2.0 + w + 1.0 / w).tolist(), targets)]
+        return header, [list(r) for r in zip(grid, targets, xis.tolist(), res)]
 
     raise InputError(f"unknown scan quantity {quantity}")
 
@@ -245,7 +243,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main dispatches on args.command."""
     parser = argparse.ArgumentParser(
         prog="wgfusion",
         description="Weighted graph states, fusion protocols, and formula verification.",
@@ -256,7 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--graph", required=True, help="graph JSON path")
     p_build.add_argument("--out", default=None)
     p_build.add_argument("--dump-amplitudes", action="store_true")
-    p_build.set_defaults(fn=cmd_build)
 
     p_fuse = sub.add_parser("fuse", help="run a fusion protocol")
     p_fuse.add_argument("--type", dest="fusion_type", required=True, choices=["i", "ii", "gen"])
@@ -271,7 +270,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--sample", type=int, default=None, help="draw N outcomes")
     p_fuse.add_argument("--seed", type=int, default=None)
     p_fuse.add_argument("--out", default=None)
-    p_fuse.set_defaults(fn=cmd_fuse)
 
     p_scan = sub.add_parser("scan", help="formula scans to CSV")
     p_scan.add_argument(
@@ -282,19 +280,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--points", type=int, default=50)
     p_scan.add_argument("--seed", type=int, default=None)
     p_scan.add_argument("--out", default=None, help="CSV path, default stdout")
-    p_scan.set_defaults(fn=cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--quick", action="store_true", help="reduced ensembles")
     p_verify.add_argument("--out", default=None, help="JSON report path")
-    p_verify.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     for flag, least, rule in (
         ("points", 1, "positive"),
         ("sample", 1, "positive"),
@@ -304,8 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < least:
             print(f"error: --{flag} must be {rule}", file=sys.stderr)
             return 2
+    # looked up per call, so a rebound cmd_* (a wrapper, a monkeypatch) is the one run
+    commands = {"build": cmd_build, "fuse": cmd_fuse, "scan": cmd_scan, "verify": cmd_verify}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except (NumericalAbortError, ConvergenceFailureError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -66,6 +66,15 @@ def wrap_angle(chi: float) -> float:
     return out
 
 
+def _wrap_rows(x: np.ndarray) -> np.ndarray:
+    """wrap_angle on every entry of an array, bit for bit; a NaN passes through."""
+    big = np.abs(x) >= math.pi  # math.remainder leaves |x| < pi as it is
+    if big.any():
+        x = x.copy()
+        x[big] = [wrap_angle(v) for v in x[big].tolist()]
+    return x
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Vertices plus phase-weighted edges.
@@ -296,9 +305,7 @@ def weight_rows(graph: WeightedGraph, weights) -> np.ndarray:
         return rows
     if not np.isfinite(rows).all():
         raise InvalidGraphError("non-finite weight in a weight row")
-    # math.remainder leaves |w| < pi as it is; only the rest goes through wrap_angle
-    for k, e in zip(*np.nonzero(~(mags < math.pi))):
-        rows[k, e] = wrap_angle(rows[k, e])
+    rows = _wrap_rows(rows)
     if not (np.abs(rows) >= ZERO_WEIGHT).all():
         k, e = np.argwhere(np.abs(rows) < ZERO_WEIGHT)[0]
         a, b, _ = graph.edges[e]

@@ -62,9 +62,6 @@ CLASS_NORM_FLOOR = 1e-20
 PRODUCT_TOL = 1e-12
 # Eigenvalues at or below this add nothing to the entropy (0 log 0 = 0).
 ENTROPY_FLOOR = 1e-300
-# The xi bisection stops at half-width BISECT_XTOL + BISECT_RTOL |s|: brentq's rule.
-BISECT_XTOL = 1e-15
-BISECT_RTOL = 8.9e-16
 # Angle residual of an inverted formula: the xi root and the GHZ |A| inversion.
 INVERSION_TOL = 1e-9
 # Largest |Re(A B* (1 + e^{i chi1})(1 + e^{i chi2}))| at which both GHZ

@@ -558,27 +558,26 @@ def check_ghz_generation(quick: bool = False):
 def check_hyperbola(seed: int = 29, quick: bool = False):
     """xi-solver residual and end-to-end projection fidelity against the target pair.
 
-    Each draw solves for xi and forms its projection; the dense leg runs on
-    stacks: one 2-chain build, one einsum, one local-unitary check and one
-    row fidelity over every draw.
+    One solve_xi_for_weight call covers every draw, which then forms its
+    projection; the dense leg runs on stacks: one 2-chain build, one einsum,
+    one local-unitary check and one row fidelity over every draw.
     """
     rng = np.random.default_rng(seed)
     draws = 12 if quick else 50
-    xi_res, chi_bfs, chi_targets, coefs = [], [], [], []
+    chi_bfs, chi_targets = [], []
     for _ in range(draws):
-        chi_bf = float(rng.uniform(0.1, math.pi - 0.1)) * float(SIGNS[rng.integers(0, 2)])
-        chi_target = float(rng.uniform(-math.pi, math.pi))
-        xi = solve_xi_for_weight(chi_bf, chi_target)
-        w = xi * np.exp(1j * chi_bf / 2.0)
-        xi_res.append(abs(wrap_angle(2.0 * np.angle(2.0 + w + 1.0 / w) - chi_target)))
-        p = hyperbola_projection(chi_bf, xi)
-        chi_bfs.append([chi_bf])
-        chi_targets.append(chi_target)
-        coefs.append([[p.a, p.b], [p.c, p.d]])
+        chi_bfs.append(float(rng.uniform(0.1, math.pi - 0.1)) * float(SIGNS[rng.integers(0, 2)]))
+        chi_targets.append(float(rng.uniform(-math.pi, math.pi)))
+    xis = solve_xi_for_weight(chi_bfs, chi_targets)
+    w = xis * np.exp(1j * np.array(chi_bfs) / 2.0)
+    args = np.angle(2.0 + w + 1.0 / w).tolist()
+    xi_res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(args, chi_targets)]
+    ps = [hyperbola_projection(chi_bf, xi) for chi_bf, xi in zip(chi_bfs, xis.tolist())]
+    coefs = [[[p.a, p.b], [p.c, p.d]] for p in ps]
     # end to end: bare logical pair (e, a) Bell state, right 2-chain (b, f)
     pair = np.zeros(4, complex)
     pair[0] = pair[3] = INV_SQRT2
-    right = build_state(chain_graph(["b", "f"], [math.pi]), chi_bfs)
+    right = build_state(chain_graph(["b", "f"], [math.pi]), [[chi] for chi in chi_bfs])
     joint = (pair[None, :, None] * right[:, None, :]).reshape(draws, 2, 2, 2, 2)
     res = np.einsum("keabf,kab->kef", joint, np.array(coefs)).reshape(draws, 4)
     res = normalized_rows(res)

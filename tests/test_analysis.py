@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import unitary_group
 
-from wgfusion import analysis
 from wgfusion.analysis import (
     SCAN_OUTLIER_CAP,
     TwoQubitProjection,
@@ -29,6 +28,7 @@ from wgfusion.analysis import (
 )
 from wgfusion.errors import (
     BadSeedError,
+    ConvergenceFailureError,
     DegenerateArgumentError,
     DegenerateGramError,
     InputError,
@@ -43,6 +43,7 @@ from wgfusion.fock import (
 )
 from wgfusion.graphstate import WeightedGraph, build_state, chain_graph, wrap_angle
 from wgfusion.protocols import rez_formula
+from wgfusion.tolerances import INVERSION_TOL
 from wgfusion import verify
 
 RNG = np.random.default_rng(17)
@@ -342,19 +343,138 @@ def _xi_pairs(n: int, seed: int) -> list[tuple[float, float]]:
     return pairs
 
 
-def test_solve_xi_bisection_matches_brentq(monkeypatch):
-    # SciPy's brentq is the reference root finder on the same f and bracket
-    pairs = _xi_pairs(3000, seed=41)
-    ours = np.array([solve_xi_for_weight(c, t) for c, t in pairs])
-    monkeypatch.setattr(
-        analysis, "_bisect", lambda f, lo, hi, flo: brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    )
-    ref = np.array([solve_xi_for_weight(c, t) for c, t in pairs])
+def _brentq_xi(chi_bf: float, chi_target: float) -> float | None:
+    """Reference xi: a real root of f(s) = arg(2 + w + 1/w) - h, w = +-e^s e^{i chi_bf/2},
+    found by SciPy's brentq on the bracket s in [-36, 36], branch xi < 0 first and
+    then h = half, half - pi, half + pi (half = chi_target/2), kept if its residual
+    |2 arg(2 + w + 1/w) - chi_target| is below INVERSION_TOL; None if no bracket
+    gives one. This is the bisection the closed-form solver replaced."""
+    half = wrap_angle(chi_target) / 2.0
+    for sign in (-1.0, 1.0):
+        for h in (half, half - math.pi, half + math.pi):
+
+            def f(s: float, sign=sign, h=h) -> float:
+                w = sign * math.exp(s) * cmath.exp(1j * chi_bf / 2.0)
+                return cmath.phase(2.0 + w + 1.0 / w) - h
+
+            flo, fhi = f(-36.0), f(36.0)
+            if flo == 0.0:
+                return sign * math.exp(-36.0)
+            if flo * fhi > 0.0:
+                continue
+            xi = sign * math.exp(brentq(f, -36.0, 36.0, xtol=1e-15, rtol=8.9e-16))
+            if _direct_residual(xi, chi_bf, chi_target) < INVERSION_TOL:
+                return xi
+    return None
+
+
+def _direct_residual(xi: float, chi_bf: float, chi_target: float) -> float:
+    """|2 arg(2 + w + 1/w) - chi_target|, wrapped, with 2 + w + 1/w formed as written."""
+    w = xi * cmath.exp(1j * chi_bf / 2.0)
+    return abs(wrap_angle(2.0 * cmath.phase(2.0 + w + 1.0 / w) - chi_target))
+
+
+def _closed_form_roots(chi_bf: float, chi_target: float) -> tuple[float, float]:
+    """xi = sin b / sin(theta - b) for b = beta, beta + pi/2."""
+    theta = chi_bf / 2.0
+    beta = (wrap_angle(chi_target) / 2.0 + theta) / 2.0
+    return tuple(math.sin(b) / math.sin(theta - b) for b in (beta, beta + math.pi / 2.0))
+
+
+def test_solve_xi_matches_brentq():
+    # one closed-form root is xi = 0, the limit w -> 0, at chi_target = -chi_bf
+    # (mod 2 pi); for chi_bf < -pi the other root is positive and must win
+    zero_root = [(chi, -chi) for chi in (0.3, 1.1, -2.3)]
+    zero_root += [(chi, -chi - 2.0 * math.pi) for chi in (-4.0, -4.5)]
+    pairs = _xi_pairs(3000, seed=41) + zero_root
+    ours = solve_xi_for_weight(*np.array(pairs).T)
+    ref = np.array([_brentq_xi(c, t) for c, t in pairs])
     assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-12
-    assert np.min(np.abs(np.log(np.abs(ours)))) < 1e-9  # some roots sit at s = log|xi| ~ 0
+    assert np.min(np.abs(np.log(np.abs(ours)))) < 1e-9  # some roots sit at log|xi| ~ 0
+    for xi, (chi, target) in zip(ours.tolist(), pairs):
+        assert _direct_residual(xi, chi, target) < INVERSION_TOL
+
+
+def test_solve_xi_picks_the_root_the_reference_picks():
+    # both roots are negative in about half the draws; the choice is the
+    # reference's: xi < 0 first, then arg(2 + w + 1/w) = chi_target/2 itself
+    pairs = _xi_pairs(3000, seed=41)
+    ours = solve_xi_for_weight(*np.array(pairs).T).tolist()
+    both_negative = 0
     for xi, (chi, target) in zip(ours, pairs):
-        w = xi * cmath.exp(1j * chi / 2.0)
-        assert abs(wrap_angle(2.0 * cmath.phase(2.0 + w + 1.0 / w) - target)) < 1e-9
+        roots = _closed_form_roots(chi, target)
+        assert xi in roots and xi < 0.0
+        other = roots[1] if xi == roots[0] else roots[0]
+        ref = _brentq_xi(chi, target)
+        assert abs(xi - ref) < abs(other - ref)
+        both_negative += other < 0.0
+    assert 0.3 * len(pairs) < both_negative < 0.7 * len(pairs)
+
+
+def test_both_closed_form_roots_solve_the_equation():
+    for chi, target in _xi_pairs(3000, seed=41):
+        for xi in _closed_form_roots(chi, target):
+            assert _direct_residual(xi, chi, target) < INVERSION_TOL
+
+
+def test_solve_xi_rows_match_one_row_calls_bit_for_bit():
+    pairs = np.array(_xi_pairs(400, seed=43) + [(1e-5, 2.0), (-3e-4, -2.5), (2e-3, 0.4)])
+    stacked = solve_xi_for_weight(pairs[:, 0], pairs[:, 1])
+    rows = np.concatenate([solve_xi_for_weight(c[None], t[None]) for c, t in pairs])
+    scalars = np.array([solve_xi_for_weight(float(c), float(t)) for c, t in pairs])
+    assert stacked.shape == (len(pairs),)
+    assert stacked.tobytes() == rows.tobytes() == scalars.tobytes()
+
+
+def test_solve_xi_returns_a_float_for_scalars():
+    xi = solve_xi_for_weight(1.3, -0.9)
+    assert type(xi) is float
+    one_row = solve_xi_for_weight([1.3], [-0.9])
+    assert isinstance(one_row, np.ndarray) and one_row.shape == (1,) and one_row[0] == xi
+
+
+def test_solve_xi_refuses_when_neither_root_passes():
+    # at |chi_bf| = 1e-9 no double xi puts the residual below INVERSION_TOL
+    with pytest.raises(ConvergenceFailureError):
+        solve_xi_for_weight(1e-9, 2.0)
+    with pytest.raises(ConvergenceFailureError, match="chi_bf 1e-09"):
+        solve_xi_for_weight([1.3, 1e-9, 0.4], [-0.9, 2.0, 1.0])
+
+
+def _accurate_residual(xi: float, chi_bf: float, chi_target: float) -> float:
+    """The solver's residual form: |4 arg(1 + w) - chi_bf - chi_target| (mod 2 pi)
+    with Re(1 + w) = (1 + xi) - 2 xi sin^2(chi_bf/4), which does not cancel near w = -1."""
+    s = math.sin(chi_bf / 4.0)
+    arg = math.atan2(xi * math.sin(chi_bf / 2.0), 1.0 + xi - 2.0 * xi * s * s)
+    return abs(wrap_angle(4.0 * arg - chi_bf - chi_target))
+
+
+# Draws of the seeded small-|chi_bf| test that the brentq reference answers
+# and the closed form refuses. The reference root of each fails the
+# cancellation-free residual: 2 + w + 1/w cancels near w = -1, so the
+# reference's own residual check passes a wrong root there.
+SMALL_CHI_REFUSED = 4
+
+
+def test_solve_xi_near_zero_weight_against_brentq():
+    # |chi_bf| log-uniform over [1e-7, 1e-3), where w ~ -1: every answer meets
+    # INVERSION_TOL by the solver's own residual form, and the draws the
+    # reference answers but the solver refuses are counted
+    rng = np.random.default_rng(47)
+    refused = 0
+    for _ in range(1000):
+        chi = float(np.exp(rng.uniform(math.log(1e-7), math.log(1e-3)))) * float(rng.choice([-1.0, 1.0]))
+        target = float(rng.uniform(-math.pi, math.pi))
+        try:
+            xi = solve_xi_for_weight(chi, target)
+        except ConvergenceFailureError:
+            ref = _brentq_xi(chi, target)
+            if ref is not None:
+                refused += 1
+                assert _accurate_residual(ref, chi, target) >= INVERSION_TOL
+            continue
+        assert _accurate_residual(xi, chi, target) < INVERSION_TOL
+    assert refused == SMALL_CHI_REFUSED
 
 
 def test_solve_xi_rejects_zero_weight():
@@ -369,14 +489,20 @@ def test_solve_xi_refuses_an_infinite_angle(args):
 
 
 @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan)])
-def test_solve_xi_refuses_a_nan_angle_at_entry(args, monkeypatch):
-    # refused before the first bisection step, not as a ConvergenceFailureError
-    steps = []
-    real = analysis._hyperbola_arg
-    monkeypatch.setattr(analysis, "_hyperbola_arg", lambda *a: steps.append(a) or real(*a))
+def test_solve_xi_refuses_a_nan_angle_at_entry(args):
     with pytest.raises(InputError, match="finite"):
         solve_xi_for_weight(*args)
-    assert steps == []
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_solve_xi_names_the_nan_row_of_a_stack(which, k):
+    # a NaN anywhere is an InputError, not a DegenerateArgumentError or a
+    # ConvergenceFailureError, even next to a row that cannot converge
+    chis = np.array([[1.3, 0.4, -2.0, 0.7, 1e-9, 2.5, -0.2], [-0.9, 1.0, 0.3, -1.5, 2.0, 0.1, 3.0]])
+    chis[which, k] = math.nan
+    with pytest.raises(InputError, match=f"finite.*row {k}"):
+        solve_xi_for_weight(*chis)
 
 
 def test_hyperbola_projection_end_to_end():

@@ -18,6 +18,7 @@ from wgfusion.analysis import (
     inner_z,
     solve_xi_for_weight,
 )
+from wgfusion import cli
 from wgfusion.cli import main
 from wgfusion.graphstate import (
     WeightedGraph,
@@ -210,9 +211,9 @@ def test_scan_deterministic_with_seed(tmp_path):
 # Reference rows, one call chain per grid point: the probability rows run the
 # whole protocol function (or one entanglement report per row) and read their
 # probabilities off the outcomes, the ghz-range row builds, projects and takes
-# the determinant of one GHZ state, and the xi-solve row runs one bisection.
-# The scans compute the same floats in one stacked pass per grid (xi-solve
-# still row by row) without building post-states.
+# the determinant of one GHZ state, and the xi-solve row makes one scalar
+# solve_xi_for_weight call. The scans compute the same floats in one stacked
+# pass per grid without building post-states.
 
 
 def _ref_logical_prob(chi: float, _rng) -> list:
@@ -341,6 +342,22 @@ def test_probability_scans_run_one_stacked_pass(quantity, monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["build_state"] >= 1 and counts[0]["project_qubit"] >= 1
+
+
+def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys):
+    # a scan, a fuse that argparse refuses (no --graph), then the same scan:
+    # one parser serves all three, and the refusal leaves nothing behind
+    cli.make_parser.cache_clear()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    scan = ["scan", "--quantity", "xi-solve", "--points", "16", "--seed", "3", "--out"]
+    assert main(scan + [str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fuse", "--type", "i"])
+    assert exc.value.code == 2
+    assert main(scan + [str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    info = cli.make_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_scan_rejects_bad_points(capsys):
