@@ -105,6 +105,8 @@ def entanglement_report(ms: np.ndarray, z) -> EntanglementReport:
     z = np.asarray(z, dtype=complex)
     if z.ndim and z.shape != ms.shape[:1]:
         raise InputError("z must be a scalar or one value per matrix")
+    # one z per row, so that a scalar z takes the array path of a (K,) z
+    z = np.broadcast_to(z, ms.shape[:1])
     zabs = np.abs(z)
     if not np.all(zabs < 1.0 - GRAM_TOL):  # a NaN fails too
         raise DegenerateGramError(f"|z| = {np.max(zabs)} is NaN or too close to 1")

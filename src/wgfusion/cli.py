@@ -168,7 +168,8 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
         left = logical_pair_stack(make_chain(list("ABCD"), [math.pi] * 3), "C")
         right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in grid])
-        probs = type_ii_probabilities_stack(left, ("B", "D"), right, "b", consume="D")
+        lefts = left.take(np.zeros(points, dtype=int))  # the fixed left chain on every row
+        probs = type_ii_probabilities_stack(lefts, ("B", "D"), right, "b", consume="D")
         rows = []
         for chi, sm, sp in zip(
             grid, probs["failure_b_minus"].tolist(), probs["failure_b_plus"].tolist()

@@ -9,7 +9,11 @@ list; projecting a vertex out removes its register position.
 A ChainStack holds K >= 1 chains of one shape as (K, 2^n) rows, and a
 ChainState is its K = 1 case: one chain, whose graph carries its own
 weights. Each protocol runs one pass over the rows of its stacks, so each
-row of a K-row call is bit for bit the one-row call on that row's chain:
+row of a K-row call is bit for bit the one-row call on that row's chain.
+A protocol on two chains takes row-paired stacks: left row k goes with
+right row k, and stacks of different row counts are an InputError.
+ChainStack.take repeats one chain to pair it with every row of another
+stack.
 
 - fuse_type_i, create_logical_qubit and fuse_type_ii return OutcomeStacks;
   the post-states are ChainStates when the call had one row (K = 1),
@@ -19,7 +23,7 @@ row of a K-row call is bit for bit the one-row call on that row's chain:
 - xlike_probability_stack and type_ii_probabilities_stack: the outcome
   probabilities alone, with no post-state built;
 - fusion_context_rows: the FusionContext of row-paired stacks, one row
-  per pair (fuse_generalized reads it on one-chain arguments);
+  per pair (fuse_generalized reads it on one chain each);
 - ghz_pair_projection and ghz_pair_for_target_stack: the GHZ-to-pair
   basis over (K,) angle arrays, as (K, 2, 2) kets, with its 3-qubit
   simulation check;
@@ -464,6 +468,15 @@ def _split_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :, 0], vh[:, 0, :]
 
 
+def _paired(left: ChainStack, right: ChainStack) -> int:
+    """The row count K of row-paired stacks, left row k with right row k;
+    InputError when the stacks differ in row count."""
+    k = len(left.rows)
+    if len(right.rows) != k:
+        raise InputError(f"row-paired stacks of {k} and {len(right.rows)} rows")
+    return k
+
+
 def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_Branch]:
     """fuse_type_i of left row k with right row k, for every k."""
     a = _resolve_vertex(left, end_a)
@@ -473,10 +486,8 @@ def _type_i_branches(left, end_a, right, end_b, new_label: str | None) -> list[_
             raise NotEndpointError(f"{v} has degree {chain.graph.degree(v)} != 1")
         if any(v in p for p in chain.logical_pairs):
             raise NotEndpointError(f"{v} is part of a logical pair")
+    k = _paired(left, right)
     lr, rr = _Rows.of(left), _Rows.of(right)
-    k = len(lr.rows)
-    if len(rr.rows) != k:
-        raise InputError(f"row-paired stacks of {k} and {len(rr.rows)} rows")
     c = new_label or f"{a}*{b}"
     (na, chi_a), = lr.graph.neighbors(a)
     (nb, chi_b), = rr.graph.neighbors(b)
@@ -862,13 +873,6 @@ def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
     ) / 4.0
 
 
-def _one_row(chain: ChainStack) -> np.ndarray:
-    """The (1, 2^n) amplitude row of a one-chain argument: a ChainState or a one-row stack."""
-    if len(chain.rows) != 1:
-        raise InputError(f"need one chain, got a stack of {len(chain.rows)} rows")
-    return chain.rows
-
-
 def _pair_members(left: ChainStack, pair, consume) -> tuple[str, str]:
     """(consumed member a, kept member e) of a registered logical pair.
 
@@ -889,22 +893,24 @@ def _pair_members(left: ChainStack, pair, consume) -> tuple[str, str]:
 
 
 def _type_ii_branches(left: ChainStack, pair, right: ChainStack, b, consume):
-    """Everything fuse_type_ii computes before its first post-state, for one
-    left chain fused with every row of a right stack.
+    """Everything fuse_type_ii computes before its first post-state, for left
+    row k fused with right row k, for every k.
 
     Returns (a, e, b, successes, failures): successes holds (label, sign,
     vecs, probs) for the two Bell outcomes, vecs the (K, 2^(n_l + n_r - 2))
     unnormalized merged states; failures holds (label, sa, sb, vl, probs)
-    for the two X-type product outcomes, vl the unnormalized left state;
-    probs are (K,) arrays. The numeric z of every row must match the formula
-    within ABORT_TOL, else NumericalAbortError names the first row that does not.
+    for the two X-type product outcomes, vl the (K, 2^(n_l - 1))
+    unnormalized left states; probs are (K,) arrays. The numeric z of every
+    row must match the formula within ABORT_TOL, else NumericalAbortError
+    names the first row that does not.
     """
     a, e = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
     if any(b in p for p in right.logical_pairs):
         raise NoLogicalPairError(f"{b} belongs to a logical pair on the right chain")
+    _paired(left, right)
 
-    f1, f2 = (f[0] for f in _branch_rows(_one_row(left), left.graph.vertex_index(a)))
+    f1, f2 = _branch_rows(left.rows, left.graph.vertex_index(a))
     f3, f4 = _branch_rows(right.rows, right.graph.vertex_index(b))
     zs = np.vecdot(f4, f3)  # branch states are unit vectors
     column = _edge_columns(right.graph)
@@ -932,13 +938,13 @@ def type_ii_probabilities_stack(
     left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
 ) -> dict[str, np.ndarray]:
     """The four outcome probabilities of fuse_type_ii, by label, and nothing
-    else, for one left chain against every row of a right stack.
+    else, for left row k against right row k, for every k.
 
     Same checks and errors as fuse_type_ii, the numeric-vs-formula check of
-    z included. Returns the (K,) probabilities by label, row k bit for bit
-    the ones fuse_type_ii(left, pair, right row k's chain, b, consume)
-    carries; no post-state is built. The z check runs on every row; the
-    first row that fails it raises.
+    z and the row pairing included. Returns the (K,) probabilities by label,
+    row k bit for bit the ones fuse_type_ii carries on row k's two chains;
+    no post-state is built. The z check runs on every row; the first row
+    that fails it raises.
     """
     *_, successes, failures = _type_ii_branches(left, pair, right, b, consume)
     return {label: probs for label, *_, probs in successes + failures}
@@ -957,46 +963,37 @@ def fuse_type_ii(
     lists only the left post-state. type_ii_probabilities_stack gives the
     four probabilities alone.
 
-    left is one chain (a ChainState or a one-row stack), fused with every
-    row of the right stack in one pass; row k of every outcome is bit for
-    bit the call on right row k's chain. A failure label heads one
-    OutcomeStack per kind of row: those below ZERO_PROB_CUTOFF (no
-    post-state), those whose right branch is not good and those whose right
-    branch is good.
+    Left row k is fused with right row k, for every k, in one pass: the
+    stacks must hold the same number of rows (else InputError), so each row
+    may carry its own left chain, of either eligibility case. Row k of
+    every outcome is bit for bit the call on row k's two chains. A failure
+    label heads one OutcomeStack per kind of row: those below
+    ZERO_PROB_CUTOFF (no post-state), those whose right branch is not good
+    and those whose right branch is good.
     """
     return _outcomes(_type_ii_outcomes(left, pair, right, b, consume), len(right.rows))
 
 
 def _type_ii_outcomes(left: ChainStack, pair, right: ChainStack, b, consume):
-    """fuse_type_ii of one left chain with every row of a right stack, as _Branches."""
+    """fuse_type_ii of left row k with right row k, for every k, as _Branches."""
     a, e, b, successes, failures = _type_ii_branches(left, pair, right, b, consume)
-    rr = _Rows.of(right)
+    lr, rr = _Rows.of(left), _Rows.of(right)
     every = np.arange(len(rr.rows))
-    left_full = _reweighted(left.graph, left.weights[0])  # its one row's weights
-    lg = left_full.without_vertex(a)
+    lg, lw = _drop(lr.graph, lr.weights, [a])
     rg, rw = _drop(rr.graph, rr.weights, [b])
     # e inherits the logical vertex's edges (already on a and e) plus b's edges
+    at_a = [(x, y, w) for x, y, w in lr.graph.edges if a in (x, y)]
+    moved = tuple((e if x == a else x, e if y == a else y, w) for x, y, w in at_a)
     nbs = rr.graph.neighbors(b)
     extra = tuple((e, v, w) for v, w in nbs)
-    moved = tuple(
-        (e if x == a else x, e if y == a else y, w)
-        for x, y, w in left_full.edges
-        if a in (x, y)
-    )
     merged = WeightedGraph(lg.vertices + rg.vertices, lg.edges + moved + rg.edges + extra)
     # failures: X-type product projections; left side always collapses the
     # pair into a plain vertex e carrying the logical vertex's edges.
     left_graph = WeightedGraph(lg.vertices, lg.edges + moved)
-    left_weights = _edge_weights(left_graph)
-    column = _edge_columns(rr.graph)
-    weights = np.hstack(
-        [
-            np.broadcast_to(left_weights, (len(every), left_weights.shape[1])),
-            rw,
-            rr.weights[:, [column[frozenset((b, v))] for v, _ in nbs]],
-        ]
-    )
-    pairs_left = frozenset(p for p in left.logical_pairs if a not in p)
+    lcol, rcol = _edge_columns(lr.graph), _edge_columns(rr.graph)
+    left_weights = np.hstack([lw, lr.weights[:, [lcol[frozenset((x, y))] for x, y, _ in at_a]]])
+    weights = np.hstack([left_weights, rw, rr.weights[:, [rcol[frozenset((b, v))] for v, _ in nbs]]])
+    pairs_left = frozenset(p for p in lr.pairs if a not in p)
 
     out: list[_Branch] = []
     for label, sign, vecs, probs in successes:
@@ -1014,24 +1011,18 @@ def _type_ii_outcomes(left: ChainStack, pair, right: ChainStack, b, consume):
         live = _where(~low)
         rows, probs = _pick(every, live), _pick(probs, live)
         corr = [Correction(e, "Z", PAULI_Z)] if sa < 0 else []
-        sl = _corrected(left_graph, (vl / np.linalg.norm(vl))[None], corr)
-        # one left post-state, the same in every row
-        shared = _Rows(
-            left_graph,
-            np.broadcast_to(left_weights, (len(rows), left_weights.shape[1])),
-            np.broadcast_to(sl, (len(rows), sl.shape[1])),
-            pairs_left,
-        )
+        sl = _corrected(left_graph, normalized_rows(_pick(vl, live)), corr)
+        lpost = _Rows(left_graph, _pick(left_weights, live), sl, pairs_left)
         good = _good_right_failure(rr.take(live), b, sb)
         if good is None:
-            out.append(_Branch(label, rows, probs, [shared], corr))
+            out.append(_Branch(label, rows, probs, [lpost], corr))
             continue
         ok, post, good_corr = good
         if not ok.all():
             rest = np.flatnonzero(~ok)
-            out.append(_Branch(label, rows[rest], probs[rest], [shared.take(rest)], corr))
+            out.append(_Branch(label, rows[rest], probs[rest], [lpost.take(rest)], corr))
         idx = _where(ok)
-        posts = [shared.take(idx), post]
+        posts = [lpost.take(idx), post]
         out.append(_Branch(label, _pick(rows, idx), _pick(probs, idx), posts, corr + good_corr, True))
     return out
 
@@ -1080,7 +1071,8 @@ def fusion_context_rows(
     left: ChainStack, pair, right: ChainStack, b, consume: str | None = None
 ) -> FusionContext:
     """The FusionContext of fusing a member of left's logical pair with b of
-    right, left row k with right row k.
+    right, left row k with right row k, for every k: one context row per
+    pair. Stacks of different row counts are an InputError.
 
     The consumed member a (consume, else the member first in vertex order)
     gives f1, f2 = the |0>_a, |1>_a slices of each left row (e stays), and
@@ -1089,6 +1081,7 @@ def fusion_context_rows(
     """
     a, _ = _pair_members(left, pair, consume)
     b = _resolve_vertex(right, b)
+    _paired(left, right)
     fs = _branch_rows(left.rows, left.graph.vertex_index(a))
     fs += _branch_rows(right.rows, right.graph.vertex_index(b))
     return FusionContext(*(normalized_rows(f) for f in fs))
@@ -1100,11 +1093,12 @@ def fuse_generalized(
     """Generalized fusion of one left chain with one right chain through an
     arbitrary mode unitary.
 
-    fusion_context_rows, then the fock layer's enumerate_outcomes; returns
-    the one-row context (for analysis hooks) plus the full outcome list.
+    fusion_context_rows, then the fock layer's enumerate_outcomes, which
+    takes one fusion: stacks of different row counts are refused by the
+    first, a context of more than one row by the second (both InputError).
+    Returns the one-row context (for analysis hooks) plus the full outcome
+    list.
     """
-    for chain in (left, right):
-        _one_row(chain)
     ctx = fusion_context_rows(left, pair, right, b, consume)
     return ctx, enumerate_outcomes(ctx, u)
 

@@ -231,8 +231,8 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law.
 
     The right chains of the drawn weights and pi are one stack, fused with
-    the left chain in one fuse_type_ii call; the all-pi right chain is
-    one K = 1 call.
+    the fixed left chain, repeated once per row, in one fuse_type_ii call;
+    the all-pi right chain is one K = 1 call.
     """
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
@@ -241,8 +241,8 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     chis = rng.uniform(0.05, math.pi - 0.05, n).tolist() + [math.pi]
     # Case-2 weights (chi, -chi) around the fused interior vertex
     right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in chis])
-    outs = fuse_type_ii(left, ("B", "D"), right, "b", consume="D")
     k = len(chis)
+    outs = fuse_type_ii(left.take(np.zeros(k, dtype=int)), ("B", "D"), right, "b", consume="D")
     p_good, p_plus, good = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
     for o in outs:
         if o.label == "failure_b_minus":

@@ -354,7 +354,8 @@ def test_a_near_eligible_good_failure_is_answered_never_refused_as_a_graph(k, da
         right = make_chain(["v", "b", "w"], w)
         _answers(lambda: fuse_type_ii(left, ("B", "D"), right, "b", "D"), one_chain=True)
     stack = make_chain_stack(["v", "b", "w"], rows)
-    _answers(lambda: fuse_type_ii(left, ("B", "D"), stack, "b", "D"), one_chain=False)
+    lefts = left.take(np.zeros(k, dtype=int))
+    _answers(lambda: fuse_type_ii(lefts, ("B", "D"), stack, "b", "D"), one_chain=False)
 
 
 # ------------------------------------------------ probability-only paths

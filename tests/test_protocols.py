@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from wgfusion.graphstate import (
     project_qubit,
     wrap_angle,
 )
+from wgfusion import protocols
 from wgfusion.protocols import (
     ChainState,
     OutcomeStack,
@@ -42,6 +44,7 @@ from wgfusion.protocols import (
     make_chain_stack,
     rez_formula,
     sample_outcomes,
+    type_ii_probabilities_stack,
     weighted_pair_rows,
 )
 
@@ -323,8 +326,44 @@ def test_generalized_matches_oracle():
 def test_generalized_takes_one_chain_each():
     left = _logical_left([1.0, 0.9, 0.9])
     right = make_chain_stack(["v", "b"], [[1.3], [0.4]])
-    with pytest.raises(InputError, match="need one chain, got a stack of 2 rows"):
+    with pytest.raises(InputError, match="row-paired stacks of 1 and 2 rows"):
         fuse_generalized(left, ("B", "D"), right, "v", type_ii_matrix(), consume="D")
+    with pytest.raises(InputError, match="need one fusion, got a context of 2 rows"):
+        fuse_generalized(left.take([0, 0]), ("B", "D"), right, "v", type_ii_matrix(), consume="D")
+
+
+# every public protocol on a left and a right chain, on a logical-pair left
+# A-B-D and a right v-b-w
+TWO_CHAIN_CALLS = {
+    "fuse_type_i": lambda left, right: fuse_type_i(left, "A", right, "v"),
+    "fuse_type_ii": lambda left, right: fuse_type_ii(left, ("B", "D"), right, "b", "D"),
+    "type_ii_probabilities_stack": lambda left, right: type_ii_probabilities_stack(
+        left, ("B", "D"), right, "b", "D"
+    ),
+    "fusion_context_rows": lambda left, right: fusion_context_rows(left, ("B", "D"), right, "b", "D"),
+    "fuse_generalized": lambda left, right: fuse_generalized(
+        left, ("B", "D"), right, "b", type_ii_matrix(), "D"
+    ),
+}
+
+
+def test_the_pairing_table_lists_every_two_chain_protocol():
+    two_chain = {
+        name
+        for name, fn in inspect.getmembers(protocols, inspect.isfunction)
+        if fn.__module__ == protocols.__name__
+        and not name.startswith("_")
+        and {"left", "right"} <= set(inspect.signature(fn).parameters)
+    }
+    assert two_chain == set(TWO_CHAIN_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CHAIN_CALLS))
+def test_two_chain_protocols_take_row_paired_stacks(name):
+    left = logical_pair_stack(make_chain_stack(list("ABCD"), [[1.0, 0.7, 0.7], [0.4, 1.2, 1.2]]), "C")
+    right = make_chain_stack(["v", "b", "w"], [[0.9, -0.9], [1.3, 0.4], [math.pi, math.pi]])
+    with pytest.raises(InputError, match=r"^row-paired stacks of 2 and 3 rows$"):
+        TWO_CHAIN_CALLS[name](left, right)
 
 
 def test_generalized_identity_keeps_photons_in_channels():

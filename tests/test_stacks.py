@@ -273,14 +273,30 @@ def test_xlike_probability_stack_rows_equal_single_calls(n, k, data):
     assert [float.hex(p) for p in got.tolist()] == [float.hex(p) for p in singles]
 
 
+def _left_stack(data, k: int) -> ChainStack:
+    """k logical-pair left chains A-B-D, one per row: row k's {B, D} is the
+    X-like branch at C of its own A-B-C-D chain, of Case 1 or Case 2 as
+    drawn for that row."""
+    lefts = []
+    for _ in range(k):
+        chi = data.draw(ANGLES)
+        weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
+        lefts.append(logical_pair_stack(make_chain(list("ABCD"), weights), "C"))
+    return ChainStack(
+        lefts[0].graph,
+        np.concatenate([one.weights for one in lefts]),
+        np.concatenate([one.rows for one in lefts]),
+        lefts[0].logical_pairs,
+    )
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nr=st.integers(3, 5), k=st.integers(1, 5), data=st.data())
 def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
-    """A logical-pair left chain against a stack of 3-5-vertex right chains; one
-    row's state may come from other weights than the row claims (a z mismatch)."""
-    chi = data.draw(ANGLES)
-    left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
-    left = logical_pair_stack(make_chain(list("ABCD"), left_weights), "C")
+    """One logical-pair left chain per row against a stack of 3-5-vertex right
+    chains; one row's state may come from other weights than the row claims
+    (a z mismatch)."""
+    left = _left_stack(data, k)
     labels = [f"r{j}" for j in range(nr)]
     b = labels[data.draw(st.integers(0, nr - 1))]
     claimed = weight_stack(data, k, nr - 1)
@@ -294,7 +310,10 @@ def test_type_ii_probabilities_stack_rows_equal_single_calls(nr, k, data):
         ChainState(chain_graph(labels, list(c)), PureState(nr, r)) for c, r in zip(claimed, stack.rows)
     ]
     singles = _single_outcomes(
-        [lambda r=r: type_ii_probabilities_stack(left, ("B", "D"), r, b, "D") for r in rights]
+        [
+            lambda i=i, r=r: type_ii_probabilities_stack(_row_chain(left, i), ("B", "D"), r, b, "D")
+            for i, r in enumerate(rights)
+        ]
     )
     error = _first_error(singles)
     assert bad is not None or error is None
@@ -497,13 +516,11 @@ def test_post_state_type_follows_the_row_count():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nr=st.integers(3, 5), k=st.integers(1, 5), data=st.data())
 def test_fuse_type_ii_rows_equal_single_calls(nr, k, data):
-    """A logical-pair left chain against right chains whose rows make the
-    b-side failures good (Case 2, or pi for both), vanish (tiny weights, so
-    z is near 1) or neither; one row's state may come from other weights than
-    the row claims (a z mismatch)."""
-    chi = data.draw(ANGLES)
-    left_weights = [data.draw(ANGLES), chi, chi if data.draw(st.booleans()) else -chi]
-    left = logical_pair_stack(make_chain(list("ABCD"), left_weights), "C")
+    """One logical-pair left chain per row against right chains whose rows
+    make the b-side failures good (Case 2, or pi for both), vanish (tiny
+    weights, so z is near 1) or neither; one row's state may come from other
+    weights than the row claims (a z mismatch)."""
+    left = _left_stack(data, k)
     labels = [f"r{j}" for j in range(nr)]
     j = data.draw(st.integers(1, nr - 2) | st.integers(0, nr - 1))  # mostly interior: good failures
     claimed = weight_stack(data, k, nr - 1)
@@ -521,7 +538,10 @@ def test_fuse_type_ii_rows_equal_single_calls(nr, k, data):
     stack = make_chain_stack(labels, claimed)
     stack = ChainStack(stack.graph, stack.weights, make_chain_stack(labels, built).rows)
     singles = _single_outcomes(
-        [lambda r=r: fuse_type_ii(left, ("B", "D"), _row_chain(stack, r), labels[j], "D") for r in range(k)]
+        [
+            lambda r=r: fuse_type_ii(_row_chain(left, r), ("B", "D"), _row_chain(stack, r), labels[j], "D")
+            for r in range(k)
+        ]
     )
     assert bad is not None or _first_error(singles) is None
     _assert_stack_matches(
