@@ -32,7 +32,11 @@ stack.
 
 A stacked protocol returns OutcomeStacks: each outcome on the rows that
 have it. An outcome below ZERO_PROB_CUTOFF in some rows is absent from
-exactly those rows, as it is from the one-row call.
+exactly those rows, as it is from the one-row call. The X-like steps
+(create_logical_qubit, logical_pair_stack, xlike_probability_stack) take
+stacks that mix Case-1 (chi1 = chi2) and Case-2 (chi1 = -chi2 mod 2pi)
+rows: one eligibility rule on arrays (_near) gives each row its own case's
+bra and corrections.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .graphstate import (
     project_qubit,
     weight_rows,
     wrap_angle,
+    _wrap_rows,
     z_rotation,
     PAULI_X,
     PAULI_Z,
@@ -551,33 +556,29 @@ def fuse_type_i(
     return _outcomes(_type_i_branches(left, end_a, right, end_b, new_label), len(left.rows))
 
 
-def _xlike_case(chi1: float, chi2: float) -> str | None:
-    """Eligibility of an X-like projection on a vertex with edge weights chi1, chi2.
-
-    Case 1: equal weights. Case 2: weights sum to 2pi (i.e. chi1 = -chi2 mod 2pi).
-    chi = pi satisfies both; Case 1 is preferred then.
-    """
-    if abs(wrap_angle(chi1 - chi2)) < WEIGHT_TOL:
-        return "case1"
-    if abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL:
-        return "case2"
-    return None
-
-
 def _edge_columns(graph: WeightedGraph) -> dict[frozenset[str], int]:
     """Column of each edge, keyed by its endpoints, in a weight row over graph.edges."""
     return {frozenset((x, y)): i for i, (x, y, _) in enumerate(graph.edges)}
+
+
+def _near(x: np.ndarray) -> np.ndarray:
+    """Per entry: does the angle x wrap to within WEIGHT_TOL of 0? The one
+    test behind every X-like eligibility case."""
+    return np.abs(_wrap_rows(x)) < WEIGHT_TOL
 
 
 def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
     """Eligibility of interior vertex a for an X-like projection in every weight row,
     and each row's primary bra.
 
-    graph is the shape and weights its (K, E) weight rows. Returns (b1, b2,
-    cases, chis, bras), b1 before b2 in vertex order, and per row k its
-    eligibility case, its chi and its primary bra (A, B): B = -A e^{i chi_k}
-    for case 1 and B = -A for case 2. A row that meets neither case raises
-    WeightsNotEligibleError.
+    graph is the shape and weights its (K, E) weight rows, chi1 and chi2 a's
+    edges to b1 and b2. Case 1: chi1 = chi2. Case 2: chi1 = -chi2 mod 2pi.
+    chi = pi meets both, and Case 1 is taken then. Returns (b1, b2, case1,
+    chis, bs), b1 before b2 in vertex order, and (K,) arrays: case1[k]
+    whether row k takes Case 1 (else Case 2), chis[k] its chi (chi1 for
+    Case 1, chi2 for Case 2) and bs[k] the B of its primary bra <0| + B<1|,
+    B = -e^{i chi_k} for Case 1 and B = -1 for Case 2. The first row that
+    meets neither case raises WeightsNotEligibleError.
     """
     nbs = graph.neighbors(a)
     if len(nbs) != 2:
@@ -586,49 +587,41 @@ def _xlike_plan(graph: WeightedGraph, weights: np.ndarray, pairs, a: str):
         raise NoLogicalPairError(f"{a} already belongs to a logical pair")
     (b1, _), (b2, _) = sorted(nbs, key=lambda t: graph.vertices.index(t[0]))
     column = _edge_columns(graph)
-    cases, chis, bras = [], [], []
-    for chi1, chi2 in zip(
-        weights[:, column[frozenset((a, b1))]].tolist(),
-        weights[:, column[frozenset((a, b2))]].tolist(),
-    ):
-        case = _xlike_case(chi1, chi2)
-        if case is None:
-            raise WeightsNotEligibleError(
-                f"weights ({chi1:.6g}, {chi2:.6g}) satisfy neither eligibility case"
-            )
-        cases.append(case)
-        if case == "case1":
-            chis.append(chi1)
-            bras.append((1.0, -cmath.exp(1j * chi1)))
-        else:  # case 2: chi1 = -chi mod 2pi
-            chis.append(chi2)
-            bras.append((1.0, -1.0))
-    return b1, b2, cases, chis, bras
-
-
-def _one_case(cases: list[str]) -> str:
-    """The eligibility case every row meets; the corrections depend on it."""
-    if len(set(cases)) != 1:
+    chi1, chi2 = (weights[:, column[frozenset((a, b))]] for b in (b1, b2))
+    case1 = _near(chi1 - chi2)
+    bad = np.flatnonzero(~case1 & ~_near(chi1 + chi2))
+    if bad.size:
+        k = bad[0]
         raise WeightsNotEligibleError(
-            f"weight rows meet different eligibility cases {sorted(set(cases))}"
+            f"weights ({float(chi1[k]):.6g}, {float(chi2[k]):.6g}) satisfy neither eligibility case"
         )
-    return cases[0]
+    chis = np.where(case1, chi1, chi2)
+    return b1, b2, case1, chis, np.where(case1, -np.exp(1j * chis), -1.0)
 
 
 def logical_pair_stack(stack: ChainStack, a) -> ChainStack:
     """Post-state of create_logical_qubit's primary success branch only, on
-    every row of a stack, as one X-like branch over its rows.
+    every row of a stack, as one X-like projection over its rows.
 
     Same eligibility rules and errors as create_logical_qubit, the refusal
     of a logical-pair member and the ZeroOutcomeError of a vanishing branch
-    included; no failure branch is computed. Every row must meet one
-    eligibility case, since the corrections depend on it. Row k of the
+    included; no failure branch is computed. Rows may meet different
+    eligibility cases: each takes its own case's corrections. Row k of the
     result is bit for bit the call on row k's chain.
     """
     r = _Rows.of(stack)
     a = _resolve_vertex(stack, a)
-    b1, b2, cases, _, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
-    return ChainStack(*_xlike_success(r, a, b1, b2, bras, _one_case(cases))[0])
+    b1, b2, case1, _, bs = _xlike_plan(r.graph, r.weights, r.pairs, a)
+    branches = _xlike_success(r, a, b1, b2, bs, case1)
+    post = branches[0].posts[0]
+    if len(branches) > 1:  # one branch per case: back to stack row order
+        order = np.argsort(np.concatenate([br.rows for br in branches]))
+        weights, rows = (
+            np.concatenate([getattr(br.posts[0], f) for br in branches])[order]
+            for f in ("weights", "rows")
+        )
+        post = post._replace(weights=weights, rows=rows)
+    return ChainStack(*post)
 
 
 def xlike_probability_stack(stack: ChainStack, a) -> np.ndarray:
@@ -642,8 +635,8 @@ def xlike_probability_stack(stack: ChainStack, a) -> np.ndarray:
     WeightsNotEligibleError.
     """
     a = _resolve_vertex(stack, a)
-    *_, bras = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
-    return _project_bra(stack.rows, stack.graph.vertex_index(a), bras)[1]
+    *_, bs = _xlike_plan(stack.graph, stack.weights, stack.logical_pairs, a)
+    return _project_bra(stack.rows, stack.graph.vertex_index(a), bs)[1]
 
 
 def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
@@ -664,11 +657,12 @@ def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
     leaves a logical pair mixed-bit amplitudes at or above PAIR_SUPPORT_TOL
     is refused as well (_xlike_success).
 
-    Every row must meet one eligibility case, as in logical_pair_stack. Rows
-    at chi = pi get the complementary success, the others the failure split,
-    whose sub-outcomes below ZERO_PROB_CUTOFF leave out just the rows where
-    they vanish. Row k of every outcome is bit for bit the call on row k's
-    chain.
+    Rows may meet different eligibility cases. Each case's success is its
+    own outcome, success_case1 or success_case2, on the rows of that case;
+    rows at chi = pi also get the complementary success, with the other
+    case's corrections, and the others the failure split, whose
+    sub-outcomes below ZERO_PROB_CUTOFF leave out just the rows where they
+    vanish. Row k of every outcome is bit for bit the call on row k's chain.
     """
     return _outcomes(_create_logical_branches(chain, a), len(chain.rows))
 
@@ -676,121 +670,126 @@ def create_logical_qubit(chain: ChainStack, a) -> list[OutcomeStack]:
 def _create_logical_branches(chains: ChainStack, a) -> list[_Branch]:
     r = _Rows.of(chains)
     a = _resolve_vertex(chains, a)
-    b1, b2, cases, chis, bras = _xlike_plan(r.graph, r.weights, r.pairs, a)
-    case = _one_case(cases)
+    b1, b2, case1, chis, bs = _xlike_plan(r.graph, r.weights, r.pairs, a)
+    out = _xlike_success(r, a, b1, b2, bs, case1)
+    # the complementary bra <0| - B<1|: a success at chi = pi, else the failure split
+    at_pi = _near(chis - math.pi)
     every = np.arange(len(chis))
-    post, probs, corr = _xlike_success(r, a, b1, b2, bras, case)
-    out = [_Branch(f"success_{case}", every, probs, [post], corr)]
-    # complementary bra (1, e^{i chi})/sqrt2 for case 1; (1, 1) for case 2
-    comp = [(1.0, cmath.exp(1j * chi)) if case == "case1" else (1.0, 1.0) for chi in chis]
-    at_pi = np.array([abs(wrap_angle(chi - math.pi)) < WEIGHT_TOL for chi in chis])
     if at_pi.any():
-        comp_case = "case2" if case == "case1" else "case1"
         idx = _where(at_pi)
-        post, probs, corr = _xlike_success(r.take(idx), a, b1, b2, _pick_list(comp, idx), comp_case)
-        out.append(_Branch(f"success_{comp_case}", _pick(every, idx), probs, [post], corr))
+        comp = _xlike_success(r.take(idx), a, b1, b2, -_pick(bs, idx), ~_pick(case1, idx))
+        out += [br._replace(rows=_pick(every, idx)[br.rows]) for br in comp]
     if not at_pi.all():
         idx = _where(~at_pi)
-        rows = _pick(every, idx)
-        out += [
-            br._replace(rows=rows[br.rows])
-            for br in _xlike_failure_split(r.take(idx), a, b1, b2, _pick_list(comp, idx))
-        ]
+        split = _xlike_failure_split(r.take(idx), a, b1, b2, -_pick(bs, idx))
+        out += [br._replace(rows=_pick(every, idx)[br.rows]) for br in split]
     return out
 
 
-def _pick_list(items: list, idx: np.ndarray | None) -> list:
-    """_pick for a list."""
-    return items if idx is None else [items[i] for i in idx.tolist()]
+def _project_bra(rows: np.ndarray, qubit: int, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """project_qubit of one qubit with row k's bra (<0| + bs[k]<1|)/norm.
+
+    np.hypot rounds |B| as abs() does a single complex, so row k is bit for
+    bit the one-row call."""
+    nrm = np.sqrt(1.0 + np.hypot(bs.real, bs.imag) ** 2)
+    kets = np.empty((len(bs), 2), dtype=complex)
+    kets[:, 0], kets[:, 1] = 1.0 / nrm, np.conj(bs) / nrm
+    return project_qubit(rows, qubit, kets)
 
 
-def _project_bra(rows: np.ndarray, qubit: int, bras) -> tuple[np.ndarray, np.ndarray]:
-    """project_qubit with row k's unnormalized-direction bra (A<0| + B<1|)/norm on one qubit."""
-    kets = []
-    for a, b in bras:
-        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        kets.append((np.conj(a) / nrm, np.conj(b) / nrm))
-    return project_qubit(rows, qubit, np.array(kets, dtype=complex))
-
-
-def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
+def _xlike_rows(r: _Rows, a: str, b1: str, b2: str, bs: np.ndarray, case1: np.ndarray):
     """The X-like branch of a, with its prescribed corrections, on every row of r.
 
-    bras[k] is row k's (A, B) bra direction. Returns (post, probabilities,
-    corrections, resolved): post holds the graph after the branch, its
-    weight rows, the corrected (K, 2^(n-1)) rows and the logical pairs, and
-    resolved is the (K,) mask of the rows in which every logical pair, the
+    Row k projects a with the bra <0| + bs[k]<1| and takes the corrections
+    of Case 1 where case1[k] holds, else those of Case 2. Every row is
+    projected at once; a row whose probability falls below ZERO_PROB_CUTOFF
+    raises ZeroOutcomeError naming a and the probability. The corrections
+    differ by case, so the branch comes as one success_case1 or
+    success_case2 _Branch per case present, Case 1 first, each holding the
+    graph after the branch, its weight rows, the corrected rows and the
+    logical pairs. Returns (branches, probabilities, resolved), the last
+    two over every row of r: resolved[k] whether every logical pair, the
     new one {b1, b2} included, has mixed-bit amplitudes below
-    PAIR_SUPPORT_TOL. The invariants are checked where post becomes a
-    ChainStack. A row whose probability falls below ZERO_PROB_CUTOFF raises
-    ZeroOutcomeError naming a and the probability.
+    PAIR_SUPPORT_TOL in row k. The invariants are checked where a post
+    becomes a ChainStack.
     """
-    red, probs = _project_bra(r.rows, r.graph.vertex_index(a), bras)
+    red, probs = _project_bra(r.rows, r.graph.vertex_index(a), bs)
     low = np.flatnonzero(probs < ZERO_PROB_CUTOFF)
     if low.size:
         raise ZeroOutcomeError(
             f"X-like projection of {a} has probability {float(probs[low[0]])!r}, "
             f"below the zero cutoff {ZERO_PROB_CUTOFF}"
         )
-    chi = r.weights[:, _edge_columns(r.graph)[frozenset((a, b1 if case == "case1" else b2))]]
-    ng, weights = _drop(r.graph, r.weights, [a])
-    corr: list[Correction] = []
-    if case == "case2":
-        # logical X on b1's logical qubit: X on every member flips the sign of
-        # each member edge; phase(+phi) on the neighbour absorbs the
-        # single-qubit phase the flip leaves
-        members = sorted(_logical_class(r.pairs, b1), key=ng.vertex_index)
-        column = _edge_columns(ng)
-        corr += [Correction(m, "X", PAULI_X) for m in members]
-        corr += [
-            Correction(c, "phase(+phi1)", phase_gate(weights[:, column[frozenset((m, c))]]))
-            for m in members
-            for c, _ in ng.neighbors(m)
-        ]
-        flip = [i for i, (x, y, _) in enumerate(ng.edges) if x in members or y in members]
-        w = weights[:, flip]
-        weights[:, flip] = np.where(w == math.pi, w, -w)  # wrap_angle(-w) for w in (-pi, pi]
-        ng = _reweighted(ng, weights[0])
-    # diagonal, so it acts on the logical qubit from b1 alone
-    corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
-    post = _Rows(ng, weights, _corrected(ng, red, corr), r.pairs | {frozenset({b1, b2})})
-    resolved = np.logical_and.reduce([_pair_support_rows(ng, p, post.rows) for p in post.pairs])
-    return post, probs, corr, resolved
+    g, w = _drop(r.graph, r.weights, [a])
+    column = _edge_columns(r.graph)
+    pairs = r.pairs | {frozenset({b1, b2})}
+    branches, resolved = [], np.empty(len(probs), dtype=bool)
+    for case, mask in (("case1", case1), ("case2", ~case1)):
+        if not mask.any():
+            continue
+        idx = _where(mask)  # None only when no row has the other case: the flips may write w
+        ng, weights = g, _pick(w, idx)
+        chi = _pick(r.weights[:, column[frozenset((a, b1 if case == "case1" else b2))]], idx)
+        corr: list[Correction] = []
+        if case == "case2":
+            # logical X on b1's logical qubit: X on every member flips the sign of
+            # each member edge; phase(+phi) on the neighbour absorbs the
+            # single-qubit phase the flip leaves
+            members = sorted(_logical_class(r.pairs, b1), key=ng.vertex_index)
+            ncol = _edge_columns(ng)
+            corr += [Correction(m, "X", PAULI_X) for m in members]
+            corr += [
+                Correction(c, "phase(+phi1)", phase_gate(weights[:, ncol[frozenset((m, c))]]))
+                for m in members
+                for c, _ in ng.neighbors(m)
+            ]
+            flip = [i for i, (x, y, _) in enumerate(ng.edges) if x in members or y in members]
+            f = weights[:, flip]
+            weights[:, flip] = np.where(f == math.pi, f, -f)  # wrap_angle(-f) for f in (-pi, pi]
+            ng = _reweighted(ng, weights[0])
+        # diagonal, so it acts on the logical qubit from b1 alone
+        corr.append(Correction(b1, "zrot((pi-chi)/2)", z_rotation((math.pi - chi) / 2.0)))
+        post = _Rows(ng, weights, _corrected(ng, _pick(red, idx), corr), pairs)
+        rows = _pick(np.arange(len(probs)), idx)
+        resolved[rows] = np.logical_and.reduce([_pair_support_rows(ng, p, post.rows) for p in pairs])
+        branches.append(_Branch(f"success_{case}", rows, _pick(probs, idx), [post], corr))
+    return branches, probs, resolved
 
 
-def _xlike_success(r: _Rows, a: str, b1: str, b2: str, bras, case: str):
-    """_xlike_rows for a success branch, which must resolve its logical pairs in every row.
+def _xlike_success(r: _Rows, a: str, b1: str, b2: str, bs: np.ndarray, case1: np.ndarray):
+    """_xlike_rows for a success, which must resolve its logical pairs in every row.
 
     Eligibility admits weights within WEIGHT_TOL of a case, but a row off
     it by delta keeps mixed-bit amplitudes of order delta on the new pair,
     and dividing by the branch norm sqrt(p) amplifies them and the
     round-off of the cancellations that remove them, on every pair. The
-    first row left at or above PAIR_SUPPORT_TOL is refused:
-    WeightsNotEligibleError when its weights are off the case,
-    ZeroOutcomeError when they meet it exactly and only the round-off of a
-    weak branch is left. Returns (post, probabilities, corrections).
+    first row left at or above PAIR_SUPPORT_TOL, in row order over both
+    cases, is refused: WeightsNotEligibleError when its weights are off its
+    case, ZeroOutcomeError when they meet it exactly and only the round-off
+    of a weak branch is left. Returns the branches, one per case present.
     """
-    post, probs, corr, resolved = _xlike_rows(r, a, b1, b2, bras, case)
+    branches, probs, resolved = _xlike_rows(r, a, b1, b2, bs, case1)
     if not resolved.all():
         k = int(np.flatnonzero(~resolved)[0])
         column = _edge_columns(r.graph)
         chi1, chi2 = (float(r.weights[k, column[frozenset((a, b))]]) for b in (b1, b2))
-        delta = wrap_angle(chi1 - chi2 if case == "case1" else chi1 + chi2)
+        delta = wrap_angle(chi1 - chi2 if case1[k] else chi1 + chi2)
         if delta == 0.0:
             raise ZeroOutcomeError(
                 f"X-like projection of {a} has probability {float(probs[k])!r}, too small "
                 f"to resolve its logical pairs below PAIR_SUPPORT_TOL"
             )
+        case = "case1" if case1[k] else "case2"
         raise WeightsNotEligibleError(
             f"weights ({chi1!r}, {chi2!r}) lie {delta:.3g} off {case}: the X-like branch "
             f"of {a} leaves logical-pair mixed-bit amplitudes above PAIR_SUPPORT_TOL"
         )
-    return post, probs, corr
+    return branches
 
 
-def _xlike_failure_split(r: _Rows, a: str, b1: str, b2: str, bras) -> list[_Branch]:
-    """Failure branch on every row of r: project a onto row k's complement
-    bra bras[k], then Z-measure b1, b2.
+def _xlike_failure_split(r: _Rows, a: str, b1: str, b2: str, bs: np.ndarray) -> list[_Branch]:
+    """Failure branch on every row of r: project a with row k's complement
+    bra <0| + bs[k]<1|, then Z-measure b1, b2.
 
     Each Z measurement takes the whole logical qubit of b1 (then of b2): every
     member is projected onto the outcome and removed, with phase(+chi) on the
@@ -800,7 +799,7 @@ def _xlike_failure_split(r: _Rows, a: str, b1: str, b2: str, bras) -> list[_Bran
     row whose complement or sub-outcome falls below ZERO_PROB_CUTOFF lacks
     that outcome; branch rows are positions in r.
     """
-    red, p_a = _project_bra(r.rows, r.graph.vertex_index(a), bras)
+    red, p_a = _project_bra(r.rows, r.graph.vertex_index(a), bs)
     live = _where(~(p_a < ZERO_PROB_CUTOFF))
     rows = _pick(np.arange(len(red)), live)
     if not rows.size:
@@ -1042,29 +1041,20 @@ def _good_right_failure(r: _Rows, b: str, sb: int):
         return None
     (b1, _), (b2, _) = nbs
     column = _edge_columns(r.graph)
-    ok = []
-    for chi1, chi2 in zip(
-        r.weights[:, column[frozenset((b, b1))]].tolist(),
-        r.weights[:, column[frozenset((b, b2))]].tolist(),
-    ):
-        if sb < 0:  # <0| - <1| is the Case-2 bra (B = -A)
-            ok.append(abs(wrap_angle(chi1 + chi2)) < WEIGHT_TOL)
-        else:  # <0| + <1| is the Case-1 bra only at chi = pi (B = -A e^{i pi})
-            ok.append(
-                abs(wrap_angle(chi1 - math.pi)) < WEIGHT_TOL
-                and abs(wrap_angle(chi2 - math.pi)) < WEIGHT_TOL
-            )
-    ok = np.array(ok)
+    chi1, chi2 = (r.weights[:, column[frozenset((b, v))]] for v in (b1, b2))
+    if sb < 0:  # <0| - <1| is the Case-2 bra (B = -1)
+        ok = _near(chi1 + chi2)
+    else:  # <0| + <1| is the Case-1 bra only at chi = pi (B = -e^{i pi})
+        ok = _near(chi1 - math.pi) & _near(chi2 - math.pi)
     if not ok.any():
         return None
-    case = "case2" if sb < 0 else "case1"
-    bras = [(1.0, float(sb))] * int(ok.sum())
-    post, _, corr, resolved = _xlike_rows(r.take(_where(ok)), b, b1, b2, bras, case)
+    bs = np.full(int(ok.sum()), float(sb))
+    (branch,), _, resolved = _xlike_rows(r.take(_where(ok)), b, b1, b2, bs, bs > 0)
     ok[ok] = resolved
     if not ok.any():
         return None
     idx = _where(resolved)
-    return ok, post.take(idx), _pick_corr(corr, idx)
+    return ok, branch.posts[0].take(idx), _pick_corr(branch.corr, idx)
 
 
 def fusion_context_rows(

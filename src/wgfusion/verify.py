@@ -286,19 +286,18 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
     Ginibre draws of each N become Haar unitaries in one haar_stack call and
     are checked in one check_unitary_rows call. The chains are built as
     stacks, one build per shape: every left chain in one stack, whose rows
-    take the X-like branch once per case, and the right chains in one stack
-    per length.
+    of both cases take the X-like branch in one logical_pair_stack call, and
+    the right chains in one stack per length.
 
     Returns (us, sizes, urows, lengths, rows, contexts): us[N] is the
     (K_N, N, N) stack of the draws with that N, in draw order; draw i has
     N = sizes[i] and is row urows[i] of us[N]. lengths[i] is its right-chain
     length and rows[i] its row in contexts[length], the FusionContext of the
-    draws with that length: the fusion_context_rows of each case's draws, in
-    draw order, one case after the other.
+    draws with that length, in draw order: one fusion_context_rows call.
     """
     ginibres: dict[int, list[np.ndarray]] = {}
     sizes, urows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
-    cases, lengths = [], []
+    lengths = []
     lefts, rights = np.empty((draws, 3)), np.empty((draws, 2))
     for i in range(draws):
         n = int(rng.integers(4, 9))
@@ -307,33 +306,19 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
         same_n.append(ginibre(n, rng))
         w1 = float(rng.uniform(0.1, math.pi)) * float(SIGNS[rng.integers(0, 2)])
         chi = float(rng.uniform(0.1, math.pi - 0.1))
-        cases.append("case1" if rng.random() < 0.5 else "case2")
-        lefts[i] = w1, chi, (chi if cases[-1] == "case1" else wrap_angle(-chi))
+        lefts[i] = w1, chi, (chi if rng.random() < 0.5 else wrap_angle(-chi))
         lengths.append(1 if rng.random() < 0.5 else 2)
         rights[i, : lengths[-1]] = _rand_weights(rng, lengths[-1])
     us = {}
     for n in list(ginibres):  # popped, so a size's draws and its stack are not both kept
         us[n] = haar_stack(np.concatenate(ginibres.pop(n)))
         check_unitary_rows(us[n])
-    left = make_chain_stack(["A", "B", "C", "D"], lefts)
-    by_case, by_length = _positions(cases), _positions(lengths)
-    paired = {c: logical_pair_stack(left.take(idx), "C") for c, idx in by_case.items()}
-    # the row of each draw in its case stack and in its length's context
-    left_row, rows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
-    for idx in by_case.values():
-        left_row[idx] = np.arange(len(idx))
-    contexts = {}
-    for r, idx in by_length.items():
+    paired = logical_pair_stack(make_chain_stack(["A", "B", "C", "D"], lefts), "C")
+    rows, contexts = np.empty(draws, dtype=int), {}
+    for r, idx in _positions(lengths).items():
         right = make_chain_stack(["v", "b", "w"][: r + 1], rights[idx, :r])
-        by_part = _positions([cases[i] for i in idx])
-        rows[idx[np.concatenate(list(by_part.values()))]] = np.arange(len(idx))
-        parts = [
-            fusion_context_rows(
-                paired[c].take(left_row[idx[pos]]), ("B", "D"), right.take(pos), "b", consume="D"
-            )
-            for c, pos in by_part.items()
-        ]
-        contexts[r] = FusionContext(*map(np.concatenate, zip(*((p.f1, p.f2, p.f3, p.f4) for p in parts))))
+        rows[idx] = np.arange(len(idx))
+        contexts[r] = fusion_context_rows(paired.take(idx), ("B", "D"), right, "b", consume="D")
     return us, sizes, urows, lengths, rows, contexts
 
 
@@ -379,11 +364,12 @@ def _oracle_residual(us: np.ndarray, ctx: FusionContext) -> float:
 def check_generalized_oracle(seed: int = 17, quick: bool = False):
     """Analytic p_ii/p_ij and det rho vs brute-force enumeration, N in 4..8.
 
-    The draws come in one fixed rng order (_random_fusion_setup) and are
-    grouped by (N, left qubits, right qubits), i.e. by N and the right
-    chain's length, the left register being two qubits; each full batch of
-    ORACLE_BATCH draws of a group, and each group's remainder at the end,
-    is compared in one stacked pass.
+    The draws come in one fixed rng order (_random_fusion_setup), their
+    Case-1 and Case-2 left chains in one stack, and are grouped by (N, left
+    qubits, right qubits), i.e. by N and the right chain's length, the left
+    register being two qubits; each full batch of ORACLE_BATCH draws of a
+    group, and each group's remainder at the end, is compared in one stacked
+    pass.
     """
     rng = np.random.default_rng(seed)
     draws = 100 if quick else 1000

@@ -255,6 +255,7 @@ def test_verify_builds_unitaries_per_stack():
 # once per loop iteration there.
 PER_ROW_PROTOCOL_CALLS = {
     "create_logical_qubit",
+    "logical_pair_stack",
     "fuse_type_i",
     "fuse_type_ii",
     "ghz_pair_projection",

@@ -22,7 +22,6 @@ from wgfusion.errors import (
     InputError,
     InvalidGraphError,
     ShapeMismatchError,
-    WeightsNotEligibleError,
     WgfError,
     ZeroOutcomeError,
 )
@@ -104,16 +103,12 @@ def test_stacked_xlike_rows_equal_single_chain_branches(n, k, data):
     if later and data.draw(st.booleans()):
         steps.append(data.draw(st.sampled_from(later)))
     for i in steps:  # vertex i's edges are weights[:, i - 1] and weights[:, i]
-        case1 = data.draw(st.booleans())
-        weights[:, i] = weights[:, i - 1] if case1 else -weights[:, i - 1]
+        for row in range(k):  # each row draws its own case
+            case1 = data.draw(st.booleans())
+            weights[row, i] = weights[row, i - 1] if case1 else -weights[row, i - 1]
     stack = make_chain_stack(labels, weights)
     chains = [make_chain(labels, w) for w in weights]
     for i in steps:
-        # weights near +-pi meet both cases, and Case 1 is preferred
-        if len({create_logical_qubit(c, labels[i])[0].label for c in chains}) > 1:
-            with pytest.raises(WeightsNotEligibleError):
-                logical_pair_stack(stack, labels[i])
-            return
         stack = logical_pair_stack(stack, labels[i])
         chains = [logical_pair_stack(c, labels[i]) for c in chains]
         for row, w, one in zip(stack.rows, stack.weights, chains):
@@ -165,10 +160,36 @@ def test_one_row_chains_refuse_as_chain_states_did(spoil, error):
     assert type(one_row.value) is type(as_state.value) is type(in_stack.value) is error
 
 
-def test_stacked_xlike_refuses_rows_of_two_cases():
-    stack = make_chain_stack(list("abc"), [[0.7, 0.7], [0.7, -0.7]])
-    with pytest.raises(WeightsNotEligibleError):
-        logical_pair_stack(stack, "b")
+def test_stacked_xlike_takes_rows_of_two_cases():
+    """Case-1 and Case-2 rows in one stack, with a near-pi Case-2 row (its
+    failure split loses a sub-outcome) and a pi row (its complementary
+    success takes Case 2): each row is bit for bit its one-row call."""
+    near = math.pi - 5e-8
+    weights = [[0.7, 0.7], [0.7, -0.7], [near, -near], [math.pi, math.pi]]
+    stack = make_chain_stack(list("abc"), weights)
+    pairs = logical_pair_stack(stack, "b")
+    for k in range(len(weights)):
+        one = logical_pair_stack(_row_chain(stack, k), "b")
+        assert pairs.rows[k].tobytes() == one.rows[0].tobytes()
+        assert pairs.weights[k].tobytes() == one.weights[0].tobytes()
+        assert pairs.logical_pairs == one.logical_pairs
+    singles = [create_logical_qubit(_row_chain(stack, k), "b") for k in range(len(weights))]
+    assert [one[0].label for one in singles] == [f"success_case{c}" for c in (1, 2, 2, 1)]
+    _assert_stack_matches(lambda: create_logical_qubit(stack, "b"), singles)
+
+
+def test_stacked_xlike_names_the_first_unresolved_row_across_cases():
+    """Rows 1 (Case 2) and 2 (Case 1) lie off their case and leave the new
+    pair unresolved: the stack refuses row 1, as its one-row call does."""
+    off = 6e-10  # within WEIGHT_TOL of the case, too far off to resolve the pair
+    weights = [[0.7, 0.7, 0.5], [0.9, -0.9 + off, 0.5], [1.1, 1.1 + off, 0.5]]
+    stack = make_chain_stack(list("abcd"), weights)
+    with pytest.raises(WgfError) as one:
+        logical_pair_stack(_row_chain(stack, 1), "b")
+    for fn in (logical_pair_stack, create_logical_qubit):
+        with pytest.raises(type(one.value)) as exc:
+            fn(stack, "b")
+        assert str(exc.value) == str(one.value)
 
 
 def _reference_contexts(seed: int, draws: int):
@@ -421,8 +442,8 @@ NEAR_PI = st.sampled_from([math.pi, math.pi - 5e-8, -(math.pi - 5e-8)])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 6), k=st.integers(1, 5), data=st.data())
 def test_create_logical_qubit_rows_equal_single_calls(n, k, data):
-    """One eligibility case per stack, pi and near-pi rows among the rest; maybe
-    a logical pair formed first, and maybe one ineligible row."""
+    """Each row's own eligibility case, pi and near-pi rows among the rest;
+    maybe a logical pair formed first, and maybe one ineligible row."""
     labels = [f"v{j}" for j in range(n)]
     weights = weight_stack(data, k, n - 1)
     pair_at = None
@@ -432,10 +453,10 @@ def test_create_logical_qubit_rows_equal_single_calls(n, k, data):
     free = [j for j in range(1, n - 1) if pair_at is None or abs(j - pair_at) >= 2]
     assume(free)
     i = data.draw(st.sampled_from(free))
-    case1 = data.draw(st.booleans())
     for row in range(k):  # vertex i's edges are weights[:, i - 1] and weights[:, i]
         if data.draw(st.integers(0, 2)) == 0:
             weights[row, i - 1] = data.draw(NEAR_PI)
+        case1 = data.draw(st.booleans())
         weights[row, i] = weights[row, i - 1] if case1 else -weights[row, i - 1]
     bad = data.draw(st.sampled_from([None, None, None, data.draw(st.integers(0, k - 1))]))
     if bad is not None:
@@ -447,11 +468,6 @@ def test_create_logical_qubit_rows_equal_single_calls(n, k, data):
     singles = _single_outcomes(
         [lambda r=r: create_logical_qubit(_row_chain(stack, r), labels[i]) for r in range(k)]
     )
-    if _first_error(singles) is None and len({one[0].label for one in singles}) > 1:
-        # (pi, -pi) meets Case 1 in a Case-2 stack: a stack of two cases is refused
-        with pytest.raises(WeightsNotEligibleError):
-            create_logical_qubit(stack, labels[i])
-        return
     assert bad is not None or _first_error(singles) is None
     _assert_stack_matches(lambda: create_logical_qubit(stack, labels[i]), singles)
 
