@@ -15,7 +15,14 @@ import sys
 
 import numpy as np
 
-from .analysis import INV_SQRT2, entanglement_report, gram_factor, inner_z, solve_xi_for_weight
+from .analysis import (
+    INV_SQRT2,
+    entanglement_report,
+    gram_factor,
+    inner_z,
+    solve_xi_for_weight,
+    xi_family_arg,
+)
 from .errors import (
     ConvergenceFailureError,
     InputError,
@@ -30,6 +37,7 @@ from .graphstate import (
     build_state,
     chain_graph,
     check_unit_rows,
+    eigvalsh_2x2,
     project_qubit,
     wrap_angle,
 )
@@ -187,7 +195,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         zs = np.array([inner_z(chi) for chi in grid])
         rep = entanglement_report(ms, zs)
         mp = (ms / np.sqrt(rep.norm_sq)[:, None, None]) @ gram_factor(zs)
-        ev = np.linalg.eigvalsh(mp @ mp.conj().transpose(0, 2, 1))  # ascending
+        ev = eigvalsh_2x2(mp @ mp.conj().transpose(0, 2, 1))  # ascending
         oracle = ev[:, 0] * ev[:, 1]
         cols = (grid, rep.det_rho.tolist(), oracle.tolist(), np.abs(rep.det_rho - oracle).tolist())
         return header, [list(r) for r in zip(*cols)]
@@ -212,8 +220,7 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         header = ["chi_bf", "chi_target", "xi", "residual"]
         targets = [wrap_angle(2.0 * chi - math.pi / 3.0) for chi in grid]
         xis = solve_xi_for_weight(grid, targets)
-        w = xis * np.exp(1j * np.array(grid) / 2.0)
-        res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(np.angle(2.0 + w + 1.0 / w).tolist(), targets)]
+        res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(xi_family_arg(xis, grid).tolist(), targets)]
         return header, [list(r) for r in zip(grid, targets, xis.tolist(), res)]
 
     raise InputError(f"unknown scan quantity {quantity}")

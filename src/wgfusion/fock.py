@@ -25,7 +25,7 @@ register rows and the oracle's coefficients. Each live outcome's
 register_state is a PureState over its normalized row of the call's shared
 (P, 2^nq) array.
 reduced_det_rho is the dense det-rho oracle over a (K, 2^L, 2^R) stack of
-such rows.
+such rows; a cut with a two-dimensional side is solved in closed form.
 
 Random mode unitaries are drawn, then stacked: a caller draws each
 unitary's random numbers one draw at a time, in the seeded rng order
@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InvalidContextError, InvalidUnitaryError
-from .graphstate import PureState, check_unit_rows, kron_rows
+from .graphstate import PureState, check_unit_rows, eigvalsh_2x2, kron_rows
 from .tolerances import ORTHOGONAL_TOL, UNITARY_TOL, ZERO_PROB_CUTOFF
 
 
@@ -307,13 +307,15 @@ def _symmetrised_pairs(x: np.ndarray, y: np.ndarray, iu: np.ndarray, ju: np.ndar
     Row k, i of x (y) is what a photon from channel a (b) of fusion k leaving
     in mode i carries. Distinct modes get (x_i y_j + x_j y_i)/2; a doubly
     occupied mode gets x_i y_i / sqrt2, from c_i+ c_i+ |vac> = sqrt(2) |2_i>.
+    Only the P patterns are formed, never the N x N square of mode pairs;
+    einsum forms each product as the square's einsum did (a ufunc multiply
+    may round a complex product differently in the last bit).
     """
-    pair = np.einsum("kix,kjy->kijxy", x, y)
-    amp = pair + pair.transpose(0, 2, 1, 3, 4)
+    amp = np.einsum("kpx,kpy->kpxy", x[:, iu], y[:, ju])
+    amp += np.einsum("kpx,kpy->kpxy", x[:, ju], y[:, iu])
     amp *= 0.5
-    k = np.arange(x.shape[1])
-    amp[:, k, k] /= math.sqrt(2.0)
-    return amp[:, iu, ju]
+    amp[:, iu == ju] /= math.sqrt(2.0)
+    return amp
 
 
 def oracle_table(us: np.ndarray, ctx: FusionContext) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +403,18 @@ def reduced_det_rho(mats: np.ndarray) -> np.ndarray:
     """Dense oracle for det of the effective 2x2 reduced density matrices.
 
     mats is a (K, 2^L, 2^R) stack of normalized register states reshaped
-    across the left/right cut. Builds each rho by matrix product and returns
-    the products of its two leading eigenvalues (the states have Schmidt
-    rank <= 2 by construction).
+    across the left/right cut. Builds each reduced state by matrix product
+    and returns the product of its two leading eigenvalues (the states have
+    Schmidt rank <= 2 by construction). A cut with a side of dimension 2
+    takes the Gram matrix on that side, M M+ for 2^L = 2 and M+ M for
+    2^R = 2, which has the nonzero spectrum of rho = M M+, and solves it in
+    closed form (eigvalsh_2x2); wider cuts take np.linalg.eigvalsh of rho.
     """
-    rho = mats @ mats.conj().transpose(0, 2, 1)
-    evals = np.linalg.eigvalsh(rho)  # ascending
+    mh = mats.conj().transpose(0, 2, 1)
+    if 2 in mats.shape[1:]:
+        ev = eigvalsh_2x2(mats @ mh if mats.shape[1] == 2 else mh @ mats)
+        return ev[:, 0] * ev[:, 1]
+    evals = np.linalg.eigvalsh(mats @ mh)  # ascending
     return evals[:, -1] * evals[:, -2]
 
 

@@ -420,6 +420,22 @@ def kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-2], -1)
 
 
+def eigvalsh_2x2(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a (..., 2, 2) Hermitian stack, ascending,
+    as a (..., 2) array, in closed form:
+
+        lam = tr/2 -+ hypot((rho00 - rho11)/2, |rho01|).
+
+    It reads the real diagonal and rho01 only, and makes no LAPACK call per
+    matrix as np.linalg.eigvalsh does; a NaN entry gives NaN eigenvalues.
+    """
+    d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
+    off = rho[..., 0, 1]
+    mid = (d0 + d1) / 2.0
+    rad = np.hypot((d0 - d1) / 2.0, np.hypot(off.real, off.imag))
+    return np.stack([mid - rad, mid + rad], axis=-1)
+
+
 def _check_target(rows: np.ndarray, target: int) -> None:
     """ShapeMismatchError unless rows is a (K, 2^n) stack, IndexClashError
     unless target is one of its n qubits."""

@@ -819,6 +819,19 @@ def test_scans_match_reference_formulations_on_any_even_grid(half, tol):
     assert ylike_impossibility_scan(resolution, tol) == _ref_ylike_scan(resolution, tol)
 
 
+@pytest.mark.parametrize(
+    "resolution, tol",
+    [(13, 0.3), (25, 0.3), (31, 0.3), (49, 0.3), (15, 1e-6), (61, 1e-2), (99, 1e-9), (14, 5.0)],
+)
+def test_xlike_scan_matches_the_reference_on_odd_grids_and_loose_tolerances(resolution, tol):
+    # an odd grid has no chi = 0 point and a loose tol puts many (chi1, chi2)
+    # pairs in one sorted window, so the window search runs past width 1
+    x = xlike_uniqueness_scan(resolution, tol)
+    assert x == _ref_xlike_scan(resolution, tol)
+    if tol >= 0.3:
+        assert x["outlier_count"] > 0
+
+
 @pytest.mark.parametrize("scan", [xlike_uniqueness_scan, ylike_impossibility_scan])
 @pytest.mark.parametrize(
     "resolution, tol",

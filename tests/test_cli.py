@@ -24,6 +24,7 @@ from wgfusion.graphstate import (
     WeightedGraph,
     build_state,
     chain_graph,
+    eigvalsh_2x2,
     project_qubit,
     wrap_angle,
 )
@@ -240,7 +241,7 @@ def _ref_det_entropy(chi: float, rng) -> list:
     rep = entanglement_report(m[None], z)
     det_rho, nsq = float(rep.det_rho[0]), float(rep.norm_sq[0])
     mp = (m / math.sqrt(nsq)) @ gram_factor(z)
-    ev = np.linalg.eigvalsh(mp @ mp.conj().T)
+    ev = eigvalsh_2x2(mp @ mp.conj().T)
     oracle = float(ev[0] * ev[1])
     return [chi, det_rho, oracle, abs(det_rho - oracle)]
 
@@ -259,7 +260,8 @@ def _ref_xi_solve(chi: float, _rng) -> list:
     chi_target = wrap_angle(2.0 * chi - math.pi / 3.0)
     xi = solve_xi_for_weight(chi, chi_target)
     w = xi * np.exp(1j * chi / 2.0)
-    res = abs(wrap_angle(2.0 * float(np.angle(2.0 + w + 1.0 / w)) - chi_target))
+    arg = 2.0 * float(np.angle(1.0 + w)) - float(np.angle(w))  # arg((1 + w)^2 / w)
+    res = abs(wrap_angle(2.0 * arg - chi_target))
     return [chi, chi_target, xi, res]
 
 

@@ -10,6 +10,7 @@ from scipy.stats import unitary_group
 from wgfusion.errors import InputError, InvalidContextError, InvalidUnitaryError, ShapeMismatchError
 from wgfusion.fock import (
     FusionContext,
+    _symmetrised_pairs,
     ModeUnitary,
     check_unitary_rows,
     enumerate_outcomes,
@@ -232,6 +233,58 @@ def test_reduced_det_rho_oracle_on_bell_register():
     amps[0] = amps[3] = 1 / math.sqrt(2)
     (det,) = reduced_det_rho(amps.reshape(1, 2, 2))
     assert det == pytest.approx(0.25, abs=1e-12)
+
+
+def _schmidt_rank2_rows(rng: np.random.Generator, k: int, dl: int, dr: int) -> np.ndarray:
+    """(k, dl, dr) normalized states of Schmidt rank <= 2 across the cut."""
+    def vecs(d):
+        return rng.normal(size=(k, 2, d)) + 1j * rng.normal(size=(k, 2, d))
+
+    left, right = vecs(dl), vecs(dr)
+    mats = np.einsum("kal,kar->klr", left, right)
+    return mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("dl, dr", [(4, 2), (2, 4), (2, 2), (8, 2)])
+def test_reduced_det_rho_closed_form_matches_the_full_eigvalsh(dl, dr):
+    # a cut with a two-dimensional side is solved in closed form on that
+    # side's Gram matrix; the full rho = M M+ through LAPACK is the reference
+    mats = _schmidt_rank2_rows(np.random.default_rng(dl * 10 + dr), 200, dl, dr)
+    mats[:20] = mats[:20, :, :1] * np.ones(dr) / math.sqrt(dr)  # product states: det rho = 0
+    ev = np.linalg.eigvalsh(mats @ mats.conj().transpose(0, 2, 1))
+    got = reduced_det_rho(mats)
+    assert np.max(np.abs(got - ev[:, -1] * ev[:, -2])) <= 1e-15
+    assert np.max(np.abs(got[:20])) <= 1e-15
+
+
+def test_reduced_det_rho_keeps_lapack_on_wider_cuts():
+    mats = _schmidt_rank2_rows(np.random.default_rng(44), 50, 4, 4)
+    ev = np.linalg.eigvalsh(mats @ mats.conj().transpose(0, 2, 1))
+    assert np.array_equal(reduced_det_rho(mats), ev[:, -1] * ev[:, -2])
+
+
+def _square_symmetrised_pairs(x, y, iu, ju):
+    """The N x N construction _symmetrised_pairs replaced: every mode pair's
+    product, symmetrised, then the P patterns picked out."""
+    pair = np.einsum("kix,kjy->kijxy", x, y)
+    amp = pair + pair.transpose(0, 2, 1, 3, 4)
+    amp *= 0.5
+    k = np.arange(x.shape[1])
+    amp[:, k, k] /= math.sqrt(2.0)
+    return amp[:, iu, ju]
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("dx, dy", [(2, 2), (4, 2), (2, 4), (4, 4)])
+def test_symmetrised_pairs_equal_the_square_construction_bit_for_bit(n, dx, dy):
+    rng = np.random.default_rng(n * 100 + dx * 10 + dy)
+    x = rng.normal(size=(7, n, dx)) + 1j * rng.normal(size=(7, n, dx))
+    y = rng.normal(size=(7, n, dy)) + 1j * rng.normal(size=(7, n, dy))
+    iu, ju = pattern_indices(n)
+    got = _symmetrised_pairs(x, y, iu, ju)
+    ref = _square_symmetrised_pairs(x, y, iu, ju)
+    assert got.shape == ref.shape == (7, n * (n + 1) // 2, dx, dy)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _chain_context(wl: float, wr: float) -> FusionContext:

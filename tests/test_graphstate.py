@@ -27,6 +27,7 @@ from wgfusion.graphstate import (
     attach_vertex,
     build_state,
     chain_graph,
+    eigvalsh_2x2,
     fidelity_rows,
     fidelity_up_to_global_phase,
     phase_gate,
@@ -444,3 +445,48 @@ def test_wrap_angle_refuses_a_nan_angle():
     with pytest.raises(InputError, match="finite"):
         wrap_angle(math.nan)
 
+
+
+# Hermitian PSD 2x2 stacks for the closed-form eigen-solver: G G+ of a random
+# complex G, a rank-1 G (one zero column), a multiple of I (degenerate) or a
+# diagonal matrix, each row at a drawn scale.
+RHO_KINDS = st.lists(st.sampled_from(["full", "rank1", "degenerate", "diagonal"]), min_size=1, max_size=12)
+
+
+def _psd_stack(seed: int, kinds: list[str], scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    rho = np.empty((len(kinds), 2, 2), dtype=complex)
+    for k, kind in enumerate(kinds):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if kind == "rank1":
+            g[:, 1] = 0.0
+        rho[k] = g @ g.conj().T
+        if kind == "degenerate":
+            rho[k] = rng.uniform(0.0, 2.0) * np.eye(2)
+        elif kind == "diagonal":
+            rho[k] = np.diag(rng.uniform(0.0, 2.0, 2))
+    return scale * rho
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), RHO_KINDS, st.sampled_from([1e-9, 1.0, 1e6]))
+def test_eigvalsh_2x2_matches_lapack_on_psd_stacks(seed, kinds, scale):
+    rho = _psd_stack(seed, kinds, scale)
+    got = eigvalsh_2x2(rho)
+    ref = np.linalg.eigvalsh(rho)
+    assert got.shape == ref.shape
+    assert (got[:, 0] <= got[:, 1]).all()
+    # both backward stable: agreement within a few ulps of the larger eigenvalue
+    assert (np.abs(got - ref) <= 8.0 * np.finfo(float).eps * ref[:, 1:]).all()
+    for k, kind in enumerate(kinds):
+        if kind == "degenerate":  # zero radical: both roots are the diagonal, exactly
+            assert got[k, 0] == got[k, 1] == rho[k, 0, 0].real
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+def test_eigvalsh_2x2_keeps_a_nan(entry):
+    rho = np.stack([np.eye(2, dtype=complex), np.diag([1.0, 2.0]).astype(complex)])
+    rho[1][entry] = math.nan
+    got = eigvalsh_2x2(rho)
+    assert np.array_equal(got[0], [1.0, 1.0])
+    assert np.isnan(got[1]).all()

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from wgfusion import verify
-from wgfusion.analysis import TwoQubitProjection
-from wgfusion.errors import InvalidUnitaryError
+from wgfusion import analysis, fock, verify
+from wgfusion.analysis import TwoQubitProjection, entanglement_report
+from wgfusion.errors import InvalidUnitaryError, NumericalAbortError
 from wgfusion.fock import ginibre, haar_stack, outcome_coeffs, pattern_indices
+from wgfusion.graphstate import eigvalsh_2x2
 from wgfusion.verify import run_all
 
 
@@ -146,6 +147,25 @@ def _off_constraint_unitaries(monkeypatch):
     monkeypatch.setattr(verify, "_constrained_stack", shifted)
 
 
+def _wrong_radical(rho):
+    """eigvalsh_2x2 with the sign of the radical flipped in the larger root:
+    both roots tr/2 - hypot((rho00 - rho11)/2, |rho01|)."""
+    low = eigvalsh_2x2(rho)[..., 0]
+    return np.stack([low, low], axis=-1)
+
+
+def _wrong_radical_in_the_oracle(monkeypatch):
+    # the Fock oracle's det rho alone: the closed form's own dense cross-check
+    # (entanglement_report) keeps the right solver, so the check runs to its
+    # comparison and must fail there, not abort
+    monkeypatch.setattr(fock, "eigvalsh_2x2", _wrong_radical)
+
+    def after(res):
+        assert res.max_residual > 1e-6
+
+    return after
+
+
 def _one_scan_outlier(monkeypatch):
     real = verify.xlike_uniqueness_scan
 
@@ -177,6 +197,7 @@ MUTANTS = [
             ("nan_probability", (0, float("nan"))),
         )
     ),
+    pytest.param("check_generalized_oracle", _wrong_radical_in_the_oracle, id="generalized_oracle-eigen_radical"),
     pytest.param("check_bell_retention", _scaled_norm_sq, id="bell_retention"),
     pytest.param("check_balanced_entropy", _scaled_norm_sq, id="balanced_entropy"),
     pytest.param("check_ghz_generation", _shifted_ghz_target, id="ghz_generation"),
@@ -195,6 +216,34 @@ def test_each_check_fails_on_its_mutant(monkeypatch, check, mutate):
         after(res)
 
 
+def test_a_wrong_radical_makes_the_closed_form_abort(monkeypatch):
+    # the same mutant in entanglement_report's dense cross-check: every
+    # entangled row's eigenvalues go wrong, and the report refuses the stack
+    _, _, ms, z = verify._balanced_draws(np.random.default_rng(5), 20)
+    ms, z = ms.reshape(-1, 2, 2), np.repeat(z, ms.shape[1])
+    live = np.abs(ms).sum(axis=(1, 2)) > 1e-6
+    assert entanglement_report(ms[live], z[live]).det_rho.max() > 0.1
+    monkeypatch.setattr(analysis, "eigvalsh_2x2", _wrong_radical)
+    with pytest.raises(NumericalAbortError, match="dense oracle"):
+        entanglement_report(ms[live], z[live])
+    with pytest.raises(NumericalAbortError):
+        verify.check_balanced_entropy(quick=True)
+
+
+def test_a_nan_in_the_dense_rho_aborts(monkeypatch):
+    _, _, ms, z = verify._balanced_draws(np.random.default_rng(5), 4)
+    ms = ms[:, 0]
+
+    def nan_entry(rho):
+        rho = rho.copy()
+        rho[-1, 0, 1] = complex(math.nan, 0.0)
+        return eigvalsh_2x2(rho)
+
+    monkeypatch.setattr(analysis, "eigvalsh_2x2", nan_entry)
+    with pytest.raises(NumericalAbortError, match="nan"):
+        entanglement_report(ms, z)
+
+
 def test_every_check_has_a_mutant():
     assert {p.values[0] for p in MUTANTS} == {fn.__name__ for fn in verify.ALL_CHECKS}
 
@@ -208,6 +257,9 @@ def test_check_wrapper_keeps_the_body_signature():
 # float.hex of every check's max_residual under run_all(quick=True), as
 # NumPy 2.4 and its bundled OpenBLAS round them on x86-64. A change that
 # moves one must re-pin it here and name the stage and the size of the move.
+# hyperbola: its xi residual, now formed as 2 arg(1 + w) - arg(w)
+# (analysis.xi_family_arg) instead of arg(2 + w + 1/w), which cancels near
+# w = -1, went from 0x1.04p-45 (2.9e-14) to 0x1.c0p-48 (6.2e-15).
 QUICK_RESIDUALS = {
     "type_i_distribution": "0x1.8000000000000p-52",
     "logical_qubit": "0x1.4000000000000p-51",
@@ -216,7 +268,7 @@ QUICK_RESIDUALS = {
     "bell_retention": "0x1.19eb71b0bb8e1p-52",
     "balanced_entropy": "0x1.8000000000000p-51",
     "ghz_generation": "0x1.0000000000000p-50",
-    "hyperbola": "0x1.0400000000000p-45",
+    "hyperbola": "0x1.c000000000000p-48",
     "no_good_failure": "0x1.6a09e667f3bcdp-54",
     "appendix_scans": "0x0.0p+0",
 }
