@@ -27,7 +27,7 @@ from .fock import (
     relevant_norm_sq,
     same_detector_prob,
 )
-from .graphstate import _finite_angles, _sum_abs_sq, _wrap_rows, eigvalsh_2x2, wrap_angle
+from .graphstate import _angle_arrays, _finite_angles, _sum_abs_sq, _wrap_rows, eigvalsh_2x2, wrap_angle
 from .tolerances import (
     ABORT_TOL,
     CLASS_NORM_FLOOR,
@@ -309,12 +309,8 @@ def solve_xi_for_weight(chi_bf, chi_target):
     round-off neither passes a wrong root nor refuses a right one. Scalars give
     a float, (K,) arrays the (K,) roots, row k bit for bit the scalar call on row k.
     """
-    cb = np.asarray(chi_bf, dtype=float)
-    ct = np.asarray(chi_target, dtype=float)
-    if cb.shape != ct.shape or cb.ndim > 1 or not cb.size:
-        raise InputError(f"chi_bf {cb.shape} and chi_target {ct.shape} must be scalars or (K >= 1,) arrays")
-    scalar = cb.ndim == 0
-    cb, ct = cb.reshape(-1), ct.reshape(-1)
+    scalar = np.ndim(chi_bf) == 0
+    cb, ct = _angle_arrays(np.atleast_1d(chi_bf), np.atleast_1d(chi_target))
     theta = cb / 2.0
     half = _wrap_rows(ct) / 2.0  # wrap_angle refuses an infinite angle; a NaN passes
     b = (half + theta) / 2.0 + _ROOT_SHIFTS  # (2, K)
@@ -329,10 +325,7 @@ def solve_xi_for_weight(chi_bf, chi_target):
     best = rank.min(axis=0)
     degenerate = ~(np.abs(_wrap_rows(cb)) >= ZERO_WEIGHT)
     if degenerate.any() or best.max() == 4:
-        nan = np.isnan(cb) | np.isnan(ct)
-        if nan.any():
-            k = int(np.argmax(nan))
-            raise InputError(f"angles must be finite, got ({float(cb[k])!r}, {float(ct[k])!r}) in row {k}")
+        _finite_angles(cb, ct)  # a NaN; wrap_angle has refused an infinite angle
         if degenerate.any():
             raise DegenerateArgumentError("chi_bf must be nonzero")
         k = int(np.argmax(best))
@@ -617,29 +610,30 @@ def ylike_impossibility_scan(resolution: int = 200, tol: float = SCAN_TOL) -> di
     }
 
 
-def pair_weight_from_projection(
-    a: complex, b: complex, chi1: float, chi2: float
-) -> tuple[float, bool]:
-    """Pair weight produced by projecting the middle of a (chi1, chi2) chain
-    with the bra A<0| + B<1|.
+def pair_weight_from_projection(a, b, chi1, chi2):
+    """Pair weight phi produced by projecting the middle of a (chi1, chi2)
+    chain with the bra A<0| + B<1|, and both_outcomes_equal.
 
     |det M1| = |A||B||1-e^{-i chi1}||1-e^{-i chi2}| / N^2 with
     N^2 = 4(1 + Re(AB*(1+e^{i chi1})(1+e^{i chi2}))/2); phi solves
     |det M2| = |1-e^{-i phi}|/4 = |det M1|. both_outcomes_equal iff
-    Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0. InputError for a non-finite
-    chi or an (A, B) off the unit sphere.
+    Re(AB*(1+e^{i chi1})(1+e^{i chi2})) = 0. Scalars give (float, bool),
+    (K,) arrays (K,) phi and flag arrays, row k bit for bit the scalar call.
+    Before any arithmetic: InputError for a non-finite chi, then for an
+    (A, B) off the unit sphere, each naming its first bad row.
     """
+    scalar = np.ndim(a) == 0
+    a, b, chi1, chi2 = _angle_arrays(*map(np.atleast_1d, (a, b, chi1, chi2)))
     _finite_angles(chi1, chi2)
-    if not abs(_sum_abs_sq(a, b) - 1.0) <= STATE_NORM_TOL:  # a NaN or inf fails too
-        raise InputError("|A|^2 + |B|^2 must be 1")
-    cross = (a * np.conj(b) * (1.0 + cmath.exp(1j * chi1)) * (1.0 + cmath.exp(1j * chi2))).real
+    with np.errstate(over="ignore"):  # a modulus or square that overflows is inf, and fails
+        mag_a, mag_b = np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)  # as abs() rounds one
+        off = np.flatnonzero(~(np.abs(mag_a * mag_a + mag_b * mag_b - 1.0) <= STATE_NORM_TOL))
+    if off.size:
+        raise InputError(f"|A|^2 + |B|^2 must be 1 in row {off[0]}")
+    cross = (a * np.conj(b) * (1.0 + np.exp(1j * chi1)) * (1.0 + np.exp(1j * chi2))).real
     nsq = 4.0 * (1.0 + 0.5 * cross)
-    det1 = (
-        abs(a)
-        * abs(b)
-        * abs(1.0 - cmath.exp(-1j * chi1))
-        * abs(1.0 - cmath.exp(-1j * chi2))
-        / nsq
-    )
-    phi = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det1 * det1)))
-    return phi, bool(abs(cross) < EQUAL_OUTCOMES_TOL)
+    g1, g2 = 1.0 - np.exp(-1j * chi1), 1.0 - np.exp(-1j * chi2)
+    det1 = mag_a * mag_b * np.hypot(g1.real, g1.imag) * np.hypot(g2.real, g2.imag) / nsq
+    phi = np.arccos(np.clip(1.0 - 8.0 * det1 * det1, -1.0, 1.0))
+    equal = np.abs(cross) < EQUAL_OUTCOMES_TOL
+    return (float(phi[0]), bool(equal[0])) if scalar else (phi, equal)

@@ -158,8 +158,8 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
     row k bit for bit the single-chain call on chi_k: logical-prob from
     xlike_probability_stack, failure-split from type_ii_probabilities_stack,
     det-entropy from entanglement_report, ghz-range from ghz_pair_projection,
-    one GHZ build_state stack and one project_qubit, and xi-solve from one
-    solve_xi_for_weight call.
+    one GHZ build_state stack, one project_qubit and one np.arccos against
+    one ghz_pair_range call, and xi-solve from one solve_xi_for_weight call.
     """
     grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
 
@@ -209,12 +209,10 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
             raise ZeroOutcomeError(f"projection probability {float(probs.min())} below cutoff")
         check_unit_rows(red)
         dets = np.abs(np.linalg.det(red.reshape(-1, 2, 2)))
-        rows = []
-        for chi, det in zip(grid, dets.tolist()):
-            ana = ghz_pair_range(chi, chi)
-            sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
-            rows.append([chi, ana, sim, abs(ana - sim)])
-        return header, rows
+        ana = ghz_pair_range(grid, grid)
+        sim = np.arccos(np.clip(1.0 - 8.0 * dets * dets, -1.0, 1.0))
+        cols = (grid, ana.tolist(), sim.tolist(), np.abs(ana - sim).tolist())
+        return header, [list(r) for r in zip(*cols)]
 
     if quantity == "xi-solve":
         header = ["chi_bf", "chi_target", "xi", "residual"]

@@ -47,10 +47,24 @@ from .tolerances import (
 )
 
 
-def _finite_angles(*angles: float) -> None:
-    """InputError unless every angle is finite (a NaN or inf weight names no edge)."""
-    if not all(math.isfinite(x) for x in angles):
+def _finite_angles(*angles) -> None:
+    """InputError unless every angle is finite (a NaN or inf weight names no
+    edge); on (K,) arrays of one shape it names the first bad row."""
+    if angles and isinstance(angles[0], np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(angles).all(axis=0))
+        if bad.size:
+            raise InputError(f"angles must be finite, got {tuple(float(x[bad[0]]) for x in angles)!r} in row {bad[0]}")
+    elif not all(math.isfinite(x) for x in angles):
         raise InputError(f"angles must be finite, got {angles!r}")
+
+
+def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
+    """The arguments as float (complex if complex) arrays of one shape (K >= 1,), else InputError."""
+    xs = tuple(np.asarray(x, dtype=complex if np.iscomplexobj(x) else float) for x in xs)
+    if xs[0].ndim != 1 or not len(xs[0]) or any(x.shape != xs[0].shape for x in xs):
+        shapes = ", ".join(str(x.shape) for x in xs)
+        raise InputError(f"need {len(xs)} (K >= 1,) arrays, got shapes {shapes}")
+    return xs
 
 
 def wrap_angle(chi: float) -> float:

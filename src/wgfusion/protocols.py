@@ -25,8 +25,8 @@ stack.
 - fusion_context_rows: the FusionContext of row-paired stacks, one row
   per pair (fuse_generalized reads it on one chain each);
 - ghz_pair_projection and ghz_pair_for_target_stack: the GHZ-to-pair
-  basis over (K,) angle arrays, as (K, 2, 2) kets, with its 3-qubit
-  simulation check;
+  basis over (K,) angle arrays, every row in one pass, as (K, 2, 2) kets,
+  with its stacked 3-qubit simulation check;
 - local_equivalent_rows and weighted_pair_rows: the 2-qubit local-unitary
   match and the weighted pair states.
 
@@ -41,7 +41,6 @@ bra and corrections.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,6 +62,7 @@ from .fock import FusionContext, FusionOutcome, ModeUnitary, enumerate_outcomes
 from .graphstate import (
     PureState,
     WeightedGraph,
+    _angle_arrays,
     _finite_angles,
     apply_local,
     build_state,
@@ -1111,11 +1111,7 @@ def _chain_rows(labels: list[str], weights) -> np.ndarray:
     weights = np.array(weights, dtype=float).reshape(-1, len(labels) - 1)
     if not np.isfinite(weights).all():
         raise InvalidGraphError("non-finite weight in a weight row")
-    # as in weight_rows, only |w| >= pi goes through wrap_angle
-    wrapped = weights.copy()
-    for k, e in zip(*np.nonzero(~(np.abs(weights) < math.pi))):
-        wrapped[k, e] = wrap_angle(weights[k, e])
-    keep = np.abs(wrapped) >= ZERO_WEIGHT
+    keep = np.abs(_wrap_rows(weights)) >= ZERO_WEIGHT
 
     def shape(kept) -> WeightedGraph:
         edges = tuple((x, y, math.pi) for x, y, k in zip(labels, labels[1:], kept) if k)
@@ -1153,15 +1149,6 @@ def local_equivalent_rows(mc: np.ndarray, mt: np.ndarray):
     return a, b, ok
 
 
-def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
-    """The arguments as float arrays of one shape (K >= 1,), else InputError."""
-    xs = tuple(np.asarray(x, dtype=float) for x in xs)
-    if xs[0].ndim != 1 or not len(xs[0]) or any(x.shape != xs[0].shape for x in xs):
-        shapes = ", ".join(str(x.shape) for x in xs)
-        raise InputError(f"need {len(xs)} (K >= 1,) arrays, got shapes {shapes}")
-    return xs
-
-
 def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
     """Measurement bases on the middle GHZ qubit yielding a weighted pair, for
     every row k of the (K,) arrays chi1, chi2, mag_a.
@@ -1173,33 +1160,30 @@ def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
     diagonal local corrections), with arg B = arg A + (chi1 + chi2 + pi)/2
     and phi = +/- arccos(1 - 2|A|^2|B|^2 (1-cos chi1)(1-cos chi2)).
 
-    The bases come row by row, and the simulation that checks the bases is
-    stacked: one GHZ build and one target build (a build per edge pattern,
-    should a weight drop its edge), one project_qubit over both outcomes of
-    every row, which checks every ket's norm, and one stacked local-unitary
-    check. InputError for a non-finite angle or a NaN |A|,
-    NotAchievableError for |A| outside [0, 1] or an outcome the simulation
-    does not confirm; the first row that fails a check raises its error.
+    The bras are arrays, the weights one pair_weight_from_projection call,
+    and the simulation that checks the bases is stacked: one GHZ build and
+    one target build (a build per edge pattern, should a weight drop its
+    edge), one project_qubit over both outcomes of every row, which checks
+    every ket's norm, and one stacked local-unitary check. Input refusals
+    come before verdicts, each naming its first bad row: InputError for a
+    non-finite angle, then for a NaN |A|; then NotAchievableError for |A|
+    outside [0, 1], a row with no realizable outcome, or an outcome the
+    simulation does not confirm, in that order.
     """
     chi1, chi2, mag_a = _angle_arrays(chi1, chi2, mag_a)
-    phis = []
-    bras = np.empty((len(chi1), 2), dtype=complex)
-    for k, (c1, c2, mag) in enumerate(zip(chi1.tolist(), chi2.tolist(), mag_a.tolist())):
-        _finite_angles(c1, c2)
-        if math.isnan(mag):
-            raise InputError("|A| must be a number, got nan")
-        if not (0.0 <= mag <= 1.0):
-            raise NotAchievableError("|A| must lie in [0, 1]")
-        mag_b = math.sqrt(max(0.0, 1.0 - mag * mag))
-        arg_b = (c1 + c2 + math.pi) / 2.0
-        bra_a, bra_b = complex(mag), mag_b * cmath.exp(1j * arg_b)
-        bras[k] = bra_a, bra_b
-        phis.append(pair_weight_from_projection(bra_a, bra_b, c1, c2)[0])
+    _finite_angles(chi1, chi2)
+    bad = np.flatnonzero(np.isnan(mag_a))
+    if bad.size:
+        raise InputError(f"|A| must be a number, got nan in row {bad[0]}")
+    bad = np.flatnonzero(~((0.0 <= mag_a) & (mag_a <= 1.0)))
+    if bad.size:
+        raise NotAchievableError(f"|A| must lie in [0, 1], got {float(mag_a[bad[0]])!r} in row {bad[0]}")
+    mag_b = np.sqrt(np.maximum(0.0, 1.0 - mag_a * mag_a))
+    bra_a, bra_b = mag_a + 0j, mag_b * np.exp(1j * ((chi1 + chi2 + math.pi) / 2.0))
+    phis, _ = pair_weight_from_projection(bra_a, bra_b, chi1, chi2)
     # the projection ket is the conjugate of the bra (A, B); the complement
     # applies the bra (B*, -A*)
-    kets = np.empty((len(bras), 2, 2), dtype=complex)
-    kets[:, 0] = np.conj(bras)
-    kets[:, 1, 0], kets[:, 1, 1] = bras[:, 1], -bras[:, 0]
+    kets = np.stack([np.conj(bra_a), np.conj(bra_b), bra_b, -bra_a], axis=1).reshape(-1, 2, 2)
     # verify both outcomes by direct 3-qubit simulation: each must be
     # local-unitary matchable to the weighted pair with the SAME phi;
     # rows 2k and 2k + 1 are row k's projection and complement
@@ -1209,24 +1193,26 @@ def ghz_pair_projection(chi1, chi2, mag_a) -> tuple[np.ndarray, np.ndarray]:
     live = ~(probs < ZERO_PROB_CUTOFF)  # zero-probability outcomes (poles |A| in {0,1}) drop out
     check_unit_rows(red[live])
     _, _, match = local_equivalent_rows(red.reshape(-1, 2, 2, 2), target.reshape(-1, 1, 2, 2))
-    for matched, realized in zip(match.tolist(), live.reshape(-1, 2).tolist()):
-        if not all(m or not r for m, r in zip(matched, realized)):
-            raise NotAchievableError(
-                "simulated outcome is not the weighted pair the formula predicts"
-            )
-        if not any(realized):
-            raise NotAchievableError("no realizable outcome")
-    return kets, np.array(phis)
+    live = live.reshape(-1, 2)
+    bad = np.flatnonzero(~live.any(axis=1))
+    if bad.size:
+        raise NotAchievableError(f"no realizable outcome in row {bad[0]}")
+    bad = np.flatnonzero((live & ~match).any(axis=1))
+    if bad.size:
+        raise NotAchievableError(f"simulated outcome is not the weighted pair the formula predicts in row {bad[0]}")
+    return kets, phis
 
 
-def ghz_pair_range(chi1: float, chi2: float) -> float:
+def ghz_pair_range(chi1, chi2):
     """Maximum |phi| reachable: arccos(1 - (1-cos chi1)(1-cos chi2)/2).
 
-    InputError for a non-finite weight.
+    Scalars give a float, (K,) arrays a (K,) array, row k bit for bit the
+    scalar call. InputError for a non-finite weight, naming its first bad row.
     """
-    _finite_angles(chi1, chi2)
-    val = 1.0 - 0.5 * (1.0 - math.cos(chi1)) * (1.0 - math.cos(chi2))
-    return math.acos(max(-1.0, min(1.0, val)))
+    c1, c2 = _angle_arrays(np.atleast_1d(chi1), np.atleast_1d(chi2))
+    _finite_angles(c1, c2)
+    out = np.arccos(np.clip(1.0 - 0.5 * (1.0 - np.cos(c1)) * (1.0 - np.cos(c2)), -1.0, 1.0))
+    return float(out[0]) if np.ndim(chi1) == 0 else out
 
 
 def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> np.ndarray:
@@ -1234,33 +1220,32 @@ def ghz_pair_for_target_stack(chi1, chi2, phi_target) -> np.ndarray:
     ghz_pair_projection's (K, 2, 2) kets: row k's projection and complement
     yield the pair weight phi_target[k].
 
-    Inverts the phi formula for |A| (closed form) row by row; the bases come
-    from one ghz_pair_projection call over every row, so row k is bit for
-    bit the K = 1 call on row k. InputError for a non-finite angle,
-    NotAchievableError for a target out of range; the first row that fails
-    a check raises its error.
+    Inverts the phi formula for |A| (closed form) on every row at once; the
+    bases come from one ghz_pair_projection call over every row, so row k
+    is bit for bit the K = 1 call on row k. Input refusals come before
+    verdicts, and each names its first bad row: InputError for a
+    non-finite angle; then NotAchievableError for a nonzero target on a
+    zero-weight edge, then for a target out of range, then for a failed
+    inversion check.
     """
     chi1, chi2, phi_target = _angle_arrays(chi1, chi2, phi_target)
-    mags, inverted = [], []
-    for c1, c2, phi in zip(chi1.tolist(), chi2.tolist(), phi_target.tolist()):
-        _finite_angles(c1, c2, phi)
-        denom = (1.0 - math.cos(c1)) * (1.0 - math.cos(c2))
-        inverted.append(not denom < ZERO_RANGE)
-        if not inverted[-1]:
-            if not abs(wrap_angle(phi)) < ZERO_WEIGHT:
-                raise NotAchievableError("a zero-weight edge forces phi = 0")
-            mags.append(0.0)
-            continue
-        t = (1.0 - math.cos(phi)) / (2.0 * denom)
-        if not t <= 0.25 + BOUND_SLACK:
-            raise NotAchievableError(
-                f"|phi_target| exceeds the range cap {ghz_pair_range(c1, c2):.6f}"
-            )
-        mags.append(math.sqrt((1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * t))) / 2.0))
+    _finite_angles(chi1, chi2, phi_target)
+    denom = (1.0 - np.cos(chi1)) * (1.0 - np.cos(chi2))
+    inverted = ~(denom < ZERO_RANGE)
+    t = (1.0 - np.cos(phi_target)) / (2.0 * np.where(inverted, denom, 1.0))
+    bad = np.flatnonzero(~inverted & ~(np.abs(_wrap_rows(phi_target)) < ZERO_WEIGHT))
+    if bad.size:
+        raise NotAchievableError(f"a zero-weight edge forces phi = 0 in row {bad[0]}")
+    bad = np.flatnonzero(inverted & ~(t <= 0.25 + BOUND_SLACK))
+    if bad.size:
+        cap = ghz_pair_range(chi1[bad[0]], chi2[bad[0]])
+        raise NotAchievableError(f"|phi_target| exceeds the range cap {cap:.6f} in row {bad[0]}")
+    mags = np.where(inverted, np.sqrt((1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * t))) / 2.0), 0.0)
     kets, phis = ghz_pair_projection(chi1, chi2, mags)
-    for phi, target, check in zip(phis.tolist(), phi_target.tolist(), inverted):
-        if check and not abs(abs(wrap_angle(phi)) - abs(wrap_angle(target))) <= INVERSION_TOL:
-            raise NotAchievableError("inversion check failed")
+    gap = np.abs(np.abs(_wrap_rows(phis)) - np.abs(_wrap_rows(phi_target)))
+    bad = np.flatnonzero(inverted & ~(gap <= INVERSION_TOL))
+    if bad.size:
+        raise NotAchievableError(f"inversion check failed in row {bad[0]}")
     return kets
 
 

@@ -39,6 +39,7 @@ from .fock import (
     relevant_norm_sq,
 )
 from .graphstate import (
+    _wrap_rows,
     apply_local,
     build_state,
     chain_graph,
@@ -515,7 +516,8 @@ def check_ghz_generation(quick: bool = False):
     One ghz_pair_for_target_stack call gives every target's kets; both
     outcomes of every target are projected out of the GHZ state in one
     project_qubit call and matched to the |t|-weighted pair in one stacked
-    local-unitary check. The range rejection away from pi is one K = 1 call.
+    local-unitary check, and its two kets must be orthogonal. The range
+    rejection away from pi is one K = 1 call.
     """
     n = 12 if quick else 50
     targets = -math.pi + (np.arange(n) + 1) * 2.0 * math.pi / n
@@ -528,8 +530,10 @@ def check_ghz_generation(quick: bool = False):
         raise ZeroOutcomeError(f"projection probability {float(probs[low[0]])} below cutoff")
     check_unit_rows(states)
     # both outcomes must be the |t|-weighted pair up to local rotations
-    pairs = np.repeat(weighted_pair_rows([abs(wrap_angle(t)) for t in targets.tolist()]), 2, axis=0)
+    pairs = np.repeat(weighted_pair_rows(np.abs(_wrap_rows(targets))), 2, axis=0)
     residuals = [_fixed_fidelity(states, pairs, lambda k: f"target {float(targets[k // 2])}: no pair match")]
+    # a measurement basis, |<k0|k1>| = 0: at pi, sum p = 1 holds for any complement ket
+    residuals.append(np.abs(np.vecdot(kets[:, 0], kets[:, 1])))
     # weight recovered from the Schmidt-invariant determinant
     det = np.linalg.det(states.reshape(-1, 2, 2))
     dets = np.hypot(det.real, det.imag).reshape(n, 2)

@@ -252,7 +252,7 @@ def _ref_ghz_range(chi: float, _rng) -> list:
     ghz = build_state(chain_graph(["a", "b", "c"], [chi, chi]))
     red, _p = project_qubit(ghz.amplitudes[None], 1, kets[0, :1])
     det = abs(np.linalg.det(red.reshape(2, 2)))
-    sim = math.acos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det)))
+    sim = float(np.arccos(max(-1.0, min(1.0, 1.0 - 8.0 * det * det))))  # the scan's np.arccos
     return [chi, ana, sim, abs(ana - sim)]
 
 

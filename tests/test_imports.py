@@ -251,8 +251,8 @@ def test_verify_builds_unitaries_per_stack():
 
 
 # Single-chain and single-state calls. verify runs each per-point protocol
-# check as one stacked call over its grid or draws, so none of these may run
-# once per loop iteration there.
+# check, and cli each scan, as one stacked call over its grid or draws, so
+# none of these may run once per loop iteration there.
 PER_ROW_PROTOCOL_CALLS = {
     "create_logical_qubit",
     "logical_pair_stack",
@@ -260,6 +260,8 @@ PER_ROW_PROTOCOL_CALLS = {
     "fuse_type_ii",
     "ghz_pair_projection",
     "ghz_pair_for_target_stack",
+    "ghz_pair_range",
+    "pair_weight_from_projection",
     "project_qubit",
     "apply_local",
     "fidelity_up_to_global_phase",
@@ -297,6 +299,10 @@ def test_gate_flags_a_per_row_protocol_call():
 
 def test_verify_runs_protocol_checks_per_stack():
     assert per_row_protocol_calls((SRC / "verify.py").read_text()) == []
+
+
+def test_cli_runs_its_scans_per_stack():
+    assert per_row_protocol_calls((SRC / "cli.py").read_text()) == []
 
 
 def small_float_literals(source: str) -> list[int]:

@@ -476,6 +476,24 @@ def test_ghz_pair_projection_refuses_non_finite_input(args):
     assert type(exc.value) is InputError
 
 
+def test_ghz_input_refusals_come_before_verdicts_and_name_their_first_bad_row():
+    # row 0 holds a verdict (|A| outside [0, 1], a target out of range), a later
+    # row an input error (a non-finite angle, a NaN |A|): the input error wins
+    with pytest.raises(InputError, match="in row 1") as exc:
+        ghz_pair_projection([1.0, 1.0], [1.0, math.nan], [2.0, 0.5])
+    assert type(exc.value) is InputError
+    with pytest.raises(InputError, match="nan in row 2"):
+        ghz_pair_projection([1.0] * 3, [1.0] * 3, [2.0, 0.5, math.nan])
+    with pytest.raises(NotAchievableError, match=r"got 2\.0 in row 1"):
+        ghz_pair_projection([1.0] * 3, [1.0] * 3, [0.5, 2.0, -1.0])
+    chis = [math.pi / 2] * 3
+    with pytest.raises(InputError, match="in row 2") as exc:
+        ghz_pair_for_target_stack(chis, chis, [math.pi, 0.1, math.inf])
+    assert type(exc.value) is InputError
+    with pytest.raises(NotAchievableError, match="range cap 1.047198 in row 0"):
+        ghz_pair_for_target_stack(chis, chis, [math.pi, 0.1, 3.0])
+
+
 @pytest.mark.parametrize("args", [(math.nan, 0.5, 0.3), (0.5, 0.5, math.inf)])
 def test_ghz_pair_for_target_refuses_a_non_finite_angle(args):
     # an input error, not NotAchievableError's out-of-range verdict

@@ -10,6 +10,7 @@ one-row chain or one-element arrays, so rows of a stack do not interact.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wgfusion import verify
-from wgfusion.analysis import INV_SQRT2
+from wgfusion.analysis import INV_SQRT2, pair_weight_from_projection
 from wgfusion.errors import (
     InputError,
     InvalidGraphError,
@@ -381,6 +382,29 @@ def test_ghz_pair_projection_rows_equal_single_calls(k, data):
     for (one_kets, (phi,)), got_kets, got_phi in zip(singles, kets, phis.tolist()):
         assert float.hex(got_phi) == float.hex(phi)
         assert [_hex(c) for c in got_kets.ravel()] == [_hex(c) for c in one_kets.ravel()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), data=st.data())
+def test_pair_weight_and_range_rows_equal_single_calls(k, data):
+    """(A, B, chi1, chi2) rows on the unit sphere, zero weights and the poles
+    |A| in {0, 1} among them: a K-row pair_weight_from_projection call gives
+    the scalar calls' phi (float.hex) and both_outcomes_equal flag, and a
+    K-row ghz_pair_range call their ranges (float.hex)."""
+    rows = []
+    for _ in range(k):
+        mag = data.draw(MAGNITUDES)
+        a = mag * cmath.exp(1j * data.draw(ANGLES))
+        b = math.sqrt(1.0 - mag * mag) * cmath.exp(1j * data.draw(ANGLES))
+        rows.append((a, b, data.draw(GHZ_ANGLES), data.draw(GHZ_ANGLES)))
+    columns = [np.array(c) for c in zip(*rows)]
+    phis, equal = pair_weight_from_projection(*columns)
+    ranges = ghz_pair_range(*columns[2:])
+    assert phis.shape == equal.shape == ranges.shape == (k,)
+    for row, phi, eq, reach in zip(rows, phis.tolist(), equal.tolist(), ranges.tolist()):
+        one_phi, one_eq = pair_weight_from_projection(*row)
+        assert (float.hex(phi), eq) == (float.hex(one_phi), one_eq)
+        assert float.hex(reach) == float.hex(ghz_pair_range(*row[2:]))
 
 
 # The protocols behind verify's per-point protocol checks: every outcome that

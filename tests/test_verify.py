@@ -123,6 +123,27 @@ def _shifted_ghz_target(monkeypatch):
     monkeypatch.setattr(verify, "ghz_pair_for_target_stack", shifted)
 
 
+def _flipped_ghz_complement(monkeypatch):
+    # the complement ket (B, A) in place of (B, -A): no longer orthogonal to the
+    # projection ket, yet at chi1 = chi2 = pi, where the middle qubit is
+    # maximally mixed, both outcomes still sum to 1 and match the pair
+    from wgfusion import protocols
+
+    real = protocols.ghz_pair_projection
+
+    def flipped(*args):
+        kets, phis = real(*args)
+        kets[:, 1, 1] *= -1.0
+        return kets, phis
+
+    monkeypatch.setattr(protocols, "ghz_pair_projection", flipped)
+
+    def after(res):
+        assert res.max_residual > 0.5
+
+    return after
+
+
 def _perturbed_hyperbola_projection(monkeypatch):
     real = verify.hyperbola_projection
 
@@ -201,6 +222,7 @@ MUTANTS = [
     pytest.param("check_bell_retention", _scaled_norm_sq, id="bell_retention"),
     pytest.param("check_balanced_entropy", _scaled_norm_sq, id="balanced_entropy"),
     pytest.param("check_ghz_generation", _shifted_ghz_target, id="ghz_generation"),
+    pytest.param("check_ghz_generation", _flipped_ghz_complement, id="ghz_generation-complement_sign"),
     pytest.param("check_hyperbola", _perturbed_hyperbola_projection, id="hyperbola"),
     pytest.param("check_no_good_failure_theorem", _off_constraint_unitaries, id="no_good_failure"),
     pytest.param("check_scans", _one_scan_outlier, id="appendix_scans"),
