@@ -54,26 +54,32 @@ from .tolerances import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def inner_z(*chis: float) -> complex:
-    """Gram overlap z = <f4|f3> = prod_k (1+e^{i chi_k})/2 over b's edge weights.
-
-    A zero weight (no edge) contributes a factor 1. InputError for a
-    non-finite weight.
-    """
-    _finite_angles(*chis)
-    return complex(math.prod((1.0 + cmath.exp(1j * chi)) / 2.0 for chi in chis))
+def inner_z(*chis):
+    """Gram overlap z = <f4|f3> = prod_k (1+e^{i chi_k})/2 over b's edge weights;
+    a zero weight (no edge), or none at all, is a factor 1. Scalars give a
+    complex, (K,) arrays the (K,) z, row k bit for bit the scalar call: the
+    (K, d) factors are multiplied along their last axis, where NumPy rounds as
+    math.prod does (a product of (K,) columns may fuse a multiply-add).
+    InputError for a non-finite weight, naming its first bad row."""
+    chis = chis or (0.0,)
+    scalar = np.ndim(chis[0]) == 0
+    cols = _angle_arrays(*map(np.atleast_1d, chis))
+    _finite_angles(*cols)
+    z = ((1.0 + np.exp(1j * np.array(cols).T.copy())) / 2.0).prod(axis=1)
+    return complex(z[0]) if scalar else z
 
 
 @dataclass
 class EntanglementReport:
-    """The link K relevant outcomes leave, one entry per outcome: det rho,
-    the larger eigenvalue lam of rho, the z-corrected N^2 and the entropy
-    of entanglement in bits."""
+    """The link K relevant outcomes leave, one entry per outcome: det rho, the
+    larger eigenvalue lam of rho, the z-corrected N^2, the entropy of
+    entanglement in bits and det rho of the dense oracle rho = M' M'+."""
 
     det_rho: np.ndarray
     lam: np.ndarray
     norm_sq: np.ndarray
     entropy_bits: np.ndarray
+    det_rho_oracle: np.ndarray
 
 
 def gram_factor(z) -> np.ndarray:
@@ -134,7 +140,7 @@ def entanglement_report(ms: np.ndarray, z) -> EntanglementReport:
     for p in (lam, 1.0 - lam):
         live = p > ENTROPY_FLOOR
         entropy[live] -= p[live] * np.log2(p[live])
-    return EntanglementReport(det_rho, lam, nsq, entropy)
+    return EntanglementReport(det_rho, lam, nsq, entropy, oracle)
 
 
 @dataclass
@@ -349,14 +355,35 @@ def xi_family_arg(xi, chi_bf) -> np.ndarray:
     return 2.0 * np.angle(1.0 + w) - np.angle(w)
 
 
-def hyperbola_projection(chi_bf: float, xi: float, mag_a: float = INV_SQRT2) -> TwoQubitProjection:
+def hyperbola_projection(chi_bf, xi, mag_a=INV_SQRT2):
     """The xi-family projection: B = xi e^{i chi_bf/2} A, D = e^{i chi_bf/2} C / xi,
-    with |C| = |xi||A| so the unitarity balance holds."""
-    a = complex(mag_a)
-    b = xi * cmath.exp(1j * chi_bf / 2.0) * a
-    c = complex(abs(xi) * mag_a)
-    d = cmath.exp(1j * chi_bf / 2.0) * c / xi
-    return TwoQubitProjection(a, b, c, d)
+    with |C| = |xi||A| so the unitarity balance holds, and A = mag_a.
+
+    Scalars give a TwoQubitProjection, (K,) arrays of one shape the (K, 2, 2)
+    [[A, B], [C, D]], row k bit for bit the scalar call. InputError, naming
+    the first bad row: before any arithmetic for a non-finite input, then for
+    xi = 0; then for a norm^2 that is not finite or is below VANISHING_NORM_SQ,
+    as TwoQubitProjection checks one.
+    """
+    scalar = np.ndim(chi_bf) == 0
+    cb, xi, mag_a = _angle_arrays(*map(np.atleast_1d, (chi_bf, xi, mag_a)))
+    _finite_angles(cb, xi, mag_a)
+    if not xi.all():
+        raise InputError(f"xi must be finite and nonzero, got 0.0 in row {np.flatnonzero(xi == 0.0)[0]}")
+    phase = np.exp(1j * cb / 2.0)
+    m = np.empty(cb.shape + (2, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, and fails the norm check
+        m[:, 0, 0], m[:, 1, 0] = mag_a, np.abs(xi) * mag_a
+        m[:, 0, 1] = xi * phase * m[:, 0, 0]
+        num = phase * m[:, 1, 0]
+        m.real[:, 1, 1], m.imag[:, 1, 1] = num.real / xi, num.imag / xi  # as Python divides by a float
+        if scalar:
+            return TwoQubitProjection(*m[0].ravel().tolist())  # which checks its norm
+        nsq = (np.abs(m) ** 2).sum(axis=(1, 2))
+    bad = np.flatnonzero(~((VANISHING_NORM_SQ <= nsq) & (nsq < math.inf)))
+    if bad.size:
+        raise InputError(f"projection coefficients are all zero or not finite in row {bad[0]}")
+    return m
 
 
 def max_entangled_family(seed: np.ndarray, z: complex) -> TwoQubitProjection:

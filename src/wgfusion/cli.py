@@ -18,7 +18,6 @@ import numpy as np
 from .analysis import (
     INV_SQRT2,
     entanglement_report,
-    gram_factor,
     inner_z,
     solve_xi_for_weight,
     xi_family_arg,
@@ -31,13 +30,13 @@ from .errors import (
     WgfError,
     ZeroOutcomeError,
 )
-from .fock import ModeUnitary
+from .fock import ModeUnitary, ginibre
 from .graphstate import (
     WeightedGraph,
+    _wrap_rows,
     build_state,
     chain_graph,
     check_unit_rows,
-    eigvalsh_2x2,
     project_qubit,
     wrap_angle,
 )
@@ -154,56 +153,42 @@ def cmd_fuse(args) -> int:
 def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[list]]:
     """Header and rows of one scan over the grid chi_k = (k + 1/2) pi / points.
 
-    Every simulated column comes from one stacked call over the whole grid,
-    row k bit for bit the single-chain call on chi_k: logical-prob from
-    xlike_probability_stack, failure-split from type_ii_probabilities_stack,
-    det-entropy from entanglement_report, ghz-range from ghz_pair_projection,
-    one GHZ build_state stack, one project_qubit and one np.arccos against
-    one ghz_pair_range call, and xi-solve from one solve_xi_for_weight call.
+    Each scan builds its columns as arrays, each from one call over the
+    whole grid (row k bit for bit the call on chi_k), zipped into rows once:
+    logical-prob and failure-split simulate with xlike_probability_stack and
+    type_ii_probabilities_stack; det-entropy reads entanglement_report's
+    dense oracle on one ginibre draw; ghz-range projects one GHZ build_state
+    stack; xi-solve solves with solve_xi_for_weight.
     """
-    grid = [(k + 0.5) * math.pi / points for k in range(points)]  # (0, pi)
+    grid = (np.arange(points) + 0.5) * math.pi / points  # (0, pi)
 
     if quantity == "logical-prob":
         header = ["chi", "analytic", "simulated", "residual"]
-        stack = make_chain_stack(["a", "b", "c", "d"], [[1.0, chi, chi] for chi in grid])
-        rows = []
-        for chi, sim in zip(grid, xlike_probability_stack(stack, "c").tolist()):
-            ana = (1.0 - math.cos(chi)) / 4.0
-            rows.append([chi, ana, sim, abs(ana - sim)])
-        return header, rows
-
-    if quantity == "failure-split":
+        chains = make_chain_stack(list("abcd"), np.stack([np.ones(points), grid, grid], axis=1))
+        sim = xlike_probability_stack(chains, "c")
+        ana = (1.0 - np.cos(grid)) / 4.0
+        cols = (grid, ana, sim, np.abs(ana - sim))
+    elif quantity == "failure-split":
         header = ["chi", "analytic_minus", "sim_minus", "analytic_plus", "sim_plus", "residual"]
         left = logical_pair_stack(make_chain(list("ABCD"), [math.pi] * 3), "C")
-        right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in grid])
+        # Case-2 weights (chi, -chi); -chi lies in (-pi, 0), so it needs no wrap
+        right = make_chain_stack(["v", "b", "w"], np.stack([grid, -grid], axis=1))
         lefts = left.take(np.zeros(points, dtype=int))  # the fixed left chain on every row
         probs = type_ii_probabilities_stack(lefts, ("B", "D"), right, "b", consume="D")
-        rows = []
-        for chi, sm, sp in zip(
-            grid, probs["failure_b_minus"].tolist(), probs["failure_b_plus"].tolist()
-        ):
-            rez = rez_formula(chi, wrap_angle(-chi))
-            am, ap = (1.0 - rez) / 4.0, (1.0 + rez) / 4.0
-            rows.append([chi, am, sm, ap, sp, max(abs(am - sm), abs(ap - sp))])
-        return header, rows
-
-    if quantity == "det-entropy":
+        sm, sp = probs["failure_b_minus"], probs["failure_b_plus"]
+        rez = rez_formula(grid, -grid)
+        am, ap = (1.0 - rez) / 4.0, (1.0 + rez) / 4.0
+        cols = (grid, am, sm, ap, sp, np.maximum(np.abs(am - sm), np.abs(ap - sp)))
+    elif quantity == "det-entropy":
         header = ["chi_bf", "det_rho_analytic", "det_rho_oracle", "residual"]
-        # row k takes the k-th seeded matrix; one stacked call covers every row
-        rng = np.random.default_rng(seed)
-        ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in grid])
-        zs = np.array([inner_z(chi) for chi in grid])
-        rep = entanglement_report(ms, zs)
-        mp = (ms / np.sqrt(rep.norm_sq)[:, None, None]) @ gram_factor(zs)
-        ev = eigvalsh_2x2(mp @ mp.conj().transpose(0, 2, 1))  # ascending
-        oracle = ev[:, 0] * ev[:, 1]
-        cols = (grid, rep.det_rho.tolist(), oracle.tolist(), np.abs(rep.det_rho - oracle).tolist())
-        return header, [list(r) for r in zip(*cols)]
-
-    if quantity == "ghz-range":
+        # row k takes the k-th seeded matrix, its real then its imaginary normals
+        g = ginibre(2, np.random.default_rng(seed), points)
+        rep = entanglement_report(g[:, 0] + 1j * g[:, 1], inner_z(grid))
+        cols = (grid, rep.det_rho, rep.det_rho_oracle, np.abs(rep.det_rho - rep.det_rho_oracle))
+    elif quantity == "ghz-range":
         header = ["chi", "analytic_max_phi", "simulated_phi_at_half", "residual"]
-        kets, _phis = ghz_pair_projection(grid, grid, [INV_SQRT2] * points)
-        ghz = build_state(chain_graph(["a", "b", "c"], [math.pi] * 2), [[chi, chi] for chi in grid])
+        kets, _phis = ghz_pair_projection(grid, grid, np.full(points, INV_SQRT2))
+        ghz = build_state(chain_graph(["a", "b", "c"], [math.pi] * 2), np.stack([grid, grid], axis=1))
         red, probs = project_qubit(ghz, 1, kets[:, 0])
         if not (probs >= ZERO_PROB_CUTOFF).all():  # a vanishing outcome is no pair
             raise ZeroOutcomeError(f"projection probability {float(probs.min())} below cutoff")
@@ -211,17 +196,15 @@ def _scan_rows(quantity: str, points: int, seed: int) -> tuple[list[str], list[l
         dets = np.abs(np.linalg.det(red.reshape(-1, 2, 2)))
         ana = ghz_pair_range(grid, grid)
         sim = np.arccos(np.clip(1.0 - 8.0 * dets * dets, -1.0, 1.0))
-        cols = (grid, ana.tolist(), sim.tolist(), np.abs(ana - sim).tolist())
-        return header, [list(r) for r in zip(*cols)]
-
-    if quantity == "xi-solve":
+        cols = (grid, ana, sim, np.abs(ana - sim))
+    elif quantity == "xi-solve":
         header = ["chi_bf", "chi_target", "xi", "residual"]
-        targets = [wrap_angle(2.0 * chi - math.pi / 3.0) for chi in grid]
+        targets = _wrap_rows(2.0 * grid - math.pi / 3.0)
         xis = solve_xi_for_weight(grid, targets)
-        res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(xi_family_arg(xis, grid).tolist(), targets)]
-        return header, [list(r) for r in zip(grid, targets, xis.tolist(), res)]
-
-    raise InputError(f"unknown scan quantity {quantity}")
+        cols = (grid, targets, xis, np.abs(_wrap_rows(2.0 * xi_family_arg(xis, grid) - targets)))
+    else:
+        raise InputError(f"unknown scan quantity {quantity}")
+    return header, [list(r) for r in zip(*(c.tolist() for c in cols))]
 
 
 def cmd_scan(args) -> int:

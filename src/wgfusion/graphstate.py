@@ -13,9 +13,9 @@ one register, one row per state. build_state takes a graph shape plus a
 (K, E) weight array, project_qubit projects one qubit of every row onto one
 ket (or that row's ket) and apply_local applies one 2x2 gate (or one per
 row) to one qubit; a single state is their K = 1 stack. Each checks its
-target and its gates or kets itself. build_state(graph) returns row 0 of
-the same kernel as a PureState, so a stacked row is bit for bit the
-single-state result.
+target and its gates or kets itself. build_state has one kernel path:
+build_state(graph) is row 0 of the one-row stack of the graph's own
+weights, so a stacked row is bit for bit the single-state result.
 
 Bit-ordering convention (shared by all modules): qubit 0 is the MOST
 significant bit of the amplitude index, i.e. basis index
@@ -47,15 +47,13 @@ from .tolerances import (
 )
 
 
-def _finite_angles(*angles) -> None:
-    """InputError unless every angle is finite (a NaN or inf weight names no
-    edge); on (K,) arrays of one shape it names the first bad row."""
-    if angles and isinstance(angles[0], np.ndarray):
-        bad = np.flatnonzero(~np.isfinite(angles).all(axis=0))
-        if bad.size:
-            raise InputError(f"angles must be finite, got {tuple(float(x[bad[0]]) for x in angles)!r} in row {bad[0]}")
-    elif not all(math.isfinite(x) for x in angles):
-        raise InputError(f"angles must be finite, got {angles!r}")
+def _finite_angles(*angles: np.ndarray) -> None:
+    """InputError unless every angle of the (K,) arrays of one shape is finite
+    (a NaN or inf weight names no edge), naming the first bad row."""
+    ok = np.isfinite(angles)
+    if not ok.all():
+        k = np.flatnonzero(~ok.all(axis=0))[0]
+        raise InputError(f"angles must be finite, got {tuple(float(x[k]) for x in angles)!r} in row {k}")
 
 
 def _angle_arrays(*xs) -> tuple[np.ndarray, ...]:
@@ -341,29 +339,24 @@ def build_state(graph: WeightedGraph, weights=None):
     grouped by their earlier endpoint, last vertex first, in graph.edges order
     within a group.
 
-    build_state(graph) returns the graph's PureState. build_state(graph,
-    weights) reads graph as a shape (vertices and edge endpoints, not its
-    weights) and weights as a (K, E) array whose row k weighs graph.edges;
-    it returns the (K, 2^n) stack whose row k is build_state of the graph
-    with row k's weights, bit for bit. The recursion is the same: the table
-    carries the K rows on a trailing axis and each edge multiplies by the
-    phases of its (K,) weight column. A weight that is not finite or wraps
-    below ZERO_WEIGHT (no edge: another shape) raises InvalidGraphError.
+    build_state(graph, weights) reads graph as a shape (vertices and edge
+    endpoints) and weights as a (K, E) array whose row k weighs graph.edges;
+    it returns the (K, 2^n) stack of the graph's states under those rows, the
+    table carrying them on a trailing axis. A weight that is not finite or
+    wraps below ZERO_WEIGHT (no edge: another shape) raises InvalidGraphError.
+    build_state(graph) is row 0 of the stack of the graph's own weights.
     """
+    if weights is None:
+        return PureState(graph.n, build_state(graph, [[chi for *_, chi in graph.edges]])[0])
     n = graph.n
     if n > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    if weights is None:
-        rows: tuple[int, ...] = ()
-        phases = [np.exp(-1j * chi) for _, _, chi in graph.edges]
-    else:
-        chis = weight_rows(graph, weights)
-        rows = (len(chis),)
-        phases = np.exp(-1j * chis).T  # one (K,) column per edge
-    table = np.empty((1 << n,) + rows, dtype=complex)
+    chis = weight_rows(graph, weights)
+    phases = np.exp(-1j * chis).T  # one (K,) column per edge
+    table = np.empty((1 << n, len(chis)), dtype=complex)
     table[0] = 1.0 / math.sqrt(1 << n)
     position = {v: q for q, v in enumerate(graph.vertices)}
-    later: list[list[tuple[int, complex | np.ndarray]]] = [[] for _ in range(n)]
+    later: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(n)]
     for (a, b, _), phase in zip(graph.edges, phases):  # canonical: position[a] < position[b]
         later[position[a]].append((position[b], phase))
     size = 1
@@ -371,10 +364,8 @@ def build_state(graph: WeightedGraph, weights=None):
         half = table[size : 2 * size]
         half[...] = table[:size]
         for q, phase in later[v]:
-            half.reshape((1 << (q - v - 1), 2, -1) + rows)[:, 1] *= phase
+            half.reshape(1 << (q - v - 1), 2, -1, len(chis))[:, 1] *= phase
         size *= 2
-    if weights is None:
-        return PureState(n, table)
     return np.ascontiguousarray(table.T)
 
 

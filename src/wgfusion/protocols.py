@@ -36,7 +36,8 @@ exactly those rows, as it is from the one-row call. The X-like steps
 (create_logical_qubit, logical_pair_stack, xlike_probability_stack) take
 stacks that mix Case-1 (chi1 = chi2) and Case-2 (chi1 = -chi2 mod 2pi)
 rows: one eligibility rule on arrays (_near) gives each row its own case's
-bra and corrections.
+bra and corrections. The closed forms (rez_formula, ghz_pair_range, and inner_z
+in fuse_type_ii's z check) take (K,) arrays; a scalar call is their K = 1 row.
 """
 
 from __future__ import annotations
@@ -862,14 +863,15 @@ def _split_components(r: _Rows) -> list[_Rows]:
     return out
 
 
-def rez_formula(chi_bf: float, chi_bf2: float = 0.0) -> float:
-    """Re z = [1 + cos chi_bf + cos chi_bf' + cos(chi_bf + chi_bf')]/4.
-
-    InputError for a non-finite weight."""
-    _finite_angles(chi_bf, chi_bf2)
-    return (
-        1.0 + math.cos(chi_bf) + math.cos(chi_bf2) + math.cos(chi_bf + chi_bf2)
-    ) / 4.0
+def rez_formula(chi_bf, chi_bf2=0.0):
+    """Re z = [1 + cos chi_bf + cos chi_bf' + cos(chi_bf + chi_bf')]/4: a float
+    for scalars, the (K,) Re z for (K,) arrays of one shape, row k bit for bit
+    the scalar call. InputError for a non-finite weight, naming its first bad row."""
+    scalar = np.ndim(chi_bf) == 0
+    c1, c2 = _angle_arrays(np.atleast_1d(chi_bf), np.atleast_1d(chi_bf2))
+    _finite_angles(c1, c2)
+    out = (1.0 + np.cos(c1) + np.cos(c2) + np.cos(c1 + c2)) / 4.0
+    return float(out[0]) if scalar else out
 
 
 def _pair_members(left: ChainStack, pair, consume) -> tuple[str, str]:
@@ -914,11 +916,12 @@ def _type_ii_branches(left: ChainStack, pair, right: ChainStack, b, consume):
     zs = np.vecdot(f4, f3)  # branch states are unit vectors
     column = _edge_columns(right.graph)
     chis = right.weights[:, [column[frozenset((b, v))] for v, _ in right.graph.neighbors(b)]]
-    for k, (z, row) in enumerate(zip(zs.tolist(), chis.tolist())):
-        expect = inner_z(*row)
-        if not abs(z - expect) <= ABORT_TOL:
-            where = f" in row {k}" if len(zs) > 1 else ""
-            raise NumericalAbortError(f"z mismatch{where}: numeric {z}, formula {expect}")
+    expect = np.broadcast_to(inner_z(*chis.T), zs.shape)  # z = 1 for a b with no edge
+    bad = np.flatnonzero(~(np.abs(zs - expect) <= ABORT_TOL))
+    if bad.size:
+        k = bad[0]
+        where = f" in row {k}" if len(zs) > 1 else ""
+        raise NumericalAbortError(f"z mismatch{where}: numeric {complex(zs[k])}, formula {complex(expect[k])}")
 
     kron1, kron2 = kron_rows(f1, f3), kron_rows(f2, f4)
     successes = []
@@ -1117,8 +1120,6 @@ def _chain_rows(labels: list[str], weights) -> np.ndarray:
         edges = tuple((x, y, math.pi) for x, y, k in zip(labels, labels[1:], kept) if k)
         return WeightedGraph(tuple(labels), edges)
 
-    if keep.all():  # every row keeps every edge: one build of the rows as given
-        return build_state(shape(keep[0]), weights)
     out = np.empty((len(keep), 1 << len(labels)), dtype=complex)
     kinds, kind = np.unique(keep, axis=0, return_inverse=True)
     for i, kept in enumerate(kinds):

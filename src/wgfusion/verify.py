@@ -217,8 +217,7 @@ def check_logical_qubit(quick: bool = False):
         (count != 1, lambda k: f"chi={chis[k]}: {count[k]} successes"),
         (~support, lambda k: f"pair support broken at chi={chis[k]}"),
     )
-    cos = np.array([math.cos(chi) for chi in chis.tolist()])
-    residuals = [np.abs(probs - (1.0 - cos) / 4.0), np.abs(_row_totals(outs, n) - 1.0)]
+    residuals = [np.abs(probs - (1.0 - np.cos(chis)) / 4.0), np.abs(_row_totals(outs, n) - 1.0)]
     # chi = pi: both X-basis outcomes succeed, total probability 1
     outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, math.pi, math.pi]), "c")
     succ = [o for o in outs if o.label.startswith("success")]
@@ -233,16 +232,17 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     """Failure split (1 -/+ Re z)/4 with the closed-form Re z; good-failure law.
 
     The right chains of the drawn weights and pi are one stack, fused with
-    the fixed left chain, repeated once per row, in one fuse_type_ii call;
-    the all-pi right chain is one K = 1 call.
+    the fixed left chain, repeated once per row, in one fuse_type_ii call,
+    and checked against one rez_formula call; the all-pi right chain is one
+    K = 1 call.
     """
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
     # left logical pair from an all-pi 4-chain; bare member B4 is consumed
     left = logical_pair_stack(make_chain(["A", "B", "C", "D"], [math.pi] * 3), "C")
-    chis = rng.uniform(0.05, math.pi - 0.05, n).tolist() + [math.pi]
+    chis = np.append(rng.uniform(0.05, math.pi - 0.05, n), math.pi)
     # Case-2 weights (chi, -chi) around the fused interior vertex
-    right = make_chain_stack(["v", "b", "w"], [[chi, wrap_angle(-chi)] for chi in chis])
+    right = make_chain_stack(["v", "b", "w"], np.stack([chis, _wrap_rows(-chis)], axis=1))
     k = len(chis)
     outs = fuse_type_ii(left.take(np.zeros(k, dtype=int)), ("B", "D"), right, "b", consume="D")
     p_good, p_plus, good = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
@@ -251,9 +251,8 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
             p_good[o.rows], good[o.rows] = o.probabilities, o.is_good_failure
         elif o.label == "failure_b_plus":
             p_plus[o.rows] = o.probabilities
-    rez = np.array([rez_formula(chi, wrap_angle(-chi)) for chi in chis])
-    cos = np.array([math.cos(chi) for chi in chis])
-    away_from_pi = ~_near(np.array(chis) - math.pi)
+    rez = rez_formula(*right.weights.T)
+    away_from_pi = ~_near(chis - math.pi)
     _refute_first(
         (~good, lambda r: f"chi={chis[r]} not flagged good"),
         (~(p_good <= 0.25 + BOUND_SLACK), lambda r: "good failure above 1/4"),
@@ -262,7 +261,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     residuals = [
         np.abs(p_good - (1.0 - rez) / 4.0),
         np.abs(p_plus - (1.0 + rez) / 4.0),
-        np.abs(p_good - (1.0 - cos) / 8.0),
+        np.abs(p_good - (1.0 - np.cos(chis)) / 8.0),
         np.abs(_row_totals(outs, k) - 1.0),
     ]
     # all weights pi: split (1/4, 1/4), both failures good
@@ -553,9 +552,9 @@ def check_ghz_generation(quick: bool = False):
 def check_hyperbola(seed: int = 29, quick: bool = False):
     """xi-solver residual and end-to-end projection fidelity against the target pair.
 
-    One solve_xi_for_weight call covers every draw, which then forms its
-    projection; the dense leg runs on stacks: one 2-chain build, one einsum,
-    one local-unitary check and one row fidelity over every draw.
+    One solve_xi_for_weight, xi_family_arg and hyperbola_projection call
+    each covers every draw; the dense leg runs on stacks: one 2-chain build,
+    one einsum, one local-unitary check and one row fidelity over every draw.
     """
     rng = np.random.default_rng(seed)
     draws = 12 if quick else 50
@@ -564,16 +563,14 @@ def check_hyperbola(seed: int = 29, quick: bool = False):
         chi_bfs.append(float(rng.uniform(0.1, math.pi - 0.1)) * float(SIGNS[rng.integers(0, 2)]))
         chi_targets.append(float(rng.uniform(-math.pi, math.pi)))
     xis = solve_xi_for_weight(chi_bfs, chi_targets)
-    args = xi_family_arg(xis, chi_bfs).tolist()
-    xi_res = [abs(wrap_angle(2.0 * a - t)) for a, t in zip(args, chi_targets)]
-    ps = [hyperbola_projection(chi_bf, xi) for chi_bf, xi in zip(chi_bfs, xis.tolist())]
-    coefs = [[[p.a, p.b], [p.c, p.d]] for p in ps]
+    xi_res = np.abs(_wrap_rows(2.0 * xi_family_arg(xis, chi_bfs) - chi_targets))
     # end to end: bare logical pair (e, a) Bell state, right 2-chain (b, f)
     pair = np.zeros(4, complex)
     pair[0] = pair[3] = INV_SQRT2
-    right = build_state(chain_graph(["b", "f"], [math.pi]), [[chi] for chi in chi_bfs])
+    right = build_state(chain_graph(["b", "f"], [math.pi]), np.array(chi_bfs)[:, None])
     joint = (pair[None, :, None] * right[:, None, :]).reshape(draws, 2, 2, 2, 2)
-    res = np.einsum("keabf,kab->kef", joint, np.array(coefs)).reshape(draws, 4)
+    coefs = hyperbola_projection(chi_bfs, xis, np.full(draws, INV_SQRT2))
+    res = np.einsum("keabf,kab->kef", joint, coefs).reshape(draws, 4)
     res = normalized_rows(res)
     check_unit_rows(res)
     fid_res = _fixed_fidelity(res, weighted_pair_rows(chi_targets), lambda k: "no local correction found")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -635,13 +636,51 @@ def test_no_good_failure_stack_keeps_a_nan():
         lambda: inner_z(0.3, math.nan),
         lambda: rez_formula(math.nan),
         lambda: rez_formula(0.2, math.inf),
+        lambda: hyperbola_projection(1.0, 0.0),
+        lambda: hyperbola_projection(math.nan, 0.5),
+        lambda: hyperbola_projection(1.0, -math.inf),
+        lambda: hyperbola_projection(1.0, 0.5, math.inf),
+        lambda: hyperbola_projection([1.0, 2.0], [0.5, 0.0], [ISQ2, ISQ2]),
     ],
-    ids=["pair_weight_nan", "pair_weight_inf", "inner_z_inf", "inner_z_nan", "rez_nan", "rez_inf"],
+    ids=[
+        "pair_weight_nan",
+        "pair_weight_inf",
+        "inner_z_inf",
+        "inner_z_nan",
+        "rez_nan",
+        "rez_inf",
+        "hyperbola_xi_zero",
+        "hyperbola_nan",
+        "hyperbola_xi_inf",
+        "hyperbola_mag_inf",
+        "hyperbola_row_xi_zero",
+    ],
 )
 def test_non_finite_angles_are_refused(call):
-    # before the refusal: phi = 0, NaN and NaN+NaNj came back as answers
-    with pytest.raises(InputError, match="finite"):
-        call()
+    # before the refusal: phi = 0, NaN and NaN+NaNj came back as answers, and
+    # xi = 0 raised a bare ZeroDivisionError; each refusal comes before any
+    # arithmetic, so no NumPy RuntimeWarning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call, row",
+    [
+        (lambda: inner_z(np.array([0.1, 0.2, 0.3]), np.array([0.4, math.nan, math.inf])), 1),
+        (lambda: rez_formula(np.array([0.1, 0.2, math.nan]), np.zeros(3)), 2),
+        (lambda: hyperbola_projection(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 0.0]), np.ones(3)), 2),
+        (lambda: hyperbola_projection(np.array([0.1, 0.2, 0.3]), np.ones(3), np.array([1.0, 0.0, 0.0])), 1),
+    ],
+    ids=["inner_z", "rez", "hyperbola_xi", "hyperbola_vanishing_norm"],
+)
+def test_closed_forms_name_their_first_bad_row(call, row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"in row {row}$"):
+            call()
 
 
 def test_finite_angles_keep_their_floats():

@@ -250,9 +250,10 @@ def test_verify_builds_unitaries_per_stack():
     assert per_draw_unitary_calls((SRC / "verify.py").read_text()) == []
 
 
-# Single-chain and single-state calls. verify runs each per-point protocol
-# check, and cli each scan, as one stacked call over its grid or draws, so
-# none of these may run once per loop iteration there.
+# Single-chain and single-state calls, and the closed forms that take (K,)
+# arrays. verify runs each per-point protocol check, and cli each scan, as
+# one stacked call over its grid or draws, so none of these may run once per
+# loop iteration there.
 PER_ROW_PROTOCOL_CALLS = {
     "create_logical_qubit",
     "logical_pair_stack",
@@ -265,18 +266,30 @@ PER_ROW_PROTOCOL_CALLS = {
     "project_qubit",
     "apply_local",
     "fidelity_up_to_global_phase",
+    "inner_z",
+    "rez_formula",
+    "hyperbola_projection",
+    "solve_xi_for_weight",
+    "xi_family_arg",
+    "entanglement_report",
 }
 
+# The closed forms protocols itself calls on stacks: fuse_type_ii's z check
+# and the GHZ pool each take every row in one call. protocols' per-gate loops
+# (_corrected, _z_measure) apply gates once per correction, not per row, and
+# are not held to this gate.
+PROTOCOL_CLOSED_FORMS = {"inner_z", "rez_formula", "pair_weight_from_projection", "ghz_pair_range"}
 
-def per_row_protocol_calls(source: str) -> list[int]:
-    """Lines of the PER_ROW_PROTOCOL_CALLS (by name or attribute) inside a loop body."""
+
+def per_row_protocol_calls(source: str, names=PER_ROW_PROTOCOL_CALLS) -> list[int]:
+    """Lines of the calls to names (by name or attribute) inside a loop body."""
     return sorted(
         {
             node.lineno
             for body in _loop_bodies(ast.parse(source))
             for node in ast.walk(body)
             if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_ROW_PROTOCOL_CALLS
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
         }
     )
 
@@ -303,6 +316,21 @@ def test_verify_runs_protocol_checks_per_stack():
 
 def test_cli_runs_its_scans_per_stack():
     assert per_row_protocol_calls((SRC / "cli.py").read_text()) == []
+
+
+def test_gate_flags_a_per_row_closed_form():
+    src = (
+        "for k, row in enumerate(chis.tolist()):\n"
+        "    expect = inner_z(*row)\n"
+        "expect = inner_z(*chis.T)\n"
+        "rez = [protocols.rez_formula(c, -c) for c in grid]\n"
+        "ok = [apply_local(rows, q, g) for g in gates]\n"
+    )
+    assert per_row_protocol_calls(src, PROTOCOL_CLOSED_FORMS) == [2, 4]
+
+
+def test_protocols_runs_its_closed_forms_per_stack():
+    assert per_row_protocol_calls((SRC / "protocols.py").read_text(), PROTOCOL_CLOSED_FORMS) == []
 
 
 def small_float_literals(source: str) -> list[int]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wgfusion import verify
-from wgfusion.analysis import INV_SQRT2, pair_weight_from_projection
+from wgfusion.analysis import INV_SQRT2, hyperbola_projection, inner_z, pair_weight_from_projection
 from wgfusion.errors import (
     InputError,
     InvalidGraphError,
@@ -49,6 +49,7 @@ from wgfusion.protocols import (
     logical_pair_stack,
     make_chain,
     make_chain_stack,
+    rez_formula,
     sample_outcomes,
     type_ii_probabilities_stack,
     weighted_pair_rows,
@@ -405,6 +406,37 @@ def test_pair_weight_and_range_rows_equal_single_calls(k, data):
         one_phi, one_eq = pair_weight_from_projection(*row)
         assert (float.hex(phi), eq) == (float.hex(one_phi), one_eq)
         assert float.hex(reach) == float.hex(ghz_pair_range(*row[2:]))
+
+
+XIS = st.builds(lambda mag, sign: sign * mag, st.floats(1e-3, 1e3), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), d=st.integers(0, 3), per_row_mag=st.booleans(), data=st.data())
+def test_closed_forms_rows_equal_single_calls(k, d, per_row_mag, data):
+    """Weights wrapped or not, zero weights among them: a K-row inner_z call
+    over d weight arrays (d = 0 is z = 1), a K-row rez_formula call and a
+    K-row hyperbola_projection call (|A| = 1/sqrt2 or drawn) give the K
+    scalar calls' values, float.hex of every real and imaginary part; the
+    scalar calls keep their complex, float and TwoQubitProjection types."""
+    chis = np.array([[data.draw(GHZ_ANGLES) for _ in range(d)] for _ in range(k)]).reshape(k, d)
+    pairs = np.array([[data.draw(GHZ_ANGLES), data.draw(GHZ_ANGLES)] for _ in range(k)])
+    chi_bfs = np.array([data.draw(GHZ_ANGLES) for _ in range(k)])
+    xis = np.array([data.draw(XIS) for _ in range(k)])
+    mags = np.array([data.draw(st.floats(0.05, 2.0)) if per_row_mag else INV_SQRT2 for _ in range(k)])
+    zs = np.broadcast_to(inner_z(*chis.T), (k,))
+    rez = rez_formula(*pairs.T)
+    coefs = hyperbola_projection(chi_bfs, xis, mags)
+    assert rez.shape == (k,) and coefs.shape == (k, 2, 2)
+    for i in range(k):
+        z = inner_z(*chis[i].tolist())
+        assert type(z) is complex and _hex(zs[i]) == _hex(z)
+        one = rez_formula(*pairs[i].tolist())
+        assert type(one) is float and float.hex(float(rez[i])) == float.hex(one)
+        p = hyperbola_projection(chi_bfs[i].item(), xis[i].item(), mags[i].item())
+        entries = (p.a, p.b, p.c, p.d)
+        assert all(type(c) is complex for c in entries)
+        assert [_hex(c) for c in coefs[i].ravel()] == [_hex(c) for c in entries]
 
 
 # The protocols behind verify's per-point protocol checks: every outcome that

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wgfusion import analysis, fock, verify
-from wgfusion.analysis import TwoQubitProjection, entanglement_report
+from wgfusion.analysis import entanglement_report
 from wgfusion.errors import InvalidUnitaryError, NumericalAbortError
 from wgfusion.fock import ginibre, haar_stack, outcome_coeffs, pattern_indices
 from wgfusion.graphstate import eigvalsh_2x2
@@ -101,7 +101,14 @@ def _two_successes(monkeypatch):
 
 def _shifted_rez_formula(monkeypatch):
     real = verify.rez_formula
-    monkeypatch.setattr(verify, "rez_formula", lambda *args: real(*args) + 1e-8)
+
+    def shifted(chi_bf, chi_bf2):
+        # one call over every drawn chain: a (K,) Re z array
+        rez = real(chi_bf, chi_bf2)
+        assert rez.shape == np.shape(chi_bf)
+        return rez + 1e-8
+
+    monkeypatch.setattr(verify, "rez_formula", shifted)
 
     def after(res):
         assert res.max_residual > 1e-9
@@ -148,8 +155,10 @@ def _perturbed_hyperbola_projection(monkeypatch):
     real = verify.hyperbola_projection
 
     def perturbed(*args):
-        p = real(*args)
-        return TwoQubitProjection(p.a, p.b + 1e-8, p.c, p.d)
+        # one call over every draw: B of every (K, 2, 2) row moved by 1e-8
+        coefs = real(*args)
+        coefs[:, 0, 1] += 1e-8
+        return coefs
 
     monkeypatch.setattr(verify, "hyperbola_projection", perturbed)
 
