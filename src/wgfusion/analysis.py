@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,15 +151,12 @@ class TwoQubitProjection:
     b: complex
     c: complex
     d: complex
+    norm_sq: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        nsq = self.norm_sq
+        self.norm_sq = nsq = _sum_abs_sq(self.a, self.b, self.c, self.d)
         if not (math.isfinite(nsq) and nsq >= VANISHING_NORM_SQ):
             raise InputError("projection coefficients are all zero or not finite")
-
-    @property
-    def norm_sq(self) -> float:
-        return _sum_abs_sq(self.a, self.b, self.c, self.d)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -262,10 +259,13 @@ def classify_projection(
     """Ordered classification of a relevant-outcome projection.
 
     Precedence: fused > new-weight > maximally-entangled > product > other.
-    neighbor_count is the fused qubit's neighbor count on the right chain;
-    chi_bf2 is its second edge weight (ignored when neighbor_count = 1).
-    A disagreement inside tef_unitarity propagates as NumericalAbortError.
+    neighbor_count is the fused qubit's neighbor count on the right chain,
+    1 or 2 (else InputError); chi_bf2 is its second edge weight (ignored
+    when neighbor_count = 1). A disagreement inside tef_unitarity
+    propagates as NumericalAbortError.
     """
+    if neighbor_count not in (1, 2):
+        raise InputError(f"neighbor_count must be 1 or 2, got {neighbor_count!r}")
     scale = math.sqrt(p.norm_sq)
     if (
         abs(p.b) < CLASS_TOL * scale

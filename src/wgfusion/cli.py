@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -141,11 +142,7 @@ def cmd_fuse(args) -> int:
     if args.sample:
         if args.seed is None:
             raise InputError("--sample requires --seed")
-        labels = sample_outcomes(outcomes, args.sample, args.seed)
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        payload["samples"] = counts
+        payload["samples"] = Counter(sample_outcomes(outcomes, args.sample, args.seed))
     _emit(payload, args.out)
     return 0
 

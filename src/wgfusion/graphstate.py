@@ -154,11 +154,6 @@ class WeightedGraph:
                 return chi
         return 0.0
 
-    def without_vertex(self, v: str) -> "WeightedGraph":
-        verts = tuple(x for x in self.vertices if x != v)
-        edges = tuple(e for e in self.edges if v not in (e[0], e[1]))
-        return WeightedGraph(verts, edges)
-
     def as_dict(self) -> dict:
         """The graph-JSON document {"vertices": [...], "edges": [{"a", "b", "chi"}, ...]}."""
         return {

@@ -226,10 +226,13 @@ def _pick(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
 
 def _drop(graph: WeightedGraph, weights: np.ndarray, vertices) -> tuple[WeightedGraph, np.ndarray]:
     """The shape without vertices, and the weight columns of the edges it keeps."""
+    gone = set(vertices)
+    shape = WeightedGraph(
+        tuple(v for v in graph.vertices if v not in gone),
+        tuple(e for e in graph.edges if gone.isdisjoint(e[:2])),
+    )
     column = _edge_columns(graph)
-    for v in vertices:
-        graph = graph.without_vertex(v)
-    return graph, weights[:, [column[frozenset((x, y))] for x, y, _ in graph.edges]]
+    return shape, weights[:, [column[frozenset((x, y))] for x, y, _ in shape.edges]]
 
 
 def _reweighted(shape: WeightedGraph, weights) -> WeightedGraph:
@@ -1257,8 +1260,12 @@ def sample_outcomes(outcomes: list, n: int, seed: int) -> list[str]:
     supplies probability and label. The distribution must be complete:
     InputError unless every probability is >= -PROB_SUM_TOL and they sum to
     1 within PROB_SUM_TOL. Only that round-off is clipped away before
-    sampling.
+    sampling. n and seed must be non-negative ints (a NumPy integer counts,
+    a bool does not), else InputError before any draw.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise InputError(f"{name} must be a non-negative int, got {value!r}")
     rng = np.random.default_rng(seed)
     probs = np.array([o.probability for o in outcomes], dtype=float)
     total = float(probs.sum())

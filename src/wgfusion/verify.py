@@ -199,31 +199,32 @@ def check_type_i(seed: int = 11, quick: bool = False):
 def check_logical_qubit(quick: bool = False):
     """Success probability (1-cos chi)/4 on a 100-point grid; pair support holds.
 
-    The grid's chains are one stack and take one create_logical_qubit call;
-    chi = pi, where both X-basis outcomes succeed, is one K = 1 call.
+    The grid's chains and chi = pi, where both X-basis outcomes succeed, are
+    one stack and take one create_logical_qubit call: one success per grid
+    row, two on the pi row, whose success total must be 1.
     """
     n = 24 if quick else 100
-    chis = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
-    stack = make_chain_stack(["a", "b", "c", "d"], np.stack([np.ones(n), chis, chis], axis=1))
+    grid = -math.pi + (np.arange(n) + 0.5) * 2.0 * math.pi / n  # avoids 0 and pi
+    chis = np.append(grid, math.pi)
+    stack = make_chain_stack(["a", "b", "c", "d"], np.stack([np.ones(n + 1), chis, chis], axis=1))
     outs = create_logical_qubit(stack, "c")
     succ = [o for o in outs if o.label.startswith("success")]
-    count = _row_counts(succ, n)
-    support = np.ones(n, dtype=bool)
-    probs = np.full(n, np.nan)
+    count = _row_counts(succ, n + 1)
+    expect = np.append(np.ones(n, dtype=int), 2)
+    support = np.ones(n + 1, dtype=bool)
+    probs = np.full(n + 1, np.nan)
     for o in succ:
         support[o.rows] &= o.post_states[0].pair_support_rows(frozenset({"b", "d"}))
         probs[o.rows] = o.probabilities
     _refute_first(
-        (count != 1, lambda k: f"chi={chis[k]}: {count[k]} successes"),
+        (count != expect, lambda k: f"chi={chis[k]}: {count[k]} successes"),
         (~support, lambda k: f"pair support broken at chi={chis[k]}"),
     )
-    residuals = [np.abs(probs - (1.0 - np.cos(chis)) / 4.0), np.abs(_row_totals(outs, n) - 1.0)]
-    # chi = pi: both X-basis outcomes succeed, total probability 1
-    outs = create_logical_qubit(make_chain(["a", "b", "c", "d"], [1.0, math.pi, math.pi]), "c")
-    succ = [o for o in outs if o.label.startswith("success")]
-    if len(succ) != 2:
-        raise _Refuted(f"chi=pi: {len(succ)} successes")
-    residuals.append(abs(sum(o.probability for o in succ) - 1.0))
+    residuals = [
+        np.abs(probs[:n] - (1.0 - np.cos(grid)) / 4.0),
+        np.abs(_row_totals(outs, n + 1) - 1.0),
+        abs(_row_totals(succ, n + 1)[n] - 1.0),
+    ]
     return f"{n}-point grid + pi", residuals
 
 
@@ -233,8 +234,9 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
 
     The right chains of the drawn weights and pi are one stack, fused with
     the fixed left chain, repeated once per row, in one fuse_type_ii call,
-    and checked against one rez_formula call; the all-pi right chain is one
-    K = 1 call.
+    and checked against one rez_formula call. The pi row's weights are
+    (pi, pi): both its failures must be good, and Re z = 0 there makes its
+    split residuals the 1/4 ones.
     """
     rng = np.random.default_rng(seed)
     n = 10 if quick else 40
@@ -245,18 +247,20 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
     right = make_chain_stack(["v", "b", "w"], np.stack([chis, _wrap_rows(-chis)], axis=1))
     k = len(chis)
     outs = fuse_type_ii(left.take(np.zeros(k, dtype=int)), ("B", "D"), right, "b", consume="D")
-    p_good, p_plus, good = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
+    p_good, p_plus = np.full(k, np.nan), np.full(k, np.nan)
+    good, good_plus = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
     for o in outs:
         if o.label == "failure_b_minus":
             p_good[o.rows], good[o.rows] = o.probabilities, o.is_good_failure
         elif o.label == "failure_b_plus":
-            p_plus[o.rows] = o.probabilities
+            p_plus[o.rows], good_plus[o.rows] = o.probabilities, o.is_good_failure
     rez = rez_formula(*right.weights.T)
     away_from_pi = ~_near(chis - math.pi)
     _refute_first(
         (~good, lambda r: f"chi={chis[r]} not flagged good"),
         (~(p_good <= 0.25 + BOUND_SLACK), lambda r: "good failure above 1/4"),
         ((np.abs(p_good - 0.25) < ABORT_TOL) & away_from_pi, lambda r: "1/4 away from pi"),
+        (~good_plus & (np.arange(k) == n), lambda r: "failure_b_plus not good at pi"),
     )
     residuals = [
         np.abs(p_good - (1.0 - rez) / 4.0),
@@ -264,14 +268,7 @@ def check_type_ii_failures(seed: int = 13, quick: bool = False):
         np.abs(p_good - (1.0 - np.cos(chis)) / 8.0),
         np.abs(_row_totals(outs, k) - 1.0),
     ]
-    # all weights pi: split (1/4, 1/4), both failures good
-    outs = fuse_type_ii(left, ("B", "D"), make_chain(["v", "b", "w"], [math.pi] * 2), "b", consume="D")
-    for o in outs:
-        if o.label.startswith("failure"):
-            residuals.append(abs(o.probability - 0.25))
-            if not o.is_good_failure:
-                raise _Refuted(f"{o.label} not good at pi")
-    return f"{n + 2} chains", residuals
+    return f"{k} chains", residuals
 
 
 def _random_fusion_setup(rng: np.random.Generator, draws: int):
@@ -284,8 +281,9 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
     branch at C makes the logical pair {B, D}, whose member D is fused with
     b of the right chain v-b or v-b-w. The random numbers are drawn one
     draw at a time; the linear algebra runs afterwards on stacks. The
-    Ginibre draws of each N become Haar unitaries in one haar_stack call and
-    are checked in one check_unitary_rows call. The chains are built as
+    Ginibre draws are grouped by N (_positions), and each N's become Haar
+    unitaries in one haar_stack call and are checked in one
+    check_unitary_rows call. The chains are built as
     stacks, one build per shape: every left chain in one stack, whose rows
     of both cases take the X-like branch in one logical_pair_stack call, and
     the right chains in one stack per length.
@@ -296,23 +294,21 @@ def _random_fusion_setup(rng: np.random.Generator, draws: int):
     length and rows[i] its row in contexts[length], the FusionContext of the
     draws with that length, in draw order: one fusion_context_rows call.
     """
-    ginibres: dict[int, list[np.ndarray]] = {}
-    sizes, urows = np.empty(draws, dtype=int), np.empty(draws, dtype=int)
-    lengths = []
+    sizes, ginibres, lengths = np.empty(draws, dtype=int), [], []
     lefts, rights = np.empty((draws, 3)), np.empty((draws, 2))
     for i in range(draws):
         n = int(rng.integers(4, 9))
-        same_n = ginibres.setdefault(n, [])
-        sizes[i], urows[i] = n, len(same_n)
-        same_n.append(ginibre(n, rng))
+        sizes[i] = n
+        ginibres.append(ginibre(n, rng))
         w1 = float(rng.uniform(0.1, math.pi)) * float(SIGNS[rng.integers(0, 2)])
         chi = float(rng.uniform(0.1, math.pi - 0.1))
         lefts[i] = w1, chi, (chi if rng.random() < 0.5 else wrap_angle(-chi))
         lengths.append(1 if rng.random() < 0.5 else 2)
         rights[i, : lengths[-1]] = _rand_weights(rng, lengths[-1])
-    us = {}
-    for n in list(ginibres):  # popped, so a size's draws and its stack are not both kept
-        us[n] = haar_stack(np.concatenate(ginibres.pop(n)))
+    urows, us = np.empty(draws, dtype=int), {}
+    for n, idx in _positions(sizes.tolist()).items():
+        urows[idx] = np.arange(len(idx))
+        us[n] = haar_stack(np.concatenate([ginibres[i] for i in idx]))
         check_unitary_rows(us[n])
     paired = logical_pair_stack(make_chain_stack(["A", "B", "C", "D"], lefts), "C")
     rows, contexts = np.empty(draws, dtype=int), {}
@@ -331,14 +327,9 @@ def _positions(keys: list) -> dict:
     return {key: np.array(idx) for key, idx in out.items()}
 
 
-# Draws per stacked call of check_generalized_oracle. A group is compared as
-# soon as it holds this many draws, so the check keeps at most ten partial
-# groups and one batch's tables alive at a time. The oracle forms only the
-# N(N+1)/2 patterns' amplitudes, so 64 draws fit where 16 did: the check's
-# tracemalloc peak is 3.5 MiB (16 draws: 1.7 MiB, 128: 4.3 MiB), under the
-# 3.9 MiB the verify pass reached before (its x-like scan), and the bench's
-# verify_suite peak RSS went 46.3 -> 45.4 MiB. In process (min of 6) the
-# check takes 79-83 ms at 64 draws, 90-96 ms at 16 and 79 ms at 128.
+# Draws per stacked call of check_generalized_oracle: each group of draws is
+# compared in slices of this many, in draw order, so the tables of one slice
+# are alive at a time.
 ORACLE_BATCH = 64
 
 
@@ -372,27 +363,17 @@ def check_generalized_oracle(seed: int = 17, quick: bool = False):
     The draws come in one fixed rng order (_random_fusion_setup), their
     Case-1 and Case-2 left chains in one stack, and are grouped by (N, left
     qubits, right qubits), i.e. by N and the right chain's length, the left
-    register being two qubits; each full batch of ORACLE_BATCH draws of a
-    group, and each group's remainder at the end, is compared in one stacked
-    pass.
+    register being two qubits (_positions). Each group's draw-ordered
+    indices are cut into slices of ORACLE_BATCH, and each slice is compared
+    in one stacked pass.
     """
     rng = np.random.default_rng(seed)
     draws = 100 if quick else 1000
     us, sizes, urows, lengths, rows, contexts = _random_fusion_setup(rng, draws)
-
-    def compare(batch: list[int]) -> float:
-        ctx = contexts[lengths[batch[0]]].take(rows[batch])
-        return _oracle_residual(us[sizes[batch[0]]][urows[batch]], ctx)
-
     residuals = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, n in enumerate(sizes.tolist()):
-        batch = groups.setdefault((n, lengths[i]), [])
-        batch.append(i)
-        if len(batch) == ORACLE_BATCH:
-            residuals.append(compare(batch))
-            batch.clear()
-    residuals += [compare(batch) for batch in groups.values() if batch]
+    for (n, r), idx in _positions(list(zip(sizes.tolist(), lengths))).items():
+        for batch in np.split(idx, range(ORACLE_BATCH, len(idx), ORACLE_BATCH)):
+            residuals.append(_oracle_residual(us[n][urows[batch]], contexts[r].take(rows[batch])))
     return f"{draws} draws", [residuals]
 
 
@@ -620,17 +601,14 @@ def _stack_fields(fields: list[tuple]) -> list[np.ndarray]:
 def check_no_good_failure_theorem(seed: int = 31, quick: bool = False):
     """Shared same-detector direction forces every relevant det to vanish.
 
-    The draws are made one at a time and grouped by N; each N's unitaries
-    are built, checked and tested as one stack."""
+    The draws are made one at a time and grouped by N (_positions); each
+    N's unitaries are built, checked and tested as one stack."""
     rng = np.random.default_rng(seed)
     draws = 50 if quick else 200
-    by_n: dict[int, list[tuple]] = {}
-    for _ in range(draws):
-        n, *fields = _constrained_draw(rng)
-        by_n.setdefault(n, []).append(fields)
+    drawn = [_constrained_draw(rng) for _ in range(draws)]
     residuals = []
-    for n in list(by_n):  # popped, so a size's draws and its stack are not both kept
-        us = _constrained_stack(*_stack_fields(by_n.pop(n)))
+    for idx in _positions([d[0] for d in drawn]).values():
+        us = _constrained_stack(*_stack_fields([drawn[i][1:] for i in idx]))
         check_unitary_rows(us)
         _, premise, max_det = check_no_good_failure_stack(us)
         if not premise.all():

@@ -264,6 +264,28 @@ def test_projection_rejects_a_coefficient_whose_square_overflows(big):
             pair_weight_from_projection(0.5, coef, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("count", [0, 3, -1])
+def test_classify_refuses_a_neighbor_count_other_than_1_or_2(count):
+    # before the refusal these classified silently, a third neighbour's
+    # weight never read
+    p = TwoQubitProjection(0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(InputError, match=f"neighbor_count must be 1 or 2, got {count}$"):
+        classify_projection(p, 0.7, count, 0.3)
+
+
+def test_projection_sums_its_norm_once(monkeypatch):
+    import wgfusion.analysis as analysis
+
+    calls = []
+    real = analysis._sum_abs_sq
+    monkeypatch.setattr(analysis, "_sum_abs_sq", lambda *c: calls.append(c) or real(*c))
+    p = TwoQubitProjection(0.6, 0.0, 0.0, 0.6j)
+    assert classify_projection(p, 0.7).tag == "fused_weighted_graph"
+    assert p.norm_sq == real(0.6, 0.0, 0.0, 0.6j) and len(calls) == 1
+    # a derived field: not an argument, not compared, not shown
+    assert p == TwoQubitProjection(0.6, 0.0, 0.0, 0.6j) and "norm_sq" not in repr(p)
+
+
 def test_tef_disagreement_surfaces_through_classify(monkeypatch):
     import wgfusion.analysis as analysis
 

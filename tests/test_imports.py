@@ -12,7 +12,8 @@ tolerance table writes a float literal below 1e-2, every constant of that
 table has a reader, every name __init__.py exports is bound there, every
 export and every public module-level function and class has a reader, no
 per-layer-pinned function has a public stacked twin ("_stack", "_rows" or
-"_table" by name), and no module dispatches between the two chain types.
+"_table" by name), no module dispatches between the two chain types, and
+no verify check calls one protocol function twice.
 """
 
 from __future__ import annotations
@@ -331,6 +332,62 @@ def test_gate_flags_a_per_row_closed_form():
 
 def test_protocols_runs_its_closed_forms_per_stack():
     assert per_row_protocol_calls((SRC / "protocols.py").read_text(), PROTOCOL_CLOSED_FORMS) == []
+
+
+# A verify check runs its law as one stacked protocol call: a second call of
+# the same PER_ROW_PROTOCOL_CALLS name in one @_check body is a side call
+# that belongs in the stack. The exemptions name the check and the call.
+REPEAT_EXEMPT = {
+    # the range refusal: a second call, on a target out of reach away from
+    # pi, that must raise NotAchievableError and so cannot join the stack
+    ("check_ghz_generation", "ghz_pair_for_target_stack"),
+}
+
+
+def repeated_protocol_calls(source: str) -> list[tuple[str, str]]:
+    """(check, name) for each PER_ROW_PROTOCOL_CALLS name (by name or
+    attribute) called more than once in the body of a function decorated
+    with _check(...)."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or not any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_check" for d in fn.decorator_list
+        ):
+            continue
+        seen = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in PER_ROW_PROTOCOL_CALLS:
+                    if name in seen:
+                        out.add((fn.name, name))
+                    seen.add(name)
+    return sorted(out)
+
+
+def test_gate_flags_a_repeated_protocol_call():
+    src = (
+        "@_check('a', TOL)\n"
+        "def check_a(quick=False):\n"
+        "    outs = create_logical_qubit(stack, 'c')\n"
+        "    outs = protocols.create_logical_qubit(make_chain(labels, [1.0, pi, pi]), 'c')\n"
+        "    return fuse_type_ii(l, p, r, 'b'), rez_formula(x, y)\n"
+        "@_check('b', TOL)\n"
+        "def check_b(quick=False):\n"
+        "    x = fuse_type_ii(l, p, r, 'b')\n"
+        "    return fuse_type_ii(l, p, r2, 'b'), inner_z(x)\n"
+        "def helper():\n"
+        "    return inner_z(a), inner_z(b)\n"
+        "@functools.cache\n"
+        "def cached():\n"
+        "    return apply_local(a, 0, g), apply_local(a, 1, g)\n"
+    )
+    assert repeated_protocol_calls(src) == [("check_a", "create_logical_qubit"), ("check_b", "fuse_type_ii")]
+
+
+def test_verify_runs_each_law_as_one_protocol_call():
+    # an exemption that no longer flags is stale and must go too
+    assert set(repeated_protocol_calls((SRC / "verify.py").read_text())) == REPEAT_EXEMPT
 
 
 def small_float_literals(source: str) -> list[int]:

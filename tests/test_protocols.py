@@ -448,6 +448,34 @@ def test_sampling_refuses_incomplete_distributions():
     assert sample_outcomes(ok, 10, seed=1) == ["x"] * 10
 
 
+@pytest.mark.parametrize(
+    "n, seed, bad",
+    [
+        (-1, 1, "n"),
+        (10, -3, "seed"),
+        (2.5, 1, "n"),
+        (10, 1.5, "seed"),
+        (True, 1, "n"),
+        (10, False, "seed"),
+        ("10", 1, "n"),
+        (10, None, "seed"),
+    ],
+    ids=["n_negative", "seed_negative", "n_float", "seed_float", "n_bool", "seed_bool", "n_str", "seed_none"],
+)
+def test_sampling_refuses_a_count_or_seed_that_is_not_a_non_negative_int(n, seed, bad):
+    # before the refusal these raised NumPy's bare ValueError or TypeError,
+    # or (seed None) drew from fresh entropy
+    outs = [_outcome("x", 0.5), _outcome("y", 0.5)]
+    with pytest.raises(InputError, match=f"^{bad} must be a non-negative int"):
+        sample_outcomes(outs, n, seed)
+
+
+def test_sampling_takes_numpy_integers_and_zero_draws():
+    outs = [_outcome("x", 0.5), _outcome("y", 0.5)]
+    assert sample_outcomes(outs, np.int64(30), np.uint32(7)) == sample_outcomes(outs, 30, 7)
+    assert sample_outcomes(outs, 0, 0) == []
+
+
 def _outcome(label: str, p: float) -> OutcomeStack:
     """A one-row outcome with probability p and no post-state."""
     return OutcomeStack(label, np.arange(1), np.array([p]), [])
@@ -501,3 +529,28 @@ def test_ghz_pair_for_target_refuses_a_non_finite_angle(args):
         _for_target(*args)
     assert not isinstance(exc.value, NotAchievableError)
 
+
+
+# ------------------------------------------------------------ vertex removal
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_drop_builds_the_graph_one_vertex_removal_at_a_time_would(seed):
+    # the reference removes one vertex per graph, re-wrapping every kept edge each time
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    labels = [f"q{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.5]
+    graph = WeightedGraph(tuple(labels), tuple((a, b, float(rng.uniform(-4.0, 4.0))) for a, b in pairs))
+    weights = rng.uniform(-math.pi, math.pi, (3, len(graph.edges)))
+    gone = list(rng.choice(labels, int(rng.integers(1, n)), replace=False))
+    ref = graph
+    for v in gone:
+        ref = WeightedGraph(
+            tuple(x for x in ref.vertices if x != v), tuple(e for e in ref.edges if v not in e[:2])
+        )
+    shape, cols = protocols._drop(graph, weights, gone)
+    assert shape == ref
+    keep = [i for i, e in enumerate(graph.edges) if not set(e[:2]) & set(gone)]
+    assert np.array_equal(cols, weights[:, keep])
+    assert not hasattr(WeightedGraph, "without_vertex")

@@ -247,6 +247,40 @@ def test_each_check_fails_on_its_mutant(monkeypatch, check, mutate):
         after(res)
 
 
+def test_the_pi_rows_join_their_stacks():
+    # chi = pi is the last row of the one stacked protocol call of each law
+    assert verify.check_logical_qubit(quick=True).detail == "24-point grid + pi"
+    assert verify.check_type_ii_failures(quick=True).detail == "11 chains"
+    assert verify.check_type_ii_failures().detail == "41 chains"
+
+
+def test_a_pi_row_with_one_success_is_refuted(monkeypatch):
+    real = verify.create_logical_qubit
+
+    def one_pi_success(*args, **kwargs):
+        # the Case-2 success holds the pi row alone
+        return [o for o in real(*args, **kwargs) if o.label != "success_case2"]
+
+    monkeypatch.setattr(verify, "create_logical_qubit", one_pi_success)
+    res = verify.check_logical_qubit(quick=True)
+    assert not res.passed and res.detail == f"chi={math.pi}: 1 successes"
+
+
+def test_a_pi_row_whose_plus_failure_is_not_good_is_refuted(monkeypatch):
+    real = verify.fuse_type_ii
+
+    def plus_not_good(*args, **kwargs):
+        outs = real(*args, **kwargs)
+        for o in outs:
+            if o.label == "failure_b_plus":
+                o.is_good_failure = False
+        return outs
+
+    monkeypatch.setattr(verify, "fuse_type_ii", plus_not_good)
+    res = verify.check_type_ii_failures(quick=True)
+    assert not res.passed and res.detail == "failure_b_plus not good at pi"
+
+
 def test_a_wrong_radical_makes_the_closed_form_abort(monkeypatch):
     # the same mutant in entanglement_report's dense cross-check: every
     # entangled row's eigenvalues go wrong, and the report refuses the stack
